@@ -58,7 +58,7 @@
 //   - sim.Concurrent — one goroutine per node with per-edge channels and a
 //     coordinator barrier. Use it to exercise the algorithm as genuine
 //     message passing (races, goroutine scheduling); ~4× slower than
-//     Sequential.
+//     Sequential. Run is a sim.ConcurrentPool built, used once, and closed.
 //   - sim.Matrix — materializes every round as a row-stochastic transition
 //     (the matrix representation of arXiv:1203.1888). Run matches
 //     Sequential; RunBatch streams each round's transition over many
@@ -97,12 +97,14 @@
 //     on the exact survivor set, NaN and ±Inf included.
 //  3. Steady-state zero allocation. core.Scratch buffers, the engines'
 //     edge-indexed message planes, and the async ring inboxes reuse their
-//     storage, and strategies implementing adversary.EdgeWriter scatter
-//     faulty values straight onto the planes — with an EdgeWriter adversary
-//     the round loop allocates nothing in steady state (enforced by
-//     TestEngineRoundLoopZeroSteadyStateAllocs and the *-steady
-//     benchmarks). Only the Messages-map fallback and trace growth beyond
-//     the preallocated window allocate.
+//     storage, and every engine drives the rule through UpdateInto and the
+//     adversary through WriteMessages only (normalised once per run by
+//     core.Buffered and adversary.Writer) — with the built-in rules and
+//     strategies the round loop allocates nothing in steady state (enforced
+//     by TestEngineRoundLoopZeroSteadyStateAllocs and the *-steady
+//     benchmarks). Only a user rule or strategy without the fast method,
+//     served by the adapters, and trace growth beyond the preallocated
+//     window allocate.
 //  4. Determinism. Given identical configs (and seeds for randomized
 //     strategies), every engine produces identical traces across runs.
 //  5. Pruning soundness. The exact checker's degree lower bound can never
@@ -148,11 +150,12 @@
 //     (TestCalendarQueueRunMatchesHeap, FuzzCalendarQueueMatchesHeap)
 //     while push/pop allocate nothing in steady state.
 //
-// bench_test.go in this directory hosts the benchmark harness: one
-// Benchmark per experiment plus micro-benchmarks for the hot paths; `iabc
-// bench` runs the same hot paths from the CLI and records a BENCH_<date>.json
-// trajectory artifact. See README.md for a guided tour and EXPERIMENTS.md
-// for paper-vs-measured results.
+// bench_test.go in this directory hosts the go test -bench harness: one
+// Benchmark per experiment plus micro-benchmarks for the hot paths. The
+// repo benchmark a change is judged by is declared in BENCHMARK.json and
+// run with `go run ./benchmark`: eight end-to-end workloads with per-layer
+// attribution. See README.md for a guided tour and EXPERIMENTS.md for
+// paper-vs-measured results.
 package iabc
 
 //go:generate go run ./cmd/apigen

@@ -13,6 +13,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"iabc/internal/graph"
@@ -60,10 +61,10 @@ type EdgeSink interface {
 	Send(k int, value float64)
 }
 
-// EdgeWriter is the allocation-free fast path of Strategy. Engines probe for
-// it once per run and, when present, call WriteMessages instead of Messages,
-// scattering values straight onto their flat edge planes with no per-round
-// map.
+// EdgeWriter is the form of Strategy the engines drive: every engine
+// normalises its configured strategy through Writer once per run and from
+// then on calls only WriteMessages, scattering values straight onto its flat
+// edge plane with no per-round map.
 //
 // Contract: WriteMessages must be observationally identical to Messages —
 // for every view and sender, Send(k, v) is called exactly once for each
@@ -74,6 +75,49 @@ type EdgeSink interface {
 type EdgeWriter interface {
 	Strategy
 	WriteMessages(view RoundView, sender int, w EdgeSink)
+}
+
+// Writer normalises a strategy to the EdgeWriter seam: the identity on
+// strategies that implement WriteMessages, and for any other strategy a
+// wrapper that scatters its Messages map along the sender's out-edge list in
+// ascending k — the EdgeWriter contract by construction, at the cost of the
+// map. A nil strategy stays nil.
+func Writer(s Strategy) EdgeWriter {
+	if s == nil {
+		return nil
+	}
+	if w, ok := s.(EdgeWriter); ok {
+		return w
+	}
+	return mapWriter{s}
+}
+
+// mapWriter is Writer's wrapper for strategies without a WriteMessages.
+type mapWriter struct{ Strategy }
+
+func (m mapWriter) WriteMessages(view RoundView, sender int, w EdgeSink) {
+	msgs := m.Messages(view, sender)
+	for k, to := range view.G.OutView(sender) {
+		if v, ok := msgs[to]; ok {
+			w.Send(k, v)
+		}
+	}
+}
+
+// FaultFreeRange returns (µ, U): the extremes of states over the fault-free
+// nodes — the Lo and Hi a RoundView carries.
+func FaultFreeRange(states []float64, faultFree nodeset.Set) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	faultFree.ForEach(func(i int) bool {
+		if states[i] < lo {
+			lo = states[i]
+		}
+		if states[i] > hi {
+			hi = states[i]
+		}
+		return true
+	})
+	return lo, hi
 }
 
 // Conforming behaves exactly like a fault-free node: it sends the ghost

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"iabc/internal/adversary"
 	"iabc/internal/core"
@@ -207,21 +206,16 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 	states := make([]float64, n)
 	copy(states, cfg.Initial)
 	rounds := make([]int, n)
-	// Flat ring-buffer inboxes (first arrival per (from, round) wins),
-	// allocated only for fault-free receivers — faulty receivers discard.
-	// The ring lives in internal/quorum, shared with the real node actors.
-	inbox := make([]*quorum.Ring, n)
-	maxDeg := 0
+	// One Section 7 stepper per fault-free receiver (faulty receivers
+	// discard): the same type the real node actors drive, waiting for
+	// |N⁻_i| − F round-t values before each update.
+	rule := core.Buffered(cfg.Rule)
+	steps := make([]*quorum.Stepper, n)
 	faultFree.ForEach(func(i int) bool {
-		inbox[i] = quorum.NewRing(cfg.G.InDegree(i))
-		if d := cfg.G.InDegree(i); d > maxDeg {
-			maxDeg = d
-		}
+		steps[i] = quorum.NewStepper(cfg.G.InView(i), quorum.Count(cfg.G.InDegree(i), cfg.F),
+			cfg.F, cfg.MaxRounds, rule, states[i])
 		return true
 	})
-	recvBuf := make([]core.ValueFrom, 0, maxDeg)
-	buffered, _ := cfg.Rule.(core.BufferedRule)
-	var scratch core.Scratch
 
 	var seq int64
 	push := func(e event) {
@@ -241,12 +235,11 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 			value: value,
 		})
 	}
-	// EdgeWriter fast path: probed once, scattered through a reused sink so
-	// faulty emissions allocate no per-batch map.
-	ew, _ := cfg.Adversary.(adversary.EdgeWriter)
+	// Faulty emissions scatter through one reused sink.
+	adv := adversary.Writer(cfg.Adversary)
 	esink := emitSink{send: send}
 
-	lo, hi := faultFreeRange(states, faultFree)
+	lo, hi := adversary.FaultFreeRange(states, faultFree)
 	tr := &Trace{
 		Rounds:       rounds,
 		InitialRange: hi - lo,
@@ -266,12 +259,6 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 		return true
 	})
 
-	// quorumOf[i] = |N⁻_i| − F: how many round-t values node i waits for.
-	quorumOf := make([]int, n)
-	for i := 0; i < n; i++ {
-		quorumOf[i] = quorum.Count(cfg.G.InDegree(i), cfg.F)
-	}
-
 	// History decimation: with HistoryEvery = k > 1, only every k-th state
 	// change is appended; the last skipped point is kept pending so the
 	// history always ends at the final state change regardless of k.
@@ -285,7 +272,7 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 		pendingSet bool
 	)
 	recordRange := func(now float64) bool {
-		lo, hi := faultFreeRange(states, faultFree)
+		lo, hi := adversary.FaultFreeRange(states, faultFree)
 		pt := RangePoint{Time: now, Range: hi - lo}
 		if cfg.OnRange != nil {
 			cfg.OnRange(pt.Time, pt.Range)
@@ -305,6 +292,19 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 		return false
 	}
 
+	// e is the event being processed. advanced is what a completed round
+	// triggers at e's receiver: publish the new state, broadcast it, and
+	// sample the range — stopping the node's advance once Epsilon fires.
+	var e event
+	advanced := func(round int, v float64) bool {
+		i := e.to
+		states[i], rounds[i] = v, round
+		for _, to := range cfg.G.OutView(i) {
+			send(e.at, i, to, round, v)
+		}
+		return !recordRange(e.at)
+	}
+
 	var runErr error
 	var popped int
 	for q.len() > 0 && !tr.Converged && runErr == nil {
@@ -313,64 +313,25 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 				tr.Time, tr.Deliveries, context.Cause(ctx))
 		}
 		popped++
-		e, _ := q.pop()
+		e, _ = q.pop()
 		tr.Time = e.at
 		switch e.kind {
 		case evEmit:
-			emitFaulty(&cfg, e, states, faultFree, send, ew, &esink)
+			emitFaulty(&cfg, e, states, faultFree, adv, &esink)
 			if e.round+1 <= cfg.MaxRounds {
 				push(event{at: e.at + tick, kind: evEmit, from: e.from, round: e.round + 1})
 			}
 
 		case evArrival:
 			tr.Deliveries++
-			i := e.to
-			if !faultFree.Contains(i) {
+			st := steps[e.to]
+			if st == nil {
 				// Faulty receivers discard; their behavior is the
 				// adversary's, not the protocol's.
 				continue
 			}
-			if e.round < rounds[i] {
-				continue // stale
-			}
-			ins := cfg.G.InView(i)
-			pos := sort.SearchInts(ins, e.from)
-			if !inbox[i].Put(e.round, pos, e.value) {
-				continue // duplicates (equivocating re-sends) are dropped
-			}
-
-			// Advance as many rounds as the inbox now supports. The node
-			// moves the moment the quorum fills, so received usually holds
-			// exactly quorum[i] values; buffered later rounds can hold more
-			// (the rule tolerates that).
-			for rounds[i] < cfg.MaxRounds {
-				if inbox[i].Filled(rounds[i]) < quorumOf[i] {
-					break
-				}
-				// Slot positions are aligned with the sorted in-neighbor
-				// list, so received comes out in ascending sender order —
-				// deterministic with no sort.
-				received := inbox[i].Gather(rounds[i], ins, recvBuf[:0])
-				var v float64
-				var err error
-				if buffered != nil {
-					v, err = buffered.UpdateInto(&scratch, states[i], received, cfg.F)
-				} else {
-					v, err = cfg.Rule.Update(states[i], received, cfg.F)
-				}
-				if err != nil {
-					runErr = fmt.Errorf("async: node %d round %d: %w", i, rounds[i], err)
-					break
-				}
-				inbox[i].Pop()
-				states[i] = v
-				rounds[i]++
-				for _, to := range cfg.G.OutView(i) {
-					send(e.at, i, to, rounds[i], states[i])
-				}
-				if recordRange(e.at) {
-					break
-				}
+			if err := st.Deliver(e.from, e.round, e.value, advanced); err != nil {
+				runErr = fmt.Errorf("async: node %d round %d: %w", e.to, st.Round(), err)
 			}
 		}
 	}
@@ -407,9 +368,9 @@ func (s *emitSink) Send(k int, value float64) {
 }
 
 // emitFaulty schedules one faulty node's round-k batch according to the
-// adversary strategy, through the EdgeWriter fast path when available.
-func emitFaulty(cfg *Config, e event, states []float64, faultFree nodeset.Set, send func(now float64, from, to, round int, value float64), ew adversary.EdgeWriter, esink *emitSink) {
-	lo, hi := faultFreeRange(states, faultFree)
+// adversary strategy.
+func emitFaulty(cfg *Config, e event, states []float64, faultFree nodeset.Set, adv adversary.EdgeWriter, esink *emitSink) {
+	lo, hi := adversary.FaultFreeRange(states, faultFree)
 	view := adversary.RoundView{
 		Round:  e.round,
 		G:      cfg.G,
@@ -419,31 +380,7 @@ func emitFaulty(cfg *Config, e event, states []float64, faultFree nodeset.Set, s
 		Lo:     lo,
 		Hi:     hi,
 	}
-	if ew != nil {
-		esink.outs = cfg.G.OutView(e.from)
-		esink.now, esink.from, esink.round = e.at, e.from, e.round
-		ew.WriteMessages(view, e.from, esink)
-		return
-	}
-	msgs := cfg.Adversary.Messages(view, e.from)
-	for _, to := range cfg.G.OutView(e.from) {
-		if v, ok := msgs[to]; ok {
-			send(e.at, e.from, to, e.round, v)
-		}
-		// Omitted receivers genuinely get nothing: asynchronous silence.
-	}
-}
-
-func faultFreeRange(states []float64, faultFree nodeset.Set) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	faultFree.ForEach(func(i int) bool {
-		if states[i] < lo {
-			lo = states[i]
-		}
-		if states[i] > hi {
-			hi = states[i]
-		}
-		return true
-	})
-	return lo, hi
+	esink.outs = cfg.G.OutView(e.from)
+	esink.now, esink.from, esink.round = e.at, e.from, e.round
+	adv.WriteMessages(view, e.from, esink)
 }

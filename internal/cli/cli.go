@@ -33,7 +33,6 @@ Commands:
   sweep        family sweep (rounds-to-ε vs n) as CSV
   topo         emit the topology (edge list or DOT)
   experiments  regenerate every paper experiment table (E1–E15)
-  bench        run the hot-path micro-benchmarks, write BENCH_<date>.json
   help         this text
 
 Run 'iabc <command> -h' for command flags. Topology specs:
@@ -73,8 +72,6 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		err = cmdTopo(rest, stdin, stdout)
 	case "experiments":
 		err = experiments.RunAll(stdout)
-	case "bench":
-		err = cmdBench(rest, stdout)
 	case "help", "-h", "--help":
 		fmt.Fprint(stdout, usage)
 		return 0

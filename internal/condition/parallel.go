@@ -2,6 +2,7 @@ package condition
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -273,11 +274,17 @@ func checkParallel(ctx context.Context, g *graph.Graph, f, threshold, workers in
 						pruned:     local.pruned - before.pruned,
 						memoHits:   local.memoHits - before.memoHits,
 					}); err != nil {
-						storeMu.Lock()
-						if storeErr == nil {
-							storeErr = err
+						// A checkpoint write that failed with ctx's own error
+						// is the cancellation landing mid-write, not a store
+						// fault: take the canceled exit below, which flushes
+						// on a fresh context.
+						if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+							storeMu.Lock()
+							if storeErr == nil {
+								storeErr = err
+							}
+							storeMu.Unlock()
 						}
-						storeMu.Unlock()
 						canceled.Store(true)
 						return
 					}

@@ -3,6 +3,7 @@ package condition
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -88,10 +89,24 @@ func TestCheckScanVerdictCacheUnsatisfied(t *testing.T) {
 	}
 }
 
+// cancelOnWrite cancels the scan's context from inside its first Write and
+// then forwards the call, so that write fails with the context's own error —
+// a cancellation landing mid-checkpoint, made deterministic.
+type cancelOnWrite struct {
+	statestore.Backend
+	cancel context.CancelFunc
+}
+
+func (b cancelOnWrite) Write(ctx context.Context, key string, data []byte) error {
+	b.cancel()
+	return b.Backend.Write(ctx, key, data)
+}
+
 // TestCheckScanResumeEquivalence is the tentpole invariant: a scan killed
 // mid-flight and restarted over the same store finishes with a Result
 // identical (verdict, witness, every counter) to an uninterrupted run — at
-// both worker counts.
+// both worker counts, whether the cancellation arrives between fault sets
+// (from a progress callback) or inside the first checkpoint write.
 func TestCheckScanResumeEquivalence(t *testing.T) {
 	g, err := topology.CoreNetwork(14, 2)
 	if err != nil {
@@ -105,40 +120,45 @@ func TestCheckScanResumeEquivalence(t *testing.T) {
 	if !baseline.Satisfied {
 		t.Fatal("core(14,2) should satisfy")
 	}
-	for _, workers := range []int{1, 4} {
+	for _, tc := range []struct {
+		workers       int
+		cancelInWrite bool
+	}{{1, false}, {4, false}, {1, true}, {4, true}} {
+		label := fmt.Sprintf("workers=%d cancelInWrite=%v", tc.workers, tc.cancelInWrite)
 		store := statestore.NewMem()
 		ctx, cancel := context.WithCancel(context.Background())
-		var fired atomic.Int64
-		_, err := CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{
-			Workers:         workers,
-			CheckpointEvery: 4,
-			Store:           store,
-			OnProgress: func(p Progress) {
+		opts := ScanOptions{Workers: tc.workers, CheckpointEvery: 4, Store: store}
+		if tc.cancelInWrite {
+			opts.Store = cancelOnWrite{store, cancel}
+		} else {
+			var fired atomic.Int64
+			opts.OnProgress = func(p Progress) {
 				if fired.Add(1) == 40 {
 					cancel()
 				}
-			},
-		})
+			}
+		}
+		_, err := CheckScan(ctx, g, f, SyncThreshold(f), opts)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: interrupted scan err=%v, want context.Canceled", workers, err)
+			t.Fatalf("%s: interrupted scan err=%v, want context.Canceled", label, err)
 		}
 		resumed, err := CheckScan(context.Background(), g, f, SyncThreshold(f), ScanOptions{
-			Workers:         workers,
+			Workers:         tc.workers,
 			CheckpointEvery: 4,
 			Store:           store,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: resume failed: %v", workers, err)
+			t.Fatalf("%s: resume failed: %v", label, err)
 		}
 		if resumed.FaultSetsResumed == 0 {
-			t.Errorf("workers=%d: resume skipped nothing — checkpoint was not honored", workers)
+			t.Errorf("%s: resume skipped nothing — checkpoint was not honored", label)
 		}
 		if resumed.CacheHit {
-			t.Errorf("workers=%d: resume must re-run, not cache-hit", workers)
+			t.Errorf("%s: resume must re-run, not cache-hit", label)
 		}
 		if stripResumeMarkers(resumed) != baseline {
-			t.Errorf("workers=%d: resumed result differs from uninterrupted:\nbase    %+v\nresumed %+v",
-				workers, baseline, resumed)
+			t.Errorf("%s: resumed result differs from uninterrupted:\nbase    %+v\nresumed %+v",
+				label, baseline, resumed)
 		}
 	}
 }

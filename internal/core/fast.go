@@ -52,6 +52,24 @@ var (
 	_ BufferedRule = TrimmedMidpoint{}
 )
 
+// Buffered normalises a rule to the BufferedRule seam the engines drive,
+// once per run: the identity on rules that implement UpdateInto, and for any
+// other rule a wrapper whose UpdateInto ignores the scratch and calls Update
+// (same result, Update's allocations).
+func Buffered(r UpdateRule) BufferedRule {
+	if b, ok := r.(BufferedRule); ok {
+		return b
+	}
+	return updateOnly{r}
+}
+
+// updateOnly is Buffered's wrapper for rules without an UpdateInto.
+type updateOnly struct{ UpdateRule }
+
+func (u updateOnly) UpdateInto(_ *Scratch, own float64, received []ValueFrom, f int) (float64, error) {
+	return u.Update(own, received, f)
+}
+
 // validateTrim mirrors Survivors' input checks without constructing its
 // error eagerly.
 func validateTrim(d, f int) error {

@@ -222,7 +222,7 @@ func Run(cfg Config) (*Trace, error) {
 	current := make([]float64, n)
 	copy(current, cfg.Initial)
 
-	lo, hi := faultFreeRange(current, faultFree)
+	lo, hi := adversary.FaultFreeRange(current, faultFree)
 	tr := &Trace{
 		U:         []float64{hi},
 		Mu:        []float64{lo},
@@ -293,7 +293,7 @@ func Run(cfg Config) (*Trace, error) {
 		history[0] = oldest
 		copy(history[0], current)
 
-		lo, hi := faultFreeRange(current, faultFree)
+		lo, hi := adversary.FaultFreeRange(current, faultFree)
 		tr.U = append(tr.U, hi)
 		tr.Mu = append(tr.Mu, lo)
 		tr.Rounds = round
@@ -319,18 +319,4 @@ func resolveByzantine(msgs map[int]map[int]float64, from, to int, current []floa
 		return v, true
 	}
 	return current[from], true
-}
-
-func faultFreeRange(states []float64, faultFree nodeset.Set) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	faultFree.ForEach(func(i int) bool {
-		if states[i] < lo {
-			lo = states[i]
-		}
-		if states[i] > hi {
-			hi = states[i]
-		}
-		return true
-	})
-	return lo, hi
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"iabc/internal/adversary"
-	"iabc/internal/core"
 	"iabc/internal/hashrand"
 	"iabc/internal/quorum"
 	"iabc/internal/transport"
@@ -129,33 +127,29 @@ func (s *sender) sendOne(ctx context.Context, to int, m transport.Msg) {
 	}
 }
 
-// actor is one fault-free node: it owns the durable protocol state (round,
-// value, history of broadcast values) and a volatile quorum inbox. The
-// durable part survives crash windows — the supervisor re-runs the same
-// actor, so a restart resumes from the last completed round, exactly the
-// "resume from durable state and resend the current round" contract.
+// actor is one fault-free node: it owns the durable protocol state (the
+// stepper's round and value, the history of broadcast values) and the
+// stepper's volatile quorum inbox. The durable part survives crash windows —
+// the supervisor re-runs the same actor, so a restart resumes from the last
+// completed round, exactly the "resume from durable state and resend the
+// current round" contract.
 type actor struct {
 	*sender
-	id     int
-	r      *runner
-	ins    []int
-	quorum int
-	recv   <-chan transport.Delivery
+	id   int
+	r    *runner
+	recv <-chan transport.Delivery
+
+	// step is the Section 7 iteration, shared with the async simulator. Its
+	// round and value are durable; its inbox is reset across restarts.
+	step *quorum.Stepper
 
 	// Durable state.
-	round   int
-	value   float64
 	history []float64
 	epoch   int
 	started bool
 
 	// Volatile state (reset across restarts).
-	inbox      *quorum.Ring
 	progressed bool
-
-	buffered core.BufferedRule
-	scratch  core.Scratch
-	recvBuf  []core.ValueFrom
 }
 
 func newActor(id int, r *runner) *actor {
@@ -165,19 +159,13 @@ func newActor(id int, r *runner) *actor {
 	if cfg.QuorumOverride != nil {
 		q = cfg.QuorumOverride(id)
 	}
-	buffered, _ := cfg.Rule.(core.BufferedRule)
 	return &actor{
-		sender:   newSender(id, r),
-		id:       id,
-		r:        r,
-		ins:      cfg.G.InView(id),
-		quorum:   q,
-		recv:     cfg.Transport.Recv(id),
-		value:    cfg.Initial[id],
-		history:  append(make([]float64, 0, cfg.MaxRounds+1), cfg.Initial[id]),
-		inbox:    quorum.NewRing(deg),
-		recvBuf:  make([]core.ValueFrom, 0, deg),
-		buffered: buffered,
+		sender:  newSender(id, r),
+		id:      id,
+		r:       r,
+		recv:    cfg.Transport.Recv(id),
+		step:    quorum.NewStepper(cfg.G.InView(id), q, cfg.F, cfg.MaxRounds, r.rule, cfg.Initial[id]),
+		history: append(make([]float64, 0, cfg.MaxRounds+1), cfg.Initial[id]),
 	}
 }
 
@@ -189,11 +177,11 @@ func newActor(id int, r *runner) *actor {
 func (a *actor) run(ctx context.Context) {
 	if !a.started {
 		a.started = true
-		a.broadcast(a.round, 0)
+		a.broadcast(a.step.Round(), 0)
 	} else {
 		// Restart: re-announce the current round under a fresh epoch so the
 		// re-transmissions are distinct Seqs.
-		a.broadcast(a.round, a.nextEpoch())
+		a.broadcast(a.step.Round(), a.nextEpoch())
 	}
 	delay := a.r.cfg.ResendEvery
 	timer := time.NewTimer(delay)
@@ -280,60 +268,44 @@ const (
 // ever altering a fault-free trajectory.
 func (a *actor) resendHistory() {
 	ep := a.nextEpoch()
+	round := a.step.Round()
 	lo := 0
-	if ep%deepResendEvery != 0 && a.round > shallowResendDepth {
-		lo = a.round - shallowResendDepth
+	if ep%deepResendEvery != 0 && round > shallowResendDepth {
+		lo = round - shallowResendDepth
 	}
-	for k := a.round; k >= lo; k-- {
+	for k := round; k >= lo; k-- {
 		a.broadcast(k, ep)
 	}
 }
 
-// onDelivery ingests one message and advances as many rounds as the inbox
-// then supports — the same quorum discipline as the async engine, sharing
-// its ring. Reports false only when the run must end (rule error or ctx
-// done while reporting).
+// onDelivery hands one message to the stepper — the same quorum discipline
+// as the async engine, by the same code — and for each round it completes
+// records the value, reports it to the runner, and broadcasts it. Stale
+// resends, duplicates (first arrival won), and forged or misrouted traffic
+// from non-in-neighbors fall out inside Deliver. Reports false only when the
+// run must end (rule error or ctx done while reporting).
 func (a *actor) onDelivery(ctx context.Context, d transport.Delivery) bool {
-	if d.Round < a.round {
-		return true // stale: a resend the actor no longer needs
-	}
-	pos := sort.SearchInts(a.ins, d.From)
-	if pos >= len(a.ins) || a.ins[pos] != d.From {
-		return true // not an in-neighbor; ignore forged or misrouted traffic
-	}
-	if !a.inbox.Put(d.Round, pos, d.Value) {
-		return true // duplicate (resend or chaos dup): first arrival won
-	}
-	cfg := &a.r.cfg
-	for a.round < cfg.MaxRounds && a.inbox.Filled(a.round) >= a.quorum {
-		received := a.inbox.Gather(a.round, a.ins, a.recvBuf[:0])
-		var v float64
-		var err error
-		if a.buffered != nil {
-			v, err = a.buffered.UpdateInto(&a.scratch, a.value, received, cfg.F)
-		} else {
-			v, err = cfg.Rule.Update(a.value, received, cfg.F)
-		}
-		if err != nil {
-			a.r.fail(fmt.Errorf("node: node %d round %d: %w", a.id, a.round, err))
-			return false
-		}
-		a.inbox.Pop()
-		a.value = v
-		a.round++
+	live := true
+	err := a.step.Deliver(d.From, d.Round, d.Value, func(round int, v float64) bool {
 		a.history = append(a.history, v)
 		a.progressed = true
 		select {
-		case a.r.updates <- updateMsg{node: a.id, round: a.round, value: v}:
+		case a.r.updates <- updateMsg{node: a.id, round: round, value: v}:
 		case <-ctx.Done():
+			live = false
 			return false
 		}
-		a.broadcast(a.round, 0)
+		a.broadcast(round, 0)
+		return true
+	})
+	if err != nil {
+		a.r.fail(fmt.Errorf("node: node %d round %d: %w", a.id, a.step.Round(), err))
+		return false
 	}
-	return true
+	return live
 }
 
-// faultySink scatters an EdgeWriter emission onto a faulty sender's
+// faultySink scatters an adversary emission onto a faulty sender's
 // out-edges, mirroring the async engine's emitSink.
 type faultySink struct {
 	snd   *sender
@@ -383,21 +355,10 @@ func (r *runner) runFaulty(ctx context.Context, s int) {
 	}
 }
 
-// emitFaulty enqueues one faulty round batch, via the EdgeWriter fast path
-// when the strategy provides it.
+// emitFaulty enqueues one faulty round batch. Edges the strategy skips get
+// nothing: asynchronous silence.
 func (r *runner) emitFaulty(snd *sender, s, round int) {
-	view := r.view(round)
-	if r.edgeWriter != nil {
-		r.edgeWriter.WriteMessages(view, s, &faultySink{snd: snd, round: round})
-		return
-	}
-	msgs := r.cfg.Adversary.Messages(view, s)
-	for e, to := range r.cfg.G.OutView(s) {
-		if v, ok := msgs[to]; ok {
-			snd.enqueue(e, transport.Msg{Round: round, Value: v, Seq: seqOf(round, 0, e)})
-		}
-		// Omitted receivers genuinely get nothing: asynchronous silence.
-	}
+	r.adv.WriteMessages(r.view(round), s, &faultySink{snd: snd, round: round})
 }
 
 var _ adversary.EdgeSink = (*faultySink)(nil)

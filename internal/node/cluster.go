@@ -3,13 +3,13 @@ package node
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"iabc/internal/adversary"
+	"iabc/internal/core"
 	"iabc/internal/nodeset"
 	"iabc/internal/transport"
 )
@@ -24,11 +24,14 @@ type updateMsg struct {
 // state vector (fed by actor updates, read by adversary snapshots), the
 // stop conditions, and the robustness counters.
 type runner struct {
-	cfg        Config
-	faulty     nodeset.Set
-	faultFree  nodeset.Set
-	edgeWriter adversary.EdgeWriter
-	start      time.Time
+	cfg       Config
+	faulty    nodeset.Set
+	faultFree nodeset.Set
+	// rule and adv are cfg.Rule and cfg.Adversary normalised to the seams
+	// the actors and faulty emitters drive.
+	rule  core.BufferedRule
+	adv   adversary.EdgeWriter
+	start time.Time
 
 	mu     sync.Mutex
 	states []float64
@@ -53,7 +56,7 @@ func (r *runner) apply(u updateMsg) float64 {
 	r.mu.Lock()
 	r.states[u.node] = u.value
 	r.rounds[u.node] = u.round
-	lo, hi := faultFreeRange(r.states, r.faultFree)
+	lo, hi := adversary.FaultFreeRange(r.states, r.faultFree)
 	r.mu.Unlock()
 	r.updatesN.Add(1)
 	return hi - lo
@@ -66,7 +69,7 @@ func (r *runner) view(round int) adversary.RoundView {
 	states := make([]float64, len(r.states))
 	copy(states, r.states)
 	r.mu.Unlock()
-	lo, hi := faultFreeRange(states, r.faultFree)
+	lo, hi := adversary.FaultFreeRange(states, r.faultFree)
 	return adversary.RoundView{
 		Round:  round,
 		G:      r.cfg.G,
@@ -98,7 +101,7 @@ func (r *runner) supervise(ctx context.Context, a *actor, crashes []transport.Cr
 		// Restart: durable (round, value, history) survives; the volatile
 		// inbox is lost, so rebase an empty ring at the current round and
 		// rely on peer resends to re-fill it.
-		a.inbox.Reset(a.round)
+		a.step.Reset()
 		a.progressed = false
 		r.restarts.Add(1)
 	}
@@ -171,6 +174,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg:       cfg,
 		faulty:    faulty,
 		faultFree: faultFree,
+		rule:      core.Buffered(cfg.Rule),
+		adv:       adversary.Writer(cfg.Adversary),
 		start:     time.Now(),
 		states:    make([]float64, n),
 		rounds:    make([]int, n),
@@ -178,8 +183,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		errc:      make(chan error, 1),
 	}
 	copy(r.states, cfg.Initial)
-	r.edgeWriter, _ = cfg.Adversary.(adversary.EdgeWriter)
-	lo, hi := faultFreeRange(r.states, faultFree)
+	lo, hi := adversary.FaultFreeRange(r.states, faultFree)
 
 	// Crash schedules per local fault-free node, ordered by window start.
 	crashByNode := make(map[int][]transport.Crash)
@@ -336,7 +340,7 @@ drained:
 
 	res.Rounds = r.rounds
 	res.Final = r.states
-	lo, hi = faultFreeRange(r.states, faultFree)
+	lo, hi = adversary.FaultFreeRange(r.states, faultFree)
 	res.FinalRange = hi - lo
 	res.Elapsed = time.Since(r.start)
 	res.Deliveries = r.deliveries.Load()
@@ -346,18 +350,4 @@ drained:
 	res.OutDropped = r.outDropped.Load()
 	res.Restarts = r.restarts.Load()
 	return res, nil
-}
-
-func faultFreeRange(states []float64, faultFree nodeset.Set) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	faultFree.ForEach(func(i int) bool {
-		if states[i] < lo {
-			lo = states[i]
-		}
-		if states[i] > hi {
-			hi = states[i]
-		}
-		return true
-	})
-	return lo, hi
 }

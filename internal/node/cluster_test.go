@@ -29,11 +29,19 @@ func clusterDefaults(tr transport.Transport) Config {
 	}
 }
 
+// updateOnly and mapOnly embed a rule / strategy as an interface field,
+// hiding UpdateInto / WriteMessages, so the cluster serves them through
+// core.Buffered / adversary.Writer.
+type updateOnly struct{ core.UpdateRule }
+
+type mapOnly struct{ adversary.Strategy }
+
 // TestClusterConformsToAsyncFaultFree is the oracle test the tentpole hangs
 // on: with f = 0 the quorum is the full in-neighborhood, which makes every
 // update arrival-order independent — so a real concurrent cluster over a
 // loss-free transport must finish bit-identical to the deterministic
-// discrete-event engine, no matter how the scheduler interleaves it.
+// discrete-event engine, no matter how the scheduler interleaves it — with
+// the rule as built and with its UpdateInto hidden.
 func TestClusterConformsToAsyncFaultFree(t *testing.T) {
 	g, err := topology.Complete(6)
 	if err != nil {
@@ -50,25 +58,27 @@ func TestClusterConformsToAsyncFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := transport.NewInproc(g.N(), 256)
-	defer tr.Close()
-	cfg := clusterDefaults(tr)
-	cfg.G, cfg.Initial, cfg.MaxRounds = g, initial, maxRounds
-	got, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, rule := range []core.UpdateRule{core.TrimmedMean{}, updateOnly{core.TrimmedMean{}}} {
+		tr := transport.NewInproc(g.N(), 256)
+		defer tr.Close()
+		cfg := clusterDefaults(tr)
+		cfg.G, cfg.Initial, cfg.MaxRounds, cfg.Rule = g, initial, maxRounds, rule
+		got, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	for i := 0; i < g.N(); i++ {
-		if got.Rounds[i] != maxRounds {
-			t.Errorf("node %d stopped at round %d, want %d", i, got.Rounds[i], maxRounds)
+		for i := 0; i < g.N(); i++ {
+			if got.Rounds[i] != maxRounds {
+				t.Errorf("%T: node %d stopped at round %d, want %d", rule, i, got.Rounds[i], maxRounds)
+			}
+			if math.Float64bits(got.Final[i]) != math.Float64bits(want.Final[i]) {
+				t.Errorf("%T: node %d: cluster %v != async %v", rule, i, got.Final[i], want.Final[i])
+			}
 		}
-		if math.Float64bits(got.Final[i]) != math.Float64bits(want.Final[i]) {
-			t.Errorf("node %d: cluster %v != async %v", i, got.Final[i], want.Final[i])
+		if got.Updates != int64(g.N()*maxRounds) {
+			t.Errorf("%T: Updates = %d, want %d", rule, got.Updates, g.N()*maxRounds)
 		}
-	}
-	if got.Updates != int64(g.N()*maxRounds) {
-		t.Errorf("Updates = %d, want %d", got.Updates, g.N()*maxRounds)
 	}
 }
 
@@ -76,7 +86,8 @@ func TestClusterConformsToAsyncFaultFree(t *testing.T) {
 // state-independent adversary: Fixed sends the same value on every edge
 // every round, so the cluster's wall-clock emission times cannot change
 // what any receiver computes, and fault-free finals must still match the
-// simulator bit for bit.
+// simulator bit for bit — with the strategy as built and with its
+// WriteMessages hidden.
 func TestClusterConformsToAsyncWithFixedAdversary(t *testing.T) {
 	g, err := topology.Complete(6)
 	if err != nil {
@@ -97,22 +108,24 @@ func TestClusterConformsToAsyncWithFixedAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := transport.NewInproc(n, 256)
-	defer tr.Close()
-	cfg := clusterDefaults(tr)
-	cfg.G, cfg.Initial, cfg.MaxRounds = g, initial, maxRounds
-	cfg.Faulty, cfg.Adversary = faulty, adv
-	got, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faulty.Complement().ForEach(func(i int) bool {
-		if math.Float64bits(got.Final[i]) != math.Float64bits(want.Final[i]) {
-			t.Errorf("node %d: cluster %v != async %v", i, got.Final[i], want.Final[i])
+	for _, strat := range []adversary.Strategy{adv, mapOnly{adv}} {
+		tr := transport.NewInproc(n, 256)
+		defer tr.Close()
+		cfg := clusterDefaults(tr)
+		cfg.G, cfg.Initial, cfg.MaxRounds = g, initial, maxRounds
+		cfg.Faulty, cfg.Adversary = faulty, strat
+		got, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
+
+		faulty.Complement().ForEach(func(i int) bool {
+			if math.Float64bits(got.Final[i]) != math.Float64bits(want.Final[i]) {
+				t.Errorf("%T: node %d: cluster %v != async %v", strat, i, got.Final[i], want.Final[i])
+			}
+			return true
+		})
+	}
 }
 
 // TestClusterConvergesUnderChaosWithFaults is the robustness headline: a

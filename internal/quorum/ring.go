@@ -1,8 +1,8 @@
-// Package quorum holds the round-quorum machinery the Section 7
-// asynchronous iteration is built on, shared by the discrete-event
-// simulator (internal/async) and the real node actors (internal/node):
-// the per-node inbox ring buffering round-tagged arrivals, and the
-// |N⁻_i| − f quorum count a node waits for before advancing a round.
+// Package quorum holds the Section 7 asynchronous iteration of one node,
+// shared by the discrete-event simulator (internal/async) and the real node
+// actors (internal/node): the Stepper that turns round-tagged arrivals into
+// updates, the inbox Ring it buffers them in, and the |N⁻_i| − f quorum
+// Count a node waits for before advancing a round.
 package quorum
 
 import "iabc/internal/core"

@@ -254,8 +254,9 @@ func TestRingMatchesMap(t *testing.T) {
 // FuzzRingModel drives an op sequence decoded from the fuzz input — Put with
 // arbitrary run-ahead (growth at whatever start offset the preceding Pops
 // left), Pop, and Reset — and asserts full Filled/Gather/Base equivalence
-// against the map model after every op. `go test` runs the seed corpus;
-// `go test -fuzz=FuzzRingModel ./internal/quorum/` explores.
+// against the map model after every op. The same bytes then drive a Stepper
+// (stepperAgainstModel), whose pops are its own. `go test` runs the seed
+// corpus; `go test -fuzz=FuzzRingModel ./internal/quorum/` explores.
 func FuzzRingModel(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0x10, 0xC3, 0x07, 0x55})       // mixed ops
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x3F, 0x00})       // pops then far put
@@ -284,5 +285,79 @@ func FuzzRingModel(f *testing.F) {
 			}
 			checkAgainstModel(t, ib, m, deg, senders, 40)
 		}
+		stepperAgainstModel(t, ops, senders)
 	})
+}
+
+// stepperAgainstModel is FuzzRingModel's second mode: the op bytes become
+// deliveries to a Stepper, and the map model replays the Section 7
+// discipline naively — first arrival wins, advance while the current round
+// holds a quorum, update through the reference rule. Put ops deliver (bit 6
+// additionally makes the advanced callback stop after one round), Pop ops
+// deliver what must be ignored (a stale round and a forged sender), Reset
+// ops crash the inbox. After every op the stepper's round, value, callback
+// sequence, and whole inbox must match the model.
+func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
+	t.Helper()
+	const (
+		need      = 2 // of 3 in-neighbors, so rounds gather 2 or 3 values
+		maxRounds = 12
+	)
+	deg := len(senders)
+	rule := core.TrimmedMean{}
+	st := NewStepper(senders, need, 0, maxRounds, rule, 0.5)
+	m := newRingModel()
+	value := 0.5
+	for i, op := range ops {
+		var got, want []core.ValueFrom // (round, value) per advanced call, round in From
+		stopEarly := op&0x40 != 0
+		advanced := func(round int, v float64) bool {
+			got = append(got, core.ValueFrom{From: round, Value: v})
+			return !stopEarly
+		}
+		switch {
+		case op < 0x80:
+			round := m.base + int(op>>2)%30
+			pos := int(op) % deg
+			if err := st.Deliver(senders[pos], round, float64(i), advanced); err != nil {
+				t.Fatalf("op %d: Deliver: %v", i, err)
+			}
+			if m.put(round, pos, float64(i)) {
+				for m.base < maxRounds && m.filled(m.base, deg) >= need {
+					v, err := rule.Update(value, m.gather(m.base, senders), 0)
+					if err != nil {
+						t.Fatalf("op %d: reference update: %v", i, err)
+					}
+					m.pop(deg)
+					value = v
+					want = append(want, core.ValueFrom{From: m.base, Value: v})
+					if stopEarly {
+						break
+					}
+				}
+			}
+		case op < 0xC0:
+			if err := st.Deliver(senders[0], m.base-1, -1, advanced); err != nil {
+				t.Fatalf("op %d: stale Deliver: %v", i, err)
+			}
+			if err := st.Deliver(senders[0]+1, m.base, -1, advanced); err != nil {
+				t.Fatalf("op %d: forged Deliver: %v", i, err)
+			}
+		default:
+			st.Reset()
+			m.reset(m.base)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("op %d: advanced called %d times, model %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("op %d: advanced[%d] = %+v, model %+v", i, k, got[k], want[k])
+			}
+		}
+		if st.Round() != m.base || st.Value() != value {
+			t.Fatalf("op %d: stepper at (%d, %v), model (%d, %v)", i, st.Round(), st.Value(), m.base, value)
+		}
+		checkAgainstModel(t, st.inbox, m, deg, senders, 40)
+	}
 }

@@ -1,22 +1,16 @@
 package sim
 
-import (
-	"sync"
-
-	"iabc/internal/adversary"
-	"iabc/internal/core"
-)
+import "iabc/internal/graph"
 
 // Concurrent runs one goroutine per node; values travel over dedicated
 // per-edge channels of capacity one ("channel size is one or none"), and a
 // coordinator enforces the synchronous round barrier. It produces traces
-// bit-identical to Sequential — the cross-check test in sim_test.go asserts
-// this — while exercising the algorithm as genuine message passing.
+// bit-identical to Sequential — the conformance suite asserts this — while
+// exercising the algorithm as genuine message passing.
 //
-// Channels are held in one flat slice indexed by the edgePlane's in-edge
-// index (no map of [2]int keys), faulty transmissions travel through
-// coordinator-owned flat send buffers instead of per-round maps, and the
-// fault set is materialized once per run.
+// The machinery is ConcurrentPool: Run builds a pool for the config's graph,
+// runs the config on it once, and closes it. Sweeps keep one pool per worker
+// instead (newRunner), paying for the goroutines and channels once.
 //
 // The zero value is ready to use.
 type Concurrent struct{}
@@ -26,182 +20,15 @@ var _ Engine = Concurrent{}
 // Name implements Engine.
 func (Concurrent) Name() string { return "concurrent" }
 
-// nodeReport is what a node goroutine returns to the coordinator after
-// completing a round.
-type nodeReport struct {
-	id    int
-	state float64
-}
-
-// bufSink adapts one faulty sender's flat send buffer to adversary.EdgeSink:
-// the coordinator points it at sendBuf[s] and EdgeWriter strategies scatter
-// without a per-round map.
-type bufSink struct {
-	buf []float64
-}
-
-// Send implements adversary.EdgeSink.
-func (s *bufSink) Send(k int, value float64) { s.buf[k] = value }
-
 // Run implements Engine.
 func (Concurrent) Run(cfg Config) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.G.N()
-	faulty := cfg.faulty()
-	faultFree := faulty.Complement()
-
-	states := snapshot(cfg.Initial)
-	tr := newTrace(&cfg, states, faultFree)
-	p := newEdgePlane(cfg.G, faulty, false)
-
-	// One channel per directed edge, capacity 1: within a round each edge
-	// carries exactly one value, and the barrier guarantees all receives
-	// complete before the next round's sends begin. chans[e] is the channel
-	// of the in-edge with flat index e.
-	chans := make([]chan float64, p.inOff[n])
-	for e := range chans {
-		chans[e] = make(chan float64, 1)
-	}
-
-	// sendBuf[s][k] is the value faulty sender s puts on its k-th out-edge
-	// this round. The coordinator fills it before signaling the round order
-	// (a channel send, so the write happens-before the node's read), and
-	// rewrites it only after the node's round report has been received.
-	sendBuf := make([][]float64, n)
-	for _, s := range p.faulty {
-		sendBuf[s] = make([]float64, cfg.G.OutDegree(s))
-	}
-
-	// orders[i] carries one bool per round: whether node i must transmit
-	// from sendBuf[i] (true) or its own state (false).
-	orders := make([]chan bool, n)
-	for i := range orders {
-		orders[i] = make(chan bool, 1)
-	}
-	reports := make(chan nodeReport, n)
-	errs := make(chan error, n)
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		state := states[i]
-		isFaulty := faulty.Contains(i)
-		outs := cfg.G.OutView(i)
-		ins := cfg.G.InView(i)
-		outChans := make([]chan<- float64, len(outs))
-		for k := range outs {
-			outChans[k] = chans[p.edgeOf[i][k]]
-		}
-		inChans := chans[p.inOff[i]:p.inOff[i+1]]
-		override := sendBuf[i]
-		go func() {
-			defer wg.Done()
-			recv := make([]core.ValueFrom, len(ins))
-			for k, from := range ins {
-				recv[k].From = from
-			}
-			buffered, _ := cfg.Rule.(core.BufferedRule)
-			var scratch core.Scratch
-			for useOverride := range orders[i] {
-				// Phase 1: transmit on every outgoing edge.
-				for k := range outChans {
-					v := state
-					if useOverride {
-						v = override[k]
-					}
-					outChans[k] <- v
-				}
-				// Phase 2: receive one value per incoming edge, in
-				// in-neighbor order (deterministic).
-				for k := range inChans {
-					recv[k].Value = <-inChans[k]
-				}
-				// Phase 3: apply the update rule (ghost update for faulty
-				// nodes too — see package adversary).
-				var v float64
-				var err error
-				if buffered != nil {
-					v, err = buffered.UpdateInto(&scratch, state, recv, cfg.F)
-				} else {
-					v, err = cfg.Rule.Update(state, recv, cfg.F)
-				}
-				switch {
-				case err == nil:
-					state = v
-				case isFaulty:
-					// Ghost update undefined: freeze the ghost state,
-					// mirroring Sequential.
-				default:
-					errs <- err
-					return
-				}
-				reports <- nodeReport{id: i, state: state}
-			}
-		}()
-	}
-
-	hasAdv := cfg.Adversary != nil && len(p.faulty) > 0
-	var ew adversary.EdgeWriter
-	if hasAdv {
-		ew, _ = cfg.Adversary.(adversary.EdgeWriter)
-	}
-	var sink bufSink
-
-	// Coordinator: one iteration per loop turn.
-	var runErr error
-	for round := 1; round <= cfg.MaxRounds && !tr.Converged; round++ {
-		if hasAdv {
-			view := roundView(&cfg, round, states, faultFree, faulty)
-			for _, s := range p.faulty {
-				// Substitute ghost state for omitted receivers so every edge
-				// carries a value (matching Sequential's semantics): prefill
-				// the ghost, then let the strategy overwrite.
-				if ew != nil {
-					for k := range sendBuf[s] {
-						sendBuf[s][k] = states[s]
-					}
-					sink.buf = sendBuf[s]
-					ew.WriteMessages(view, s, &sink)
-					continue
-				}
-				msgs := cfg.Adversary.Messages(view, s)
-				for k, to := range cfg.G.OutView(s) {
-					if v, ok := msgs[to]; ok {
-						sendBuf[s][k] = v
-					} else {
-						sendBuf[s][k] = states[s]
-					}
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			orders[i] <- hasAdv && faulty.Contains(i)
-		}
-		for done := 0; done < n; done++ {
-			select {
-			case rep := <-reports:
-				states[rep.id] = rep.state
-			case err := <-errs:
-				runErr = err
-			}
-		}
-		if runErr != nil {
-			break
-		}
-		if stop := tr.record(&cfg, round, states, faultFree); stop {
-			break
-		}
-	}
-	for i := range orders {
-		close(orders[i])
-	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	tr.finish(states)
-	return &tr.Trace, nil
+	pl := NewConcurrentPool(cfg.G)
+	defer pl.Close()
+	return pl.run(&cfg)
 }
+
+// newRunner implements the pooled-runner hook for the Concurrent engine.
+func (Concurrent) newRunner(g *graph.Graph) ScenarioRunner { return NewConcurrentPool(g) }

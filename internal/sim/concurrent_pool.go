@@ -10,13 +10,16 @@ import (
 	"sync"
 )
 
-// ConcurrentPool is the reusable form of the Concurrent engine: the n node
+// ConcurrentPool is the Concurrent engine's machinery: the n node
 // goroutines, the per-edge channels, and the coordinator plumbing are
 // constructed once for a graph and then reset per scenario, so a sweep pays
-// the ~hundreds of goroutine/channel allocations once instead of per run.
-// Traces are bit-identical to Concurrent.Run (and therefore to Sequential) —
-// the node round protocol and the coordinator barrier are the same; only the
-// lifetime of the machinery changes.
+// the ~hundreds of goroutine/channel allocations once instead of per run
+// (Concurrent.Run is a pool used for one scenario). Traces are bit-identical
+// to Sequential.
+//
+// Channels are held in one flat slice indexed by the edgePlane's in-edge
+// index, faulty transmissions travel through coordinator-owned flat send
+// buffers, and the fault set is materialized once per scenario.
 //
 // A pool is NOT safe for concurrent use: one scenario runs at a time.
 // Parallel sweeps give each worker its own pool (see Sweep). Close shuts the
@@ -39,7 +42,7 @@ type ConcurrentPool struct {
 	// rule and f are the scenario's update parameters; written by the
 	// coordinator before the init commands are sent (the channel send
 	// publishes them to the node goroutines).
-	rule core.UpdateRule
+	rule core.BufferedRule
 	f    int
 
 	wg     sync.WaitGroup
@@ -61,8 +64,21 @@ const (
 	pcRound
 )
 
-// newRunner implements the pooled-runner hook for the Concurrent engine.
-func (Concurrent) newRunner(g *graph.Graph) ScenarioRunner { return NewConcurrentPool(g) }
+// nodeReport is what a node goroutine returns to the coordinator after
+// completing a round.
+type nodeReport struct {
+	id    int
+	state float64
+}
+
+// bufSink adapts one faulty sender's flat send buffer to adversary.EdgeSink:
+// the coordinator points it at sendBuf[s] and the strategy scatters into it.
+type bufSink struct {
+	buf []float64
+}
+
+// Send implements adversary.EdgeSink.
+func (s *bufSink) Send(k int, value float64) { s.buf[k] = value }
 
 // NewConcurrentPool builds the pool and starts its node goroutines.
 func NewConcurrentPool(g *graph.Graph) *ConcurrentPool {
@@ -90,8 +106,9 @@ func NewConcurrentPool(g *graph.Graph) *ConcurrentPool {
 	return pl
 }
 
-// node is the long-lived goroutine for node i: the same three-phase round
-// protocol as Concurrent.Run, looping across scenarios until Close.
+// node is the long-lived goroutine for node i: the three-phase round
+// protocol (transmit, receive, update), looping across scenarios until
+// Close.
 func (pl *ConcurrentPool) node(i int) {
 	defer pl.wg.Done()
 	ins := pl.g.InView(i)
@@ -108,8 +125,7 @@ func (pl *ConcurrentPool) node(i int) {
 	var (
 		state    float64
 		isFaulty bool
-		rule     core.UpdateRule
-		buffered core.BufferedRule
+		rule     core.BufferedRule
 		f        int
 		scratch  core.Scratch
 	)
@@ -120,7 +136,6 @@ func (pl *ConcurrentPool) node(i int) {
 			// The init send happens-after the coordinator's writes, so the
 			// shared rule/f fields are safely published here.
 			rule = pl.rule
-			buffered, _ = rule.(core.BufferedRule)
 			f = pl.f
 			continue
 		}
@@ -140,13 +155,7 @@ func (pl *ConcurrentPool) node(i int) {
 		}
 		// Phase 3: apply the update rule (ghost update for faulty nodes
 		// too — see package adversary).
-		var v float64
-		var err error
-		if buffered != nil {
-			v, err = buffered.UpdateInto(&scratch, state, recv, f)
-		} else {
-			v, err = rule.Update(state, recv, f)
-		}
+		v, err := rule.UpdateInto(&scratch, state, recv, f)
 		switch {
 		case err == nil:
 			state = v
@@ -156,16 +165,15 @@ func (pl *ConcurrentPool) node(i int) {
 			// Sequential.
 			pl.reports <- nodeReport{id: i, state: state}
 		default:
-			// Unlike the one-shot engine the goroutine must survive for the
-			// next scenario, so report the error and stay in the loop with
-			// the state frozen.
+			// The goroutine must survive for the next scenario, so report
+			// the error and stay in the loop with the state frozen.
 			pl.errs <- err
 		}
 	}
 }
 
 // RunScenario implements ScenarioRunner: reset the pool to cfg and run the
-// coordinator loop. The trace is bit-identical to Concurrent{}.Run(cfg).
+// coordinator loop.
 func (pl *ConcurrentPool) RunScenario(cfg *Config) (*Trace, error) {
 	if pl.closed {
 		return nil, errors.New("sim: ConcurrentPool is closed")
@@ -176,6 +184,12 @@ func (pl *ConcurrentPool) RunScenario(cfg *Config) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return pl.run(cfg)
+}
+
+// run is the coordinator loop for one validated config over the pool's
+// graph.
+func (pl *ConcurrentPool) run(cfg *Config) (*Trace, error) {
 	n := pl.g.N()
 	faulty := cfg.faulty()
 	faultFree := faulty.Complement()
@@ -188,16 +202,13 @@ func (pl *ConcurrentPool) RunScenario(cfg *Config) (*Trace, error) {
 			pl.sendBuf[s] = make([]float64, pl.g.OutDegree(s))
 		}
 	}
-	pl.rule, pl.f = cfg.Rule, cfg.F
+	pl.rule, pl.f = core.Buffered(cfg.Rule), cfg.F
 	for i := 0; i < n; i++ {
 		pl.orders[i] <- poolCmd{kind: pcInit, state: states[i], isFaulty: faulty.Contains(i)}
 	}
 
-	hasAdv := cfg.Adversary != nil && len(pl.p.faulty) > 0
-	var ew adversary.EdgeWriter
-	if hasAdv {
-		ew, _ = cfg.Adversary.(adversary.EdgeWriter)
-	}
+	adv := adversary.Writer(cfg.Adversary)
+	hasAdv := adv != nil && len(pl.p.faulty) > 0
 	var sink bufSink
 
 	var runErr error
@@ -208,22 +219,11 @@ func (pl *ConcurrentPool) RunScenario(cfg *Config) (*Trace, error) {
 				// Substitute ghost state for omitted receivers so every edge
 				// carries a value (matching Sequential's semantics): prefill
 				// the ghost, then let the strategy overwrite.
-				if ew != nil {
-					for k := range pl.sendBuf[s] {
-						pl.sendBuf[s][k] = states[s]
-					}
-					sink.buf = pl.sendBuf[s]
-					ew.WriteMessages(view, s, &sink)
-					continue
+				for k := range pl.sendBuf[s] {
+					pl.sendBuf[s][k] = states[s]
 				}
-				msgs := cfg.Adversary.Messages(view, s)
-				for k, to := range pl.g.OutView(s) {
-					if v, ok := msgs[to]; ok {
-						pl.sendBuf[s][k] = v
-					} else {
-						pl.sendBuf[s][k] = states[s]
-					}
-				}
+				sink.buf = pl.sendBuf[s]
+				adv.WriteMessages(view, s, &sink)
 			}
 		}
 		for i := 0; i < n; i++ {

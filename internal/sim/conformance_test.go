@@ -2,10 +2,12 @@ package sim
 
 // The cross-engine differential suite: one scenario table driven through
 // Sequential, Concurrent, Matrix, and (for synchronous-delivery
-// configurations) the async engine, with every built-in adversary exercised
-// through both the Messages-map path and the EdgeWriter fast path. All
-// synchronous engines must agree bit for bit — this is the harness that
-// keeps the four implementations honest as each gets optimized separately.
+// configurations) the async engine, with every built-in adversary and rule
+// exercised both as built (WriteMessages / UpdateInto called directly) and
+// with the fast method hidden (served through adversary.Writer /
+// core.Buffered). All synchronous engines must agree bit for bit — this is
+// the harness that keeps the implementations honest as each gets optimized
+// separately, and that pins the two adapters to identical semantics.
 
 import (
 	"context"
@@ -22,10 +24,16 @@ import (
 )
 
 // mapOnly embeds a Strategy as an interface field, hiding any WriteMessages
-// method from type assertions: engines probing for adversary.EdgeWriter get
-// nothing and fall back to the Messages map path.
+// method from type assertions: adversary.Writer sees a plain Strategy and
+// serves it through the Messages map.
 type mapOnly struct {
 	adversary.Strategy
+}
+
+// updateOnly does the same for a rule's UpdateInto: core.Buffered sees a
+// plain UpdateRule and serves it through the reference Update.
+type updateOnly struct {
+	core.UpdateRule
 }
 
 // confScenario is one row of the conformance table. makeAdv returns a fresh
@@ -117,9 +125,10 @@ func conformanceScenarios() []confScenario {
 	return scenarios
 }
 
-// buildConfig materializes the scenario for one engine run. wrap selects the
-// adversary path: map (EdgeWriter hidden) or writer (strategy as built).
-func (sc *confScenario) buildConfig(t *testing.T, wrapMap bool) Config {
+// buildConfig materializes the scenario for one engine run. adapted selects
+// the seam path: true hides WriteMessages and UpdateInto so the run goes
+// through both adapters, false passes the strategy and rule as built.
+func (sc *confScenario) buildConfig(t *testing.T, adapted bool) Config {
 	t.Helper()
 	g, err := sc.build()
 	if err != nil {
@@ -137,13 +146,17 @@ func (sc *confScenario) buildConfig(t *testing.T, wrapMap bool) Config {
 	var adv adversary.Strategy
 	if sc.makeAdv != nil {
 		adv = sc.makeAdv()
-		if wrapMap {
+		if adapted {
 			adv = mapOnly{adv}
 		}
 	}
+	rule := sc.rule
+	if adapted {
+		rule = updateOnly{rule}
+	}
 	return Config{
 		G: g, F: sc.f, Faulty: faulty, Initial: initial,
-		Rule: sc.rule, Adversary: adv,
+		Rule: rule, Adversary: adv,
 		MaxRounds: sc.rounds, Epsilon: sc.epsilon, RecordStates: true,
 	}
 }
@@ -176,8 +189,10 @@ func assertTracesEqual(t *testing.T, label string, want, got *Trace) {
 }
 
 // TestCrossEngineConformance drives every scenario through all three
-// synchronous engines and both adversary paths, asserting bit-identical
-// traces against the Sequential map-path reference.
+// synchronous engines and both seam paths, asserting bit-identical traces
+// against the Sequential adapted-path reference (Messages map + reference
+// Update). Matrix reads the concrete rule type and never calls the rule, so
+// its adapted runs hide only the adversary's WriteMessages.
 func TestCrossEngineConformance(t *testing.T) {
 	for _, sc := range conformanceScenarios() {
 		sc := sc
@@ -193,7 +208,7 @@ func TestCrossEngineConformance(t *testing.T) {
 			type variant struct {
 				label   string
 				engine  Engine
-				wrapMap bool
+				adapted bool
 			}
 			variants := []variant{
 				{"sequential/writer", Sequential{}, false},
@@ -207,7 +222,11 @@ func TestCrossEngineConformance(t *testing.T) {
 				)
 			}
 			for _, v := range variants {
-				tr, err := v.engine.Run(sc.buildConfig(t, v.wrapMap))
+				cfg := sc.buildConfig(t, v.adapted)
+				if v.engine == (Matrix{}) {
+					cfg.Rule = sc.rule // Matrix switches on the concrete rule type
+				}
+				tr, err := v.engine.Run(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", v.label, err)
 				}
@@ -231,12 +250,14 @@ func TestCrossEngineConformance(t *testing.T) {
 				// The pooled runners behind Sweep must agree for every
 				// engine: the second slot reuses the pooled state (node
 				// goroutines, matrix scratch), catching stale-state bugs.
+				// The concurrent pool takes the adapted config, so a pool
+				// re-normalises both seams per scenario.
 				sweepEngines := []Engine{Concurrent{}}
 				if affine {
 					sweepEngines = append(sweepEngines, Matrix{})
 				}
 				for _, eng := range sweepEngines {
-					res, err := Sweep(context.Background(), sc.buildConfig(t, false),
+					res, err := Sweep(context.Background(), sc.buildConfig(t, eng == Concurrent{}),
 						[]Scenario{{Name: "a"}, {Name: "b"}},
 						SweepOptions{Engine: eng, Workers: 1})
 					if err != nil {
@@ -264,7 +285,8 @@ func consumesRng(s adversary.Strategy) bool {
 // land exactly on round boundaries. With a single faulty sender the event
 // order makes every emission see the same omniscient view as the
 // synchronous round, so fault-free states must match Sequential bit for bit
-// — through both adversary paths.
+// — as built ("writer") and with both fast methods hidden ("map"), the
+// Sequential reference always running as built.
 func TestAsyncSynchronousDeliveryConformance(t *testing.T) {
 	g, err := topology.Complete(5)
 	if err != nil {
@@ -303,15 +325,14 @@ func TestAsyncSynchronousDeliveryConformance(t *testing.T) {
 			t.Run(st.name+"/"+path, func(t *testing.T) {
 				initial := []float64{0, 1, 2, 3, 9}
 				faulty := nodeset.FromMembers(n, 4)
-				wrap := func(s adversary.Strategy) adversary.Strategy {
-					if path == "map" {
-						return mapOnly{s}
-					}
-					return s
+				var rule core.UpdateRule = core.TrimmedMean{}
+				adv := st.mk()
+				if path == "map" {
+					rule, adv = updateOnly{rule}, mapOnly{adv}
 				}
 				ref, err := Sequential{}.Run(Config{
 					G: g, F: 0, Faulty: faulty, Initial: initial,
-					Rule: core.TrimmedMean{}, Adversary: wrap(st.mk()),
+					Rule: core.TrimmedMean{}, Adversary: st.mk(),
 					MaxRounds: rounds,
 				})
 				if err != nil {
@@ -319,7 +340,7 @@ func TestAsyncSynchronousDeliveryConformance(t *testing.T) {
 				}
 				atr, err := async.Run(context.Background(), async.Config{
 					G: g, F: 0, Faulty: faulty, Initial: initial,
-					Rule: core.TrimmedMean{}, Adversary: wrap(st.mk()),
+					Rule: rule, Adversary: adv,
 					Delays: async.Fixed{D: 1}, FaultyTick: 1,
 					MaxRounds: rounds,
 				})

@@ -479,11 +479,8 @@ func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream
 	recv := st.recv
 	mask := st.mask
 	var scratch core.Scratch
-	hasAdv := cfg.Adversary != nil && len(p.faulty) > 0
-	var ew adversary.EdgeWriter
-	if hasAdv {
-		ew, _ = cfg.Adversary.(adversary.EdgeWriter)
-	}
+	adv := adversary.Writer(cfg.Adversary)
+	hasAdv := adv != nil && len(p.faulty) > 0
 
 	// frozen[i]: the update is statically undefined for node i's in-degree
 	// (only possible for faulty nodes — Validate rejects it for fault-free
@@ -517,7 +514,7 @@ func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream
 	for round := 1; round <= cfg.MaxRounds && !tr.Converged; round++ {
 		p.fill(states)
 		if hasAdv {
-			p.applyAdversary(cfg.Adversary, ew, roundView(cfg, round, states, faultFree, faulty))
+			p.applyAdversary(adv, roundView(cfg, round, states, faultFree, faulty))
 		}
 		pr := newProgram()
 		pr.reset(n)

@@ -19,7 +19,6 @@ import (
 // swapping the fault set with setFaulty. The plane is refilled in place
 // every round.
 type edgePlane struct {
-	g *graph.Graph
 	n int
 	// inOff has length n+1; senders[inOff[i]:inOff[i+1]] are N-_i ascending.
 	inOff   []int
@@ -36,8 +35,8 @@ type edgePlane struct {
 	// faulty lists the faulty node IDs ascending — hoisted out of the round
 	// loop so cfg.faulty() is not re-materialized per round.
 	faulty []int
-	// sink is the reusable EdgeSink handed to EdgeWriter strategies; it
-	// scatters straight into values (and fromState) via edgeOf.
+	// sink is the reusable EdgeSink handed to the adversary; it scatters
+	// straight into values (and fromState) via edgeOf.
 	sink planeSink
 }
 
@@ -63,7 +62,6 @@ func (s *planeSink) Send(k int, value float64) {
 func newEdgePlane(g *graph.Graph, faulty nodeset.Set, trackSource bool) *edgePlane {
 	n := g.N()
 	p := &edgePlane{
-		g:      g,
 		n:      n,
 		inOff:  make([]int, n+1),
 		edgeOf: make([][]int, n),
@@ -121,30 +119,13 @@ func (p *edgePlane) fill(states []float64) {
 
 // applyAdversary scatters each faulty sender's transmissions onto the plane,
 // in ascending sender order (preserving the deterministic rng stream of
-// randomized strategies). When the strategy implements adversary.EdgeWriter
-// (ew non-nil, probed once per run by the caller) values are written
-// straight onto the plane with no per-round map; otherwise the Messages map
-// fallback runs. Either way, edges the strategy leaves unwritten keep the
-// ghost default already in place, matching the synchronous substitution
-// semantics (see package adversary).
-func (p *edgePlane) applyAdversary(adv adversary.Strategy, ew adversary.EdgeWriter, view adversary.RoundView) {
-	if ew != nil {
-		for _, s := range p.faulty {
-			p.sink.sender = s
-			ew.WriteMessages(view, s, &p.sink)
-		}
-		return
-	}
+// randomized strategies). adv is the run's strategy as normalised by
+// adversary.Writer. Edges the strategy leaves unwritten keep the ghost
+// default already in place, matching the synchronous substitution semantics
+// (see package adversary).
+func (p *edgePlane) applyAdversary(adv adversary.EdgeWriter, view adversary.RoundView) {
 	for _, s := range p.faulty {
-		msgs := adv.Messages(view, s)
-		for k, to := range p.g.OutView(s) {
-			if v, ok := msgs[to]; ok {
-				e := p.edgeOf[s][k]
-				p.values[e] = v
-				if p.fromState != nil {
-					p.fromState[e] = false
-				}
-			}
-		}
+		p.sink.sender = s
+		adv.WriteMessages(view, s, &p.sink)
 	}
 }

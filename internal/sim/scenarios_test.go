@@ -465,7 +465,8 @@ func TestSweepMatrixBatchConformance(t *testing.T) {
 
 // TestConcurrentPoolReuse drives one pool through many scenarios (changing
 // adversary, fault set, and initial vector) and checks every trace against
-// the one-shot Concurrent engine, then exercises the pool's failure modes.
+// the Sequential engine (Concurrent.Run is this same pool used once, so it
+// would be no oracle), then exercises the pool's failure modes.
 func TestConcurrentPoolReuse(t *testing.T) {
 	base := scenarioBase(t)
 	n := base.G.N()
@@ -481,7 +482,7 @@ func TestConcurrentPoolReuse(t *testing.T) {
 		}
 		// Fresh strategy for the reference run: pooled run consumed any rng.
 		ref := parallelScenarios(n)[i].apply(base)
-		want, err := Concurrent{}.Run(ref)
+		want, err := Sequential{}.Run(ref)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,12 +11,12 @@ import (
 //
 // The round loop runs allocation-free in steady state: messages live on a
 // flat edge-indexed plane (see edgePlane), received vectors are views into
-// one preallocated buffer with sender IDs written once at setup, rules
-// implementing core.BufferedRule are driven through the zero-allocation
-// UpdateInto path, and strategies implementing adversary.EdgeWriter scatter
-// faulty values straight onto the plane with no per-round map. Only the
-// Messages-map fallback (for strategies without an EdgeWriter) and trace
-// growth beyond the preallocated window still allocate.
+// one preallocated buffer with sender IDs written once at setup, the rule is
+// driven through UpdateInto, and the adversary scatters faulty values
+// straight onto the plane through WriteMessages. Only a user rule or
+// strategy without the fast method (served through core.Buffered /
+// adversary.Writer at its own allocation cost) and trace growth beyond the
+// preallocated window still allocate.
 type Sequential struct{}
 
 var _ Engine = Sequential{}
@@ -59,18 +59,15 @@ func runSequential(cfg *Config, p *edgePlane, recv []core.ValueFrom) (*tracer, e
 	next := make([]float64, n)
 
 	tr := newTrace(cfg, states, faultFree)
-	buffered, _ := cfg.Rule.(core.BufferedRule)
+	rule := core.Buffered(cfg.Rule)
 	var scratch core.Scratch
-	hasAdv := cfg.Adversary != nil && len(p.faulty) > 0
-	var ew adversary.EdgeWriter
-	if hasAdv {
-		ew, _ = cfg.Adversary.(adversary.EdgeWriter)
-	}
+	adv := adversary.Writer(cfg.Adversary)
+	hasAdv := adv != nil && len(p.faulty) > 0
 
 	for round := 1; round <= cfg.MaxRounds && !tr.Converged; round++ {
 		p.fill(states)
 		if hasAdv {
-			p.applyAdversary(cfg.Adversary, ew, roundView(cfg, round, states, faultFree, faulty))
+			p.applyAdversary(adv, roundView(cfg, round, states, faultFree, faulty))
 		}
 
 		for i := 0; i < n; i++ {
@@ -79,13 +76,7 @@ func runSequential(cfg *Config, p *edgePlane, recv []core.ValueFrom) (*tracer, e
 			for k := range buf {
 				buf[k].Value = p.values[lo+k]
 			}
-			var v float64
-			var err error
-			if buffered != nil {
-				v, err = buffered.UpdateInto(&scratch, states[i], buf, cfg.F)
-			} else {
-				v, err = cfg.Rule.Update(states[i], buf, cfg.F)
-			}
+			v, err := rule.UpdateInto(&scratch, states[i], buf, cfg.F)
 			if err != nil {
 				if faultFree.Contains(i) {
 					return nil, err
@@ -118,7 +109,7 @@ type tracer struct {
 const tracePrealloc = 4096
 
 func newTrace(cfg *Config, initial []float64, faultFree nodeset.Set) *tracer {
-	lo, hi := faultFreeRange(initial, faultFree)
+	lo, hi := adversary.FaultFreeRange(initial, faultFree)
 	t := &tracer{epsilon: cfg.Epsilon}
 	capHint := cfg.MaxRounds + 1
 	if capHint > tracePrealloc {
@@ -142,7 +133,7 @@ func newTrace(cfg *Config, initial []float64, faultFree nodeset.Set) *tracer {
 
 // record appends round results; returns true when the epsilon stop fires.
 func (t *tracer) record(cfg *Config, round int, states []float64, faultFree nodeset.Set) bool {
-	lo, hi := faultFreeRange(states, faultFree)
+	lo, hi := adversary.FaultFreeRange(states, faultFree)
 	t.U = append(t.U, hi)
 	t.Mu = append(t.Mu, lo)
 	t.Rounds = round

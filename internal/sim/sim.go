@@ -23,7 +23,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"iabc/internal/adversary"
 	"iabc/internal/core"
@@ -174,7 +173,7 @@ type Engine interface {
 // faulty is the caller's pre-materialized fault set, hoisted out of the
 // round loop so no set is rebuilt per round.
 func roundView(cfg *Config, round int, states []float64, faultFree, faulty nodeset.Set) adversary.RoundView {
-	lo, hi := faultFreeRange(states, faultFree)
+	lo, hi := adversary.FaultFreeRange(states, faultFree)
 	return adversary.RoundView{
 		Round:  round,
 		G:      cfg.G,
@@ -184,21 +183,6 @@ func roundView(cfg *Config, round int, states []float64, faultFree, faulty nodes
 		Lo:     lo,
 		Hi:     hi,
 	}
-}
-
-// faultFreeRange returns (µ, U) over the fault-free entries of states.
-func faultFreeRange(states []float64, faultFree nodeset.Set) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	faultFree.ForEach(func(i int) bool {
-		if states[i] < lo {
-			lo = states[i]
-		}
-		if states[i] > hi {
-			hi = states[i]
-		}
-		return true
-	})
-	return lo, hi
 }
 
 // names extracts the rule/adversary names for the trace.
