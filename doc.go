@@ -117,9 +117,17 @@
 //     full enumeration's relative order, and condition.Check returns a
 //     bit-identical Satisfied verdict and Witness with or without pruning
 //     (and with or without the empty-complement memo, which only skips
-//     peels whose emptiness is implied by a memoized subset). Enforced by
-//     the property tests in internal/condition/prune_test.go and the
-//     E14 cross-validation against condition.CheckViaReducedGraphs.
+//     peels whose emptiness is implied by a memoized subset). The same
+//     holds for the orbit cut: Definition 1 is invariant under every
+//     automorphism of the graph, so the checker scans one fault set per
+//     orbit of the automorphisms it finds and lets the others inherit the
+//     verdict and counter delta; the lowest violating fault set is the
+//     lowest of its orbit, so it is scanned itself and the Witness and the
+//     counters match the every-fault-set scan at any worker count, whether
+//     the generator search found the whole group or none of it. Enforced by
+//     the property tests in internal/condition/prune_test.go, the
+//     differential test in orbit_test.go (docs/THEORY.md, "Symmetry") and
+//     the E14 cross-validation against condition.CheckViaReducedGraphs.
 //  6. Facade stability. The root package's exported surface is frozen in
 //     api/iabc.txt, regenerated only by a deliberate `go generate .`;
 //     TestAPISurfaceGolden fails the build when the tree drifts from the

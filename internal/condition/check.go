@@ -62,14 +62,20 @@ type Result struct {
 	// Witness is a violating partition when Satisfied is false, nil
 	// otherwise.
 	Witness *Witness
-	// FaultSetsExamined counts the fault sets F enumerated.
+	// FaultSetsExamined counts the fault sets F decided: those scanned on
+	// their own ground plus those that inherited the result of their orbit's
+	// representative under the graph's automorphisms (ShardScanner). It is
+	// the same at every worker count: on a violated graph, the index of the
+	// lowest violating fault set plus one.
 	FaultSetsExamined int64
 	// CandidatesExamined counts candidate L sets accounted for by the
-	// enumeration: those explicitly tested for insulation plus those the
-	// degree lower bound pruned without a visit. On a satisfied graph the
-	// total equals the unpruned checker's count exactly (Σ_F Σ_k C(m,k)),
-	// so work numbers stay comparable across checker versions; the split
-	// is CandidatesPruned.
+	// enumeration: those explicitly tested for insulation, those the degree
+	// lower bound pruned without a visit, and, for a fault set that
+	// inherited its result, the representative's count of both — the same
+	// number, since automorphisms map candidates to candidates. On a
+	// satisfied graph the total equals the unpruned every-fault-set
+	// checker's count exactly (Σ_F Σ_k C(m,k)), so work numbers stay
+	// comparable across checker versions; the split is CandidatesPruned.
 	CandidatesExamined int64
 	// CandidatesPruned counts candidate L sets skipped wholesale by the
 	// degree lower bound (see the pruning invariant in the package doc of
@@ -81,7 +87,10 @@ type Result struct {
 	// MemoHits counts maximal-insulated-subset computations skipped because
 	// a previously peeled subset of the candidate already proved the
 	// complement's maximal insulated subset empty (see
-	// insulationScratch.dead). Always ≤ CandidatesExamined.
+	// insulationScratch.dead). Always ≤ CandidatesExamined. Inherited like
+	// the other counters; it equals the every-fault-set scan's count unless
+	// some ground overflows the memo's deadCap entries, where the count
+	// depends on the enumeration order and the representative's is used.
 	MemoHits int64
 	// FaultSetsResumed counts fault sets skipped because a persisted
 	// checkpoint (ScanOptions.Store) already covered them. Their counter
@@ -160,6 +169,11 @@ func CheckAsync(g *graph.Graph, f int) (Result, error) {
 // empty-complement memo (see findDisjointInsulatedPair); Result reports the
 // savings as CandidatesPruned and MemoHits. The returned witness is
 // re-verifiable via (*Witness).Verify.
+//
+// The fault-set enumeration is cut by symmetry: one fault set per orbit of
+// the graph's automorphisms is scanned and the rest inherit its result (see
+// ShardScanner), again without changing Satisfied, the witness or the
+// counters.
 //
 // CheckThreshold is the sequential, uncancellable form; CheckScan is the
 // full coordinator with context, workers, and progress streaming.

@@ -3,16 +3,17 @@ package condition
 // This file exports the checker's two distribution seams. A scan is
 // embarrassingly parallel across fault sets, and each fault set's work —
 // verdict contribution and counter delta alike — is a pure function of
-// (graph, ground, threshold): that is the same determinism argument the
-// checkpoint/resume layer rests on (see state.go). The distributed runner
-// in internal/distrib builds on exactly these two pieces:
+// (graph, f, threshold) and its index: that is the same determinism argument
+// the checkpoint/resume layer rests on (see state.go). The distributed
+// runner in internal/distrib builds on exactly these two pieces:
 //
-//   - ShardScanner executes an arbitrary index range of the canonical
-//     fault-set enumeration on a worker, reproducing the sequential scan's
-//     early-exit semantics within the range.
+//   - ShardScanner (scanner.go), the scanner CheckScan itself folds over,
+//     executes an arbitrary index range of the canonical fault-set
+//     enumeration on a worker through ScanRange, reproducing the sequential
+//     scan's early-exit semantics within the range.
 //   - ScanFrontier is the coordinator's durable contiguous frontier — the
-//     same reorder-buffered checkpointer CheckScan uses internally,
-//     generalized from single indices to lease-sized spans.
+//     same checkpointer CheckScan uses internally, with a reorder buffer
+//     for lease-sized spans that complete out of order.
 //
 // Because both sides are pure in the scan identity, a run sharded across
 // machines — including one where leases expire and are re-executed —
@@ -24,7 +25,6 @@ import (
 	"fmt"
 
 	"iabc/internal/graph"
-	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 )
 
@@ -74,14 +74,8 @@ type ScanFrontier struct {
 // from the newest checkpoint (possibly empty). The validation mirrors
 // CheckScan's: f ≥ 0, threshold ≥ 1, n−f ≤ 62.
 func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold, checkpointEvery int) (fr *ScanFrontier, cached *Result, err error) {
-	if f < 0 {
-		return nil, nil, fmt.Errorf("condition: f must be >= 0, got %d", f)
-	}
-	if threshold < 1 {
-		return nil, nil, fmt.Errorf("condition: threshold must be >= 1, got %d", threshold)
-	}
-	if g.N()-f > 62 {
-		return nil, nil, fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", g.N()-f)
+	if err := validateScan(g.N(), f, threshold); err != nil {
+		return nil, nil, err
 	}
 	st, cached, err := loadScanState(ctx, store, g, f, threshold, checkpointEvery)
 	if err != nil || cached != nil {
@@ -147,80 +141,29 @@ type RangeResult struct {
 	Partial WorkCounters
 }
 
-// ShardScanner executes index ranges of the canonical fault-set enumeration
-// for one scan identity (g, f, threshold) — a worker's compute kernel. The
-// fault sets are materialized once in canonical (size-ascending, then
-// combination-lexicographic) order, so any [lo, hi) range is addressable in
-// O(1); the insulation scratch is reused across calls, which is sound
-// because all cross-fault-set state resets per ground (see state.go).
-//
-// A ShardScanner is not safe for concurrent use; give each goroutine its
-// own.
-type ShardScanner struct {
-	g         *graph.Graph
-	threshold int
-	universe  nodeset.Set
-	faultSets []nodeset.Set
-	scratch   *insulationScratch
-}
-
-// NewShardScanner materializes the enumeration for (g, f, threshold). The
-// feasibility validation mirrors CheckScan's.
-func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
-	n := g.N()
-	if f < 0 {
-		return nil, fmt.Errorf("condition: f must be >= 0, got %d", f)
-	}
-	if threshold < 1 {
-		return nil, fmt.Errorf("condition: threshold must be >= 1, got %d", threshold)
-	}
-	if n-f > 62 {
-		return nil, fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", n-f)
-	}
-	universe := nodeset.Universe(n)
-	var faultSets []nodeset.Set
-	for fSize := 0; fSize <= f && fSize <= n; fSize++ {
-		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(s nodeset.Set) bool {
-			faultSets = append(faultSets, s.Clone())
-			return true
-		})
-	}
-	return &ShardScanner{
-		g: g, threshold: threshold, universe: universe,
-		faultSets: faultSets, scratch: newInsulationScratch(g),
-	}, nil
-}
-
-// NumFaultSets returns the enumeration's extent.
-func (s *ShardScanner) NumFaultSets() int64 { return int64(len(s.faultSets)) }
-
-// ScanRange scans fault sets [lo, hi), stopping at the first violation —
-// the sequential scan restricted to the range. Cancellation is checked
-// between fault sets; on cancellation the partial result is discarded and
-// only the error returns (the caller's lease is simply re-run elsewhere).
+// ScanRange decides fault sets [lo, hi), stopping at the first violation —
+// the sequential scan restricted to the range, on the same fold. Results of
+// orbit representatives — below lo included — are computed once per scanner
+// and kept across calls. Cancellation is checked between fault sets; on
+// cancellation the caller discards the partial result (its lease is simply
+// re-run elsewhere).
 func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult, error) {
 	res := RangeResult{Violation: -1}
-	if lo < 0 || hi < lo || hi > int64(len(s.faultSets)) {
-		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, len(s.faultSets))
+	if lo < 0 || hi < lo || hi > s.total {
+		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, s.total)
 	}
-	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("condition: shard scan canceled at fault set %d: %w", i, context.Cause(ctx))
-		}
-		fSet := s.faultSets[i]
-		ground := s.universe.Difference(fSet)
-		var cc checkCounters
-		w := findDisjointInsulatedPair(s.scratch, ground, s.threshold, &cc)
-		if w != nil {
-			w.F = fSet.Clone()
-			w.C = ground.Difference(w.L).Difference(w.R)
-			res.Violation = i
-			res.Witness = w
-			res.Partial = exportCounters(cc)
-			return res, nil
-		}
+	stop, viol, err := s.fold(ctx, lo, hi, func(_ int64, cc checkCounters) error {
 		res.Completed++
 		res.Satisfied.Add(exportCounters(cc))
+		return nil
+	})
+	if err != nil {
+		return res, fmt.Errorf("condition: shard scan canceled at fault set %d: %w", stop, context.Cause(ctx))
+	}
+	if viol.witness != nil {
+		res.Violation = stop
+		res.Witness = viol.witness
+		res.Partial = exportCounters(viol.cc)
 	}
 	return res, nil
 }

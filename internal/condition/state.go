@@ -12,19 +12,22 @@ package condition
 //     keyed by the canonical graph.Encode plus (f, threshold) can be
 //     replayed verbatim for any later call with the same key.
 //   - Each fault set's work-counter contribution (candidates, pruned, memo
-//     hits) is a pure function of (graph, ground, threshold): the degree
-//     pruning depends only on base in-degrees, and the empty-complement
-//     memo is cleared per ground (insulationScratch.setGround), so no state
-//     leaks across fault sets. A resumed scan that restores the persisted
-//     prefix aggregate and skips those fault sets therefore finishes with
-//     counter totals identical to an uninterrupted run.
+//     hits) is a pure function of (graph, f, threshold) and its index: it is
+//     the contribution of one ground — its orbit representative's, fixed by
+//     the deterministic orbit table (scanner.go) — where the degree pruning
+//     depends only on base in-degrees and the empty-complement memo is
+//     cleared per ground (insulationScratch.setGround), so no state leaks
+//     across fault sets. A resumed scan that restores the persisted prefix
+//     aggregate and skips those fault sets therefore finishes with counter
+//     totals identical to an uninterrupted run.
 //
 // Checkpoints record only a *contiguous* completed prefix of the canonical
-// fault-set enumeration order. The parallel scan completes fault sets out
-// of order, so the checkpointer keeps a reorder buffer of per-index counter
-// deltas and advances the durable frontier as gaps fill — what lands on
-// disk is always "the first Done fault sets are satisfied, and here is
-// exactly their aggregate work", never a sparse set.
+// fault-set enumeration order. The local scans complete fault sets in that
+// order; the distributed coordinator's leases complete out of order, so the
+// checkpointer keeps a reorder buffer of counter deltas and advances the
+// durable frontier as gaps fill — what lands on disk is always "the first
+// Done fault sets are satisfied, and here is exactly their aggregate work",
+// never a sparse set.
 
 import (
 	"context"

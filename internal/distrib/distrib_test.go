@@ -599,3 +599,35 @@ func TestDispatchNoop(t *testing.T) {
 		t.Fatalf("granted %d jobs, want >= 300", s.JobsGranted)
 	}
 }
+
+// TestWorkerTreatsResetAsHangUp: a coordinator that closes with one of the
+// worker's frames still unread hangs up with a TCP reset, not a FIN. The
+// worker must take that for the clean shutdown it is — `iabc work` used to
+// exit non-zero at the end of a scan whose last verdict left jobs in flight.
+func TestWorkerTreatsResetAsHangUp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		br := bufio.NewReader(nc)
+		if kind, _, _, err := readFrame(br, nil); err != nil || kind != kindHello {
+			nc.Close()
+			return
+		}
+		nc.Write(appendHello(nil))
+		// One byte of the job request, read past the bufio layer, proves the
+		// frame arrived; the rest of it stays unread in the socket, which
+		// turns the close into a reset.
+		nc.Read(make([]byte, 1))
+		nc.Close()
+	}()
+	if err := Work(context.Background(), ln.Addr().String(), WorkerOptions{}); err != nil {
+		t.Fatalf("worker reported the coordinator's hang-up as a failure: %v", err)
+	}
+}

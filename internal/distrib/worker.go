@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"syscall"
 	"time"
 
 	"iabc/internal/sim"
@@ -104,10 +105,13 @@ type worker struct {
 }
 
 // wrap maps connection teardown to the caller's intent: a coordinator that
-// hangs up at a frame boundary is a clean shutdown, and a read error caused
-// by our own ctx-triggered close reports the cancellation, not the close.
+// hangs up is a clean shutdown, and a read error caused by our own
+// ctx-triggered close reports the cancellation, not the close. The hang-up
+// reads as EOF at a frame boundary, and as a reset (or a broken pipe on the
+// next write) when the coordinator closed with a frame of ours still unread
+// — a report on a job its verdict had already made moot.
 func (w *worker) wrap(err error) error {
-	if err == nil || errors.Is(err, io.EOF) {
+	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
 		return nil
 	}
 	if cerr := context.Cause(w.ctx); cerr != nil {
