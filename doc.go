@@ -43,6 +43,11 @@
 //   - internal/node, internal/transport — the live actor runtime behind
 //     Cluster and its message transports, chaos injection included;
 //   - internal/adversary — Byzantine strategies;
+//   - internal/statestore, internal/distrib — resumable scans (every
+//     persisted record under one envelope, statestore.Record) and the leased
+//     distributed scan runner;
+//   - internal/wire — the one length-prefixed frame reader under both
+//     socket protocols, and bit-exact floats in JSON;
 //   - internal/graph, internal/topology, internal/nodeset — substrates;
 //   - internal/analysis — α, Lemma 5 contraction bounds, rate measurement;
 //   - internal/experiments — one reproduction per paper artifact (E1–E15).

@@ -56,55 +56,20 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
-	if c.G == nil {
-		return errors.New("async: nil graph")
-	}
-	n := c.G.N()
-	if len(c.Initial) != n {
-		return fmt.Errorf("async: len(Initial) = %d, want n = %d", len(c.Initial), n)
-	}
-	if c.Rule == nil {
-		return errors.New("async: nil update rule")
+	in := adversary.Instance{G: c.G, F: c.F, Faulty: c.Faulty, Initial: c.Initial, Rule: c.Rule, Adversary: c.Adversary, MaxRounds: c.MaxRounds}
+	if err := in.Validate(func(inDegree int) int { return quorum.Count(inDegree, c.F) }); err != nil {
+		return fmt.Errorf("async: %w", err)
 	}
 	if c.Delays == nil {
 		return errors.New("async: nil delay policy")
 	}
-	if c.MaxRounds < 1 {
-		return fmt.Errorf("async: MaxRounds must be ≥ 1, got %d", c.MaxRounds)
-	}
-	if c.F < 0 {
-		return fmt.Errorf("async: negative F %d", c.F)
-	}
 	if c.HistoryEvery < 0 {
 		return fmt.Errorf("async: negative HistoryEvery %d", c.HistoryEvery)
 	}
-	if c.Faulty.Cap() != 0 && c.Faulty.Cap() != n {
-		return fmt.Errorf("async: Faulty set capacity %d does not match n = %d", c.Faulty.Cap(), n)
-	}
-	if !c.faulty().Empty() && c.Adversary == nil {
-		return errors.New("async: faulty nodes configured but Adversary is nil")
-	}
-	if c.faulty().Count() == n {
-		return errors.New("async: all nodes faulty")
-	}
-	var err error
-	c.faulty().Complement().ForEach(func(i int) bool {
-		quorum := c.G.InDegree(i) - c.F
-		if e := c.Rule.Validate(quorum, c.F); e != nil {
-			err = fmt.Errorf("async: node %d (in-degree %d, quorum %d): %w", i, c.G.InDegree(i), quorum, e)
-			return false
-		}
-		return true
-	})
-	return err
+	return nil
 }
 
-func (c *Config) faulty() nodeset.Set {
-	if c.Faulty.Cap() == 0 {
-		return nodeset.New(c.G.N())
-	}
-	return c.Faulty
-}
+func (c *Config) faulty() nodeset.Set { return adversary.FaultSet(c.G, c.Faulty) }
 
 // RangePoint samples the fault-free range at a simulation time.
 type RangePoint struct {

@@ -103,11 +103,31 @@ type Result struct {
 	CacheHit bool
 }
 
-// checkCounters accumulates per-fault-set work; one instance per goroutine.
-type checkCounters struct {
-	candidates int64
-	pruned     int64
-	memoHits   int64
+// work returns r's three work counters as one value.
+func (r *Result) work() WorkCounters {
+	return WorkCounters{Candidates: r.CandidatesExamined, Pruned: r.CandidatesPruned, MemoHits: r.MemoHits}
+}
+
+// setWork sets r's three work counters.
+func (r *Result) setWork(c WorkCounters) {
+	r.CandidatesExamined, r.CandidatesPruned, r.MemoHits = c.Candidates, c.Pruned, c.MemoHits
+}
+
+// WorkCounters is the per-scan work account: candidate L sets examined
+// (tested + pruned), the pruned split, and memo hits. One instance
+// accumulates per goroutine; it is also the unit that flows from workers to
+// the coordinator and, embedded in the record bodies, into checkpoints.
+type WorkCounters struct {
+	Candidates int64 `json:"candidates"`
+	Pruned     int64 `json:"pruned"`
+	MemoHits   int64 `json:"memo_hits"`
+}
+
+// Add accumulates other into c.
+func (c *WorkCounters) Add(other WorkCounters) {
+	c.Candidates += other.Candidates
+	c.Pruned += other.Pruned
+	c.MemoHits += other.MemoHits
 }
 
 // binomTable holds C(n, k) for n ≤ 62 — the checker's feasibility cap on
@@ -254,7 +274,7 @@ func maximalInsulatedSubset(g *graph.Graph, ground, sub nodeset.Set, threshold i
 //     monotone in its sub argument, so its peel is provably ∅ and skipped
 //     (s.knownDead). Only peels are skipped, never candidate tests, so
 //     counter accounting and the returned witness are unaffected.
-func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, threshold int, c *checkCounters) *Witness {
+func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, threshold int, c *WorkCounters) *Witness {
 	m := ground.Count()
 	if m < 2 {
 		return nil
@@ -275,16 +295,16 @@ func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, thresho
 				return
 			}
 			skipped := binom(total, size) - binom(kept, size)
-			c.candidates += skipped
-			c.pruned += skipped
+			c.Candidates += skipped
+			c.Pruned += skipped
 		},
 		func(l nodeset.Set) bool {
-			c.candidates++
+			c.Candidates++
 			if !s.insulated(l, threshold) {
 				return true
 			}
 			if s.knownDead(l) {
-				c.memoHits++
+				c.MemoHits++
 				return true
 			}
 			rest := ground.Difference(l)
@@ -385,17 +405,17 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 	}
 	best := -1
 	var stats MaxFStats
-	var rec maxfRecord
-	startF := 0
+	var rec statestore.Record
+	var checks []maxfCheck
 	if opts.Store != nil {
+		rec = maxfRecord(opts.Store, g.Encode())
 		var err error
-		rec, err = loadMaxFRecord(ctx, opts.Store, g.Encode())
-		if err != nil {
+		if checks, err = loadMaxFChecks(ctx, rec); err != nil {
 			return best, stats, err
 		}
 		// Replay the settled prefix: each recorded check contributes its
 		// original counters, so totals equal an uninterrupted scan's.
-		for _, c := range rec.Checks {
+		for _, c := range checks {
 			stats.ChecksRun++
 			stats.ChecksResumed++
 			stats.FaultSetsExamined += c.FaultSets
@@ -405,20 +425,19 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 			if !c.Satisfied {
 				// The scan had already settled negatively; only the record
 				// cleanup was lost. Finish it now.
-				if err := opts.Store.Delete(ctx, maxfKey(rec.Graph)); err != nil {
+				if err := opts.Store.Delete(ctx, rec.Key); err != nil {
 					return best, stats, fmt.Errorf("condition: clearing maxf record: %w", err)
 				}
 				return best, stats, nil
 			}
 			best = c.F
 		}
-		startF = len(rec.Checks)
 	}
 	runCheck := opts.CheckRunner
 	if runCheck == nil {
 		runCheck = CheckScan
 	}
-	for f := startF; 3*f < g.N(); f++ {
+	for f := len(checks); 3*f < g.N(); f++ {
 		var progress ProgressFunc
 		if opts.OnProgress != nil {
 			f := f
@@ -443,14 +462,12 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 			return best, stats, fmt.Errorf("condition: maxf scan at f=%d: %w", f, err)
 		}
 		if opts.Store != nil {
-			rec.Checks = append(rec.Checks, maxfCheck{
+			checks = append(checks, maxfCheck{
 				F: f, Satisfied: res.Satisfied,
-				FaultSets:  res.FaultSetsExamined,
-				Candidates: res.CandidatesExamined,
-				Pruned:     res.CandidatesPruned,
-				MemoHits:   res.MemoHits,
+				FaultSets:    res.FaultSetsExamined,
+				WorkCounters: res.work(),
 			})
-			if err := rec.save(ctx, opts.Store); err != nil {
+			if err := rec.Save(ctx, maxfBody{Checks: checks}); err != nil {
 				return best, stats, err
 			}
 		}
@@ -465,7 +482,7 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 	if opts.Store != nil {
 		// The scan settled: drop the in-flight record. The per-f verdicts
 		// stay cached, so a fresh scan of this graph reports CacheHits.
-		if err := opts.Store.Delete(ctx, maxfKey(rec.Graph)); err != nil {
+		if err := opts.Store.Delete(ctx, rec.Key); err != nil {
 			return best, stats, fmt.Errorf("condition: clearing maxf record: %w", err)
 		}
 	}

@@ -20,7 +20,7 @@ func referenceScan(g *graph.Graph, f, threshold int) Result {
 	universe := nodeset.Universe(n)
 	res := Result{Satisfied: true}
 	scratch := newInsulationScratch(g)
-	var cc checkCounters
+	var cc WorkCounters
 	for fSize := 0; fSize <= f && fSize <= n && res.Satisfied; fSize++ {
 		nodeset.SubsetsAscendingSize(universe, fSize, fSize, func(fSet nodeset.Set) bool {
 			res.FaultSetsExamined++
@@ -33,7 +33,7 @@ func referenceScan(g *graph.Graph, f, threshold int) Result {
 			return res.Satisfied
 		})
 	}
-	res.CandidatesExamined, res.CandidatesPruned, res.MemoHits = cc.candidates, cc.pruned, cc.memoHits
+	res.setWork(cc)
 	return res
 }
 
@@ -239,6 +239,6 @@ func TestShardScanViolationInsideOrbit(t *testing.T) {
 
 // referenceScanAt scans the one ground V−F.
 func referenceScanAt(g *graph.Graph, threshold int, f nodeset.Set) *Witness {
-	var cc checkCounters
+	var cc WorkCounters
 	return findDisjointInsulatedPair(newInsulationScratch(g), f.Complement(), threshold, &cc)
 }

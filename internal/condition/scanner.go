@@ -63,7 +63,7 @@ type ShardScanner struct {
 
 // groundResult is the outcome of the candidate enumeration on one ground.
 type groundResult struct {
-	cc      checkCounters
+	cc      WorkCounters
 	witness *Witness // non-nil iff the ground holds two disjoint insulated sets
 	done    bool
 }
@@ -286,7 +286,7 @@ func (s *ShardScanner) decide(i int64) groundResult {
 // from satisfied, or when ctx is done (err = ctx.Err()); stop is the index
 // it stopped at, hi after a clean pass. Cancellation is checked between
 // fault sets, never inside the candidate enumeration.
-func (s *ShardScanner) fold(ctx context.Context, lo, hi int64, satisfied func(i int64, cc checkCounters) error) (stop int64, viol groundResult, err error) {
+func (s *ShardScanner) fold(ctx context.Context, lo, hi int64, satisfied func(i int64, cc WorkCounters) error) (stop int64, viol groundResult, err error) {
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return i, groundResult{}, err
@@ -375,14 +375,12 @@ func (s *ShardScanner) check(ctx context.Context, workers int, onProgress Progre
 		skip = s.total
 	}
 	res := Result{Satisfied: true, FaultSetsExamined: skip, FaultSetsResumed: skip}
-	add := func(cc checkCounters) {
+	add := func(cc WorkCounters) {
 		res.FaultSetsExamined++
-		agg.candidates += cc.candidates
-		agg.pruned += cc.pruned
-		agg.memoHits += cc.memoHits
+		agg.Add(cc)
 	}
 	stopPrefetch := s.prefetch(ctx, skip, workers)
-	_, viol, err := s.fold(ctx, skip, s.total, func(i int64, cc checkCounters) error {
+	_, viol, err := s.fold(ctx, skip, s.total, func(i int64, cc WorkCounters) error {
 		add(cc)
 		if err := st.complete(ctx, i, cc); err != nil {
 			return err
@@ -398,9 +396,7 @@ func (s *ShardScanner) check(ctx context.Context, workers int, onProgress Progre
 		res.Satisfied = false
 		res.Witness = viol.witness
 	}
-	res.CandidatesExamined = agg.candidates
-	res.CandidatesPruned = agg.pruned
-	res.MemoHits = agg.memoHits
+	res.setWork(agg)
 	if err != nil {
 		// The verdict is undecided on an interrupted scan; only the work
 		// counters are meaningful.

@@ -28,30 +28,6 @@ import (
 	"iabc/internal/statestore"
 )
 
-// WorkCounters is the exported form of the per-scan work account: candidate
-// L sets examined (tested + pruned), the pruned split, and memo hits. It is
-// the unit that flows from workers to the coordinator and into checkpoints.
-type WorkCounters struct {
-	Candidates int64
-	Pruned     int64
-	MemoHits   int64
-}
-
-// Add accumulates other into c.
-func (c *WorkCounters) Add(other WorkCounters) {
-	c.Candidates += other.Candidates
-	c.Pruned += other.Pruned
-	c.MemoHits += other.MemoHits
-}
-
-func (c WorkCounters) internal() checkCounters {
-	return checkCounters{candidates: c.Candidates, pruned: c.Pruned, memoHits: c.MemoHits}
-}
-
-func exportCounters(c checkCounters) WorkCounters {
-	return WorkCounters{Candidates: c.candidates, Pruned: c.pruned, MemoHits: c.memoHits}
-}
-
 // NumFaultSets returns the scan extent Σ_{k≤f} C(n,k) — the number of fault
 // sets the canonical enumeration visits — or 0 when n exceeds the int64
 // binomial table (n > 62), in which case the scan cannot be partitioned by
@@ -90,15 +66,14 @@ func (fr *ScanFrontier) Total() int64 { return fr.total }
 // ResumePoint returns the first fault-set index still to scan and the
 // counter aggregate the persisted prefix already accounts for.
 func (fr *ScanFrontier) ResumePoint() (int64, WorkCounters) {
-	idx, cc := fr.st.resumePoint()
-	return idx, exportCounters(cc)
+	return fr.st.resumePoint()
 }
 
 // CompleteSpan journals the fault sets [lo, hi) as satisfied with their
 // aggregate counter delta. Spans must be disjoint; out-of-order spans wait
 // in the reorder buffer, so the durable frontier never jumps a gap.
 func (fr *ScanFrontier) CompleteSpan(ctx context.Context, lo, hi int64, delta WorkCounters) error {
-	return fr.st.completeSpan(ctx, lo, hi, delta.internal())
+	return fr.st.completeSpan(ctx, lo, hi, delta)
 }
 
 // Position returns the current contiguous frontier and the counter
@@ -106,7 +81,7 @@ func (fr *ScanFrontier) CompleteSpan(ctx context.Context, lo, hi int64, delta Wo
 func (fr *ScanFrontier) Position() (int64, WorkCounters) {
 	fr.st.mu.Lock()
 	defer fr.st.mu.Unlock()
-	return fr.st.frontier, exportCounters(fr.st.agg)
+	return fr.st.frontier, fr.st.agg
 }
 
 // Flush forces a checkpoint write of the current frontier — the last act of
@@ -152,9 +127,9 @@ func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult
 	if lo < 0 || hi < lo || hi > s.total {
 		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, s.total)
 	}
-	stop, viol, err := s.fold(ctx, lo, hi, func(_ int64, cc checkCounters) error {
+	stop, viol, err := s.fold(ctx, lo, hi, func(_ int64, cc WorkCounters) error {
 		res.Completed++
-		res.Satisfied.Add(exportCounters(cc))
+		res.Satisfied.Add(cc)
 		return nil
 	})
 	if err != nil {
@@ -163,7 +138,7 @@ func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult
 	if viol.witness != nil {
 		res.Violation = stop
 		res.Witness = viol.witness
-		res.Partial = exportCounters(viol.cc)
+		res.Partial = viol.cc
 	}
 	return res, nil
 }

@@ -31,8 +31,6 @@ package condition
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -43,9 +41,10 @@ import (
 	"iabc/internal/statestore"
 )
 
-// stateVersion versions the persisted record schemas; bump on any change so
-// stale records miss instead of misparse.
-const stateVersion = 1
+// stateVersion versions the persisted record bodies below; bump on any
+// change so stale records miss (statestore.Record.Load) instead of
+// misparsing. 2: bodies moved under the statestore envelope.
+const stateVersion = 2
 
 // DefaultCheckpointEvery is the fault-set interval between checkpoint
 // writes when ScanOptions.CheckpointEvery is unset. A time-based flush
@@ -57,37 +56,31 @@ const DefaultCheckpointEvery = 256
 // whose fault sets take much longer than CheckpointEvery would suggest.
 const checkpointFlushInterval = time.Second
 
-// scanKeys derives the checkpoint and verdict keys for a scan identity.
-// The key embeds a truncated hash of the canonical graph encoding; the
-// records embed the full encoding, verified on load, so a hash collision
-// degrades to a cache miss, never a wrong verdict.
-func scanKeys(enc string, f, threshold int) (checkpointKey, verdictKey string) {
-	sum := sha256.Sum256([]byte(enc))
-	base := fmt.Sprintf("%s-f%d-t%d", hex.EncodeToString(sum[:8]), f, threshold)
-	return "checkpoint/" + base, "verdict/" + base
+// scanRecords returns the checkpoint and verdict records of a scan identity:
+// the canonical graph encoding plus (f, threshold), which the envelope
+// carries whole and verifies on load.
+func scanRecords(store statestore.Backend, enc string, f, threshold int) (checkpoint, verdict statestore.Record) {
+	ident := fmt.Sprintf("%s f=%d threshold=%d", enc, f, threshold)
+	suffix := fmt.Sprintf("-f%d-t%d", f, threshold)
+	return statestore.NewRecord(store, "checkpoint", stateVersion, ident).Sub(suffix),
+		statestore.NewRecord(store, "verdict", stateVersion, ident).Sub(suffix)
 }
 
-// maxfKey derives the in-flight MaxF scan record's key.
-func maxfKey(enc string) string {
-	sum := sha256.Sum256([]byte(enc))
-	return "maxf/" + hex.EncodeToString(sum[:8])
+// maxfRecord returns the in-flight MaxF scan record of a graph encoding.
+func maxfRecord(store statestore.Backend, enc string) statestore.Record {
+	return statestore.NewRecord(store, "maxf", stateVersion, enc)
 }
 
-// checkpointRecord is the persisted image of an in-flight scan: the first
+// checkpointBody is the persisted image of an in-flight scan: the first
 // Done fault sets of the canonical enumeration are satisfied, with the
 // given aggregate work counters.
-type checkpointRecord struct {
-	Version    int    `json:"version"`
-	Graph      string `json:"graph"`
-	F          int    `json:"f"`
-	Threshold  int    `json:"threshold"`
-	Done       int64  `json:"done"`
-	Candidates int64  `json:"candidates"`
-	Pruned     int64  `json:"pruned"`
-	MemoHits   int64  `json:"memo_hits"`
+type checkpointBody struct {
+	Done int64 `json:"done"`
+	WorkCounters
 }
 
-// witnessRecord serializes a Witness partition by set members.
+// witnessRecord serializes a Witness partition by set members: the universe
+// size plus the members of each part.
 type witnessRecord struct {
 	N int   `json:"n"`
 	F []int `json:"f"`
@@ -118,19 +111,26 @@ func (wr *witnessRecord) witness() *Witness {
 	}
 }
 
-// verdictRecord is the persisted image of a settled check: the full Result
-// of an uninterrupted (or resumed — by construction identical) scan.
-type verdictRecord struct {
-	Version    int            `json:"version"`
-	Graph      string         `json:"graph"`
-	F          int            `json:"f"`
-	Threshold  int            `json:"threshold"`
-	Satisfied  bool           `json:"satisfied"`
-	Witness    *witnessRecord `json:"witness,omitempty"`
-	FaultSets  int64          `json:"fault_sets"`
-	Candidates int64          `json:"candidates"`
-	Pruned     int64          `json:"pruned"`
-	MemoHits   int64          `json:"memo_hits"`
+// EncodeWitness serializes a witness as the JSON the verdict cache stores —
+// also what a distributed worker's violation report carries.
+func EncodeWitness(w *Witness) ([]byte, error) { return json.Marshal(toWitnessRecord(w)) }
+
+// DecodeWitness inverts EncodeWitness.
+func DecodeWitness(raw []byte) (*Witness, error) {
+	var rec *witnessRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return nil, fmt.Errorf("condition: decoding witness: %w", err)
+	}
+	return rec.witness(), nil
+}
+
+// verdictBody is the persisted image of a settled check: the full Result of
+// an uninterrupted (or resumed — by construction identical) scan.
+type verdictBody struct {
+	Satisfied bool           `json:"satisfied"`
+	Witness   *witnessRecord `json:"witness,omitempty"`
+	FaultSets int64          `json:"fault_sets"`
+	WorkCounters
 }
 
 // pendingSpan is a completed half-open range [lo, hi) of satisfied fault
@@ -139,30 +139,26 @@ type verdictRecord struct {
 // time (hi = lo+1); the distributed coordinator journals whole lease chunks.
 type pendingSpan struct {
 	hi int64
-	cc checkCounters
+	cc WorkCounters
 }
 
 // scanState carries one CheckScan run's persistence: the loaded resume
 // point and the live checkpointer. A nil *scanState disables persistence
-// (every method is nil-safe where the scan loop calls it); a scanState with
-// a nil store tracks the frontier in memory only — the distributed
-// coordinator uses that form to aggregate counters when no backend is
-// configured.
+// (every method is nil-safe where the scan loop calls it); a scanState whose
+// records have a nil Store tracks the frontier in memory only — the
+// distributed coordinator uses that form to aggregate counters when no
+// backend is configured.
 type scanState struct {
-	store      statestore.Backend
-	cpKey      string
-	vKey       string
-	enc        string
-	f          int
-	threshold  int
+	checkpoint statestore.Record
+	verdict    statestore.Record
 	every      int64
-	resumed    checkCounters // aggregate over the resumed prefix, frozen at load
-	resumedSet int64         // number of fault sets in the resumed prefix
+	resumed    WorkCounters // aggregate over the resumed prefix, frozen at load
+	resumedSet int64        // number of fault sets in the resumed prefix
 
 	mu         sync.Mutex
 	frontier   int64                 // contiguous completed prefix length
 	pending    map[int64]pendingSpan // completed out-of-order, awaiting the frontier
-	agg        checkCounters         // aggregate over [0, frontier)
+	agg        WorkCounters          // aggregate over [0, frontier)
 	sinceWrite int64
 	lastWrite  time.Time
 }
@@ -170,74 +166,57 @@ type scanState struct {
 // loadScanState consults the store for this scan identity. It returns, in
 // order of preference: a cached verdict (cached != nil — the scan need not
 // run at all), or a scanState seeded from the newest checkpoint (possibly
-// empty), or an error if the store misbehaves. Records failing version or
-// graph verification are treated as absent.
+// empty), or an error if the store misbehaves. What makes a stored record
+// usable is statestore.Record.Load's business; a checkpoint whose prefix
+// length is impossible is treated as absent too.
 func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold int, every int) (st *scanState, cached *Result, err error) {
-	enc := g.Encode()
-	cpKey, vKey := scanKeys(enc, f, threshold)
-	if store == nil {
-		if every <= 0 {
-			every = DefaultCheckpointEvery
-		}
-		return &scanState{
-			enc: enc, f: f, threshold: threshold, every: int64(every),
-			pending:   make(map[int64]pendingSpan),
-			lastWrite: time.Now(),
-		}, nil, nil
-	}
-	if raw, err := store.Read(ctx, vKey); err == nil {
-		var rec verdictRecord
-		if json.Unmarshal(raw, &rec) == nil && rec.Version == stateVersion &&
-			rec.Graph == enc && rec.F == f && rec.Threshold == threshold {
-			return nil, &Result{
-				Satisfied:          rec.Satisfied,
-				Witness:            rec.Witness.witness(),
-				FaultSetsExamined:  rec.FaultSets,
-				CandidatesExamined: rec.Candidates,
-				CandidatesPruned:   rec.Pruned,
-				MemoHits:           rec.MemoHits,
-				CacheHit:           true,
-			}, nil
-		}
-	} else if err != statestore.ErrNotFound {
-		return nil, nil, fmt.Errorf("condition: reading verdict cache: %w", err)
-	}
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
 	st = &scanState{
-		store: store, cpKey: cpKey, vKey: vKey, enc: enc,
-		f: f, threshold: threshold, every: int64(every),
+		every:     int64(every),
 		pending:   make(map[int64]pendingSpan),
 		lastWrite: time.Now(),
 	}
-	raw, err := store.Read(ctx, cpKey)
-	if err == statestore.ErrNotFound {
+	st.checkpoint, st.verdict = scanRecords(store, g.Encode(), f, threshold)
+	if store == nil {
 		return st, nil, nil
 	}
+	var v verdictBody
+	ok, err := st.verdict.Load(ctx, &v)
 	if err != nil {
-		return nil, nil, fmt.Errorf("condition: reading checkpoint: %w", err)
+		return nil, nil, err
 	}
-	var rec checkpointRecord
-	if json.Unmarshal(raw, &rec) != nil || rec.Version != stateVersion ||
-		rec.Graph != enc || rec.F != f || rec.Threshold != threshold || rec.Done < 0 {
-		return st, nil, nil // foreign or stale record: start fresh
+	if ok {
+		res := &Result{
+			Satisfied:         v.Satisfied,
+			Witness:           v.Witness.witness(),
+			FaultSetsExamined: v.FaultSets,
+			CacheHit:          true,
+		}
+		res.setWork(v.WorkCounters)
+		return nil, res, nil
 	}
-	if total := totalFaultSets(g.N(), f); total > 0 && rec.Done > total {
-		return st, nil, nil // corrupt prefix length: start fresh
+	var cp checkpointBody
+	ok, err = st.checkpoint.Load(ctx, &cp)
+	if err != nil {
+		return nil, nil, err
 	}
-	st.frontier = rec.Done
-	st.agg = checkCounters{candidates: rec.Candidates, pruned: rec.Pruned, memoHits: rec.MemoHits}
+	if total := totalFaultSets(g.N(), f); !ok || cp.Done < 0 || (total > 0 && cp.Done > total) {
+		return st, nil, nil // no checkpoint, or a corrupt prefix length: start fresh
+	}
+	st.frontier = cp.Done
+	st.agg = cp.WorkCounters
 	st.resumed = st.agg
-	st.resumedSet = rec.Done
+	st.resumedSet = cp.Done
 	return st, nil, nil
 }
 
 // resumePoint returns the fault-set index the scan should start at and the
 // counter aggregate already accounted for. Nil-safe.
-func (st *scanState) resumePoint() (int64, checkCounters) {
+func (st *scanState) resumePoint() (int64, WorkCounters) {
 	if st == nil {
-		return 0, checkCounters{}
+		return 0, WorkCounters{}
 	}
 	return st.resumedSet, st.resumed
 }
@@ -245,7 +224,7 @@ func (st *scanState) resumePoint() (int64, checkCounters) {
 // complete records fault set i as satisfied with the given counter delta,
 // advances the durable frontier over any filled gap, and checkpoints when
 // the write cadence (count- or time-based) is due.
-func (st *scanState) complete(ctx context.Context, i int64, delta checkCounters) error {
+func (st *scanState) complete(ctx context.Context, i int64, delta WorkCounters) error {
 	return st.completeSpan(ctx, i, i+1, delta)
 }
 
@@ -254,7 +233,7 @@ func (st *scanState) complete(ctx context.Context, i int64, delta checkCounters)
 // gap, and checkpoints on the write cadence. Spans must be disjoint; the
 // frontier only advances when the span at its position arrives, so a gap —
 // an unreported lease, a violating index — is never jumped.
-func (st *scanState) completeSpan(ctx context.Context, lo, hi int64, delta checkCounters) error {
+func (st *scanState) completeSpan(ctx context.Context, lo, hi int64, delta WorkCounters) error {
 	if st == nil {
 		return nil
 	}
@@ -270,9 +249,7 @@ func (st *scanState) completeSpan(ctx context.Context, lo, hi int64, delta check
 			break
 		}
 		delete(st.pending, st.frontier)
-		st.agg.candidates += s.cc.candidates
-		st.agg.pruned += s.cc.pruned
-		st.agg.memoHits += s.cc.memoHits
+		st.agg.Add(s.cc)
 		st.sinceWrite += s.hi - st.frontier
 		st.frontier = s.hi
 	}
@@ -294,24 +271,10 @@ func (st *scanState) flush(ctx context.Context) error {
 }
 
 func (st *scanState) writeLocked(ctx context.Context) error {
-	if st.store == nil {
-		st.sinceWrite = 0
-		st.lastWrite = time.Now()
-		return nil
-	}
-	rec := checkpointRecord{
-		Version: stateVersion, Graph: st.enc, F: st.f, Threshold: st.threshold,
-		Done:       st.frontier,
-		Candidates: st.agg.candidates,
-		Pruned:     st.agg.pruned,
-		MemoHits:   st.agg.memoHits,
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := st.store.Write(ctx, st.cpKey, raw); err != nil {
-		return fmt.Errorf("condition: writing checkpoint: %w", err)
+	if st.checkpoint.Store != nil {
+		if err := st.checkpoint.Save(ctx, checkpointBody{Done: st.frontier, WorkCounters: st.agg}); err != nil {
+			return err
+		}
 	}
 	st.sinceWrite = 0
 	st.lastWrite = time.Now()
@@ -321,82 +284,52 @@ func (st *scanState) writeLocked(ctx context.Context) error {
 // finish settles the scan: the verdict is cached for every later call with
 // the same (graph, f, threshold), and the in-flight checkpoint is removed.
 func (st *scanState) finish(ctx context.Context, res Result) error {
-	if st == nil || st.store == nil {
+	if st == nil || st.verdict.Store == nil {
 		return nil
 	}
-	rec := verdictRecord{
-		Version: stateVersion, Graph: st.enc, F: st.f, Threshold: st.threshold,
-		Satisfied:  res.Satisfied,
-		Witness:    toWitnessRecord(res.Witness),
-		FaultSets:  res.FaultSetsExamined,
-		Candidates: res.CandidatesExamined,
-		Pruned:     res.CandidatesPruned,
-		MemoHits:   res.MemoHits,
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
+	if err := st.verdict.Save(ctx, verdictBody{
+		Satisfied:    res.Satisfied,
+		Witness:      toWitnessRecord(res.Witness),
+		FaultSets:    res.FaultSetsExamined,
+		WorkCounters: res.work(),
+	}); err != nil {
 		return err
 	}
-	if err := st.store.Write(ctx, st.vKey, raw); err != nil {
-		return fmt.Errorf("condition: writing verdict: %w", err)
-	}
-	if err := st.store.Delete(ctx, st.cpKey); err != nil {
+	if err := st.checkpoint.Store.Delete(ctx, st.checkpoint.Key); err != nil {
 		return fmt.Errorf("condition: clearing checkpoint: %w", err)
 	}
 	return nil
 }
 
-// maxfRecord is the persisted image of an in-flight MaxF scan: the settled
+// maxfBody is the persisted image of an in-flight MaxF scan: the settled
 // checks in f order (index == f). It exists only while a scan is in flight
 // — completion deletes it, leaving the per-f verdict cache as the durable
 // memo — so a resumed scan skips settled f values outright while a fresh
 // scan over a previously settled graph reports verdict-cache hits.
-type maxfRecord struct {
-	Version int         `json:"version"`
-	Graph   string      `json:"graph"`
-	Checks  []maxfCheck `json:"checks"`
+type maxfBody struct {
+	Checks []maxfCheck `json:"checks"`
 }
 
 // maxfCheck summarizes one settled check of a MaxF scan.
 type maxfCheck struct {
-	F          int   `json:"f"`
-	Satisfied  bool  `json:"satisfied"`
-	FaultSets  int64 `json:"fault_sets"`
-	Candidates int64 `json:"candidates"`
-	Pruned     int64 `json:"pruned"`
-	MemoHits   int64 `json:"memo_hits"`
+	F         int   `json:"f"`
+	Satisfied bool  `json:"satisfied"`
+	FaultSets int64 `json:"fault_sets"`
+	WorkCounters
 }
 
-// loadMaxFRecord returns the in-flight scan record for g, or an empty one.
-func loadMaxFRecord(ctx context.Context, store statestore.Backend, enc string) (maxfRecord, error) {
-	rec := maxfRecord{Version: stateVersion, Graph: enc}
-	raw, err := store.Read(ctx, maxfKey(enc))
-	if err == statestore.ErrNotFound {
-		return rec, nil
+// loadMaxFChecks returns the settled checks of the in-flight scan rec
+// addresses, or none.
+func loadMaxFChecks(ctx context.Context, rec statestore.Record) ([]maxfCheck, error) {
+	var body maxfBody
+	ok, err := rec.Load(ctx, &body)
+	if err != nil || !ok {
+		return nil, err
 	}
-	if err != nil {
-		return rec, fmt.Errorf("condition: reading maxf record: %w", err)
-	}
-	var got maxfRecord
-	if json.Unmarshal(raw, &got) != nil || got.Version != stateVersion || got.Graph != enc {
-		return rec, nil // foreign or stale: start fresh
-	}
-	for i, c := range got.Checks {
+	for i, c := range body.Checks {
 		if c.F != i {
-			return rec, nil // corrupt ordering: start fresh
+			return nil, nil // corrupt ordering: start fresh
 		}
 	}
-	return got, nil
-}
-
-// save persists the record after a settled check.
-func (rec *maxfRecord) save(ctx context.Context, store statestore.Backend) error {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := store.Write(ctx, maxfKey(rec.Graph), raw); err != nil {
-		return fmt.Errorf("condition: writing maxf record: %w", err)
-	}
-	return nil
+	return body.Checks, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 	"iabc/internal/topology"
 )
@@ -212,30 +213,53 @@ func TestCheckScanResumeUnsatisfied(t *testing.T) {
 	}
 }
 
-// TestCheckScanIgnoresCorruptState: garbage at the checkpoint and verdict
-// keys must degrade to a fresh scan, never a wrong verdict.
+// TestCheckScanIgnoresCorruptState: whatever sits at the checkpoint and
+// verdict keys without being this scan's record — garbage, another schema
+// version, or a well-formed record of a foreign identity (a hash collision,
+// a copied file) claiming a violated verdict and a resumed prefix — must
+// degrade to a fresh scan, never a wrong verdict. The envelope's own table
+// test is statestore's TestRecordLoad; this pins that the checker goes
+// through it.
 func TestCheckScanIgnoresCorruptState(t *testing.T) {
 	g, err := topology.CoreNetwork(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	store := statestore.NewMem()
-	cpKey, vKey := scanKeys(g.Encode(), 3, SyncThreshold(3))
-	for _, garbage := range [][]byte{[]byte("not json"), []byte(`{"version":99}`), []byte(`{"version":1,"graph":"g1:3","done":7}`)} {
-		if err := store.Write(context.Background(), cpKey, garbage); err != nil {
+	cp, verdict := scanRecords(store, g.Encode(), 3, SyncThreshold(3))
+	raw := func(garbage string) func() error {
+		return func() error {
+			if err := store.Write(ctx, cp.Key, []byte(garbage)); err != nil {
+				return err
+			}
+			return store.Write(ctx, verdict.Key, []byte(garbage))
+		}
+	}
+	foreign := func() error {
+		fcp, fv := cp, verdict
+		fcp.Ident, fv.Ident = "g1:3 f=3 threshold=7", "g1:3 f=3 threshold=7"
+		if err := fcp.Save(ctx, checkpointBody{Done: 7, WorkCounters: WorkCounters{Candidates: 1 << 40}}); err != nil {
+			return err
+		}
+		return fv.Save(ctx, verdictBody{Satisfied: false, FaultSets: 1})
+	}
+	for name, plant := range map[string]func() error{
+		"not json":         raw("not json"),
+		"other version":    raw(`{"version":1,"graph":"g1:3","done":7}`),
+		"foreign identity": foreign,
+	} {
+		if err := plant(); err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Write(context.Background(), vKey, garbage); err != nil {
-			t.Fatal(err)
-		}
-		res, err := CheckScan(context.Background(), g, 3, SyncThreshold(3), ScanOptions{Workers: 1, Store: store})
+		res, err := CheckScan(ctx, g, 3, SyncThreshold(3), ScanOptions{Workers: 1, Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.CacheHit || !res.Satisfied || res.FaultSetsResumed != 0 {
-			t.Fatalf("corrupt state leaked into result: %+v", res)
+			t.Fatalf("%s: corrupt state leaked into result: %+v", name, res)
 		}
-		if err := store.Delete(context.Background(), vKey); err != nil {
+		if err := store.Delete(ctx, verdict.Key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,23 +356,18 @@ func TestMaxFScanResumeAfterNegativeCheck(t *testing.T) {
 	if _, _, err := MaxFScan(context.Background(), g, MaxFOptions{Store: store}); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := loadMaxFRecord(context.Background(), store, g.Encode())
-	if err != nil {
-		t.Fatal(err)
+	rec := maxfRecord(store, g.Encode())
+	if checks, err := loadMaxFChecks(context.Background(), rec); err != nil || len(checks) != 0 {
+		t.Fatalf("settled sweep should have deleted its record: %+v, %v", checks, err)
 	}
-	if len(rec.Checks) != 0 {
-		t.Fatal("settled sweep should have deleted its record")
-	}
-	full := maxfRecord{Version: stateVersion, Graph: g.Encode()}
+	var full maxfBody
 	if _, _, err := MaxFScan(context.Background(), g, MaxFOptions{
 		Store: store,
 		OnCheck: func(f int, res Result) {
 			full.Checks = append(full.Checks, maxfCheck{
 				F: f, Satisfied: res.Satisfied,
-				FaultSets:  res.FaultSetsExamined,
-				Candidates: res.CandidatesExamined,
-				Pruned:     res.CandidatesPruned,
-				MemoHits:   res.MemoHits,
+				FaultSets:    res.FaultSetsExamined,
+				WorkCounters: res.work(),
 			})
 		},
 	}); err != nil {
@@ -357,7 +376,7 @@ func TestMaxFScanResumeAfterNegativeCheck(t *testing.T) {
 	if n := len(full.Checks); n != 3 || full.Checks[2].Satisfied {
 		t.Fatalf("expected checks f=0,1,2 ending unsatisfied, got %+v", full.Checks)
 	}
-	if err := full.save(context.Background(), store); err != nil {
+	if err := rec.Save(context.Background(), full); err != nil {
 		t.Fatal(err)
 	}
 	best, stats, err := MaxFScan(context.Background(), g, MaxFOptions{Store: store})
@@ -375,11 +394,47 @@ func TestMaxFScanResumeAfterNegativeCheck(t *testing.T) {
 	if got != statsBase {
 		t.Fatalf("replayed stats differ:\nbase     %+v\nreplayed %+v", statsBase, got)
 	}
-	rec2, err := loadMaxFRecord(context.Background(), store, g.Encode())
-	if err != nil {
-		t.Fatal(err)
+	if checks, err := loadMaxFChecks(context.Background(), rec); err != nil || len(checks) != 0 {
+		t.Fatalf("negative replay should delete the in-flight record: %+v, %v", checks, err)
 	}
-	if len(rec2.Checks) != 0 {
-		t.Fatal("negative replay should delete the in-flight record")
+}
+
+// TestStateRecordsGolden pins the stored bytes — key, envelope and body — of
+// the checker's three record kinds at stateVersion. A schema change shows up
+// here; it must come with a stateVersion bump (which changes these bytes
+// too), so that records written before it miss instead of misparsing.
+func TestStateRecordsGolden(t *testing.T) {
+	ctx := context.Background()
+	store := statestore.NewMem()
+	const enc = "g1:4;0>1;1>0"
+	cp, verdict := scanRecords(store, enc, 1, 3)
+	work := WorkCounters{Candidates: 9, Pruned: 4, MemoHits: 1}
+	w := &Witness{
+		F: nodeset.FromMembers(4, 3), L: nodeset.FromMembers(4, 0),
+		C: nodeset.New(4), R: nodeset.FromMembers(4, 1, 2),
+	}
+	for _, err := range []error{
+		cp.Save(ctx, checkpointBody{Done: 5, WorkCounters: work}),
+		verdict.Save(ctx, verdictBody{Satisfied: false, Witness: toWitnessRecord(w), FaultSets: 2, WorkCounters: work}),
+		maxfRecord(store, enc).Save(ctx, maxfBody{Checks: []maxfCheck{{F: 0, Satisfied: true, FaultSets: 1, WorkCounters: work}}}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden := map[string]string{
+		"checkpoint/0da8584fe5ab7e9e-f1-t3": `{"version":2,"ident":"g1:4;0\u003e1;1\u003e0 f=1 threshold=3","body":{"done":5,"candidates":9,"pruned":4,"memo_hits":1}}`,
+		"verdict/0da8584fe5ab7e9e-f1-t3":    `{"version":2,"ident":"g1:4;0\u003e1;1\u003e0 f=1 threshold=3","body":{"satisfied":false,"witness":{"n":4,"f":[3],"l":[0],"c":[],"r":[1,2]},"fault_sets":2,"candidates":9,"pruned":4,"memo_hits":1}}`,
+		"maxf/ad64949a2e204ff6":             `{"version":2,"ident":"g1:4;0\u003e1;1\u003e0","body":{"checks":[{"f":0,"satisfied":true,"fault_sets":1,"candidates":9,"pruned":4,"memo_hits":1}]}}`,
+	}
+	keys, err := store.List(ctx, "")
+	if err != nil || len(keys) != len(golden) {
+		t.Errorf("store holds %v (err %v), want %d records", keys, err, len(golden))
+	}
+	for _, key := range keys {
+		got, _ := store.Read(ctx, key)
+		if string(got) != golden[key] {
+			t.Errorf("%s (stateVersion %d):\n got %s\nwant %s", key, stateVersion, got, golden[key])
+		}
 	}
 }

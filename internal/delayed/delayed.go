@@ -105,15 +105,9 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
-	if c.G == nil {
-		return errors.New("delayed: nil graph")
-	}
-	n := c.G.N()
-	if len(c.Initial) != n {
-		return fmt.Errorf("delayed: len(Initial) = %d, want n = %d", len(c.Initial), n)
-	}
-	if c.Rule == nil {
-		return errors.New("delayed: nil update rule")
+	in := adversary.Instance{G: c.G, F: c.F, Faulty: c.Faulty, Initial: c.Initial, Rule: c.Rule, Adversary: c.Adversary, MaxRounds: c.MaxRounds}
+	if err := in.Validate(func(inDegree int) int { return inDegree }); err != nil {
+		return fmt.Errorf("delayed: %w", err)
 	}
 	if c.Stale == nil {
 		return errors.New("delayed: nil stale policy")
@@ -121,38 +115,10 @@ func (c *Config) Validate() error {
 	if c.B < 1 {
 		return fmt.Errorf("delayed: B must be ≥ 1, got %d", c.B)
 	}
-	if c.MaxRounds < 1 {
-		return fmt.Errorf("delayed: MaxRounds must be ≥ 1, got %d", c.MaxRounds)
-	}
-	if c.F < 0 {
-		return fmt.Errorf("delayed: negative F %d", c.F)
-	}
-	if c.Faulty.Cap() != 0 && c.Faulty.Cap() != n {
-		return fmt.Errorf("delayed: Faulty capacity %d does not match n = %d", c.Faulty.Cap(), n)
-	}
-	if !c.faulty().Empty() && c.Adversary == nil {
-		return errors.New("delayed: faulty nodes configured but Adversary is nil")
-	}
-	if c.faulty().Count() == n {
-		return errors.New("delayed: all nodes faulty")
-	}
-	var err error
-	c.faulty().Complement().ForEach(func(i int) bool {
-		if e := c.Rule.Validate(c.G.InDegree(i), c.F); e != nil {
-			err = fmt.Errorf("delayed: node %d: %w", i, e)
-			return false
-		}
-		return true
-	})
-	return err
+	return nil
 }
 
-func (c *Config) faulty() nodeset.Set {
-	if c.Faulty.Cap() == 0 {
-		return nodeset.New(c.G.N())
-	}
-	return c.Faulty
-}
+func (c *Config) faulty() nodeset.Set { return adversary.FaultSet(c.G, c.Faulty) }
 
 // Trace records a partially asynchronous run.
 type Trace struct {

@@ -669,6 +669,7 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 	}
 
 	frontier, agg := fr.Position()
+	agg.Add(ph.violPartial) // zero unless a violation was reported
 	res := condition.Result{
 		Satisfied:          true,
 		FaultSetsExamined:  frontier,
@@ -678,16 +679,13 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 		FaultSetsResumed:   resume,
 	}
 	if ph.bestViol >= 0 {
-		w, err := decodeWitness(ph.witnessRaw)
+		w, err := condition.DecodeWitness(ph.witnessRaw)
 		if err != nil {
 			return condition.Result{}, err
 		}
 		res.Satisfied = false
 		res.Witness = w
 		res.FaultSetsExamined = ph.bestViol + 1
-		res.CandidatesExamined += ph.violPartial.Candidates
-		res.CandidatesPruned += ph.violPartial.Pruned
-		res.MemoHits += ph.violPartial.MemoHits
 	}
 	if err := fr.Finish(ctx, res); err != nil {
 		return condition.Result{}, err

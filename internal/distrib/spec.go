@@ -17,6 +17,7 @@ import (
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/sim"
+	"iabc/internal/wire"
 )
 
 // scanSpec identifies one exact-check scan: any worker holding it can
@@ -30,15 +31,15 @@ type scanSpec struct {
 }
 
 // sweepScenarioSpec is one sim.Scenario with every override serialized
-// bit-exactly (floats as IEEE-754 bit patterns).
+// bit-exactly (floats as IEEE-754 bit patterns, see wire.Floats).
 type sweepScenarioSpec struct {
-	Name         string   `json:"name,omitempty"`
-	Adversary    string   `json:"adversary,omitempty"`
-	HasAdversary bool     `json:"has_adversary,omitempty"`
-	Initial      []uint64 `json:"initial,omitempty"`
-	Faulty       []int    `json:"faulty,omitempty"`
-	HasFaulty    bool     `json:"has_faulty,omitempty"`
-	MaxRounds    int      `json:"max_rounds,omitempty"`
+	Name         string      `json:"name,omitempty"`
+	Adversary    string      `json:"adversary,omitempty"`
+	HasAdversary bool        `json:"has_adversary,omitempty"`
+	Initial      wire.Floats `json:"initial,omitempty"`
+	Faulty       []int       `json:"faulty,omitempty"`
+	HasFaulty    bool        `json:"has_faulty,omitempty"`
+	MaxRounds    int         `json:"max_rounds,omitempty"`
 }
 
 // sweepSpec identifies one scenario sweep: base configuration, scenario
@@ -55,12 +56,12 @@ type sweepSpec struct {
 	HasFaulty    bool                `json:"has_faulty,omitempty"`
 	Adversary    string              `json:"adversary,omitempty"`
 	HasAdversary bool                `json:"has_adversary,omitempty"`
-	Initial      []uint64            `json:"initial"`
+	Initial      wire.Floats         `json:"initial"`
 	MaxRounds    int                 `json:"max_rounds"`
 	Epsilon      uint64              `json:"epsilon"`
 	RecordStates bool                `json:"record_states,omitempty"`
 	Seed         int64               `json:"seed,omitempty"`
-	Extras       [][]uint64          `json:"extras,omitempty"`
+	Extras       wire.FloatRows      `json:"extras,omitempty"`
 	Scenarios    []sweepScenarioSpec `json:"scenarios"`
 }
 
@@ -69,51 +70,6 @@ type jobSpec struct {
 	Kind  string     `json:"kind"` // "scan" | "sweep" | "noop"
 	Scan  *scanSpec  `json:"scan,omitempty"`
 	Sweep *sweepSpec `json:"sweep,omitempty"`
-}
-
-// floatBits / bitsFloat mirror the sim package's bit-exact float transport.
-func floatBits(fs []float64) []uint64 {
-	if fs == nil {
-		return nil
-	}
-	out := make([]uint64, len(fs))
-	for i, f := range fs {
-		out[i] = math.Float64bits(f)
-	}
-	return out
-}
-
-func bitsFloat(bs []uint64) []float64 {
-	if bs == nil {
-		return nil
-	}
-	out := make([]float64, len(bs))
-	for i, b := range bs {
-		out[i] = math.Float64frombits(b)
-	}
-	return out
-}
-
-func floatBits2(fss [][]float64) [][]uint64 {
-	if fss == nil {
-		return nil
-	}
-	out := make([][]uint64, len(fss))
-	for i, fs := range fss {
-		out[i] = floatBits(fs)
-	}
-	return out
-}
-
-func bitsFloat2(bss [][]uint64) [][]float64 {
-	if bss == nil {
-		return nil
-	}
-	out := make([][]float64, len(bss))
-	for i, bs := range bss {
-		out[i] = bitsFloat(bs)
-	}
-	return out
 }
 
 // adversaryName canonicalizes a strategy for the wire, or errors when it is
@@ -140,12 +96,12 @@ func buildSweepSpec(base sim.Config, scenarios []sim.Scenario, engineName string
 		Graph:        base.G.EdgeListString(),
 		Engine:       engineName,
 		F:            base.F,
-		Initial:      floatBits(base.Initial),
+		Initial:      base.Initial,
 		MaxRounds:    base.MaxRounds,
 		Epsilon:      math.Float64bits(base.Epsilon),
 		RecordStates: base.RecordStates,
 		Seed:         seed,
-		Extras:       floatBits2(extras),
+		Extras:       extras,
 	}
 	rule := base.Rule
 	if rule == nil {
@@ -171,7 +127,7 @@ func buildSweepSpec(base sim.Config, scenarios []sim.Scenario, engineName string
 		s := &scenarios[i]
 		ss := sweepScenarioSpec{
 			Name:      s.Name,
-			Initial:   floatBits(s.Initial),
+			Initial:   s.Initial,
 			MaxRounds: s.MaxRounds,
 		}
 		if s.Adversary != nil {
@@ -286,11 +242,11 @@ func resolveSweepSpec(spec *sweepSpec) (*workerSpec, error) {
 	ws := &workerSpec{
 		kind:   "sweep",
 		engine: engine,
-		extras: bitsFloat2(spec.Extras),
+		extras: spec.Extras,
 		base: sim.Config{
 			G:            g,
 			F:            spec.F,
-			Initial:      bitsFloat(spec.Initial),
+			Initial:      spec.Initial,
 			Rule:         rule,
 			MaxRounds:    spec.MaxRounds,
 			Epsilon:      math.Float64frombits(spec.Epsilon),
@@ -311,7 +267,7 @@ func resolveSweepSpec(spec *sweepSpec) (*workerSpec, error) {
 	for i, ss := range spec.Scenarios {
 		s := sim.Scenario{
 			Name:      ss.Name,
-			Initial:   bitsFloat(ss.Initial),
+			Initial:   ss.Initial,
 			MaxRounds: ss.MaxRounds,
 		}
 		if ss.HasAdversary {
@@ -328,36 +284,4 @@ func resolveSweepSpec(spec *sweepSpec) (*workerSpec, error) {
 		ws.scenarios[i] = s
 	}
 	return ws, nil
-}
-
-// witnessRecord is the JSON image of a condition.Witness: the universe size
-// plus the members of each part.
-type witnessRecord struct {
-	N int   `json:"n"`
-	F []int `json:"f"`
-	L []int `json:"l"`
-	C []int `json:"c"`
-	R []int `json:"r"`
-}
-
-// encodeWitness serializes a witness for a reportViol frame.
-func encodeWitness(w *condition.Witness) ([]byte, error) {
-	return json.Marshal(witnessRecord{
-		N: w.F.Cap(),
-		F: w.F.Members(), L: w.L.Members(), C: w.C.Members(), R: w.R.Members(),
-	})
-}
-
-// decodeWitness inverts encodeWitness.
-func decodeWitness(raw []byte) (*condition.Witness, error) {
-	var rec witnessRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("distrib: decoding witness: %w", err)
-	}
-	return &condition.Witness{
-		F: nodeset.FromMembers(rec.N, rec.F...),
-		L: nodeset.FromMembers(rec.N, rec.L...),
-		C: nodeset.FromMembers(rec.N, rec.C...),
-		R: nodeset.FromMembers(rec.N, rec.R...),
-	}, nil
 }

@@ -29,19 +29,18 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"iabc/internal/condition"
+	"iabc/internal/wire"
 )
 
-// Wire format: 4-byte big-endian length prefix covering a 1-byte frame kind
-// plus the kind's payload. Fixed-size kinds are strict (the length must
-// match exactly); variable-size kinds (spec, reportViol, reportTrace) carry
-// a JSON tail and are bounded by maxFramePayload, checked before any
-// allocation — the same hostile-length discipline as internal/transport.
+// Wire format: one frame (see wire.ReadFrame, which owns the length prefix
+// and its reject-before-allocate rule) holding a 1-byte frame kind plus the
+// kind's payload. Fixed-size kinds are strict (the length must match
+// exactly); variable-size kinds (spec, reportViol, reportTrace) carry a JSON
+// tail and are bounded by maxFramePayload.
 const (
-	frameHeaderLen = 4
-	// maxFramePayload caps any declared frame length. Spec and trace
+	// maxFramePayload is the cap handed to the frame reader. Spec and trace
 	// payloads are JSON of graphs, scenario lists, or recorded traces;
 	// 16 MiB is far above any real instance while still bounding what a
 	// corrupt prefix can make the reader allocate.
@@ -114,7 +113,7 @@ type reportOK struct {
 // reportViol reports that the scan stopped at absolute index viol: the
 // prefix [prevAcked, viol) passed with counters sat, the violating item
 // itself contributed the early-exit delta partial, and witness is the
-// violating partition's JSON (see witnessRecord).
+// violating partition's JSON (condition.EncodeWitness).
 type reportViol struct {
 	jobID        uint64
 	viol         int64
@@ -144,8 +143,7 @@ const ackFlagCancel = 1
 // —— encoders: append the full frame (header, kind, payload) to dst ——
 
 func appendHeader(dst []byte, kind byte, payloadLen int) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(1+payloadLen))
-	return append(dst, kind)
+	return append(wire.AppendFrameHeader(dst, 1+payloadLen), kind)
 }
 
 func appendHello(dst []byte) []byte {
@@ -329,31 +327,16 @@ func decodeAck(p []byte) (ack, error) {
 	}, nil
 }
 
-// readFrame reads one frame into scratch (grown only up to the sanity cap)
-// and returns its kind and payload, which alias scratch and are valid until
-// the next call. io.EOF at a frame boundary is returned as-is; a stream
-// ending mid-frame yields io.ErrUnexpectedEOF.
+// readFrame reads one frame into scratch and returns its kind and payload,
+// which alias scratch and are valid until the next call. Every frame has a
+// kind byte, so a zero-length one is a protocol error.
 func readFrame(br *bufio.Reader, scratch []byte) (kind byte, payload, newScratch []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	frame, scratch, err := wire.ReadFrame(br, scratch, maxFramePayload)
+	if err != nil {
 		return 0, nil, scratch, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
+	if len(frame) == 0 {
 		return 0, nil, scratch, fmt.Errorf("distrib: zero-length frame")
 	}
-	if n > maxFramePayload {
-		return 0, nil, scratch, fmt.Errorf("distrib: frame length %d exceeds cap %d", n, maxFramePayload)
-	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(br, scratch); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, scratch, err
-	}
-	return scratch[0], scratch[1:], scratch, nil
+	return frame[0], frame[1:], scratch, nil
 }

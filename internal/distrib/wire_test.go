@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"iabc/internal/condition"
+	"iabc/internal/wire"
 )
 
 // testFrames returns one valid encoded frame per kind, paired with a
@@ -159,7 +160,7 @@ func FuzzJobWireCodec(f *testing.F) {
 			if err != nil {
 				return // any error ends the stream; no panic is the property
 			}
-			frameLen := frameHeaderLen + 1 + len(payload)
+			frameLen := wire.FrameHeaderLen + 1 + len(payload)
 			consumed := data[offset : offset+frameLen]
 			if re := reencode(kind, payload); re != nil && !bytes.Equal(re, consumed) {
 				t.Fatalf("kind %d re-encodes to % x, consumed % x", kind, re, consumed)

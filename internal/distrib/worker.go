@@ -16,6 +16,7 @@ import (
 	"syscall"
 	"time"
 
+	"iabc/internal/condition"
 	"iabc/internal/sim"
 )
 
@@ -246,7 +247,7 @@ func (w *worker) runScan(g jobGrant, ws *workerSpec) error {
 			return err
 		}
 		if rr.Violation >= 0 {
-			witness, err := encodeWitness(rr.Witness)
+			witness, err := condition.EncodeWitness(rr.Witness)
 			if err != nil {
 				return err
 			}

@@ -91,15 +91,14 @@ func (s *sender) pumpEdge(ctx context.Context, e int) {
 }
 
 // sendOne drives one message through the transport: retry on failure with
-// exponential backoff (doubling from RetryBackoff, capped at
-// maxBackoffFactor times it) until the per-message SendTimeout budget is
+// exponential backoff (doubling from retryBackoff, capped at
+// maxRetryBackoff) until the per-message SendTimeout budget is
 // spent, then abandon. ErrLinkDown is the designed-for case — the link may
 // heal mid-budget, which is how sends survive short partitions.
 func (s *sender) sendOne(ctx context.Context, to int, m transport.Msg) {
 	cfg := &s.r.cfg
 	deadline := time.Now().Add(cfg.SendTimeout)
-	backoff := cfg.RetryBackoff
-	maxBackoff := cfg.RetryBackoff * maxBackoffFactor
+	backoff := retryBackoff
 	for {
 		sctx, cancel := context.WithDeadline(ctx, deadline)
 		err := cfg.Transport.Send(sctx, s.id, to, m)
@@ -121,8 +120,8 @@ func (s *sender) sendOne(ctx context.Context, to int, m transport.Msg) {
 			t.Stop()
 			return
 		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		if backoff *= 2; backoff > maxRetryBackoff {
+			backoff = maxRetryBackoff
 		}
 	}
 }

@@ -20,12 +20,11 @@ import (
 // clusterDefaults returns a Config with fast test timings over tr.
 func clusterDefaults(tr transport.Transport) Config {
 	return Config{
-		Rule:         core.TrimmedMean{},
-		Transport:    tr,
-		ResendEvery:  2 * time.Millisecond,
-		FaultyTick:   time.Millisecond,
-		SendTimeout:  100 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
+		Rule:        core.TrimmedMean{},
+		Transport:   tr,
+		ResendEvery: 2 * time.Millisecond,
+		FaultyTick:  time.Millisecond,
+		SendTimeout: 100 * time.Millisecond,
 	}
 }
 

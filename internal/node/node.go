@@ -59,14 +59,14 @@ const (
 	DefaultFaultyTick = 2 * time.Millisecond
 	// DefaultSendTimeout is the per-message budget covering all retries.
 	DefaultSendTimeout = 100 * time.Millisecond
-	// DefaultRetryBackoff is the initial retry backoff; it doubles per
-	// attempt, capped at maxBackoffFactor times the initial value.
-	DefaultRetryBackoff = time.Millisecond
 )
 
-// maxBackoffFactor caps the exponential send backoff at this multiple of
-// the initial RetryBackoff.
-const maxBackoffFactor = 16
+// retryBackoff is the initial backoff after a failed send; it doubles per
+// attempt up to maxRetryBackoff.
+const (
+	retryBackoff    = time.Millisecond
+	maxRetryBackoff = 16 * retryBackoff
+)
 
 // Config describes one cluster run.
 type Config struct {
@@ -108,10 +108,6 @@ type Config struct {
 	// (0 selects DefaultSendTimeout). Expired sends are abandoned and
 	// repaired by a later resend pass.
 	SendTimeout time.Duration
-	// RetryBackoff is the initial retry backoff after a failed send,
-	// doubling per attempt up to maxBackoffFactor times this value
-	// (0 selects DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// StallAfter, when > 0, ends the run with Result.Stalled once no
 	// fault-free state change has been observed for this long — the
 	// liveness cutoff for runs under liveness-destroying partitions.
@@ -158,42 +154,19 @@ func (c Config) withDefaults() Config {
 	if c.SendTimeout <= 0 {
 		c.SendTimeout = DefaultSendTimeout
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
 	return c
 }
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
-	if c.G == nil {
-		return errors.New("node: nil graph")
-	}
-	n := c.G.N()
-	if len(c.Initial) != n {
-		return fmt.Errorf("node: len(Initial) = %d, want n = %d", len(c.Initial), n)
-	}
-	if c.Rule == nil {
-		return errors.New("node: nil update rule")
+	in := adversary.Instance{G: c.G, F: c.F, Faulty: c.Faulty, Initial: c.Initial, Rule: c.Rule, Adversary: c.Adversary, MaxRounds: c.MaxRounds}
+	if err := in.Validate(func(inDegree int) int { return quorum.Count(inDegree, c.F) }); err != nil {
+		return fmt.Errorf("node: %w", err)
 	}
 	if c.Transport == nil {
 		return errors.New("node: nil transport")
 	}
-	if c.MaxRounds < 1 {
-		return fmt.Errorf("node: MaxRounds must be ≥ 1, got %d", c.MaxRounds)
-	}
-	if c.F < 0 {
-		return fmt.Errorf("node: negative F %d", c.F)
-	}
-	if c.Faulty.Cap() != 0 && c.Faulty.Cap() != n {
-		return fmt.Errorf("node: Faulty set capacity %d does not match n = %d", c.Faulty.Cap(), n)
-	}
-	if !c.faulty().Empty() && c.Adversary == nil {
-		return errors.New("node: faulty nodes configured but Adversary is nil")
-	}
-	if c.faulty().Count() == n {
-		return errors.New("node: all nodes faulty")
-	}
+	n := c.G.N()
 	for _, cr := range c.Crashes {
 		if cr.Node < 0 || cr.Node >= n {
 			return fmt.Errorf("node: crash of node %d outside [0,%d)", cr.Node, n)
@@ -204,24 +177,10 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("node: local node %d outside [0,%d)", i, n)
 		}
 	}
-	var err error
-	c.faulty().Complement().ForEach(func(i int) bool {
-		q := quorum.Count(c.G.InDegree(i), c.F)
-		if e := c.Rule.Validate(q, c.F); e != nil {
-			err = fmt.Errorf("node: node %d (in-degree %d, quorum %d): %w", i, c.G.InDegree(i), q, e)
-			return false
-		}
-		return true
-	})
-	return err
+	return nil
 }
 
-func (c *Config) faulty() nodeset.Set {
-	if c.Faulty.Cap() == 0 {
-		return nodeset.New(c.G.N())
-	}
-	return c.Faulty
-}
+func (c *Config) faulty() nodeset.Set { return adversary.FaultSet(c.G, c.Faulty) }
 
 // Result records one cluster run. Unlike the simulator's trace there is no
 // event history — per-update streaming goes through Config.OnUpdate — but

@@ -12,126 +12,82 @@ package sim
 // identity — graph encoding, engine, rule, adversary names, every float of
 // every initial vector — plus a caller-supplied salt for identity the
 // config cannot see (the seed behind a *RandomNoise). Floats are stored as
-// IEEE-754 bit patterns, so a resumed trace is bit-identical to the one the
-// interrupted run produced, NaN and ±Inf included.
+// IEEE-754 bit patterns (wire.Floats), so a resumed trace is bit-identical to
+// the one the interrupted run produced, NaN and ±Inf included.
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 
 	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
+	"iabc/internal/wire"
 )
 
-// sweepStateVersion versions the persisted scenario record schema; bump on
-// any change so stale records miss instead of misparse.
-const sweepStateVersion = 1
-
-// floatBits converts a float slice to its bit-pattern image (nil-safe).
-func floatBits(fs []float64) []uint64 {
-	if fs == nil {
-		return nil
-	}
-	out := make([]uint64, len(fs))
-	for i, f := range fs {
-		out[i] = math.Float64bits(f)
-	}
-	return out
-}
-
-// bitsFloat inverts floatBits.
-func bitsFloat(bs []uint64) []float64 {
-	if bs == nil {
-		return nil
-	}
-	out := make([]float64, len(bs))
-	for i, b := range bs {
-		out[i] = math.Float64frombits(b)
-	}
-	return out
-}
-
-func floatBits2(fss [][]float64) [][]uint64 {
-	if fss == nil {
-		return nil
-	}
-	out := make([][]uint64, len(fss))
-	for i, fs := range fss {
-		out[i] = floatBits(fs)
-	}
-	return out
-}
-
-func bitsFloat2(bss [][]uint64) [][]float64 {
-	if bss == nil {
-		return nil
-	}
-	out := make([][]float64, len(bss))
-	for i, bs := range bss {
-		out[i] = bitsFloat(bs)
-	}
-	return out
-}
+// sweepStateVersion versions the persisted scenario body and the identity
+// string's schema; bump on any change so stale records miss
+// (statestore.Record.Load) instead of misparsing. 2: the body moved under
+// the statestore envelope.
+const sweepStateVersion = 2
 
 // traceRecord is the bit-exact serialized image of a Trace.
 type traceRecord struct {
-	Rounds        int        `json:"rounds"`
-	Converged     bool       `json:"converged"`
-	U             []uint64   `json:"u"`
-	Mu            []uint64   `json:"mu"`
-	States        [][]uint64 `json:"states,omitempty"`
-	Final         []uint64   `json:"final"`
-	FaultFreeN    int        `json:"fault_free_n"`
-	FaultFree     []int      `json:"fault_free"`
-	RuleName      string     `json:"rule"`
-	AdversaryName string     `json:"adversary"`
-}
-
-func toTraceRecord(tr *Trace) traceRecord {
-	return traceRecord{
-		Rounds:        tr.Rounds,
-		Converged:     tr.Converged,
-		U:             floatBits(tr.U),
-		Mu:            floatBits(tr.Mu),
-		States:        floatBits2(tr.States),
-		Final:         floatBits(tr.Final),
-		FaultFreeN:    tr.FaultFree.Cap(),
-		FaultFree:     tr.FaultFree.Members(),
-		RuleName:      tr.RuleName,
-		AdversaryName: tr.AdversaryName,
-	}
-}
-
-func (rec *traceRecord) trace() *Trace {
-	return &Trace{
-		Rounds:        rec.Rounds,
-		Converged:     rec.Converged,
-		U:             bitsFloat(rec.U),
-		Mu:            bitsFloat(rec.Mu),
-		States:        bitsFloat2(rec.States),
-		Final:         bitsFloat(rec.Final),
-		FaultFree:     nodeset.FromMembers(rec.FaultFreeN, rec.FaultFree...),
-		RuleName:      rec.RuleName,
-		AdversaryName: rec.AdversaryName,
-	}
+	Rounds        int            `json:"rounds"`
+	Converged     bool           `json:"converged"`
+	U             wire.Floats    `json:"u"`
+	Mu            wire.Floats    `json:"mu"`
+	States        wire.FloatRows `json:"states,omitempty"`
+	Final         wire.Floats    `json:"final"`
+	FaultFreeN    int            `json:"fault_free_n"`
+	FaultFree     []int          `json:"fault_free"`
+	RuleName      string         `json:"rule"`
+	AdversaryName string         `json:"adversary"`
 }
 
 // scenarioResultRecord pairs a trace with its extras finals — the payload a
 // distributed worker ships back and the sweep checkpoint stores.
 type scenarioResultRecord struct {
-	Trace  traceRecord `json:"trace"`
-	Finals [][]uint64  `json:"finals,omitempty"`
+	Trace  traceRecord    `json:"trace"`
+	Finals wire.FloatRows `json:"finals,omitempty"`
 }
 
-// EncodeScenarioResult serializes one scenario's outcome bit-exactly —
-// shared by the sweep checkpoint records and the distributed runner's
-// result frames.
+func toScenarioResultRecord(tr *Trace, finals [][]float64) scenarioResultRecord {
+	return scenarioResultRecord{Finals: finals, Trace: traceRecord{
+		Rounds:        tr.Rounds,
+		Converged:     tr.Converged,
+		U:             tr.U,
+		Mu:            tr.Mu,
+		States:        tr.States,
+		Final:         tr.Final,
+		FaultFreeN:    tr.FaultFree.Cap(),
+		FaultFree:     tr.FaultFree.Members(),
+		RuleName:      tr.RuleName,
+		AdversaryName: tr.AdversaryName,
+	}}
+}
+
+func (rec *scenarioResultRecord) result() (*Trace, [][]float64) {
+	tr := &rec.Trace
+	return &Trace{
+		Rounds:        tr.Rounds,
+		Converged:     tr.Converged,
+		U:             tr.U,
+		Mu:            tr.Mu,
+		States:        tr.States,
+		Final:         tr.Final,
+		FaultFree:     nodeset.FromMembers(tr.FaultFreeN, tr.FaultFree...),
+		RuleName:      tr.RuleName,
+		AdversaryName: tr.AdversaryName,
+	}, rec.Finals
+}
+
+// EncodeScenarioResult serializes one scenario's outcome bit-exactly for the
+// distributed runner's result frames — the same image the sweep checkpoint
+// stores as its record body.
 func EncodeScenarioResult(tr *Trace, finals [][]float64) ([]byte, error) {
-	return json.Marshal(scenarioResultRecord{Trace: toTraceRecord(tr), Finals: floatBits2(finals)})
+	return json.Marshal(toScenarioResultRecord(tr, finals))
 }
 
 // DecodeScenarioResult inverts EncodeScenarioResult.
@@ -140,26 +96,26 @@ func DecodeScenarioResult(raw []byte) (*Trace, [][]float64, error) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return nil, nil, fmt.Errorf("sim: decoding scenario result: %w", err)
 	}
-	return rec.Trace.trace(), bitsFloat2(rec.Finals), nil
+	tr, finals := rec.result()
+	return tr, finals, nil
 }
 
 // sweepScenarioKeyRecord is what the state key hashes per scenario — every
 // input that determines the trace.
 type sweepScenarioKeyRecord struct {
-	Name      string   `json:"name"`
-	Adversary string   `json:"adversary"`
-	Rule      string   `json:"rule"`
-	F         int      `json:"f"`
-	MaxRounds int      `json:"max_rounds"`
-	Epsilon   uint64   `json:"epsilon"`
-	Faulty    []int    `json:"faulty"`
-	Initial   []uint64 `json:"initial"`
-	Record    bool     `json:"record_states"`
+	Name      string      `json:"name"`
+	Adversary string      `json:"adversary"`
+	Rule      string      `json:"rule"`
+	F         int         `json:"f"`
+	MaxRounds int         `json:"max_rounds"`
+	Epsilon   uint64      `json:"epsilon"`
+	Faulty    []int       `json:"faulty"`
+	Initial   wire.Floats `json:"initial"`
+	Record    bool        `json:"record_states"`
 }
 
-// sweepIdent derives the sweep's full identity string. The per-scenario
-// record embeds it whole (not just its hash), so a hash collision degrades
-// to a cache miss, never a foreign trace.
+// sweepIdent derives the sweep's full identity string, which every scenario
+// record's envelope carries whole (see statestore.Record).
 func sweepIdent(engineName, salt string, cfgs []Config, scenarios []Scenario, extras [][]float64) (string, error) {
 	keys := make([]sweepScenarioKeyRecord, len(cfgs))
 	for i := range cfgs {
@@ -173,38 +129,32 @@ func sweepIdent(engineName, salt string, cfgs []Config, scenarios []Scenario, ex
 			MaxRounds: cfg.MaxRounds,
 			Epsilon:   math.Float64bits(cfg.Epsilon),
 			Faulty:    cfg.faulty().Members(),
-			Initial:   floatBits(cfg.Initial),
+			Initial:   cfg.Initial,
 			Record:    cfg.RecordStates,
 		}
 	}
 	ident, err := json.Marshal(struct {
-		Version   int                      `json:"version"`
 		Graph     string                   `json:"graph"`
 		Engine    string                   `json:"engine"`
 		Salt      string                   `json:"salt,omitempty"`
 		Scenarios []sweepScenarioKeyRecord `json:"scenarios"`
-		Extras    [][]uint64               `json:"extras,omitempty"`
-	}{sweepStateVersion, cfgs[0].G.Encode(), engineName, salt, keys, floatBits2(extras)})
+		Extras    wire.FloatRows           `json:"extras,omitempty"`
+	}{cfgs[0].G.Encode(), engineName, salt, keys, extras})
 	if err != nil {
 		return "", err
 	}
 	return string(ident), nil
 }
 
-// sweepScenarioRecord is the persisted image of one completed scenario.
-type sweepScenarioRecord struct {
-	Version int             `json:"version"`
-	Ident   string          `json:"ident"`
-	Index   int             `json:"index"`
-	Result  json.RawMessage `json:"result"`
+// sweepScenarioBody is the persisted image of one completed scenario.
+type sweepScenarioBody struct {
+	Index  int                  `json:"index"`
+	Result scenarioResultRecord `json:"result"`
 }
 
-// sweepState carries one Sweep run's persistence.
-type sweepState struct {
-	store statestore.Backend
-	ident string
-	base  string // key prefix "sweep/<hash>"
-}
+// sweepState carries one Sweep run's persistence: the record every
+// scenario's own record ("sweep/<hash>/s<index>") derives from.
+type sweepState struct{ base statestore.Record }
 
 // newSweepState derives the sweep identity and key prefix.
 func newSweepState(store statestore.Backend, engineName, salt string, cfgs []Config, scenarios []Scenario, extras [][]float64) (*sweepState, error) {
@@ -212,51 +162,26 @@ func newSweepState(store statestore.Backend, engineName, salt string, cfgs []Con
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256([]byte(ident))
-	return &sweepState{
-		store: store, ident: ident,
-		base: "sweep/" + hex.EncodeToString(sum[:8]),
-	}, nil
+	return &sweepState{statestore.NewRecord(store, "sweep", sweepStateVersion, ident)}, nil
 }
 
-func (ss *sweepState) key(i int) string { return fmt.Sprintf("%s/s%06d", ss.base, i) }
+func (ss *sweepState) record(i int) statestore.Record {
+	return ss.base.Sub(fmt.Sprintf("/s%06d", i))
+}
 
-// load returns scenario i's persisted result, or (nil, nil, nil) when
-// absent, stale, or foreign — those simply re-run.
+// load returns scenario i's persisted result, or (nil, nil, nil) when there
+// is no usable record — that scenario simply re-runs.
 func (ss *sweepState) load(ctx context.Context, i int) (*Trace, [][]float64, error) {
-	raw, err := ss.store.Read(ctx, ss.key(i))
-	if err == statestore.ErrNotFound {
-		return nil, nil, nil
+	var body sweepScenarioBody
+	ok, err := ss.record(i).Load(ctx, &body)
+	if err != nil || !ok || body.Index != i {
+		return nil, nil, err
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: reading sweep checkpoint: %w", err)
-	}
-	var rec sweepScenarioRecord
-	if json.Unmarshal(raw, &rec) != nil || rec.Version != sweepStateVersion ||
-		rec.Ident != ss.ident || rec.Index != i {
-		return nil, nil, nil // foreign or stale record: re-run the scenario
-	}
-	tr, finals, err := DecodeScenarioResult(rec.Result)
-	if err != nil {
-		return nil, nil, nil // corrupt payload: re-run the scenario
-	}
+	tr, finals := body.Result.result()
 	return tr, finals, nil
 }
 
 // save persists scenario i's completed result.
 func (ss *sweepState) save(ctx context.Context, i int, tr *Trace, finals [][]float64) error {
-	payload, err := EncodeScenarioResult(tr, finals)
-	if err != nil {
-		return err
-	}
-	raw, err := json.Marshal(sweepScenarioRecord{
-		Version: sweepStateVersion, Ident: ss.ident, Index: i, Result: payload,
-	})
-	if err != nil {
-		return err
-	}
-	if err := ss.store.Write(ctx, ss.key(i), raw); err != nil {
-		return fmt.Errorf("sim: writing sweep checkpoint: %w", err)
-	}
-	return nil
+	return ss.record(i).Save(ctx, sweepScenarioBody{Index: i, Result: toScenarioResultRecord(tr, finals)})
 }

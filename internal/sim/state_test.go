@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"iabc/internal/adversary"
+	"iabc/internal/core"
 	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
+	"iabc/internal/topology"
 )
 
 // sweepStateScenarios builds a small mixed sweep for the durability tests.
@@ -124,12 +126,48 @@ func TestSweepResumeIdentityChecks(t *testing.T) {
 		t.Fatalf("different scenario set resumed %d, want 0", got)
 	}
 
-	// Corrupt one record in place: that scenario re-runs, the rest resume.
-	if err := store.Write(ctx, keys[0], []byte("{not json")); err != nil {
+	// One record replaced by a well-formed record of a foreign identity (a
+	// hash collision, a copied file), another by garbage: those two
+	// scenarios re-run, the rest resume. What else makes a record unusable
+	// is statestore's TestRecordLoad.
+	foreign := statestore.Record{Store: store, Key: keys[0], Version: sweepStateVersion, Ident: "another sweep"}
+	if err := foreign.Save(ctx, sweepScenarioBody{Index: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := run(SweepOptions{}, scens); got != len(scens)-1 {
-		t.Fatalf("corrupt record: resumed %d, want %d", got, len(scens)-1)
+	if err := store.Write(ctx, keys[1], []byte("{not json")); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(SweepOptions{}, scens); got != len(scens)-2 {
+		t.Fatalf("foreign and corrupt records: resumed %d, want %d", got, len(scens)-2)
+	}
+}
+
+// TestSweepRecordGolden pins the stored bytes — key, envelope, identity and
+// body — of a scenario record at sweepStateVersion. A schema change shows up
+// here; it must come with a sweepStateVersion bump (which changes these
+// bytes too), so that records written before it miss instead of misparsing.
+func TestSweepRecordGolden(t *testing.T) {
+	g, err := topology.Complete(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{G: g, Initial: []float64{0, 1, math.Inf(1)}, Rule: core.Mean{}, MaxRounds: 1}
+	store := statestore.NewMem()
+	ctx := context.Background()
+	if _, err := Sweep(ctx, base, []Scenario{{Name: "only"}}, SweepOptions{
+		Workers: 1, Engine: Matrix{}, Store: store, StateSalt: "s", Extras: [][]float64{{2, 3, 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const key = "sweep/f86aab3b2b0a9f00/s000000"
+	const golden = `{"version":2,"ident":"{\"graph\":\"g1:3;0\\u003e1,2;1\\u003e0,2;2\\u003e0,1\",\"engine\":\"matrix\",\"salt\":\"s\",\"scenarios\":[{\"name\":\"only\",\"adversary\":\"none\",\"rule\":\"mean\",\"f\":0,\"max_rounds\":1,\"epsilon\":0,\"faulty\":[],\"initial\":[0,4607182418800017408,9218868437227405312],\"record_states\":false}],\"extras\":[[4611686018427387904,4613937818241073152,4616189618054758400]]}","body":{"index":0,"result":{"trace":{"rounds":1,"converged":false,"u":[9218868437227405312,9218868437227405312],"mu":[0,9218868437227405312],"final":[9218868437227405312,9218868437227405312,9218868437227405312],"fault_free_n":3,"fault_free":[0,1,2],"rule":"mean","adversary":"none"},"finals":[[4613937818241073152,4613937818241073152,4613937818241073152]]}}}`
+	got, err := store.Read(ctx, key)
+	if err != nil {
+		keys, _ := store.List(ctx, "")
+		t.Fatalf("reading %s: %v (store holds %v)", key, err, keys)
+	}
+	if string(got) != golden {
+		t.Fatalf("%s (sweepStateVersion %d):\n got %s\nwant %s", key, sweepStateVersion, got, golden)
 	}
 }
 

@@ -5,11 +5,13 @@
 // recomputing.
 //
 // A Backend is a flat key/value namespace with hierarchical, slash-separated
-// keys ("check/ab12…-f2-t3"). Values are opaque byte slices (the condition
-// package stores versioned JSON records); every operation takes a context so
-// remote backends (object stores) can honor cancellation. Two
-// implementations ship here: Dir, rooted in a local directory with atomic
-// writes, and Mem, an in-process map for tests and embedding.
+// keys ("verdict/ab12…-f2-t3"). Values are opaque byte slices to a Backend;
+// what makes one a usable record — schema version and full identity, checked
+// on load — is the Record envelope in record.go, the only reader and writer
+// of persisted records. Every operation takes a context so remote backends
+// (object stores) can honor cancellation. Two implementations ship here:
+// Dir, rooted in a local directory with atomic writes, and Mem, an
+// in-process map for tests and embedding.
 //
 // Consistency contract: Write is atomic — a reader never observes a torn
 // value, even across a crash mid-write (Dir writes a temp file and renames
@@ -30,7 +32,7 @@ import (
 var ErrNotFound = errors.New("statestore: key not found")
 
 // ErrInvalidKey is wrapped by every built-in backend when a key fails
-// ValidKey. It is a permanent error — Retry never retries it.
+// ValidKey.
 var ErrInvalidKey = errors.New("statestore: invalid key")
 
 // Backend is the pluggable persistence provider. Keys are validated by

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestBackendConformance drives every built-in backend through the Backend
@@ -23,14 +22,6 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			return d
-		},
-		// The injected-fault extension: a Retry over a backend that fails
-		// every other call with a transient error must still satisfy the
-		// whole contract verbatim.
-		"retry-over-flaky": func(t *testing.T) Backend {
-			r := NewRetry(&flakyBackend{inner: NewMem(), failEvery: 2})
-			r.sleep = func(context.Context, time.Duration) error { return nil }
-			return r
 		},
 	}
 	for name, mk := range backends {

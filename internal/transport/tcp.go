@@ -76,12 +76,13 @@ type TCPConfig struct {
 // survive one connection; a reconnect may lose frames buffered in the dead
 // socket. The actor layer's idempotent resends repair all of it.
 type TCP struct {
-	cfg    TCPConfig
-	local  map[int]bool
-	qs     map[int]chan Delivery
-	ln     net.Listener
-	closed chan struct{}
-	done   atomic.Bool
+	cfg   TCPConfig
+	local map[int]bool
+	qs    map[int]chan Delivery
+	ln    net.Listener
+	life  context.Context // ends when Close begins
+	kill  context.CancelFunc
+	done  atomic.Bool
 
 	mu    sync.Mutex
 	links map[[2]int]*tcpLink
@@ -148,14 +149,14 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		}
 	}
 	t := &TCP{
-		cfg:    cfg,
-		local:  local,
-		qs:     make(map[int]chan Delivery, len(local)),
-		ln:     ln,
-		closed: make(chan struct{}),
-		links:  make(map[[2]int]*tcpLink),
-		conns:  make(map[net.Conn]struct{}),
+		cfg:   cfg,
+		local: local,
+		qs:    make(map[int]chan Delivery, len(local)),
+		ln:    ln,
+		links: make(map[[2]int]*tcpLink),
+		conns: make(map[net.Conn]struct{}),
 	}
+	t.life, t.kill = context.WithCancel(context.Background())
 	// Private copy of the address map, resolving self-referential entries:
 	// an empty Addrs[i] means "this instance", which is only knowable once
 	// the listener is bound.
@@ -226,7 +227,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		select {
 		case q <- d:
-		case <-t.closed:
+		case <-t.life.Done():
 			return
 		}
 	}
@@ -274,7 +275,7 @@ func (t *TCP) Send(ctx context.Context, from, to int, m Msg) error {
 	case l.sem <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-t.closed:
+	case <-t.life.Done():
 		return ErrClosed
 	}
 	defer func() { <-l.sem }()
@@ -322,14 +323,17 @@ func (t *TCP) redial(ctx context.Context, l *tcpLink, to int) error {
 			case <-ctx.Done():
 				timer.Stop()
 				return ctx.Err()
-			case <-t.closed:
+			case <-t.life.Done():
 				timer.Stop()
 				return ErrClosed
 			}
 		}
-		dctx, cancel := t.sendCtx(ctx)
+		// The dial ends with ctx or with the transport, whichever is first.
+		dctx, cancel := context.WithCancel(ctx)
+		stop := context.AfterFunc(t.life, cancel)
 		d := net.Dialer{Timeout: DefaultDialTimeout}
 		conn, err := d.DialContext(dctx, "tcp", t.cfg.Addrs[to])
+		stop()
 		cancel()
 		if err == nil {
 			t.clampSockBuf(conn)
@@ -366,52 +370,22 @@ func (t *TCP) redial(ctx context.Context, l *tcpLink, to int) error {
 // normalizes it to ctx.Err() or ErrClosed.
 var errWriteInterrupted = fmt.Errorf("transport: tcp: write interrupted")
 
-// write performs one frame write, interruptible by ctx and Close: a watcher
-// poisons the write deadline so a write blocked on a full socket (receiver
-// backpressure) unblocks promptly instead of waiting for kernel timeouts.
+// write performs one frame write, interruptible by ctx and Close: ctx ending
+// poisons the write deadline and Close closes the connection, so a write
+// blocked on a full socket (receiver backpressure) unblocks promptly instead
+// of waiting for kernel timeouts.
 func (t *TCP) write(ctx context.Context, l *tcpLink) error {
-	conn := l.conn // captured: the watcher may outlive this Send by a beat
-	stop := make(chan struct{})
-	fired := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-t.closed:
-		case <-stop:
-			return
-		}
-		conn.SetWriteDeadline(time.Unix(1, 0))
-		close(fired)
-	}()
+	conn := l.conn // captured: the poisoning may outlive this Send by a beat
+	stop := context.AfterFunc(ctx, func() { conn.SetWriteDeadline(time.Unix(1, 0)) })
 	_, err := conn.Write(l.buf)
-	close(stop)
-	if err == nil {
-		select {
-		case <-fired:
-			// Poisoned after the write completed: mirror Inproc's
-			// Close/Send race contract — the interrupt wins, even though
-			// the frame may have reached the peer (at-most-once allows
-			// the ambiguity; the caller tears the connection down).
-			err = errWriteInterrupted
-		default:
-		}
+	if interrupted := !stop() || t.done.Load(); interrupted && err == nil {
+		// Interrupted after the write completed: mirror Inproc's Close/Send
+		// race contract — the interrupt wins, even though the frame may have
+		// reached the peer (at-most-once allows the ambiguity; the caller
+		// tears the connection down).
+		err = errWriteInterrupted
 	}
 	return err
-}
-
-// sendCtx derives a context that additionally ends when the transport
-// closes. The watcher goroutine exits when cancel runs — callers must
-// cancel promptly (they do: it spans one dial).
-func (t *TCP) sendCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	mctx, cancel := context.WithCancel(ctx)
-	go func() {
-		select {
-		case <-t.closed:
-			cancel()
-		case <-mctx.Done():
-		}
-	}()
-	return mctx, cancel
 }
 
 // Recv implements Transport. The stream exists for local nodes only; Recv
@@ -428,12 +402,12 @@ func (t *TCP) Close() error {
 	if !t.done.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(t.closed)
+	t.kill()
 	t.ln.Close()
 	// Every live connection — inbound and outbound link conns alike — is
 	// registered in t.conns, so closing the set unblocks all reads and
-	// writes in flight. Senders holding a link sem then observe t.closed
-	// or a write error and return ErrClosed.
+	// writes in flight. Senders holding a link sem then observe the end of
+	// t.life or a write error and return ErrClosed.
 	t.mu.Lock()
 	for conn := range t.conns {
 		conn.Close()

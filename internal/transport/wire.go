@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+
+	"iabc/internal/wire"
 )
 
-// Wire format of the TCP transport: length-prefixed binary frames, one per
-// Delivery. Each frame is a 4-byte big-endian payload length followed by a
-// fixed 32-byte payload:
+// Wire format of the TCP transport: one frame (see wire.ReadFrame, which
+// owns the length prefix and its reject-before-allocate rule) per Delivery,
+// with a fixed 32-byte payload:
 //
 //	from  uint32   sending node id
 //	to    uint32   receiving node id
@@ -19,29 +20,17 @@ import (
 //	seq   uint64   Msg.Seq
 //
 // The codec is strict: the declared length must equal framePayloadLen
-// exactly, and any length above maxFramePayload is rejected before a single
-// payload byte is read — a corrupt or adversarial length prefix can never
-// make the reader allocate or buffer an attacker-chosen amount. Because the
+// exactly, which is also the cap handed to the frame reader. Because the
 // format has exactly one encoding per Delivery, decode∘encode is the
 // identity on frames and encode∘decode is the identity on valid payloads —
 // the property FuzzWireCodec pins.
 
-const (
-	// frameHeaderLen is the length prefix size in bytes.
-	frameHeaderLen = 4
-	// framePayloadLen is the exact payload size of the one frame type.
-	framePayloadLen = 32
-	// maxFramePayload is the sanity cap on the declared payload length.
-	// Anything above it is a protocol error, rejected before allocation.
-	// It leaves headroom over framePayloadLen so a future frame revision
-	// can grow without changing the cap, while still bounding a hostile
-	// length prefix to a kilobyte.
-	maxFramePayload = 1024
-)
+// framePayloadLen is the exact payload size of the one frame type.
+const framePayloadLen = 32
 
 // appendFrame appends d's wire frame (header + payload) to dst.
 func appendFrame(dst []byte, d Delivery) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, framePayloadLen)
+	dst = wire.AppendFrameHeader(dst, framePayloadLen)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(d.From))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(d.To))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(d.Round)))
@@ -50,9 +39,8 @@ func appendFrame(dst []byte, d Delivery) []byte {
 	return dst
 }
 
-// decodePayload decodes one frame payload. The length was validated by the
-// caller (readFrame), but decodePayload re-checks so it is total on
-// arbitrary input.
+// decodePayload decodes one frame payload; it checks the length itself so it
+// is total on arbitrary input.
 func decodePayload(p []byte) (Delivery, error) {
 	if len(p) != framePayloadLen {
 		return Delivery{}, fmt.Errorf("transport: frame payload %d bytes, want %d", len(p), framePayloadLen)
@@ -68,33 +56,12 @@ func decodePayload(p []byte) (Delivery, error) {
 	}, nil
 }
 
-// readFrame reads one frame from br into scratch (grown only up to the
-// sanity cap) and decodes it. io.EOF at a frame boundary is returned as-is;
-// a stream that ends mid-frame yields io.ErrUnexpectedEOF.
+// readFrame reads one frame from br into scratch and decodes it.
 func readFrame(br *bufio.Reader, scratch []byte) (Delivery, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		// io.EOF here is a clean frame boundary; a partial header is
-		// already io.ErrUnexpectedEOF from ReadFull.
+	payload, scratch, err := wire.ReadFrame(br, scratch, framePayloadLen)
+	if err != nil {
 		return Delivery{}, scratch, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFramePayload {
-		return Delivery{}, scratch, fmt.Errorf("transport: frame payload length %d exceeds cap %d", n, maxFramePayload)
-	}
-	if n != framePayloadLen {
-		return Delivery{}, scratch, fmt.Errorf("transport: frame payload length %d, want %d", n, framePayloadLen)
-	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(br, scratch); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Delivery{}, scratch, err
-	}
-	d, err := decodePayload(scratch)
+	d, err := decodePayload(payload)
 	return d, scratch, err
 }

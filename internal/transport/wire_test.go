@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"iabc/internal/wire"
 )
 
 func TestWireFrameRoundTrip(t *testing.T) {
@@ -31,12 +33,20 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireFrameLengthCap: the frame reader's cap (wire.ReadFrame, which has
+// the general hostile-length tests) is this codec's one payload size, so any
+// longer prefix fails before allocation and any shorter one fails the exact
+// length check.
 func TestWireFrameLengthCap(t *testing.T) {
-	// A hostile length prefix must be rejected before any allocation.
-	hostile := []byte{0xff, 0xff, 0xff, 0xff}
-	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(hostile)), nil)
-	if err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("hostile length prefix: err = %v, want cap violation", err)
+	for _, hostile := range [][]byte{{0xff, 0xff, 0xff, 0xff}, {0, 0, 0, framePayloadLen + 1}} {
+		_, sc, err := readFrame(bufio.NewReader(bytes.NewReader(hostile)), nil)
+		if err == nil || !strings.Contains(err.Error(), "cap") || sc != nil {
+			t.Fatalf("length % x: err = %v, scratch %d bytes; want cap violation, no allocation", hostile, err, cap(sc))
+		}
+	}
+	short := append([]byte{0, 0, 0, framePayloadLen - 1}, make([]byte, framePayloadLen-1)...)
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(short)), nil); err == nil || !strings.Contains(err.Error(), "want 32") {
+		t.Fatalf("31-byte payload: err = %v, want exact-length violation", err)
 	}
 }
 
@@ -76,17 +86,18 @@ func FuzzWireCodec(f *testing.F) {
 		for {
 			d, sc, err := readFrame(br, scratch)
 			scratch = sc
-			if cap(scratch) > maxFramePayload {
-				t.Fatalf("scratch grew to %d bytes, cap is %d", cap(scratch), maxFramePayload)
+			if cap(scratch) > framePayloadLen {
+				t.Fatalf("scratch grew to %d bytes, cap is %d", cap(scratch), framePayloadLen)
 			}
 			if err != nil {
 				return // any error ends the stream; no panic is the property
 			}
-			consumed := data[offset : offset+frameHeaderLen+framePayloadLen]
+			const frameLen = wire.FrameHeaderLen + framePayloadLen
+			consumed := data[offset : offset+frameLen]
 			if re := appendFrame(nil, d); !bytes.Equal(re, consumed) {
 				t.Fatalf("decoded frame %+v re-encodes to % x, consumed % x", d, re, consumed)
 			}
-			offset += frameHeaderLen + framePayloadLen
+			offset += frameLen
 		}
 	})
 }
