@@ -352,7 +352,8 @@ func BenchmarkEngineRound(b *testing.B) {
 		Adversary: adversary.Hug{High: true},
 		MaxRounds: rounds,
 	}
-	for _, eng := range []sim.Engine{sim.Sequential{}, sim.Concurrent{}, sim.Matrix{}} {
+	engines := []sim.Engine{sim.Sequential{}, sim.Matrix{}}
+	for _, eng := range engines {
 		b.Run(eng.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -367,10 +368,7 @@ func BenchmarkEngineRound(b *testing.B) {
 			b.ReportMetric(float64(rounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
 		})
 	}
-	// Concurrent is excluded from the steady variants: its per-round cost is
-	// goroutine scheduling, not allocation, and the barrier makes single-run
-	// round counts scheduler-dependent in timing.
-	for _, eng := range []sim.Engine{sim.Sequential{}, sim.Matrix{}} {
+	for _, eng := range engines {
 		b.Run(eng.Name()+"-steady", func(b *testing.B) {
 			b.ReportAllocs()
 			steady := cfg
@@ -462,21 +460,16 @@ func BenchmarkRunScenarios(b *testing.B) {
 			b.ReportMetric(float64(rounds*len(scens))*float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
 		})
 	}
-	// Pooled engines through the same sweep: the node-pool concurrent
-	// variant (goroutines/channels built once per sweep) and the matrix
-	// runner.
-	for _, eng := range []sim.Engine{sim.Concurrent{}, sim.Matrix{}} {
-		eng := eng
-		b.Run("pooled8/"+eng.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Sweep(context.Background(), base, scens, sim.SweepOptions{Engine: eng, Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
+	// The matrix engine's pooled runner through the same sweep.
+	b.Run("pooled8/matrix", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Sweep(context.Background(), base, scens, sim.SweepOptions{Engine: sim.Matrix{}, Workers: 1}); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(rounds*len(scens))*float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
-		})
-	}
+		}
+		b.ReportMetric(float64(rounds*len(scens))*float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
+	})
 }
 
 // BenchmarkMatrixScenarioSweep measures the composed batching dimensions:

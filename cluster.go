@@ -4,9 +4,12 @@ package iabc
 // Section 7 asynchronous iteration as goroutine-per-node actors over a
 // pluggable Transport (internal/node over internal/transport), alongside
 // the vocabulary a caller needs to drive it — the Transport interface, the
-// in-process implementation, and the seeded chaos wrapper. The deterministic
-// Async engine behind Simulate remains the conformance oracle for this
-// runtime; see docs/THEORY.md for the mapping.
+// in-process implementation, and the seeded chaos wrapper. This is the one
+// goroutine-per-node runtime in the tree: the algorithm as genuine message
+// passing. The deterministic Async engine behind Simulate remains its
+// conformance oracle, and at f = 0 — the quorum then being the whole
+// in-neighborhood — so does the synchronous Sequential engine, bit for bit;
+// see docs/THEORY.md for the mapping.
 
 import (
 	"context"

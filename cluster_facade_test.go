@@ -8,6 +8,7 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,6 +54,82 @@ func TestClusterMatchesSimulateAsync(t *testing.T) {
 	}
 	if got.Updates != int64(g.N()*maxRounds) {
 		t.Errorf("updates = %d, want %d", got.Updates, g.N()*maxRounds)
+	}
+}
+
+// forgingTransport is a Byzantine in-neighbor at the message layer: ahead of
+// the first real send it puts one extra message on the same link whose round
+// tag lies far beyond any round the run will reach.
+type forgingTransport struct {
+	iabc.Transport
+	once sync.Once
+}
+
+func (f *forgingTransport) Send(ctx context.Context, from, to int, m iabc.Msg) error {
+	f.once.Do(func() {
+		_ = f.Transport.Send(ctx, from, to, iabc.Msg{Round: 1 << 40, Value: 1e9, Seq: m.Seq})
+	})
+	return f.Transport.Send(ctx, from, to, m)
+}
+
+// TestClusterMatchesSequentialSimulate pins that the algorithm maps onto
+// real message passing: at f = 0 the §7 quorum is the whole in-neighborhood,
+// so the live cluster — goroutine actors over the in-process transport, and
+// over loopback TCP with every node local — must finish with finals
+// bit-identical to the synchronous Sequential engine. The graphs are not
+// complete, so each node's in-neighbor order enters the sums. The forged
+// variant adds one far-future-round delivery from a real in-neighbor, which
+// the Stepper must drop without a trace.
+func TestClusterMatchesSequentialSimulate(t *testing.T) {
+	const maxRounds = 60
+	chord, err := iabc.Chord(9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coreNet, err := iabc.CoreNetwork(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *iabc.Graph
+	}{{"chord(9,2)", chord}, {"core(8,2)", coreNet}} {
+		n := tc.g.N()
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		opts := []iabc.Option{iabc.WithInitial(clusterInitial(n)), iabc.WithMaxRounds(maxRounds)}
+		want, err := iabc.Simulate(context.Background(), tc.g, append(opts, iabc.WithEngine(iabc.Sequential))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forging := &forgingTransport{Transport: iabc.NewInprocTransport(n, 0)}
+		t.Cleanup(func() { forging.Close() })
+		for _, tr := range []struct {
+			name string
+			opt  []iabc.Option
+		}{
+			{"inproc", nil},
+			{"tcp", []iabc.Option{iabc.WithTCPTransport(tcpShards(t, [][]int{all})[0])}},
+			{"inproc-forged-round", []iabc.Option{iabc.WithTransport(forging)}},
+		} {
+			t.Run(tc.name+"/"+tr.name, func(t *testing.T) {
+				got, err := iabc.Cluster(context.Background(), tc.g,
+					append(append(opts, iabc.WithStallAfter(10*time.Second)), tr.opt...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Final {
+					if got.Rounds[i] != maxRounds {
+						t.Errorf("node %d stopped at round %d, want %d", i, got.Rounds[i], maxRounds)
+					}
+					if math.Float64bits(want.Final[i]) != math.Float64bits(got.Final[i]) {
+						t.Errorf("final[%d]: cluster %x vs sequential %x", i, got.Final[i], want.Final[i])
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 //	iabc check      -topo <spec> -f <faults> [-async]
 //	iabc maxf       -topo <spec>
 //	iabc run        -topo <spec> -f <faults> [-faulty 0,1] [-adversary name]
-//	                [-rounds N] [-eps E] [-engine sequential|concurrent] [-finals]
+//	                [-rounds N] [-eps E] [-engine sequential|matrix] [-finals]
 //	iabc cluster    -topo <spec> [-drop P] [-dup P] [-delay D] [-stall D]
 //	iabc serve      -topo <spec> -id <ids> -peers <file> [-rounds N] [-seed S]
 //	                [-stall D] [-linger D]

@@ -10,8 +10,8 @@
 // Theorem 1 analysis view — behind one coherent API:
 //
 //   - Simulate(ctx, g, opts...) — one run on any engine (WithEngine:
-//     Sequential, ConcurrentPool, Matrix, or the §7 Async model), returning
-//     an engine-independent Outcome;
+//     Sequential, Matrix, or the §7 Async model), returning an
+//     engine-independent Outcome;
 //   - Sweep(ctx, g, scenarios, opts...) — batched scenario sweeps over
 //     pooled engine state, fanned across cores (WithWorkers), with the
 //     matrix replay dimension composed in via WithExtras/WithBatch;
@@ -54,16 +54,12 @@
 //
 // # Choosing an engine
 //
-// Three synchronous engines share one semantics and produce bit-identical
+// Two synchronous engines share one semantics and produce bit-identical
 // traces (cross-checked by tests):
 //
 //   - sim.Sequential — the default. Single goroutine, flat preallocated
 //     message plane, allocation-free steady state; fastest for a single
-//     scenario and the reference the others are checked against.
-//   - sim.Concurrent — one goroutine per node with per-edge channels and a
-//     coordinator barrier. Use it to exercise the algorithm as genuine
-//     message passing (races, goroutine scheduling); ~4× slower than
-//     Sequential. Run is a sim.ConcurrentPool built, used once, and closed.
+//     scenario and the reference the other is checked against.
 //   - sim.Matrix — materializes every round as a row-stochastic transition
 //     (the matrix representation of arXiv:1203.1888). Run matches
 //     Sequential; RunBatch streams each round's transition over many
@@ -75,18 +71,21 @@
 // For sweeps that vary the adversary (or fault set) rather than the initial
 // vector — where the round structure itself changes and the matrix replay
 // does not apply — sim.Sweep re-simulates each scenario over pooled
-// per-worker engine state (a sim.ScenarioRunner: the sequential plane, the
-// node-pool sim.ConcurrentPool, or the matrix scratch) and fans independent
-// scenarios across cores (SweepOptions.Workers; ≤ 0 selects GOMAXPROCS).
-// With the Matrix engine, SweepOptions.Extras composes both batching
-// dimensions: each scenario's recorded round programs are SoA-replayed over
-// K extra initial vectors. sim.RunScenarios is the single-worker sequential
-// shorthand. Parallel sweeps are bit-identical to sequential ones as long as
-// scenarios do not share mutable adversary state.
+// per-worker engine state (a sim.ScenarioRunner: the sequential plane or
+// the matrix scratch) and fans independent scenarios across cores
+// (SweepOptions.Workers; ≤ 0 selects GOMAXPROCS). With the Matrix engine,
+// SweepOptions.Extras composes both batching dimensions: each scenario's
+// recorded round programs are SoA-replayed over K extra initial vectors.
+// sim.RunScenarios is the single-worker sequential shorthand. Parallel
+// sweeps are bit-identical to sequential ones as long as scenarios do not
+// share mutable adversary state.
 //
 // internal/async is a different model entirely (Section 7 quorum
-// iteration under message delays), not a fourth engine for the synchronous
-// semantics.
+// iteration under message delays), not a third engine for the synchronous
+// semantics. The algorithm as genuine message passing — one goroutine per
+// node, values on real queues or sockets — is Cluster; at f = 0, where the
+// quorum is the whole in-neighborhood, its finals are bit-identical to
+// sim.Sequential's (TestClusterMatchesSequentialSimulate).
 //
 // # Fast-path invariants
 //

@@ -72,7 +72,6 @@ func TestSimulateMatchesEngines(t *testing.T) {
 		eng sim.Engine
 	}{
 		{iabc.Sequential, sim.Sequential{}},
-		{iabc.ConcurrentPool, sim.Concurrent{}},
 		{iabc.Matrix, sim.Matrix{}},
 	}
 	for _, tc := range engines {

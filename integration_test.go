@@ -101,7 +101,7 @@ func TestPipelineSyncAsyncAgreementValues(t *testing.T) {
 	faulty := nodeset.FromMembers(n, 0)
 	lo, hi := core.RangeOf(inputs[1:]) // honest hull (node 0 is faulty)
 
-	syncTr, err := sim.Concurrent{}.Run(sim.Config{
+	syncTr, err := sim.Sequential{}.Run(sim.Config{
 		G: g, F: f, Faulty: faulty, Initial: inputs,
 		Rule:      core.TrimmedMean{},
 		Adversary: adversary.Extremes{Amplitude: 1000},

@@ -70,8 +70,9 @@ type EdgeSink interface {
 // for every view and sender, Send(k, v) is called exactly once for each
 // entry (OutView(sender)[k] -> v) of the Messages map and for nothing else
 // (call order along the out-edge list is ascending k). Randomized strategies
-// must consume their rng stream identically on both paths.
-// FuzzEdgeWriterEquivalence enforces this for the built-ins.
+// must consume their rng stream identically on both paths. The built-ins
+// meet it by construction — their Messages is collect over WriteMessages —
+// and FuzzEdgeWriterEquivalence pins collect and mapWriter.
 type EdgeWriter interface {
 	Strategy
 	WriteMessages(view RoundView, sender int, w EdgeSink)
@@ -104,6 +105,24 @@ func (m mapWriter) WriteMessages(view RoundView, sender int, w EdgeSink) {
 	}
 }
 
+// mapSink is the EdgeSink that turns a scatter back into the Messages map:
+// the value sent on out-edge k is keyed by that edge's receiver.
+type mapSink struct {
+	outs []int
+	msgs map[int]float64
+}
+
+func (s *mapSink) Send(k int, value float64) { s.msgs[s.outs[k]] = value }
+
+// collect is Strategy.Messages derived from WriteMessages — mapWriter's
+// inverse. Every built-in decides its values once, in WriteMessages, and its
+// Messages is this call, so the two forms cannot drift apart.
+func collect(w EdgeWriter, view RoundView, sender int) map[int]float64 {
+	s := mapSink{outs: view.G.OutView(sender), msgs: make(map[int]float64)}
+	w.WriteMessages(view, sender, &s)
+	return s.msgs
+}
+
 // FaultFreeRange returns (µ, U): the extremes of states over the fault-free
 // nodes — the Lo and Hi a RoundView carries.
 func FaultFreeRange(states []float64, faultFree nodeset.Set) (lo, hi float64) {
@@ -130,12 +149,8 @@ var _ EdgeWriter = Conforming{}
 func (Conforming) Name() string { return "conforming" }
 
 // Messages sends the ghost state to all out-neighbors.
-func (Conforming) Messages(view RoundView, sender int) map[int]float64 {
-	out := make(map[int]float64)
-	for _, to := range view.G.OutNeighbors(sender) {
-		out[to] = view.States[sender]
-	}
-	return out
+func (c Conforming) Messages(view RoundView, sender int) map[int]float64 {
+	return collect(c, view, sender)
 }
 
 // WriteMessages implements EdgeWriter.
@@ -160,11 +175,7 @@ func (f Fixed) Name() string { return fmt.Sprintf("fixed(%g)", f.Value) }
 
 // Messages sends Value to all out-neighbors.
 func (f Fixed) Messages(view RoundView, sender int) map[int]float64 {
-	out := make(map[int]float64)
-	for _, to := range view.G.OutNeighbors(sender) {
-		out[to] = f.Value
-	}
-	return out
+	return collect(f, view, sender)
 }
 
 // WriteMessages implements EdgeWriter.
@@ -185,7 +196,9 @@ var _ EdgeWriter = Silent{}
 func (Silent) Name() string { return "silent" }
 
 // Messages returns an empty map.
-func (Silent) Messages(RoundView, int) map[int]float64 { return map[int]float64{} }
+func (s Silent) Messages(view RoundView, sender int) map[int]float64 {
+	return collect(s, view, sender)
+}
 
 // WriteMessages implements EdgeWriter: nothing is written.
 func (Silent) WriteMessages(RoundView, int, EdgeSink) {}
@@ -205,16 +218,11 @@ func (r *RandomNoise) Name() string { return fmt.Sprintf("noise[%g,%g]", r.Lo, r
 
 // Messages draws one uniform sample per out-neighbor.
 func (r *RandomNoise) Messages(view RoundView, sender int) map[int]float64 {
-	out := make(map[int]float64)
-	for _, to := range view.G.OutNeighbors(sender) {
-		out[to] = r.Lo + r.Rng.Float64()*(r.Hi-r.Lo)
-	}
-	return out
+	return collect(r, view, sender)
 }
 
-// WriteMessages implements EdgeWriter. Draw order matches Messages exactly
-// (one Float64 per out-neighbor, ascending), so both paths consume the same
-// rng stream.
+// WriteMessages implements EdgeWriter: one Float64 per out-neighbor,
+// ascending.
 func (r *RandomNoise) WriteMessages(view RoundView, sender int, w EdgeSink) {
 	for k := range view.G.OutView(sender) {
 		w.Send(k, r.Lo+r.Rng.Float64()*(r.Hi-r.Lo))
@@ -235,15 +243,7 @@ func (e Extremes) Name() string { return fmt.Sprintf("extremes(±%g)", e.Amplitu
 
 // Messages sends Hi+Amplitude to even receivers, Lo−Amplitude to odd.
 func (e Extremes) Messages(view RoundView, sender int) map[int]float64 {
-	out := make(map[int]float64)
-	for _, to := range view.G.OutNeighbors(sender) {
-		if to%2 == 0 {
-			out[to] = view.Hi + e.Amplitude
-		} else {
-			out[to] = view.Lo - e.Amplitude
-		}
-	}
-	return out
+	return collect(e, view, sender)
 }
 
 // WriteMessages implements EdgeWriter.
@@ -280,18 +280,7 @@ func (PartitionAttack) Name() string { return "partition-attack" }
 
 // Messages sends m⁻ into L, M⁺ into R, and the midpoint into C.
 func (p PartitionAttack) Messages(view RoundView, sender int) map[int]float64 {
-	out := make(map[int]float64)
-	for _, to := range view.G.OutNeighbors(sender) {
-		switch {
-		case p.L.Contains(to):
-			out[to] = p.Low - p.Eps
-		case p.R.Contains(to):
-			out[to] = p.High + p.Eps
-		default:
-			out[to] = (p.Low + p.High) / 2
-		}
-	}
-	return out
+	return collect(p, view, sender)
 }
 
 // WriteMessages implements EdgeWriter.
@@ -329,15 +318,7 @@ func (h Hug) Name() string {
 
 // Messages sends the hugged extreme to all out-neighbors.
 func (h Hug) Messages(view RoundView, sender int) map[int]float64 {
-	v := view.Lo
-	if h.High {
-		v = view.Hi
-	}
-	out := make(map[int]float64)
-	for _, to := range view.G.OutNeighbors(sender) {
-		out[to] = v
-	}
-	return out
+	return collect(h, view, sender)
 }
 
 // WriteMessages implements EdgeWriter.

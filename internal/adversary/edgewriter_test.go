@@ -148,7 +148,12 @@ func fuzzView(nRaw uint8, seed int64, fRaw uint8, edges []byte) (RoundView, int)
 
 // FuzzEdgeWriterEquivalence fuzzes the EdgeWriter contract across every
 // built-in strategy: for random graphs, states, fault sets, and f, the
-// WriteMessages scatter must match the Messages map exactly.
+// WriteMessages scatter must match the Messages map exactly. A built-in's
+// Messages is collect over its own WriteMessages, so for the built-ins this
+// pins the collector (every Send keyed by the right receiver, nothing added
+// or lost, the rng stream consumed once in ascending k); the second leg pins
+// the reverse direction, mapWriter scattering a Messages map back onto the
+// edges.
 func FuzzEdgeWriterEquivalence(f *testing.F) {
 	f.Add(uint8(5), int64(1), uint8(1), []byte{0xff, 0x3c})
 	f.Add(uint8(0), int64(42), uint8(0), []byte{})
@@ -159,12 +164,16 @@ func FuzzEdgeWriterEquivalence(f *testing.F) {
 		for _, pair := range builtinPairs(view.G.N(), seed) {
 			checkEquivalence(t, pair.name, view, sender, pair.mapSide, pair.writerSide)
 		}
+		for _, pair := range builtinPairs(view.G.N(), seed) {
+			checkEquivalence(t, pair.name+"/mapWriter", view, sender, pair.mapSide, mapWriter{pair.writerSide})
+		}
 	})
 }
 
 // TestEdgeWriterEquivalenceAcrossRounds drives stateful writers (Insider's
 // scratch, RandomNoise's stream) through many consecutive rounds on one
-// graph, mirroring how engines actually call them.
+// graph, mirroring how engines actually call them. Like the fuzzer, for the
+// built-ins this pins collect against the scatter it is derived from.
 func TestEdgeWriterEquivalenceAcrossRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {

@@ -43,18 +43,14 @@ func (a Insider) Name() string {
 	return "insider-low"
 }
 
-// Messages implements Strategy.
+// Messages implements Strategy on a private copy, so the value type shares
+// no scratch with any other user.
 func (a Insider) Messages(view RoundView, sender int) map[int]float64 {
-	out := make(map[int]float64)
-	for _, to := range view.G.OutNeighbors(sender) {
-		v, _ := a.valueFor(view, to, nil)
-		out[to] = v
-	}
-	return out
+	a.scratch = nil
+	return collect(&a, view, sender)
 }
 
-// WriteMessages implements EdgeWriter, producing exactly the values of
-// Messages with zero steady-state allocations.
+// WriteMessages implements EdgeWriter with zero steady-state allocations.
 func (a *Insider) WriteMessages(view RoundView, sender int, w EdgeSink) {
 	for k, to := range view.G.OutView(sender) {
 		var v float64

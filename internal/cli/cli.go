@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -192,63 +191,32 @@ func engineByName(name string) (iabc.Engine, error) {
 	switch name {
 	case "sequential":
 		return iabc.Sequential, nil
-	case "concurrent":
-		return iabc.ConcurrentPool, nil
 	case "matrix":
 		return iabc.Matrix, nil
 	default:
-		return 0, fmt.Errorf("cli: unknown engine %q (sequential|concurrent|matrix)", name)
+		return 0, fmt.Errorf("cli: unknown engine %q (sequential|matrix)", name)
 	}
 }
 
 func cmdRun(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	topoSpec := fs.String("topo", "", "topology spec (required)")
-	f := fs.Int("f", 1, "fault-tolerance parameter")
-	faultyList := fs.String("faulty", "", "comma-separated faulty node IDs")
-	advName := fs.String("adversary", "extremes", "byzantine strategy")
-	rounds := fs.Int("rounds", 10000, "maximum iterations")
-	eps := fs.Float64("eps", 1e-6, "convergence threshold on U−µ (0 = run all rounds)")
-	engineName := fs.String("engine", "sequential", "sequential|concurrent|matrix")
-	seed := fs.Int64("seed", 1, "seed for randomized pieces")
+	in := instanceFlags(fs, 1, 10000, 1e-6, nil)
+	engineName := fs.String("engine", "sequential", "sequential|matrix")
 	every := fs.Int("trace-every", 0, "print U, µ every k rounds (0 = summary only)")
 	csvPath := fs.String("csv", "", "write the round-by-round trace as CSV to this file")
 	finals := fs.Bool("finals", false, "print per-node finals as hex floats — the bit-exact oracle the multi-process gate diffs `iabc serve` output against")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := ParseTopo(*topoSpec, stdin)
-	if err != nil {
+	if err := in.resolve(stdin); err != nil {
 		return err
 	}
-	n := g.N()
-	ids, err := parseNodeList(*faultyList)
-	if err != nil {
-		return err
-	}
-	// Bounds checks on ids are the facade's job (WithFaulty/Simulate).
-	strat, err := iabc.AdversaryByName(*advName, *seed)
-	if err != nil {
-		return err
-	}
+	g, n, ids, strat := in.g, in.g.N(), in.faulty, in.strat
 	engine, err := engineByName(*engineName)
 	if err != nil {
 		return err
 	}
-	initial := make([]float64, n)
-	rng := rand.New(rand.NewSource(*seed))
-	for i := range initial {
-		initial[i] = rng.Float64() * 100
-	}
-	opts := []iabc.Option{
-		iabc.WithEngine(engine),
-		iabc.WithF(*f),
-		iabc.WithFaulty(ids...),
-		iabc.WithInitial(initial),
-		iabc.WithAdversary(strat),
-		iabc.WithMaxRounds(*rounds),
-		iabc.WithEpsilon(*eps),
-	}
+	opts := append(in.options(), iabc.WithEngine(engine))
 	if *csvPath != "" {
 		opts = append(opts, iabc.WithRecordStates())
 	}
@@ -272,7 +240,7 @@ func cmdRun(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "trace written to %s\n", *csvPath)
 	}
 	fmt.Fprintf(stdout, "graph: %s  f=%d  faulty=%s  adversary=%s  engine=%s\n",
-		g, *f, iabc.SetOf(n, ids...), strat.Name(), engine)
+		g, in.f, iabc.SetOf(n, ids...), strat.Name(), engine)
 	if *every > 0 {
 		for r := 0; r <= tr.Rounds; r += *every {
 			fmt.Fprintf(stdout, "round %6d  U=%.8f  µ=%.8f  range=%.3e\n",

@@ -192,13 +192,17 @@ func TestRunWithTraceEvery(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentEngine(t *testing.T) {
-	code, stdout, _ := run(t, "", "run",
-		"-topo", "complete:5", "-f", "1", "-faulty", "4",
-		"-adversary", "fixed-high", "-engine", "concurrent",
-		"-rounds", "500", "-eps", "1e-6")
-	if code != 0 || !strings.Contains(stdout, "engine=concurrent") {
-		t.Fatalf("code=%d out=%q", code, stdout)
+// TestRunRefusesRemovedEngine pins that the deleted goroutine-per-node
+// engine's name is an unknown engine, on run and on sweep.
+func TestRunRefusesRemovedEngine(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-topo", "complete:5", "-engine", "concurrent"},
+		{"sweep", "-family", "core", "-engine", "concurrent"},
+	} {
+		code, _, stderr := run(t, "", args...)
+		if code != 1 || !strings.Contains(stderr, `unknown engine "concurrent" (sequential|matrix)`) {
+			t.Errorf("%v: code=%d stderr=%q", args, code, stderr)
+		}
 	}
 }
 

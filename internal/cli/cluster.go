@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"iabc"
@@ -16,13 +15,10 @@ import (
 // chaos layer — and reports the stop verdict plus the robustness counters.
 func cmdCluster(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
-	topoSpec := fs.String("topo", "", "topology spec (required)")
-	f := fs.Int("f", 1, "fault-tolerance parameter")
-	faultyList := fs.String("faulty", "", "comma-separated faulty node IDs")
-	advName := fs.String("adversary", "extremes", "byzantine strategy")
-	rounds := fs.Int("rounds", 1000, "maximum rounds per node")
-	eps := fs.Float64("eps", 1e-6, "convergence threshold on U−µ (0 = run all rounds)")
-	seed := fs.Int64("seed", 1, "seed for initial values, randomized adversaries, and chaos")
+	in := instanceFlags(fs, 1, 1000, 1e-6, map[string]string{
+		"rounds": "maximum rounds per node",
+		"seed":   "seed for initial values, randomized adversaries, and chaos",
+	})
 	drop := fs.Float64("drop", 0, "chaos: per-message drop probability")
 	dup := fs.Float64("dup", 0, "chaos: per-message duplication probability")
 	delay := fs.Duration("delay", 0, "chaos: max per-message reordering delay")
@@ -32,38 +28,17 @@ func cmdCluster(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := ParseTopo(*topoSpec, stdin)
-	if err != nil {
+	if err := in.resolve(stdin); err != nil {
 		return err
 	}
-	n := g.N()
-	ids, err := parseNodeList(*faultyList)
-	if err != nil {
-		return err
-	}
-	strat, err := iabc.AdversaryByName(*advName, *seed)
-	if err != nil {
-		return err
-	}
-	initial := make([]float64, n)
-	rng := rand.New(rand.NewSource(*seed))
-	for i := range initial {
-		initial[i] = rng.Float64() * 100
-	}
-	opts := []iabc.Option{
-		iabc.WithF(*f),
-		iabc.WithFaulty(ids...),
-		iabc.WithInitial(initial),
-		iabc.WithAdversary(strat),
-		iabc.WithMaxRounds(*rounds),
-		iabc.WithEpsilon(*eps),
+	opts := append(in.options(),
 		iabc.WithResendEvery(*resend),
 		iabc.WithStallAfter(*stall),
-	}
+	)
 	chaotic := *drop > 0 || *dup > 0 || *delay > 0
 	if chaotic {
 		opts = append(opts, iabc.WithChaos(iabc.ChaosConfig{
-			Seed: *seed, Drop: *drop, Dup: *dup, MaxDelay: *delay,
+			Seed: in.seed, Drop: *drop, Dup: *dup, MaxDelay: *delay,
 		}))
 	}
 	ctx := context.Background()
@@ -72,22 +47,15 @@ func cmdCluster(args []string, stdin io.Reader, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res, err := iabc.Cluster(ctx, g, opts...)
+	res, err := iabc.Cluster(ctx, in.g, opts...)
 	if err != nil {
 		return err
 	}
+	faulty := iabc.SetOf(in.g.N(), in.faulty...)
 	fmt.Fprintf(stdout, "graph: %s  f=%d  faulty=%s  adversary=%s  chaos=%v\n",
-		g, *f, iabc.SetOf(n, ids...), strat.Name(), chaotic)
-	verdict := "max rounds"
-	switch {
-	case res.Converged:
-		verdict = "converged"
-	case res.Stalled:
-		verdict = "stalled"
-	}
-	faultFree := iabc.SetOf(n, ids...).Complement()
+		in.g, in.f, faulty, in.strat.Name(), chaotic)
 	fmt.Fprintf(stdout, "verdict: %s  min round: %d  final range: %.3e  elapsed: %s\n",
-		verdict, res.MinRound(faultFree), res.FinalRange, res.Elapsed.Round(time.Millisecond))
+		clusterVerdict(res), res.MinRound(faulty.Complement()), res.FinalRange, res.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "traffic: %d deliveries, %d updates, %d resends, %d abandoned sends, %d queue drops, %d restarts\n",
 		res.Deliveries, res.Updates, res.Resends, res.Abandoned, res.OutDropped, res.Restarts)
 	return nil

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -35,15 +34,16 @@ import (
 // per local node) so bit-identity is diffable as text.
 func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	topoSpec := fs.String("topo", "", "topology spec (required; must match every peer)")
+	in := instanceFlags(fs, 0, 50, 0, map[string]string{
+		"topo":      "topology spec (required; must match every peer)",
+		"faulty":    "comma-separated faulty node IDs (locally hosted ones are adversary-driven)",
+		"adversary": "byzantine strategy for local faulty nodes",
+		"rounds":    "rounds each local node runs",
+		"eps":       "local convergence threshold (0 = run all rounds; judge convergence over the collected finals)",
+		"seed":      "shared seed: every process derives the same initial vector from it",
+	})
 	idList := fs.String("id", "", "comma-separated node ids this process animates (required)")
 	peersPath := fs.String("peers", "", "peers file mapping every node id to host:port (required)")
-	f := fs.Int("f", 0, "fault-tolerance parameter")
-	faultyList := fs.String("faulty", "", "comma-separated faulty node IDs (locally hosted ones are adversary-driven)")
-	advName := fs.String("adversary", "extremes", "byzantine strategy for local faulty nodes")
-	rounds := fs.Int("rounds", 50, "rounds each local node runs")
-	eps := fs.Float64("eps", 0, "local convergence threshold (0 = run all rounds; judge convergence over the collected finals)")
-	seed := fs.Int64("seed", 1, "shared seed: every process derives the same initial vector from it")
 	resend := fs.Duration("resend", 0, "initial stall-triggered resend interval (0 = default)")
 	stall := fs.Duration("stall", 10*time.Second, "liveness cutoff: give up after this long without local progress (0 = none)")
 	linger := fs.Duration("linger", 500*time.Millisecond, "keep serving history resends this long after local completion, so laggard peers can finish")
@@ -51,11 +51,10 @@ func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := ParseTopo(*topoSpec, stdin)
-	if err != nil {
+	if err := in.resolve(stdin); err != nil {
 		return err
 	}
-	n := g.N()
+	g, n, initial := in.g, in.g.N(), in.initial
 	local, err := parseNodeList(*idList)
 	if err != nil {
 		return err
@@ -78,25 +77,9 @@ func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 				local[0], id, listen, addrs[id])
 		}
 	}
-	faulty, err := parseNodeList(*faultyList)
-	if err != nil {
-		return err
-	}
-	strat, err := iabc.AdversaryByName(*advName, *seed)
-	if err != nil {
-		return err
-	}
-	// The shared deterministic initial vector: same derivation as `iabc run`
-	// and `iabc cluster`, so the single-process oracle and every serve
-	// process agree bit for bit.
-	initial := make([]float64, n)
-	rng := rand.New(rand.NewSource(*seed))
-	for i := range initial {
-		initial[i] = rng.Float64() * 100
-	}
 	// Validity reference: the fault-free initial hull. Every fault-free
 	// update must stay inside it (Section 2.2's validity condition).
-	faultFree := iabc.SetOf(n, faulty...).Complement()
+	faultFree := iabc.SetOf(n, in.faulty...).Complement()
 	hullLo, hullHi := math.Inf(1), math.Inf(-1)
 	faultFree.ForEach(func(i int) bool {
 		hullLo, hullHi = math.Min(hullLo, initial[i]), math.Max(hullHi, initial[i])
@@ -104,13 +87,7 @@ func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	})
 	validityViolated := false
 
-	opts := []iabc.Option{
-		iabc.WithF(*f),
-		iabc.WithFaulty(faulty...),
-		iabc.WithInitial(initial),
-		iabc.WithAdversary(strat),
-		iabc.WithMaxRounds(*rounds),
-		iabc.WithEpsilon(*eps),
+	opts := append(in.options(),
 		iabc.WithResendEvery(*resend),
 		iabc.WithStallAfter(*stall),
 		iabc.WithLocalNodes(local...),
@@ -121,7 +98,7 @@ func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 				validityViolated = true
 			}
 		}),
-	}
+	)
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -129,7 +106,7 @@ func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 		defer cancel()
 	}
 	fmt.Fprintf(stdout, "graph: %s  f=%d  local=%s  listen=%s\n",
-		g, *f, iabc.SetOf(n, local...), listen)
+		g, in.f, iabc.SetOf(n, local...), listen)
 	res, err := iabc.Cluster(ctx, g, opts...)
 	if err != nil {
 		return err
@@ -139,20 +116,13 @@ func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "final %d %s\n", id, strconv.FormatFloat(res.Final[id], 'x', -1, 64))
 		}
 	}
-	verdict := "max rounds"
-	switch {
-	case res.Converged:
-		verdict = "converged"
-	case res.Stalled:
-		verdict = "stalled"
-	}
 	localFree := iabc.SetOf(n, local...).Intersect(faultFree)
 	minRound := 0
 	if !localFree.Empty() {
 		minRound = res.MinRound(localFree)
 	}
 	fmt.Fprintf(stdout, "verdict: %s  min round: %d  elapsed: %s\n",
-		verdict, minRound, res.Elapsed.Round(time.Millisecond))
+		clusterVerdict(res), minRound, res.Elapsed.Round(time.Millisecond))
 	if validityViolated {
 		fmt.Fprintln(stdout, "VALIDITY VIOLATED: a local update left the fault-free initial hull")
 	} else {

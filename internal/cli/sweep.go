@@ -77,7 +77,7 @@ func cmdSweep(args []string, stdout io.Writer) error {
 	advList := fs.String("adversaries", "", "comma-separated strategies; each point is run under all of them via the batched scenario engine")
 	rounds := fs.Int("rounds", 100000, "round cap per point")
 	seed := fs.Int64("seed", 1, "seed for randomized pieces")
-	engineName := fs.String("engine", "sequential", "sequential|concurrent|matrix")
+	engineName := fs.String("engine", "sequential", "sequential|matrix")
 	scenarios := fs.Int("scenarios", 0, "batched what-if initial vectors per point (matrix engine replay of the base adversary)")
 	batch := fs.Int("batch", 0, "matrix-replay initial vectors per scenario row (composes with -adversaries; requires -engine matrix)")
 	workers := fs.Int("workers", 1, "parallel scenario workers per point (0 = GOMAXPROCS); scenarios run bit-identically at any worker count")

@@ -106,7 +106,6 @@ func TestSweepWorkersAndEngines(t *testing.T) {
 		{"sequential-w1", nil},
 		{"sequential-w4", []string{"-workers", "4"}},
 		{"sequential-auto", []string{"-workers", "0"}},
-		{"concurrent", []string{"-engine", "concurrent"}},
 		{"matrix", []string{"-engine", "matrix"}},
 		{"matrix-w4", []string{"-engine", "matrix", "-workers", "4"}},
 	} {
@@ -179,7 +178,7 @@ func TestSweepAdversariesFlagConflicts(t *testing.T) {
 	if code != 1 || !strings.Contains(stderr, "-batch") {
 		t.Errorf("-scenarios with -batch should be rejected: code=%d stderr=%q", code, stderr)
 	}
-	code, _, stderr = run(t, "", "sweep", "-family", "core", "-batch", "2", "-engine", "concurrent")
+	code, _, stderr = run(t, "", "sweep", "-family", "core", "-batch", "2", "-engine", "sequential")
 	if code != 1 || !strings.Contains(stderr, "matrix") {
 		t.Errorf("-batch with a non-matrix engine should be rejected: code=%d stderr=%q", code, stderr)
 	}
@@ -220,7 +219,7 @@ func TestSweepEngineFlag(t *testing.T) {
 	if code != 1 {
 		t.Error("unknown engine should fail")
 	}
-	code, _, stderr = run(t, "", "sweep", "-family", "core", "-engine", "concurrent", "-scenarios", "2")
+	code, _, stderr = run(t, "", "sweep", "-family", "core", "-engine", "sequential", "-scenarios", "2")
 	if code != 1 || !strings.Contains(stderr, "matrix") {
 		t.Errorf("-scenarios with a non-matrix engine should be rejected: code=%d stderr=%q", code, stderr)
 	}
@@ -243,7 +242,7 @@ func TestSweepChordShowsViolations(t *testing.T) {
 // config's MaxRounds check), which the sweep wraps with the scenario label
 // before the CLI surfaces it.
 func TestSweepNamesFailingScenario(t *testing.T) {
-	for _, engine := range []string{"sequential", "concurrent", "matrix"} {
+	for _, engine := range []string{"sequential", "matrix"} {
 		t.Run(engine, func(t *testing.T) {
 			code, _, stderr := run(t, "", "sweep", "-family", "core", "-f", "1", "-to", "4",
 				"-adversaries", "extremes,hug-high", "-engine", engine, "-rounds", "0")

@@ -143,6 +143,21 @@ func TestDistributedCheckKilledWorker(t *testing.T) {
 	}
 }
 
+// cancelOnWrite cancels the check's context from inside the first journal
+// write (the coordinator journals through ScanFrontier.CompleteSpan while it
+// holds its lock, before the reported span is acknowledged). That orders the
+// cancellation before the scan can complete, whatever the scheduler does: a
+// cancel raced against a ~1 ms scan from a progress callback sometimes lost.
+type cancelOnWrite struct {
+	statestore.Backend
+	cancel context.CancelFunc
+}
+
+func (b cancelOnWrite) Write(ctx context.Context, key string, data []byte) error {
+	b.cancel()
+	return b.Backend.Write(ctx, key, data)
+}
+
 // TestDistributedCheckResume interrupts a durable distributed check, then
 // completes it in a second run: the composed Result matches the oracle with
 // FaultSetsResumed recording the replayed prefix, and a third run is a pure
@@ -159,12 +174,7 @@ func TestDistributedCheckResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	_, err = c.CheckScan(ctx, g, 4, threshold, condition.ScanOptions{
-		Store: store, CheckpointEvery: 1,
-		OnProgress: func(p condition.Progress) {
-			if p.FaultSetsDone >= 100 {
-				cancel()
-			}
-		},
+		Store: cancelOnWrite{store, cancel}, CheckpointEvery: 1,
 	})
 	if err == nil {
 		t.Fatal("interrupted distributed check returned no error")

@@ -173,8 +173,6 @@ func engineByName(name string) (sim.Engine, error) {
 	switch name {
 	case "sequential":
 		return sim.Sequential{}, nil
-	case "concurrent":
-		return sim.Concurrent{}, nil
 	case "matrix":
 		return sim.Matrix{}, nil
 	default:

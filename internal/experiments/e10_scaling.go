@@ -19,7 +19,7 @@ import (
 //
 //   - exact checker work (fault sets and candidate sets examined, wall
 //     time) across a family of growing core networks;
-//   - rounds/second for the sequential and concurrent engines.
+//   - rounds/second for the sequential and matrix engines.
 //
 // Exact timings live in bench_test.go; this table gives the deterministic
 // counters plus a coarse wall-clock so `iabc experiments` output stands on
@@ -130,7 +130,7 @@ func E10Scaling() (*E10Result, error) {
 		Adversary: adversary.Hug{High: true},
 		MaxRounds: rounds,
 	}
-	for _, eng := range []sim.Engine{sim.Sequential{}, sim.Concurrent{}, sim.Matrix{}} {
+	for _, eng := range []sim.Engine{sim.Sequential{}, sim.Matrix{}} {
 		start := time.Now()
 		tr, err := eng.Run(engCfg)
 		if err != nil {
@@ -244,13 +244,13 @@ func E10Scaling() (*E10Result, error) {
 
 // Passed reports whether all checker rows verified the expected
 // satisfiability (core networks always satisfy) and every engine row
-// (sequential, concurrent, matrix, matrix-batch, scenarios, parallel
-// scenarios, composed matrix-scenario batch) completed.
+// (sequential, matrix, matrix-batch, scenarios, parallel scenarios,
+// composed matrix-scenario batch) completed.
 func (r *E10Result) Passed() bool {
 	for _, c := range r.Checker {
 		if !c.Satisfied {
 			return false
 		}
 	}
-	return len(r.Checker) > 0 && len(r.Engines) == 7
+	return len(r.Checker) > 0 && len(r.Engines) == 6
 }

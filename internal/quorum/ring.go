@@ -78,7 +78,9 @@ func (ib *Ring) grow(need int) {
 
 // Put records an arrival for (round, pos) where pos is the sender's index in
 // the node's sorted in-neighbor list. It reports whether the arrival was
-// fresh (false = duplicate, dropped). round must be ≥ Base().
+// fresh (false = duplicate, dropped). round must be ≥ Base(), and the ring
+// grows to hold round − Base() + 1 slots, so the caller bounds the window:
+// the Stepper never passes a round at or beyond its maxRounds.
 func (ib *Ring) Put(round, pos int, v float64) bool {
 	if round-ib.base >= ib.slots {
 		ib.grow(round - ib.base + 1)

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -293,10 +294,12 @@ func FuzzRingModel(f *testing.F) {
 // deliveries to a Stepper, and the map model replays the Section 7
 // discipline naively — first arrival wins, advance while the current round
 // holds a quorum, update through the reference rule. Put ops deliver (bit 6
-// additionally makes the advanced callback stop after one round), Pop ops
-// deliver what must be ignored (a stale round and a forged sender), Reset
-// ops crash the inbox. After every op the stepper's round, value, callback
-// sequence, and whole inbox must match the model.
+// additionally makes the advanced callback stop after one round; a round at
+// or beyond maxRounds must be dropped), Pop ops deliver what must be ignored
+// (a stale round, a forged sender, and the forged far-future rounds of
+// TestStepperDropsRoundsBeyondMaxRounds), Reset ops crash the inbox. After
+// every op the stepper's round, value, callback sequence, and whole inbox
+// must match the model.
 func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 	t.Helper()
 	const (
@@ -322,7 +325,7 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 			if err := st.Deliver(senders[pos], round, float64(i), advanced); err != nil {
 				t.Fatalf("op %d: Deliver: %v", i, err)
 			}
-			if m.put(round, pos, float64(i)) {
+			if round < maxRounds && m.put(round, pos, float64(i)) {
 				for m.base < maxRounds && m.filled(m.base, deg) >= need {
 					v, err := rule.Update(value, m.gather(m.base, senders), 0)
 					if err != nil {
@@ -343,6 +346,11 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 			if err := st.Deliver(senders[0]+1, m.base, -1, advanced); err != nil {
 				t.Fatalf("op %d: forged Deliver: %v", i, err)
 			}
+			for _, round := range forgedRounds(maxRounds) {
+				if err := st.Deliver(senders[0], round, -1, advanced); err != nil {
+					t.Fatalf("op %d: far-future Deliver(%d): %v", i, round, err)
+				}
+			}
 		default:
 			st.Reset()
 			m.reset(m.base)
@@ -359,5 +367,60 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 			t.Fatalf("op %d: stepper at (%d, %v), model (%d, %v)", i, st.Round(), st.Value(), m.base, value)
 		}
 		checkAgainstModel(t, st.inbox, m, deg, senders, 40)
+	}
+}
+
+// forgedRounds are round tags no update below maxRounds ever consumes: what a
+// Byzantine in-neighbor aims at ring growth.
+func forgedRounds(maxRounds int) []int {
+	return []int{maxRounds, maxRounds + 1, 1 << 40, math.MaxInt}
+}
+
+// TestStepperDropsRoundsBeyondMaxRounds pins the Stepper's memory bound: a
+// delivery tagged with a round ≥ maxRounds from a real in-neighbor — message
+// content a faulty node chooses — is dropped like a stale one, leaving round,
+// value, and the inbox window untouched. Without the bound the 1<<40 delivery
+// ends the process in the ring's grow (out of memory, not a panic).
+func TestStepperDropsRoundsBeyondMaxRounds(t *testing.T) {
+	const maxRounds = 100
+	senders := []int{1, 2, 3, 4}
+	st := NewStepper(senders, Count(len(senders), 1), 1, maxRounds, core.TrimmedMean{}, 0.5)
+	slots := st.inbox.slots
+	for _, round := range forgedRounds(maxRounds) {
+		err := st.Deliver(senders[0], round, 1e9, func(int, float64) bool {
+			t.Fatalf("round %d: a forged delivery advanced the node", round)
+			return false
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if st.Round() != 0 || st.Value() != 0.5 || st.inbox.slots != slots || st.inbox.Filled(round) != 0 {
+			t.Fatalf("round %d: stepper at (%d, %v) with %d slots, want (0, 0.5) with %d",
+				round, st.Round(), st.Value(), st.inbox.slots, slots)
+		}
+	}
+	// The last round an update does consume is still accepted, and it bounds
+	// the window at maxRounds slots rounded up to the ring's doubling.
+	if err := st.Deliver(senders[0], maxRounds-1, 7, func(int, float64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.inbox.Filled(maxRounds - 1); got != 1 {
+		t.Fatalf("round %d holds %d values, want 1", maxRounds-1, got)
+	}
+	if st.inbox.slots < maxRounds || st.inbox.slots >= 2*maxRounds {
+		t.Fatalf("inbox grew to %d slots for a %d-round run", st.inbox.slots, maxRounds)
+	}
+	// The forged traffic cost the node nothing: a real quorum still advances it.
+	advancedTo := 0
+	for _, from := range senders[1:] {
+		if err := st.Deliver(from, 0, float64(from), func(round int, _ float64) bool {
+			advancedTo = round
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if advancedTo != 1 || st.Round() != 1 {
+		t.Fatalf("after a real round-0 quorum the node is at round %d (callback %d), want 1", st.Round(), advancedTo)
 	}
 }

@@ -62,7 +62,12 @@ func (s *Stepper) Reset() { s.inbox.Reset(s.round) }
 // Deliver ingests the round-tagged value from sender from, then applies
 // every update the inbox now supports. Stale rounds, duplicates of a
 // (sender, round) already seen, and senders outside the in-neighbor list
-// are ignored. The node moves the moment a quorum fills, so an update
+// are ignored. So are rounds ≥ maxRounds: a round-t value is consumed only
+// by the update t → t+1 and updates stop at maxRounds, so no such value is
+// ever read — and the round tag is message content a faulty in-neighbor
+// chooses, so accepting it would let one frame tagged 1<<40 grow the inbox
+// until the process dies. With the check the inbox never spans more than
+// maxRounds rounds. The node moves the moment a quorum fills, so an update
 // usually sees exactly need values; a later round buffered while the node
 // lagged can hold more, which the rule tolerates.
 //
@@ -71,7 +76,7 @@ func (s *Stepper) Reset() { s.inbox.Reset(s.round) }
 // consistent and a later Deliver resumes it). A rule error is returned
 // as is, with Round() still naming the round that failed.
 func (s *Stepper) Deliver(from, round int, value float64, advanced func(round int, value float64) bool) error {
-	if round < s.round {
+	if round < s.round || round >= s.maxRounds {
 		return nil
 	}
 	pos := sort.SearchInts(s.ins, from)

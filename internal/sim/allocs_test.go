@@ -38,9 +38,7 @@ func TestEngineRoundLoopZeroSteadyStateAllocs(t *testing.T) {
 		{"insider-high", func() adversary.Strategy { return &adversary.Insider{High: true} }},
 		{"silent", func() adversary.Strategy { return adversary.Silent{} }},
 	}
-	// Concurrent is excluded: goroutine stacks and runtime channel machinery
-	// make its allocation profile scheduling-dependent.
-	for _, eng := range []Engine{Sequential{}, Matrix{}} {
+	for _, eng := range engines() {
 		for _, adv := range adversaries {
 			t.Run(eng.Name()+"/"+adv.name, func(t *testing.T) {
 				measure := func(rounds int) float64 {

@@ -1,11 +1,11 @@
 package sim
 
 // The cross-engine differential suite: one scenario table driven through
-// Sequential, Concurrent, Matrix, and (for synchronous-delivery
-// configurations) the async engine, with every built-in adversary and rule
+// Sequential, Matrix, and (for synchronous-delivery configurations) the
+// async engine, with every built-in adversary and rule
 // exercised both as built (WriteMessages / UpdateInto called directly) and
 // with the fast method hidden (served through adversary.Writer /
-// core.Buffered). All synchronous engines must agree bit for bit — this is
+// core.Buffered). Both synchronous engines must agree bit for bit — this is
 // the harness that keeps the implementations honest as each gets optimized
 // separately, and that pins the two adapters to identical semantics.
 
@@ -188,8 +188,8 @@ func assertTracesEqual(t *testing.T, label string, want, got *Trace) {
 	}
 }
 
-// TestCrossEngineConformance drives every scenario through all three
-// synchronous engines and both seam paths, asserting bit-identical traces
+// TestCrossEngineConformance drives every scenario through both synchronous
+// engines and both seam paths, asserting bit-identical traces
 // against the Sequential adapted-path reference (Messages map + reference
 // Update). Matrix reads the concrete rule type and never calls the rule, so
 // its adapted runs hide only the adversary's WriteMessages.
@@ -212,8 +212,6 @@ func TestCrossEngineConformance(t *testing.T) {
 			}
 			variants := []variant{
 				{"sequential/writer", Sequential{}, false},
-				{"concurrent/map", Concurrent{}, true},
-				{"concurrent/writer", Concurrent{}, false},
 			}
 			if affine {
 				variants = append(variants,
@@ -247,24 +245,18 @@ func TestCrossEngineConformance(t *testing.T) {
 				assertTracesEqual(t, "scenarios[0]", ref, traces[0])
 				assertTracesEqual(t, "scenarios[1]", ref, traces[1])
 
-				// The pooled runners behind Sweep must agree for every
-				// engine: the second slot reuses the pooled state (node
-				// goroutines, matrix scratch), catching stale-state bugs.
-				// The concurrent pool takes the adapted config, so a pool
-				// re-normalises both seams per scenario.
-				sweepEngines := []Engine{Concurrent{}}
+				// The matrix engine's pooled runner behind Sweep must agree
+				// too: the second slot reuses the matrix scratch, catching
+				// stale-state bugs.
 				if affine {
-					sweepEngines = append(sweepEngines, Matrix{})
-				}
-				for _, eng := range sweepEngines {
-					res, err := Sweep(context.Background(), sc.buildConfig(t, eng == Concurrent{}),
+					res, err := Sweep(context.Background(), base,
 						[]Scenario{{Name: "a"}, {Name: "b"}},
-						SweepOptions{Engine: eng, Workers: 1})
+						SweepOptions{Engine: Matrix{}, Workers: 1})
 					if err != nil {
-						t.Fatalf("Sweep/%s: %v", eng.Name(), err)
+						t.Fatalf("Sweep/matrix: %v", err)
 					}
-					assertTracesEqual(t, "sweep/"+eng.Name()+"[0]", ref, res.Traces[0])
-					assertTracesEqual(t, "sweep/"+eng.Name()+"[1]", ref, res.Traces[1])
+					assertTracesEqual(t, "sweep/matrix[0]", ref, res.Traces[0])
+					assertTracesEqual(t, "sweep/matrix[1]", ref, res.Traces[1])
 				}
 			}
 		})

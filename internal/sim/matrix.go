@@ -195,8 +195,6 @@ func (r *matrixRunner) runBatchScenario(cfg *Config, extras [][]float64) (*Trace
 	return &tr.Trace, stream.finals(nil), nil
 }
 
-func (r *matrixRunner) Close() {}
-
 // replayBufs holds the structure-of-arrays replay state (cur/nxt ping-pong
 // planes, the K-wide accumulator, and the finals storage) so repeated
 // replays do not reallocate.

@@ -60,16 +60,13 @@ func (s *Scenario) apply(base Config) Config {
 
 // ScenarioRunner is a reusable engine instance for scenario sweeps: it is
 // constructed once per worker for one graph, and then executes many derived
-// configs over the same pooled state (edge planes, receive buffers, node
-// goroutines), amortizing the per-run setup across the whole sweep.
+// configs over the same pooled state (edge planes, receive buffers, program
+// storage), amortizing the per-run setup across the whole sweep.
 //
 // RunScenario validates the config; the config's graph must be the exact
-// *graph.Graph the runner was built for. Close releases pooled resources
-// (node goroutines for the concurrent pool); the runner must not be used
-// afterwards.
+// *graph.Graph the runner was built for.
 type ScenarioRunner interface {
 	RunScenario(cfg *Config) (*Trace, error)
-	Close()
 }
 
 // runnerFactory is implemented by engines that provide a pooled runner.
@@ -84,9 +81,9 @@ type batchRunner interface {
 	runBatchScenario(cfg *Config, extras [][]float64) (*Trace, [][]float64, error)
 }
 
-// NewScenarioRunner returns a reusable runner for engine over g. Sequential,
-// Concurrent (a node pool, see NewConcurrentPool), and Matrix provide pooled
-// implementations; any other engine falls back to a fresh Run per scenario.
+// NewScenarioRunner returns a reusable runner for engine over g. Sequential
+// and Matrix provide pooled implementations; any other engine falls back to
+// a fresh Run per scenario.
 // A nil engine selects Sequential.
 func NewScenarioRunner(engine Engine, g *graph.Graph) ScenarioRunner {
 	if engine == nil {
@@ -102,13 +99,12 @@ func NewScenarioRunner(engine Engine, g *graph.Graph) ScenarioRunner {
 type genericRunner struct{ e Engine }
 
 func (r genericRunner) RunScenario(cfg *Config) (*Trace, error) { return r.e.Run(*cfg) }
-func (r genericRunner) Close()                                  {}
 
 // SweepOptions configures Sweep.
 type SweepOptions struct {
 	// Engine selects the per-scenario engine; nil defaults to Sequential.
-	// Sequential, Concurrent, and Matrix all run through pooled
-	// ScenarioRunners (one per worker).
+	// Sequential and Matrix run through pooled ScenarioRunners (one per
+	// worker).
 	Engine Engine
 	// Workers fans scenarios across goroutines, one private runner (and
 	// message plane) each; scenarios are independent, so the sweep scales
@@ -374,7 +370,6 @@ func sweepOrdered(ctx context.Context, engine Engine, scenarios []Scenario, cfgs
 	workers := resolveWorkers(opts.Workers, len(order))
 	if workers == 1 {
 		r := newWorkerRunner()
-		defer r.Close()
 		for _, i := range order {
 			if ctx.Err() != nil {
 				return nil, cancelErr()
@@ -400,7 +395,6 @@ func sweepOrdered(ctx context.Context, engine Engine, scenarios []Scenario, cfgs
 		go func() {
 			defer wg.Done()
 			r := newWorkerRunner()
-			defer r.Close()
 			for !failed.Load() && !canceled.Load() {
 				k := int(next.Add(1) - 1)
 				if k >= len(order) {
@@ -490,5 +484,3 @@ func (r *sequentialRunner) RunScenario(cfg *Config) (*Trace, error) {
 	}
 	return &tr.Trace, nil
 }
-
-func (r *sequentialRunner) Close() {}

@@ -383,7 +383,7 @@ func parallelScenarios(n int) []Scenario {
 func TestSweepParallelBitIdentical(t *testing.T) {
 	base := scenarioBase(t)
 	n := base.G.N()
-	for _, eng := range []Engine{Sequential{}, Concurrent{}, Matrix{}} {
+	for _, eng := range []Engine{Sequential{}, Matrix{}} {
 		t.Run(eng.Name(), func(t *testing.T) {
 			seq, err := Sweep(context.Background(), base, parallelScenarios(n), SweepOptions{Engine: eng, Workers: 1})
 			if err != nil {
@@ -463,63 +463,6 @@ func TestSweepMatrixBatchConformance(t *testing.T) {
 	}
 }
 
-// TestConcurrentPoolReuse drives one pool through many scenarios (changing
-// adversary, fault set, and initial vector) and checks every trace against
-// the Sequential engine (Concurrent.Run is this same pool used once, so it
-// would be no oracle), then exercises the pool's failure modes.
-func TestConcurrentPoolReuse(t *testing.T) {
-	base := scenarioBase(t)
-	n := base.G.N()
-	pool := NewConcurrentPool(base.G)
-	defer pool.Close()
-
-	scens := parallelScenarios(n)
-	for i := range scens {
-		cfg := scens[i].apply(base)
-		got, err := pool.RunScenario(&cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", scens[i].Name, err)
-		}
-		// Fresh strategy for the reference run: pooled run consumed any rng.
-		ref := parallelScenarios(n)[i].apply(base)
-		want, err := Sequential{}.Run(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTracesEqual(t, scens[i].Name, want, got)
-	}
-
-	other, err := topology.Complete(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatch := Config{
-		G: other, F: 1, Initial: []float64{0, 1, 2, 3, 4},
-		Rule: core.TrimmedMean{}, MaxRounds: 5,
-	}
-	if _, err := pool.RunScenario(&mismatch); err == nil {
-		t.Fatal("pool must reject a config for a different graph")
-	}
-	bad := base
-	bad.MaxRounds = 0
-	if _, err := pool.RunScenario(&bad); err == nil {
-		t.Fatal("pool must validate configs")
-	}
-}
-
-// TestConcurrentPoolClosed checks that a closed pool refuses work and that
-// double-Close is safe.
-func TestConcurrentPoolClosed(t *testing.T) {
-	base := scenarioBase(t)
-	pool := NewConcurrentPool(base.G)
-	pool.Close()
-	pool.Close() // idempotent
-	cfg := base
-	if _, err := pool.RunScenario(&cfg); err == nil {
-		t.Fatal("closed pool must refuse scenarios")
-	}
-}
-
 // oddEngine is an Engine without a pooled runner, pinning the generic
 // fallback path of NewScenarioRunner. It must not embed any in-package
 // engine: method promotion would hand it a newRunner and silently bypass
@@ -541,7 +484,6 @@ func TestNewScenarioRunnerFallback(t *testing.T) {
 	}
 
 	r := NewScenarioRunner(oddEngine{}, base.G)
-	defer r.Close()
 	cfg := base
 	got, err := r.RunScenario(&cfg)
 	if err != nil {
@@ -550,7 +492,6 @@ func TestNewScenarioRunnerFallback(t *testing.T) {
 	assertTracesEqual(t, "generic fallback", want, got)
 
 	nr := NewScenarioRunner(nil, base.G)
-	defer nr.Close()
 	got, err = nr.RunScenario(&cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -590,6 +531,5 @@ func TestSweepEmptyAndGraphChecks(t *testing.T) {
 		if _, err := r.RunScenario(&cfg); err == nil {
 			t.Fatalf("%s runner must reject a foreign graph", eng.Name())
 		}
-		r.Close()
 	}
 }

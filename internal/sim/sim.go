@@ -4,20 +4,19 @@
 // update rule Z_i. Faulty nodes' transmissions are overridden by an
 // adversary.Strategy.
 //
-// Three engines share one semantics:
+// Two engines share one semantics:
 //
 //   - Sequential: a single-goroutine reference implementation running on a
 //     flat edge-indexed message plane, allocation-free in steady state —
 //     used by benchmarks and exhaustive tests.
-//   - Concurrent: one goroutine per node exchanging values over per-edge
-//     channels with a coordinator barrier — demonstrating that the algorithm
-//     maps onto real message passing.
 //   - Matrix: materializes each round as a row-stochastic transition (the
 //     matrix representation of arXiv:1203.1888) and can replay the recorded
 //     round structure over batches of initial vectors (RunBatch).
 //
-// All are deterministic given identical configs and produce bit-identical
-// traces; cross-check tests enforce this.
+// Both are deterministic given identical configs and produce bit-identical
+// traces; cross-check tests enforce this. The algorithm as genuine message
+// passing — one goroutine per node — is internal/node, which at f = 0
+// reproduces these traces bit for bit.
 package sim
 
 import (

@@ -62,7 +62,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func engines() []Engine {
-	return []Engine{Sequential{}, Concurrent{}, Matrix{}}
+	return []Engine{Sequential{}, Matrix{}}
 }
 
 func TestF0ConvergenceOnStronglyConnected(t *testing.T) {
@@ -268,7 +268,7 @@ func TestTrimmedMeanResistsSameAttack(t *testing.T) {
 }
 
 func TestEnginesProduceIdenticalTraces(t *testing.T) {
-	// Property: Sequential and Concurrent agree bit-for-bit across random
+	// Property: Sequential and Matrix agree bit-for-bit across random
 	// configurations. Randomized adversaries need identical seeds, so each
 	// engine gets a freshly seeded strategy.
 	rng := rand.New(rand.NewSource(77))
@@ -306,22 +306,22 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
-		trCon, err := Concurrent{}.Run(makeCfg(seed))
+		trMat, err := Matrix{}.Run(makeCfg(seed))
 		if err != nil {
-			t.Fatalf("concurrent: %v", err)
+			t.Fatalf("matrix: %v", err)
 		}
-		if trSeq.Rounds != trCon.Rounds || trSeq.Converged != trCon.Converged {
+		if trSeq.Rounds != trMat.Rounds || trSeq.Converged != trMat.Converged {
 			t.Fatalf("trial %d: rounds/converged mismatch: %d/%v vs %d/%v",
-				trial, trSeq.Rounds, trSeq.Converged, trCon.Rounds, trCon.Converged)
+				trial, trSeq.Rounds, trSeq.Converged, trMat.Rounds, trMat.Converged)
 		}
 		for r := 0; r <= trSeq.Rounds; r++ {
-			if trSeq.U[r] != trCon.U[r] || trSeq.Mu[r] != trCon.Mu[r] {
+			if trSeq.U[r] != trMat.U[r] || trSeq.Mu[r] != trMat.Mu[r] {
 				t.Fatalf("trial %d round %d: U/µ mismatch", trial, r)
 			}
 			for i := 0; i < n; i++ {
-				if trSeq.States[r][i] != trCon.States[r][i] {
+				if trSeq.States[r][i] != trMat.States[r][i] {
 					t.Fatalf("trial %d round %d node %d: state %v vs %v",
-						trial, r, i, trSeq.States[r][i], trCon.States[r][i])
+						trial, r, i, trSeq.States[r][i], trMat.States[r][i])
 				}
 			}
 		}

@@ -11,7 +11,7 @@ import (
 	"iabc/internal/transport"
 )
 
-// Engine selects the execution engine behind Simulate and Sweep. The three
+// Engine selects the execution engine behind Simulate and Sweep. The two
 // synchronous engines share one semantics and produce bit-identical traces;
 // Async is the Section 7 quorum-iteration model under message delays (see
 // the package documentation's engine guide).
@@ -21,10 +21,6 @@ const (
 	// Sequential is the default: the single-goroutine reference engine on a
 	// flat message plane, allocation-free in steady state.
 	Sequential Engine = iota
-	// ConcurrentPool runs one goroutine per node with per-edge channels; in
-	// sweeps the goroutine/channel machinery is pooled per worker and
-	// reset per scenario.
-	ConcurrentPool
 	// Matrix materializes each round as a row-stochastic transition and can
 	// replay recorded rounds over extra initial vectors (WithExtras /
 	// WithBatch). Affine rules only (TrimmedMean, Mean).
@@ -39,8 +35,6 @@ func (e Engine) String() string {
 	switch e {
 	case Sequential:
 		return "sequential"
-	case ConcurrentPool:
-		return "concurrent"
 	case Matrix:
 		return "matrix"
 	case Async:
@@ -54,8 +48,6 @@ func (e Engine) simEngine() (sim.Engine, error) {
 	switch e {
 	case Sequential:
 		return sim.Sequential{}, nil
-	case ConcurrentPool:
-		return sim.Concurrent{}, nil
 	case Matrix:
 		return sim.Matrix{}, nil
 	case Async:
