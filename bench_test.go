@@ -1,12 +1,12 @@
 package iabc_test
 
-// The benchmark harness: one benchmark per paper experiment (E1–E10, see
-// DESIGN.md's experiment index and internal/experiments) plus
-// micro-benchmarks for the hot paths (the trimmed-mean update, the exact
-// condition checker, propagation, and both simulation engines).
+// Layer micro-benchmarks for the hot paths (the trimmed-mean update, the
+// exact condition checker, propagation, both simulation engines, the async
+// queue, distributed dispatch). The end-to-end ruler is BENCHMARK.json
+// (`go run ./benchmark`); the paper experiments are a byte-pinned regression
+// gate (internal/experiments), not a benchmark.
 //
-// Run everything:   go test -bench=. -benchmem
-// One experiment:   go test -bench=BenchmarkE7 -benchmem
+// Run everything:   go test -run '^$' -bench=. -benchmem
 
 import (
 	"context"
@@ -20,196 +20,11 @@ import (
 	"iabc/internal/condition"
 	"iabc/internal/core"
 	"iabc/internal/distrib"
-	"iabc/internal/experiments"
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/sim"
 	"iabc/internal/topology"
 )
-
-// —— Experiment benchmarks: cost of regenerating each paper artifact. ——
-
-func BenchmarkE1Theorem1Attack(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E1Theorem1Attack()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Frozen {
-			b.Fatal("attack did not freeze the partition")
-		}
-	}
-}
-
-func BenchmarkE2Corollary2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E2Corollary2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("corollary 2 sweep failed")
-		}
-	}
-}
-
-func BenchmarkE3Corollary3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E3Corollary3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("corollary 3 sweep failed")
-		}
-	}
-}
-
-func BenchmarkE4Hypercube(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E4Hypercube()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("hypercube sweep failed")
-		}
-	}
-}
-
-func BenchmarkE5CoreNetwork(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E5CoreNetwork()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("core network sweep failed")
-		}
-	}
-}
-
-func BenchmarkE6Chord(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E6Chord()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("chord sweep failed")
-		}
-	}
-}
-
-func BenchmarkE7ConvergenceRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E7ConvergenceRate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("rate sweep failed")
-		}
-	}
-}
-
-func BenchmarkE8Async(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E8Async()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("async sweep failed")
-		}
-	}
-}
-
-func BenchmarkE9TrimAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E9RuleAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("ablation failed")
-		}
-	}
-}
-
-func BenchmarkE10Scaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E10Scaling()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("scaling failed")
-		}
-	}
-}
-
-func BenchmarkE11Conjecture(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E11Conjecture()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.F1.ConjectureHolds || !r.F2.ConjectureHolds {
-			b.Fatal("conjecture verdict changed")
-		}
-	}
-}
-
-func BenchmarkE12Density(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E12Density()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("density sweep failed")
-		}
-	}
-}
-
-func BenchmarkE13Connectivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E13Connectivity()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("connectivity comparison failed")
-		}
-	}
-}
-
-func BenchmarkE14ReducedCrossCheck(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E14ReducedCrossCheck()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("cross-check failed")
-		}
-	}
-}
-
-func BenchmarkE15Delayed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.E15Delayed()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Passed() {
-			b.Fatal("staleness sweep failed")
-		}
-	}
-}
-
-// —— Micro-benchmarks: the hot paths behind the experiments. ——
 
 // BenchmarkTrimmedMeanUpdate measures one Z_i evaluation (equation (2)) at
 // realistic in-degrees: the copy+sort reference (Update) against the

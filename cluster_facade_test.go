@@ -1,11 +1,13 @@
 package iabc_test
 
 // Facade contract of Cluster: conformance to the deterministic Async engine
-// in the loss-free f = 0 regime, chaos convergence with serialized observer
-// streaming, caller-owned transport semantics, and option-level errors.
+// in the loss-free f = 0 regime, the paper's §7 experiment (E8) under
+// Byzantine faults, chaos convergence with serialized observer streaming,
+// caller-owned transport semantics, and option-level errors.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"iabc"
+	"iabc/internal/experiments"
 )
 
 func clusterInitial(n int) []float64 {
@@ -54,6 +57,49 @@ func TestClusterMatchesSimulateAsync(t *testing.T) {
 	}
 	if got.Updates != int64(g.N()*maxRounds) {
 		t.Errorf("updates = %d, want %d", got.Updates, g.N()*maxRounds)
+	}
+}
+
+// TestClusterRunsE8 executes the paper's §7 experiment on the runtime users
+// deploy: E8's run instances are option lists, and the lists E8 feeds to the
+// deterministic Async engine go unchanged to the live cluster over the
+// default in-process transport (WithDelays is ignored there). Every
+// converging instance must reach ε with the fault-free finals inside the
+// initial fault-free hull; the starvation instance — two silent nodes
+// against f = 1 — must come back stalled.
+func TestClusterRunsE8(t *testing.T) {
+	runs, starved, err := experiments.E8Instances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range runs {
+		name := fmt.Sprintf("K%d/%s", in.G.N(), in.Adversary.Name())
+		res, err := iabc.Cluster(context.Background(), in.G, append(in.Opts, iabc.WithStallAfter(10*time.Second))...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Converged || res.Stalled || res.FinalRange > experiments.E8Epsilon {
+			t.Errorf("%s: converged=%v stalled=%v final range=%g", name, res.Converged, res.Stalled, res.FinalRange)
+		}
+		faultFree := in.Faulty.Complement()
+		lo, hi := math.Inf(1), math.Inf(-1)
+		faultFree.ForEach(func(i int) bool {
+			lo, hi = math.Min(lo, in.Initial[i]), math.Max(hi, in.Initial[i])
+			return true
+		})
+		faultFree.ForEach(func(i int) bool {
+			if v := res.Final[i]; v < lo || v > hi {
+				t.Errorf("%s: node %d finished at %g, outside the initial hull [%g, %g]", name, i, v, lo, hi)
+			}
+			return true
+		})
+	}
+	res, err := iabc.Cluster(context.Background(), starved.G, append(starved.Opts, iabc.WithStallAfter(300*time.Millisecond))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stalled || res.Converged {
+		t.Errorf("starvation: stalled=%v converged=%v, want a stall", res.Stalled, res.Converged)
 	}
 }
 

@@ -50,7 +50,8 @@
 //     socket protocols, and bit-exact floats in JSON;
 //   - internal/graph, internal/topology, internal/nodeset — substrates;
 //   - internal/analysis — α, Lemma 5 contraction bounds, rate measurement;
-//   - internal/experiments — one reproduction per paper artifact (E1–E15).
+//   - internal/experiments — the paper artifacts E1–E15 as one table of
+//     experiments over this facade, output pinned by a golden.
 //
 // # Choosing an engine
 //
@@ -162,11 +163,10 @@
 //     (TestCalendarQueueRunMatchesHeap, FuzzCalendarQueueMatchesHeap)
 //     while push/pop allocate nothing in steady state.
 //
-// bench_test.go in this directory hosts the go test -bench harness: one
-// Benchmark per experiment plus micro-benchmarks for the hot paths. The
-// repo benchmark a change is judged by is declared in BENCHMARK.json and
-// run with `go run ./benchmark`: eight end-to-end workloads with per-layer
-// attribution. See README.md for a guided tour and EXPERIMENTS.md for
+// bench_test.go in this directory hosts the go test -bench layer
+// micro-benchmarks for the hot paths. The repo benchmark a change is judged
+// by is declared in BENCHMARK.json and run with `go run ./benchmark`: eight
+// end-to-end workloads with per-layer attribution. See README.md for a guided tour and EXPERIMENTS.md for
 // paper-vs-measured results.
 package iabc
 

@@ -40,6 +40,10 @@ Run 'iabc <command> -h' for command flags. Topology specs:
   file:<path>  -  (stdin edge list)
 `
 
+// runExperiments is what `iabc experiments` runs; a test substitutes a table
+// with a refuted row to pin the exit status.
+var runExperiments = experiments.RunAll
+
 // Main dispatches the CLI and returns the process exit code.
 func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
@@ -70,7 +74,7 @@ func Main(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	case "topo":
 		err = cmdTopo(rest, stdin, stdout)
 	case "experiments":
-		err = experiments.RunAll(stdout)
+		err = runExperiments(context.Background(), stdout)
 	case "help", "-h", "--help":
 		fmt.Fprint(stdout, usage)
 		return 0

@@ -1,10 +1,14 @@
 package cli
 
 import (
+	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"iabc/internal/experiments"
 )
 
 // run invokes Main with captured output.
@@ -326,9 +330,6 @@ func TestParseTopoSpecs(t *testing.T) {
 }
 
 func TestExperimentsCommandSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full experiment suite")
-	}
 	code, stdout, stderr := run(t, "", "experiments")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr = %q", code, stderr)
@@ -337,5 +338,34 @@ func TestExperimentsCommandSmoke(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("missing %q in experiments output", want)
 		}
+	}
+}
+
+// TestExperimentsRefutedRowExitsNonZero pins the gate: a refuted row makes
+// `iabc experiments` exit 1 naming it, with the tables up to and including
+// the refuted experiment still printed.
+func TestExperimentsRefutedRowExitsNonZero(t *testing.T) {
+	table := func(ok bool) func(context.Context) ([]experiments.Table, error) {
+		return func(context.Context) ([]experiments.Table, error) {
+			return []experiments.Table{{
+				Header: []string{"graph", "satisfied"},
+				Rows:   []experiments.Row{{Cells: []string{"K4", "yes"}, OK: true}, {Cells: []string{"K3", "yes"}, OK: ok}},
+			}}, nil
+		}
+	}
+	defer func(runAll func(context.Context, io.Writer) error) { runExperiments = runAll }(runExperiments)
+	runExperiments = func(ctx context.Context, w io.Writer) error {
+		return experiments.Run(ctx, w, []experiments.Experiment{
+			{ID: "E1", Title: "held", Run: table(true)}, {ID: "E2", Title: "refuted", Run: table(false)}})
+	}
+	code, stdout, stderr := run(t, "", "experiments")
+	if code != 1 {
+		t.Errorf("exit = %d, want 1", code)
+	}
+	if want := "iabc experiments: experiments: E2 row 2 failed: K3 | yes\n"; stderr != want {
+		t.Errorf("stderr = %q, want %q", stderr, want)
+	}
+	if !strings.Contains(stdout, "E1 — held\n") || !strings.Contains(stdout, "E2 — refuted\n") {
+		t.Errorf("tables missing from stdout: %q", stdout)
 	}
 }

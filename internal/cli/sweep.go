@@ -60,8 +60,8 @@ func cmdRepair(args []string, stdin io.Reader, stdout io.Writer) error {
 // With -engine matrix, -batch K composes the second batching dimension:
 // each scenario's recorded round programs are replayed over K perturbed
 // initial vectors and the per-row scenario_final_range_max column reports
-// the worst final range across them. The legacy -scenarios K flag is the
-// single-config form of the same replay (base adversary only).
+// the worst final range across them; without -adversaries the one scenario
+// is the base adversary.
 //
 // Any failing scenario aborts the sweep with a non-zero exit and an error
 // naming the scenario's index and name — the same contract on every
@@ -78,15 +78,11 @@ func cmdSweep(args []string, stdout io.Writer) error {
 	rounds := fs.Int("rounds", 100000, "round cap per point")
 	seed := fs.Int64("seed", 1, "seed for randomized pieces")
 	engineName := fs.String("engine", "sequential", "sequential|matrix")
-	scenarios := fs.Int("scenarios", 0, "batched what-if initial vectors per point (matrix engine replay of the base adversary)")
 	batch := fs.Int("batch", 0, "matrix-replay initial vectors per scenario row (composes with -adversaries; requires -engine matrix)")
 	workers := fs.Int("workers", 1, "parallel scenario workers per point (0 = GOMAXPROCS); scenarios run bit-identically at any worker count")
 	stateDir := fs.String("state-dir", "", "checkpoint/resume directory: completed scenarios of an interrupted sweep are resumed, not re-simulated")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *scenarios < 0 {
-		return fmt.Errorf("cli: negative scenarios %d", *scenarios)
 	}
 	if *batch < 0 {
 		return fmt.Errorf("cli: negative batch %d", *batch)
@@ -97,20 +93,6 @@ func cmdSweep(args []string, stdout io.Writer) error {
 			engineSet = true
 		}
 	})
-	if *scenarios > 0 {
-		// The scenarios column is a matrix-engine replay; an explicitly
-		// chosen different engine would be silently ignored, so reject it.
-		if engineSet && *engineName != "matrix" {
-			return fmt.Errorf("cli: -scenarios uses the matrix engine's batched replay; drop -engine %s or use -engine matrix", *engineName)
-		}
-		if *advList != "" {
-			return fmt.Errorf("cli: -scenarios (initial-vector replay) and -adversaries (scenario batch) are separate batching dimensions; use -batch to compose them")
-		}
-		if *batch > 0 {
-			return fmt.Errorf("cli: -scenarios and -batch are the same replay dimension; use -batch (per scenario row) or -scenarios (base config only), not both")
-		}
-		*engineName = "matrix"
-	}
 	if *batch > 0 {
 		// -batch is the composed replay: it rides on the scenario sweep, so
 		// it needs the matrix engine. Auto-select it when -engine is unset.
@@ -188,8 +170,7 @@ func cmdSweep(args []string, stdout io.Writer) error {
 		}
 		return strconv.FormatFloat(maxRange, 'e', 3, 64)
 	}
-	// perturbedInitials builds the replay vectors for one point, shared by
-	// the legacy -scenarios path and the composed -batch path.
+	// perturbedInitials builds the -batch replay vectors for one point.
 	perturbedInitials := func(n, k int) [][]float64 {
 		extras := make([][]float64, k)
 		rng := rand.New(rand.NewSource(*seed + int64(n)))
@@ -233,18 +214,7 @@ func cmdSweep(args []string, stdout io.Writer) error {
 		rowRanges := make([]string, len(advNames))
 		rowWorkers := 1
 		if chk.Satisfied {
-			switch {
-			case *scenarios > 0:
-				// Matrix replay of the base adversary: a one-scenario sweep
-				// carrying the extra initial vectors.
-				res, err := iabc.Sweep(ctx, g, []iabc.Scenario{{Name: advNames[0]}},
-					baseOpts(iabc.WithExtras(perturbedInitials(n, *scenarios)))...)
-				if err != nil {
-					return err
-				}
-				rowRanges[0] = maxFinalRange(res.Finals[0], res.Traces[0].FaultFree)
-				traces = res.Traces
-			case useSweep:
+			if useSweep {
 				// One pooled engine setup per worker per point, re-simulated
 				// under every listed adversary; with -batch each scenario's
 				// recorded programs also replay the perturbed initials.
@@ -267,7 +237,7 @@ func cmdSweep(args []string, stdout io.Writer) error {
 				// Report what actually ran: a sweep never spins up more
 				// workers than there are scenarios.
 				rowWorkers = min(effWorkers, len(scens))
-			default:
+			} else {
 				out, err := iabc.Simulate(ctx, g, baseOpts()...)
 				if err != nil {
 					return err

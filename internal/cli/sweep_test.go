@@ -157,26 +157,13 @@ func TestSweepComposedBatch(t *testing.T) {
 			t.Errorf("per-row scenario range missing: %q", line)
 		}
 	}
-	// -batch alone (no -adversaries) replays the base adversary's scenario.
-	code, stdout, stderr = run(t, "", "sweep", "-family", "core", "-f", "1", "-to", "4",
-		"-rounds", "5000", "-batch", "3")
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr = %q", code, stderr)
-	}
-	lines = strings.Split(strings.TrimSpace(stdout), "\n")
-	if cols := strings.Split(lines[1], ","); cols[9] == "" || cols[3] != "matrix" {
-		t.Errorf("solo -batch row malformed: %q", lines[1])
-	}
 }
 
 func TestSweepAdversariesFlagConflicts(t *testing.T) {
-	code, _, stderr := run(t, "", "sweep", "-family", "core", "-adversaries", "extremes,hug-high", "-scenarios", "2")
-	if code != 1 || !strings.Contains(stderr, "batching") {
-		t.Errorf("-adversaries with -scenarios should be rejected: code=%d stderr=%q", code, stderr)
-	}
-	code, _, stderr = run(t, "", "sweep", "-family", "core", "-scenarios", "2", "-batch", "2")
-	if code != 1 || !strings.Contains(stderr, "-batch") {
-		t.Errorf("-scenarios with -batch should be rejected: code=%d stderr=%q", code, stderr)
+	// -batch is the one replay flag; the flag package rejects -scenarios.
+	code, _, stderr := run(t, "", "sweep", "-family", "core", "-scenarios", "1")
+	if code != 1 || !strings.Contains(stderr, "flag provided but not defined: -scenarios") {
+		t.Errorf("-scenarios should be an unknown flag: code=%d stderr=%q", code, stderr)
 	}
 	code, _, stderr = run(t, "", "sweep", "-family", "core", "-batch", "2", "-engine", "sequential")
 	if code != 1 || !strings.Contains(stderr, "matrix") {
@@ -188,9 +175,11 @@ func TestSweepAdversariesFlagConflicts(t *testing.T) {
 	}
 }
 
-func TestSweepMatrixScenarios(t *testing.T) {
+// TestSweepMatrixBatch covers -batch alone (no -adversaries): the base
+// adversary's scenario is replayed, on the auto-selected matrix engine.
+func TestSweepMatrixBatch(t *testing.T) {
 	code, stdout, stderr := run(t, "", "sweep", "-family", "core", "-f", "1", "-to", "5",
-		"-rounds", "5000", "-scenarios", "4")
+		"-rounds", "5000", "-batch", "4")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr = %q", code, stderr)
 	}
@@ -198,10 +187,10 @@ func TestSweepMatrixScenarios(t *testing.T) {
 	for _, line := range lines[1:] {
 		cols := strings.Split(line, ",")
 		if len(cols) != 10 || cols[9] == "" {
-			t.Errorf("scenario column missing in %q", line)
+			t.Errorf("scenario range column missing in %q", line)
 		}
 		if cols[3] != "matrix" {
-			t.Errorf("-scenarios engine column should be matrix: %q", line)
+			t.Errorf("-batch must auto-select the matrix engine: %q", line)
 		}
 	}
 }
@@ -218,10 +207,6 @@ func TestSweepEngineFlag(t *testing.T) {
 	code, _, _ = run(t, "", "sweep", "-family", "core", "-engine", "warp")
 	if code != 1 {
 		t.Error("unknown engine should fail")
-	}
-	code, _, stderr = run(t, "", "sweep", "-family", "core", "-engine", "sequential", "-scenarios", "2")
-	if code != 1 || !strings.Contains(stderr, "matrix") {
-		t.Errorf("-scenarios with a non-matrix engine should be rejected: code=%d stderr=%q", code, stderr)
 	}
 }
 

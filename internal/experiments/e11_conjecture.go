@@ -1,14 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"iabc/internal/condition"
-	"iabc/internal/graph"
+	"iabc"
 	"iabc/internal/topology"
 )
 
-// E11Result probes the paper's Section 6.1 conjecture:
+// e11Conjecture probes the paper's Section 6.1 conjecture:
 //
 //	"We conjecture that a core network with n = 3f+1 has the smallest
 //	 number of edges possible in any undirected network of 3f+1 nodes for
@@ -20,7 +20,7 @@ import (
 // For f = 1 (n = 4): Corollary 3 forces degree ≥ 3 everywhere, so ≥ 6
 // undirected edges — and the only 4-node graph with minimum degree 3 is K4,
 // which *is* CoreNetwork(4,1). The experiment exhausts all 64 labeled
-// graphs to confirm.
+// graphs to confirm that exactly one satisfying graph attains the minimum.
 //
 // For f = 2 (n = 7): CoreNetwork(7,2) has 20 undirected edges. Corollary 3
 // forces degree ≥ 5, i.e. ≥ ⌈7·5/2⌉ = 18 edges; a 7-node graph with
@@ -29,57 +29,7 @@ import (
 // matching-complement (105 + 105 graphs). Any satisfying instance refutes
 // the conjecture; none confirms that 20 is optimal and the core network
 // achieves the optimum.
-type E11Result struct {
-	// F1 summarizes the exhaustive f = 1 sweep.
-	F1 E11F1
-	// F2 summarizes the f = 2 boundary sweep.
-	F2 E11F2
-}
-
-// E11F1 is the f = 1 half of the experiment.
-type E11F1 struct {
-	GraphsChecked   int
-	MinEdges        int // minimum undirected edges among satisfying graphs
-	CoreEdges       int // CoreNetwork(4,1) undirected edges
-	SatisfiersAtMin int
-	ConjectureHolds bool
-}
-
-// E11F2 is the f = 2 half.
-type E11F2 struct {
-	// Checked18 and Checked19 count the minus-matching graphs examined.
-	Checked18, Checked19 int
-	// Satisfied18 and Satisfied19 count how many satisfied Theorem 1.
-	Satisfied18, Satisfied19 int
-	CoreEdges                int
-	// MinEdges is the smallest edge count of any satisfying 7-node graph
-	// (18, 19, or 20 given the Corollary 3 floor).
-	MinEdges        int
-	ConjectureHolds bool
-}
-
-// Title implements Report.
-func (*E11Result) Title() string {
-	return "E11 — §6.1 conjecture: is the core network edge-minimal at n = 3f+1? (computational)"
-}
-
-// Table implements Report.
-func (r *E11Result) Table() string {
-	rows := [][]string{
-		{"1", "4", fmt.Sprintf("%d labeled graphs", r.F1.GraphsChecked),
-			fmt.Sprint(r.F1.MinEdges), fmt.Sprint(r.F1.CoreEdges), yes(r.F1.ConjectureHolds)},
-		{"2", "7", fmt.Sprintf("K7−M3: %d, K7−M2: %d", r.F2.Checked18, r.F2.Checked19),
-			fmt.Sprint(r.F2.MinEdges), fmt.Sprint(r.F2.CoreEdges), yes(r.F2.ConjectureHolds)},
-	}
-	out := table([]string{"f", "n", "search space", "min edges (satisfying)", "core edges", "conjecture holds"}, rows)
-	return out + fmt.Sprintf("f=2 details: %d/%d of the 18-edge and %d/%d of the 19-edge candidates satisfy Theorem 1\n",
-		r.F2.Satisfied18, r.F2.Checked18, r.F2.Satisfied19, r.F2.Checked19)
-}
-
-// E11Conjecture runs both sweeps.
-func E11Conjecture() (*E11Result, error) {
-	res := &E11Result{}
-
+func e11Conjecture(ctx context.Context) ([]Table, error) {
 	// ---- f = 1, n = 4: exhaustive over all labeled undirected graphs.
 	var pairs4 [][2]int
 	for i := 0; i < 4; i++ {
@@ -87,14 +37,13 @@ func E11Conjecture() (*E11Result, error) {
 			pairs4 = append(pairs4, [2]int{i, j})
 		}
 	}
-	core4, err := topology.CoreNetwork(4, 1)
+	core4, err := iabc.CoreNetwork(4, 1)
 	if err != nil {
 		return nil, err
 	}
-	res.F1.CoreEdges = core4.UndirectedEdgeCount()
-	res.F1.MinEdges = -1
+	checked, minEdges, atMin := 0, -1, 0
 	for mask := 0; mask < 1<<len(pairs4); mask++ {
-		b := graph.NewBuilder(4)
+		b := iabc.NewBuilder(4)
 		edges := 0
 		for bit, e := range pairs4 {
 			if mask&(1<<bit) != 0 {
@@ -106,82 +55,83 @@ func E11Conjecture() (*E11Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.F1.GraphsChecked++
-		chk, err := condition.Check(g, 1)
+		checked++
+		sat, err := satisfied(ctx, g, 1)
 		if err != nil {
 			return nil, err
 		}
-		if !chk.Satisfied {
-			continue
-		}
 		switch {
-		case res.F1.MinEdges < 0 || edges < res.F1.MinEdges:
-			res.F1.MinEdges = edges
-			res.F1.SatisfiersAtMin = 1
-		case edges == res.F1.MinEdges:
-			res.F1.SatisfiersAtMin++
+		case !sat:
+		case minEdges < 0 || edges < minEdges:
+			minEdges, atMin = edges, 1
+		case edges == minEdges:
+			atMin++
 		}
 	}
-	res.F1.ConjectureHolds = res.F1.MinEdges == res.F1.CoreEdges
+	holds1 := minEdges == core4.UndirectedEdgeCount()
 
 	// ---- f = 2, n = 7: the only candidates below the core network's 20
 	// edges are K7 minus a matching (Corollary 3 forces min degree 5, so
 	// the complement has max degree ≤ 1).
-	core7, err := topology.CoreNetwork(7, 2)
+	core7, err := iabc.CoreNetwork(7, 2)
 	if err != nil {
 		return nil, err
 	}
-	res.F2.CoreEdges = core7.UndirectedEdgeCount()
-
-	k7, err := topology.Complete(7)
+	k7, err := iabc.Complete(7)
 	if err != nil {
 		return nil, err
 	}
-	check := func(matching [][2]int) (bool, error) {
-		var drop [][2]int
-		for _, e := range matching {
-			drop = append(drop, e, [2]int{e[1], e[0]})
+	// satisfying counts the size-k matchings whose complement in K7
+	// satisfies Theorem 1 at f = 2.
+	satisfying := func(k int) (checked, sat int, err error) {
+		for _, m := range matchings(7, k) {
+			var drop [][2]int
+			for _, e := range m {
+				drop = append(drop, e, [2]int{e[1], e[0]})
+			}
+			g, err := topology.RemoveEdges(k7, drop)
+			if err != nil {
+				return 0, 0, err
+			}
+			ok, err := satisfied(ctx, g, 2)
+			if err != nil {
+				return 0, 0, err
+			}
+			checked++
+			if ok {
+				sat++
+			}
 		}
-		g, err := topology.RemoveEdges(k7, drop)
-		if err != nil {
-			return false, err
-		}
-		chk, err := condition.Check(g, 2)
-		if err != nil {
-			return false, err
-		}
-		return chk.Satisfied, nil
+		return checked, sat, nil
 	}
-	for _, m := range matchings(7, 3) {
-		ok, err := check(m)
-		if err != nil {
-			return nil, err
-		}
-		res.F2.Checked18++
-		if ok {
-			res.F2.Satisfied18++
-		}
+	checked18, sat18, err := satisfying(3)
+	if err != nil {
+		return nil, err
 	}
-	for _, m := range matchings(7, 2) {
-		ok, err := check(m)
-		if err != nil {
-			return nil, err
-		}
-		res.F2.Checked19++
-		if ok {
-			res.F2.Satisfied19++
-		}
+	checked19, sat19, err := satisfying(2)
+	if err != nil {
+		return nil, err
 	}
+	minEdges2 := 20 // the core network's count; the Corollary 3 floor is 18
 	switch {
-	case res.F2.Satisfied18 > 0:
-		res.F2.MinEdges = 18
-	case res.F2.Satisfied19 > 0:
-		res.F2.MinEdges = 19
-	default:
-		res.F2.MinEdges = 20 // the core network's count; floor was 18
+	case sat18 > 0:
+		minEdges2 = 18
+	case sat19 > 0:
+		minEdges2 = 19
 	}
-	res.F2.ConjectureHolds = res.F2.MinEdges == res.F2.CoreEdges
-	return res, nil
+	holds2 := minEdges2 == core7.UndirectedEdgeCount()
+
+	return []Table{{
+		Header: []string{"f", "n", "search space", "min edges (satisfying)", "core edges", "conjecture holds"},
+		Rows: []Row{
+			row(holds1 && atMin == 1, 1, 4, fmt.Sprintf("%d labeled graphs", checked),
+				minEdges, core4.UndirectedEdgeCount(), holds1),
+			row(holds2, 2, 7, fmt.Sprintf("K7−M3: %d, K7−M2: %d", checked18, checked19),
+				minEdges2, core7.UndirectedEdgeCount(), holds2),
+		},
+	}, note(sat18 == 0 && sat19 == 0,
+		"f=2 details: %d/%d of the 18-edge and %d/%d of the 19-edge candidates satisfy Theorem 1",
+		sat18, checked18, sat19, checked19)}, nil
 }
 
 // matchings enumerates all labeled matchings of exactly size k on n

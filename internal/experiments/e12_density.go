@@ -3,125 +3,63 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"iabc/internal/adversary"
+	"iabc"
 	"iabc/internal/analysis"
-	"iabc/internal/condition"
-	"iabc/internal/core"
-	"iabc/internal/sim"
-	"iabc/internal/topology"
 	"iabc/internal/workload"
 )
 
-// E12Result is the density ablation: on circulant graphs of fixed order
-// n = 16 with growing offset sets (k = 3 is the minimal chord for f = 1;
-// k = 15 is the complete graph), measure how connectivity buys convergence
-// speed. The shape the theory predicts: α grows as... no — α *shrinks* as
-// in-degree grows (a_i = 1/(d+1−2f)), yet convergence gets *faster* because
-// information needs fewer hops; the Lemma 5 worst-case bound moves the
-// opposite way from the measured rate, showing how loose the worst case is
-// on dense graphs. Rounds-to-ε under attack is the decisive column.
-type E12Result struct {
-	Rows []E12Row
-}
-
-// E12Row is one density point.
-type E12Row struct {
-	Offsets int
-	// Density is |E|/(n(n−1)).
-	Density float64
-	// Satisfied is the exact condition verdict at f = 1.
-	Satisfied bool
-	// Alpha is equation (3); RoundsToEps the measured rounds under the
-	// insider adversary; Rate the fitted per-round contraction.
-	Alpha       float64
-	RoundsToEps int
-	Rate        float64
-}
-
-// Title implements Report.
-func (*E12Result) Title() string {
-	return "E12 — density ablation: circulants n=16, f=1 — connectivity vs convergence speed"
-}
-
-// Table implements Report.
-func (r *E12Result) Table() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprint(row.Offsets),
-			fmt.Sprintf("%.3f", row.Density),
-			yes(row.Satisfied),
-			fmt.Sprintf("%.4f", row.Alpha),
-			fmt.Sprint(row.RoundsToEps),
-			fmt.Sprintf("%.4f", row.Rate),
-		})
-	}
-	return table([]string{"offsets k", "density", "satisfied", "α", "rounds to ε", "per-round rate"}, rows)
-}
-
-// E12Density sweeps circulant offset counts k = 3, 4, 6, 8, 12, 15 at
-// n = 16, f = 1 (k = 3 is Chord(16, 1); k = 15 is K16).
-func E12Density() (*E12Result, error) {
+// e12Density is the density ablation: on circulant graphs of fixed order
+// n = 16 with offset counts k = 3, 4, 6, 8, 12, 15 (k = 3 is Chord(16, 1),
+// the minimal chord for f = 1; k = 15 is K16), measure how connectivity buys
+// convergence speed. α of equation (3) *shrinks* as in-degree grows
+// (a_i = 1/(d+1−2f)), yet convergence gets *faster* because information
+// needs fewer hops: the Lemma 5 worst-case bound moves the opposite way from
+// the measured rate, showing how loose the worst case is on dense graphs.
+// Every circulant must satisfy the condition at f = 1, and neither α nor the
+// rounds-to-ε under the insider adversary — the decisive column — may grow
+// with density.
+func e12Density(ctx context.Context) ([]Table, error) {
 	const (
 		n, f = 16, 1
 		eps  = 1e-6
 	)
-	res := &E12Result{}
+	t := Table{Header: []string{"offsets k", "density", "satisfied", "α", "rounds to ε", "per-round rate"}}
+	prevAlpha, prevRounds := 1.0, math.MaxInt
 	for _, k := range []int{3, 4, 6, 8, 12, 15} {
 		offs := make([]int, k)
 		for i := range offs {
 			offs[i] = i + 1
 		}
-		g, err := topology.Circulant(n, offs)
+		g, err := iabc.Circulant(n, offs)
 		if err != nil {
 			return nil, err
 		}
-		chk, err := condition.CheckParallel(context.Background(), g, f, 0)
+		density := fmt.Sprintf("%.3f", g.Density())
+		sat, err := satisfied(ctx, g, f, iabc.WithWorkers(0))
 		if err != nil {
 			return nil, err
 		}
-		row := E12Row{
-			Offsets:   k,
-			Density:   g.Density(),
-			Satisfied: chk.Satisfied,
+		if !sat {
+			t.Rows = append(t.Rows, row(false, k, density, sat, "-", "-", "-"))
+			continue
 		}
-		if chk.Satisfied {
-			alpha, err := analysis.Alpha(g, f)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := sim.Sequential{}.Run(sim.Config{
-				G: g, F: f,
-				Faulty:    faultySetOfSize(n, f),
-				Initial:   workload.Bimodal(n, 0, 1),
-				Rule:      core.TrimmedMean{},
-				Adversary: adversary.Insider{High: true},
-				MaxRounds: 100000, Epsilon: eps,
-			})
-			if err != nil {
-				return nil, err
-			}
-			row.Alpha = alpha
-			row.RoundsToEps = tr.Rounds
-			row.Rate = analysis.EmpiricalRate(tr)
+		alpha, err := iabc.Alpha(g, f)
+		if err != nil {
+			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Passed checks the expected shape: all circulants at k ≥ 3 satisfy, and
-// the densest graph converges in no more rounds than the sparsest.
-func (r *E12Result) Passed() bool {
-	if len(r.Rows) < 2 {
-		return false
-	}
-	for _, row := range r.Rows {
-		if !row.Satisfied {
-			return false
+		out, err := iabc.Simulate(ctx, g,
+			iabc.WithF(f), firstFaulty(f), iabc.WithInitial(workload.Bimodal(n, 0, 1)),
+			iabc.WithAdversary(iabc.Insider{High: true}),
+			iabc.WithMaxRounds(100000), iabc.WithEpsilon(eps))
+		if err != nil {
+			return nil, err
 		}
+		t.Rows = append(t.Rows, row(alpha <= prevAlpha && out.Rounds <= prevRounds,
+			k, density, sat, fmt.Sprintf("%.4f", alpha), out.Rounds,
+			fmt.Sprintf("%.4f", analysis.EmpiricalRate(out.Trace))))
+		prevAlpha, prevRounds = alpha, out.Rounds
 	}
-	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-	return last.RoundsToEps <= first.RoundsToEps
+	return []Table{t}, nil
 }

@@ -1,180 +1,79 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"iabc/internal/condition"
-	"iabc/internal/graph"
+	"iabc"
 	"iabc/internal/topology"
 )
 
-// E13Result quantifies the paper's repeated remark (Sections 6.2, 6.3) that
-// classical connectivity does not capture iterative consensus: undirected
-// connectivity > 2f suffices for *non-iterative* algorithms [12], so a
-// graph with vertex connectivity κ would "classically" tolerate
-// f_κ = ⌈κ/2⌉ − 1 faults — yet the iterative family's true tolerance is
-// MaxF under Theorem 1, which can be far lower.
-type E13Result struct {
-	Rows []E13Row
-}
-
-// E13Row is one graph's connectivity-vs-condition comparison, with the exact
-// checker's work counters for the MaxF scan — the scaling record that shows
-// what degree-bound pruning buys as n grows (condition.MaxFWithStats).
-type E13Row struct {
-	Graph string
-	N     int
-	// Kappa is the vertex connectivity κ.
-	Kappa int
-	// ClassicalF is the fault tolerance connectivity alone would promise a
-	// non-iterative algorithm: the largest f with κ > 2f.
-	ClassicalF int
-	// IterativeF is MaxF — the true tolerance of the iterative family.
-	IterativeF int
-	// Gap is ClassicalF − IterativeF.
-	Gap int
-	// Candidates and Pruned are the MaxF scan's accumulated candidate count
-	// and the share of it skipped unvisited by the degree lower bound;
-	// MemoHits counts complement peels the empty-complement memo avoided.
-	Candidates, Pruned, MemoHits int64
-}
-
-// Title implements Report.
-func (*E13Result) Title() string {
-	return "E13 — connectivity is not sufficient: κ-based tolerance vs the tight condition"
-}
-
-// Table implements Report.
-func (r *E13Result) Table() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		prunedPct := "0.0%"
-		if row.Candidates > 0 {
-			prunedPct = fmt.Sprintf("%.1f%%", 100*float64(row.Pruned)/float64(row.Candidates))
+// e13Connectivity quantifies the paper's repeated remark (Sections 6.2,
+// 6.3) that classical connectivity does not capture iterative consensus:
+// undirected connectivity > 2f suffices for *non-iterative* algorithms [12],
+// so a graph with vertex connectivity κ would "classically" tolerate the
+// largest f with κ > 2f — yet the iterative family's true tolerance is MaxF
+// under Theorem 1, which can be far lower. The gap can never be negative
+// (the condition cannot beat connectivity), must be positive on the
+// hypercubes, chord(7,2) and K_{5,5}, and zero on core networks and K7.
+//
+// The last two rows — chord(16,2) and core(16,2), sizes the unpruned
+// enumeration made painfully slow — are checker-scaling records: the work
+// columns give the MaxF scan's candidate count, the share of it the degree
+// lower bound skipped unvisited, and the complement peels the
+// empty-complement memo avoided; pruning must fire on every row.
+func e13Connectivity(ctx context.Context) ([]Table, error) {
+	t := Table{Header: []string{"graph", "n", "κ", "classical f (κ>2f)", "iterative f (Thm 1)", "gap", "cand sets", "pruned", "memo"}}
+	const (
+		anyGap = iota
+		zeroGap
+		positiveGap
+	)
+	for _, tc := range []struct {
+		name  string
+		build func() (*iabc.Graph, error)
+		gap   int
+	}{
+		{"hypercube d=3", func() (*iabc.Graph, error) { return iabc.Hypercube(3) }, positiveGap},
+		{"hypercube d=4", func() (*iabc.Graph, error) { return iabc.Hypercube(4) }, positiveGap},
+		{"chord(7,2)", func() (*iabc.Graph, error) { return iabc.Chord(7, 2) }, positiveGap},
+		{"core(7,2)", func() (*iabc.Graph, error) { return iabc.CoreNetwork(7, 2) }, zeroGap},
+		{"K7", func() (*iabc.Graph, error) { return iabc.Complete(7) }, zeroGap},
+		{"K_{5,5}", func() (*iabc.Graph, error) { return topology.CompleteBipartite(5, 5) }, positiveGap},
+		{"chord(16,2)", func() (*iabc.Graph, error) { return iabc.Chord(16, 2) }, anyGap},
+		{"core(16,2)", func() (*iabc.Graph, error) { return iabc.CoreNetwork(16, 2) }, zeroGap},
+	} {
+		g, err := tc.build()
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, []string{
-			row.Graph, fmt.Sprint(row.N), fmt.Sprint(row.Kappa),
-			fmt.Sprint(row.ClassicalF), fmt.Sprint(row.IterativeF), fmt.Sprint(row.Gap),
-			fmt.Sprint(row.Candidates), prunedPct, fmt.Sprint(row.MemoHits),
-		})
-	}
-	return table([]string{"graph", "n", "κ", "classical f (κ>2f)", "iterative f (Thm 1)", "gap", "cand sets", "pruned", "memo"}, rows)
-}
-
-// E13Connectivity compares the two notions on the paper's menagerie, plus
-// two checker-scaling rows — chord(16,2) and core(16,2), sizes the unpruned
-// enumeration made painfully slow — whose work columns record what the
-// degree-bound pruning skips.
-func E13Connectivity() (*E13Result, error) {
-	res := &E13Result{}
-	add := func(name string, g *graph.Graph) error {
 		kappa := g.VertexConnectivity()
 		classical := 0
 		if kappa > 0 {
 			classical = (kappa - 1) / 2
 		}
-		iterative, stats, err := condition.MaxFWithStats(g)
+		iterative, stats, err := iabc.MaxFWithStats(ctx, g)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if iterative < 0 {
 			iterative = 0 // report floor; "-1" means not even f=0
 		}
-		res.Rows = append(res.Rows, E13Row{
-			Graph: name, N: g.N(), Kappa: kappa,
-			ClassicalF: classical, IterativeF: iterative,
-			Gap:        classical - iterative,
-			Candidates: stats.CandidatesExamined,
-			Pruned:     stats.CandidatesPruned,
-			MemoHits:   stats.MemoHits,
-		})
-		return nil
-	}
-
-	cube3, err := topology.Hypercube(3)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("hypercube d=3", cube3); err != nil {
-		return nil, err
-	}
-	cube4, err := topology.Hypercube(4)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("hypercube d=4", cube4); err != nil {
-		return nil, err
-	}
-	chord72, err := topology.Chord(7, 2)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("chord(7,2)", chord72); err != nil {
-		return nil, err
-	}
-	core72, err := topology.CoreNetwork(7, 2)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("core(7,2)", core72); err != nil {
-		return nil, err
-	}
-	k7, err := topology.Complete(7)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("K7", k7); err != nil {
-		return nil, err
-	}
-	bip, err := topology.CompleteBipartite(5, 5)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("K_{5,5}", bip); err != nil {
-		return nil, err
-	}
-	// Checker-scaling rows: before degree-bound pruning, the MaxF scans on
-	// these two 16-node graphs were the slowest condition checks in the
-	// suite; the pruned/candidates ratio records why they no longer are.
-	chord162, err := topology.Chord(16, 2)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("chord(16,2)", chord162); err != nil {
-		return nil, err
-	}
-	core162, err := topology.CoreNetwork(16, 2)
-	if err != nil {
-		return nil, err
-	}
-	if err := add("core(16,2)", core162); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Passed asserts the paper's headline — some graph shows a strictly positive
-// gap (connectivity over-promises), while core networks and complete graphs
-// show none — plus the pruning account's sanity: pruned ≤ candidates on
-// every row, with pruning actually firing somewhere.
-func (r *E13Result) Passed() bool {
-	gapSeen, prunedSeen := false, false
-	for _, row := range r.Rows {
-		if row.Gap < 0 {
-			return false // the condition can never beat connectivity
+		gap := classical - iterative
+		pruned := "0.0%"
+		if stats.CandidatesExamined > 0 {
+			pruned = fmt.Sprintf("%.1f%%", 100*float64(stats.CandidatesPruned)/float64(stats.CandidatesExamined))
 		}
-		if row.Gap > 0 {
-			gapSeen = true
+		ok := gap >= 0 && 0 < stats.CandidatesPruned && stats.CandidatesPruned <= stats.CandidatesExamined
+		switch tc.gap {
+		case zeroGap:
+			ok = ok && gap == 0
+		case positiveGap:
+			ok = ok && gap > 0
 		}
-		if row.Pruned < 0 || row.Pruned > row.Candidates || row.MemoHits < 0 {
-			return false
-		}
-		if row.Pruned > 0 {
-			prunedSeen = true
-		}
-		if (row.Graph == "core(7,2)" || row.Graph == "K7" || row.Graph == "core(16,2)") && row.Gap != 0 {
-			return false
-		}
+		t.Rows = append(t.Rows, row(ok,
+			tc.name, g.N(), kappa, classical, iterative, gap,
+			stats.CandidatesExamined, pruned, stats.MemoHits))
 	}
-	return gapSeen && prunedSeen && len(r.Rows) > 0
+	return []Table{t}, nil
 }

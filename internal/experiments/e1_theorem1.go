@@ -1,83 +1,38 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"math"
 
-	"iabc/internal/adversary"
-	"iabc/internal/condition"
-	"iabc/internal/core"
-	"iabc/internal/nodeset"
-	"iabc/internal/sim"
-	"iabc/internal/topology"
+	"iabc"
 )
 
-// E1Result reproduces Theorem 1's necessity construction (Fig. 1): on a
-// graph violating the condition, the proof's adversary freezes L at m and R
-// at M forever, so consensus is impossible.
-type E1Result struct {
-	// GraphName, N, F describe the violating instance (the paper's
-	// Chord(7,2) counterexample).
-	GraphName string
-	N, F      int
-	// Witness is the violating partition found by the exact checker.
-	Witness *condition.Witness
-	// Rounds is how long the attack was run.
-	Rounds int
-	// LValue and RValue are the (constant) states of L and R nodes at the
-	// end; Frozen is whether they never moved off m and M.
-	LValue, RValue float64
-	Frozen         bool
-	// FinalRange is U − µ after Rounds iterations (should equal M − m).
-	FinalRange float64
-}
-
-// Title implements Report.
-func (*E1Result) Title() string {
-	return "E1 — Theorem 1 necessity (Fig. 1): partition attack freezes a violating graph"
-}
-
-// Table implements Report.
-func (r *E1Result) Table() string {
-	return table(
-		[]string{"graph", "n", "f", "witness", "rounds", "L stuck at", "R stuck at", "range", "frozen"},
-		[][]string{{
-			r.GraphName,
-			fmt.Sprint(r.N), fmt.Sprint(r.F),
-			r.Witness.String(),
-			fmt.Sprint(r.Rounds),
-			fmt.Sprintf("%g", r.LValue), fmt.Sprintf("%g", r.RValue),
-			fmt.Sprintf("%g", r.FinalRange),
-			yes(r.Frozen),
-		}},
-	)
-}
-
-// E1Theorem1Attack runs the construction: find a violating partition of
-// Chord(7,2) with the exact checker, seed L with m = 0 and R with M = 1,
-// make F Byzantine with the proof's split-value strategy, and verify that
-// after 500 iterations every L node still holds exactly m and every R node
-// exactly M.
-func E1Theorem1Attack() (*E1Result, error) {
+// e1Theorem1Attack reproduces Theorem 1's necessity construction (Fig. 1):
+// find a violating partition of the paper's Chord(7,2) counterexample with
+// the exact checker, seed L with m = 0 and R with M = 1, make F Byzantine
+// with the proof's split-value strategy, and verify that after 500
+// iterations every L node still holds exactly m and every R node exactly M —
+// the range stays M − m, so consensus is impossible.
+func e1Theorem1Attack(ctx context.Context) ([]Table, error) {
 	const (
 		n, f   = 7, 2
 		m, M   = 0.0, 1.0
 		rounds = 500
 	)
-	g, err := topology.Chord(n, f)
+	g, err := iabc.Chord(n, f)
 	if err != nil {
 		return nil, err
 	}
-	res, err := condition.Check(g, f)
+	res, err := iabc.Check(ctx, g, f)
 	if err != nil {
 		return nil, err
 	}
 	if res.Satisfied {
-		return nil, fmt.Errorf("experiments: Chord(%d,%d) unexpectedly satisfies Theorem 1", n, f)
+		return nil, fmt.Errorf("Chord(%d,%d) unexpectedly satisfies Theorem 1", n, f)
 	}
 	w := res.Witness
-	if err := w.Verify(g, f, condition.SyncThreshold(f)); err != nil {
-		return nil, fmt.Errorf("experiments: witness failed verification: %w", err)
+	if err := w.Verify(g, f, iabc.SyncThreshold(f)); err != nil {
+		return nil, fmt.Errorf("witness failed verification: %w", err)
 	}
 
 	initial := make([]float64, n)
@@ -85,51 +40,21 @@ func E1Theorem1Attack() (*E1Result, error) {
 	w.R.ForEach(func(i int) bool { initial[i] = M; return true })
 	w.C.ForEach(func(i int) bool { initial[i] = (m + M) / 2; return true })
 
-	tr, err := sim.Sequential{}.Run(sim.Config{
-		G: g, F: f, Faulty: w.F.Clone(), Initial: initial,
-		Rule: core.TrimmedMean{},
-		Adversary: adversary.PartitionAttack{
-			L: w.L, R: w.R, Low: m, High: M, Eps: 0.5,
-		},
-		MaxRounds: rounds,
-	})
+	out, err := iabc.Simulate(ctx, g,
+		iabc.WithF(f), iabc.WithFaultySet(w.F.Clone()), iabc.WithInitial(initial),
+		iabc.WithAdversary(iabc.PartitionAttack{L: w.L, R: w.R, Low: m, High: M, Eps: 0.5}),
+		iabc.WithMaxRounds(rounds))
 	if err != nil {
 		return nil, err
 	}
 
 	frozen := true
-	w.L.ForEach(func(i int) bool {
-		if math.Abs(tr.Final[i]-m) > 0 {
-			frozen = false
-		}
-		return true
-	})
-	w.R.ForEach(func(i int) bool {
-		if math.Abs(tr.Final[i]-M) > 0 {
-			frozen = false
-		}
-		return true
-	})
-	return &E1Result{
-		GraphName:  fmt.Sprintf("chord(n=%d,f=%d)", n, f),
-		N:          n,
-		F:          f,
-		Witness:    w,
-		Rounds:     tr.Rounds,
-		LValue:     m,
-		RValue:     M,
-		Frozen:     frozen,
-		FinalRange: tr.FinalRange(),
-	}, nil
-}
-
-// faultySetOfSize returns {0, ..., k-1} as a fault set over n nodes —
-// shared by several experiments that place faults in the "hardest" spots
-// (core members).
-func faultySetOfSize(n, k int) nodeset.Set {
-	s := nodeset.New(n)
-	for i := 0; i < k; i++ {
-		s.Add(i)
-	}
-	return s
+	w.L.ForEach(func(i int) bool { frozen = frozen && out.Final[i] == m; return frozen })
+	w.R.ForEach(func(i int) bool { frozen = frozen && out.Final[i] == M; return frozen })
+	return []Table{{
+		Header: []string{"graph", "n", "f", "witness", "rounds", "L stuck at", "R stuck at", "range", "frozen"},
+		Rows: []Row{row(frozen && out.Rounds == rounds && out.FinalRange == M-m,
+			fmt.Sprintf("chord(n=%d,f=%d)", n, f), n, f, w, out.Rounds,
+			fmt.Sprintf("%g", m), fmt.Sprintf("%g", M), fmt.Sprintf("%g", out.FinalRange), frozen)},
+	}}, nil
 }

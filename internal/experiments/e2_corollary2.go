@@ -1,57 +1,18 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"iabc/internal/condition"
-	"iabc/internal/graph"
-	"iabc/internal/topology"
+	"iabc"
 )
 
-// E2Result reproduces Corollary 2 (n > 3f is necessary): an exhaustive
-// sweep over every digraph on 2 and 3 nodes at f = 1, and complete-graph
-// boundary checks K_{3f} (must fail) vs. K_{3f+1} (must pass) for f = 1..4.
-type E2Result struct {
-	// GraphsExhausted counts the small digraphs enumerated (all 2- and
-	// 3-node digraphs: 4 + 64).
-	GraphsExhausted int
-	// AllSmallFail is true iff none of them satisfied the condition at f=1.
-	AllSmallFail bool
-	// Boundary holds the complete-graph boundary rows.
-	Boundary []E2BoundaryRow
-}
-
-// E2BoundaryRow is one complete-graph boundary check.
-type E2BoundaryRow struct {
-	N, F      int
-	Satisfied bool
-	Want      bool
-}
-
-// Title implements Report.
-func (*E2Result) Title() string {
-	return "E2 — Corollary 2: n > 3f is necessary (exhaustive n ≤ 3 at f=1, K_n boundary)"
-}
-
-// Table implements Report.
-func (r *E2Result) Table() string {
-	rows := [][]string{{
-		fmt.Sprintf("all %d digraphs on n ≤ 3", r.GraphsExhausted),
-		"1", yes(!r.AllSmallFail), "no",
-	}}
-	for _, b := range r.Boundary {
-		rows = append(rows, []string{
-			fmt.Sprintf("K%d", b.N), fmt.Sprint(b.F), yes(b.Satisfied), yes(b.Want),
-		})
-	}
-	return table([]string{"graph", "f", "satisfied", "expected"}, rows)
-}
-
-// E2Corollary2 runs the sweep.
-func E2Corollary2() (*E2Result, error) {
-	res := &E2Result{AllSmallFail: true}
-
-	// All digraphs on 2 nodes (2 possible edges) and 3 nodes (6 edges).
+// e2Corollary2 reproduces Corollary 2 (n > 3f is necessary): an exhaustive
+// sweep over every digraph on 2 and 3 nodes at f = 1 (4 + 64 graphs, none
+// may satisfy), and complete-graph boundary checks K_{3f} (must fail) vs.
+// K_{3f+1} (must pass) for f = 1..4.
+func e2Corollary2(ctx context.Context) ([]Table, error) {
+	exhausted, anySatisfied := 0, false
 	for _, n := range []int{2, 3} {
 		var pairs [][2]int
 		for i := 0; i < n; i++ {
@@ -62,7 +23,7 @@ func E2Corollary2() (*E2Result, error) {
 			}
 		}
 		for mask := 0; mask < 1<<len(pairs); mask++ {
-			b := graph.NewBuilder(n)
+			b := iabc.NewBuilder(n)
 			for bit, e := range pairs {
 				if mask&(1<<bit) != 0 {
 					b.AddEdge(e[0], e[1])
@@ -72,51 +33,31 @@ func E2Corollary2() (*E2Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			chk, err := condition.Check(g, 1)
+			sat, err := satisfied(ctx, g, 1)
 			if err != nil {
 				return nil, err
 			}
-			res.GraphsExhausted++
-			if chk.Satisfied {
-				res.AllSmallFail = false
-			}
+			exhausted++
+			anySatisfied = anySatisfied || sat
 		}
 	}
-
-	// Boundary: K_{3f} fails, K_{3f+1} passes, for f = 1..4.
+	t := Table{
+		Header: []string{"graph", "f", "satisfied", "expected"},
+		Rows:   []Row{row(!anySatisfied, fmt.Sprintf("all %d digraphs on n ≤ 3", exhausted), 1, anySatisfied, false)},
+	}
 	for f := 1; f <= 4; f++ {
-		for _, tc := range []struct {
-			n    int
-			want bool
-		}{
-			{3 * f, false},
-			{3*f + 1, true},
-		} {
-			g, err := topology.Complete(tc.n)
+		for _, n := range []int{3 * f, 3*f + 1} {
+			g, err := iabc.Complete(n)
 			if err != nil {
 				return nil, err
 			}
-			chk, err := condition.Check(g, f)
+			sat, err := satisfied(ctx, g, f)
 			if err != nil {
 				return nil, err
 			}
-			res.Boundary = append(res.Boundary, E2BoundaryRow{
-				N: tc.n, F: f, Satisfied: chk.Satisfied, Want: tc.want,
-			})
+			want := n > 3*f
+			t.Rows = append(t.Rows, row(sat == want, fmt.Sprintf("K%d", n), f, sat, want))
 		}
 	}
-	return res, nil
-}
-
-// Passed reports whether every measurement matched the corollary.
-func (r *E2Result) Passed() bool {
-	if !r.AllSmallFail {
-		return false
-	}
-	for _, b := range r.Boundary {
-		if b.Satisfied != b.Want {
-			return false
-		}
-	}
-	return true
+	return []Table{t}, nil
 }

@@ -1,105 +1,47 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"iabc/internal/condition"
+	"iabc"
 	"iabc/internal/topology"
 )
 
-// E3Result reproduces Corollary 3 (every in-degree ≥ 2f+1 is necessary):
-// starting from K_{3f+1} (which satisfies the condition), strip incoming
-// edges from node 0 down to exactly 2f — the condition must flip to
-// violated, and the checker's witness must survive independent
-// verification.
-type E3Result struct {
-	Rows []E3Row
-}
-
-// E3Row is one in-degree boundary measurement.
-type E3Row struct {
-	F, N int
-	// InDegree is node 0's in-degree after pruning.
-	InDegree int
-	// Satisfied is the exact checker's verdict (want: false at 2f, true at
-	// 2f+1 for these complete-graph variants).
-	Satisfied bool
-	Want      bool
-	// WitnessOK is whether the emitted witness verified (only when
-	// violated).
-	WitnessOK bool
-}
-
-// Title implements Report.
-func (*E3Result) Title() string {
-	return "E3 — Corollary 3: in-degree ≥ 2f+1 is necessary (K_{3f+1} with node 0 pruned)"
-}
-
-// Table implements Report.
-func (r *E3Result) Table() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprint(row.F), fmt.Sprint(row.N), fmt.Sprint(row.InDegree),
-			yes(row.Satisfied), yes(row.Want), yes(row.WitnessOK),
-		})
-	}
-	return table([]string{"f", "n", "indeg(0)", "satisfied", "expected", "witness verifies"}, rows)
-}
-
-// E3Corollary3 runs the boundary sweep for f = 1..3.
-func E3Corollary3() (*E3Result, error) {
-	res := &E3Result{}
+// e3Corollary3 reproduces Corollary 3 (every in-degree ≥ 2f+1 is
+// necessary): starting from K_{3f+1} (which satisfies the condition), strip
+// incoming edges from node 0 down to 2f+1 and then exactly 2f, for
+// f = 1..3 — the condition must flip to violated at 2f, and the checker's
+// witness must survive independent verification.
+func e3Corollary3(ctx context.Context) ([]Table, error) {
+	t := Table{Header: []string{"f", "n", "indeg(0)", "satisfied", "expected", "witness verifies"}}
 	for f := 1; f <= 3; f++ {
 		n := 3*f + 1
-		for _, tc := range []struct {
-			indeg int
-			want  bool
-		}{
-			{2 * f, false},
-			{2*f + 1, true},
-		} {
-			g, err := topology.Complete(n)
+		for _, indeg := range []int{2 * f, 2*f + 1} {
+			g, err := iabc.Complete(n)
 			if err != nil {
 				return nil, err
 			}
 			var drop [][2]int
-			for from := 1; from <= (n-1)-tc.indeg; from++ {
+			for from := 1; from <= (n-1)-indeg; from++ {
 				drop = append(drop, [2]int{from, 0})
 			}
 			pruned, err := topology.RemoveEdges(g, drop)
 			if err != nil {
 				return nil, err
 			}
-			if got := pruned.InDegree(0); got != tc.indeg {
-				return nil, fmt.Errorf("experiments: pruned in-degree %d, want %d", got, tc.indeg)
+			if got := pruned.InDegree(0); got != indeg {
+				return nil, fmt.Errorf("pruned in-degree %d, want %d", got, indeg)
 			}
-			chk, err := condition.Check(pruned, f)
+			chk, err := iabc.Check(ctx, pruned, f)
 			if err != nil {
 				return nil, err
 			}
-			row := E3Row{
-				F: f, N: n, InDegree: tc.indeg,
-				Satisfied: chk.Satisfied, Want: tc.want,
-			}
-			if chk.Witness != nil {
-				row.WitnessOK = chk.Witness.Verify(pruned, f, condition.SyncThreshold(f)) == nil
-			}
-			res.Rows = append(res.Rows, row)
+			want := indeg > 2*f
+			witnessOK := chk.Witness != nil && chk.Witness.Verify(pruned, f, iabc.SyncThreshold(f)) == nil
+			t.Rows = append(t.Rows, row(chk.Satisfied == want && (chk.Satisfied || witnessOK),
+				f, n, indeg, chk.Satisfied, want, witnessOK))
 		}
 	}
-	return res, nil
-}
-
-// Passed reports whether every boundary matched the corollary.
-func (r *E3Result) Passed() bool {
-	for _, row := range r.Rows {
-		if row.Satisfied != row.Want {
-			return false
-		}
-		if !row.Satisfied && !row.WitnessOK {
-			return false
-		}
-	}
-	return len(r.Rows) > 0
+	return []Table{t}, nil
 }

@@ -1,149 +1,70 @@
 package experiments
 
 import (
-	"fmt"
+	"context"
 
-	"iabc/internal/adversary"
-	"iabc/internal/condition"
-	"iabc/internal/core"
-	"iabc/internal/nodeset"
-	"iabc/internal/sim"
-	"iabc/internal/topology"
+	"iabc"
 )
 
-// E4Result reproduces Section 6.2 and Fig. 3: binary hypercubes have
-// connectivity d but never satisfy Theorem 1 for f ≥ 1 — the cut along any
-// one dimension is a violating partition. For small d the exact checker
-// confirms; for all d the dimension-cut witness is verified directly
-// (polynomial time), exactly the paper's argument. A simulation on the
-// 3-cube shows the partition attack holding both halves apart.
-type E4Result struct {
-	Rows []E4Row
-	// AttackFrozen is whether the Fig. 3 partition attack froze the 3-cube
-	// halves at their initial values.
-	AttackFrozen bool
-	// AttackRange is the fault-free range after the attack run.
-	AttackRange float64
-}
-
-// E4Row is one hypercube measurement.
-type E4Row struct {
-	D, N int
-	// ExactChecked is whether the exponential checker ran (n − f ≤ 62).
-	ExactChecked bool
-	// SatisfiedF1 is the exact verdict at f = 1 (want: false).
-	SatisfiedF1 bool
-	// CutWitnessOK is whether the dimension-cut partition
-	// {0..2^{d-1}−1 | rest} verifies as a Theorem 1 violation at f = 1.
-	CutWitnessOK bool
-	// SatisfiedF0 is the verdict at f = 0 (want: true — hypercubes are
-	// connected).
-	SatisfiedF0 bool
-}
-
-// Title implements Report.
-func (*E4Result) Title() string {
-	return "E4 — §6.2/Fig. 3: hypercubes fail Theorem 1 for f = 1 (dimension cut witness)"
-}
-
-// Table implements Report.
-func (r *E4Result) Table() string {
-	rows := make([][]string, 0, len(r.Rows)+1)
-	for _, row := range r.Rows {
-		exact := "skipped (n too large)"
-		if row.ExactChecked {
-			exact = yes(row.SatisfiedF1)
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(row.D), fmt.Sprint(row.N), exact,
-			yes(row.CutWitnessOK), yes(row.SatisfiedF0),
-		})
-	}
-	out := table([]string{"d", "n", "satisfied f=1 (exact)", "dim-cut witness verifies", "satisfied f=0"}, rows)
-	return out + fmt.Sprintf("3-cube partition attack: frozen=%v, final range=%g\n", r.AttackFrozen, r.AttackRange)
-}
-
-// E4Hypercube runs the sweep for d = 2..7.
-func E4Hypercube() (*E4Result, error) {
-	res := &E4Result{}
+// e4Hypercube reproduces Section 6.2 and Fig. 3 for d = 2..7: binary
+// hypercubes have connectivity d but never satisfy Theorem 1 for f ≥ 1 — the
+// cut along any one dimension is a violating partition. For small d the
+// exact checker confirms; for all d the dimension-cut witness is verified
+// directly (polynomial time), exactly the paper's argument. A simulation on
+// the 3-cube shows the halves held apart.
+func e4Hypercube(ctx context.Context) ([]Table, error) {
+	t := Table{Header: []string{"d", "n", "satisfied f=1 (exact)", "dim-cut witness verifies", "satisfied f=0"}}
 	for d := 2; d <= 7; d++ {
-		g, err := topology.Hypercube(d)
+		g, err := iabc.Hypercube(d)
 		if err != nil {
 			return nil, err
 		}
 		n := g.N()
-		row := E4Row{D: d, N: n}
 
 		// Fig. 3 witness: halves along the top dimension, F = ∅.
-		low := nodeset.New(n)
+		low := iabc.NewSet(n)
 		for i := 0; i < n/2; i++ {
 			low.Add(i)
 		}
-		w := &condition.Witness{
-			F: nodeset.New(n), L: low, C: nodeset.New(n), R: low.Complement(),
-		}
-		row.CutWitnessOK = w.Verify(g, 1, condition.SyncThreshold(1)) == nil
+		w := &iabc.Witness{F: iabc.NewSet(n), L: low, C: iabc.NewSet(n), R: low.Complement()}
+		cutOK := w.Verify(g, 1, iabc.SyncThreshold(1)) == nil
 
 		// The exact check is exponential and, on hypercubes, hits its worst
 		// case: the minimal violating sets are half-cubes, so refuting all
 		// smaller candidates costs ~2^n. d ≤ 4 is instant; for d ≥ 5 the
 		// paper's own argument — verify the dimension cut — is polynomial
-		// and is what the CutWitnessOK column reports.
+		// and is what the witness column reports.
+		var exact any = "skipped (n too large)"
+		satF1 := false
+		// f=0 is decidable in polynomial time: unique source SCC ⟺ the
+		// condition; hypercubes are strongly connected.
+		satF0 := g.IsStronglyConnected()
 		if n <= 16 {
-			row.ExactChecked = true
-			chk, err := condition.Check(g, 1)
-			if err != nil {
+			if satF1, err = satisfied(ctx, g, 1); err != nil {
 				return nil, err
 			}
-			row.SatisfiedF1 = chk.Satisfied
-			chk0, err := condition.Check(g, 0)
-			if err != nil {
+			if satF0, err = satisfied(ctx, g, 0); err != nil {
 				return nil, err
 			}
-			row.SatisfiedF0 = chk0.Satisfied
-		} else {
-			// f=0 is still decidable in polynomial time: unique source SCC
-			// ⟺ the condition; hypercubes are strongly connected.
-			row.SatisfiedF0 = g.IsStronglyConnected()
+			exact = satF1
 		}
-		res.Rows = append(res.Rows, row)
+		t.Rows = append(t.Rows, row(!satF1 && cutOK && satF0, d, n, exact, cutOK, satF0))
 	}
 
-	// Fig. 3 dynamics: attack the 3-cube along the top-dimension cut with
-	// one Byzantine node per half lying at the seam. With f = 1 the
+	// Fig. 3 dynamics on the 3-cube, halves seeded 0 and 1. With f = 1 the
 	// in-degree bound (3 ≥ 2f+1) holds, so Algorithm 1 runs — but the cut
-	// has only one inter-half edge per node, below f+1, so the halves
-	// cannot hear each other through the trimming.
-	g3, err := topology.Hypercube(3)
+	// has only one inter-half edge per node, below f+1: even with zero
+	// actual faults, trimming f = 1 removes the single cross-dimension value
+	// at every node, and the halves never mix.
+	g3, err := iabc.Hypercube(3)
 	if err != nil {
 		return nil, err
 	}
-	initial := []float64{0, 0, 0, 0, 1, 1, 1, 1}
-	tr, err := sim.Sequential{}.Run(sim.Config{
-		G: g3, F: 1, Faulty: nodeset.New(8), Initial: initial,
-		Rule:      core.TrimmedMean{},
-		Adversary: adversary.Conforming{},
-		MaxRounds: 300,
-	})
+	out, err := iabc.Simulate(ctx, g3, iabc.WithF(1),
+		iabc.WithInitial([]float64{0, 0, 0, 0, 1, 1, 1, 1}), iabc.WithMaxRounds(300))
 	if err != nil {
 		return nil, err
 	}
-	// Even with zero actual faults, trimming f=1 removes the single
-	// cross-dimension value at every node: the halves never mix.
-	res.AttackFrozen = tr.FinalRange() == 1.0
-	res.AttackRange = tr.FinalRange()
-	return res, nil
-}
-
-// Passed reports whether every hypercube behaved as Section 6.2 claims.
-func (r *E4Result) Passed() bool {
-	for _, row := range r.Rows {
-		if row.ExactChecked && row.SatisfiedF1 {
-			return false
-		}
-		if !row.CutWitnessOK || !row.SatisfiedF0 {
-			return false
-		}
-	}
-	return r.AttackFrozen && len(r.Rows) > 0
+	frozen := out.FinalRange == 1.0
+	return []Table{t, note(frozen, "3-cube partition attack: frozen=%v, final range=%g", frozen, out.FinalRange)}, nil
 }

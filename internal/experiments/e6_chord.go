@@ -1,161 +1,67 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"iabc/internal/adversary"
-	"iabc/internal/condition"
-	"iabc/internal/core"
-	"iabc/internal/nodeset"
-	"iabc/internal/sim"
-	"iabc/internal/topology"
+	"iabc"
 )
 
-// E6Result reproduces Section 6.3 (chord networks, Definition 5) and
-// extends the paper's three spot checks into a sweep: for each (n, f) the
-// exact Theorem 1 verdict, and for the paper's violated case the
-// re-verification of its published witness F={5,6}, L={0,2}, R={1,3,4}.
-type E6Result struct {
-	Rows []E6Row
-	// PaperWitnessOK confirms the exact witness printed in Section 6.3.
-	PaperWitnessOK bool
-	// ViolatedConvergeAnyway records the simulation on Chord(7,2) with
-	// conforming faulty nodes — the graph violates the condition, but the
-	// specific all-honest run may still mix; the impossibility only says
-	// SOME adversary (E1's) prevents consensus. Reported for context.
-	ViolatedConvergeAnyway bool
-}
-
-// E6Row is one chord measurement.
-type E6Row struct {
-	N, F int
-	// Satisfied is the exact checker verdict.
-	Satisfied bool
-	// PaperClaim is the paper's stated verdict where it gives one
-	// ("satisfied"/"violated"/"" when the paper is silent).
-	PaperClaim string
-	// Converged is the Algorithm 1 run outcome on satisfying instances
-	// (with f faulty under the extremes adversary); always false-with-dash
-	// semantics for violating ones (not run).
-	Converged bool
-	Ran       bool
-	Rounds    int
-}
-
-// Title implements Report.
-func (*E6Result) Title() string {
-	return "E6 — §6.3: chord networks — paper's three cases plus an (n, f) sweep"
-}
-
-// Table implements Report.
-func (r *E6Result) Table() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		claim := row.PaperClaim
-		if claim == "" {
-			claim = "-"
-		}
-		conv := "-"
-		if row.Ran {
-			conv = fmt.Sprintf("%v (%d rounds)", row.Converged, row.Rounds)
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(row.N), fmt.Sprint(row.F),
-			yes(row.Satisfied), claim, conv,
-		})
+// e6Chord reproduces Section 6.3 (chord networks, Definition 5) and extends
+// the paper's three spot checks into an (n, f) sweep: the exact Theorem 1
+// verdict per point (which must match the paper where it states one),
+// Algorithm 1 under attack on every satisfying instance (which must
+// converge), and the re-verification of the witness the paper prints for
+// chord(7,2).
+func e6Chord(ctx context.Context) ([]Table, error) {
+	const eps = 1e-6
+	claims := map[[2]int]struct {
+		text string
+		want bool
+	}{
+		{4, 1}: {"satisfied (complete)", true},
+		{5, 1}: {"satisfied", true},
+		{7, 2}: {"violated", false},
 	}
-	out := table([]string{"n", "f", "satisfied", "paper claim", "converged under attack"}, rows)
-	return out + fmt.Sprintf("paper witness F={5,6} L={0,2} R={1,3,4} on chord(7,2) verifies: %v\n", r.PaperWitnessOK)
-}
-
-// E6Chord runs the paper's cases and a sweep.
-func E6Chord() (*E6Result, error) {
-	res := &E6Result{}
-	claims := map[[2]int]string{
-		{4, 1}: "satisfied (complete)",
-		{5, 1}: "satisfied",
-		{7, 2}: "violated",
-	}
-	cases := [][2]int{
+	t := Table{Header: []string{"n", "f", "satisfied", "paper claim", "converged under attack"}}
+	for _, nf := range [][2]int{
 		{4, 1}, {5, 1}, {6, 1}, {7, 1}, {10, 1}, {13, 1},
 		{7, 2}, {8, 2}, {9, 2}, {10, 2}, {11, 2}, {13, 2},
 		{10, 3}, {13, 3},
-	}
-	const eps = 1e-6
-	for _, nf := range cases {
+	} {
 		n, f := nf[0], nf[1]
-		g, err := topology.Chord(n, f)
+		g, err := iabc.Chord(n, f)
 		if err != nil {
 			return nil, err
 		}
-		chk, err := condition.Check(g, f)
+		sat, err := satisfied(ctx, g, f)
 		if err != nil {
 			return nil, err
 		}
-		row := E6Row{N: n, F: f, Satisfied: chk.Satisfied, PaperClaim: claims[nf]}
-		if chk.Satisfied {
-			tr, err := sim.Sequential{}.Run(sim.Config{
-				G: g, F: f,
-				Faulty:    faultySetOfSize(n, f),
-				Initial:   ramp(n),
-				Rule:      core.TrimmedMean{},
-				Adversary: adversary.Extremes{Amplitude: 100},
-				MaxRounds: 100000, Epsilon: eps,
-			})
+		claim, ok := "-", true
+		if c, stated := claims[nf]; stated {
+			claim, ok = c.text, sat == c.want
+		}
+		conv := "-"
+		if sat {
+			out, err := iabc.Simulate(ctx, g,
+				iabc.WithF(f), firstFaulty(f), iabc.WithInitial(ramp(n)),
+				iabc.WithAdversary(iabc.Extremes{Amplitude: 100}),
+				iabc.WithMaxRounds(100000), iabc.WithEpsilon(eps))
 			if err != nil {
 				return nil, err
 			}
-			row.Ran = true
-			row.Converged = tr.Converged
-			row.Rounds = tr.Rounds
+			conv = fmt.Sprintf("%v (%d rounds)", out.Converged, out.Rounds)
+			ok = ok && out.Converged
 		}
-		res.Rows = append(res.Rows, row)
+		t.Rows = append(t.Rows, row(ok, n, f, sat, claim, conv))
 	}
 
-	// The paper's witness for chord(7,2).
-	g72, err := topology.Chord(7, 2)
+	g72, err := iabc.Chord(7, 2)
 	if err != nil {
 		return nil, err
 	}
-	paper := &condition.Witness{
-		F: nodeset.FromMembers(7, 5, 6),
-		L: nodeset.FromMembers(7, 0, 2),
-		C: nodeset.New(7),
-		R: nodeset.FromMembers(7, 1, 3, 4),
-	}
-	res.PaperWitnessOK = paper.Verify(g72, 2, condition.SyncThreshold(2)) == nil
-
-	// Context: the violating graph under *benign* faults may still mix —
-	// impossibility is about worst-case adversaries, not every run.
-	tr, err := sim.Sequential{}.Run(sim.Config{
-		G: g72, F: 2,
-		Faulty:    nodeset.FromMembers(7, 5, 6),
-		Initial:   ramp(7),
-		Rule:      core.TrimmedMean{},
-		Adversary: adversary.Conforming{},
-		MaxRounds: 20000, Epsilon: eps,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.ViolatedConvergeAnyway = tr.Converged
-	return res, nil
-}
-
-// Passed checks the paper's three claims against the measured verdicts.
-func (r *E6Result) Passed() bool {
-	want := map[[2]int]bool{{4, 1}: true, {5, 1}: true, {7, 2}: false}
-	seen := 0
-	for _, row := range r.Rows {
-		if w, ok := want[[2]int{row.N, row.F}]; ok {
-			seen++
-			if row.Satisfied != w {
-				return false
-			}
-		}
-		if row.Ran && !row.Converged {
-			return false
-		}
-	}
-	return seen == len(want) && r.PaperWitnessOK
+	paper := &iabc.Witness{F: iabc.SetOf(7, 5, 6), L: iabc.SetOf(7, 0, 2), C: iabc.NewSet(7), R: iabc.SetOf(7, 1, 3, 4)}
+	paperOK := paper.Verify(g72, 2, iabc.SyncThreshold(2)) == nil
+	return []Table{t, note(paperOK, "paper witness F={5,6} L={0,2} R={1,3,4} on chord(7,2) verifies: %v", paperOK)}, nil
 }

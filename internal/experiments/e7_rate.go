@@ -1,120 +1,53 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"iabc/internal/adversary"
+	"iabc"
 	"iabc/internal/analysis"
-	"iabc/internal/core"
-	"iabc/internal/sim"
-	"iabc/internal/topology"
 )
 
-// E7Result reproduces the convergence-rate analysis (Lemma 5, Theorem 3):
-// on core networks under the hug adversary — the in-range strategy that
-// maximally slows mixing — the measured worst contraction of U−µ over any
-// l = n−f−1 consecutive rounds must respect the Lemma 5 bound (1 − αˡ/2),
-// and the run must converge within the Theorem 3 worst-case round bound.
-type E7Result struct {
-	Rows []E7Row
-}
-
-// E7Row is one (n, f) rate measurement.
-type E7Row struct {
-	N, F int
-	// Alpha is min_i a_i (equation (3)); L is the worst-case propagation
-	// length n−f−1.
-	Alpha float64
-	L     int
-	// Bound is the Lemma 5 per-phase factor (1 − αˡ/2).
-	Bound float64
-	// MeasuredWorst is the worst observed l-round contraction under attack.
-	MeasuredWorst float64
-	// PerRoundRate is the fitted geometric per-round rate.
-	PerRoundRate float64
-	// WithinBound is MeasuredWorst ≤ Bound.
-	WithinBound bool
-	// RoundsActual vs RoundsBound: measured rounds to ε vs the Theorem 3
-	// worst case.
-	RoundsActual, RoundsBound int
-}
-
-// Title implements Report.
-func (*E7Result) Title() string {
-	return "E7 — Lemma 5/Theorem 3: measured contraction vs. the (1 − αˡ/2) bound"
-}
-
-// Table implements Report.
-func (r *E7Result) Table() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprint(row.N), fmt.Sprint(row.F),
-			fmt.Sprintf("%.4f", row.Alpha), fmt.Sprint(row.L),
-			fmt.Sprintf("%.6f", row.Bound),
-			fmt.Sprintf("%.6f", row.MeasuredWorst),
-			yes(row.WithinBound),
-			fmt.Sprintf("%.4f", row.PerRoundRate),
-			fmt.Sprint(row.RoundsActual), fmt.Sprint(row.RoundsBound),
-		})
-	}
-	return table(
-		[]string{"n", "f", "α", "l", "bound (l rounds)", "measured worst", "within", "per-round rate", "rounds to ε", "worst-case bound"},
-		rows,
-	)
-}
-
-// E7ConvergenceRate sweeps core networks for f = 1..3.
-func E7ConvergenceRate() (*E7Result, error) {
+// e7ConvergenceRate reproduces the convergence-rate analysis (Lemma 5,
+// Theorem 3) on core networks for f = 1..3 under the hug adversary — the
+// in-range strategy that maximally slows mixing. With α = min_i a_i
+// (equation (3)) and l = n−f−1 the worst-case propagation length, the
+// measured worst contraction of U−µ over any l consecutive rounds must
+// respect the Lemma 5 bound (1 − αˡ/2), and the run must converge within
+// the Theorem 3 worst-case round bound; the fitted per-round rate is shown
+// for scale.
+func e7ConvergenceRate(ctx context.Context) ([]Table, error) {
 	const eps = 1e-6
-	res := &E7Result{}
+	t := Table{Header: []string{"n", "f", "α", "l", "bound (l rounds)", "measured worst", "within", "per-round rate", "rounds to ε", "worst-case bound"}}
 	for _, tc := range []struct{ n, f int }{{4, 1}, {6, 1}, {7, 2}, {9, 2}, {10, 3}} {
-		g, err := topology.CoreNetwork(tc.n, tc.f)
+		g, err := iabc.CoreNetwork(tc.n, tc.f)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := sim.Sequential{}.Run(sim.Config{
-			G: g, F: tc.f,
-			Faulty:    faultySetOfSize(tc.n, tc.f),
-			Initial:   ramp(tc.n),
-			Rule:      core.TrimmedMean{},
-			Adversary: adversary.Hug{High: true},
-			MaxRounds: 200000, Epsilon: eps,
-		})
+		out, err := iabc.Simulate(ctx, g,
+			iabc.WithF(tc.f), firstFaulty(tc.f), iabc.WithInitial(ramp(tc.n)),
+			iabc.WithAdversary(iabc.Hug{High: true}),
+			iabc.WithMaxRounds(200000), iabc.WithEpsilon(eps))
 		if err != nil {
 			return nil, err
 		}
-		alpha, err := analysis.Alpha(g, tc.f)
+		alpha, err := iabc.Alpha(g, tc.f)
 		if err != nil {
 			return nil, err
 		}
 		l := analysis.WorstCaseSteps(tc.n, tc.f)
 		bound := analysis.ContractionBound(alpha, l)
-		measured := analysis.MeasureContraction(tr, l, 1e-9)
-		roundsBound, err := analysis.RoundsToEpsilonBound(tc.n, tc.f, alpha, tr.Range(0), eps)
+		measured := analysis.MeasureContraction(out.Trace, l, 1e-9)
+		roundsBound, err := iabc.RoundsToEpsilonBound(tc.n, tc.f, alpha, out.Trace.Range(0), eps)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, E7Row{
-			N: tc.n, F: tc.f,
-			Alpha: alpha, L: l,
-			Bound:         bound,
-			MeasuredWorst: measured,
-			PerRoundRate:  analysis.EmpiricalRate(tr),
-			WithinBound:   measured <= bound+1e-9,
-			RoundsActual:  tr.Rounds,
-			RoundsBound:   roundsBound,
-		})
+		rate := analysis.EmpiricalRate(out.Trace)
+		within := measured <= bound+1e-9
+		t.Rows = append(t.Rows, row(within && out.Rounds <= roundsBound && 0 < rate && rate < 1,
+			tc.n, tc.f, fmt.Sprintf("%.4f", alpha), l,
+			fmt.Sprintf("%.6f", bound), fmt.Sprintf("%.6f", measured), within,
+			fmt.Sprintf("%.4f", rate), out.Rounds, roundsBound))
 	}
-	return res, nil
-}
-
-// Passed reports whether every measurement respected both bounds.
-func (r *E7Result) Passed() bool {
-	for _, row := range r.Rows {
-		if !row.WithinBound || row.RoundsActual > row.RoundsBound {
-			return false
-		}
-	}
-	return len(r.Rows) > 0
+	return []Table{t}, nil
 }

@@ -5,184 +5,118 @@ import (
 	"fmt"
 	"math/rand"
 
-	"iabc/internal/adversary"
-	"iabc/internal/async"
-	"iabc/internal/condition"
-	"iabc/internal/core"
-	"iabc/internal/nodeset"
-	"iabc/internal/topology"
+	"iabc"
 )
 
-// E8Result reproduces Section 7: asynchronous iterative consensus under the
+// E8Epsilon is the convergence target of E8's asynchronous runs.
+const E8Epsilon = 1e-6
+
+// AsyncInstance is one Section 7 run of E8 as data: the graph, the complete
+// option list that configures it, and the pieces of that list a caller needs
+// to label or judge the outcome. E8 executes it on the deterministic Async
+// engine; any runtime accepting the options (iabc.Cluster ignores
+// WithDelays) can execute the same instance.
+type AsyncInstance struct {
+	G         *iabc.Graph
+	F         int
+	Faulty    iabc.Set
+	Initial   []float64
+	Adversary iabc.Strategy
+	// Delays labels the delay policy inside Opts.
+	Delays string
+	Opts   []iabc.Option
+}
+
+// E8Instances returns E8's four converging runs — K7 (f=1) and K11 (f=2)
+// under several adversaries and delay regimes, the last f nodes faulty — and
+// the starvation instance: two silent nodes against a budget of f = 1, which
+// leaves every quorum one value short. The delay policies are stateful, so
+// each call builds fresh instances.
+func E8Instances() (runs []AsyncInstance, starved AsyncInstance, err error) {
+	build := func(n, f int, faulty iabc.Set, adv iabc.Strategy, delays iabc.DelayPolicy, label string, maxRounds int) (AsyncInstance, error) {
+		g, err := iabc.Complete(n)
+		if err != nil {
+			return AsyncInstance{}, err
+		}
+		in := AsyncInstance{G: g, F: f, Faulty: faulty, Initial: ramp(n), Adversary: adv, Delays: label}
+		in.Opts = []iabc.Option{
+			iabc.WithF(f), iabc.WithFaultySet(faulty), iabc.WithInitial(in.Initial),
+			iabc.WithAdversary(adv), iabc.WithDelays(delays),
+			iabc.WithMaxRounds(maxRounds), iabc.WithEpsilon(E8Epsilon),
+		}
+		return in, nil
+	}
+	for _, c := range []struct {
+		n, f   int
+		adv    iabc.Strategy
+		delays iabc.DelayPolicy
+		label  string
+	}{
+		{7, 1, iabc.Fixed{Value: 1e6}, &iabc.UniformDelay{B: 2, Rng: rand.New(rand.NewSource(81))}, "uniform(0,2]"},
+		{7, 1, iabc.Extremes{Amplitude: 50}, iabc.TargetedDelay{Slow: iabc.SetOf(7, 1, 2, 3), B: 15, Fast: 0.1}, "targeted(B=15)"},
+		{7, 1, iabc.Silent{}, iabc.FixedDelay{D: 1}, "fixed(1)"},
+		{11, 2, iabc.Extremes{Amplitude: 100}, &iabc.UniformDelay{B: 3, Rng: rand.New(rand.NewSource(82))}, "uniform(0,3]"},
+	} {
+		faulty := iabc.NewSet(c.n)
+		for i := 0; i < c.f; i++ {
+			faulty.Add(c.n - 1 - i)
+		}
+		in, err := build(c.n, c.f, faulty, c.adv, c.delays, c.label, 3000)
+		if err != nil {
+			return nil, AsyncInstance{}, err
+		}
+		runs = append(runs, in)
+	}
+	starved, err = build(7, 1, iabc.SetOf(7, 5, 6), iabc.Silent{}, iabc.FixedDelay{D: 1}, "fixed(1)", 50)
+	return runs, starved, err
+}
+
+// e8Async reproduces Section 7: asynchronous iterative consensus under the
 // strengthened condition (threshold 2f+1, n > 5f, in-degree ≥ 3f+1).
-// Measurements:
 //
 //   - boundary of the strengthened condition on complete graphs: K_{5f}
 //     fails, K_{5f+1} passes (the async analogue of Corollary 2);
 //   - convergence of the asynchronous algorithm on satisfying graphs under
-//     Byzantine faults and adversarial message delays within the bound B;
-//   - starvation detection when more than f in-neighbors stay silent.
-type E8Result struct {
-	Boundary []E8BoundaryRow
-	Runs     []E8RunRow
-	// StallDetected is whether the engine correctly reported the
-	// over-silent configuration as stalled rather than looping.
-	StallDetected bool
-}
-
-// E8BoundaryRow is one strengthened-condition boundary check.
-type E8BoundaryRow struct {
-	N, F      int
-	Satisfied bool
-	Want      bool
-}
-
-// E8RunRow is one asynchronous simulation outcome.
-type E8RunRow struct {
-	Graph     string
-	F         int
-	Adversary string
-	Delays    string
-	Converged bool
-	// Time is the simulation time at the end; Deliveries the messages
-	// delivered.
-	Time       float64
-	Deliveries int
-}
-
-// Title implements Report.
-func (*E8Result) Title() string {
-	return "E8 — §7: asynchronous consensus (threshold 2f+1, n > 5f, in-degree ≥ 3f+1)"
-}
-
-// Table implements Report.
-func (r *E8Result) Table() string {
-	rows := make([][]string, 0, len(r.Boundary))
-	for _, b := range r.Boundary {
-		rows = append(rows, []string{
-			fmt.Sprintf("K%d", b.N), fmt.Sprint(b.F), yes(b.Satisfied), yes(b.Want),
-		})
-	}
-	out := table([]string{"graph", "f", "async condition", "expected"}, rows)
-
-	runRows := make([][]string, 0, len(r.Runs))
-	for _, rr := range r.Runs {
-		runRows = append(runRows, []string{
-			rr.Graph, fmt.Sprint(rr.F), rr.Adversary, rr.Delays,
-			yes(rr.Converged), fmt.Sprintf("%.1f", rr.Time), fmt.Sprint(rr.Deliveries),
-		})
-	}
-	out += table([]string{"graph", "f", "adversary", "delays", "converged", "time", "deliveries"}, runRows)
-	return out + fmt.Sprintf("starvation (2 silent, f=1) detected as stall: %v\n", r.StallDetected)
-}
-
-// E8Async runs the boundary checks and simulations.
-func E8Async() (*E8Result, error) {
-	res := &E8Result{}
-
-	// Async analogue of Corollary 2 on complete graphs: n > 5f.
+//     Byzantine faults and adversarial message delays within the bound B,
+//     with the simulation time and message count at the end;
+//   - starvation, when more than f in-neighbors stay silent, reported as a
+//     stall rather than looping.
+func e8Async(ctx context.Context) ([]Table, error) {
+	boundary := Table{Header: []string{"graph", "f", "async condition", "expected"}}
 	for f := 1; f <= 2; f++ {
-		for _, tc := range []struct {
-			n    int
-			want bool
-		}{
-			{5 * f, false},
-			{5*f + 1, true},
-		} {
-			g, err := topology.Complete(tc.n)
+		for _, n := range []int{5 * f, 5*f + 1} {
+			g, err := iabc.Complete(n)
 			if err != nil {
 				return nil, err
 			}
-			chk, err := condition.CheckAsync(g, f)
+			sat, err := satisfied(ctx, g, f, iabc.WithAsyncCondition())
 			if err != nil {
 				return nil, err
 			}
-			res.Boundary = append(res.Boundary, E8BoundaryRow{
-				N: tc.n, F: f, Satisfied: chk.Satisfied, Want: tc.want,
-			})
+			want := n > 5*f
+			boundary.Rows = append(boundary.Rows, row(sat == want, fmt.Sprintf("K%d", n), f, sat, want))
 		}
 	}
 
-	// Simulations on K7 (f=1) and K11 (f=2) under several adversaries and
-	// delay regimes.
-	const eps = 1e-6
-	type runCase struct {
-		n, f  int
-		strat adversary.Strategy
-		mkDel func() async.DelayPolicy
-		name  string
-	}
-	cases := []runCase{
-		{7, 1, adversary.Fixed{Value: 1e6},
-			func() async.DelayPolicy { return &async.Uniform{B: 2, Rng: rand.New(rand.NewSource(81))} },
-			"uniform(0,2]"},
-		{7, 1, adversary.Extremes{Amplitude: 50},
-			func() async.DelayPolicy {
-				return async.Targeted{Slow: nodeset.FromMembers(7, 1, 2, 3), B: 15, Fast: 0.1}
-			},
-			"targeted(B=15)"},
-		{7, 1, adversary.Silent{},
-			func() async.DelayPolicy { return async.Fixed{D: 1} },
-			"fixed(1)"},
-		{11, 2, adversary.Extremes{Amplitude: 100},
-			func() async.DelayPolicy { return &async.Uniform{B: 3, Rng: rand.New(rand.NewSource(82))} },
-			"uniform(0,3]"},
-	}
-	for _, c := range cases {
-		g, err := topology.Complete(c.n)
-		if err != nil {
-			return nil, err
-		}
-		faulty := nodeset.New(c.n)
-		for i := 0; i < c.f; i++ {
-			faulty.Add(c.n - 1 - i)
-		}
-		tr, err := async.Run(context.Background(), async.Config{
-			G: g, F: c.f, Faulty: faulty,
-			Initial: ramp(c.n), Rule: core.TrimmedMean{},
-			Adversary: c.strat, Delays: c.mkDel(),
-			MaxRounds: 3000, Epsilon: eps,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Runs = append(res.Runs, E8RunRow{
-			Graph: fmt.Sprintf("K%d", c.n), F: c.f,
-			Adversary: c.strat.Name(), Delays: c.name,
-			Converged: tr.Converged, Time: tr.Time, Deliveries: tr.Deliveries,
-		})
-	}
-
-	// Starvation: two silent faulty with budget f=1 must stall, not hang.
-	g7, err := topology.Complete(7)
+	instances, starved, err := E8Instances()
 	if err != nil {
 		return nil, err
 	}
-	stall, err := async.Run(context.Background(), async.Config{
-		G: g7, F: 1, Faulty: nodeset.FromMembers(7, 5, 6),
-		Initial: ramp(7), Rule: core.TrimmedMean{},
-		Adversary: adversary.Silent{}, Delays: async.Fixed{D: 1},
-		MaxRounds: 50, Epsilon: eps,
-	})
+	runs := Table{Header: []string{"graph", "f", "adversary", "delays", "converged", "time", "deliveries"}}
+	for _, in := range instances {
+		out, err := iabc.Simulate(ctx, in.G, append(in.Opts, iabc.WithEngine(iabc.Async))...)
+		if err != nil {
+			return nil, err
+		}
+		runs.Rows = append(runs.Rows, row(out.Converged,
+			fmt.Sprintf("K%d", in.G.N()), in.F, in.Adversary.Name(), in.Delays,
+			out.Converged, fmt.Sprintf("%.1f", out.AsyncTrace.Time), out.AsyncTrace.Deliveries))
+	}
+
+	out, err := iabc.Simulate(ctx, starved.G, append(starved.Opts, iabc.WithEngine(iabc.Async))...)
 	if err != nil {
 		return nil, err
 	}
-	res.StallDetected = stall.Stalled && !stall.Converged
-	return res, nil
-}
-
-// Passed reports whether the boundary, runs, and stall detection all match
-// Section 7's claims.
-func (r *E8Result) Passed() bool {
-	for _, b := range r.Boundary {
-		if b.Satisfied != b.Want {
-			return false
-		}
-	}
-	for _, rr := range r.Runs {
-		if !rr.Converged {
-			return false
-		}
-	}
-	return r.StallDetected && len(r.Boundary) > 0 && len(r.Runs) > 0
+	stalled := out.AsyncTrace.Stalled && !out.Converged
+	return []Table{boundary, runs, note(stalled, "starvation (2 silent, f=1) detected as stall: %v", stalled)}, nil
 }

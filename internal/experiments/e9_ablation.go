@@ -1,116 +1,56 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"iabc/internal/adversary"
+	"iabc"
 	"iabc/internal/core"
-	"iabc/internal/sim"
-	"iabc/internal/topology"
 )
 
-// E9Result is the design ablation behind Algorithm 1 (the validity theorem,
-// Theorem 2): on the same core network with the same extreme liar, compare
+// e9RuleAblation is the design ablation behind Algorithm 1 (the validity
+// theorem, Theorem 2): on CoreNetwork(7,2) with two core members lying at
+// +1000, compare
 //
 //   - plain Mean (the f = 0 baseline of [4]) — the liar drags fault-free
-//     nodes outside the initial hull: validity violated;
+//     nodes outside the initial hull [0, 6]: validity violated, and the
+//     final max shows how far;
 //   - Algorithm 1's TrimmedMean — validity holds and the run converges;
 //   - TrimmedMidpoint — validity holds too (trimming is what matters), with
 //     a different rate: the weight structure of equation (2) is not the
 //     only convergent choice, but trimming 2f values is non-negotiable.
-type E9Result struct {
-	Rows []E9Row
-}
-
-// E9Row is one rule's outcome.
-type E9Row struct {
-	Rule string
-	// ValidityViolated is whether U ever rose or µ ever fell.
-	ValidityViolated bool
-	// Converged within the round budget, and the final fault-free range.
-	Converged  bool
-	Rounds     int
-	FinalRange float64
-	// FinalMax shows how far the liar dragged the maximum (vivid for Mean).
-	FinalMax float64
-}
-
-// Title implements Report.
-func (*E9Result) Title() string {
-	return "E9 — ablation of Theorem 2: trimming is what buys validity"
-}
-
-// Table implements Report.
-func (r *E9Result) Table() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Rule, yes(row.ValidityViolated), yes(row.Converged),
-			fmt.Sprint(row.Rounds), fmt.Sprintf("%.3g", row.FinalRange), fmt.Sprintf("%.4g", row.FinalMax),
-		})
-	}
-	return table([]string{"rule", "validity violated", "converged", "rounds", "final range", "final max"}, rows)
-}
-
-// E9RuleAblation runs the three rules on CoreNetwork(7,2) with two core
-// members lying at +1000.
-func E9RuleAblation() (*E9Result, error) {
+func e9RuleAblation(ctx context.Context) ([]Table, error) {
 	const (
 		n, f = 7, 2
 		lie  = 1000.0
 		eps  = 1e-6
 	)
-	g, err := topology.CoreNetwork(n, f)
+	g, err := iabc.CoreNetwork(n, f)
 	if err != nil {
 		return nil, err
 	}
-	res := &E9Result{}
-	for _, rule := range []core.UpdateRule{core.Mean{}, core.TrimmedMean{}, core.TrimmedMidpoint{}} {
-		cfgF := f
-		if rule.Name() == "mean" {
-			cfgF = 0 // Mean ignores f; keep validation happy on any graph.
+	t := Table{Header: []string{"rule", "validity violated", "converged", "rounds", "final range", "final max"}}
+	for _, rule := range []iabc.UpdateRule{iabc.Mean{}, iabc.TrimmedMean{}, core.TrimmedMidpoint{}} {
+		mean := rule.Name() == "mean"
+		ruleF := f
+		if mean {
+			ruleF = 0 // Mean ignores f; keep validation happy on any graph.
 		}
-		tr, err := sim.Sequential{}.Run(sim.Config{
-			G: g, F: cfgF,
-			Faulty:    faultySetOfSize(n, f),
-			Initial:   ramp(n),
-			Rule:      rule,
-			Adversary: adversary.Fixed{Value: lie},
-			MaxRounds: 5000, Epsilon: eps,
-		})
+		out, err := iabc.Simulate(ctx, g,
+			iabc.WithF(ruleF), firstFaulty(f), iabc.WithInitial(ramp(n)), iabc.WithRule(rule),
+			iabc.WithAdversary(iabc.Fixed{Value: lie}),
+			iabc.WithMaxRounds(5000), iabc.WithEpsilon(eps))
 		if err != nil {
 			return nil, err
 		}
-		_, violated := tr.ValidityViolation(1e-9)
-		res.Rows = append(res.Rows, E9Row{
-			Rule:             rule.Name(),
-			ValidityViolated: violated,
-			Converged:        tr.Converged,
-			Rounds:           tr.Rounds,
-			FinalRange:       tr.FinalRange(),
-			FinalMax:         tr.U[tr.Rounds],
-		})
+		_, violated := out.Trace.ValidityViolation(1e-9)
+		finalMax := out.Trace.U[out.Rounds]
+		ok := !violated && out.Converged
+		if mean {
+			ok = violated && finalMax >= 100
+		}
+		t.Rows = append(t.Rows, row(ok, rule.Name(), violated, out.Converged, out.Rounds,
+			fmt.Sprintf("%.3g", out.FinalRange), fmt.Sprintf("%.4g", finalMax)))
 	}
-	return res, nil
-}
-
-// Passed encodes the ablation's expectations: mean violates validity; both
-// trimmed rules keep it and converge.
-func (r *E9Result) Passed() bool {
-	if len(r.Rows) != 3 {
-		return false
-	}
-	byName := map[string]E9Row{}
-	for _, row := range r.Rows {
-		byName[row.Rule] = row
-	}
-	mean, ok1 := byName["mean"]
-	tm, ok2 := byName["trimmed-mean"]
-	mid, ok3 := byName["trimmed-midpoint"]
-	if !ok1 || !ok2 || !ok3 {
-		return false
-	}
-	return mean.ValidityViolated &&
-		!tm.ValidityViolated && tm.Converged &&
-		!mid.ValidityViolated && mid.Converged
+	return []Table{t}, nil
 }

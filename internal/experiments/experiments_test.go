@@ -1,206 +1,150 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestE1Theorem1Attack(t *testing.T) {
-	r, err := E1Theorem1Attack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Frozen {
-		t.Error("partition attack should freeze L and R exactly")
-	}
-	if r.FinalRange != 1.0 {
-		t.Errorf("final range = %v, want 1 (frozen at m=0, M=1)", r.FinalRange)
-	}
-	if r.Rounds != 500 {
-		t.Errorf("rounds = %d, want 500 (no convergence stop)", r.Rounds)
-	}
-	if r.Witness == nil {
-		t.Fatal("no witness returned")
-	}
-	checkReport(t, r)
-}
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from the current RunAll output")
 
-func TestE2Corollary2(t *testing.T) {
-	r, err := E2Corollary2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Passed() {
-		t.Errorf("corollary 2 sweep failed: %+v", r)
-	}
-	if r.GraphsExhausted != 4+64 {
-		t.Errorf("exhausted %d graphs, want 68", r.GraphsExhausted)
-	}
-	if len(r.Boundary) != 8 {
-		t.Errorf("boundary rows = %d, want 8", len(r.Boundary))
-	}
-	checkReport(t, r)
-}
+var goldenPath = filepath.Join("testdata", "experiments.golden")
 
-func TestE3Corollary3(t *testing.T) {
-	r, err := E3Corollary3()
-	if err != nil {
+// TestRunAllGolden is the regression gate: RunAll's output must equal the
+// committed golden byte for byte (every title, header, cell and column
+// width), no row may be refuted, and a second run must reproduce the first.
+func TestRunAllGolden(t *testing.T) {
+	var first, second bytes.Buffer
+	if err := RunAll(context.Background(), &first); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Passed() {
-		t.Errorf("corollary 3 sweep failed: %+v", r)
-	}
-	if len(r.Rows) != 6 {
-		t.Errorf("rows = %d, want 6", len(r.Rows))
-	}
-	checkReport(t, r)
-}
-
-func TestE4Hypercube(t *testing.T) {
-	r, err := E4Hypercube()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Passed() {
-		t.Errorf("hypercube sweep failed: %+v", r)
-	}
-	// d = 2..4 exact-checked; d ≥ 5 relies on the (polynomial) witness
-	// verification, which is the paper's own Section 6.2 argument.
-	for _, row := range r.Rows {
-		wantExact := row.N <= 16
-		if row.ExactChecked != wantExact {
-			t.Errorf("d=%d: exactChecked=%v, want %v", row.D, row.ExactChecked, wantExact)
+	if *update {
+		if err := os.WriteFile(goldenPath, first.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if r.AttackRange != 1.0 {
-		t.Errorf("3-cube stall range = %v, want exactly 1", r.AttackRange)
-	}
-	checkReport(t, r)
-}
-
-func TestE5CoreNetwork(t *testing.T) {
-	r, err := E5CoreNetwork()
+	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Passed() {
-		t.Errorf("core network sweep failed: %+v", r)
+	if !bytes.Equal(first.Bytes(), want) {
+		t.Errorf("RunAll output drifted from %s (rerun with -update if intended):\n%s",
+			goldenPath, firstDiff(string(want), first.String()))
 	}
-	for _, row := range r.Rows {
-		if row.BoundRounds <= 0 {
-			t.Errorf("n=%d f=%d: missing worst-case bound", row.N, row.F)
-		}
-		if row.Rounds <= 0 {
-			t.Errorf("n=%d f=%d: zero rounds", row.N, row.F)
-		}
-	}
-	checkReport(t, r)
-}
-
-func TestE6Chord(t *testing.T) {
-	r, err := E6Chord()
-	if err != nil {
+	if err := RunAll(context.Background(), &second); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Passed() {
-		t.Errorf("chord sweep failed: %+v", r)
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("two consecutive runs differ:\n%s", firstDiff(first.String(), second.String()))
 	}
-	if !r.PaperWitnessOK {
-		t.Error("paper's chord(7,2) witness should verify")
-	}
-	checkReport(t, r)
 }
 
-func TestE7ConvergenceRate(t *testing.T) {
-	r, err := E7ConvergenceRate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Passed() {
-		t.Errorf("rate sweep failed: %+v", r)
-	}
-	for _, row := range r.Rows {
-		if row.PerRoundRate <= 0 || row.PerRoundRate >= 1 {
-			t.Errorf("n=%d f=%d: implausible per-round rate %v", row.N, row.F, row.PerRoundRate)
+// firstDiff locates the first differing line.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) && i < len(g); i++ {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d:\n- %s\n+ %s", i+1, w[i], g[i])
 		}
 	}
-	checkReport(t, r)
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
 
-func TestE8Async(t *testing.T) {
-	r, err := E8Async()
+// TestRunFailsOnRefutedRow pins the gate's failure mode: a row with OK
+// false stops the run after its experiment's tables are written and is
+// named in the error; experiments after it do not run.
+func TestRunFailsOnRefutedRow(t *testing.T) {
+	held := func(context.Context) ([]Table, error) {
+		return []Table{{Header: []string{"claim"}, Rows: []Row{row(true, "holds")}}}, nil
+	}
+	refuted := func(context.Context) ([]Table, error) {
+		return []Table{
+			{Header: []string{"graph", "satisfied"}, Rows: []Row{row(true, "K4", true)}},
+			{Header: []string{"graph", "satisfied"}, Rows: []Row{row(true, "K7", true), row(false, "K6", true)}},
+		}, nil
+	}
+	unreached := func(context.Context) ([]Table, error) {
+		t.Error("ran an experiment after a refuted row")
+		return nil, nil
+	}
+	var out bytes.Buffer
+	err := Run(context.Background(), &out, []Experiment{{"E1", "first", held}, {"E2", "second", refuted}, {"E3", "third", unreached}})
+	if err == nil || err.Error() != "experiments: E2 row 3 failed: K6 | yes" {
+		t.Errorf("error = %v", err)
+	}
+	want := "E1 — first\nclaim\nholds\n\nE2 — second\ngraph  satisfied\nK4     yes\ngraph  satisfied\nK7     yes\nK6     yes\n\n"
+	if out.String() != want {
+		t.Errorf("output = %q, want %q", out.String(), want)
+	}
+}
+
+// checkExperiment runs one experiment of All() on its own, so a failure
+// names the experiment that broke and `-run TestE7` iterates on one: no row
+// may be refuted and its tables must appear verbatim in the golden.
+func checkExperiment(t *testing.T, id string) {
+	t.Helper()
+	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Passed() {
-		t.Errorf("async sweep failed: %+v", r)
-	}
-	checkReport(t, r)
-}
-
-func TestE9RuleAblation(t *testing.T) {
-	r, err := E9RuleAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Passed() {
-		t.Errorf("ablation failed: %+v", r)
-	}
-	// Mean's final max should be dragged far beyond the honest hull [0, 6].
-	for _, row := range r.Rows {
-		if row.Rule == "mean" && row.FinalMax < 100 {
-			t.Errorf("mean final max %v, expected the liar to drag it toward 1000", row.FinalMax)
-		}
-	}
-	checkReport(t, r)
-}
-
-func TestE10Scaling(t *testing.T) {
-	r, err := E10Scaling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Passed() {
-		t.Errorf("scaling failed: %+v", r)
-	}
-	// Checker work must grow with n within the f=2 family.
-	var prev int64
-	for _, c := range r.Checker {
-		if c.F != 2 || c.N == 7 {
+	for _, e := range All() {
+		if e.ID != id {
 			continue
 		}
-		if c.Candidates <= prev {
-			t.Errorf("candidates did not grow: %d after %d", c.Candidates, prev)
+		var out bytes.Buffer
+		if err := Run(context.Background(), &out, []Experiment{e}); err != nil {
+			t.Fatal(err)
 		}
-		prev = c.Candidates
+		if !bytes.Contains(golden, out.Bytes()) {
+			t.Errorf("%s drifted from %s:\n%s", id, goldenPath, out.String())
+		}
+		return
 	}
-	checkReport(t, r)
+	t.Fatalf("no experiment %s in All()", id)
 }
 
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll re-executes every experiment")
+func TestE1Theorem1Attack(t *testing.T)             { checkExperiment(t, "E1") }
+func TestE2Corollary2(t *testing.T)                 { checkExperiment(t, "E2") }
+func TestE3Corollary3(t *testing.T)                 { checkExperiment(t, "E3") }
+func TestE4Hypercube(t *testing.T)                  { checkExperiment(t, "E4") }
+func TestE5CoreNetwork(t *testing.T)                { checkExperiment(t, "E5") }
+func TestE6Chord(t *testing.T)                      { checkExperiment(t, "E6") }
+func TestE7ConvergenceRate(t *testing.T)            { checkExperiment(t, "E7") }
+func TestE8Async(t *testing.T)                      { checkExperiment(t, "E8") }
+func TestE9RuleAblation(t *testing.T)               { checkExperiment(t, "E9") }
+func TestE10Scaling(t *testing.T)                   { checkExperiment(t, "E10") }
+func TestE11ConjectureHoldsForF1AndF2(t *testing.T) { checkExperiment(t, "E11") }
+func TestE12Density(t *testing.T)                   { checkExperiment(t, "E12") }
+func TestE13Connectivity(t *testing.T)              { checkExperiment(t, "E13") }
+func TestE14ReducedCrossCheck(t *testing.T)         { checkExperiment(t, "E14") }
+func TestE15Delayed(t *testing.T)                   { checkExperiment(t, "E15") }
+
+func TestMatchingsEnumeration(t *testing.T) {
+	if got := len(matchings(7, 3)); got != 105 {
+		t.Errorf("matchings(7,3) = %d, want 105", got)
 	}
-	var sb strings.Builder
-	if err := RunAll(&sb); err != nil {
-		t.Fatal(err)
+	if got := len(matchings(7, 2)); got != 105 {
+		t.Errorf("matchings(7,2) = %d, want 105", got)
 	}
-	out := sb.String()
-	for _, want := range []string{"E1 —", "E2 —", "E3 —", "E4 —", "E5 —", "E6 —", "E7 —", "E8 —", "E9 —", "E10 —", "E11 —", "E12 —", "E13 —", "E14 —", "E15 —"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RunAll output missing %q", want)
+	if got := len(matchings(4, 2)); got != 3 {
+		t.Errorf("matchings(4,2) = %d, want 3 (perfect matchings of K4)", got)
+	}
+	// Every matching must have disjoint endpoints.
+	for _, m := range matchings(6, 3) {
+		seen := map[int]bool{}
+		for _, e := range m {
+			if seen[e[0]] || seen[e[1]] {
+				t.Fatalf("matching %v reuses a vertex", m)
+			}
+			seen[e[0]], seen[e[1]] = true, true
 		}
 	}
-}
-
-// checkReport exercises the Report interface on every result.
-func checkReport(t *testing.T, r Report) {
-	t.Helper()
-	if r.Title() == "" {
-		t.Error("empty title")
-	}
-	tab := r.Table()
-	if len(strings.Split(strings.TrimSpace(tab), "\n")) < 2 {
-		t.Errorf("table too small:\n%s", tab)
+	if got := len(matchings(6, 3)); got != 15 {
+		t.Errorf("matchings(6,3) = %d, want 15", got)
 	}
 }
