@@ -92,17 +92,15 @@ func simulateAsync(ctx context.Context, g *Graph, c *config) (*Outcome, error) {
 		return nil, err
 	}
 	cfg := async.Config{
-		G:            g,
-		F:            c.f,
-		Faulty:       faulty,
-		Initial:      c.initial,
-		Rule:         c.rule,
-		Adversary:    c.adversary,
-		Delays:       c.delays,
-		MaxRounds:    c.maxRounds,
-		Epsilon:      c.epsilon,
-		FaultyTick:   c.faultyTick,
-		HistoryEvery: c.historyEvery,
+		G:         g,
+		F:         c.f,
+		Faulty:    faulty,
+		Initial:   c.initial,
+		Rule:      c.rule,
+		Adversary: c.adversary,
+		Delays:    c.delays,
+		MaxRounds: c.maxRounds,
+		Epsilon:   c.epsilon,
 	}
 	if obs := c.observer; obs != nil {
 		cfg.OnRange = func(t, rng float64) {
@@ -199,7 +197,7 @@ func Sweep(ctx context.Context, g *Graph, scenarios []Scenario, opts ...Option) 
 			// local worker has one to run.
 			so.Workers = c.workerPool
 		}
-		res, err := coord.Sweep(ctx, base, scenarios, c.seed, so)
+		res, err := coord.Sweep(ctx, base, scenarios, so)
 		if err != nil {
 			return nil, err
 		}

@@ -99,16 +99,19 @@ func toWitnessRecord(w *Witness) *witnessRecord {
 	}
 }
 
-func (wr *witnessRecord) witness() *Witness {
+// witness rebuilds the partition, or errors on a member outside [0, N).
+func (wr *witnessRecord) witness() (*Witness, error) {
 	if wr == nil {
-		return nil
+		return nil, nil
 	}
-	return &Witness{
-		F: nodeset.FromMembers(wr.N, wr.F...),
-		L: nodeset.FromMembers(wr.N, wr.L...),
-		C: nodeset.FromMembers(wr.N, wr.C...),
-		R: nodeset.FromMembers(wr.N, wr.R...),
+	var sets [4]nodeset.Set
+	for k, ids := range [][]int{wr.F, wr.L, wr.C, wr.R} {
+		var err error
+		if sets[k], err = nodeset.Decode(wr.N, ids); err != nil {
+			return nil, err
+		}
 	}
+	return &Witness{F: sets[0], L: sets[1], C: sets[2], R: sets[3]}, nil
 }
 
 // EncodeWitness serializes a witness as the JSON the verdict cache stores —
@@ -121,7 +124,11 @@ func DecodeWitness(raw []byte) (*Witness, error) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return nil, fmt.Errorf("condition: decoding witness: %w", err)
 	}
-	return rec.witness(), nil
+	w, err := rec.witness()
+	if err != nil {
+		return nil, fmt.Errorf("condition: decoding witness: %w", err)
+	}
+	return w, nil
 }
 
 // verdictBody is the persisted image of a settled check: the full Result of
@@ -187,10 +194,12 @@ func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph
 	if err != nil {
 		return nil, nil, err
 	}
-	if ok {
+	// A witness with a member outside [0, n) makes the verdict a miss, like
+	// any other record that fails to load.
+	if w, werr := v.Witness.witness(); ok && werr == nil {
 		res := &Result{
 			Satisfied:         v.Satisfied,
-			Witness:           v.Witness.witness(),
+			Witness:           w,
 			FaultSetsExamined: v.FaultSets,
 			CacheHit:          true,
 		}

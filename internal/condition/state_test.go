@@ -265,6 +265,37 @@ func TestCheckScanIgnoresCorruptState(t *testing.T) {
 	}
 }
 
+// TestWitnessMembersOutOfRange: a witness naming a node outside [0, n) —
+// in a worker's violation report or in this scan's own verdict record — is
+// an error on the wire and a miss in the store, never a panic.
+func TestWitnessMembersOutOfRange(t *testing.T) {
+	if _, err := DecodeWitness([]byte(`{"n":3,"f":[7],"l":[],"c":[],"r":[]}`)); err == nil {
+		t.Fatal("DecodeWitness accepted member 7 of n = 3")
+	}
+	if _, err := DecodeWitness([]byte(`{"n":-1}`)); err == nil {
+		t.Fatal("DecodeWitness accepted n = -1")
+	}
+
+	g, err := topology.CoreNetwork(10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	store := statestore.NewMem()
+	_, verdict := scanRecords(store, g.Encode(), 3, SyncThreshold(3))
+	bad := &witnessRecord{N: 10, F: []int{0}, L: []int{1}, R: []int{99}}
+	if err := verdict.Save(ctx, verdictBody{Satisfied: false, Witness: bad, FaultSets: 1}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := CheckScan(ctx, g, 3, SyncThreshold(3), ScanOptions{Workers: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit || !res.Satisfied {
+		t.Fatalf("verdict with an out-of-range witness was trusted: %+v", res)
+	}
+}
+
 // TestMaxFScanResumeEquivalence interrupts a MaxF sweep mid-check, resumes it
 // over the same store, and requires best-f and every stats total to match an
 // uninterrupted sweep; a subsequent fresh sweep of the settled graph must be

@@ -703,16 +703,20 @@ func (c *Coordinator) MaxF(ctx context.Context, g *graph.Graph, opts condition.M
 }
 
 // Sweep runs a scenario sweep with each scenario executed on a worker. The
-// base configuration and scenarios must be distributable: rules and
-// adversaries are shipped by canonical name (see adversary.CanonicalName).
-// seed re-seeds named random adversaries on the workers. Durable resume
-// (opts.Store) composes: resumed scenarios never reach the job queue.
-func (c *Coordinator) Sweep(ctx context.Context, base sim.Config, scenarios []sim.Scenario, seed int64, opts sim.SweepOptions) (*sim.SweepResult, error) {
-	engine := opts.Engine
-	if engine == nil {
-		engine = sim.Sequential{}
+// job spec is the sweep's sim.SweepSpec: every derived scenario config,
+// with rules and adversaries by canonical name (see
+// adversary.CanonicalName), so the derived configs must be distributable.
+// Durable resume (opts.Store) composes: resumed scenarios never reach the
+// job queue.
+func (c *Coordinator) Sweep(ctx context.Context, base sim.Config, scenarios []sim.Scenario, opts sim.SweepOptions) (*sim.SweepResult, error) {
+	if len(scenarios) == 0 {
+		return &sim.SweepResult{}, nil
 	}
-	spec, err := buildSweepSpec(base, scenarios, engine.Name(), opts.Extras, seed)
+	sweep, err := sim.NewSweepSpec(base, scenarios, opts)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := sweepJobSpec(sweep)
 	if err != nil {
 		return nil, err
 	}

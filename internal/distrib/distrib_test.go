@@ -471,6 +471,10 @@ func sweepScenarios() []sim.Scenario {
 		{Name: "silent", Adversary: adversary.Silent{}},
 		{Name: "fixed-high", Adversary: adversary.Fixed{Value: 1e6}},
 		{Name: "insider", Adversary: &adversary.Insider{High: true}},
+		// Reset to fault-free through a zero-value set, and a per-scenario
+		// round budget: both reach the worker already applied.
+		{Name: "fault-free", HasFaulty: true},
+		{Name: "short", Adversary: adversary.Hug{}, MaxRounds: 7},
 	}
 }
 
@@ -517,7 +521,7 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testCluster(t, Options{}, 2)
-	got, err := c.Sweep(ctx, base, scens, 1, sim.SweepOptions{Workers: 2})
+	got, err := c.Sweep(ctx, base, scens, sim.SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +535,7 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotM, err := c.Sweep(ctx, base, scens, 1, sim.SweepOptions{Engine: sim.Matrix{}, Workers: 2, Extras: extras})
+	gotM, err := c.Sweep(ctx, base, scens, sim.SweepOptions{Engine: sim.Matrix{}, Workers: 2, Extras: extras})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,12 +568,12 @@ func TestDistributedSweepResume(t *testing.T) {
 
 	store := statestore.NewMem()
 	c := testCluster(t, Options{}, 2)
-	if _, err := c.Sweep(ctx, base, scens, 1, sim.SweepOptions{Workers: 2, Store: store}); err != nil {
+	if _, err := c.Sweep(ctx, base, scens, sim.SweepOptions{Workers: 2, Store: store}); err != nil {
 		t.Fatal(err)
 	}
 	granted := c.Stats().JobsGranted
 
-	res, err := c.Sweep(ctx, base, scens, 1, sim.SweepOptions{Workers: 2, Store: store})
+	res, err := c.Sweep(ctx, base, scens, sim.SweepOptions{Workers: 2, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,9 +596,22 @@ func TestDistributedSweepRejectsUnnamedAdversary(t *testing.T) {
 	c := testCluster(t, Options{}, 1)
 	_, err := c.Sweep(context.Background(), base, []sim.Scenario{
 		{Name: "custom", Adversary: adversary.Extremes{Amplitude: 50}},
-	}, 1, sim.SweepOptions{})
+	}, sim.SweepOptions{})
 	if err == nil || !strings.Contains(err.Error(), "not a named built-in") {
 		t.Fatalf("unnamed adversary error = %v", err)
+	}
+}
+
+// TestResolveSpecRejectsOutOfRangeFaulty: a sweep spec naming a fault id
+// outside [0, n) is an error on the worker, never a panic. The payload is
+// hostile in both the per-scenario and the base-plus-overrides layout.
+func TestResolveSpecRejectsOutOfRangeFaulty(t *testing.T) {
+	const payload = `{"kind":"sweep","sweep":{"graph":"n 3\n0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n",` +
+		`"engine":"sequential","rule":"mean","f":0,"faulty":[7],"has_faulty":true,"adversary":"silent","has_adversary":true,` +
+		`"initial":[0,0,0],"max_rounds":1,"epsilon":0,` +
+		`"scenarios":[{"name":"x","adversary":"silent","rule":"mean","f":0,"max_rounds":1,"epsilon":0,"faulty":[7],"has_faulty":true,"initial":[0,0,0]}]}}`
+	if _, err := resolveSpec([]byte(payload)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("resolveSpec error = %v, want an out-of-range fault id", err)
 	}
 }
 

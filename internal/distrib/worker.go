@@ -276,15 +276,15 @@ func (w *worker) runScan(g jobGrant, ws *workerSpec) error {
 	return nil
 }
 
-// runScenarios executes each scenario index in [lo, hi) as a one-scenario
-// sim.Sweep — the same engine path a local sweep takes — and reports the
-// bit-exact encoded result.
+// runScenarios executes each scenario index i in [lo, hi) as a sim.Sweep of
+// the decoded cfgs[i] alone — the same engine path a local sweep takes —
+// and reports the bit-exact encoded result.
 func (w *worker) runScenarios(g jobGrant, ws *workerSpec) error {
 	for i := g.lo; i < g.hi; i++ {
-		if i < 0 || i >= int64(len(ws.scenarios)) {
-			return fmt.Errorf("distrib: scenario index %d outside [0, %d)", i, len(ws.scenarios))
+		if i < 0 || i >= int64(len(ws.cfgs)) {
+			return fmt.Errorf("distrib: scenario index %d outside [0, %d)", i, len(ws.cfgs))
 		}
-		res, err := sim.Sweep(w.ctx, ws.base, ws.scenarios[i:i+1], sim.SweepOptions{
+		res, err := sim.Sweep(w.ctx, ws.cfgs[i], []sim.Scenario{{}}, sim.SweepOptions{
 			Engine: ws.engine, Workers: 1, Extras: ws.extras,
 		})
 		if err != nil {

@@ -47,6 +47,20 @@ func FromMembers(capacity int, members ...int) Set {
 	return s
 }
 
+// Decode is FromMembers for a member list read from outside the process: a
+// negative capacity or an id outside [0, capacity) is an error, not a panic.
+func Decode(capacity int, ids []int) (Set, error) {
+	if capacity < 0 {
+		return Set{}, fmt.Errorf("nodeset: negative capacity %d", capacity)
+	}
+	for _, id := range ids {
+		if id < 0 || id >= capacity {
+			return Set{}, fmt.Errorf("nodeset: id %d out of range [0,%d)", id, capacity)
+		}
+	}
+	return FromMembers(capacity, ids...), nil
+}
+
 // Universe returns the full set {0, ..., capacity-1}.
 func Universe(capacity int) Set {
 	s := New(capacity)

@@ -68,6 +68,26 @@ func TestFromMembersAndMembers(t *testing.T) {
 	}
 }
 
+// TestDecode: the checked constructor agrees with FromMembers on a valid
+// list and returns an error where FromMembers would panic.
+func TestDecode(t *testing.T) {
+	s, err := Decode(10, []int{3, 1, 7})
+	if err != nil || !s.Equal(FromMembers(10, 3, 1, 7)) {
+		t.Fatalf("Decode(10, [3 1 7]) = %v, %v", s, err)
+	}
+	if s, err := Decode(0, nil); err != nil || s.Cap() != 0 {
+		t.Fatalf("Decode(0, nil) = %v, %v", s, err)
+	}
+	for _, bad := range []struct {
+		n   int
+		ids []int
+	}{{3, []int{7}}, {3, []int{0, -1}}, {3, []int{3}}, {-1, nil}} {
+		if _, err := Decode(bad.n, bad.ids); err == nil {
+			t.Errorf("Decode(%d, %v) accepted", bad.n, bad.ids)
+		}
+	}
+}
+
 func TestUniverse(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		u := Universe(n)

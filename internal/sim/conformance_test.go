@@ -128,7 +128,7 @@ func conformanceScenarios() []confScenario {
 // buildConfig materializes the scenario for one engine run. adapted selects
 // the seam path: true hides WriteMessages and UpdateInto so the run goes
 // through both adapters, false passes the strategy and rule as built.
-func (sc *confScenario) buildConfig(t *testing.T, adapted bool) Config {
+func (sc *confScenario) buildConfig(t testing.TB, adapted bool) Config {
 	t.Helper()
 	g, err := sc.build()
 	if err != nil {

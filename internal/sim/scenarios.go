@@ -216,14 +216,9 @@ func Sweep(ctx context.Context, base Config, scenarios []Scenario, opts SweepOpt
 	if engine == nil {
 		engine = Sequential{}
 	}
-	// Validate every derived config up front so a bad scenario fails fast
-	// instead of after its predecessors' simulation time.
-	cfgs := make([]Config, len(scenarios))
-	for i := range scenarios {
-		cfgs[i] = scenarios[i].apply(base)
-		if err := cfgs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("sim: scenario %d (%s): %w", i, scenarioName(&scenarios[i]), err)
-		}
+	cfgs, err := deriveConfigs(base, scenarios)
+	if err != nil {
+		return nil, err
 	}
 	if len(opts.Extras) > 0 {
 		if _, ok := engine.(Matrix); !ok {
@@ -244,6 +239,20 @@ func Sweep(ctx context.Context, base Config, scenarios []Scenario, opts SweepOpt
 		order = scheduleOrder(cfgs, len(opts.Extras))
 	}
 	return sweepOrdered(ctx, engine, scenarios, cfgs, opts, order)
+}
+
+// deriveConfigs merges each scenario into base and validates every derived
+// config up front, so a bad scenario fails fast instead of after its
+// predecessors' simulation time.
+func deriveConfigs(base Config, scenarios []Scenario) ([]Config, error) {
+	cfgs := make([]Config, len(scenarios))
+	for i := range scenarios {
+		cfgs[i] = scenarios[i].apply(base)
+		if err := cfgs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("sim: scenario %d (%s): %w", i, scenarioName(&scenarios[i]), err)
+		}
+	}
+	return cfgs, nil
 }
 
 // resolveWorkers maps the Workers option to the goroutine count actually
@@ -294,7 +303,7 @@ func sweepOrdered(ctx context.Context, engine Engine, scenarios []Scenario, cfgs
 	var ss *sweepState
 	if opts.Store != nil {
 		var err error
-		ss, err = newSweepState(opts.Store, engine.Name(), opts.StateSalt, cfgs, scenarios, opts.Extras)
+		ss, err = newSweepState(opts.Store, describeSweep(engine.Name(), opts.StateSalt, cfgs, scenarios, opts.Extras))
 		if err != nil {
 			return nil, err
 		}

@@ -3,17 +3,18 @@ package sim
 // Sweep-level durability: each completed scenario of a Sweep is persisted
 // as one record through a statestore.Backend, so a SIGKILLed sweep resumes
 // scenario-identically — the checker's checkpoint/resume story (see
-// internal/condition/state.go) extended to the simulation side, closing the
-// asymmetry ROADMAP item 2 notes.
+// internal/condition/state.go) extended to the simulation side.
 //
 // Soundness: a scenario's trace is a pure function of its derived Config
 // (engines are deterministic; randomized adversaries are seeded at
-// construction). The sweep's state key therefore hashes the full derived
-// identity — graph encoding, engine, rule, adversary names, every float of
-// every initial vector — plus a caller-supplied salt for identity the
-// config cannot see (the seed behind a *RandomNoise). Floats are stored as
-// IEEE-754 bit patterns (wire.Floats), so a resumed trace is bit-identical to
-// the one the interrupted run produced, NaN and ±Inf included.
+// construction). A sweep is therefore described once, by a SweepSpec of its
+// derived configs — graph, engine, rule and adversary names, every float of
+// every initial vector — plus a caller-supplied salt for identity the config
+// cannot see (the seed behind a *RandomNoise). The spec's bytes are the
+// state key's identity, and the same bytes are the job spec a distributed
+// coordinator ships to its workers. Floats are IEEE-754 bit patterns
+// (wire.Floats), so a resumed or remote trace is bit-identical to a local
+// one, NaN and ±Inf included.
 
 import (
 	"context"
@@ -21,6 +22,9 @@ import (
 	"fmt"
 	"math"
 
+	"iabc/internal/adversary"
+	"iabc/internal/core"
+	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 	"iabc/internal/wire"
@@ -29,8 +33,8 @@ import (
 // sweepStateVersion versions the persisted scenario body and the identity
 // string's schema; bump on any change so stale records miss
 // (statestore.Record.Load) instead of misparsing. 2: the body moved under
-// the statestore envelope.
-const sweepStateVersion = 2
+// the statestore envelope. 3: the identity became the SweepSpec encoding.
+const sweepStateVersion = 3
 
 // traceRecord is the bit-exact serialized image of a Trace.
 type traceRecord struct {
@@ -68,8 +72,17 @@ func toScenarioResultRecord(tr *Trace, finals [][]float64) scenarioResultRecord 
 	}}
 }
 
-func (rec *scenarioResultRecord) result() (*Trace, [][]float64) {
+// result rebuilds the trace, or errors when the fault-free set does not fit
+// the final state vector.
+func (rec *scenarioResultRecord) result() (*Trace, [][]float64, error) {
 	tr := &rec.Trace
+	if tr.FaultFreeN != len(tr.Final) {
+		return nil, nil, fmt.Errorf("sim: fault-free capacity %d, but %d final states", tr.FaultFreeN, len(tr.Final))
+	}
+	faultFree, err := nodeset.Decode(tr.FaultFreeN, tr.FaultFree)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: fault-free set: %w", err)
+	}
 	return &Trace{
 		Rounds:        tr.Rounds,
 		Converged:     tr.Converged,
@@ -77,10 +90,10 @@ func (rec *scenarioResultRecord) result() (*Trace, [][]float64) {
 		Mu:            tr.Mu,
 		States:        tr.States,
 		Final:         tr.Final,
-		FaultFree:     nodeset.FromMembers(tr.FaultFreeN, tr.FaultFree...),
+		FaultFree:     faultFree,
 		RuleName:      tr.RuleName,
 		AdversaryName: tr.AdversaryName,
-	}, rec.Finals
+	}, rec.Finals, nil
 }
 
 // EncodeScenarioResult serializes one scenario's outcome bit-exactly for the
@@ -96,54 +109,167 @@ func DecodeScenarioResult(raw []byte) (*Trace, [][]float64, error) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return nil, nil, fmt.Errorf("sim: decoding scenario result: %w", err)
 	}
-	tr, finals := rec.result()
-	return tr, finals, nil
+	return rec.result()
 }
 
-// sweepScenarioKeyRecord is what the state key hashes per scenario — every
-// input that determines the trace.
-type sweepScenarioKeyRecord struct {
-	Name      string      `json:"name"`
-	Adversary string      `json:"adversary"`
-	Rule      string      `json:"rule"`
-	F         int         `json:"f"`
-	MaxRounds int         `json:"max_rounds"`
-	Epsilon   uint64      `json:"epsilon"`
-	Faulty    []int       `json:"faulty"`
-	Initial   wire.Floats `json:"initial"`
-	Record    bool        `json:"record_states"`
+// SweepSpec describes one sweep completely: the graph, the engine, one
+// entry per derived scenario config, the extras and the caller's StateSalt.
+// Its encoding is the identity every scenario record's envelope carries
+// whole (see statestore.Record), and it is the job spec a distributed
+// coordinator registers: a worker rebuilds the configs with Resolve and runs
+// scenario i from the i-th, so no override merging happens past this point.
+type SweepSpec struct {
+	// Graph is the edge-list encoding (graph.EdgeListString).
+	Graph     string         `json:"graph"`
+	Engine    string         `json:"engine"`
+	StateSalt string         `json:"salt,omitempty"`
+	Scenarios []ScenarioSpec `json:"scenarios"`
+	Extras    wire.FloatRows `json:"extras,omitempty"`
 }
 
-// sweepIdent derives the sweep's full identity string, which every scenario
-// record's envelope carries whole (see statestore.Record).
-func sweepIdent(engineName, salt string, cfgs []Config, scenarios []Scenario, extras [][]float64) (string, error) {
-	keys := make([]sweepScenarioKeyRecord, len(cfgs))
+// ScenarioSpec is one derived scenario config: every input that determines
+// its trace, floats as IEEE-754 bit patterns.
+type ScenarioSpec struct {
+	Name string `json:"name"`
+	// Adversary is the strategy's adversary.CanonicalName, empty for none.
+	// Unnamed marks it as the strategy's Name() instead: a strategy that
+	// ByName cannot rebuild, so Resolve rejects it.
+	Adversary    string      `json:"adversary,omitempty"`
+	Unnamed      bool        `json:"unnamed,omitempty"`
+	Rule         string      `json:"rule"`
+	F            int         `json:"f"`
+	MaxRounds    int         `json:"max_rounds"`
+	Epsilon      uint64      `json:"epsilon"`
+	Faulty       []int       `json:"faulty"`
+	Initial      wire.Floats `json:"initial"`
+	RecordStates bool        `json:"record_states,omitempty"`
+}
+
+// NewSweepSpec describes the sweep Sweep(ctx, base, scenarios, opts) would
+// run, deriving and validating every scenario config as Sweep does.
+func NewSweepSpec(base Config, scenarios []Scenario, opts SweepOptions) (*SweepSpec, error) {
+	cfgs, err := deriveConfigs(base, scenarios)
+	if err != nil {
+		return nil, err
+	}
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("sim: sweep spec needs at least one scenario")
+	}
+	engine := opts.Engine
+	if engine == nil {
+		engine = Sequential{}
+	}
+	return describeSweep(engine.Name(), opts.StateSalt, cfgs, scenarios, opts.Extras), nil
+}
+
+// describeSweep builds the spec of validated, derived configs.
+func describeSweep(engineName, salt string, cfgs []Config, scenarios []Scenario, extras [][]float64) *SweepSpec {
+	spec := &SweepSpec{
+		Graph:     cfgs[0].G.EdgeListString(),
+		Engine:    engineName,
+		StateSalt: salt,
+		Scenarios: make([]ScenarioSpec, len(cfgs)),
+		Extras:    extras,
+	}
 	for i := range cfgs {
 		cfg := &cfgs[i]
-		_, advName := names(cfg)
-		keys[i] = sweepScenarioKeyRecord{
-			Name:      scenarioName(&scenarios[i]),
-			Adversary: advName,
-			Rule:      cfg.Rule.Name(),
-			F:         cfg.F,
-			MaxRounds: cfg.MaxRounds,
-			Epsilon:   math.Float64bits(cfg.Epsilon),
-			Faulty:    cfg.faulty().Members(),
-			Initial:   cfg.Initial,
-			Record:    cfg.RecordStates,
+		sc := ScenarioSpec{
+			Name:         scenarioName(&scenarios[i]),
+			Rule:         cfg.Rule.Name(),
+			F:            cfg.F,
+			MaxRounds:    cfg.MaxRounds,
+			Epsilon:      math.Float64bits(cfg.Epsilon),
+			Faulty:       cfg.faulty().Members(),
+			Initial:      cfg.Initial,
+			RecordStates: cfg.RecordStates,
+		}
+		if cfg.Adversary != nil {
+			var ok bool
+			if sc.Adversary, ok = adversary.CanonicalName(cfg.Adversary); !ok {
+				sc.Adversary, sc.Unnamed = cfg.Adversary.Name(), true
+			}
+		}
+		spec.Scenarios[i] = sc
+	}
+	return spec
+}
+
+// Encode returns the spec's canonical bytes.
+func (s *SweepSpec) Encode() ([]byte, error) { return json.Marshal(s) }
+
+// DecodeSweepSpec inverts Encode; Resolve rebuilds what it describes.
+func DecodeSweepSpec(raw []byte) (*SweepSpec, error) {
+	var s SweepSpec
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return nil, fmt.Errorf("sim: decoding sweep spec: %w", err)
+	}
+	return &s, nil
+}
+
+// Resolve rebuilds the engine and one Config per scenario. It fails on
+// anything it cannot rebuild exactly: an unnamed strategy, a rule or engine
+// outside the built-ins, a fault id outside the graph. The configs are not
+// validated; Sweep does that before it runs them.
+func (s *SweepSpec) Resolve() (Engine, []Config, error) {
+	g, err := graph.ParseEdgeListString(s.Graph)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: sweep spec graph: %w", err)
+	}
+	var engine Engine
+	switch s.Engine {
+	case "sequential":
+		engine = Sequential{}
+	case "matrix":
+		engine = Matrix{}
+	default:
+		return nil, nil, fmt.Errorf("sim: unknown engine %q", s.Engine)
+	}
+	cfgs := make([]Config, len(s.Scenarios))
+	for i := range s.Scenarios {
+		sc := &s.Scenarios[i]
+		if cfgs[i], err = sc.config(g); err != nil {
+			return nil, nil, fmt.Errorf("sim: scenario %d (%s): %w", i, sc.Name, err)
 		}
 	}
-	ident, err := json.Marshal(struct {
-		Graph     string                   `json:"graph"`
-		Engine    string                   `json:"engine"`
-		Salt      string                   `json:"salt,omitempty"`
-		Scenarios []sweepScenarioKeyRecord `json:"scenarios"`
-		Extras    wire.FloatRows           `json:"extras,omitempty"`
-	}{cfgs[0].G.Encode(), engineName, salt, keys, extras})
-	if err != nil {
-		return "", err
+	return engine, cfgs, nil
+}
+
+// config rebuilds one scenario's Config over g.
+func (sc *ScenarioSpec) config(g *graph.Graph) (Config, error) {
+	var rule core.UpdateRule
+	switch sc.Rule {
+	case "trimmed-mean":
+		rule = core.TrimmedMean{}
+	case "mean":
+		rule = core.Mean{}
+	case "trimmed-midpoint":
+		rule = core.TrimmedMidpoint{}
+	default:
+		return Config{}, fmt.Errorf("rule %q is not a named built-in; distributed sweeps require trimmed-mean, mean, or trimmed-midpoint", sc.Rule)
 	}
-	return string(ident), nil
+	if sc.Unnamed {
+		return Config{}, fmt.Errorf("adversary %q is not a named built-in; distributed sweeps require strategies resolvable by adversary.ByName", sc.Adversary)
+	}
+	faulty, err := nodeset.Decode(g.N(), sc.Faulty)
+	if err != nil {
+		return Config{}, err
+	}
+	cfg := Config{
+		G: g, F: sc.F, Faulty: faulty, Initial: sc.Initial, Rule: rule,
+		MaxRounds: sc.MaxRounds, Epsilon: math.Float64frombits(sc.Epsilon),
+		RecordStates: sc.RecordStates,
+	}
+	if sc.Adversary != "" {
+		// No canonical name is seeded ("noise" has none), so the seed is
+		// never read; the round trip below rejects every alias.
+		if cfg.Adversary, err = adversary.ByName(sc.Adversary, 0); err != nil {
+			return Config{}, err
+		}
+		if name, _ := adversary.CanonicalName(cfg.Adversary); name != sc.Adversary {
+			return Config{}, fmt.Errorf("adversary %q is not a canonical name", sc.Adversary)
+		}
+	}
+	return cfg, nil
 }
 
 // sweepScenarioBody is the persisted image of one completed scenario.
@@ -156,13 +282,13 @@ type sweepScenarioBody struct {
 // scenario's own record ("sweep/<hash>/s<index>") derives from.
 type sweepState struct{ base statestore.Record }
 
-// newSweepState derives the sweep identity and key prefix.
-func newSweepState(store statestore.Backend, engineName, salt string, cfgs []Config, scenarios []Scenario, extras [][]float64) (*sweepState, error) {
-	ident, err := sweepIdent(engineName, salt, cfgs, scenarios, extras)
+// newSweepState keys the sweep's records by its spec's bytes.
+func newSweepState(store statestore.Backend, spec *SweepSpec) (*sweepState, error) {
+	ident, err := spec.Encode()
 	if err != nil {
 		return nil, err
 	}
-	return &sweepState{statestore.NewRecord(store, "sweep", sweepStateVersion, ident)}, nil
+	return &sweepState{statestore.NewRecord(store, "sweep", sweepStateVersion, string(ident))}, nil
 }
 
 func (ss *sweepState) record(i int) statestore.Record {
@@ -177,7 +303,10 @@ func (ss *sweepState) load(ctx context.Context, i int) (*Trace, [][]float64, err
 	if err != nil || !ok || body.Index != i {
 		return nil, nil, err
 	}
-	tr, finals := body.Result.result()
+	tr, finals, err := body.Result.result()
+	if err != nil {
+		return nil, nil, nil // a body that does not decode is a miss
+	}
 	return tr, finals, nil
 }
 

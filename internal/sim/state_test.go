@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -159,8 +160,8 @@ func TestSweepRecordGolden(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	const key = "sweep/f86aab3b2b0a9f00/s000000"
-	const golden = `{"version":2,"ident":"{\"graph\":\"g1:3;0\\u003e1,2;1\\u003e0,2;2\\u003e0,1\",\"engine\":\"matrix\",\"salt\":\"s\",\"scenarios\":[{\"name\":\"only\",\"adversary\":\"none\",\"rule\":\"mean\",\"f\":0,\"max_rounds\":1,\"epsilon\":0,\"faulty\":[],\"initial\":[0,4607182418800017408,9218868437227405312],\"record_states\":false}],\"extras\":[[4611686018427387904,4613937818241073152,4616189618054758400]]}","body":{"index":0,"result":{"trace":{"rounds":1,"converged":false,"u":[9218868437227405312,9218868437227405312],"mu":[0,9218868437227405312],"final":[9218868437227405312,9218868437227405312,9218868437227405312],"fault_free_n":3,"fault_free":[0,1,2],"rule":"mean","adversary":"none"},"finals":[[4613937818241073152,4613937818241073152,4613937818241073152]]}}}`
+	const key = "sweep/f3d216448a881e8c/s000000"
+	const golden = `{"version":3,"ident":"{\"graph\":\"n 3\\n0 1\\n0 2\\n1 0\\n1 2\\n2 0\\n2 1\\n\",\"engine\":\"matrix\",\"salt\":\"s\",\"scenarios\":[{\"name\":\"only\",\"rule\":\"mean\",\"f\":0,\"max_rounds\":1,\"epsilon\":0,\"faulty\":[],\"initial\":[0,4607182418800017408,9218868437227405312]}],\"extras\":[[4611686018427387904,4613937818241073152,4616189618054758400]]}","body":{"index":0,"result":{"trace":{"rounds":1,"converged":false,"u":[9218868437227405312,9218868437227405312],"mu":[0,9218868437227405312],"final":[9218868437227405312,9218868437227405312,9218868437227405312],"fault_free_n":3,"fault_free":[0,1,2],"rule":"mean","adversary":"none"},"finals":[[4613937818241073152,4613937818241073152,4613937818241073152]]}}}`
 	got, err := store.Read(ctx, key)
 	if err != nil {
 		keys, _ := store.List(ctx, "")
@@ -251,4 +252,132 @@ func TestScenarioResultRoundTrip(t *testing.T) {
 		!strings.Contains(err.Error(), "decoding scenario result") {
 		t.Fatalf("corrupt decode error = %v", err)
 	}
+}
+
+// TestScenarioResultMembersOutOfRange: a result whose fault-free set names
+// a node outside [0, n) is an error when a worker reports it and a miss when
+// a state dir holds it, never a panic.
+func TestScenarioResultMembersOutOfRange(t *testing.T) {
+	for _, raw := range []string{
+		`{"trace":{"rounds":0,"u":[0],"mu":[0],"final":[0,0,0],"fault_free_n":3,"fault_free":[5]}}`,
+		`{"trace":{"rounds":0,"u":[0],"mu":[0],"final":[],"fault_free_n":-1,"fault_free":[]}}`,
+		`{"trace":{"rounds":0,"u":[0],"mu":[0],"final":[0],"fault_free_n":4611686018427387904,"fault_free":[]}}`,
+	} {
+		if _, _, err := DecodeScenarioResult([]byte(raw)); err == nil {
+			t.Errorf("DecodeScenarioResult accepted %s", raw)
+		}
+	}
+
+	base := scenarioBase(t)
+	scens := sweepStateScenarios()
+	store := statestore.NewMem()
+	ctx := context.Background()
+	if _, err := Sweep(ctx, base, scens, SweepOptions{Workers: 1, Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := store.List(ctx, "sweep/")
+	if err != nil || len(keys) != len(scens) {
+		t.Fatalf("List: %v (%d keys)", err, len(keys))
+	}
+	// Rewrite one record in place: same key, envelope and identity, with a
+	// fault-free member past n.
+	rec, err := store.Read(ctx, keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.G.N()
+	bad := strings.Replace(string(rec), `"fault_free":[`, fmt.Sprintf(`"fault_free":[%d,`, n+5), 1)
+	if bad == string(rec) {
+		t.Fatalf("record has no fault_free list: %s", rec)
+	}
+	if err := store.Write(ctx, keys[0], []byte(bad)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Sweep(ctx, base, scens, SweepOptions{Workers: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ScenariosResumed != len(scens)-1 {
+		t.Fatalf("ScenariosResumed = %d, want %d (the bad record re-runs)", res.ScenariosResumed, len(scens)-1)
+	}
+}
+
+// respec resolves a spec and describes the configs again — the worker's
+// view of a spec, re-encoded.
+func respec(s *SweepSpec) ([]byte, error) {
+	engine, cfgs, err := s.Resolve()
+	if err != nil || len(cfgs) == 0 {
+		return nil, err
+	}
+	scens := make([]Scenario, len(cfgs))
+	for i := range scens {
+		scens[i].Name = s.Scenarios[i].Name
+	}
+	return describeSweep(engine.Name(), s.StateSalt, cfgs, scens, s.Extras).Encode()
+}
+
+// FuzzSweepSpec: decoding and resolving arbitrary bytes never panics, and
+// a spec that resolves re-encodes to a fixed point. The seeds, one spec per
+// conformance config on each engine, must round-trip byte for byte: through
+// the codec always, and through Resolve exactly when every strategy has a
+// canonical name.
+func FuzzSweepSpec(f *testing.F) {
+	for k, sc := range conformanceScenarios() {
+		base := sc.buildConfig(f, false)
+		opts := SweepOptions{Engine: Sequential{}}
+		if k%2 == 1 {
+			opts = SweepOptions{Engine: Matrix{}, StateSalt: sc.name, Extras: [][]float64{base.Initial}}
+		}
+		spec, err := NewSweepSpec(base, []Scenario{{Name: sc.name}, {HasFaulty: true, MaxRounds: 3}}, opts)
+		if err != nil {
+			f.Fatalf("%s: %v", sc.name, err)
+		}
+		raw, err := spec.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		dec, err := DecodeSweepSpec(raw)
+		if err != nil {
+			f.Fatalf("%s: %v", sc.name, err)
+		}
+		if re, _ := dec.Encode(); string(re) != string(raw) {
+			f.Fatalf("%s: codec round trip\n got %s\nwant %s", sc.name, re, raw)
+		}
+		re, err := respec(dec)
+		if spec.Scenarios[0].Unnamed {
+			if err == nil || !strings.Contains(err.Error(), "not a named built-in") {
+				f.Fatalf("%s: unnamed strategy resolved (err %v)", sc.name, err)
+			}
+		} else if err != nil || string(re) != string(raw) {
+			f.Fatalf("%s: Resolve round trip (err %v)\n got %s\nwant %s", sc.name, err, re, raw)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"graph":"n 3\n0 1\n1 2\n2 0\n","engine":"sequential","scenarios":[{"rule":"mean","faulty":[7],"initial":[0,0,0]}]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		spec, err := DecodeSweepSpec(raw)
+		if err != nil {
+			return
+		}
+		// Keep the graph parser's allocation, which is linear in the
+		// declared order, small.
+		for _, line := range strings.Split(spec.Graph, "\n") {
+			var n int
+			if _, err := fmt.Sscanf(strings.TrimSpace(line), "n %d", &n); err == nil && n > 1<<10 {
+				return
+			}
+		}
+		once, err := respec(spec)
+		if err != nil || once == nil {
+			return
+		}
+		again, err := DecodeSweepSpec(once)
+		if err != nil {
+			t.Fatalf("re-encoded spec does not decode: %v\n%s", err, once)
+		}
+		twice, err := respec(again)
+		if err != nil || string(twice) != string(once) {
+			t.Fatalf("not a fixed point (err %v)\nonce  %s\ntwice %s", err, once, twice)
+		}
+	})
 }

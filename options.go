@@ -85,8 +85,6 @@ type config struct {
 	batch         int
 	observer      Observer
 	delays        DelayPolicy
-	faultyTick    float64
-	historyEvery  int
 	async         bool
 	transport     transport.Transport
 	tcp           *transport.TCPConfig
@@ -262,14 +260,6 @@ func WithObserver(fn Observer) Option { return func(c *config) { c.observer = fn
 // WithDelays sets the async engine's per-message delay policy. Required by
 // Simulate with WithEngine(Async).
 func WithDelays(p DelayPolicy) Option { return func(c *config) { c.delays = p } }
-
-// WithFaultyTick sets the interval at which async faulty nodes emit their
-// round batches (0 defaults to 1.0).
-func WithFaultyTick(t float64) Option { return func(c *config) { c.faultyTick = t } }
-
-// WithHistoryEvery decimates the async trace history to every k-th state
-// change (see the async engine's Config.HistoryEvery).
-func WithHistoryEvery(k int) Option { return func(c *config) { c.historyEvery = k } }
 
 // WithAsyncCondition makes Check decide the Section 7 asynchronous
 // condition (in-link threshold 2f+1) instead of the synchronous f+1.
