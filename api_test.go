@@ -78,6 +78,9 @@ var allowedImports = map[string]string{
 	// reduced-graph decider E14 cross-validates the checker against, which
 	// the facade does not export.
 	filepath.Join("internal", "experiments", "e14_reduced.go"): "iabc/internal/condition",
+	// sim.Config.Stale: the bounded-staleness model E15 measures, which the
+	// facade does not expose.
+	filepath.Join("internal", "experiments", "e15_delayed.go"): "iabc/internal/sim",
 }
 
 func TestFacadeOnlyConsumers(t *testing.T) {

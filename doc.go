@@ -39,7 +39,8 @@
 //     (core.Scratch / BufferedRule.UpdateInto);
 //   - internal/condition — the tight necessary & sufficient condition of
 //     Theorem 1, propagation machinery, exact checker with witnesses;
-//   - internal/sim, internal/async — synchronous and asynchronous engines;
+//   - internal/sim, internal/async — synchronous and asynchronous engines,
+//     with internal/delayed's staleness policies for the former;
 //   - internal/node, internal/transport — the live actor runtime behind
 //     Cluster and its message transports, chaos injection included;
 //   - internal/adversary — Byzantine strategies;
@@ -68,6 +69,12 @@
 //     per vector and O(edges) program memory however long the run — use it
 //     for multi-scenario sensitivity sweeps where the round structure is
 //     shared. Supports the affine rules (TrimmedMean, Mean) only.
+//
+// sim.Sequential also runs the §7 closing remark's partially asynchronous
+// model (sim.Config.Stale, measured by E15; not a facade option): rounds
+// stay synchronous, but a fault-free value may be up to B−1 rounds old, read
+// from a ring of the last B state vectors. Matrix rejects it, since its
+// programs map v[t−1] alone to v[t].
 //
 // For sweeps that vary the adversary (or fault set) rather than the initial
 // vector — where the round structure itself changes and the matrix replay

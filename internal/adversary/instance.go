@@ -18,9 +18,9 @@ func FaultSet(g *graph.Graph, faulty nodeset.Set) nodeset.Set {
 	return faulty
 }
 
-// Instance is the problem instance the four engines' Configs (sim, async,
-// node, delayed) have in common; each Validate checks it here and keeps only
-// the checks on its own fields.
+// Instance is the problem instance the three runtimes' Configs (sim, async,
+// node) have in common; each Validate checks it here and keeps only the
+// checks on its own fields.
 type Instance struct {
 	G         *graph.Graph
 	F         int

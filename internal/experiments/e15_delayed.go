@@ -6,6 +6,7 @@ import (
 
 	"iabc"
 	"iabc/internal/delayed"
+	"iabc/internal/sim"
 	"iabc/internal/workload"
 )
 
@@ -18,8 +19,8 @@ import (
 // linear slowdown in B: every run must converge with validity's B-window
 // envelope form intact, and the rounds must not decrease as B grows.
 //
-// internal/delayed has no facade route; it is the one run here that is not
-// an iabc option list.
+// The staleness model is sim.Config.Stale, which the facade does not
+// expose; it is the one run here that is not an iabc option list.
 func e15Delayed(context.Context) ([]Table, error) {
 	const (
 		n, f = 7, 2
@@ -32,19 +33,19 @@ func e15Delayed(context.Context) ([]Table, error) {
 	t := Table{Header: []string{"B", "converged", "rounds to ε", "slowdown vs B=1", "envelope validity"}}
 	base, prev := 0, 0
 	for _, b := range []int{1, 2, 4, 8} {
-		tr, err := delayed.Run(delayed.Config{
+		tr, err := sim.Sequential{}.Run(sim.Config{
 			G: g, F: f,
 			Faulty:    iabc.SetOf(n, 0, 1),
 			Initial:   workload.Bimodal(n, 0, 1),
 			Rule:      iabc.TrimmedMean{},
 			Adversary: iabc.Extremes{Amplitude: 100},
-			B:         b, Stale: delayed.MaxStale{B: b},
+			Stale:     delayed.MaxStale{B: b},
 			MaxRounds: 200000, Epsilon: eps,
 		})
 		if err != nil {
 			return nil, err
 		}
-		_, bad := tr.EnvelopeViolation(1e-9)
+		_, bad := tr.EnvelopeViolation(b, 1e-9)
 		if b == 1 {
 			base = tr.Rounds
 		}

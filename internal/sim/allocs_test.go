@@ -5,6 +5,7 @@ import (
 
 	"iabc/internal/adversary"
 	"iabc/internal/core"
+	"iabc/internal/delayed"
 	"iabc/internal/nodeset"
 	"iabc/internal/topology"
 )
@@ -38,16 +39,22 @@ func TestEngineRoundLoopZeroSteadyStateAllocs(t *testing.T) {
 		{"insider-high", func() adversary.Strategy { return &adversary.Insider{High: true} }},
 		{"silent", func() adversary.Strategy { return adversary.Silent{} }},
 	}
-	for _, eng := range engines() {
+	// The bounded-staleness history ring is held to the same gate.
+	variants := []struct {
+		name  string
+		eng   Engine
+		stale delayed.StalePolicy
+	}{{"sequential", Sequential{}, nil}, {"matrix", Matrix{}, nil}, {"sequential-stale", Sequential{}, delayed.MaxStale{B: 4}}}
+	for _, v := range variants {
 		for _, adv := range adversaries {
-			t.Run(eng.Name()+"/"+adv.name, func(t *testing.T) {
+			t.Run(v.name+"/"+adv.name, func(t *testing.T) {
 				measure := func(rounds int) float64 {
 					strat := adv.mk()
 					return testing.AllocsPerRun(5, func() {
-						tr, err := eng.Run(Config{
+						tr, err := v.eng.Run(Config{
 							G: g, F: 2, Faulty: faulty, Initial: initial,
 							Rule: core.TrimmedMean{}, Adversary: strat,
-							MaxRounds: rounds,
+							Stale: v.stale, MaxRounds: rounds,
 						})
 						if err != nil {
 							t.Fatal(err)

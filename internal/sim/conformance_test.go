@@ -18,6 +18,7 @@ import (
 	"iabc/internal/adversary"
 	"iabc/internal/async"
 	"iabc/internal/core"
+	"iabc/internal/delayed"
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/topology"
@@ -230,6 +231,15 @@ func TestCrossEngineConformance(t *testing.T) {
 				}
 				assertTracesEqual(t, v.label, ref, tr)
 			}
+			// The bounded-staleness ring at B = 1 is the synchronous model:
+			// the plane filled from history must match the direct fill.
+			stale := sc.buildConfig(t, false)
+			stale.Stale = delayed.MaxStale{B: 1}
+			tr, err := Sequential{}.Run(stale)
+			if err != nil {
+				t.Fatalf("sequential/stale-B1: %v", err)
+			}
+			assertTracesEqual(t, "sequential/stale-B1", ref, tr)
 			// The scenario-batched sequential loop must also agree: run the
 			// same config twice through RunScenarios (second run reuses the
 			// plane, catching stale-state bugs in the shared setup).

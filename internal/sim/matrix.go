@@ -37,7 +37,8 @@ import (
 // the recorded execution, not independent simulations.
 //
 // Matrix supports the rules whose rounds are affine in the state:
-// core.TrimmedMean and core.Mean. The zero value is ready to use.
+// core.TrimmedMean and core.Mean, in the synchronous model only (no
+// Config.Stale). The zero value is ready to use.
 type Matrix struct{}
 
 var _ Engine = Matrix{}
@@ -163,7 +164,7 @@ func (r *matrixRunner) RunScenario(cfg *Config) (*Trace, error) {
 	if cfg.G != r.g {
 		return nil, errors.New("sim: scenario config graph differs from the runner's graph")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := validateMatrix(cfg); err != nil {
 		return nil, err
 	}
 	tr, _, err := runMatrixOn(r.st, cfg, false, nil)
@@ -183,7 +184,7 @@ func (r *matrixRunner) runBatchScenario(cfg *Config, extras [][]float64) (*Trace
 	if cfg.G != r.g {
 		return nil, nil, errors.New("sim: scenario config graph differs from the runner's graph")
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := validateMatrix(cfg); err != nil {
 		return nil, nil, err
 	}
 	var stream replayStream
@@ -432,9 +433,22 @@ func (st *matrixScratch) recycle(progs []*roundProgram) {
 	st.pool = append(st.pool, progs...)
 }
 
+// validateMatrix is Config.Validate for the matrix engine, which runs the
+// synchronous model only: a round program maps v[t−1] alone to v[t], so
+// there is no history for Config.Stale to read from.
+func validateMatrix(cfg *Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Stale != nil {
+		return errors.New("sim: the matrix engine runs the synchronous model only; Config.Stale needs Sequential")
+	}
+	return nil
+}
+
 // runMatrix is the single-run entry: validate, build fresh scratch, run.
 func runMatrix(cfg Config, keep bool, stream *replayStream) (*Trace, []*roundProgram, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateMatrix(&cfg); err != nil {
 		return nil, nil, err
 	}
 	tr, progs, err := runMatrixOn(newMatrixScratch(cfg.G), &cfg, keep, stream)

@@ -302,8 +302,11 @@ func sweepOrdered(ctx context.Context, engine Engine, scenarios []Scenario, cfgs
 	// scenarios the interrupted run had not settled.
 	var ss *sweepState
 	if opts.Store != nil {
-		var err error
-		ss, err = newSweepState(opts.Store, describeSweep(engine.Name(), opts.StateSalt, cfgs, scenarios, opts.Extras))
+		spec, err := describeSweep(engine.Name(), opts.StateSalt, cfgs, scenarios, opts.Extras)
+		if err != nil {
+			return nil, err
+		}
+		ss, err = newSweepState(opts.Store, spec)
 		if err != nil {
 			return nil, err
 		}

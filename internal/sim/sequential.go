@@ -3,6 +3,7 @@ package sim
 import (
 	"iabc/internal/adversary"
 	"iabc/internal/core"
+	"iabc/internal/delayed"
 	"iabc/internal/nodeset"
 )
 
@@ -63,9 +64,17 @@ func runSequential(cfg *Config, p *edgePlane, recv []core.ValueFrom) (*tracer, e
 	var scratch core.Scratch
 	adv := adversary.Writer(cfg.Adversary)
 	hasAdv := adv != nil && len(p.faulty) > 0
+	var hist *staleRing
+	if cfg.Stale != nil {
+		hist = newStaleRing(cfg.Stale, states)
+	}
 
 	for round := 1; round <= cfg.MaxRounds && !tr.Converged; round++ {
-		p.fill(states)
+		if hist != nil {
+			hist.fill(p, states, faulty, round)
+		} else {
+			p.fill(states)
+		}
 		if hasAdv {
 			p.applyAdversary(adv, roundView(cfg, round, states, faultFree, faulty))
 		}
@@ -89,6 +98,9 @@ func runSequential(cfg *Config, p *edgePlane, recv []core.ValueFrom) (*tracer, e
 			next[i] = v
 		}
 		states, next = next, states
+		if hist != nil {
+			hist.push(round, states)
+		}
 
 		if done := tr.record(cfg, round, states, faultFree); done {
 			break
@@ -96,6 +108,46 @@ func runSequential(cfg *Config, p *edgePlane, recv []core.ValueFrom) (*tracer, e
 	}
 	tr.finish(states)
 	return tr, nil
+}
+
+// staleRing is the bounded-staleness history of Config.Stale: slot t mod B
+// holds v[t] for the last B rounds t.
+type staleRing struct {
+	policy delayed.StalePolicy
+	slots  [][]float64
+}
+
+func newStaleRing(policy delayed.StalePolicy, initial []float64) *staleRing {
+	r := &staleRing{policy: policy, slots: make([][]float64, policy.Bound())}
+	for k := range r.slots {
+		r.slots[k] = make([]float64, len(initial))
+	}
+	copy(r.slots[0], initial)
+	return r
+}
+
+// fill is edgePlane.fill under staleness: each fault-free sender's edge
+// carries its state d rounds before the freshest, with d asked of the policy
+// in edge order and clamped to the history that exists. Faulty senders carry
+// their current ghost state, which the adversary then overrides.
+func (r *staleRing) fill(p *edgePlane, states []float64, faulty nodeset.Set, round int) {
+	depth := min(round-1, len(r.slots)-1)
+	for i := 0; i < p.n; i++ {
+		for e := p.inOff[i]; e < p.inOff[i+1]; e++ {
+			s := p.senders[e]
+			if faulty.Contains(s) {
+				p.values[e] = states[s]
+				continue
+			}
+			d := min(max(r.policy.Staleness(s, i, round), 0), depth)
+			p.values[e] = r.slots[(round-1-d)%len(r.slots)][s]
+		}
+	}
+}
+
+// push records v[round], overwriting v[round−B].
+func (r *staleRing) push(round int, states []float64) {
+	copy(r.slots[round%len(r.slots)], states)
 }
 
 // tracer accumulates a Trace incrementally; shared by all engines.

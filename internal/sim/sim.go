@@ -14,16 +14,20 @@
 //     round structure over batches of initial vectors (RunBatch).
 //
 // Both are deterministic given identical configs and produce bit-identical
-// traces; cross-check tests enforce this. The algorithm as genuine message
+// traces; cross-check tests enforce this. Sequential also runs the bounded-
+// staleness model (Config.Stale, see package delayed) over a ring of the
+// last B state vectors; Matrix rejects it. The algorithm as genuine message
 // passing — one goroutine per node — is internal/node, which at f = 0
 // reproduces these traces bit for bit.
 package sim
 
 import (
 	"fmt"
+	"math"
 
 	"iabc/internal/adversary"
 	"iabc/internal/core"
+	"iabc/internal/delayed"
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 )
@@ -47,6 +51,11 @@ type Config struct {
 	// empty (or when faulty nodes should behave correctly, use
 	// adversary.Conforming explicitly for clarity).
 	Adversary adversary.Strategy
+	// Stale, when non-nil, runs the partially asynchronous model: a
+	// fault-free sender j's value on edge j -> i at round t is v_j[t−1−d]
+	// with d = Stale.Staleness(j, i, t), clamped to the rounds that exist.
+	// Faulty senders are not bound by it. Sequential only.
+	Stale delayed.StalePolicy
 	// MaxRounds caps the number of iterations. Must be ≥ 1.
 	MaxRounds int
 	// Epsilon, when > 0, stops the run once U[t] − µ[t] ≤ Epsilon over
@@ -71,6 +80,9 @@ func (c *Config) Validate() error {
 	in := adversary.Instance{G: c.G, F: c.F, Faulty: c.Faulty, Initial: c.Initial, Rule: c.Rule, Adversary: c.Adversary, MaxRounds: c.MaxRounds}
 	if err := in.Validate(func(inDegree int) int { return inDegree }); err != nil {
 		return fmt.Errorf("sim: %w", err)
+	}
+	if c.Stale != nil && c.Stale.Bound() < 1 {
+		return fmt.Errorf("sim: staleness bound must be ≥ 1, got %d", c.Stale.Bound())
 	}
 	return nil
 }
@@ -124,8 +136,21 @@ func (t *Trace) FinalRange() float64 { return t.Range(t.Rounds) }
 // absorb floating-point rounding in the weighted averages), or 0 and false
 // if validity holds throughout.
 func (t *Trace) ValidityViolation(tol float64) (round int, violated bool) {
+	return t.EnvelopeViolation(1, tol)
+}
+
+// EnvelopeViolation checks validity in the form it keeps under staleness
+// bound b (Config.Stale): U[t] must not exceed the maximum of U over the
+// previous b rounds, and µ[t] must not fall below the corresponding minimum.
+// b = 1 is ValidityViolation. It returns the first round violated beyond
+// tol, or 0 and false.
+func (t *Trace) EnvelopeViolation(b int, tol float64) (round int, violated bool) {
 	for r := 1; r <= t.Rounds; r++ {
-		if t.U[r] > t.U[r-1]+tol || t.Mu[r] < t.Mu[r-1]-tol {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for k := max(r-b, 0); k < r; k++ {
+			hi, lo = max(hi, t.U[k]), min(lo, t.Mu[k])
+		}
+		if t.U[r] > hi+tol || t.Mu[r] < lo-tol {
 			return r, true
 		}
 	}

@@ -14,11 +14,14 @@ package sim
 // state key's identity, and the same bytes are the job spec a distributed
 // coordinator ships to its workers. Floats are IEEE-754 bit patterns
 // (wire.Floats), so a resumed or remote trace is bit-identical to a local
-// one, NaN and ±Inf included.
+// one, NaN and ±Inf included. A sweep under Config.Stale has no spec: a
+// policy's Name() does not pin its schedule, so it is neither checkpointed
+// nor shipped.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -159,11 +162,11 @@ func NewSweepSpec(base Config, scenarios []Scenario, opts SweepOptions) (*SweepS
 	if engine == nil {
 		engine = Sequential{}
 	}
-	return describeSweep(engine.Name(), opts.StateSalt, cfgs, scenarios, opts.Extras), nil
+	return describeSweep(engine.Name(), opts.StateSalt, cfgs, scenarios, opts.Extras)
 }
 
 // describeSweep builds the spec of validated, derived configs.
-func describeSweep(engineName, salt string, cfgs []Config, scenarios []Scenario, extras [][]float64) *SweepSpec {
+func describeSweep(engineName, salt string, cfgs []Config, scenarios []Scenario, extras [][]float64) (*SweepSpec, error) {
 	spec := &SweepSpec{
 		Graph:     cfgs[0].G.EdgeListString(),
 		Engine:    engineName,
@@ -173,6 +176,9 @@ func describeSweep(engineName, salt string, cfgs []Config, scenarios []Scenario,
 	}
 	for i := range cfgs {
 		cfg := &cfgs[i]
+		if cfg.Stale != nil {
+			return nil, errors.New("sim: a sweep under Config.Stale is neither checkpointed nor shipped to workers")
+		}
 		sc := ScenarioSpec{
 			Name:         scenarioName(&scenarios[i]),
 			Rule:         cfg.Rule.Name(),
@@ -191,7 +197,7 @@ func describeSweep(engineName, salt string, cfgs []Config, scenarios []Scenario,
 		}
 		spec.Scenarios[i] = sc
 	}
-	return spec
+	return spec, nil
 }
 
 // Encode returns the spec's canonical bytes.

@@ -9,6 +9,7 @@ import (
 
 	"iabc/internal/adversary"
 	"iabc/internal/core"
+	"iabc/internal/delayed"
 	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 	"iabc/internal/topology"
@@ -140,6 +141,24 @@ func TestSweepResumeIdentityChecks(t *testing.T) {
 	}
 	if got := run(SweepOptions{}, scens); got != len(scens)-2 {
 		t.Fatalf("foreign and corrupt records: resumed %d, want %d", got, len(scens)-2)
+	}
+}
+
+// TestSweepStaleNotCheckpointed: a sweep under Config.Stale has no spec, so
+// it runs without a Store and is refused with one (or as a worker's job).
+func TestSweepStaleNotCheckpointed(t *testing.T) {
+	stale := scenarioBase(t)
+	stale.Stale = delayed.MaxStale{B: 3}
+	scens := sweepStateScenarios()
+	if _, err := Sweep(context.Background(), stale, scens, SweepOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Sweep(context.Background(), stale, scens, SweepOptions{Workers: 1, Store: statestore.NewMem()})
+	if err == nil || !strings.Contains(err.Error(), "Config.Stale") {
+		t.Fatalf("checkpointed stale sweep: %v", err)
+	}
+	if _, err := NewSweepSpec(stale, scens, SweepOptions{}); err == nil {
+		t.Fatal("NewSweepSpec described a stale sweep")
 	}
 }
 
@@ -313,7 +332,11 @@ func respec(s *SweepSpec) ([]byte, error) {
 	for i := range scens {
 		scens[i].Name = s.Scenarios[i].Name
 	}
-	return describeSweep(engine.Name(), s.StateSalt, cfgs, scens, s.Extras).Encode()
+	spec, err := describeSweep(engine.Name(), s.StateSalt, cfgs, scens, s.Extras)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Encode()
 }
 
 // FuzzSweepSpec: decoding and resolving arbitrary bytes never panics, and
