@@ -4,8 +4,8 @@ package iabc_test
 // from Check, MaxF, or Sweep returns promptly (bounded by one scenario or
 // fault set), reports partial progress in the wrapped error, and leaks no
 // worker goroutines; a canceled Cluster additionally tears down every
-// actor, send pump, and chaos delay goroutine even while sends are stuck
-// in retry/backoff against a partition. These tests run under -race in CI.
+// actor, destination send pump, and chaos delay goroutine while a
+// partition keeps refusing sends. These tests run under -race in CI.
 
 import (
 	"context"
@@ -121,10 +121,11 @@ func TestCheckCancellationFacade(t *testing.T) {
 }
 
 // TestClusterCancellationFacade cancels a cluster mid-chaos, during an
-// unhealed partition that has every cross-cut send in retry/backoff, and
-// requires a prompt context.Canceled return with zero leaked goroutines —
-// actors, per-edge send pumps, the crash supervisor, and the chaos layer's
-// delayed-delivery goroutines must all unwind.
+// unhealed partition that refuses every cross-cut send and keeps the stall
+// resends backing off, and requires a prompt context.Canceled return with
+// zero leaked goroutines — actors, destination send pumps, the crash
+// supervisor, and the chaos layer's delayed-delivery goroutines must all
+// unwind.
 func TestClusterCancellationFacade(t *testing.T) {
 	g, err := iabc.Complete(6)
 	if err != nil {
@@ -145,7 +146,6 @@ func TestClusterCancellationFacade(t *testing.T) {
 		iabc.WithInitial(initial),
 		iabc.WithMaxRounds(1_000_000), // unreachable: the partition stalls progress
 		iabc.WithResendEvery(time.Millisecond),
-		iabc.WithSendTimeout(10*time.Second), // keep sends parked in retry at cancel time
 		iabc.WithChaos(iabc.ChaosConfig{
 			Seed: 5, Drop: 0.1, MaxDelay: 2 * time.Millisecond,
 			Partitions: []iabc.LinkPartition{{

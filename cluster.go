@@ -105,22 +105,24 @@ type JitterDelay = async.Jitter
 
 // ClusterResult records one cluster run: the stop verdict (Converged /
 // Stalled), per-node round counters, the final state vector and fault-free
-// ranges, and the robustness counters (deliveries, resends, abandoned
-// sends, restarts) recording what the run survived.
+// ranges, and the robustness counters (deliveries, resends, sends the
+// transport refused, outbox drops, restarts) recording what the run
+// survived.
 type ClusterResult = node.Result
 
 // Cluster runs the Section 7 asynchronous iteration as a live cluster:
 // every fault-free node is a goroutine actor owning its state, round
 // counter, and quorum inbox, talking to its peers only through a Transport;
-// faulty nodes are driven by the configured adversary. Actors mask message
-// loss by idempotent stall-triggered retransmission, retry failed sends
-// with capped backoff inside a per-message budget, and survive configured
-// crash windows by restarting from durable state — so the run degrades
-// gracefully under chaos instead of deadlocking.
+// faulty nodes are driven by the configured adversary. Actors never block
+// on a send: each destination has one bounded outbox and one pump, a send
+// the transport refuses is counted, not retried, and idempotent
+// stall-triggered retransmission repairs every loss. Actors survive
+// configured crash windows by restarting from durable state — so the run
+// degrades gracefully under chaos instead of deadlocking.
 //
 // Required options: WithInitial. Typical options: WithF, WithFaulty,
 // WithAdversary, WithMaxRounds, WithEpsilon, WithChaos or WithTransport,
-// WithResendEvery, WithSendTimeout, WithStallAfter. WithObserver streams
+// WithResendEvery, WithStallAfter. WithObserver streams
 // one EventNodeUpdate per fault-free state change, serialized. By default
 // the run owns an in-process transport (chaos-wrapped under WithChaos and
 // closed on return); WithTransport substitutes a caller-owned one, which is
@@ -184,7 +186,6 @@ func Cluster(ctx context.Context, g *Graph, opts ...Option) (*ClusterResult, err
 		MaxRounds:   c.maxRounds,
 		Epsilon:     c.epsilon,
 		ResendEvery: c.resendEvery,
-		SendTimeout: c.sendTimeout,
 		StallAfter:  c.stallAfter,
 		Crashes:     c.chaos.Crashes,
 		Local:       c.localNodes,

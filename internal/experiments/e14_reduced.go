@@ -26,8 +26,8 @@ import (
 // certifies the violation cheaply.
 //
 // The reduced-graph decider is the one thing here the iabc facade does not
-// export, hence this file's internal/condition import (the single allowance
-// in TestFacadeOnlyConsumers).
+// export, hence this file's internal/condition import (one of the two
+// allowances in TestFacadeOnlyConsumers; e15_delayed.go holds the other).
 func e14ReducedCrossCheck(ctx context.Context) ([]Table, error) {
 	const trials = 120
 	rng := rand.New(rand.NewSource(14))

@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -12,9 +11,11 @@ import (
 	"iabc/internal/transport"
 )
 
-// edgeQueueCap bounds each out-edge's send queue. Enqueues onto a full queue
-// are dropped (counted in Result.OutDropped) — a later resend pass repairs
-// the loss, so a slow or dead link cannot grow memory or block the actor.
+// edgeQueueCap is the outbox room per local in-edge of a destination:
+// outbox[j] holds edgeQueueCap messages for each local sender with an edge
+// to j. Enqueues onto a full outbox are dropped (counted in
+// Result.OutDropped) — a later resend pass repairs the loss, so a slow or
+// dead destination cannot grow memory or block an actor.
 const edgeQueueCap = 64
 
 // seqOf derives a transmission identity for a Msg.Seq from the round, the
@@ -35,97 +36,6 @@ func seqOf(round, epoch, edge int) uint64 {
 	return hashrand.Key(0, uint64(round), uint64(epoch), uint64(edge))
 }
 
-// sender owns a node's outbound side: one bounded queue and one pump
-// goroutine per out-edge, so a dead or partitioned destination delays only
-// its own edge (no head-of-line blocking across links). Each pump retries
-// failed sends with capped exponential backoff inside a per-message
-// SendTimeout budget, then abandons — degrade, never deadlock.
-type sender struct {
-	id   int
-	r    *runner
-	outs []int
-	qs   []chan transport.Msg
-}
-
-func newSender(id int, r *runner) *sender {
-	outs := r.cfg.G.OutView(id)
-	s := &sender{id: id, r: r, outs: outs, qs: make([]chan transport.Msg, len(outs))}
-	for e := range s.qs {
-		s.qs[e] = make(chan transport.Msg, edgeQueueCap)
-	}
-	return s
-}
-
-// start launches the per-edge pumps for one actor incarnation.
-func (s *sender) start(ctx context.Context, done func()) {
-	for e := range s.qs {
-		e := e
-		go func() {
-			defer done()
-			s.pumpEdge(ctx, e)
-		}()
-	}
-}
-
-// enqueue hands a message to edge e's pump without blocking.
-func (s *sender) enqueue(e int, m transport.Msg) bool {
-	select {
-	case s.qs[e] <- m:
-		return true
-	default:
-		s.r.outDropped.Add(1)
-		return false
-	}
-}
-
-func (s *sender) pumpEdge(ctx context.Context, e int) {
-	to := s.outs[e]
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case m := <-s.qs[e]:
-			s.sendOne(ctx, to, m)
-		}
-	}
-}
-
-// sendOne drives one message through the transport: retry on failure with
-// exponential backoff (doubling from retryBackoff, capped at
-// maxRetryBackoff) until the per-message SendTimeout budget is
-// spent, then abandon. ErrLinkDown is the designed-for case — the link may
-// heal mid-budget, which is how sends survive short partitions.
-func (s *sender) sendOne(ctx context.Context, to int, m transport.Msg) {
-	cfg := &s.r.cfg
-	deadline := time.Now().Add(cfg.SendTimeout)
-	backoff := retryBackoff
-	for {
-		sctx, cancel := context.WithDeadline(ctx, deadline)
-		err := cfg.Transport.Send(sctx, s.id, to, m)
-		cancel()
-		if err == nil {
-			return
-		}
-		if ctx.Err() != nil || errors.Is(err, transport.ErrClosed) {
-			return
-		}
-		if !time.Now().Add(backoff).Before(deadline) {
-			s.r.abandoned.Add(1)
-			return
-		}
-		t := time.NewTimer(backoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return
-		}
-		if backoff *= 2; backoff > maxRetryBackoff {
-			backoff = maxRetryBackoff
-		}
-	}
-}
-
 // actor is one fault-free node: it owns the durable protocol state (the
 // stepper's round and value, the history of broadcast values) and the
 // stepper's volatile quorum inbox. The durable part survives crash windows —
@@ -133,9 +43,9 @@ func (s *sender) sendOne(ctx context.Context, to int, m transport.Msg) {
 // completed round, exactly the "resume from durable state and resend the
 // current round" contract.
 type actor struct {
-	*sender
 	id   int
 	r    *runner
+	outs []int
 	recv <-chan transport.Delivery
 
 	// step is the Section 7 iteration, shared with the async simulator. Its
@@ -153,15 +63,11 @@ type actor struct {
 
 func newActor(id int, r *runner) *actor {
 	cfg := &r.cfg
-	deg := cfg.G.InDegree(id)
-	q := quorum.Count(deg, cfg.F)
-	if cfg.QuorumOverride != nil {
-		q = cfg.QuorumOverride(id)
-	}
+	q := quorum.Count(cfg.G.InDegree(id), cfg.F)
 	return &actor{
-		sender:  newSender(id, r),
 		id:      id,
 		r:       r,
+		outs:    cfg.G.OutView(id),
 		recv:    cfg.Transport.Recv(id),
 		step:    quorum.NewStepper(cfg.G.InView(id), q, cfg.F, cfg.MaxRounds, r.rule, cfg.Initial[id]),
 		history: append(make([]float64, 0, cfg.MaxRounds+1), cfg.Initial[id]),
@@ -242,9 +148,9 @@ func (a *actor) nextEpoch() int {
 
 // broadcast enqueues round k's value on every out-edge.
 func (a *actor) broadcast(k, epoch int) {
-	for e := range a.outs {
+	for e, to := range a.outs {
 		m := transport.Msg{Round: k, Value: a.history[k], Seq: seqOf(k, epoch, e)}
-		if a.enqueue(e, m) && epoch > 0 {
+		if a.r.enqueue(a.id, to, m) && epoch > 0 {
 			a.r.resends.Add(1)
 		}
 	}
@@ -307,13 +213,15 @@ func (a *actor) onDelivery(ctx context.Context, d transport.Delivery) bool {
 // faultySink scatters an adversary emission onto a faulty sender's
 // out-edges, mirroring the async engine's emitSink.
 type faultySink struct {
-	snd   *sender
+	r     *runner
+	from  int
+	outs  []int
 	round int
 }
 
 // Send implements adversary.EdgeSink.
 func (s *faultySink) Send(k int, value float64) {
-	s.snd.enqueue(k, transport.Msg{Round: s.round, Value: value, Seq: seqOf(s.round, 0, k)})
+	s.r.enqueue(s.from, s.outs[k], transport.Msg{Round: s.round, Value: value, Seq: seqOf(s.round, 0, k)})
 }
 
 // runFaulty drives one faulty node: every FaultyTick it asks the adversary
@@ -323,17 +231,7 @@ func (s *faultySink) Send(k int, value float64) {
 // drains its delivery stream so honest senders never block on a faulty
 // receiver's full queue.
 func (r *runner) runFaulty(ctx context.Context, s int) {
-	snd := newSender(s, r)
-	var pumps int
-	pumpDone := make(chan struct{}, len(snd.qs))
-	snd.start(ctx, func() { pumpDone <- struct{}{} })
-	pumps = len(snd.qs)
-	defer func() {
-		for i := 0; i < pumps; i++ {
-			<-pumpDone
-		}
-	}()
-
+	sink := &faultySink{r: r, from: s, outs: r.cfg.G.OutView(s)}
 	recv := r.cfg.Transport.Recv(s)
 	tick := time.NewTicker(r.cfg.FaultyTick)
 	defer tick.Stop()
@@ -348,16 +246,12 @@ func (r *runner) runFaulty(ctx context.Context, s int) {
 			if round > r.cfg.MaxRounds {
 				continue // emissions done; keep draining until the run ends
 			}
-			r.emitFaulty(snd, s, round)
+			// Edges the strategy skips get nothing: asynchronous silence.
+			sink.round = round
+			r.adv.WriteMessages(r.view(round), s, sink)
 			round++
 		}
 	}
-}
-
-// emitFaulty enqueues one faulty round batch. Edges the strategy skips get
-// nothing: asynchronous silence.
-func (r *runner) emitFaulty(snd *sender, s, round int) {
-	r.adv.WriteMessages(r.view(round), s, &faultySink{snd: snd, round: round})
 }
 
 var _ adversary.EdgeSink = (*faultySink)(nil)

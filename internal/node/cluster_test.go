@@ -24,7 +24,6 @@ func clusterDefaults(tr transport.Transport) Config {
 		Transport:   tr,
 		ResendEvery: 2 * time.Millisecond,
 		FaultyTick:  time.Millisecond,
-		SendTimeout: 100 * time.Millisecond,
 	}
 }
 
@@ -230,9 +229,10 @@ func TestClusterPartitionValidityUnderStall(t *testing.T) {
 }
 
 // TestClusterCrashRestartRecovers crashes one node from the very start:
-// with f = 0 everyone needs its round-0 value, so the whole cluster blocks
-// on retry/backoff until the crash window closes, the supervisor restarts
-// the actor from durable state, and the run must then converge.
+// with f = 0 everyone needs its round-0 value, so the whole cluster stalls
+// (sends to and from the crashed node refused, stall resends backing off)
+// until the crash window closes, the supervisor restarts the actor from
+// durable state, and the run must then converge.
 func TestClusterCrashRestartRecovers(t *testing.T) {
 	g, err := topology.Complete(5)
 	if err != nil {
@@ -266,9 +266,10 @@ func TestClusterCrashRestartRecovers(t *testing.T) {
 	}
 }
 
-// TestClusterCancelReleasesEverything cancels a run whose sends are stuck
-// in retry/backoff against a permanent partition: Run must return promptly
-// with the cancellation cause and leave zero goroutines behind.
+// TestClusterCancelReleasesEverything cancels a run stalled by a permanent
+// partition — its cross-cut sends refused, its stall resends backing off:
+// Run must return promptly with the cancellation cause and leave zero
+// goroutines behind.
 func TestClusterCancelReleasesEverything(t *testing.T) {
 	base := runtime.NumGoroutine()
 	g, err := topology.Complete(5)
@@ -399,5 +400,85 @@ func TestClusterLocalSplitConformsToAsync(t *testing.T) {
 		if got := results[h].Updates; got != int64(len(local)*maxRounds) {
 			t.Errorf("half %d: Updates = %d, want %d (local nodes only)", h, got, len(local)*maxRounds)
 		}
+	}
+}
+
+// TestClusterGoroutinesPerDestination pins the runtime's shape: a K8
+// cluster runs one actor and one send pump per node, plus Run's waiter —
+// at most 2n + 2 goroutines above the baseline mid-run, where a pump per
+// out-edge would add n(n−1).
+func TestClusterGoroutinesPerDestination(t *testing.T) {
+	g, err := topology.Complete(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	tr := transport.NewInproc(n, 256)
+	defer tr.Close()
+	cfg := clusterDefaults(tr)
+	cfg.G, cfg.Initial, cfg.MaxRounds = g, []float64{3, 1, 4, 1, 5, 9, 2, 6}, 50
+	base := runtime.NumGoroutine()
+	peak := 0
+	cfg.OnUpdate = func(node, round int, value, rng float64) {
+		peak = max(peak, runtime.NumGoroutine()-base)
+	}
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if peak > 2*n+2 {
+		t.Fatalf("%d goroutines above baseline mid-run, want ≤ 2n+2 = %d", peak, 2*n+2)
+	}
+	if peak < n {
+		t.Fatalf("only %d goroutines above baseline mid-run: the probe missed the actors", peak)
+	}
+}
+
+// stuckTransport blocks every Send to node stuck until the sender's ctx
+// ends; every other link is the embedded transport's.
+type stuckTransport struct {
+	transport.Transport
+	stuck int
+}
+
+func (s stuckTransport) Send(ctx context.Context, from, to int, m transport.Msg) error {
+	if to == s.stuck {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	return s.Transport.Send(ctx, from, to, m)
+}
+
+// TestClusterStuckDestinationIsolated: a destination whose every Send hangs
+// costs only its own outbox. On K7 with f = 1 the other six nodes need just
+// 5 of their 6 in-neighbours per round, so they all reach MaxRounds; the
+// stuck node's outbox overflows into OutDropped, and since the stuck node
+// never advances the run ends through the StallAfter cutoff.
+func TestClusterStuckDestinationIsolated(t *testing.T) {
+	g, err := topology.Complete(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	const stuck, maxRounds = 3, 100
+	tr := transport.NewInproc(n, 256)
+	defer tr.Close()
+	cfg := clusterDefaults(stuckTransport{Transport: tr, stuck: stuck})
+	cfg.G, cfg.Initial, cfg.MaxRounds = g, []float64{0, 1, 2, 3, 4, 5, 6}, maxRounds
+	cfg.F = 1
+	cfg.StallAfter = 500 * time.Millisecond
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stalled {
+		t.Fatalf("run did not end through StallAfter: converged=%v rounds=%v", res.Converged, res.Rounds)
+	}
+	for i, r := range res.Rounds {
+		if i != stuck && r != maxRounds {
+			t.Errorf("node %d stopped at round %d, want %d: the stuck destination held it back", i, r, maxRounds)
+		}
+	}
+	if res.OutDropped == 0 {
+		t.Error("OutDropped = 0: the stuck destination's outbox never overflowed")
 	}
 }

@@ -22,14 +22,20 @@
 //     change a receiver's trajectory — they only repair losses. This turns
 //     chaos-layer drops and healed partitions into mere delays, which is
 //     precisely the regime the Part II convergence theorem covers.
-//   - Send retry with capped backoff and a per-message timeout. A cut link
-//     (transport.ErrLinkDown) or a backpressured queue never deadlocks an
-//     actor: the send pump retries with exponential backoff until the
-//     per-message budget expires, then abandons — the resend pass recovers.
+//   - Non-blocking sends. Actors enqueue onto one bounded outbox per
+//     destination, drained by that destination's one pump with one Send per
+//     message. A full outbox drops (Result.OutDropped) and a refused send
+//     (a cut link: transport.ErrLinkDown) is counted (Result.Abandoned) and
+//     not retried — the resend pass recovers both, so a dead or
+//     backpressured destination never deadlocks an actor or delays traffic
+//     to any other destination.
 //   - Crash/restart. A supervisor stops an actor for each configured crash
 //     window and restarts it from its durable (round, value, history)
 //     state with a reset inbox; on restart the actor rebroadcasts its
-//     current round and peer resends re-fill what the crash lost.
+//     current round and peer resends re-fill what the crash lost. The
+//     pumps belong to the run, not the actor, so a message queued before
+//     a crash window may still be offered to the transport during it
+//     (Chaos refuses it as transport.ErrLinkDown).
 //
 // The deterministic simulator remains the conformance oracle: under
 // loss-free delivery and f = 0 (where the quorum is the full
@@ -57,15 +63,6 @@ const (
 	// DefaultFaultyTick is the interval at which faulty actors emit their
 	// round batches.
 	DefaultFaultyTick = 2 * time.Millisecond
-	// DefaultSendTimeout is the per-message budget covering all retries.
-	DefaultSendTimeout = 100 * time.Millisecond
-)
-
-// retryBackoff is the initial backoff after a failed send; it doubles per
-// attempt up to maxRetryBackoff.
-const (
-	retryBackoff    = time.Millisecond
-	maxRetryBackoff = 16 * retryBackoff
 )
 
 // Config describes one cluster run.
@@ -104,10 +101,6 @@ type Config struct {
 	// FaultyTick is the wall-clock interval between a faulty actor's round
 	// batches (0 selects DefaultFaultyTick).
 	FaultyTick time.Duration
-	// SendTimeout is the per-message send budget including all retries
-	// (0 selects DefaultSendTimeout). Expired sends are abandoned and
-	// repaired by a later resend pass.
-	SendTimeout time.Duration
 	// StallAfter, when > 0, ends the run with Result.Stalled once no
 	// fault-free state change has been observed for this long — the
 	// liveness cutoff for runs under liveness-destroying partitions.
@@ -134,9 +127,6 @@ type Config struct {
 	// when this process's nodes are already done; without it a finished
 	// process's exit looks like a crash to the rest of the cluster.
 	Linger time.Duration
-	// QuorumOverride, when non-nil, replaces the |N⁻_i| − F quorum count
-	// for node i. Tests use it to force pathological quorums; leave nil.
-	QuorumOverride func(i int) int
 	// OnUpdate, when non-nil, observes every fault-free state change:
 	// node, its new round counter, its new value, and the fault-free range
 	// after the change. Calls are serialized on the runner goroutine.
@@ -150,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FaultyTick <= 0 {
 		c.FaultyTick = DefaultFaultyTick
-	}
-	if c.SendTimeout <= 0 {
-		c.SendTimeout = DefaultSendTimeout
 	}
 	return c
 }
@@ -210,9 +197,10 @@ type Result struct {
 	// Resends counts messages retransmitted by stall-triggered history
 	// rebroadcasts.
 	Resends int64
-	// Abandoned counts sends dropped after the retry budget expired.
+	// Abandoned counts sends the transport refused (a cut link, a failed
+	// write); they are not retried — the stall resend repairs them.
 	Abandoned int64
-	// OutDropped counts messages dropped at full outbound pump queues.
+	// OutDropped counts messages dropped at a full destination outbox.
 	OutDropped int64
 	// Restarts counts crash-supervisor actor restarts.
 	Restarts int64

@@ -104,6 +104,11 @@ type Chaos struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	// mu orders delayed-delivery registration against Close: forward adds
+	// to wg only while closed is false, and Close sets closed before it
+	// waits, so no goroutine is registered once Close's Wait has begun.
+	mu     sync.Mutex
+	closed bool
 	wg     sync.WaitGroup
 
 	sent, dropped, duplicated, linkDown, lost atomic.Int64
@@ -183,13 +188,20 @@ func (c *Chaos) Send(ctx context.Context, from, to int, m Msg) error {
 
 // forward passes m to the inner transport after u·MaxDelay, synchronously
 // when the delay rounds to zero, else via a tracked timer goroutine whose
-// landing re-checks the link (in-flight messages die on an active cut).
+// landing re-checks the link (in-flight messages die on an active cut). A
+// delayed send that loses the race with Close returns ErrClosed.
 func (c *Chaos) forward(ctx context.Context, from, to int, m Msg, u float64) error {
 	d := time.Duration(u * float64(c.cfg.MaxDelay))
 	if d <= 0 {
 		return c.inner.Send(ctx, from, to, m)
 	}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClosed
+	}
 	c.wg.Add(1)
+	c.mu.Unlock()
 	go func() {
 		defer c.wg.Done()
 		t := time.NewTimer(d)
@@ -223,6 +235,9 @@ func (c *Chaos) Recv(node int) <-chan Delivery { return c.inner.Recv(node) }
 // transport under it would hand a live send a closed peer (counted as Lost
 // today, a use-after-close for inner transports with stricter lifecycles).
 func (c *Chaos) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
 	c.cancel()
 	c.wg.Wait()
 	return c.inner.Close()

@@ -291,3 +291,44 @@ func TestChaosCloseWaitsForGoroutines(t *testing.T) {
 		t.Fatalf("send after Close: err = %v, want ErrClosed", err)
 	}
 }
+
+// TestChaosSendCloseConcurrent hammers delayed Sends against Close under
+// the race detector: whatever the interleaving, Send returns nil or
+// ErrClosed, and no delayed-delivery goroutine is registered once Close has
+// begun waiting — none outlives Close. Close lands anywhere from before the
+// senders' first Send to mid-stream, where the wrapper has no goroutine in
+// flight and a racing Send would register the first.
+func TestChaosSendCloseConcurrent(t *testing.T) {
+	const n = 4
+	for trial := 0; trial < 50; trial++ {
+		c := NewChaos(NewInproc(n, 2), ChaosConfig{Seed: int64(trial), MaxDelay: 50 * time.Microsecond})
+		done := make(chan struct{})
+		for s := 0; s < n; s++ {
+			s := s
+			go func() {
+				defer func() { done <- struct{}{} }()
+				for j := 0; ; j++ {
+					err := c.Send(context.Background(), s, (s+1)%n, Msg{Seq: uint64(j)})
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(trial%5) * 20 * time.Microsecond)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < n; s++ {
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatalf("trial %d: a sender never observed the close", trial)
+			}
+		}
+	}
+}

@@ -70,9 +70,9 @@ type Transport interface {
 var ErrClosed = errors.New("transport: closed")
 
 // ErrLinkDown is returned by Send when the (from, to) link is cut — a
-// partition window, or a crash window of either endpoint. It is the
-// retryable error: the link may heal, so senders should back off and retry
-// within their per-message budget rather than treat it as fatal.
+// partition window, or a crash window of either endpoint. It is not fatal:
+// the link may heal, and the node runtime leaves the lost message to its
+// stall-triggered resend rather than retrying the send.
 var ErrLinkDown = errors.New("transport: link down")
 
 // Inproc is the in-process Transport: one bounded channel per receiving

@@ -74,7 +74,6 @@ type config struct {
 	hasAdvName    bool
 	seed          int64
 	maxRounds     int
-	hasMaxRounds  bool
 	epsilon       float64
 	recordStates  bool
 	engine        Engine
@@ -93,7 +92,6 @@ type config struct {
 	chaos         transport.ChaosConfig
 	hasChaos      bool
 	resendEvery   time.Duration
-	sendTimeout   time.Duration
 	stallAfter    time.Duration
 	stateDir      string
 	backend       statestore.Backend
@@ -199,7 +197,7 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // passed through to the engine's validation, so a non-positive cap fails
 // there with the engine's own error.
 func WithMaxRounds(rounds int) Option {
-	return func(c *config) { c.maxRounds = rounds; c.hasMaxRounds = true }
+	return func(c *config) { c.maxRounds = rounds }
 }
 
 // WithEpsilon stops a run once the fault-free range U−µ is ≤ eps. Default
@@ -321,11 +319,6 @@ func WithLinger(d time.Duration) Option { return func(c *config) { c.linger = d 
 // retransmission interval (it backs off exponentially while no progress is
 // made). 0 — the default — selects the node runtime's default.
 func WithResendEvery(d time.Duration) Option { return func(c *config) { c.resendEvery = d } }
-
-// WithSendTimeout sets the per-message send budget covering all retries in
-// a cluster run; expired sends are abandoned and repaired by a later resend
-// pass. 0 — the default — selects the node runtime's default.
-func WithSendTimeout(d time.Duration) Option { return func(c *config) { c.sendTimeout = d } }
 
 // WithStallAfter ends a cluster run with ClusterResult.Stalled once no
 // fault-free state change has been observed for d — the liveness cutoff for
