@@ -72,7 +72,8 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) *ChaosTransport {
 }
 
 // TCPTransport is the wire Transport: one long-lived TCP connection per
-// out-link with lazy dial, reconnect under capped exponential backoff, and
+// peer address, whose one writer coalesces queued frames into one write,
+// with lazy dial, reconnect under capped exponential backoff, and
 // length-prefixed binary framing. Backpressure propagates end to end: full
 // receive queues stop the reader, TCP flow control stops the sender. It
 // hosts Recv streams only for its local nodes — the building block of a

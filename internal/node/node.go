@@ -197,8 +197,9 @@ type Result struct {
 	// Resends counts messages retransmitted by stall-triggered history
 	// rebroadcasts.
 	Resends int64
-	// Abandoned counts sends the transport refused (a cut link, a failed
-	// write); they are not retried — the stall resend repairs them.
+	// Abandoned counts sends the transport refused (a cut link, a closed
+	// transport); they are not retried — the stall resend repairs them. A
+	// TCP write that fails after Send queued the frame is not counted here.
 	Abandoned int64
 	// OutDropped counts messages dropped at a full destination outbox.
 	OutDropped int64

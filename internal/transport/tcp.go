@@ -20,7 +20,7 @@ const (
 	// multiple of the initial backoff.
 	maxDialBackoffFactor = 32
 	// DefaultDialTimeout bounds one dial attempt (the reconnect loop as a
-	// whole is bounded only by the sender's ctx).
+	// whole is bounded only by Close).
 	DefaultDialTimeout = 2 * time.Second
 )
 
@@ -43,9 +43,11 @@ type TCPConfig struct {
 	// ephemeral ports race-free before the address map is assembled.
 	// Ownership passes to the transport: Close closes it.
 	Listener net.Listener
-	// QueueCap bounds each local node's receive queue (DefaultQueueCap
-	// if ≤ 0). The accept-side reader blocks while a queue is full, so
-	// backpressure propagates to senders through TCP flow control.
+	// QueueCap bounds each local node's receive queue and each peer
+	// address's send queue (DefaultQueueCap if ≤ 0). The accept-side
+	// reader blocks while a receive queue is full, so backpressure
+	// propagates through TCP flow control to the peer's writer, and from
+	// its full send queue to Send.
 	QueueCap int
 	// DialBackoff is the initial reconnect backoff after a failed dial,
 	// doubling per attempt up to maxDialBackoffFactor times this value
@@ -57,12 +59,16 @@ type TCPConfig struct {
 	SockBuf int
 }
 
-// TCP is the wire Transport: node ids map to host:port addresses, every
-// out-link (from, to) keeps one long-lived connection that is redialed with
-// capped exponential backoff when it breaks, frames are length-prefixed
-// binary (see wire.go), and each local node's deliveries land in a bounded
-// queue — the reader blocks while the queue is full, so the backpressure
-// contract holds across the wire through TCP flow control.
+// TCP is the wire Transport: node ids map to host:port addresses, and
+// there is one connection per peer address — every node id that shares an
+// address shares one bounded send queue and one writer goroutine, which
+// coalesces whatever is queued into one write, dials lazily, and redials
+// with capped exponential backoff when the connection breaks. Frames are
+// length-prefixed binary (see wire.go) and carry their own (from, to), so
+// the accept side demultiplexes by addressee. Each local node's deliveries
+// land in a bounded queue — the reader blocks while the queue is full, so
+// the backpressure contract holds across the wire through TCP flow control
+// and, behind it, the peer's full send queue.
 //
 // An instance serves the Local subset of the cluster: Recv streams exist
 // for local nodes only (Recv of a remote node returns nil), while Send may
@@ -70,41 +76,44 @@ type TCPConfig struct {
 // not local are dropped on arrival.
 //
 // What the wire does NOT add: no delivery acknowledgment (a nil Send means
-// the frame was written to the socket, not processed), no ordering across
-// links, no authentication — the From field is trusted exactly as far as
-// the deployment trusts its network. Per-link FIFO holds for frames that
-// survive one connection; a reconnect may lose frames buffered in the dead
-// socket. The actor layer's idempotent resends repair all of it.
+// the frame was queued for its peer's writer, not written or processed), no
+// ordering across links, no authentication — the From field is trusted
+// exactly as far as the deployment trusts its network. Per-link FIFO holds
+// for frames that survive one connection, because one writer owns it; a
+// failed write drops its batch with the connection. The actor layer's
+// idempotent resends repair all of it.
 type TCP struct {
 	cfg   TCPConfig
-	local map[int]bool
 	qs    map[int]chan Delivery
+	peers []*tcpPeer // by node id; ids sharing an address share one peer
 	ln    net.Listener
 	life  context.Context // ends when Close begins
 	kill  context.CancelFunc
 	done  atomic.Bool
 
 	mu    sync.Mutex
-	links map[[2]int]*tcpLink
 	conns map[net.Conn]struct{}
 
-	wg sync.WaitGroup // accept loop + per-connection readers
+	wg sync.WaitGroup // accept loop, per-connection readers, per-peer writers
 }
 
 var _ Transport = (*TCP)(nil)
 
-// tcpLink is one out-link's connection state. The sem channel (capacity 1)
-// is the link lock: acquired with a select so waiters stay cancelable, and
-// holding it serializes senders — which is what gives the link its FIFO.
-type tcpLink struct {
-	sem     chan struct{}
+// tcpPeer is one peer address's send side: Send enqueues onto q, and the
+// peer's writer goroutine alone touches conn and backoff.
+type tcpPeer struct {
+	addr    string
+	q       chan Delivery
 	conn    net.Conn
 	backoff time.Duration // next dial backoff; 0 = dial immediately
-	buf     []byte        // frame encode scratch
 }
 
-// NewTCP binds the listener (unless one is supplied) and starts the accept
-// loop. Dialing is lazy: the first Send on a link establishes it.
+// maxBatch caps the bytes a writer coalesces into one conn.Write.
+const maxBatch = 64 << 10
+
+// NewTCP binds the listener (unless one is supplied), starts the accept
+// loop and one writer per distinct peer address. Dialing is lazy: a peer's
+// first frame establishes its connection.
 func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("transport: tcp: empty address map")
@@ -150,24 +159,30 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	}
 	t := &TCP{
 		cfg:   cfg,
-		local: local,
 		qs:    make(map[int]chan Delivery, len(local)),
+		peers: make([]*tcpPeer, len(cfg.Addrs)),
 		ln:    ln,
-		links: make(map[[2]int]*tcpLink),
 		conns: make(map[net.Conn]struct{}),
 	}
 	t.life, t.kill = context.WithCancel(context.Background())
-	// Private copy of the address map, resolving self-referential entries:
-	// an empty Addrs[i] means "this instance", which is only knowable once
-	// the listener is bound.
-	t.cfg.Addrs = append([]string(nil), cfg.Addrs...)
-	for i, a := range t.cfg.Addrs {
-		if a == "" {
-			t.cfg.Addrs[i] = ln.Addr().String()
-		}
-	}
 	for id := range local {
 		t.qs[id] = make(chan Delivery, cfg.QueueCap)
+	}
+	// One peer per distinct address; an empty Addrs[i] means "this
+	// instance", which is only knowable once the listener is bound.
+	byAddr := make(map[string]*tcpPeer)
+	for id, addr := range cfg.Addrs {
+		if addr == "" {
+			addr = ln.Addr().String()
+		}
+		p := byAddr[addr]
+		if p == nil {
+			p = &tcpPeer{addr: addr, q: make(chan Delivery, cfg.QueueCap)}
+			byAddr[addr] = p
+			t.wg.Add(1)
+			go t.writeLoop(p)
+		}
+		t.peers[id] = p
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -187,14 +202,9 @@ func (t *TCP) acceptLoop() {
 			return // Close closed the listener
 		}
 		t.clampSockBuf(conn)
-		t.mu.Lock()
-		if t.done.Load() {
-			t.mu.Unlock()
-			conn.Close()
+		if !t.track(conn) {
 			return
 		}
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(conn)
 	}
@@ -206,12 +216,7 @@ func (t *TCP) acceptLoop() {
 // Frames for nodes this instance does not host are dropped.
 func (t *TCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	defer func() {
-		conn.Close()
-		t.mu.Lock()
-		delete(t.conns, conn)
-		t.mu.Unlock()
-	}()
+	defer t.drop(conn)
 	br := bufio.NewReader(conn)
 	var scratch []byte
 	for {
@@ -222,7 +227,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return // EOF, peer reset, codec violation, or Close
 		}
 		q, ok := t.qs[d.To]
-		if !ok || d.From < 0 || d.From >= len(t.cfg.Addrs) {
+		if !ok || d.From < 0 || d.From >= len(t.peers) {
 			continue // misrouted or forged header: drop, keep the stream
 		}
 		select {
@@ -244,148 +249,121 @@ func (t *TCP) clampSockBuf(conn net.Conn) {
 	}
 }
 
-// link returns the (from, to) out-link, creating it on first use.
-func (t *TCP) link(from, to int) *tcpLink {
-	key := [2]int{from, to}
+// track registers conn for Close to sever. Once Close has begun it closes
+// conn instead and reports false.
+func (t *TCP) track(conn net.Conn) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	l := t.links[key]
-	if l == nil {
-		l = &tcpLink{sem: make(chan struct{}, 1)}
-		t.links[key] = l
-	}
-	return l
-}
-
-// Send implements Transport. It serializes with other Sends on the same
-// out-link, establishes the link's connection if needed — redialing with
-// capped exponential backoff for as long as ctx allows — then writes one
-// frame. A write failure tears the connection down and is returned to the
-// caller (the next Send on the link redials); Send never silently resends a
-// frame, so the wire adds duplicates no faster than the layers above it.
-func (t *TCP) Send(ctx context.Context, from, to int, m Msg) error {
-	if from < 0 || from >= len(t.cfg.Addrs) || to < 0 || to >= len(t.cfg.Addrs) {
-		return fmt.Errorf("transport: send %d -> %d outside [0,%d)", from, to, len(t.cfg.Addrs))
-	}
 	if t.done.Load() {
-		return ErrClosed
+		conn.Close()
+		return false
 	}
-	l := t.link(from, to)
-	select {
-	case l.sem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.life.Done():
-		return ErrClosed
-	}
-	defer func() { <-l.sem }()
-
-	if l.conn == nil {
-		if err := t.redial(ctx, l, to); err != nil {
-			return err
-		}
-	}
-	l.buf = appendFrame(l.buf[:0], Delivery{From: from, To: to, Msg: m})
-	if err := t.write(ctx, l); err != nil {
-		// The connection is gone (or deadline-poisoned); the next Send
-		// redials after the link's backoff.
-		l.conn.Close()
-		t.forget(l.conn)
-		l.conn = nil
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if t.done.Load() {
-			return ErrClosed
-		}
-		return fmt.Errorf("transport: tcp: send %d -> %d: %w", from, to, err)
-	}
-	return nil
+	t.conns[conn] = struct{}{}
+	return true
 }
 
-// forget drops a dead outbound connection from the Close set.
-func (t *TCP) forget(conn net.Conn) {
+// drop closes conn and removes it from the Close set.
+func (t *TCP) drop(conn net.Conn) {
+	conn.Close()
 	t.mu.Lock()
 	delete(t.conns, conn)
 	t.mu.Unlock()
 }
 
-// redial establishes l's connection to node to, retrying failed dials with
-// the link's capped exponential backoff until one succeeds, ctx ends, or
-// the transport closes. The backoff state persists across Send calls, so a
-// sender hammering a dead peer parks here instead of spinning.
-func (t *TCP) redial(ctx context.Context, l *tcpLink, to int) error {
-	for {
-		if l.backoff > 0 {
-			timer := time.NewTimer(l.backoff)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return ctx.Err()
-			case <-t.life.Done():
-				timer.Stop()
-				return ErrClosed
-			}
-		}
-		// The dial ends with ctx or with the transport, whichever is first.
-		dctx, cancel := context.WithCancel(ctx)
-		stop := context.AfterFunc(t.life, cancel)
-		d := net.Dialer{Timeout: DefaultDialTimeout}
-		conn, err := d.DialContext(dctx, "tcp", t.cfg.Addrs[to])
-		stop()
-		cancel()
-		if err == nil {
-			t.clampSockBuf(conn)
-			t.mu.Lock()
-			if t.done.Load() {
-				t.mu.Unlock()
-				conn.Close()
-				return ErrClosed
-			}
-			t.conns[conn] = struct{}{}
-			t.mu.Unlock()
-			// Nothing is ever read off an outbound connection here, but
-			// the peer may still close it; a reader per out-link just to
-			// notice would be a goroutine tax — the write path notices.
-			l.conn = conn
-			l.backoff = 0
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
+// Send implements Transport: it enqueues the frame for the addressee's
+// peer writer, blocking while that queue is full (backpressure) until ctx
+// is done or the transport closes. A nil return means the frame was queued;
+// a write that later fails drops it (at-most-once), and Send never resends,
+// so the wire adds duplicates no faster than the layers above it.
+func (t *TCP) Send(ctx context.Context, from, to int, m Msg) error {
+	if from < 0 || from >= len(t.peers) || to < 0 || to >= len(t.peers) {
+		return fmt.Errorf("transport: send %d -> %d outside [0,%d)", from, to, len(t.peers))
+	}
+	if t.done.Load() {
+		return ErrClosed
+	}
+	select {
+	case t.peers[to].q <- Delivery{From: from, To: to, Msg: m}:
+		// As in Inproc.Send: a Send parked on a full queue may win the
+		// enqueue against a concurrent Close; Close still wins the result.
 		if t.done.Load() {
 			return ErrClosed
 		}
-		if l.backoff == 0 {
-			l.backoff = t.cfg.DialBackoff
-		} else if l.backoff *= 2; l.backoff > maxDialBackoffFactor*t.cfg.DialBackoff {
-			l.backoff = maxDialBackoffFactor * t.cfg.DialBackoff
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.life.Done():
+		return ErrClosed
+	}
+}
+
+// writeLoop is p's writer: it takes one frame, drains whatever else is
+// queued (up to maxBatch bytes) into the same buffer, and sends the batch
+// with one write — so a round's frames to one peer leave together. A
+// failed write closes the connection and drops the batch; the next batch
+// redials. Close unblocks a write in flight by closing the connection.
+func (t *TCP) writeLoop(p *tcpPeer) {
+	defer t.wg.Done()
+	var buf []byte
+	for {
+		select {
+		case d := <-p.q:
+			buf = appendFrame(buf[:0], d)
+		case <-t.life.Done():
+			return
+		}
+	fill:
+		for len(buf) < maxBatch {
+			select {
+			case d := <-p.q:
+				buf = appendFrame(buf, d)
+			default:
+				break fill
+			}
+		}
+		if p.conn == nil && !t.dial(p) {
+			return // Close began
+		}
+		if _, err := p.conn.Write(buf); err != nil {
+			t.drop(p.conn)
+			p.conn = nil
 		}
 	}
 }
 
-// errWriteInterrupted marks a write cut short by ctx or Close; Send
-// normalizes it to ctx.Err() or ErrClosed.
-var errWriteInterrupted = fmt.Errorf("transport: tcp: write interrupted")
-
-// write performs one frame write, interruptible by ctx and Close: ctx ending
-// poisons the write deadline and Close closes the connection, so a write
-// blocked on a full socket (receiver backpressure) unblocks promptly instead
-// of waiting for kernel timeouts.
-func (t *TCP) write(ctx context.Context, l *tcpLink) error {
-	conn := l.conn // captured: the poisoning may outlive this Send by a beat
-	stop := context.AfterFunc(ctx, func() { conn.SetWriteDeadline(time.Unix(1, 0)) })
-	_, err := conn.Write(l.buf)
-	if interrupted := !stop() || t.done.Load(); interrupted && err == nil {
-		// Interrupted after the write completed: mirror Inproc's Close/Send
-		// race contract — the interrupt wins, even though the frame may have
-		// reached the peer (at-most-once allows the ambiguity; the caller
-		// tears the connection down).
-		err = errWriteInterrupted
+// dial establishes p's connection, retrying failed dials with p's capped
+// exponential backoff until one succeeds (true) or Close begins (false).
+// The backoff persists across calls and resets only on success, so a
+// writer facing a dead peer parks here — and its full queue parks the
+// senders — instead of spinning.
+func (t *TCP) dial(p *tcpPeer) bool {
+	for {
+		if p.backoff > 0 {
+			timer := time.NewTimer(p.backoff)
+			select {
+			case <-timer.C:
+			case <-t.life.Done():
+				timer.Stop()
+				return false
+			}
+		}
+		d := net.Dialer{Timeout: DefaultDialTimeout}
+		conn, err := d.DialContext(t.life, "tcp", p.addr)
+		if err == nil {
+			t.clampSockBuf(conn)
+			// Nothing is ever read off an outbound connection, but the peer
+			// may still close it; the next write notices.
+			if !t.track(conn) {
+				return false
+			}
+			p.conn, p.backoff = conn, 0
+			return true
+		}
+		if t.done.Load() {
+			return false
+		}
+		p.backoff = min(max(2*p.backoff, t.cfg.DialBackoff), maxDialBackoffFactor*t.cfg.DialBackoff)
 	}
-	return err
 }
 
 // Recv implements Transport. The stream exists for local nodes only; Recv
@@ -394,20 +372,19 @@ func (t *TCP) write(ctx context.Context, l *tcpLink) error {
 func (t *TCP) Recv(node int) <-chan Delivery { return t.qs[node] }
 
 // Close implements Transport: stop accepting, sever every connection
-// (unblocking reads, writes, and dials in flight), and wait out the accept
-// and reader goroutines. Idempotent; after it returns the transport owns no
-// goroutines. Deliveries already queued remain readable; no new ones are
-// enqueued (see the Transport contract).
+// (unblocking reads, writes, and dials in flight), and wait out the accept,
+// reader and writer goroutines. Idempotent; after it returns the transport
+// owns no goroutines. Deliveries already queued remain readable; no new
+// ones are enqueued (see the Transport contract).
 func (t *TCP) Close() error {
 	if !t.done.CompareAndSwap(false, true) {
 		return nil
 	}
 	t.kill()
 	t.ln.Close()
-	// Every live connection — inbound and outbound link conns alike — is
-	// registered in t.conns, so closing the set unblocks all reads and
-	// writes in flight. Senders holding a link sem then observe the end of
-	// t.life or a write error and return ErrClosed.
+	// Every live connection — inbound and outbound alike — is registered
+	// in t.conns, so closing the set unblocks all reads and writes in
+	// flight; parked Senders observe the end of t.life and return ErrClosed.
 	t.mu.Lock()
 	for conn := range t.conns {
 		conn.Close()

@@ -3,8 +3,10 @@ package transport_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +28,12 @@ func listenLoopback(t *testing.T) net.Listener {
 // instance 0 hosts node 0, instance 1 hosts node 1.
 func twoInstances(t *testing.T) (*transport.TCP, *transport.TCP) {
 	t.Helper()
-	ln0, ln1 := listenLoopback(t), listenLoopback(t)
+	return twoInstancesOn(t, listenLoopback(t), listenLoopback(t))
+}
+
+// twoInstancesOn is twoInstances over caller-supplied listeners.
+func twoInstancesOn(t *testing.T, ln0, ln1 net.Listener) (*transport.TCP, *transport.TCP) {
+	t.Helper()
 	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
 	a, err := transport.NewTCP(transport.TCPConfig{
 		Addrs: addrs, Local: []int{0}, Listener: ln0, DialBackoff: time.Millisecond,
@@ -81,9 +88,10 @@ func TestTCPDeliversAcrossInstances(t *testing.T) {
 
 // TestTCPPeerDeathParksSenderThenCancelDrains is the cluster-facing
 // robustness contract (mirroring TestClusterCancellationFacade one layer
-// down): kill the peer mid-round, and the sender must park in reconnect
-// backoff — not return instantly, not spin — until its ctx is canceled,
-// then unwind cleanly with ctx.Err() and zero leaked goroutines.
+// down): kill the peer mid-round, and the sender must park on the peer's
+// full send queue while its writer sits in redial backoff — not spin on
+// errors — until its ctx is canceled, then unwind cleanly with ctx.Err()
+// and zero leaked goroutines.
 func TestTCPPeerDeathParksSenderThenCancelDrains(t *testing.T) {
 	base := runtime.NumGoroutine()
 	a, b := twoInstances(t)
@@ -103,31 +111,28 @@ func TestTCPPeerDeathParksSenderThenCancelDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The established connection is dead; sends now fail fast (broken
-	// pipe) or park dialing a refused port. Drive Sends until one parks:
-	// it must still be blocked after a generous window, proving the
-	// backoff loop is holding it rather than hot-spinning errors.
+	// Send until cancel. Sends return while the queue has room and the
+	// writer still drains it — writes into the dead connection succeed
+	// until the reset lands — and then park once the writer is stuck
+	// redialing a refused port. A sender that spun on errors instead would
+	// return thousands of times in the window.
 	sctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var returned atomic.Int64
 	errc := make(chan error, 1)
 	go func() {
 		for seq := uint64(2); ; seq++ {
 			err := a.Send(sctx, 0, 1, transport.Msg{Seq: seq})
-			if err == nil {
-				continue // a buffered write may still "succeed" before the reset lands
-			}
+			returned.Add(1)
 			if sctx.Err() != nil {
 				errc <- err
 				return
 			}
-			// A fast failure (write error on the dead conn): the next
-			// Send enters the redial path and parks.
 		}
 	}()
-	select {
-	case err := <-errc:
-		t.Fatalf("sender returned %v before cancel — never parked in reconnect backoff", err)
-	case <-time.After(300 * time.Millisecond):
+	time.Sleep(300 * time.Millisecond)
+	if n := returned.Load(); n >= 1000 {
+		t.Fatalf("%d Sends returned within 300ms of the peer's death — the sender never parked", n)
 	}
 	cancel()
 	select {
@@ -269,5 +274,141 @@ func TestTCPMisroutedFramesDropped(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("well-formed frame behind a misrouted one never arrived")
+	}
+}
+
+// countingListener counts the connections a transport accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// sendAllLinks sends one frame on every link of a complete n-node cluster
+// and waits until each has been received.
+func sendAllLinks(t *testing.T, n int, send func(from, to int) error, recv func(to int) <-chan transport.Delivery) {
+	t.Helper()
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from != to {
+				if err := send(from, to); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for to := 0; to < n; to++ {
+		for k := 0; k < n-1; k++ {
+			select {
+			case <-recv(to):
+			case <-time.After(5 * time.Second):
+				t.Fatalf("node %d received %d of %d frames", to, k, n-1)
+			}
+		}
+	}
+}
+
+// TestTCPOneConnectionPerPeerAddress pins the link layer's shape: nodes that
+// share an address share one connection. A K8 cluster hosted by one instance
+// dials its own listener once, not once per directed edge — yet every frame
+// still crosses the socket.
+func TestTCPOneConnectionPerPeerAddress(t *testing.T) {
+	const n = 8
+	ln := &countingListener{Listener: listenLoopback(t)}
+	tr, err := transport.NewTCP(transport.TCPConfig{
+		Addrs: make([]string, n), Listener: ln, DialBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ctx := context.Background()
+	sendAllLinks(t, n, func(from, to int) error {
+		return tr.Send(ctx, from, to, transport.Msg{Round: from, Seq: uint64(to)})
+	}, tr.Recv)
+	if got := ln.accepted.Load(); got != 1 {
+		t.Fatalf("K8 on one listener accepted %d connections, want 1", got)
+	}
+
+	// Two instances, one node each: each accepts its peer's one connection.
+	ln0 := &countingListener{Listener: listenLoopback(t)}
+	ln1 := &countingListener{Listener: listenLoopback(t)}
+	a, b := twoInstancesOn(t, ln0, ln1)
+	defer a.Close()
+	defer b.Close()
+	sendAllLinks(t, 2, func(from, to int) error {
+		return []*transport.TCP{a, b}[from].Send(ctx, from, to, transport.Msg{Seq: 1})
+	}, func(to int) <-chan transport.Delivery { return []*transport.TCP{a, b}[to].Recv(to) })
+	if got0, got1 := ln0.accepted.Load(), ln1.accepted.Load(); got0 != 1 || got1 != 1 {
+		t.Fatalf("two instances accepted %d and %d connections, want 1 each", got0, got1)
+	}
+}
+
+// TestTCPSharedConnectionPerLinkFIFO extends the conformance battery's
+// one-sender FIFO check to the shared connection: eight senders interleave
+// sequential Seqs on all 56 links of a K8 at once, and every (from, to)
+// stream must still arrive in order.
+func TestTCPSharedConnectionPerLinkFIFO(t *testing.T) {
+	const n, k = 8, 200
+	tr, err := transport.NewTCP(transport.TCPConfig{
+		Addrs: make([]string, n), Listener: listenLoopback(t), DialBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ctx := context.Background()
+	errc := make(chan error, 2*n)
+	for from := 0; from < n; from++ {
+		go func() {
+			for seq := uint64(0); seq < k; seq++ {
+				for to := 0; to < n; to++ {
+					if to == from {
+						continue
+					}
+					if err := tr.Send(ctx, from, to, transport.Msg{Seq: seq}); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+			errc <- nil
+		}()
+	}
+	for to := 0; to < n; to++ {
+		go func() {
+			var next [n]uint64
+			for got := 0; got < (n-1)*k; got++ {
+				select {
+				case d := <-tr.Recv(to):
+					if d.To != to || d.From == to || d.From < 0 || d.From >= n {
+						errc <- fmt.Errorf("node %d received a frame for link %d -> %d", to, d.From, d.To)
+						return
+					}
+					if d.Seq != next[d.From] {
+						errc <- fmt.Errorf("link %d -> %d: Seq %d arrived, want %d — per-link FIFO violated",
+							d.From, to, d.Seq, next[d.From])
+						return
+					}
+					next[d.From]++
+				case <-time.After(10 * time.Second):
+					errc <- fmt.Errorf("node %d received %d of %d frames", to, got, (n-1)*k)
+					return
+				}
+			}
+			errc <- nil
+		}()
+	}
+	for i := 0; i < 2*n; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

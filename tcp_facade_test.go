@@ -144,6 +144,62 @@ func TestClusterChaosOverTCPConverges(t *testing.T) {
 	}
 }
 
+// TestClusterTCPCrashedNodeNoHeadOfLineBlocking pins head-of-line safety
+// on the shared connection: all six nodes sit behind one listener, so every
+// frame between them travels the one connection the instance dials to
+// itself, and one reader feeds every node's receive queue. Node 2 stops
+// draining its queue for a crash window (the chaos layer refuses its links
+// meanwhile); that must stall neither the shared connection nor the run,
+// and node 2 must catch up after its restart. The forwarding delay keeps
+// the run going past the window's start on any machine. MaxRounds stays
+// small enough
+// that a full-history resend pass to the laggard fits its outbox: a longer
+// history overflows it newest-first and drops the very rounds the laggard
+// needs, a resend-policy limit independent of the transport.
+func TestClusterTCPCrashedNodeNoHeadOfLineBlocking(t *testing.T) {
+	g, err := iabc.Complete(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, g.N())
+	for i := range addrs {
+		addrs[i] = ln.Addr().String()
+	}
+	const maxRounds = 50
+	res, err := iabc.Cluster(context.Background(), g,
+		iabc.WithInitial([]float64{7, 3, 1, 4, 1.5, 9.2}),
+		iabc.WithF(1),
+		iabc.WithMaxRounds(maxRounds),
+		iabc.WithTCPTransport(iabc.TCPTransportConfig{Addrs: addrs, Listener: ln}),
+		iabc.WithChaos(iabc.ChaosConfig{
+			Seed:     1,
+			MaxDelay: time.Millisecond,
+			Crashes: []iabc.NodeCrash{
+				{Node: 2, From: 5 * time.Millisecond, Until: 60 * time.Millisecond},
+			},
+		}),
+		iabc.WithStallAfter(10*time.Second),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stalled {
+		t.Fatalf("cluster stalled behind the crashed node: rounds=%v", res.Rounds)
+	}
+	for i, r := range res.Rounds {
+		if r != maxRounds {
+			t.Errorf("node %d stopped at round %d, want %d", i, r, maxRounds)
+		}
+	}
+	if res.Restarts != 1 {
+		t.Errorf("Restarts = %d, want 1", res.Restarts)
+	}
+}
+
 // TestClusterTCPOptionErrors pins the facade-level misuse errors.
 func TestClusterTCPOptionErrors(t *testing.T) {
 	g, err := iabc.Complete(3)
