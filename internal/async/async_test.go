@@ -295,26 +295,6 @@ func TestMinRound(t *testing.T) {
 	}
 }
 
-func TestFaultyTickDefault(t *testing.T) {
-	// FaultyTick 0 must not hang (defaults to 1.0).
-	g, err := topology.Complete(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Run(context.Background(), Config{
-		G: g, F: 1, Faulty: nodeset.FromMembers(7, 1),
-		Initial: initialRamp(7), Rule: core.TrimmedMean{},
-		Adversary: adversary.Fixed{Value: 42}, Delays: Fixed{D: 0.5},
-		MaxRounds: 40, Epsilon: 1e-8, FaultyTick: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Converged && tr.Stalled {
-		t.Fatal("default tick stalled the run")
-	}
-}
-
 func TestHistoryDecimation(t *testing.T) {
 	// A long fault-free run with Epsilon = 0 produces one state change per
 	// node round; undecimated recording grows without bound, decimated

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"iabc/internal/adversary"
 	"iabc/internal/core"
@@ -36,10 +35,6 @@ type Config struct {
 	MaxRounds int
 	// Epsilon, when > 0, stops once the fault-free range is ≤ Epsilon.
 	Epsilon float64
-	// FaultyTick is the interval at which faulty nodes emit their round-k
-	// message batches (they are not bound by the protocol; a tick of 0
-	// defaults to 1.0).
-	FaultyTick float64
 	// HistoryEvery decimates Trace.History for long runs: when > 1 only
 	// every k-th state change is recorded (the initial point, the
 	// convergence-triggering change, and the final change are always kept),
@@ -68,8 +63,6 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
-
-func (c *Config) faulty() nodeset.Set { return adversary.FaultSet(c.G, c.Faulty) }
 
 // RangePoint samples the fault-free range at a simulation time.
 type RangePoint struct {
@@ -103,22 +96,18 @@ type Trace struct {
 }
 
 // MinRound returns the smallest round counter among fault-free nodes.
-func (t *Trace) MinRound(faultFree nodeset.Set) int {
-	min := math.MaxInt
-	faultFree.ForEach(func(i int) bool {
-		if t.Rounds[i] < min {
-			min = t.Rounds[i]
-		}
-		return true
-	})
-	return min
-}
+func (t *Trace) MinRound(faultFree nodeset.Set) int { return quorum.MinRound(t.Rounds, faultFree) }
 
 // event kinds.
 const (
 	evArrival = iota // a message reaches its receiver
-	evEmit           // a faulty node emits its round-k batch
+	evEmit           // a faulty node emits its next round batch
 )
+
+// faultyTick is the simulation-time interval between a faulty node's round
+// batches: faulty nodes are not bound by the protocol, so they emit on a
+// clock of their own.
+const faultyTick = 1.0
 
 type event struct {
 	at   float64
@@ -161,114 +150,44 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 		return nil, err
 	}
 	n := cfg.G.N()
-	faulty := cfg.faulty()
-	faultFree := faulty.Complement()
-	tick := cfg.FaultyTick
-	if tick == 0 {
-		tick = 1.0
+	faulty := adversary.FaultSet(cfg.G, cfg.Faulty)
+	l := &loop{
+		cfg:       &cfg,
+		q:         q,
+		faultFree: faulty.Complement(),
+		states:    make([]float64, n),
+		rounds:    make([]int, n),
+		histEvery: max(cfg.HistoryEvery, 1),
 	}
-
-	states := make([]float64, n)
-	copy(states, cfg.Initial)
-	rounds := make([]int, n)
-	// One Section 7 stepper per fault-free receiver (faulty receivers
-	// discard): the same type the real node actors drive, waiting for
-	// |N⁻_i| − F round-t values before each update.
-	rule := core.Buffered(cfg.Rule)
-	steps := make([]*quorum.Stepper, n)
-	faultFree.ForEach(func(i int) bool {
-		steps[i] = quorum.NewStepper(cfg.G.InView(i), quorum.Count(cfg.G.InDegree(i), cfg.F),
-			cfg.F, cfg.MaxRounds, rule, states[i])
-		return true
-	})
-
-	var seq int64
-	push := func(e event) {
-		e.seq = seq
-		seq++
-		q.push(e)
-	}
-
-	// send schedules the arrival of one round-tagged message.
-	send := func(now float64, from, to, round int, value float64) {
-		push(event{
-			at:    now + cfg.Delays.Delay(from, to, round),
-			kind:  evArrival,
-			from:  from,
-			to:    to,
-			round: round,
-			value: value,
-		})
-	}
-	// Faulty emissions scatter through one reused sink.
-	adv := adversary.Writer(cfg.Adversary)
-	esink := emitSink{send: send}
-
-	lo, hi := adversary.FaultFreeRange(states, faultFree)
+	copy(l.states, cfg.Initial)
+	lo, hi := adversary.FaultFreeRange(l.states, l.faultFree)
 	tr := &Trace{
-		Rounds:       rounds,
+		Rounds:       l.rounds,
 		InitialRange: hi - lo,
 		History:      []RangePoint{{Time: 0, Range: hi - lo}},
 	}
+	l.tr = tr
 
-	// Kick-off: fault-free nodes broadcast their round-0 state; faulty nodes
-	// get an emit event per tick.
-	faultFree.ForEach(func(i int) bool {
-		for _, to := range cfg.G.OutNeighbors(i) {
-			send(0, i, to, 0, states[i])
-		}
+	// One Section 7 actor per fault-free node (faulty receivers discard),
+	// the same type the live node actors drive; one adversary emitter per
+	// faulty node. Kick-off at t = 0: every actor broadcasts its round-0
+	// state, and every emitter gets its first emit event.
+	rule := core.Buffered(cfg.Rule)
+	steps := make([]*quorum.Stepper, n)
+	l.faultFree.ForEach(func(i int) bool {
+		steps[i] = quorum.NewStepper(cfg.G.InView(i), cfg.G.OutDegree(i), quorum.Count(cfg.G.InDegree(i), cfg.F),
+			cfg.F, cfg.MaxRounds, rule, l.states[i], l)
+		l.node = i
+		steps[i].Start()
 		return true
 	})
+	adv := adversary.Writer(cfg.Adversary)
+	emitters := make([]*quorum.Emitter, n)
 	faulty.ForEach(func(s int) bool {
-		push(event{at: 0, kind: evEmit, from: s, round: 0})
+		emitters[s] = quorum.NewEmitter(s, cfg.G, cfg.F, faulty, l.faultFree, cfg.MaxRounds, adv, l)
+		l.push(event{at: 0, kind: evEmit, from: s})
 		return true
 	})
-
-	// History decimation: with HistoryEvery = k > 1, only every k-th state
-	// change is appended; the last skipped point is kept pending so the
-	// history always ends at the final state change regardless of k.
-	histEvery := cfg.HistoryEvery
-	if histEvery < 1 {
-		histEvery = 1
-	}
-	var (
-		changes    int
-		pending    RangePoint
-		pendingSet bool
-	)
-	recordRange := func(now float64) bool {
-		lo, hi := adversary.FaultFreeRange(states, faultFree)
-		pt := RangePoint{Time: now, Range: hi - lo}
-		if cfg.OnRange != nil {
-			cfg.OnRange(pt.Time, pt.Range)
-		}
-		converged := cfg.Epsilon > 0 && pt.Range <= cfg.Epsilon
-		if changes%histEvery == 0 || converged {
-			tr.History = append(tr.History, pt)
-			pendingSet = false
-		} else {
-			pending, pendingSet = pt, true
-		}
-		changes++
-		if converged {
-			tr.Converged = true
-			return true
-		}
-		return false
-	}
-
-	// e is the event being processed. advanced is what a completed round
-	// triggers at e's receiver: publish the new state, broadcast it, and
-	// sample the range — stopping the node's advance once Epsilon fires.
-	var e event
-	advanced := func(round int, v float64) bool {
-		i := e.to
-		states[i], rounds[i] = v, round
-		for _, to := range cfg.G.OutView(i) {
-			send(e.at, i, to, round, v)
-		}
-		return !recordRange(e.at)
-	}
 
 	var runErr error
 	var popped int
@@ -278,13 +197,13 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 				tr.Time, tr.Deliveries, context.Cause(ctx))
 		}
 		popped++
-		e, _ = q.pop()
-		tr.Time = e.at
+		e, _ := q.pop()
+		tr.Time, l.now = e.at, e.at
 		switch e.kind {
 		case evEmit:
-			emitFaulty(&cfg, e, states, faultFree, adv, &esink)
-			if e.round+1 <= cfg.MaxRounds {
-				push(event{at: e.at + tick, kind: evEmit, from: e.from, round: e.round + 1})
+			l.node = e.from
+			if emitters[e.from].Emit(l.states) {
+				l.push(event{at: e.at + faultyTick, kind: evEmit, from: e.from})
 			}
 
 		case evArrival:
@@ -295,7 +214,8 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 				// adversary's, not the protocol's.
 				continue
 			}
-			if err := st.Deliver(e.from, e.round, e.value, advanced); err != nil {
+			l.node = e.to
+			if err := st.Deliver(e.from, e.round, e.value); err != nil {
 				runErr = fmt.Errorf("async: node %d round %d: %w", e.to, st.Round(), err)
 			}
 		}
@@ -303,49 +223,81 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	if pendingSet {
+	if l.pendingSet {
 		// The run ended between decimation samples: append the final state
 		// change so History's last point matches the undecimated run's.
-		tr.History = append(tr.History, pending)
+		tr.History = append(tr.History, l.pending)
 	}
 
-	if !tr.Converged && tr.MinRound(faultFree) < cfg.MaxRounds {
+	if !tr.Converged && tr.MinRound(l.faultFree) < cfg.MaxRounds {
 		tr.Stalled = true
 	}
-	tr.Final = states
+	tr.Final = l.states
 	return tr, nil
 }
 
-// emitSink adapts the event-queue send to adversary.EdgeSink for one faulty
-// emission at a time: each Send schedules the arrival on the sender's k-th
-// out-edge. Edges the strategy skips get no event — asynchronous silence.
-type emitSink struct {
-	send  func(now float64, from, to, round int, value float64)
-	outs  []int
-	now   float64
-	from  int
-	round int
+// loop is one run's event-loop state and the quorum.Outbox of every actor
+// and emitter in it: node and now name the node whose input is being
+// processed and the simulation time of that input.
+type loop struct {
+	cfg       *Config
+	q         eventPQ
+	seq       int64
+	node      int
+	now       float64
+	faultFree nodeset.Set
+	states    []float64
+	rounds    []int
+	tr        *Trace
+
+	// History decimation: with HistoryEvery = k > 1, only every k-th state
+	// change is appended; the last skipped point is kept pending so the
+	// history always ends at the final state change regardless of k.
+	histEvery, changes int
+	pending            RangePoint
+	pendingSet         bool
 }
 
-// Send implements adversary.EdgeSink.
-func (s *emitSink) Send(k int, value float64) {
-	s.send(s.now, s.from, s.outs[k], s.round, value)
+func (l *loop) push(e event) {
+	e.seq = l.seq
+	l.seq++
+	l.q.push(e)
 }
 
-// emitFaulty schedules one faulty node's round-k batch according to the
-// adversary strategy.
-func emitFaulty(cfg *Config, e event, states []float64, faultFree nodeset.Set, adv adversary.EdgeWriter, esink *emitSink) {
-	lo, hi := adversary.FaultFreeRange(states, faultFree)
-	view := adversary.RoundView{
-		Round:  e.round,
-		G:      cfg.G,
-		F:      cfg.F,
-		Faulty: cfg.faulty(),
-		States: states,
-		Lo:     lo,
-		Hi:     hi,
+// Send implements quorum.Outbox: the message on the current node's k-th
+// out-edge arrives after the delay policy's delay. Epochs play no part in a
+// loss-free simulation.
+func (l *loop) Send(k, round int, value float64, _ int) {
+	to := l.cfg.G.OutView(l.node)[k]
+	l.push(event{
+		at:    l.now + l.cfg.Delays.Delay(l.node, to, round),
+		kind:  evArrival,
+		from:  l.node,
+		to:    to,
+		round: round,
+		value: value,
+	})
+}
+
+// Advanced implements quorum.Outbox: it publishes the current node's new
+// state and samples the range, stopping the node once Epsilon fires.
+func (l *loop) Advanced(round int, v float64) bool {
+	l.states[l.node], l.rounds[l.node] = v, round
+	lo, hi := adversary.FaultFreeRange(l.states, l.faultFree)
+	pt := RangePoint{Time: l.now, Range: hi - lo}
+	if l.cfg.OnRange != nil {
+		l.cfg.OnRange(pt.Time, pt.Range)
 	}
-	esink.outs = cfg.G.OutView(e.from)
-	esink.now, esink.from, esink.round = e.at, e.from, e.round
-	adv.WriteMessages(view, e.from, esink)
+	converged := l.cfg.Epsilon > 0 && pt.Range <= l.cfg.Epsilon
+	if l.changes%l.histEvery == 0 || converged {
+		l.tr.History = append(l.tr.History, pt)
+		l.pendingSet = false
+	} else {
+		l.pending, l.pendingSet = pt, true
+	}
+	l.changes++
+	if converged {
+		l.tr.Converged = true
+	}
+	return !converged
 }

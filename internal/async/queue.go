@@ -1,14 +1,11 @@
 package async
 
-import "container/heap"
-
 // eventPQ is the engine's pending-event priority queue: pop returns the
 // event with the smallest (at, seq) — earliest simulation time, FIFO among
-// simultaneous events (seq is the global push counter). Two implementations
-// share the contract: the production calendarQueue (O(1) amortized,
-// allocation-free in steady state) and the container/heap-backed heapQueue
-// kept as the ordering reference the conformance and fuzz suites replay
-// runs against.
+// simultaneous events (seq is the global push counter). The production
+// implementation is calendarQueue (O(1) amortized, allocation-free in steady
+// state); the tests substitute a container/heap-backed reference through
+// this interface and replay runs against it.
 type eventPQ interface {
 	push(e event)
 	pop() (event, bool)
@@ -24,37 +21,3 @@ func eventLess(a, b event) bool {
 	}
 	return a.seq < b.seq
 }
-
-// heapEvents is the container/heap boilerplate over a flat event slice.
-type heapEvents []event
-
-func (q heapEvents) Len() int           { return len(q) }
-func (q heapEvents) Less(i, j int) bool { return eventLess(q[i], q[j]) }
-func (q heapEvents) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *heapEvents) Push(x any)        { *q = append(*q, x.(event)) }
-func (q *heapEvents) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
-// heapQueue adapts container/heap to eventPQ. Every push boxes the event
-// into an interface value — one allocation per scheduled message — which is
-// why the engine runs on the calendar queue; this implementation exists as
-// the reference model for the differential tests.
-type heapQueue struct{ h heapEvents }
-
-func newHeapQueue() *heapQueue { return &heapQueue{} }
-
-func (q *heapQueue) push(e event) { heap.Push(&q.h, e) }
-
-func (q *heapQueue) pop() (event, bool) {
-	if len(q.h) == 0 {
-		return event{}, false
-	}
-	return heap.Pop(&q.h).(event), true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }

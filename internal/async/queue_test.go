@@ -1,6 +1,7 @@
 package async
 
 import (
+	"container/heap"
 	"context"
 	"math"
 	"math/rand"
@@ -268,3 +269,37 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		})
 	}
 }
+
+// heapEvents is the container/heap boilerplate over a flat event slice.
+type heapEvents []event
+
+func (q heapEvents) Len() int           { return len(q) }
+func (q heapEvents) Less(i, j int) bool { return eventLess(q[i], q[j]) }
+func (q heapEvents) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *heapEvents) Push(x any)        { *q = append(*q, x.(event)) }
+func (q *heapEvents) Pop() any {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	*q = old[:n-1]
+	return e
+}
+
+// heapQueue adapts container/heap to eventPQ. Every push boxes the event
+// into an interface value — one allocation per scheduled message — which is
+// why the engine runs on the calendar queue; this implementation exists as
+// the reference model for the differential tests.
+type heapQueue struct{ h heapEvents }
+
+func newHeapQueue() *heapQueue { return &heapQueue{} }
+
+func (q *heapQueue) push(e event) { heap.Push(&q.h, e) }
+
+func (q *heapQueue) pop() (event, bool) {
+	if len(q.h) == 0 {
+		return event{}, false
+	}
+	return heap.Pop(&q.h).(event), true
+}
+
+func (q *heapQueue) len() int { return len(q.h) }

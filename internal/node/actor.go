@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"iabc/internal/adversary"
 	"iabc/internal/hashrand"
 	"iabc/internal/quorum"
 	"iabc/internal/transport"
@@ -36,42 +35,61 @@ func seqOf(round, epoch, edge int) uint64 {
 	return hashrand.Key(0, uint64(round), uint64(epoch), uint64(edge))
 }
 
-// actor is one fault-free node: it owns the durable protocol state (the
-// stepper's round and value, the history of broadcast values) and the
-// stepper's volatile quorum inbox. The durable part survives crash windows —
-// the supervisor re-runs the same actor, so a restart resumes from the last
-// completed round, exactly the "resume from durable state and resend the
-// current round" contract.
-type actor struct {
+// outlet is a node's quorum.Outbox onto the runner: Send enqueues on the
+// destination's outbox under the Seq derived from (round, epoch, edge), and
+// Advanced reports a state change, giving up once the incarnation's ctx is
+// done. A fault-free actor and a faulty emitter both send through one; an
+// emitter never advances, so its outlet has no ctx.
+type outlet struct {
 	id   int
 	r    *runner
 	outs []int
+	ctx  context.Context
+	// stopped records that Advanced gave up: the incarnation must end.
+	stopped bool
+}
+
+// Send implements quorum.Outbox; a transmission on a non-zero epoch that
+// reaches the outbox counts as a resend.
+func (o *outlet) Send(k, round int, value float64, epoch int) {
+	m := transport.Msg{Round: round, Value: value, Seq: seqOf(round, epoch, k)}
+	if o.r.enqueue(o.id, o.outs[k], m) && epoch > 0 {
+		o.r.resends.Add(1)
+	}
+}
+
+// Advanced implements quorum.Outbox.
+func (o *outlet) Advanced(round int, v float64) bool {
+	select {
+	case o.r.updates <- updateMsg{node: o.id, round: round, value: v}:
+		return true
+	case <-o.ctx.Done():
+		o.stopped = true
+		return false
+	}
+}
+
+// actor drives one fault-free node's quorum.Stepper from a goroutine: the
+// stepper holds the protocol and all of its state, durable and volatile,
+// and the actor feeds it deliveries and timer ticks. The supervisor re-runs
+// the same actor after a crash window, so a restart resumes from the last
+// completed round, exactly the "resume from durable state and resend the
+// current round" contract.
+type actor struct {
+	outlet
 	recv <-chan transport.Delivery
-
-	// step is the Section 7 iteration, shared with the async simulator. Its
-	// round and value are durable; its inbox is reset across restarts.
 	step *quorum.Stepper
-
-	// Durable state.
-	history []float64
-	epoch   int
-	started bool
-
-	// Volatile state (reset across restarts).
-	progressed bool
 }
 
 func newActor(id int, r *runner) *actor {
 	cfg := &r.cfg
-	q := quorum.Count(cfg.G.InDegree(id), cfg.F)
-	return &actor{
-		id:      id,
-		r:       r,
-		outs:    cfg.G.OutView(id),
-		recv:    cfg.Transport.Recv(id),
-		step:    quorum.NewStepper(cfg.G.InView(id), q, cfg.F, cfg.MaxRounds, r.rule, cfg.Initial[id]),
-		history: append(make([]float64, 0, cfg.MaxRounds+1), cfg.Initial[id]),
+	a := &actor{
+		outlet: outlet{id: id, r: r, outs: cfg.G.OutView(id)},
+		recv:   cfg.Transport.Recv(id),
 	}
+	a.step = quorum.NewStepper(cfg.G.InView(id), len(a.outs), quorum.Count(cfg.G.InDegree(id), cfg.F),
+		cfg.F, cfg.MaxRounds, r.rule, cfg.Initial[id], &a.outlet)
+	return a
 }
 
 // run executes one incarnation of the actor until ctx is done. After
@@ -80,24 +98,16 @@ func newActor(id int, r *runner) *actor {
 // still need its history — the runner ends the run when every fault-free
 // node is done.
 func (a *actor) run(ctx context.Context) {
-	if !a.started {
-		a.started = true
-		a.broadcast(a.step.Round(), 0)
-	} else {
-		// Restart: re-announce the current round under a fresh epoch so the
-		// re-transmissions are distinct Seqs.
-		a.broadcast(a.step.Round(), a.nextEpoch())
-	}
-	delay := a.r.cfg.ResendEvery
-	timer := time.NewTimer(delay)
+	a.ctx, a.stopped = ctx, false
+	a.step.Start()
+	timer := time.NewTimer(a.r.cfg.ResendEvery)
 	defer timer.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case d := <-a.recv:
-			a.r.deliveries.Add(1)
-			if !a.onDelivery(ctx, d) {
+			if !a.deliver(d) {
 				return
 			}
 			// Burst-drain the backlog before yielding to the timer: under a
@@ -107,8 +117,7 @@ func (a *actor) run(ctx context.Context) {
 			for drained := false; !drained; {
 				select {
 				case d := <-a.recv:
-					a.r.deliveries.Add(1)
-					if !a.onDelivery(ctx, d) {
+					if !a.deliver(d) {
 						return
 					}
 				case <-ctx.Done():
@@ -118,140 +127,43 @@ func (a *actor) run(ctx context.Context) {
 				}
 			}
 		case <-timer.C:
-			if a.progressed {
-				a.progressed = false
-				delay = a.r.cfg.ResendEvery
-			} else {
-				// Back off while the stall persists: a fixed-rate resend
-				// storm from every stalled node congests the very network
-				// the resends are trying to repair (and on a loaded machine
-				// the flood itself can hold the stall open). Progress resets
-				// the backoff.
-				a.resendHistory()
-				if delay *= 2; delay > maxResendBackoffFactor*a.r.cfg.ResendEvery {
-					delay = maxResendBackoffFactor * a.r.cfg.ResendEvery
-				}
-			}
-			timer.Reset(delay)
+			timer.Reset(time.Duration(a.step.Timer()) * a.r.cfg.ResendEvery)
 		}
 	}
 }
 
-// maxResendBackoffFactor caps the stall-resend backoff at this multiple of
-// ResendEvery.
-const maxResendBackoffFactor = 32
-
-func (a *actor) nextEpoch() int {
-	a.epoch++
-	return a.epoch
-}
-
-// broadcast enqueues round k's value on every out-edge.
-func (a *actor) broadcast(k, epoch int) {
-	for e, to := range a.outs {
-		m := transport.Msg{Round: k, Value: a.history[k], Seq: seqOf(k, epoch, e)}
-		if a.r.enqueue(a.id, to, m) && epoch > 0 {
-			a.r.resends.Add(1)
-		}
-	}
-}
-
-// deepResendEvery makes every k-th resend pass cover the full history;
-// the passes between cover only the recent window, which keeps a long
-// stall from flooding the network with thousands of old rounds per tick
-// while still repairing arbitrarily deep laggards within k ticks.
-const (
-	deepResendEvery    = 8
-	shallowResendDepth = 4
-)
-
-// resendHistory rebroadcasts completed rounds, newest first (the current
-// round unblocks same-round peers; older rounds repair laggards). It fires
-// only when a resend interval passed with no round progress. Safe by
-// idempotence: round k's message is a pure function of the round-k state,
-// and receivers dedup per (sender, round), so resends repair losses without
-// ever altering a fault-free trajectory.
-func (a *actor) resendHistory() {
-	ep := a.nextEpoch()
-	round := a.step.Round()
-	lo := 0
-	if ep%deepResendEvery != 0 && round > shallowResendDepth {
-		lo = round - shallowResendDepth
-	}
-	for k := round; k >= lo; k-- {
-		a.broadcast(k, ep)
-	}
-}
-
-// onDelivery hands one message to the stepper — the same quorum discipline
-// as the async engine, by the same code — and for each round it completes
-// records the value, reports it to the runner, and broadcasts it. Stale
-// resends, duplicates (first arrival won), and forged or misrouted traffic
-// from non-in-neighbors fall out inside Deliver. Reports false only when the
-// run must end (rule error or ctx done while reporting).
-func (a *actor) onDelivery(ctx context.Context, d transport.Delivery) bool {
-	live := true
-	err := a.step.Deliver(d.From, d.Round, d.Value, func(round int, v float64) bool {
-		a.history = append(a.history, v)
-		a.progressed = true
-		select {
-		case a.r.updates <- updateMsg{node: a.id, round: round, value: v}:
-		case <-ctx.Done():
-			live = false
-			return false
-		}
-		a.broadcast(round, 0)
-		return true
-	})
-	if err != nil {
+// deliver hands one message to the stepper and reports false when the
+// incarnation must end (a rule error, or ctx done while reporting).
+func (a *actor) deliver(d transport.Delivery) bool {
+	a.r.deliveries.Add(1)
+	if err := a.step.Deliver(d.From, d.Round, d.Value); err != nil {
 		a.r.fail(fmt.Errorf("node: node %d round %d: %w", a.id, a.step.Round(), err))
 		return false
 	}
-	return live
+	return !a.stopped
 }
 
-// faultySink scatters an adversary emission onto a faulty sender's
-// out-edges, mirroring the async engine's emitSink.
-type faultySink struct {
-	r     *runner
-	from  int
-	outs  []int
-	round int
-}
-
-// Send implements adversary.EdgeSink.
-func (s *faultySink) Send(k int, value float64) {
-	s.r.enqueue(s.from, s.outs[k], transport.Msg{Round: s.round, Value: value, Seq: seqOf(s.round, 0, k)})
-}
-
-// runFaulty drives one faulty node: every FaultyTick it asks the adversary
-// for its next round batch against a fresh omniscient snapshot and enqueues
-// the chosen values (each round emitted once — a faulty node owes nobody
-// retransmissions; its silence is the fault the quorum tolerates). It also
-// drains its delivery stream so honest senders never block on a faulty
-// receiver's full queue.
+// runFaulty drives one faulty node's quorum.Emitter: every FaultyTick it
+// emits the next round batch against a fresh omniscient snapshot. It also
+// drains the node's delivery stream so honest senders never block on a
+// faulty receiver's full queue.
 func (r *runner) runFaulty(ctx context.Context, s int) {
-	sink := &faultySink{r: r, from: s, outs: r.cfg.G.OutView(s)}
+	em := quorum.NewEmitter(s, r.cfg.G, r.cfg.F, r.faulty, r.faultFree, r.cfg.MaxRounds, r.adv,
+		&outlet{id: s, r: r, outs: r.cfg.G.OutView(s)})
+	states := make([]float64, r.cfg.G.N())
 	recv := r.cfg.Transport.Recv(s)
 	tick := time.NewTicker(r.cfg.FaultyTick)
 	defer tick.Stop()
-	round := 0
-	for {
+	for more := true; ; {
 		select {
 		case <-ctx.Done():
 			return
 		case <-recv:
 			// Discard: faulty behavior is the adversary's, not the protocol's.
 		case <-tick.C:
-			if round > r.cfg.MaxRounds {
-				continue // emissions done; keep draining until the run ends
+			if more { // once emissions are done, keep draining until the run ends
+				more = em.Emit(r.snapshot(states))
 			}
-			// Edges the strategy skips get nothing: asynchronous silence.
-			sink.round = round
-			r.adv.WriteMessages(r.view(round), s, sink)
-			round++
 		}
 	}
 }
-
-var _ adversary.EdgeSink = (*faultySink)(nil)

@@ -96,23 +96,13 @@ func (r *runner) apply(u updateMsg) float64 {
 	return hi - lo
 }
 
-// view builds the omniscient snapshot a faulty emission sees — the cluster
-// equivalent of the simulator's per-round RoundView, taken at emission time.
-func (r *runner) view(round int) adversary.RoundView {
+// snapshot copies the state vector into buf, the omniscient view a faulty
+// emission sees at emission time.
+func (r *runner) snapshot(buf []float64) []float64 {
 	r.mu.Lock()
-	states := make([]float64, len(r.states))
-	copy(states, r.states)
+	copy(buf, r.states)
 	r.mu.Unlock()
-	lo, hi := adversary.FaultFreeRange(states, r.faultFree)
-	return adversary.RoundView{
-		Round:  round,
-		G:      r.cfg.G,
-		F:      r.cfg.F,
-		Faulty: r.faulty,
-		States: states,
-		Lo:     lo,
-		Hi:     hi,
-	}
+	return buf
 }
 
 // supervise runs one fault-free actor through its crash schedule: run until
@@ -133,10 +123,8 @@ func (r *runner) supervise(ctx context.Context, a *actor, crashes []transport.Cr
 			return
 		}
 		// Restart: durable (round, value, history) survives; the volatile
-		// inbox is lost, so rebase an empty ring at the current round and
-		// rely on peer resends to re-fill it.
-		a.step.Reset()
-		a.progressed = false
+		// inbox is lost, and peer resends re-fill it.
+		a.step.Crash()
 		r.restarts.Add(1)
 	}
 	r.incarnation(ctx, a, time.Time{})
@@ -186,7 +174,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	n := cfg.G.N()
-	faulty := cfg.faulty()
+	faulty := adversary.FaultSet(cfg.G, cfg.Faulty)
 	faultFree := faulty.Complement()
 	// The nodes this process animates: everything by default, cfg.Local's
 	// share in a cross-process deployment.

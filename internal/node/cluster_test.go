@@ -100,7 +100,7 @@ func TestClusterConformsToAsyncWithFixedAdversary(t *testing.T) {
 	want, err := async.Run(context.Background(), async.Config{
 		G: g, Initial: initial, Rule: core.TrimmedMean{},
 		Faulty: faulty, Adversary: adv,
-		Delays: async.Fixed{D: 1}, FaultyTick: 1, MaxRounds: maxRounds,
+		Delays: async.Fixed{D: 1}, MaxRounds: maxRounds,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,23 +5,25 @@
 // through a transport.Transport. Faulty actors are driven by the existing
 // adversary.Strategy vocabulary.
 //
-// The protocol per actor is exactly the async engine's: broadcast the
-// round-0 state, wait until round-tagged values from |N⁻_i| − f distinct
-// in-neighbors have arrived (quorum.Count — up to f faulty in-neighbors may
-// stay silent forever), apply the update rule (core.TrimmedMean realizes
-// Algorithm 1's trimming), advance, broadcast the new round. The inbox is
-// the same quorum.Ring the simulator uses: first arrival per (sender,
-// round) wins, duplicates and equivocating re-sends are dropped.
-//
-// What the package adds over the simulator is robustness machinery for
-// real, faulty networks:
+// The protocol is not written here. Each actor is a goroutine running a
+// quorum.Stepper, the clock-free Section 7 state machine the async engine
+// drives too: broadcast the round-0 state, wait until round-tagged values
+// from |N⁻_i| − f distinct in-neighbors have arrived (quorum.Count — up to
+// f faulty in-neighbors may stay silent forever), apply the update rule
+// (core.TrimmedMean realizes Algorithm 1's trimming), advance, broadcast
+// the new round. Faulty actors drive a quorum.Emitter, as the simulator's
+// faulty nodes do. The simulator feeds its steppers deliveries only; an
+// actor also feeds its stepper the ticks of a wall-clock timer and the
+// crash supervisor's restarts. Together with the package's own send path
+// they keep eventual delivery true on a real, faulty network:
 //
 //   - Idempotent retransmission. A stalled actor (no round progress for
-//     ResendEvery) rebroadcasts its history. Because the message for round
-//     k is a pure function of the actor's round-k state, resends never
-//     change a receiver's trajectory — they only repair losses. This turns
-//     chaos-layer drops and healed partitions into mere delays, which is
-//     precisely the regime the Part II convergence theorem covers.
+//     ResendEvery) rebroadcasts its recent history, the whole of it every
+//     few passes. Because the message for round k is a pure function of
+//     the actor's round-k state, resends never change a receiver's
+//     trajectory — they only repair losses. This turns chaos-layer drops
+//     and healed partitions into mere delays, which is precisely the
+//     regime the Part II convergence theorem covers.
 //   - Non-blocking sends. Actors enqueue onto one bounded outbox per
 //     destination, drained by that destination's one pump with one Send per
 //     message. A full outbox drops (Result.OutDropped) and a refused send
@@ -95,8 +97,8 @@ type Config struct {
 	// ResendEvery is the initial stall-triggered retransmission interval:
 	// an actor that made no round progress for this long rebroadcasts its
 	// history, then backs off exponentially (doubling per silent interval,
-	// capped at maxResendBackoffFactor times this value) until progress
-	// resumes (0 selects DefaultResendEvery).
+	// capped at 32 times this value) until progress resumes (0 selects
+	// DefaultResendEvery).
 	ResendEvery time.Duration
 	// FaultyTick is the wall-clock interval between a faulty actor's round
 	// batches (0 selects DefaultFaultyTick).
@@ -167,8 +169,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) faulty() nodeset.Set { return adversary.FaultSet(c.G, c.Faulty) }
-
 // Result records one cluster run. Unlike the simulator's trace there is no
 // event history — per-update streaming goes through Config.OnUpdate — but
 // the robustness counters record what the run survived.
@@ -208,13 +208,4 @@ type Result struct {
 }
 
 // MinRound returns the smallest round counter among fault-free nodes.
-func (r *Result) MinRound(faultFree nodeset.Set) int {
-	min := int(^uint(0) >> 1)
-	faultFree.ForEach(func(i int) bool {
-		if r.Rounds[i] < min {
-			min = r.Rounds[i]
-		}
-		return true
-	})
-	return min
-}
+func (r *Result) MinRound(faultFree nodeset.Set) int { return quorum.MinRound(r.Rounds, faultFree) }

@@ -1,8 +1,10 @@
-// Package quorum holds the Section 7 asynchronous iteration of one node,
-// shared by the discrete-event simulator (internal/async) and the real node
-// actors (internal/node): the Stepper that turns round-tagged arrivals into
-// updates, the inbox Ring it buffers them in, and the |N⁻_i| − f quorum
-// Count a node waits for before advancing a round.
+// Package quorum holds the Section 7 asynchronous iteration of one node as a
+// clock-free state machine, driven by both the discrete-event simulator
+// (internal/async) and the real node actors (internal/node): the Stepper
+// actor that turns round-tagged arrivals into updates and broadcasts and
+// keeps the stall-resend policy, the Emitter that scatters a faulty node's
+// adversarial batches, the inbox Ring the Stepper buffers arrivals in, and
+// the |N⁻_i| − f quorum Count a node waits for before advancing a round.
 package quorum
 
 import "iabc/internal/core"

@@ -3,6 +3,7 @@ package quorum
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iabc/internal/core"
@@ -291,80 +292,118 @@ func FuzzRingModel(f *testing.F) {
 }
 
 // stepperAgainstModel is FuzzRingModel's second mode: the op bytes become
-// deliveries to a Stepper, and the map model replays the Section 7
-// discipline naively — first arrival wins, advance while the current round
-// holds a quorum, update through the reference rule. Put ops deliver (bit 6
-// additionally makes the advanced callback stop after one round; a round at
-// or beyond maxRounds must be dropped), Pop ops deliver what must be ignored
-// (a stale round, a forged sender, and the forged far-future rounds of
-// TestStepperDropsRoundsBeyondMaxRounds), Reset ops crash the inbox. After
-// every op the stepper's round, value, callback sequence, and whole inbox
-// must match the model.
+// inputs to a Stepper, and a model replays the Section 7 discipline naively
+// — first arrival wins, advance while the current round holds a quorum,
+// update through the reference rule, broadcast each new round — along with
+// the stall policy. Put ops deliver, then deliver the same message again
+// (bit 6 additionally makes Advanced stop the node after one round; a round
+// at or beyond maxRounds must be dropped). Pop ops deliver what must be
+// ignored (a stale round, a forged sender, and the forged far-future rounds
+// of TestStepperDropsRoundsBeyondMaxRounds). The remaining ops Crash, Start,
+// or fire the Timer, by their low two bits. After every op the stepper's
+// outputs, round, history and whole inbox must match the model, and the
+// recorder checks on every output that no send carries a round above the
+// stepper's own and that a round's sends and its Advanced report carry
+// history[round]. A repeated delivery must emit nothing.
 func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 	t.Helper()
 	const (
 		need      = 2 // of 3 in-neighbors, so rounds gather 2 or 3 values
+		outs      = 2
 		maxRounds = 12
 	)
 	deg := len(senders)
 	rule := core.TrimmedMean{}
-	st := NewStepper(senders, need, 0, maxRounds, rule, 0.5)
+	rec := &recorder{t: t}
+	st := NewStepper(senders, outs, need, 0, maxRounds, rule, 0.5, rec)
+	rec.st = st
 	m := newRingModel()
-	value := 0.5
+	history := []float64{0.5}
+	var started, progressed bool
+	epoch, backoff := 0, 1
 	for i, op := range ops {
-		var got, want []core.ValueFrom // (round, value) per advanced call, round in From
-		stopEarly := op&0x40 != 0
-		advanced := func(round int, v float64) bool {
-			got = append(got, core.ValueFrom{From: round, Value: v})
-			return !stopEarly
-		}
+		rec.outs = rec.outs[:0]
+		var want []output
 		switch {
 		case op < 0x80:
 			round := m.base + int(op>>2)%30
 			pos := int(op) % deg
-			if err := st.Deliver(senders[pos], round, float64(i), advanced); err != nil {
+			rec.stop = op&0x40 != 0
+			if err := st.Deliver(senders[pos], round, float64(i)); err != nil {
 				t.Fatalf("op %d: Deliver: %v", i, err)
 			}
 			if round < maxRounds && m.put(round, pos, float64(i)) {
 				for m.base < maxRounds && m.filled(m.base, deg) >= need {
-					v, err := rule.Update(value, m.gather(m.base, senders), 0)
+					v, err := rule.Update(history[m.base], m.gather(m.base, senders), 0)
 					if err != nil {
 						t.Fatalf("op %d: reference update: %v", i, err)
 					}
 					m.pop(deg)
-					value = v
-					want = append(want, core.ValueFrom{From: m.base, Value: v})
-					if stopEarly {
+					history = append(history, v)
+					progressed = true
+					want = append(want, output{advanced: true, round: m.base, value: v})
+					want = append(want, broadcast(m.base, v, 0, outs)...)
+					if rec.stop {
 						break
 					}
 				}
 			}
+			emitted := len(rec.outs)
+			if err := st.Deliver(senders[pos], round, float64(i)); err != nil {
+				t.Fatalf("op %d: repeated Deliver: %v", i, err)
+			}
+			if len(rec.outs) != emitted {
+				t.Fatalf("op %d: a repeated delivery emitted %+v", i, rec.outs[emitted:])
+			}
 		case op < 0xC0:
-			if err := st.Deliver(senders[0], m.base-1, -1, advanced); err != nil {
+			if err := st.Deliver(senders[0], m.base-1, -1); err != nil {
 				t.Fatalf("op %d: stale Deliver: %v", i, err)
 			}
-			if err := st.Deliver(senders[0]+1, m.base, -1, advanced); err != nil {
+			if err := st.Deliver(senders[0]+1, m.base, -1); err != nil {
 				t.Fatalf("op %d: forged Deliver: %v", i, err)
 			}
 			for _, round := range forgedRounds(maxRounds) {
-				if err := st.Deliver(senders[0], round, -1, advanced); err != nil {
+				if err := st.Deliver(senders[0], round, -1); err != nil {
 					t.Fatalf("op %d: far-future Deliver(%d): %v", i, round, err)
 				}
 			}
-		default:
-			st.Reset()
+		case op&3 == 0:
+			st.Crash()
 			m.reset(m.base)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("op %d: advanced called %d times, model %d", i, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("op %d: advanced[%d] = %+v, model %+v", i, k, got[k], want[k])
+			progressed, backoff = false, 1
+		case op&3 == 1:
+			st.Start()
+			ep := 0
+			if started {
+				epoch++
+				ep = epoch
+			}
+			started = true
+			want = broadcast(m.base, history[m.base], ep, outs)
+		default:
+			got := st.Timer()
+			if progressed {
+				progressed, backoff = false, 1
+			} else {
+				epoch++
+				lo := 0
+				if epoch%deepResendEvery != 0 && m.base > shallowResendDepth {
+					lo = m.base - shallowResendDepth
+				}
+				for k := m.base; k >= lo; k-- {
+					want = append(want, broadcast(k, history[k], epoch, outs)...)
+				}
+				backoff = min(2*backoff, maxResendBackoffFactor)
+			}
+			if got != backoff {
+				t.Fatalf("op %d: Timer = %d, model %d", i, got, backoff)
 			}
 		}
-		if st.Round() != m.base || st.Value() != value {
-			t.Fatalf("op %d: stepper at (%d, %v), model (%d, %v)", i, st.Round(), st.Value(), m.base, value)
+		if !slices.Equal(rec.outs, want) {
+			t.Fatalf("op %d (%#x): outputs %+v, model %+v", i, op, rec.outs, want)
+		}
+		if st.Round() != m.base || !slices.Equal(st.history, history) {
+			t.Fatalf("op %d: stepper at round %d with history %v, model %d with %v", i, st.Round(), st.history, m.base, history)
 		}
 		checkAgainstModel(t, st.inbox, m, deg, senders, 40)
 	}
@@ -384,15 +423,16 @@ func forgedRounds(maxRounds int) []int {
 func TestStepperDropsRoundsBeyondMaxRounds(t *testing.T) {
 	const maxRounds = 100
 	senders := []int{1, 2, 3, 4}
-	st := NewStepper(senders, Count(len(senders), 1), 1, maxRounds, core.TrimmedMean{}, 0.5)
+	rec := &recorder{t: t}
+	st := NewStepper(senders, 1, Count(len(senders), 1), 1, maxRounds, core.TrimmedMean{}, 0.5, rec)
+	rec.st = st
 	slots := st.inbox.slots
 	for _, round := range forgedRounds(maxRounds) {
-		err := st.Deliver(senders[0], round, 1e9, func(int, float64) bool {
-			t.Fatalf("round %d: a forged delivery advanced the node", round)
-			return false
-		})
-		if err != nil {
+		if err := st.Deliver(senders[0], round, 1e9); err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(rec.outs) != 0 {
+			t.Fatalf("round %d: a forged delivery emitted %+v", round, rec.outs)
 		}
 		if st.Round() != 0 || st.Value() != 0.5 || st.inbox.slots != slots || st.inbox.Filled(round) != 0 {
 			t.Fatalf("round %d: stepper at (%d, %v) with %d slots, want (0, 0.5) with %d",
@@ -401,7 +441,7 @@ func TestStepperDropsRoundsBeyondMaxRounds(t *testing.T) {
 	}
 	// The last round an update does consume is still accepted, and it bounds
 	// the window at maxRounds slots rounded up to the ring's doubling.
-	if err := st.Deliver(senders[0], maxRounds-1, 7, func(int, float64) bool { return true }); err != nil {
+	if err := st.Deliver(senders[0], maxRounds-1, 7); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.inbox.Filled(maxRounds - 1); got != 1 {
@@ -411,16 +451,12 @@ func TestStepperDropsRoundsBeyondMaxRounds(t *testing.T) {
 		t.Fatalf("inbox grew to %d slots for a %d-round run", st.inbox.slots, maxRounds)
 	}
 	// The forged traffic cost the node nothing: a real quorum still advances it.
-	advancedTo := 0
 	for _, from := range senders[1:] {
-		if err := st.Deliver(from, 0, float64(from), func(round int, _ float64) bool {
-			advancedTo = round
-			return true
-		}); err != nil {
+		if err := st.Deliver(from, 0, float64(from)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if advancedTo != 1 || st.Round() != 1 {
-		t.Fatalf("after a real round-0 quorum the node is at round %d (callback %d), want 1", st.Round(), advancedTo)
+	if len(rec.outs) == 0 || rec.outs[0] != (output{advanced: true, round: 1, value: st.Value()}) || st.Round() != 1 {
+		t.Fatalf("after a real round-0 quorum the node is at round %d having emitted %+v, want round 1", st.Round(), rec.outs)
 	}
 }

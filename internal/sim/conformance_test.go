@@ -343,7 +343,7 @@ func TestAsyncSynchronousDeliveryConformance(t *testing.T) {
 				atr, err := async.Run(context.Background(), async.Config{
 					G: g, F: 0, Faulty: faulty, Initial: initial,
 					Rule: rule, Adversary: adv,
-					Delays: async.Fixed{D: 1}, FaultyTick: 1,
+					Delays:    async.Fixed{D: 1},
 					MaxRounds: rounds,
 				})
 				if err != nil {
