@@ -4,8 +4,7 @@ package iabc_test
 // from Check, MaxF, or Sweep returns promptly (bounded by one scenario or
 // fault set), reports partial progress in the wrapped error, and leaks no
 // worker goroutines; a canceled Cluster additionally tears down every
-// actor, destination send pump, and chaos delay goroutine while a
-// partition keeps refusing sends. These tests run under -race in CI.
+// actor and chaos delay goroutine while a partition keeps refusing sends. These tests run under -race in CI.
 
 import (
 	"context"
@@ -123,9 +122,8 @@ func TestCheckCancellationFacade(t *testing.T) {
 // TestClusterCancellationFacade cancels a cluster mid-chaos, during an
 // unhealed partition that refuses every cross-cut send and keeps the stall
 // resends backing off, and requires a prompt context.Canceled return with
-// zero leaked goroutines — actors, destination send pumps, the crash
-// supervisor, and the chaos layer's delayed-delivery goroutines must all
-// unwind.
+// zero leaked goroutines — actors, the crash supervisor, and the chaos
+// layer's delayed-delivery goroutines must all unwind.
 func TestClusterCancellationFacade(t *testing.T) {
 	g, err := iabc.Complete(6)
 	if err != nil {

@@ -23,9 +23,11 @@ import (
 // —— Transport vocabulary ——
 
 // Transport moves round-tagged protocol messages between the nodes of a
-// cluster: Send with backpressure, a per-node Recv stream, Close. Delivery
-// semantics are deliberately weak (at-most-once, unordered, fallible) — the
-// actor layer masks loss by idempotent retransmission.
+// cluster: Send, which waits only while the destination's bounded queue is
+// full (so a done ctx fails at once on a full queue), a per-node Recv
+// stream, Close. Delivery semantics are deliberately weak (at-most-once,
+// unordered, fallible) — the actor layer masks loss by idempotent
+// retransmission.
 type Transport = transport.Transport
 
 // Msg is one round-tagged protocol message (Round, Value, per-transmission
@@ -107,27 +109,29 @@ type JitterDelay = async.Jitter
 // ClusterResult records one cluster run: the stop verdict (Converged /
 // Stalled), per-node round counters, the final state vector and fault-free
 // ranges, and the robustness counters (deliveries, resends, sends the
-// transport refused, outbox drops, restarts) recording what the run
-// survived.
+// transport refused, sends dropped at a full queue, restarts) recording
+// what the run survived.
 type ClusterResult = node.Result
 
 // Cluster runs the Section 7 asynchronous iteration as a live cluster:
 // every fault-free node is a goroutine actor owning its state, round
 // counter, and quorum inbox, talking to its peers only through a Transport;
 // faulty nodes are driven by the configured adversary. Actors never block
-// on a send: each destination has one bounded outbox and one pump, a send
-// the transport refuses is counted, not retried, and idempotent
-// stall-triggered retransmission repairs every loss. Actors survive
-// configured crash windows by restarting from durable state — so the run
-// degrades gracefully under chaos instead of deadlocking.
+// on a send: each goes straight into the transport's bounded queue for its
+// destination, a send onto a full queue or one the transport refuses is
+// counted, not retried, and idempotent stall-triggered retransmission
+// repairs every loss. Actors survive configured crash windows by
+// restarting from durable state — so the run degrades gracefully under
+// chaos instead of deadlocking.
 //
 // Required options: WithInitial. Typical options: WithF, WithFaulty,
 // WithAdversary, WithMaxRounds, WithEpsilon, WithChaos or WithTransport,
 // WithResendEvery, WithStallAfter. WithObserver streams
 // one EventNodeUpdate per fault-free state change, serialized. By default
 // the run owns an in-process transport (chaos-wrapped under WithChaos and
-// closed on return); WithTransport substitutes a caller-owned one, which is
-// left open.
+// closed on return), each node's queue holding 64 messages for every
+// in-edge of the graph's highest in-degree, plus 64; WithTransport
+// substitutes a caller-owned one, which is left open.
 //
 // The run ends when the WithEpsilon stop fires, every fault-free node
 // reaches WithMaxRounds, the WithStallAfter liveness cutoff fires, or ctx
@@ -168,7 +172,14 @@ func Cluster(ctx context.Context, g *Graph, opts ...Option) (*ClusterResult, err
 			}
 			owned = wire
 		} else {
-			owned = NewInprocTransport(g.N(), 0)
+			// The queue is the actors' only send buffer: DefaultQueueCap
+			// messages per in-edge, so every in-neighbour may run that far
+			// ahead of a busy receiver, plus DefaultQueueCap of slack.
+			maxIn := 0
+			for i := range g.N() {
+				maxIn = max(maxIn, g.InDegree(i))
+			}
+			owned = NewInprocTransport(g.N(), transport.DefaultQueueCap*(maxIn+1))
 		}
 		if c.hasChaos {
 			owned = NewChaosTransport(owned, c.chaos)

@@ -2,7 +2,9 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"iabc/internal/hashrand"
@@ -10,12 +12,18 @@ import (
 	"iabc/internal/transport"
 )
 
-// edgeQueueCap is the outbox room per local in-edge of a destination:
-// outbox[j] holds edgeQueueCap messages for each local sender with an edge
-// to j. Enqueues onto a full outbox are dropped (counted in
-// Result.OutDropped) — a later resend pass repairs the loss, so a slow or
-// dead destination cannot grow memory or block an actor.
-const edgeQueueCap = 64
+// faultyTick is the wall-clock interval between a faulty actor's round
+// batches.
+const faultyTick = 2 * time.Millisecond
+
+// sendNow is the context every protocol send passes. It is already done, so
+// by the Transport contract a Send onto a full queue returns its error at
+// once instead of waiting for room: an actor never blocks on a send.
+var sendNow = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // seqOf derives a transmission identity for a Msg.Seq from the round, the
 // resend epoch (0 for a round's first broadcast, a fresh per-actor epoch for
@@ -35,8 +43,8 @@ func seqOf(round, epoch, edge int) uint64 {
 	return hashrand.Key(0, uint64(round), uint64(epoch), uint64(edge))
 }
 
-// outlet is a node's quorum.Outbox onto the runner: Send enqueues on the
-// destination's outbox under the Seq derived from (round, epoch, edge), and
+// outlet is a node's quorum.Outbox onto the runner: Send hands the message
+// to the transport under the Seq derived from (round, epoch, edge), and
 // Advanced reports a state change, giving up once the incarnation's ctx is
 // done. A fault-free actor and a faulty emitter both send through one; an
 // emitter never advances, so its outlet has no ctx.
@@ -49,12 +57,25 @@ type outlet struct {
 	stopped bool
 }
 
-// Send implements quorum.Outbox; a transmission on a non-zero epoch that
-// reaches the outbox counts as a resend.
+// Send implements quorum.Outbox with one Transport.Send that never waits.
+// A full destination queue counts as OutDropped and any other refusal (a
+// cut link, a closed transport) as Abandoned; neither is retried, since the
+// stall resend repairs both. A full queue's consumer is behind, so the
+// sender then yields its processor once: a resend pass would otherwise
+// overflow a laggard's queue without letting the laggard run. An accepted
+// transmission on a non-zero epoch counts as a resend.
 func (o *outlet) Send(k, round int, value float64, epoch int) {
 	m := transport.Msg{Round: round, Value: value, Seq: seqOf(round, epoch, k)}
-	if o.r.enqueue(o.id, o.outs[k], m) && epoch > 0 {
-		o.r.resends.Add(1)
+	switch err := o.r.cfg.Transport.Send(sendNow, o.id, o.outs[k], m); {
+	case err == nil:
+		if epoch > 0 {
+			o.r.resends.Add(1)
+		}
+	case errors.Is(err, sendNow.Err()):
+		o.r.outDropped.Add(1)
+		runtime.Gosched()
+	default:
+		o.r.abandoned.Add(1)
 	}
 }
 
@@ -143,23 +164,27 @@ func (a *actor) deliver(d transport.Delivery) bool {
 	return !a.stopped
 }
 
-// runFaulty drives one faulty node's quorum.Emitter: every FaultyTick it
+// runFaulty drives one faulty node's quorum.Emitter: every faultyTick it
 // emits the next round batch against a fresh omniscient snapshot. It also
-// drains the node's delivery stream so honest senders never block on a
-// faulty receiver's full queue.
+// drains the node's delivery stream so honest sends to it find room.
 func (r *runner) runFaulty(ctx context.Context, s int) {
 	em := quorum.NewEmitter(s, r.cfg.G, r.cfg.F, r.faulty, r.faultFree, r.cfg.MaxRounds, r.adv,
 		&outlet{id: s, r: r, outs: r.cfg.G.OutView(s)})
 	states := make([]float64, r.cfg.G.N())
 	recv := r.cfg.Transport.Recv(s)
-	tick := time.NewTicker(r.cfg.FaultyTick)
+	tick := time.NewTicker(faultyTick)
 	defer tick.Stop()
 	for more := true; ; {
 		select {
 		case <-ctx.Done():
 			return
 		case <-recv:
-			// Discard: faulty behavior is the adversary's, not the protocol's.
+			// Discard it and the backlog behind it: faulty behavior is the
+			// adversary's, not the protocol's. This goroutine is recv's one
+			// consumer, so the len(recv) receives never block.
+			for range len(recv) {
+				<-recv
+			}
 		case <-tick.C:
 			if more { // once emissions are done, keep draining until the run ends
 				more = em.Emit(r.snapshot(states))

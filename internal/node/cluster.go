@@ -40,41 +40,7 @@ type runner struct {
 	updates chan updateMsg
 	errc    chan error
 
-	// outbox[j] queues every local sender's messages to node j for j's one
-	// pump; nil when no local node has an edge to j.
-	outbox []chan transport.Delivery
-
 	deliveries, updatesN, resends, abandoned, outDropped, restarts atomic.Int64
-}
-
-// enqueue hands m from → to to the destination's pump without blocking;
-// a full outbox drops it.
-func (r *runner) enqueue(from, to int, m transport.Msg) bool {
-	select {
-	case r.outbox[to] <- transport.Delivery{From: from, To: to, Msg: m}:
-		return true
-	default:
-		r.outDropped.Add(1)
-		return false
-	}
-}
-
-// pump drains one destination's outbox for the whole run, one Send per
-// message. The single queue per destination keeps every link FIFO, and a
-// stuck destination stalls only its own pump. A send the transport refuses
-// is counted and left to the stall resend: retrying it here would hold every
-// other sender's traffic to the same destination behind one cut link.
-func (r *runner) pump(ctx context.Context, q <-chan transport.Delivery) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case d := <-q:
-			if err := r.cfg.Transport.Send(ctx, d.From, d.To, d.Msg); err != nil && ctx.Err() == nil {
-				r.abandoned.Add(1)
-			}
-		}
-	}
 }
 
 // fail records the first actor error; later errors are dropped.
@@ -213,29 +179,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// One outbox per destination, sized edgeQueueCap per local in-edge, and
-	// one pump draining it.
-	r.outbox = make([]chan transport.Delivery, n)
-	inEdges := make([]int, n)
-	local.ForEach(func(i int) bool {
-		for _, j := range cfg.G.OutView(i) {
-			inEdges[j]++
-		}
-		return true
-	})
 	var wg sync.WaitGroup
-	for j, k := range inEdges {
-		if k == 0 {
-			continue
-		}
-		q := make(chan transport.Delivery, edgeQueueCap*k)
-		r.outbox[j] = q
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.pump(runCtx, q)
-		}()
-	}
 	localFaultFree.ForEach(func(i int) bool {
 		a := newActor(i, r)
 		wg.Add(1)

@@ -14,8 +14,8 @@
 // the new round. Faulty actors drive a quorum.Emitter, as the simulator's
 // faulty nodes do. The simulator feeds its steppers deliveries only; an
 // actor also feeds its stepper the ticks of a wall-clock timer and the
-// crash supervisor's restarts. Together with the package's own send path
-// they keep eventual delivery true on a real, faulty network:
+// crash supervisor's restarts. Together with how it sends they keep
+// eventual delivery true on a real, faulty network:
 //
 //   - Idempotent retransmission. A stalled actor (no round progress for
 //     ResendEvery) rebroadcasts its recent history, the whole of it every
@@ -24,20 +24,18 @@
 //     trajectory — they only repair losses. This turns chaos-layer drops
 //     and healed partitions into mere delays, which is precisely the
 //     regime the Part II convergence theorem covers.
-//   - Non-blocking sends. Actors enqueue onto one bounded outbox per
-//     destination, drained by that destination's one pump with one Send per
-//     message. A full outbox drops (Result.OutDropped) and a refused send
-//     (a cut link: transport.ErrLinkDown) is counted (Result.Abandoned) and
-//     not retried — the resend pass recovers both, so a dead or
-//     backpressured destination never deadlocks an actor or delays traffic
-//     to any other destination.
+//   - Non-blocking sends. Every protocol send is one Transport.Send on the
+//     sending actor's goroutine, with an already-done context: the
+//     transport's bounded queue for the destination is the one send queue,
+//     and a full one fails at once instead of waiting. A full queue is
+//     counted (Result.OutDropped), and so is a refused send (a cut link:
+//     transport.ErrLinkDown; Result.Abandoned); neither is retried — the
+//     resend pass recovers both, so a dead or backpressured destination
+//     never deadlocks an actor or delays traffic to any other destination.
 //   - Crash/restart. A supervisor stops an actor for each configured crash
 //     window and restarts it from its durable (round, value, history)
 //     state with a reset inbox; on restart the actor rebroadcasts its
-//     current round and peer resends re-fill what the crash lost. The
-//     pumps belong to the run, not the actor, so a message queued before
-//     a crash window may still be offered to the transport during it
-//     (Chaos refuses it as transport.ErrLinkDown).
+//     current round and peer resends re-fill what the crash lost.
 //
 // The deterministic simulator remains the conformance oracle: under
 // loss-free delivery and f = 0 (where the quorum is the full
@@ -58,14 +56,9 @@ import (
 	"iabc/internal/transport"
 )
 
-// Default timing knobs applied by Config.withDefaults.
-const (
-	// DefaultResendEvery is the stall-triggered retransmission interval.
-	DefaultResendEvery = 5 * time.Millisecond
-	// DefaultFaultyTick is the interval at which faulty actors emit their
-	// round batches.
-	DefaultFaultyTick = 2 * time.Millisecond
-)
+// DefaultResendEvery is the stall-triggered retransmission interval applied
+// by Config.withDefaults.
+const DefaultResendEvery = 5 * time.Millisecond
 
 // Config describes one cluster run.
 type Config struct {
@@ -100,9 +93,6 @@ type Config struct {
 	// capped at 32 times this value) until progress resumes (0 selects
 	// DefaultResendEvery).
 	ResendEvery time.Duration
-	// FaultyTick is the wall-clock interval between a faulty actor's round
-	// batches (0 selects DefaultFaultyTick).
-	FaultyTick time.Duration
 	// StallAfter, when > 0, ends the run with Result.Stalled once no
 	// fault-free state change has been observed for this long — the
 	// liveness cutoff for runs under liveness-destroying partitions.
@@ -139,9 +129,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ResendEvery <= 0 {
 		c.ResendEvery = DefaultResendEvery
-	}
-	if c.FaultyTick <= 0 {
-		c.FaultyTick = DefaultFaultyTick
 	}
 	return c
 }
@@ -201,7 +188,8 @@ type Result struct {
 	// transport); they are not retried — the stall resend repairs them. A
 	// TCP write that fails after Send queued the frame is not counted here.
 	Abandoned int64
-	// OutDropped counts messages dropped at a full destination outbox.
+	// OutDropped counts messages dropped at a full destination queue: the
+	// transport had no room, and an actor never waits for it.
 	OutDropped int64
 	// Restarts counts crash-supervisor actor restarts.
 	Restarts int64

@@ -93,8 +93,8 @@ func chaosHullAttempt(t testing.TB, seed int64, maxRounds int) (*Result, transpo
 		G: g, F: 1, Faulty: faulty, Initial: initial,
 		Rule: core.TrimmedMean{}, Adversary: adv, Transport: ch,
 		MaxRounds: maxRounds, Epsilon: 1e-4,
-		ResendEvery: 2 * time.Millisecond, FaultyTick: time.Millisecond,
-		StallAfter: 2 * time.Second, // bounded wall time even if the property fails
+		ResendEvery: 2 * time.Millisecond,
+		StallAfter:  2 * time.Second, // bounded wall time even if the property fails
 	}
 	violations := 0
 	cfg.OnUpdate = func(node, round int, value, rngNow float64) {

@@ -43,11 +43,11 @@ type TCPConfig struct {
 	// ephemeral ports race-free before the address map is assembled.
 	// Ownership passes to the transport: Close closes it.
 	Listener net.Listener
-	// QueueCap bounds each local node's receive queue and each peer
-	// address's send queue (DefaultQueueCap if ≤ 0). The accept-side
-	// reader blocks while a receive queue is full, so backpressure
-	// propagates through TCP flow control to the peer's writer, and from
-	// its full send queue to Send.
+	// QueueCap bounds each local node's receive queue, and each peer
+	// address's send queue at QueueCap per node id hosted there
+	// (DefaultQueueCap if ≤ 0). The accept-side reader blocks while a
+	// receive queue is full, so backpressure propagates through TCP flow
+	// control to the peer's writer, and from its full send queue to Send.
 	QueueCap int
 	// DialBackoff is the initial reconnect backoff after a failed dial,
 	// doubling per attempt up to maxDialBackoffFactor times this value
@@ -168,21 +168,27 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	for id := range local {
 		t.qs[id] = make(chan Delivery, cfg.QueueCap)
 	}
-	// One peer per distinct address; an empty Addrs[i] means "this
-	// instance", which is only knowable once the listener is bound.
+	// One peer per distinct address, its send queue QueueCap per node id
+	// hosted there; an empty Addrs[i] means "this instance", which is only
+	// knowable once the listener is bound.
 	byAddr := make(map[string]*tcpPeer)
+	hosted := make(map[*tcpPeer]int)
 	for id, addr := range cfg.Addrs {
 		if addr == "" {
 			addr = ln.Addr().String()
 		}
 		p := byAddr[addr]
 		if p == nil {
-			p = &tcpPeer{addr: addr, q: make(chan Delivery, cfg.QueueCap)}
+			p = &tcpPeer{addr: addr}
 			byAddr[addr] = p
-			t.wg.Add(1)
-			go t.writeLoop(p)
 		}
+		hosted[p]++
 		t.peers[id] = p
+	}
+	for p, ids := range hosted {
+		p.q = make(chan Delivery, cfg.QueueCap*ids)
+		t.wg.Add(1)
+		go t.writeLoop(p)
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -282,23 +288,12 @@ func (t *TCP) Send(ctx context.Context, from, to int, m Msg) error {
 	if t.done.Load() {
 		return ErrClosed
 	}
-	select {
-	case t.peers[to].q <- Delivery{From: from, To: to, Msg: m}:
-		// As in Inproc.Send: a Send parked on a full queue may win the
-		// enqueue against a concurrent Close; Close still wins the result.
-		if t.done.Load() {
-			return ErrClosed
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.life.Done():
-		return ErrClosed
-	}
+	return enqueue(ctx, t.peers[to].q, Delivery{From: from, To: to, Msg: m}, t.life.Done(), &t.done)
 }
 
 // writeLoop is p's writer: it takes one frame, drains whatever else is
-// queued (up to maxBatch bytes) into the same buffer, and sends the batch
+// queued at that moment (up to maxBatch bytes) into the same buffer, and
+// sends the batch
 // with one write — so a round's frames to one peer leave together. A
 // failed write closes the connection and drops the batch; the next batch
 // redials. Close unblocks a write in flight by closing the connection.
@@ -312,14 +307,12 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 		case <-t.life.Done():
 			return
 		}
-	fill:
-		for len(buf) < maxBatch {
-			select {
-			case d := <-p.q:
-				buf = appendFrame(buf, d)
-			default:
-				break fill
-			}
+		// Only what is queued now, not what senders add while it drains:
+		// that would stretch a batch to maxBatch and hold every frame in it
+		// back from the wire. The writer is q's one consumer, so these
+		// receives never block.
+		for n := len(p.q); n > 0 && len(buf) < maxBatch; n-- {
+			buf = appendFrame(buf, <-p.q)
 		}
 		if p.conn == nil && !t.dial(p) {
 			return // Close began

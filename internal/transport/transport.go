@@ -39,9 +39,11 @@ type Delivery struct {
 
 // Transport moves messages between the n nodes of a cluster.
 //
-// Send delivers m from node `from` to node `to`, blocking while the
-// receiver's bounded queue is full (backpressure) until ctx is done or the
-// transport closes. A nil return means the message was accepted, not that
+// Send delivers m from node `from` to node `to`. It enqueues without
+// waiting whenever the destination's bounded queue has room, whatever the
+// state of ctx; only a full queue makes it wait (backpressure) for room,
+// ctx or Close. So a caller that must never block passes an already-done
+// ctx: a full queue then returns ctx.Err() at once. A nil return means the message was accepted, not that
 // it will be processed — lossy wrappers may have silently dropped it.
 // Send is safe for concurrent use.
 //
@@ -120,26 +122,39 @@ func (t *Inproc) Send(ctx context.Context, from, to int, m Msg) error {
 	if t.done.Load() {
 		return ErrClosed
 	}
+	if err := enqueue(ctx, t.qs[to], Delivery{From: from, To: to, Msg: m}, t.closed, &t.done); err != nil {
+		return err
+	}
+	t.sends.Add(1)
+	return nil
+}
+
+// enqueue is the tail of Inproc.Send and TCP.Send: it puts d on q at once
+// while q has room, whatever the state of ctx — one select over the
+// enqueue and ctx.Done would pick between the two at random — and
+// otherwise waits for room, ctx or closed. Winning the enqueue does not prove the transport
+// was open: Close may run after Send's flag check, or race a send parked
+// on a full queue against a concurrent drain. Re-checking done makes such
+// a Send still report ErrClosed — Close's contract is that blocked Sends
+// fail, not that they may sneak a message into a dead queue. (The
+// enqueued copy is unreachable either way: queues are abandoned after
+// Close.)
+func enqueue(ctx context.Context, q chan<- Delivery, d Delivery, closed <-chan struct{}, done *atomic.Bool) error {
 	select {
-	case t.qs[to] <- Delivery{From: from, To: to, Msg: m}:
-		// Winning the enqueue does not prove the transport was open: when a
-		// send parked on a full queue is raced by Close and a concurrent
-		// drain, both select cases are ready and the runtime picks one at
-		// random. Re-check the flag so a Send that lost that race to Close
-		// still reports ErrClosed — Close's contract is that blocked Sends
-		// fail, not that they may sneak a message into a dead queue. (The
-		// enqueued copy is unreachable either way: the queues are abandoned
-		// after Close.)
-		if t.done.Load() {
+	case q <- d:
+	default:
+		select {
+		case q <- d:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-closed:
 			return ErrClosed
 		}
-		t.sends.Add(1)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.closed:
+	}
+	if done.Load() {
 		return ErrClosed
 	}
+	return nil
 }
 
 // Recv implements Transport.

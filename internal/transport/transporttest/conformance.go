@@ -9,6 +9,10 @@
 //     idempotent.
 //   - Canceling a Send's context unblocks a backpressured Send promptly
 //     with ctx.Err().
+//   - Room first: a Send whose context is already done still enqueues
+//     whenever the destination queue has room, and returns ctx.Err() at
+//     once only when the queue is full — the node runtime's never-blocking
+//     send.
 //   - After Close returns, Recv streams are drained, not closed: already
 //     queued deliveries remain readable, nothing new is ever enqueued, and
 //     the channel stays open.
@@ -51,6 +55,8 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("send-after-close", func(t *testing.T) { testSendAfterClose(t, factory) })
 	t.Run("close-unblocks-backpressured-send", func(t *testing.T) { testCloseUnblocks(t, factory) })
 	t.Run("cancel-unblocks-backpressured-send", func(t *testing.T) { testCancelUnblocks(t, factory) })
+	t.Run("done-ctx-enqueues-when-room", func(t *testing.T) { testDoneCtxEnqueues(t, factory) })
+	t.Run("done-ctx-full-queue-fails-at-once", func(t *testing.T) { testDoneCtxFullQueue(t, factory) })
 	t.Run("no-new-delivery-after-close", func(t *testing.T) { testDrainedNotClosed(t, factory) })
 	t.Run("per-link-fifo", func(t *testing.T) { testPerLinkFIFO(t, factory) })
 	t.Run("no-goroutine-leaks", func(t *testing.T) { testNoLeaks(t, factory) })
@@ -167,6 +173,57 @@ func testCancelUnblocks(t *testing.T, factory Factory) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ctx cancel did not unblock the backpressured Send")
+	}
+}
+
+// canceled returns a context that is already done.
+func canceled() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// testDoneCtxEnqueues sends many messages with a done ctx, each onto an
+// empty queue: every one must be accepted and delivered. A Send that
+// selects over the enqueue and ctx.Done at once fails about half of them.
+func testDoneCtxEnqueues(t *testing.T, factory Factory) {
+	const k = 1000
+	tr := factory(t, 2, 8)
+	defer tr.Close()
+	ctx := canceled()
+	for i := 0; i < k; i++ {
+		if err := tr.Send(ctx, 0, 1, transport.Msg{Seq: uint64(i)}); err != nil {
+			t.Fatalf("send %d with a done ctx onto an empty queue: err = %v, want nil", i, err)
+		}
+		if d := recvOne(t, tr.Recv(1)); d.Seq != uint64(i) {
+			t.Fatalf("delivery %d: Seq = %d", i, d.Seq)
+		}
+	}
+}
+
+// testDoneCtxFullQueue parks a sender on a full queue, then requires a Send
+// with a done ctx onto that queue to return ctx.Err() without waiting.
+func testDoneCtxFullQueue(t *testing.T, factory Factory) {
+	tr := factory(t, 2, 2)
+	defer tr.Close()
+	parkCtx, release := context.WithCancel(context.Background())
+	defer release()
+	parked := park(t, tr, parkCtx)
+	errc := make(chan error, 1)
+	go func() { errc <- tr.Send(canceled(), 0, 1, transport.Msg{Seq: 1 << 40}) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Send with a done ctx onto a full queue: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Send with a done ctx waited on a full queue")
+	}
+	release()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked Send never returned after cancel")
 	}
 }
 
