@@ -128,8 +128,11 @@
 //     consists solely of admitted nodes, surviving candidates keep the
 //     full enumeration's relative order, and condition.Check returns a
 //     bit-identical Satisfied verdict and Witness with or without pruning
-//     (and with or without the empty-complement memo, which only skips
-//     peels whose emptiness is implied by a memoized subset). The same
+//     (and with or without the prefix lookahead, which skips a partial
+//     candidate only when some member can no longer collect enough
+//     in-neighbors inside any completion of it, and the empty-complement
+//     memo, which only skips peels whose emptiness is implied by a
+//     memoized subset). The same
 //     holds for the orbit cut: Definition 1 is invariant under every
 //     automorphism of the graph, so the checker scans one fault set per
 //     orbit of the automorphisms it finds and lets the others inherit the
@@ -138,7 +141,8 @@
 //     counters match the every-fault-set scan at any worker count, whether
 //     the generator search found the whole group or none of it. Enforced by
 //     the property tests in internal/condition/prune_test.go, the
-//     differential test in orbit_test.go (docs/THEORY.md, "Symmetry") and
+//     differential tests in lookahead_test.go and orbit_test.go
+//     (docs/THEORY.md, "The prefix lookahead" and "Symmetry") and
 //     the E14 cross-validation against condition.CheckViaReducedGraphs.
 //  6. Facade stability. The root package's exported surface is frozen in
 //     api/iabc.txt, regenerated only by a deliberate `go generate .`;

@@ -127,7 +127,7 @@ func cmdCheck(args []string, stdin io.Reader, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "work: %d fault sets, %d candidate sets (%d pruned by degree bound, %d memo hits)\n",
 		res.FaultSetsExamined, res.CandidatesExamined, res.CandidatesPruned, res.MemoHits)
 	if res.CandidatesExamined > 0 {
-		fmt.Fprintf(stdout, "pruned: %.1f%% of the candidate space skipped unvisited\n",
+		fmt.Fprintf(stdout, "pruned: %.1f%% of the candidate space excluded by the degree bound\n",
 			100*float64(res.CandidatesPruned)/float64(res.CandidatesExamined))
 	}
 	// Resume/cache provenance stays off the verdict and work lines, so those

@@ -3,6 +3,8 @@ package condition
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
@@ -70,19 +72,22 @@ type Result struct {
 	FaultSetsExamined int64
 	// CandidatesExamined counts candidate L sets accounted for by the
 	// enumeration: those explicitly tested for insulation, those the degree
-	// lower bound pruned without a visit, and, for a fault set that
-	// inherited its result, the representative's count of both — the same
-	// number, since automorphisms map candidates to candidates. On a
+	// lower bound excluded, those skipped under a prefix the lookahead ruled
+	// out (see findDisjointInsulatedPair), and, for a fault set that
+	// inherited its result, the representative's count of all three — the
+	// same number, since automorphisms map candidates to candidates. On a
 	// satisfied graph the total equals the unpruned every-fault-set
 	// checker's count exactly (Σ_F Σ_k C(m,k)), so work numbers stay
-	// comparable across checker versions; the split is CandidatesPruned.
+	// comparable across checker versions.
 	CandidatesExamined int64
-	// CandidatesPruned counts candidate L sets skipped wholesale by the
-	// degree lower bound (see the pruning invariant in the package doc of
-	// iabc's doc.go): a node with base[v] ≥ threshold + |L| − 1 in-neighbors
-	// from ground cannot belong to any insulated set of size |L|, so every
-	// candidate containing it is skipped unvisited. Always ≤
-	// CandidatesExamined.
+	// CandidatesPruned counts the candidate L sets of CandidatesExamined
+	// excluded by the degree lower bound (see the pruning invariant in the
+	// package doc of iabc's doc.go): a node with base[v] ≥ threshold + |L| −
+	// 1 in-neighbors from ground cannot belong to any insulated set of size
+	// |L|, so every candidate containing it is skipped unvisited. The
+	// lookahead's skips are not counted here: how many it skips depends on
+	// the node order, while this count is invariant under automorphisms,
+	// which orbit inheritance relies on. Always ≤ CandidatesExamined.
 	CandidatesPruned int64
 	// MemoHits counts maximal-insulated-subset computations skipped because
 	// a previously peeled subset of the candidate already proved the
@@ -155,6 +160,30 @@ func binom(n, k int) int64 {
 	return binomTable[n][k]
 }
 
+// completions returns C(n, k), the candidates below one skipped prefix. The
+// pool of a ground over 62 members runs past binomTable; there the product
+// is formed directly, and left out of the account (0) should it overflow
+// int64 — a count no enumeration could reach by visiting.
+func completions(n, k int) int64 {
+	if n <= 62 {
+		return binom(n, k)
+	}
+	k = min(k, n-k)
+	// After step i, r = C(n−k+i, i) ≤ C(n, k): the 128-bit product keeps
+	// each step exact, and a step that overflows means the result would.
+	r := uint64(1)
+	for i := 1; i <= k; i++ {
+		hi, lo := bits.Mul64(r, uint64(n-k+i))
+		if hi >= uint64(i) {
+			return 0
+		}
+		if r, _ = bits.Div64(hi, lo, uint64(i)); r > math.MaxInt64 {
+			return 0
+		}
+	}
+	return int64(r)
+}
+
 // Check runs the exact Theorem 1 check for the synchronous model
 // (threshold f+1). See CheckThreshold for the algorithm.
 func Check(g *graph.Graph, f int) (Result, error) {
@@ -184,10 +213,11 @@ func CheckAsync(g *graph.Graph, f int) (Result, error) {
 // W−L; non-empty means a violation with R = that subset.
 //
 // This replaces the naive 3^n enumeration over (L, C, R) triples. The
-// candidate enumeration is further cut down — without changing Satisfied or
-// the returned witness — by degree-lower-bound pruning and an
-// empty-complement memo (see findDisjointInsulatedPair); Result reports the
-// savings as CandidatesPruned and MemoHits. The returned witness is
+// candidate enumeration is further cut down — without changing Satisfied,
+// the returned witness or the counters — by degree-lower-bound pruning, a
+// prefix lookahead and an empty-complement memo (see
+// findDisjointInsulatedPair); Result reports the degree bound's and the
+// memo's savings as CandidatesPruned and MemoHits. The returned witness is
 // re-verifiable via (*Witness).Verify.
 //
 // The fault-set enumeration is cut by symmetry: one fault set per orbit of
@@ -201,122 +231,119 @@ func CheckThreshold(g *graph.Graph, f, threshold int) (Result, error) {
 	return CheckScan(context.Background(), g, f, threshold, ScanOptions{Workers: 1})
 }
 
-// isInsulated reports whether every node of x has at most threshold-1
-// in-neighbors in ground−x.
-//
-// Retained as the reference oracle for insulationScratch.insulated, which
-// the checker's hot path uses instead (incremental counters maintained by
-// the subset enumeration, no per-candidate set algebra); the equivalence
-// test in insulation_test.go cross-checks the two.
-func isInsulated(g *graph.Graph, ground, x nodeset.Set, threshold int) bool {
-	outside := ground.Difference(x)
-	ok := true
-	x.ForEach(func(v int) bool {
-		if g.CountInFrom(v, outside) >= threshold {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// maximalInsulatedSubset returns the unique maximal subset S of sub that is
-// insulated with respect to ground (every v ∈ S has ≤ threshold−1
-// in-neighbors in ground−S). Iterative deletion: remove any node with too
-// many in-neighbors outside the shrinking S; by union-closure of insulated
-// sets, every insulated subset of sub survives, so the fixpoint is maximal.
-//
-// Retained as the reference oracle for insulationScratch.maximalInsulated
-// (worklist peeling over cached counts), which the checker uses instead.
-func maximalInsulatedSubset(g *graph.Graph, ground, sub nodeset.Set, threshold int) nodeset.Set {
-	s := sub.Clone()
-	outside := ground.Difference(s)
-	for {
-		var removed []int
-		s.ForEach(func(v int) bool {
-			if g.CountInFrom(v, outside) >= threshold {
-				removed = append(removed, v)
-			}
-			return true
-		})
-		if len(removed) == 0 {
-			return s
-		}
-		for _, v := range removed {
-			s.Remove(v)
-			outside.Add(v)
-		}
-	}
-}
-
 // findDisjointInsulatedPair searches for two disjoint non-empty insulated
 // subsets of ground. It enumerates candidate L in ascending size (violations
 // with small L — e.g. single under-connected nodes — are found immediately)
-// and pairs each insulated L with the maximal insulated subset of the
+// and, within a size, in lexicographic order of the ground's members; it
+// pairs each insulated L with the maximal insulated subset of the
 // complement. Returns a witness with L and R filled in, or nil.
 //
 // The insulation tests run on s's cached in-degree-from-ground counts —
 // the optimization that turned the exact checker's inner loop
-// allocation-free. Two further cuts keep the search exact while skipping
+// allocation-free. Three further cuts keep the search exact while skipping
 // most of it:
 //
 //   - Degree pruning. A node v in an insulated set X has at most |X|−1
 //     in-neighbors inside X (no self-loops), so base[v] − (|X|−1) ≤
 //     threshold−1 must hold — any v with base[v] ≥ threshold + |X| − 1 is
 //     inadmissible at size |X|, and every candidate containing it is
-//     skipped unvisited via nodeset.SubsetsAscendingSizePruned. Insulated
-//     sets survive the filter by construction, so the first violating
-//     candidate found — and hence the witness — is unchanged.
+//     skipped unvisited (s.admit). Counted in CandidatesExamined and
+//     CandidatesPruned.
+//   - Prefix lookahead. The candidates of one size over the admitted pool
+//     are walked depth first, one member at a time, and a prefix none of
+//     whose completions can be insulated (s.viable) is skipped with its
+//     whole subtree. Counted in CandidatesExamined only: how many a prefix
+//     skips depends on the node order, while CandidatesPruned stays a
+//     property of the graph that orbit inheritance can rely on.
 //   - Empty-complement memo. For each insulated L whose complement peeled
 //     to ∅, the scratch records L (s.recordDead); a later insulated L' ⊇ L
 //     has ground−L' ⊆ ground−L, and the maximal insulated subset is
 //     monotone in its sub argument, so its peel is provably ∅ and skipped
-//     (s.knownDead). Only peels are skipped, never candidate tests, so
-//     counter accounting and the returned witness are unaffected.
+//     (s.knownDead). Only peels are skipped, never candidate tests.
+//
+// The first two skip only candidates that are not insulated and keep the
+// visiting order of the rest, and the memo records insulated candidates
+// only, so the first violating candidate found — and hence the witness —
+// and all three counters are those of the plain enumeration.
 func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, threshold int, c *WorkCounters) *Witness {
 	m := ground.Count()
 	if m < 2 {
 		return nil
 	}
 	s.setGround(ground)
-	var found *Witness
 	// L needs at most floor(m/2) nodes: if a disjoint pair (L, R) exists,
 	// the smaller side has ≤ m/2 nodes, and the pair is symmetric in L/R.
-	nodeset.SubsetsAscendingSizePruned(ground, 1, m/2,
-		func(v, size int) bool { return s.base[v] < threshold+size-1 },
-		func(size, kept, total int) {
-			if total > 62 {
-				// Grounds beyond the binom table (possible while n−f ≤ 62
-				// when fSize < f) have no exact int64 account — C(64,32)
-				// alone overflows — and are never enumerable to completion
-				// anyway; leave them out of the account rather than report
-				// a negative or saturated number.
-				return
-			}
-			skipped := binom(total, size) - binom(kept, size)
+	for k := 1; k <= m/2; k++ {
+		kept := s.admit(k, threshold)
+		// Grounds beyond the binom table (possible while n−f ≤ 62 when
+		// fSize < f) are never enumerable to completion; leave them out of
+		// the account rather than report a negative number.
+		if m <= 62 {
+			skipped := binom(m, k) - binom(kept, k)
 			c.Candidates += skipped
 			c.Pruned += skipped
-		},
-		func(l nodeset.Set) bool {
+		}
+		if k > kept {
+			continue
+		}
+		if w := walkCandidates(s, ground, k, threshold, c); w != nil {
+			return w
+		}
+	}
+	return nil
+}
+
+// walkCandidates visits the size-k candidates over s.pool depth first, in
+// the lexicographic order of pool positions, and returns the first witness.
+// A prefix that is not viable is skipped with the C(len(pool)−p−1, left)
+// completions below it, p being its last position; at full size that is
+// the one candidate failing the insulation test.
+func walkCandidates(s *insulationScratch, ground nodeset.Set, k, threshold int, c *WorkCounters) *Witness {
+	pool, idx, cur := s.pool, s.idx[:k], s.cur
+	last := len(pool) - k // the highest position at depth 0; idx[d] ≤ last+d
+	d := 0
+	idx[0] = 0
+	for {
+		p := idx[d]
+		cur.Add(pool[p])
+		left := k - 1 - d
+		if left == 0 {
+			s.tested++
+		}
+		switch {
+		case !s.viable(idx[:d+1], left, threshold):
+			c.Candidates += completions(len(pool)-1-p, left)
+		case left > 0:
+			d++
+			idx[d] = p + 1
+			continue
+		default:
 			c.Candidates++
-			if !s.insulated(l, threshold) {
-				return true
-			}
-			if s.knownDead(l) {
+			if s.knownDead(cur) {
 				c.MemoHits++
-				return true
+			} else if r := s.maximalInsulated(ground, ground.Difference(cur), threshold); r.Empty() {
+				s.recordDead(cur)
+			} else {
+				w := &Witness{L: cur.Clone(), R: r}
+				for _, i := range idx {
+					cur.Remove(pool[i])
+				}
+				return w
 			}
-			rest := ground.Difference(l)
-			r := s.maximalInsulated(ground, rest, threshold)
-			if !r.Empty() {
-				found = &Witness{L: l.Clone(), R: r}
-				return false
+		}
+		// Advance to the next prefix, backtracking past exhausted depths.
+		for {
+			cur.Remove(pool[idx[d]])
+			idx[d]++
+			if idx[d] <= last+d {
+				break
 			}
-			s.recordDead(l)
-			return true
-		})
-	return found
+			if d == 0 {
+				return nil
+			}
+			d--
+		}
+	}
 }
 
 // MaxF returns the largest f ≥ 0 for which the graph satisfies Theorem 1

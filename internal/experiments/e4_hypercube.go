@@ -8,7 +8,7 @@ import (
 
 // e4Hypercube reproduces Section 6.2 and Fig. 3 for d = 2..7: binary
 // hypercubes have connectivity d but never satisfy Theorem 1 for f ≥ 1 — the
-// cut along any one dimension is a violating partition. For small d the
+// cut along any one dimension is a violating partition. For d ≤ 5 the
 // exact checker confirms; for all d the dimension-cut witness is verified
 // directly (polynomial time), exactly the paper's argument. A simulation on
 // the 3-cube shows the halves held apart.
@@ -29,17 +29,19 @@ func e4Hypercube(ctx context.Context) ([]Table, error) {
 		w := &iabc.Witness{F: iabc.NewSet(n), L: low, C: iabc.NewSet(n), R: low.Complement()}
 		cutOK := w.Verify(g, 1, iabc.SyncThreshold(1)) == nil
 
-		// The exact check is exponential and, on hypercubes, hits its worst
-		// case: the minimal violating sets are half-cubes, so refuting all
-		// smaller candidates costs ~2^n. d ≤ 4 is instant; for d ≥ 5 the
-		// paper's own argument — verify the dimension cut — is polynomial
-		// and is what the witness column reports.
+		// The exact check is exponential: the minimal violating sets are
+		// half-cubes, so it must refute every smaller candidate, ~2^n of
+		// them. The prefix lookahead refutes them by the subtree, which
+		// makes d = 5 instant; d = 6 puts n − f = 63 over the checker's
+		// 62-node cap, so for d ≥ 6 the paper's own argument — verify the
+		// dimension cut — is polynomial and is what the witness column
+		// reports.
 		var exact any = "skipped (n too large)"
 		satF1 := false
 		// f=0 is decidable in polynomial time: unique source SCC ⟺ the
 		// condition; hypercubes are strongly connected.
 		satF0 := g.IsStronglyConnected()
-		if n <= 16 {
+		if n <= 32 {
 			if satF1, err = satisfied(ctx, g, 1); err != nil {
 				return nil, err
 			}

@@ -336,7 +336,7 @@ func Subsets(ground Set, fn func(Set) bool) {
 // of size, from size lo to size hi inclusive. The Set passed to fn is reused;
 // Clone to retain. Enumeration stops early if fn returns false.
 func SubsetsAscendingSize(ground Set, lo, hi int, fn func(Set) bool) {
-	SubsetsAscendingSizeHooked(ground, lo, hi, nil, nil, fn)
+	SubsetsAscendingSizePruned(ground, lo, hi, nil, nil, fn)
 }
 
 // SubsetsAscendingSizePruned is SubsetsAscendingSize with a per-size
@@ -381,64 +381,24 @@ func SubsetsAscendingSizePruned(ground Set, lo, hi int, admit func(id, size int)
 		if k > len(pool) {
 			continue
 		}
-		if !combinations(pool, k, cur, nil, nil, fn) {
-			return
-		}
-	}
-}
-
-// SubsetsAscendingSizeHooked is SubsetsAscendingSize with membership-change
-// callbacks: onAdd(id) fires whenever id enters the candidate subset and
-// onRemove(id) whenever it leaves — one call per element transition,
-// including the unwinding after an early stop, so adds and removes always
-// balance. Callers use the hooks to maintain incrementally updated state
-// (e.g. the condition checker's in-degree-from-candidate counters) instead
-// of recomputing per candidate. Either hook may be nil.
-func SubsetsAscendingSizeHooked(ground Set, lo, hi int, onAdd, onRemove func(id int), fn func(Set) bool) {
-	members := ground.Members()
-	if hi > len(members) {
-		hi = len(members)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	cur := New(ground.cap)
-	for k := lo; k <= hi; k++ {
-		if !combinations(members, k, cur, onAdd, onRemove, fn) {
+		if !combinations(pool, k, cur, fn) {
 			return
 		}
 	}
 }
 
 // combinations enumerates all k-subsets of members into cur, calling fn per
-// subset. Returns false if fn requested a stop. With no hooks installed —
-// the exact checker's 2^|W| inner loop — membership updates stay direct,
-// inlinable Set calls.
-func combinations(members []int, k int, cur Set, onAdd, onRemove func(int), fn func(Set) bool) bool {
-	add, del := cur.Add, cur.Remove
-	if onAdd != nil || onRemove != nil {
-		add = func(id int) {
-			cur.Add(id)
-			if onAdd != nil {
-				onAdd(id)
-			}
-		}
-		del = func(id int) {
-			cur.Remove(id)
-			if onRemove != nil {
-				onRemove(id)
-			}
-		}
-	}
+// subset. Returns false if fn requested a stop.
+func combinations(members []int, k int, cur Set, fn func(Set) bool) bool {
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i
-		add(members[i])
+		cur.Add(members[i])
 	}
 	defer func() {
 		for _, i := range idx {
 			if i < len(members) {
-				del(members[i])
+				cur.Remove(members[i])
 			}
 		}
 	}()
@@ -460,13 +420,13 @@ func combinations(members []int, k int, cur Set, onAdd, onRemove func(int), fn f
 		if i < 0 {
 			return true
 		}
-		del(members[idx[i]])
+		cur.Remove(members[idx[i]])
 		idx[i]++
-		add(members[idx[i]])
+		cur.Add(members[idx[i]])
 		for j := i + 1; j < k; j++ {
-			del(members[idx[j]])
+			cur.Remove(members[idx[j]])
 			idx[j] = idx[j-1] + 1
-			add(members[idx[j]])
+			cur.Add(members[idx[j]])
 		}
 	}
 }

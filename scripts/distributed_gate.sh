@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Distributed-scan conformance gate for the coordinator–worker job protocol.
 #
-# Phase 1 (conformance): run `iabc coordinate` over random:23,0.7,1 with two
+# Phase 1 (conformance): run `iabc coordinate` over random:25,0.7,1 with two
 # external `iabc work` processes joined over loopback, and require the
 # maxf/work report lines to be byte-identical to the single-process oracle
 # (`iabc maxf`) — same verdict, same witness-bearing counters, no double
@@ -11,7 +11,9 @@
 # and require the surviving worker to re-run the victim's requeued leases to
 # the exact same report lines. The coordinator journals only acknowledged
 # gap-free prefixes and fences stale jobIDs, so a crashed lease re-executes
-# as pure replay — byte-identical, not merely equivalent.
+# as pure replay — byte-identical, not merely equivalent. A kill after the
+# scan ended would test nothing, so the victim must not have seen the
+# coordinator finish.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,11 +24,12 @@ work=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 
 # A seeded random digraph: its automorphism group is trivial, so every one of
-# the 68 709 fault sets of its seven checks is scanned on its own ground and
-# the single-process sweep takes 9.8 s on a 2-vCPU 2.1 GHz host — phase 2's
-# 1 s kill lands mid-scan. (chord:21,2 finishes in 0.23 s now that the
-# checker scans one fault set per automorphism orbit.)
-topo=random:23,0.7,1
+# the 179 469 fault sets of its seven checks is scanned on its own ground and
+# the single-process sweep takes 4.7 s on a 2-vCPU Xeon host — phase 2's
+# 1 s kill lands mid-scan. (random:23,0.7,1 finishes in 2.3 s since the
+# prefix lookahead, chord:21,2 in milliseconds since the checker scans one
+# fault set per automorphism orbit.)
+topo=random:25,0.7,1
 port=$(( (RANDOM % 10000) + 20000 ))
 addr="127.0.0.1:$port"
 
@@ -77,5 +80,8 @@ if ! diff -u "$work/oracle.lines" "$work/phase2.lines"; then
 fi
 grep -q '^distrib: 2 worker(s) joined' "$work/coord2.out" \
   || { echo "FAIL: victim should have joined before the kill"; cat "$work/coord2.out"; exit 1; }
+if grep -q 'coordinator finished' "$work/worker2b.out"; then
+  echo "FAIL: the kill landed after the scan finished"; cat "$work/worker2b.out"; exit 1
+fi
 echo "phase 2 OK: requeued leases re-ran to a byte-identical report"
 echo "distributed gate PASSED"
