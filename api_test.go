@@ -11,12 +11,18 @@ package iabc_test
 //     external programs — must not import internal/sim, internal/condition,
 //     or internal/async directly; everything they need goes through the iabc
 //     package.
+//   - TestInternalFuncsHaveCallers keeps dead code from regrowing: every
+//     exported package-level func under internal/ must have a caller outside
+//     its own package's tests.
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -117,4 +123,137 @@ func TestFacadeOnlyConsumers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// uncalledFuncs lists the exported package-level funcs under internal/ that
+// may lack a caller outside their own package's tests, each with the reason
+// it stays.
+var uncalledFuncs = map[string]string{
+	"iabc/internal/analysis.AlphaAsync": "the §7 α; ROADMAP item 5's contraction auditor compares cluster rounds against it",
+}
+
+// TestInternalFuncsHaveCallers requires every exported package-level func
+// declared in a non-test file under internal/ to be named by a non-test file
+// of the repository (its own package's included, its own declaration
+// excluded) or by a test file of another package. A func only its own
+// package's tests call is dead code: delete it with those tests, or list it
+// in uncalledFuncs with the reason it stays.
+func TestInternalFuncsHaveCallers(t *testing.T) {
+	type goFile struct {
+		dir  string // slash-separated, relative to the module root
+		test bool
+		ast  *ast.File
+	}
+	var files []goFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{dir: filepath.ToSlash(filepath.Dir(p)), test: strings.HasSuffix(p, "_test.go"), ast: file})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Declarations: "import path.Name" of each exported package-level func
+	// in a non-test file under internal/.
+	declared := map[string]bool{}
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, decl := range f.ast.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				declared[importPath(f.dir)+"."+fn.Name.Name] = true
+			}
+		}
+	}
+
+	// Callers: a qualified pkg.Name from another directory (test or not), or
+	// a bare Name in a non-test file of the declaring directory outside the
+	// func's own declaration.
+	called := map[string]bool{}
+	for _, f := range files {
+		local := map[string]string{} // import name → import path
+		for _, imp := range f.ast.Imports {
+			ipath := strings.Trim(imp.Path.Value, `"`)
+			name := path.Base(ipath) // every package here is named after its directory
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = ipath
+		}
+		self := importPath(f.dir)
+		for _, decl := range f.ast.Decls {
+			var own string // the package-level func being walked, if any
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				own = fn.Name.Name
+			}
+			skip := map[*ast.Ident]bool{}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					skip[n.Name] = true
+				case *ast.SelectorExpr:
+					skip[n.Sel] = true
+					if x, ok := n.X.(*ast.Ident); ok {
+						if ipath, ok := local[x.Name]; ok && ipath != self {
+							called[ipath+"."+n.Sel.Name] = true
+						}
+					}
+				case *ast.KeyValueExpr:
+					if k, ok := n.Key.(*ast.Ident); ok {
+						skip[k] = true // a struct field key, not a reference
+					}
+				case *ast.Ident:
+					if !f.test && !skip[n] && n.Name != own {
+						called[self+"."+n.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var dead []string
+	for fn := range declared {
+		if !called[fn] && uncalledFuncs[fn] == "" {
+			dead = append(dead, fn)
+		}
+	}
+	sort.Strings(dead)
+	for _, fn := range dead {
+		t.Errorf("%s has no caller outside its own package's tests: delete it, or list it in uncalledFuncs with a reason", fn)
+	}
+	for fn := range uncalledFuncs {
+		switch {
+		case !declared[fn]:
+			t.Errorf("uncalledFuncs lists %s, which is not declared", fn)
+		case called[fn]:
+			t.Errorf("uncalledFuncs lists %s, which now has a caller: drop the entry", fn)
+		}
+	}
+}
+
+// importPath returns the import path of the module directory dir.
+func importPath(dir string) string {
+	if dir == "." {
+		return "iabc"
+	}
+	return "iabc/" + dir
 }

@@ -17,7 +17,7 @@ import (
 	"iabc/internal/sim"
 )
 
-// Outcome is Simulate's engine-independent result summary. The full record
+// Outcome is Simulate's engine-independent result summary. The engine's record
 // is in Trace (synchronous engines) or AsyncTrace (the Async engine);
 // exactly one of the two is non-nil.
 type Outcome struct {
@@ -34,7 +34,9 @@ type Outcome struct {
 	Final []float64
 	// Trace is the synchronous engines' full record; nil for Async.
 	Trace *Trace
-	// AsyncTrace is the Async engine's full record; nil otherwise.
+	// AsyncTrace is the Async engine's end-of-run record; nil otherwise.
+	// It keeps no range series: WithObserver streams the fault-free range
+	// after every state change (async.Config.OnRange) instead.
 	AsyncTrace *AsyncTrace
 }
 
@@ -271,7 +273,7 @@ func MaxF(ctx context.Context, g *Graph, opts ...Option) (int, error) {
 // error — including cancellation, which is honored at fault-set
 // granularity inside each check — it returns the best f decided so far and
 // the stats up to the interruption. WithObserver streams EventCheckProgress
-// during each check and one EventCheckDone per completed f.
+// during each check and one EventCheckDone per completed f, cached or not.
 func MaxFWithStats(ctx context.Context, g *Graph, opts ...Option) (int, MaxFStats, error) {
 	c, err := newConfig(opts)
 	if err != nil {

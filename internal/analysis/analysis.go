@@ -1,17 +1,13 @@
 // Package analysis quantifies convergence: the weight parameter α of
 // equation (3), the per-phase contraction bound of Lemma 5, the
-// rounds-to-ε bound implied by Theorem 3's proof, empirical contraction
-// measurement on traces, and — for the f = 0 special case the paper notes
-// is a Markov chain — the transition-matrix view with a spectral estimate.
+// rounds-to-ε bound implied by Theorem 3's proof, and empirical contraction
+// measurement on traces.
 package analysis
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
-	"iabc/internal/condition"
 	"iabc/internal/core"
 	"iabc/internal/graph"
 	"iabc/internal/nodeset"
@@ -163,116 +159,4 @@ func SplitAtMidpoint(states []float64, faultFree nodeset.Set) (a, b nodeset.Set)
 		return true
 	})
 	return a, b
-}
-
-// PhaseLength runs the Lemma 2 dichotomy on the Theorem 3 midpoint split:
-// it returns the number of steps l(s) in which one side propagates to the
-// other (R → L in the paper's naming), and which side was R ("low" or
-// "high"). Errors if either side of the split is empty or — impossible on a
-// Theorem 1-satisfying graph — neither side propagates.
-func PhaseLength(g *graph.Graph, f int, states []float64, faultFree nodeset.Set) (l int, r string, err error) {
-	a, b := SplitAtMidpoint(states, faultFree)
-	if a.Empty() || b.Empty() {
-		return 0, "", errors.New("analysis: midpoint split degenerate (states identical)")
-	}
-	dir, p, ok, err := condition.EitherPropagates(g, a, b, condition.SyncThreshold(f))
-	if err != nil {
-		return 0, "", err
-	}
-	if !ok {
-		return 0, "", errors.New("analysis: neither side propagates — graph violates Theorem 1")
-	}
-	if dir == "A→B" {
-		return p.Steps, "low", nil
-	}
-	return p.Steps, "high", nil
-}
-
-// TransitionMatrix returns the row-stochastic matrix P of the f = 0 mean
-// iteration, x[t] = P·x[t−1]: row i places weight 1/(|N⁻_i|+1) on i and on
-// each in-neighbor. The paper observes the state evolution is a Markov
-// chain; this is its kernel.
-func TransitionMatrix(g *graph.Graph) [][]float64 {
-	n := g.N()
-	p := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		p[i] = make([]float64, n)
-		w := core.Weight(g.InDegree(i), 0)
-		p[i][i] = w
-		for _, j := range g.InNeighbors(i) {
-			p[i][j] = w
-		}
-	}
-	return p
-}
-
-// SLEMEstimate estimates the second-largest eigenvalue modulus of a
-// row-stochastic matrix — the asymptotic per-round contraction of the f = 0
-// iteration — by power iteration on the disagreement component: iterate
-// y ← P·y from a random start and average the tail ratios of the value
-// range (max−min), which is invariant to the consensus component.
-func SLEMEstimate(p [][]float64, iters int, rng *rand.Rand) float64 {
-	n := len(p)
-	if n == 0 || iters < 4 {
-		return math.NaN()
-	}
-	y := make([]float64, n)
-	for i := range y {
-		y[i] = rng.Float64()
-	}
-	spread := func(v []float64) float64 {
-		lo, hi := core.RangeOf(v)
-		return hi - lo
-	}
-	// Renormalize the disagreement component every step (subtract the mean,
-	// rescale to unit spread): P maps constants to constants, so this keeps
-	// the iteration on the disagreement subspace and away from the floating
-	// point cancellation floor that a raw iteration hits once the spread
-	// shrinks below the consensus value's rounding granularity.
-	normalize := func(v []float64) bool {
-		mean := 0.0
-		for _, x := range v {
-			mean += x
-		}
-		mean /= float64(n)
-		s := spread(v)
-		if s <= 1e-300 {
-			return false
-		}
-		for i := range v {
-			v[i] = (v[i] - mean) / s
-		}
-		return true
-	}
-	next := make([]float64, n)
-	var ratios []float64
-	for it := 0; it < iters; it++ {
-		if !normalize(y) {
-			ratios = append(ratios, 0)
-			break
-		}
-		for i := 0; i < n; i++ {
-			s := 0.0
-			for j := 0; j < n; j++ {
-				s += p[i][j] * y[j]
-			}
-			next[i] = s
-		}
-		// y now has unit spread, so next's spread IS the contraction ratio.
-		ratios = append(ratios, spread(next))
-		y, next = next, y
-	}
-	if len(ratios) == 0 {
-		return math.NaN()
-	}
-	// Geometric mean of the second half (transient decayed).
-	tail := ratios[len(ratios)/2:]
-	logSum := 0.0
-	for _, r := range tail {
-		if r <= 0 {
-			return 0
-		}
-		logSum += math.Log(r)
-	}
-	return math.Exp(logSum / float64(len(tail)))
 }

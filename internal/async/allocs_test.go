@@ -11,9 +11,7 @@ import (
 )
 
 // allocsConfig is the fixture for the allocation gates: a K7 run with one
-// EdgeWriter adversary, no Epsilon stop (it always runs to MaxRounds), and
-// history decimation wide enough that the History slice never grows during
-// the measured window.
+// EdgeWriter adversary and no Epsilon stop (it always runs to MaxRounds).
 func allocsConfig(t *testing.T, rounds int) Config {
 	t.Helper()
 	g, err := topology.Complete(7)
@@ -23,10 +21,9 @@ func allocsConfig(t *testing.T, rounds int) Config {
 	return Config{
 		G: g, F: 1, Faulty: nodeset.FromMembers(7, 6),
 		Initial: initialRamp(7), Rule: core.TrimmedMean{},
-		Adversary:    adversary.Fixed{Value: 1e4},
-		Delays:       Fixed{D: 1},
-		MaxRounds:    rounds,
-		HistoryEvery: 1 << 20,
+		Adversary: adversary.Fixed{Value: 1e4},
+		Delays:    Fixed{D: 1},
+		MaxRounds: rounds,
 	}
 }
 

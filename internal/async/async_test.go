@@ -102,7 +102,7 @@ func TestAsyncConvergesNoFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tr.Converged {
-		t.Fatalf("no convergence; history tail %v", tr.History[len(tr.History)-1])
+		t.Fatalf("no convergence; rounds %v", tr.Rounds)
 	}
 	if tr.Stalled {
 		t.Error("converged run marked stalled")
@@ -231,6 +231,8 @@ func TestAsyncValidityEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Fault-free hull: [0, 7]; the range is checked after every state change.
+	var points int
 	tr, err := Run(context.Background(), Config{
 		G: g, F: 1, Faulty: nodeset.FromMembers(7, 2),
 		Initial: []float64{3, 0, 100, 7, 5, 1, 4}, // faulty node 2's input irrelevant
@@ -240,15 +242,18 @@ func TestAsyncValidityEnvelope(t *testing.T) {
 		},
 		Delays:    &Uniform{B: 3, Rng: rand.New(rand.NewSource(10))},
 		MaxRounds: 300, Epsilon: 1e-8,
+		OnRange: func(time, rng float64) {
+			points++
+			if rng > 7+1e-9 {
+				t.Errorf("range %v at t=%v exceeded initial envelope 7", rng, time)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fault-free hull: [0, 7].
-	for _, p := range tr.History {
-		if p.Range > 7+1e-9 {
-			t.Fatalf("range %v exceeded initial envelope 7", p.Range)
-		}
+	if points == 0 {
+		t.Fatal("OnRange never fired")
 	}
 	faultFree := nodeset.FromMembers(7, 0, 1, 3, 4, 5, 6)
 	faultFree.ForEach(func(i int) bool {
@@ -292,107 +297,5 @@ func TestMinRound(t *testing.T) {
 	ff := nodeset.FromMembers(3, 0, 2)
 	if got := tr.MinRound(ff); got != 5 {
 		t.Errorf("MinRound = %d, want 5", got)
-	}
-}
-
-func TestHistoryDecimation(t *testing.T) {
-	// A long fault-free run with Epsilon = 0 produces one state change per
-	// node round; undecimated recording grows without bound, decimated
-	// recording must stay near changes/k while keeping the exact endpoints.
-	g, err := topology.Complete(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{
-		G: g, F: 0, Initial: initialRamp(6), Rule: core.TrimmedMean{},
-		Delays: Fixed{D: 1}, MaxRounds: 400,
-	}
-	full, err := Run(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changes := len(full.History) - 1 // minus the t=0 point
-	if changes < 2000 {
-		t.Fatalf("test needs a long run; got only %d state changes", changes)
-	}
-
-	const k = 100
-	dec := base
-	dec.HistoryEvery = k
-	decTr, err := Run(context.Background(), dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Memory cap: every k-th change, the t=0 point, plus the always-kept
-	// final change.
-	if max := changes/k + 2; len(decTr.History) > max {
-		t.Fatalf("decimated history has %d points, want ≤ %d", len(decTr.History), max)
-	}
-	first, last := decTr.History[0], decTr.History[len(decTr.History)-1]
-	wantFirst, wantLast := full.History[0], full.History[len(full.History)-1]
-	if first != wantFirst {
-		t.Errorf("first point %+v, want %+v", first, wantFirst)
-	}
-	if last != wantLast {
-		t.Errorf("final point %+v, want %+v", last, wantLast)
-	}
-	// Every decimated point must appear in the full history (same run, just
-	// sampled).
-	idx := 0
-	for _, pt := range decTr.History {
-		for idx < len(full.History) && full.History[idx] != pt {
-			idx++
-		}
-		if idx == len(full.History) {
-			t.Fatalf("decimated point %+v not found in full history", pt)
-		}
-	}
-	// The run outcome is untouched by decimation.
-	if decTr.Time != full.Time || decTr.Deliveries != full.Deliveries {
-		t.Errorf("decimation changed the run: time %v/%v deliveries %d/%d",
-			decTr.Time, full.Time, decTr.Deliveries, full.Deliveries)
-	}
-	for i := range full.Final {
-		if math.Float64bits(decTr.Final[i]) != math.Float64bits(full.Final[i]) {
-			t.Fatalf("final state changed under decimation at node %d", i)
-		}
-	}
-
-	// HistoryEvery 0 and 1 are both full resolution.
-	one := base
-	one.HistoryEvery = 1
-	oneTr, err := Run(context.Background(), one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oneTr.History) != len(full.History) {
-		t.Errorf("HistoryEvery=1: %d points, want %d", len(oneTr.History), len(full.History))
-	}
-
-	// The convergence-triggering point is always recorded, ending the
-	// decimated history exactly where the full one ends.
-	conv := base
-	conv.Epsilon = 1e-6
-	convFull, err := Run(context.Background(), conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	convDec := conv
-	convDec.HistoryEvery = k
-	convDecTr, err := Run(context.Background(), convDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !convDecTr.Converged {
-		t.Fatal("decimated run must still converge")
-	}
-	if got, want := convDecTr.History[len(convDecTr.History)-1], convFull.History[len(convFull.History)-1]; got != want {
-		t.Errorf("decimated convergence point %+v, want %+v", got, want)
-	}
-
-	bad := base
-	bad.HistoryEvery = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative HistoryEvery must be rejected")
 	}
 }

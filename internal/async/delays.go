@@ -10,7 +10,7 @@
 // 1/(|N⁻_i| − 3f + 1), well-defined precisely when |N⁻_i| ≥ 3f + 1 — the
 // strengthened in-degree requirement the paper derives for asynchrony
 // (with n > 5f and the 2f+1-threshold version of Theorem 1, see
-// condition.CheckAsync).
+// condition.CheckThreshold with condition.AsyncThreshold).
 //
 // The engine is a deterministic discrete-event simulator: a DelayPolicy
 // assigns every message a delay in (0, B], modeling the partially

@@ -35,17 +35,10 @@ type Config struct {
 	MaxRounds int
 	// Epsilon, when > 0, stops once the fault-free range is ≤ Epsilon.
 	Epsilon float64
-	// HistoryEvery decimates Trace.History for long runs: when > 1 only
-	// every k-th state change is recorded (the initial point, the
-	// convergence-triggering change, and the final change are always kept),
-	// bounding history memory at roughly changes/k points instead of one
-	// point per state change. 0 or 1 records every change — the default,
-	// preserving the full-resolution behavior for short runs.
-	HistoryEvery int
 	// OnRange, when non-nil, is invoked after every fault-free state change
-	// with the simulation time and the fault-free range — streaming progress
-	// independent of (and undecimated by) HistoryEvery. It runs on the event
-	// loop, so it must be fast and must not block.
+	// with the simulation time and the fault-free range — the run's range
+	// series, streamed rather than retained. It runs on the event loop, so
+	// it must be fast and must not block.
 	OnRange func(time, rng float64)
 }
 
@@ -58,16 +51,7 @@ func (c *Config) Validate() error {
 	if c.Delays == nil {
 		return errors.New("async: nil delay policy")
 	}
-	if c.HistoryEvery < 0 {
-		return fmt.Errorf("async: negative HistoryEvery %d", c.HistoryEvery)
-	}
 	return nil
-}
-
-// RangePoint samples the fault-free range at a simulation time.
-type RangePoint struct {
-	Time  float64
-	Range float64
 }
 
 // Trace records an asynchronous run.
@@ -87,10 +71,6 @@ type Trace struct {
 	// Final is the final state vector (faulty entries are their initial
 	// values — the engine does not model faulty internal state).
 	Final []float64
-	// History samples the fault-free range after state changes: every
-	// change by default, every k-th (plus the final one) under
-	// Config.HistoryEvery decimation.
-	History []RangePoint
 	// InitialRange is U[0] − µ[0] over fault-free nodes.
 	InitialRange float64
 }
@@ -157,14 +137,12 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 		faultFree: faulty.Complement(),
 		states:    make([]float64, n),
 		rounds:    make([]int, n),
-		histEvery: max(cfg.HistoryEvery, 1),
 	}
 	copy(l.states, cfg.Initial)
 	lo, hi := adversary.FaultFreeRange(l.states, l.faultFree)
 	tr := &Trace{
 		Rounds:       l.rounds,
 		InitialRange: hi - lo,
-		History:      []RangePoint{{Time: 0, Range: hi - lo}},
 	}
 	l.tr = tr
 
@@ -223,12 +201,6 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	if l.pendingSet {
-		// The run ended between decimation samples: append the final state
-		// change so History's last point matches the undecimated run's.
-		tr.History = append(tr.History, l.pending)
-	}
-
 	if !tr.Converged && tr.MinRound(l.faultFree) < cfg.MaxRounds {
 		tr.Stalled = true
 	}
@@ -249,13 +221,6 @@ type loop struct {
 	states    []float64
 	rounds    []int
 	tr        *Trace
-
-	// History decimation: with HistoryEvery = k > 1, only every k-th state
-	// change is appended; the last skipped point is kept pending so the
-	// history always ends at the final state change regardless of k.
-	histEvery, changes int
-	pending            RangePoint
-	pendingSet         bool
 }
 
 func (l *loop) push(e event) {
@@ -280,24 +245,17 @@ func (l *loop) Send(k, round int, value float64, _ int) {
 }
 
 // Advanced implements quorum.Outbox: it publishes the current node's new
-// state and samples the range, stopping the node once Epsilon fires.
+// state and streams the range to OnRange, stopping the node once Epsilon
+// fires.
 func (l *loop) Advanced(round int, v float64) bool {
 	l.states[l.node], l.rounds[l.node] = v, round
 	lo, hi := adversary.FaultFreeRange(l.states, l.faultFree)
-	pt := RangePoint{Time: l.now, Range: hi - lo}
 	if l.cfg.OnRange != nil {
-		l.cfg.OnRange(pt.Time, pt.Range)
+		l.cfg.OnRange(l.now, hi-lo)
 	}
-	converged := l.cfg.Epsilon > 0 && pt.Range <= l.cfg.Epsilon
-	if l.changes%l.histEvery == 0 || converged {
-		l.tr.History = append(l.tr.History, pt)
-		l.pendingSet = false
-	} else {
-		l.pending, l.pendingSet = pt, true
-	}
-	l.changes++
-	if converged {
+	if l.cfg.Epsilon > 0 && hi-lo <= l.cfg.Epsilon {
 		l.tr.Converged = true
+		return false
 	}
-	return !converged
+	return true
 }

@@ -64,6 +64,11 @@ func TestRandomConfigurationsStaySafe(t *testing.T) {
 			Adversary: strat,
 			Delays:    delays[rng.Intn(len(delays))],
 			MaxRounds: 300, Epsilon: 1e-6,
+			OnRange: func(_, rng float64) {
+				if rng > (hi-lo)+1e-9 {
+					t.Errorf("trial %d: range %v exceeded initial %v", trial, rng, hi-lo)
+				}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,11 +81,6 @@ func TestRandomConfigurationsStaySafe(t *testing.T) {
 			}
 			return true
 		})
-		for _, p := range tr.History {
-			if p.Range > (hi-lo)+1e-9 {
-				t.Errorf("trial %d: range %v exceeded initial %v", trial, p.Range, hi-lo)
-			}
-		}
 	}
 	if ran < 10 {
 		t.Fatalf("only %d configurations exercised", ran)

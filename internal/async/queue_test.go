@@ -13,10 +13,24 @@ import (
 	"iabc/internal/topology"
 )
 
-// tracesBitIdentical compares two traces field by field, with float64
-// payloads compared bitwise — the calendar queue must reproduce the heap's
-// runs exactly, not approximately.
-func tracesBitIdentical(t *testing.T, want, got *Trace) {
+// rangeSample is one OnRange call: the simulation time and fault-free range
+// after a fault-free state change.
+type rangeSample struct{ time, rng float64 }
+
+// runRecorded is runOnQueue with the OnRange series recorded alongside the
+// trace.
+func runRecorded(cfg Config, q eventPQ) (*Trace, []rangeSample, error) {
+	var series []rangeSample
+	cfg.OnRange = func(time, rng float64) { series = append(series, rangeSample{time, rng}) }
+	tr, err := runOnQueue(context.Background(), cfg, q)
+	return tr, series, err
+}
+
+// tracesBitIdentical compares two traces field by field and their full
+// OnRange series point by point, with float64 payloads compared bitwise —
+// the calendar queue must reproduce the heap's runs exactly, not
+// approximately.
+func tracesBitIdentical(t *testing.T, want, got *Trace, wantSeries, gotSeries []rangeSample) {
 	t.Helper()
 	if want.Converged != got.Converged || want.Stalled != got.Stalled {
 		t.Fatalf("status: want converged=%v stalled=%v, got converged=%v stalled=%v",
@@ -47,14 +61,14 @@ func tracesBitIdentical(t *testing.T, want, got *Trace) {
 			t.Fatalf("final[%d]: want %v, got %v", i, want.Final[i], got.Final[i])
 		}
 	}
-	if len(want.History) != len(got.History) {
-		t.Fatalf("history length: want %d, got %d", len(want.History), len(got.History))
+	if len(wantSeries) != len(gotSeries) {
+		t.Fatalf("range series length: want %d, got %d", len(wantSeries), len(gotSeries))
 	}
-	for i := range want.History {
-		w, g := want.History[i], got.History[i]
-		if math.Float64bits(w.Time) != math.Float64bits(g.Time) ||
-			math.Float64bits(w.Range) != math.Float64bits(g.Range) {
-			t.Fatalf("history[%d]: want %+v, got %+v", i, w, g)
+	for i := range wantSeries {
+		w, g := wantSeries[i], gotSeries[i]
+		if math.Float64bits(w.time) != math.Float64bits(g.time) ||
+			math.Float64bits(w.rng) != math.Float64bits(g.rng) {
+			t.Fatalf("range series[%d]: want %+v, got %+v", i, w, g)
 		}
 	}
 }
@@ -120,21 +134,20 @@ func TestCalendarQueueRunMatchesHeap(t *testing.T) {
 				Adversary: &adversary.RandomNoise{Rng: rand.New(rand.NewSource(7)), Lo: -50, Hi: 50},
 				Delays:    Jitter{B: 0.75, Seed: 1},
 				MaxRounds: 150, Epsilon: 1e-7,
-				HistoryEvery: 16,
 			}
 		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			want, err := runOnQueue(context.Background(), sc.config(), newHeapQueue())
+			want, wantSeries, err := runRecorded(sc.config(), newHeapQueue())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runOnQueue(context.Background(), sc.config(), newCalendarQueue())
+			got, gotSeries, err := runRecorded(sc.config(), newCalendarQueue())
 			if err != nil {
 				t.Fatal(err)
 			}
-			tracesBitIdentical(t, want, got)
+			tracesBitIdentical(t, want, got, wantSeries, gotSeries)
 		})
 	}
 }

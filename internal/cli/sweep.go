@@ -53,15 +53,15 @@ func cmdRepair(args []string, stdin io.Reader, stdout io.Writer) error {
 // report condition verdict, α, and rounds-to-ε under a chosen adversary as
 // CSV — the raw series behind convergence-vs-size figures.
 //
-// With -adversaries a,b,c every point is re-simulated under each listed
-// strategy through iabc.Sweep, which shares the per-graph engine setup
-// (pooled runners) across the batch; -engine selects which pooled engine
-// runs the scenarios and -workers fans them across cores (0 = GOMAXPROCS).
-// With -engine matrix, -batch K composes the second batching dimension:
-// each scenario's recorded round programs are replayed over K perturbed
-// initial vectors and the per-row scenario_final_range_max column reports
-// the worst final range across them; without -adversaries the one scenario
-// is the base adversary.
+// Every point runs through iabc.Sweep, one scenario per strategy: the
+// -adversary alone, or each of -adversaries a,b,c, sharing the per-graph
+// engine setup (pooled runners) across the batch; -engine selects which
+// pooled engine runs the scenarios, -workers fans them across cores
+// (0 = GOMAXPROCS), and -state-dir resumes completed scenarios. With
+// -engine matrix, -batch K composes the second batching dimension: each
+// scenario's recorded round programs are replayed over K perturbed initial
+// vectors and the per-row scenario_final_range_max column reports the worst
+// final range across them.
 //
 // Any failing scenario aborts the sweep with a non-zero exit and an error
 // naming the scenario's index and name — the same contract on every
@@ -140,17 +140,16 @@ func cmdSweep(args []string, stdout io.Writer) error {
 	if *advList != "" {
 		advNames = strings.Split(*advList, ",")
 	}
-	strats := make([]iabc.Strategy, len(advNames))
+	scens := make([]iabc.Scenario, len(advNames))
 	for i, name := range advNames {
 		name = strings.TrimSpace(name)
 		advNames[i] = name
-		if strats[i], err = iabc.AdversaryByName(name, *seed); err != nil {
+		adv, err := iabc.AdversaryByName(name, *seed)
+		if err != nil {
 			return err
 		}
+		scens[i] = iabc.Scenario{Name: name, Adversary: adv}
 	}
-	// The scenario-sweep path covers both multi-adversary batches and the
-	// composed -batch replay (which works on the single base adversary too).
-	useSweep := *advList != "" || *batch > 0
 	cw := csv.NewWriter(stdout)
 	if err := cw.Write([]string{"family", "n", "f", "engine", "workers", "adversary", "satisfied", "rounds_to_eps", "converged", "scenario_final_range_max"}); err != nil {
 		return err
@@ -194,56 +193,41 @@ func cmdSweep(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		faultyIDs := firstNodes(n, *f)
-		baseOpts := func(extra ...iabc.Option) []iabc.Option {
-			opts := []iabc.Option{
-				iabc.WithEngine(engine),
-				iabc.WithF(*f),
-				iabc.WithFaulty(faultyIDs...),
-				iabc.WithInitial(workload.Bimodal(n, 0, 1)),
-				iabc.WithAdversary(strats[0]),
-				iabc.WithMaxRounds(*rounds),
-				iabc.WithEpsilon(*eps),
-			}
-			if *stateDir != "" {
-				opts = append(opts, iabc.WithStateDir(*stateDir), iabc.WithSeed(*seed))
-			}
-			return append(opts, extra...)
-		}
 		var traces []*iabc.Trace
 		rowRanges := make([]string, len(advNames))
 		rowWorkers := 1
 		if chk.Satisfied {
-			if useSweep {
-				// One pooled engine setup per worker per point, re-simulated
-				// under every listed adversary; with -batch each scenario's
-				// recorded programs also replay the perturbed initials.
-				scens := make([]iabc.Scenario, len(strats))
-				for i, s := range strats {
-					scens[i] = iabc.Scenario{Name: advNames[i], Adversary: s}
-				}
-				opts := baseOpts(iabc.WithWorkers(*workers))
-				if *batch > 0 {
-					opts = append(opts, iabc.WithExtras(perturbedInitials(n, *batch)))
-				}
-				res, err := iabc.Sweep(ctx, g, scens, opts...)
-				if err != nil {
-					return err
-				}
-				traces = res.Traces
-				for i := range res.Finals {
-					rowRanges[i] = maxFinalRange(res.Finals[i], traces[i].FaultFree)
-				}
-				// Report what actually ran: a sweep never spins up more
-				// workers than there are scenarios.
-				rowWorkers = min(effWorkers, len(scens))
-			} else {
-				out, err := iabc.Simulate(ctx, g, baseOpts()...)
-				if err != nil {
-					return err
-				}
-				traces = []*iabc.Trace{out.Trace}
+			// One pooled engine setup per worker per point, re-simulated
+			// under every listed adversary (the one base adversary without
+			// -adversaries); with -batch each scenario's recorded programs
+			// also replay the perturbed initials.
+			opts := []iabc.Option{
+				iabc.WithEngine(engine),
+				iabc.WithF(*f),
+				iabc.WithFaulty(firstNodes(n, *f)...),
+				iabc.WithInitial(workload.Bimodal(n, 0, 1)),
+				iabc.WithAdversary(scens[0].Adversary),
+				iabc.WithMaxRounds(*rounds),
+				iabc.WithEpsilon(*eps),
+				iabc.WithWorkers(*workers),
 			}
+			if *stateDir != "" {
+				opts = append(opts, iabc.WithStateDir(*stateDir), iabc.WithSeed(*seed))
+			}
+			if *batch > 0 {
+				opts = append(opts, iabc.WithExtras(perturbedInitials(n, *batch)))
+			}
+			res, err := iabc.Sweep(ctx, g, scens, opts...)
+			if err != nil {
+				return err
+			}
+			traces = res.Traces
+			for i := range res.Finals {
+				rowRanges[i] = maxFinalRange(res.Finals[i], traces[i].FaultFree)
+			}
+			// Report what actually ran: a sweep never spins up more
+			// workers than there are scenarios.
+			rowWorkers = min(effWorkers, len(scens))
 		}
 		for i, name := range advNames {
 			row := []string{*family, strconv.Itoa(n), strconv.Itoa(*f),

@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,6 +64,49 @@ func TestSweepCore(t *testing.T) {
 		if !strings.Contains(line, "extremes") {
 			t.Errorf("adversary column missing: %q", line)
 		}
+	}
+}
+
+// TestSweepStateDirSingleAdversary pins -state-dir on a sweep without
+// -adversaries or -batch: the run must write its scenario records, and a
+// second run over the same directory must resume from them, both printing
+// the stateless run's CSV byte for byte.
+func TestSweepStateDirSingleAdversary(t *testing.T) {
+	args := []string{"sweep", "-family", "core", "-f", "1", "-to", "6", "-rounds", "5000"}
+	code, want, stderr := run(t, "", args...)
+	if code != 0 {
+		t.Fatalf("stateless exit = %d, stderr = %q", code, stderr)
+	}
+	dir := t.TempDir()
+	records := func() int {
+		n := 0
+		err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+			if err == nil && d.Type().IsRegular() {
+				n++
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	var counts []int
+	for pass := range 2 {
+		code, got, stderr := run(t, "", append(args, "-state-dir", dir)...)
+		if code != 0 {
+			t.Fatalf("pass %d exit = %d, stderr = %q", pass, code, stderr)
+		}
+		if got != want {
+			t.Errorf("pass %d CSV differs from the stateless run:\nwant %q\ngot  %q", pass, want, got)
+		}
+		counts = append(counts, records())
+	}
+	if counts[0] == 0 {
+		t.Fatal("-state-dir holds no records after the sweep")
+	}
+	if counts[1] != counts[0] {
+		t.Errorf("resumed sweep wrote new records: %d, then %d", counts[0], counts[1])
 	}
 }
 

@@ -190,12 +190,6 @@ func Check(g *graph.Graph, f int) (Result, error) {
 	return CheckThreshold(g, f, SyncThreshold(f))
 }
 
-// CheckAsync runs the exact check for the asynchronous condition of
-// Section 7 (threshold 2f+1).
-func CheckAsync(g *graph.Graph, f int) (Result, error) {
-	return CheckThreshold(g, f, AsyncThreshold(f))
-}
-
 // CheckThreshold decides, exactly, whether every partition F, L, C, R of V
 // with |F| ≤ f and L, R ≠ ∅ satisfies C∪R ⇒ L or L∪C ⇒ R under the given
 // in-link threshold.
@@ -360,19 +354,18 @@ func MaxF(g *graph.Graph) (int, error) {
 // Check calls — the numbers `iabc maxf` reports.
 type MaxFStats struct {
 	// ChecksRun counts the checks settled by the scan, one per f tried —
-	// including checks replayed from a persisted scan record or served by
-	// the verdict cache, so the total matches an uninterrupted scan.
+	// including checks served by the verdict cache, so the total matches an
+	// uninterrupted scan.
 	ChecksRun int
 	// FaultSetsExamined, CandidatesExamined, CandidatesPruned and MemoHits
-	// sum the corresponding Result counters over all checks.
+	// sum the corresponding Result counters over all checks; a cached
+	// verdict carries its original counters.
 	FaultSetsExamined  int64
 	CandidatesExamined int64
 	CandidatesPruned   int64
 	MemoHits           int64
-	// ChecksResumed counts checks settled from the persisted scan record of
-	// an interrupted MaxFScan (skipped without re-running).
-	ChecksResumed int
-	// CacheHits counts checks served whole from the verdict cache.
+	// CacheHits counts checks served whole from the verdict cache — on a
+	// resumed scan, every f the interrupted scan had settled.
 	CacheHits int
 	// FaultSetsResumed sums Result.FaultSetsResumed over the live checks —
 	// fault sets inherited from mid-check checkpoints.
@@ -390,29 +383,30 @@ type MaxFOptions struct {
 	// value — runs the sequential scan, < 0 selects GOMAXPROCS.
 	Workers int
 	// OnCheck, when non-nil, is invoked after each completed Check with the
-	// f just decided and its Result — the f-sweep's progress stream. It is
-	// not re-fired for checks replayed from a persisted scan record.
+	// f just decided and its Result — the f-sweep's progress stream. It
+	// fires for every f, including one served from the verdict cache.
 	OnCheck func(f int, res Result)
 	// OnProgress, when non-nil, streams the inner fault-set progress of the
 	// check currently running at f (see ProgressFunc for the concurrency
 	// contract).
 	OnProgress func(f int, p Progress)
-	// Store, when non-nil, makes the scan durable: each settled f is
-	// persisted (with its Result counters) so an interrupted scan resumes
-	// past settled checks, each in-flight check checkpoints at fault-set
-	// granularity, and settled verdicts are cached by canonical graph
-	// encoding — a later scan of the same graph reports cache hits instead
-	// of re-enumerating. Stats totals are identical either way.
+	// Store, when non-nil, makes the scan durable through the per-check
+	// state alone: each settled f's verdict is cached (with its Result
+	// counters) by canonical graph encoding, and the in-flight check
+	// checkpoints at fault-set granularity. A resumed scan — or any later
+	// scan of the same graph — re-runs the sweep from f = 0, takes every
+	// settled f from the cache as a cache hit, and resumes the in-flight f
+	// from its checkpoint. Stats totals are identical either way.
 	Store statestore.Backend
 	// CheckpointEvery is the per-check checkpoint cadence (see
 	// ScanOptions.CheckpointEvery).
 	CheckpointEvery int
 	// CheckRunner, when non-nil, replaces CheckScan as the executor of each
 	// per-f check — the seam the distributed coordinator plugs into so one
-	// MaxFScan reuses its replay, caching, and stats aggregation unchanged
-	// while the fault-set enumeration runs on remote workers. The runner
-	// must honor the CheckScan contract: same Result for the same
-	// (g, f, threshold), opts.Store consulted for resume/caching.
+	// MaxFScan reuses its sweep and stats aggregation unchanged while the
+	// fault-set enumeration runs on remote workers. The runner must honor
+	// the CheckScan contract: same Result for the same (g, f, threshold),
+	// opts.Store consulted for resume/caching.
 	CheckRunner func(ctx context.Context, g *graph.Graph, f, threshold int, opts ScanOptions) (Result, error)
 }
 
@@ -432,39 +426,11 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 	}
 	best := -1
 	var stats MaxFStats
-	var rec statestore.Record
-	var checks []maxfCheck
-	if opts.Store != nil {
-		rec = maxfRecord(opts.Store, g.Encode())
-		var err error
-		if checks, err = loadMaxFChecks(ctx, rec); err != nil {
-			return best, stats, err
-		}
-		// Replay the settled prefix: each recorded check contributes its
-		// original counters, so totals equal an uninterrupted scan's.
-		for _, c := range checks {
-			stats.ChecksRun++
-			stats.ChecksResumed++
-			stats.FaultSetsExamined += c.FaultSets
-			stats.CandidatesExamined += c.Candidates
-			stats.CandidatesPruned += c.Pruned
-			stats.MemoHits += c.MemoHits
-			if !c.Satisfied {
-				// The scan had already settled negatively; only the record
-				// cleanup was lost. Finish it now.
-				if err := opts.Store.Delete(ctx, rec.Key); err != nil {
-					return best, stats, fmt.Errorf("condition: clearing maxf record: %w", err)
-				}
-				return best, stats, nil
-			}
-			best = c.F
-		}
-	}
 	runCheck := opts.CheckRunner
 	if runCheck == nil {
 		runCheck = CheckScan
 	}
-	for f := len(checks); 3*f < g.N(); f++ {
+	for f := 0; 3*f < g.N(); f++ {
 		var progress ProgressFunc
 		if opts.OnProgress != nil {
 			f := f
@@ -488,16 +454,6 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 		if err != nil {
 			return best, stats, fmt.Errorf("condition: maxf scan at f=%d: %w", f, err)
 		}
-		if opts.Store != nil {
-			checks = append(checks, maxfCheck{
-				F: f, Satisfied: res.Satisfied,
-				FaultSets:    res.FaultSetsExamined,
-				WorkCounters: res.work(),
-			})
-			if err := rec.Save(ctx, maxfBody{Checks: checks}); err != nil {
-				return best, stats, err
-			}
-		}
 		if opts.OnCheck != nil {
 			opts.OnCheck(f, res)
 		}
@@ -505,13 +461,6 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 			break
 		}
 		best = f
-	}
-	if opts.Store != nil {
-		// The scan settled: drop the in-flight record. The per-f verdicts
-		// stay cached, so a fresh scan of this graph reports CacheHits.
-		if err := opts.Store.Delete(ctx, rec.Key); err != nil {
-			return best, stats, fmt.Errorf("condition: clearing maxf record: %w", err)
-		}
 	}
 	return best, stats, nil
 }

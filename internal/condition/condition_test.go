@@ -255,7 +255,7 @@ func TestCheckAgainstNaiveAsyncThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CheckAsync(g, f)
+		res, err := CheckThreshold(g, f, AsyncThreshold(f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -754,7 +754,7 @@ func TestQuickScreenAsync(t *testing.T) {
 	}
 	// Screen passing does not imply the exact async condition; but K7 f=1
 	// should genuinely satisfy it (in-degree 6 ≥ 3f+1 = 4, n = 7 > 5).
-	res, err := CheckAsync(k7, 1)
+	res, err := CheckThreshold(k7, 1, AsyncThreshold(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,7 +774,7 @@ func TestCheckAsyncStricterThanSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		asyncRes, err := CheckAsync(g, f)
+		asyncRes, err := CheckThreshold(g, f, AsyncThreshold(f))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,11 +66,6 @@ func scanRecords(store statestore.Backend, enc string, f, threshold int) (checkp
 		statestore.NewRecord(store, "verdict", stateVersion, ident).Sub(suffix)
 }
 
-// maxfRecord returns the in-flight MaxF scan record of a graph encoding.
-func maxfRecord(store statestore.Backend, enc string) statestore.Record {
-	return statestore.NewRecord(store, "maxf", stateVersion, enc)
-}
-
 // checkpointBody is the persisted image of an in-flight scan: the first
 // Done fault sets of the canonical enumeration are satisfied, with the
 // given aggregate work counters.
@@ -308,37 +303,4 @@ func (st *scanState) finish(ctx context.Context, res Result) error {
 		return fmt.Errorf("condition: clearing checkpoint: %w", err)
 	}
 	return nil
-}
-
-// maxfBody is the persisted image of an in-flight MaxF scan: the settled
-// checks in f order (index == f). It exists only while a scan is in flight
-// — completion deletes it, leaving the per-f verdict cache as the durable
-// memo — so a resumed scan skips settled f values outright while a fresh
-// scan over a previously settled graph reports verdict-cache hits.
-type maxfBody struct {
-	Checks []maxfCheck `json:"checks"`
-}
-
-// maxfCheck summarizes one settled check of a MaxF scan.
-type maxfCheck struct {
-	F         int   `json:"f"`
-	Satisfied bool  `json:"satisfied"`
-	FaultSets int64 `json:"fault_sets"`
-	WorkCounters
-}
-
-// loadMaxFChecks returns the settled checks of the in-flight scan rec
-// addresses, or none.
-func loadMaxFChecks(ctx context.Context, rec statestore.Record) ([]maxfCheck, error) {
-	var body maxfBody
-	ok, err := rec.Load(ctx, &body)
-	if err != nil || !ok {
-		return nil, err
-	}
-	for i, c := range body.Checks {
-		if c.F != i {
-			return nil, nil // corrupt ordering: start fresh
-		}
-	}
-	return body.Checks, nil
 }

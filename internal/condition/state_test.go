@@ -298,7 +298,8 @@ func TestWitnessMembersOutOfRange(t *testing.T) {
 
 // TestMaxFScanResumeEquivalence interrupts a MaxF sweep mid-check, resumes it
 // over the same store, and requires best-f and every stats total to match an
-// uninterrupted sweep; a subsequent fresh sweep of the settled graph must be
+// uninterrupted sweep, with the checks settled before the interruption served
+// by the verdict cache; a subsequent fresh sweep of the settled graph must be
 // served entirely from the verdict cache.
 func TestMaxFScanResumeEquivalence(t *testing.T) {
 	g, err := topology.CoreNetwork(13, 4)
@@ -332,17 +333,17 @@ func TestMaxFScanResumeEquivalence(t *testing.T) {
 	if best != bestBase {
 		t.Fatalf("resumed best=%d, uninterrupted best=%d", best, bestBase)
 	}
-	if stats.ChecksResumed == 0 {
-		t.Error("resumed sweep replayed no settled checks")
+	if stats.CacheHits == 0 {
+		t.Error("resumed sweep took no settled check from the verdict cache")
 	}
 	got := stats
-	got.ChecksResumed, got.CacheHits, got.FaultSetsResumed = 0, 0, 0
+	got.CacheHits, got.FaultSetsResumed = 0, 0
 	if got != statsBase {
 		t.Fatalf("resumed stats differ:\nbase    %+v\nresumed %+v", statsBase, got)
 	}
 
-	// The sweep settled: the in-flight record is gone, so a fresh sweep is
-	// answered check-by-check from the verdict cache.
+	// The sweep settled, so a fresh sweep is answered check-by-check from
+	// the verdict cache.
 	best2, stats2, err := MaxFScan(context.Background(), g, MaxFOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -353,85 +354,18 @@ func TestMaxFScanResumeEquivalence(t *testing.T) {
 	if stats2.CacheHits != stats2.ChecksRun || stats2.CacheHits == 0 {
 		t.Fatalf("cached sweep should hit on every check: %+v", stats2)
 	}
-	if stats2.ChecksResumed != 0 {
+	if stats2.FaultSetsResumed != 0 {
 		t.Fatalf("cached sweep is not a resume: %+v", stats2)
 	}
 	got2 := stats2
-	got2.ChecksResumed, got2.CacheHits, got2.FaultSetsResumed = 0, 0, 0
+	got2.CacheHits, got2.FaultSetsResumed = 0, 0
 	if got2 != statsBase {
 		t.Fatalf("cached sweep stats differ:\nbase   %+v\ncached %+v", statsBase, got2)
 	}
 }
 
-// TestMaxFScanResumeAfterNegativeCheck simulates a crash after a failing
-// check settled (its record saved) but before the in-flight record cleanup:
-// the resumed sweep must finish immediately from the record — replaying the
-// negative verdict without re-running anything — and clean the record up.
-// Chord(7,2) ends its sweep with a genuine failing check at f=2 (§6.3).
-func TestMaxFScanResumeAfterNegativeCheck(t *testing.T) {
-	g, err := topology.Chord(7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bestBase, statsBase, err := MaxFScan(context.Background(), g, MaxFOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bestBase != 1 {
-		t.Fatalf("chord(7,2) maxf = %d, want 1 (f=2 fails)", bestBase)
-	}
-	// Run a full sweep to populate the verdict cache, then capture the
-	// per-check results and fabricate the in-flight record a crash-before-
-	// cleanup would have left behind (the settled sweep deletes it).
-	store := statestore.NewMem()
-	if _, _, err := MaxFScan(context.Background(), g, MaxFOptions{Store: store}); err != nil {
-		t.Fatal(err)
-	}
-	rec := maxfRecord(store, g.Encode())
-	if checks, err := loadMaxFChecks(context.Background(), rec); err != nil || len(checks) != 0 {
-		t.Fatalf("settled sweep should have deleted its record: %+v, %v", checks, err)
-	}
-	var full maxfBody
-	if _, _, err := MaxFScan(context.Background(), g, MaxFOptions{
-		Store: store,
-		OnCheck: func(f int, res Result) {
-			full.Checks = append(full.Checks, maxfCheck{
-				F: f, Satisfied: res.Satisfied,
-				FaultSets:    res.FaultSetsExamined,
-				WorkCounters: res.work(),
-			})
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(full.Checks); n != 3 || full.Checks[2].Satisfied {
-		t.Fatalf("expected checks f=0,1,2 ending unsatisfied, got %+v", full.Checks)
-	}
-	if err := rec.Save(context.Background(), full); err != nil {
-		t.Fatal(err)
-	}
-	best, stats, err := MaxFScan(context.Background(), g, MaxFOptions{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != bestBase {
-		t.Fatalf("best=%d, want %d", best, bestBase)
-	}
-	if stats.ChecksResumed != len(full.Checks) || stats.ChecksRun != len(full.Checks) {
-		t.Fatalf("sweep should settle wholly from the record: %+v (want %d replayed)", stats, len(full.Checks))
-	}
-	got := stats
-	got.ChecksResumed, got.CacheHits, got.FaultSetsResumed = 0, 0, 0
-	if got != statsBase {
-		t.Fatalf("replayed stats differ:\nbase     %+v\nreplayed %+v", statsBase, got)
-	}
-	if checks, err := loadMaxFChecks(context.Background(), rec); err != nil || len(checks) != 0 {
-		t.Fatalf("negative replay should delete the in-flight record: %+v, %v", checks, err)
-	}
-}
-
 // TestStateRecordsGolden pins the stored bytes — key, envelope and body — of
-// the checker's three record kinds at stateVersion. A schema change shows up
+// the checker's two record kinds at stateVersion. A schema change shows up
 // here; it must come with a stateVersion bump (which changes these bytes
 // too), so that records written before it miss instead of misparsing.
 func TestStateRecordsGolden(t *testing.T) {
@@ -447,7 +381,6 @@ func TestStateRecordsGolden(t *testing.T) {
 	for _, err := range []error{
 		cp.Save(ctx, checkpointBody{Done: 5, WorkCounters: work}),
 		verdict.Save(ctx, verdictBody{Satisfied: false, Witness: toWitnessRecord(w), FaultSets: 2, WorkCounters: work}),
-		maxfRecord(store, enc).Save(ctx, maxfBody{Checks: []maxfCheck{{F: 0, Satisfied: true, FaultSets: 1, WorkCounters: work}}}),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -456,7 +389,6 @@ func TestStateRecordsGolden(t *testing.T) {
 	golden := map[string]string{
 		"checkpoint/0da8584fe5ab7e9e-f1-t3": `{"version":2,"ident":"g1:4;0\u003e1;1\u003e0 f=1 threshold=3","body":{"done":5,"candidates":9,"pruned":4,"memo_hits":1}}`,
 		"verdict/0da8584fe5ab7e9e-f1-t3":    `{"version":2,"ident":"g1:4;0\u003e1;1\u003e0 f=1 threshold=3","body":{"satisfied":false,"witness":{"n":4,"f":[3],"l":[0],"c":[],"r":[1,2]},"fault_sets":2,"candidates":9,"pruned":4,"memo_hits":1}}`,
-		"maxf/ad64949a2e204ff6":             `{"version":2,"ident":"g1:4;0\u003e1;1\u003e0","body":{"checks":[{"f":0,"satisfied":true,"fault_sets":1,"candidates":9,"pruned":4,"memo_hits":1}]}}`,
 	}
 	keys, err := store.List(ctx, "")
 	if err != nil || len(keys) != len(golden) {

@@ -184,33 +184,6 @@ func (TrimmedMidpoint) UpdateInto(s *Scratch, own float64, received []ValueFrom,
 	return (lo + hi) / 2, nil
 }
 
-// FastRule adapts a BufferedRule to the plain UpdateRule interface with an
-// internally owned Scratch, for callers that cannot thread scratch space
-// through (benchmark harnesses, ad-hoc scripts). Because the scratch is
-// shared across calls, a FastRule must not be used from multiple goroutines;
-// the engines instead hold one Scratch per goroutine and call UpdateInto
-// directly.
-type FastRule struct {
-	R BufferedRule
-	s Scratch
-}
-
-var _ UpdateRule = (*FastRule)(nil)
-
-// NewFast wraps r in a FastRule.
-func NewFast(r BufferedRule) *FastRule { return &FastRule{R: r} }
-
-// Name implements UpdateRule.
-func (fr *FastRule) Name() string { return fr.R.Name() }
-
-// Validate implements UpdateRule.
-func (fr *FastRule) Validate(inDegree, f int) error { return fr.R.Validate(inDegree, f) }
-
-// Update implements UpdateRule via the allocation-free path.
-func (fr *FastRule) Update(own float64, received []ValueFrom, f int) (float64, error) {
-	return fr.R.UpdateInto(&fr.s, own, received, f)
-}
-
 // selectKth partially sorts buf so that buf[k] holds the rank-k element of
 // the total order `less`, every earlier element is no greater, and every
 // later element is no smaller. Iterative quickselect with median-of-three

@@ -125,26 +125,6 @@ func TestUpdateIntoErrors(t *testing.T) {
 	}
 }
 
-// TestFastRuleWrapper checks the UpdateRule adapter delegates faithfully.
-func TestFastRuleWrapper(t *testing.T) {
-	fr := NewFast(TrimmedMean{})
-	if fr.Name() != "trimmed-mean" {
-		t.Errorf("Name = %q", fr.Name())
-	}
-	if err := fr.Validate(2, 1); err == nil {
-		t.Error("Validate should reject in-degree 2, f=1")
-	}
-	received := vf(0, 1, 1, 2, 2, 3, 3, 9, 4, 10)
-	want, _ := TrimmedMean{}.Update(4, received, 1)
-	got, err := fr.Update(4, received, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(want) != math.Float64bits(got) {
-		t.Fatalf("FastRule.Update = %v, want %v", got, want)
-	}
-}
-
 // TestUpdateIntoZeroAlloc asserts the steady-state allocation contract.
 func TestUpdateIntoZeroAlloc(t *testing.T) {
 	var scratch Scratch

@@ -12,7 +12,6 @@ package nodeset
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -68,16 +67,6 @@ func Universe(capacity int) Set {
 		s.words[w] = ^uint64(0)
 	}
 	s.trim()
-	return s
-}
-
-// Range returns the set {lo, ..., hi-1}. It panics if the range is out of
-// bounds.
-func Range(capacity, lo, hi int) Set {
-	s := New(capacity)
-	for i := lo; i < hi; i++ {
-		s.Add(i)
-	}
 	return s
 }
 
@@ -301,37 +290,6 @@ func (s Set) String() string {
 	return b.String()
 }
 
-// Subsets enumerates every subset of ground (including the empty set and
-// ground itself), invoking fn for each. Enumeration stops early if fn
-// returns false. The Set passed to fn is reused between calls; fn must
-// Clone it to retain it.
-//
-// The number of subsets is 2^|ground|; callers are responsible for keeping
-// |ground| small enough (the condition checker caps it).
-func Subsets(ground Set, fn func(Set) bool) {
-	members := ground.Members()
-	if len(members) > 62 {
-		panic(fmt.Sprintf("nodeset: Subsets over %d members is infeasible", len(members)))
-	}
-	cur := New(ground.cap)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(members) {
-			return fn(cur)
-		}
-		if !rec(i + 1) {
-			return false
-		}
-		cur.Add(members[i])
-		if !rec(i + 1) {
-			return false
-		}
-		cur.Remove(members[i])
-		return true
-	}
-	rec(0)
-}
-
 // SubsetsAscendingSize enumerates subsets of ground in non-decreasing order
 // of size, from size lo to size hi inclusive. The Set passed to fn is reused;
 // Clone to retain. Enumeration stops early if fn returns false.
@@ -429,14 +387,4 @@ func combinations(members []int, k int, cur Set, fn func(Set) bool) bool {
 			cur.Add(members[idx[j]])
 		}
 	}
-}
-
-// SortedMembers is a convenience for tests: it returns members sorted
-// ascending (Members already sorts; this exists for symmetry with external
-// slices).
-func SortedMembers(ids []int) []int {
-	out := make([]int, len(ids))
-	copy(out, ids)
-	sort.Ints(out)
-	return out
 }

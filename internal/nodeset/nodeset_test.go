@@ -100,13 +100,6 @@ func TestUniverse(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	s := Range(10, 2, 5)
-	if got, want := s.Members(), []int{2, 3, 4}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Range members = %v, want %v", got, want)
-	}
-}
-
 func TestSetAlgebra(t *testing.T) {
 	a := FromMembers(8, 0, 1, 2, 3)
 	b := FromMembers(8, 2, 3, 4, 5)
@@ -182,32 +175,6 @@ func TestString(t *testing.T) {
 	}
 	if got, want := New(8).String(), "{}"; got != want {
 		t.Errorf("empty String() = %q, want %q", got, want)
-	}
-}
-
-func TestSubsetsCount(t *testing.T) {
-	ground := FromMembers(20, 2, 5, 9, 14)
-	count := 0
-	Subsets(ground, func(s Set) bool {
-		if !s.SubsetOf(ground) {
-			t.Errorf("enumerated non-subset %v", s)
-		}
-		count++
-		return true
-	})
-	if count != 16 {
-		t.Fatalf("Subsets enumerated %d sets, want 2^4 = 16", count)
-	}
-}
-
-func TestSubsetsEarlyStop(t *testing.T) {
-	count := 0
-	Subsets(Universe(6), func(Set) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("early stop after %d, want 5", count)
 	}
 }
 
@@ -327,16 +294,5 @@ func TestQuickMembersRoundTrip(t *testing.T) {
 		if !f() {
 			t.Fatal("Members/FromMembers round-trip failed")
 		}
-	}
-}
-
-func TestSortedMembers(t *testing.T) {
-	in := []int{5, 1, 3}
-	got := SortedMembers(in)
-	if want := []int{1, 3, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedMembers = %v, want %v", got, want)
-	}
-	if !reflect.DeepEqual(in, []int{5, 1, 3}) {
-		t.Fatal("SortedMembers mutated its input")
 	}
 }

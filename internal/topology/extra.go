@@ -54,25 +54,6 @@ func Barbell(k, bridge int) (*graph.Graph, error) {
 	return b.Build()
 }
 
-// KAryTree builds a complete k-ary tree with n nodes, edges undirected
-// (parent i has children ki+1 .. ki+k). Trees have leaves of degree 1 and
-// thus never tolerate f ≥ 1.
-func KAryTree(n, k int) (*graph.Graph, error) {
-	if n < 1 || k < 1 {
-		return nil, fmt.Errorf("topology: k-ary tree needs n ≥ 1, k ≥ 1, got n=%d k=%d", n, k)
-	}
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for c := 1; c <= k; c++ {
-			child := k*i + c
-			if child < n {
-				b.AddUndirected(i, child)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // PFCN builds a Partially Fully Connected Network in the spirit of
 // Azadmanesh & Bajwa's construction cited by the paper ([1]): a fully
 // connected backbone of hubs, with each non-hub node attached (undirected)

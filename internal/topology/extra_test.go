@@ -57,29 +57,6 @@ func TestBarbell(t *testing.T) {
 	}
 }
 
-func TestKAryTree(t *testing.T) {
-	g, err := KAryTree(7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Complete binary tree on 7 nodes: root degree 2, internals 3, leaves 1.
-	if g.InDegree(0) != 2 {
-		t.Errorf("root degree = %d, want 2", g.InDegree(0))
-	}
-	if g.InDegree(1) != 3 {
-		t.Errorf("internal degree = %d, want 3", g.InDegree(1))
-	}
-	if g.InDegree(6) != 1 {
-		t.Errorf("leaf degree = %d, want 1", g.InDegree(6))
-	}
-	if !g.IsSymmetric() {
-		t.Error("tree should be symmetric")
-	}
-	if _, err := KAryTree(0, 2); err == nil {
-		t.Error("n=0 should error")
-	}
-}
-
 func TestPFCNMatchesCoreNetworkAtMinimalHubs(t *testing.T) {
 	pf, err := PFCN(7, 5)
 	if err != nil {

@@ -41,19 +41,7 @@ func CoreNetwork(n, f int) (*graph.Graph, error) {
 	if n <= 3*f {
 		return nil, fmt.Errorf("topology: core network needs n > 3f (n=%d, f=%d)", n, f)
 	}
-	k := 2*f + 1
-	b := graph.NewBuilder(n)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			b.AddUndirected(i, j)
-		}
-	}
-	for v := k; v < n; v++ {
-		for u := 0; u < k; u++ {
-			b.AddUndirected(v, u)
-		}
-	}
-	return b.Build()
+	return PFCN(n, 2*f+1)
 }
 
 // Hypercube builds the d-dimensional binary hypercube (Section 6.2, Fig. 3):

@@ -5,8 +5,7 @@
 //
 // The shapes matter for convergence studies: Ramp is the generic
 // disagreement workload; Bimodal is the worst case driving Theorem 3's
-// analysis (two camps at the extremes — exactly the A/B split of the proof);
-// Spike isolates a single outlier.
+// analysis (two camps at the extremes — exactly the A/B split of the proof).
 package workload
 
 import (
@@ -57,17 +56,6 @@ func BimodalSets(n int, low []int, lo, hi float64) ([]float64, error) {
 		}
 		out[i] = lo
 	}
-	return out, nil
-}
-
-// Spike returns base everywhere except one node holding base+height:
-// a single outlier's influence decays at the contraction rate.
-func Spike(n, at int, base, height float64) ([]float64, error) {
-	if at < 0 || at >= n {
-		return nil, fmt.Errorf("workload: spike node %d out of range [0,%d)", at, n)
-	}
-	out := Constant(n, base)
-	out[at] = base + height
 	return out, nil
 }
 

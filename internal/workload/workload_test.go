@@ -52,19 +52,6 @@ func TestBimodalSets(t *testing.T) {
 	}
 }
 
-func TestSpike(t *testing.T) {
-	got, err := Spike(4, 2, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[2] != 15 || got[0] != 10 {
-		t.Fatalf("Spike = %v", got)
-	}
-	if _, err := Spike(4, -1, 0, 1); err == nil {
-		t.Fatal("negative node accepted")
-	}
-}
-
 func TestUniformRangeAndDeterminism(t *testing.T) {
 	a := Uniform(100, 2, 5, rand.New(rand.NewSource(7)))
 	b := Uniform(100, 2, 5, rand.New(rand.NewSource(7)))

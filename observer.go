@@ -15,7 +15,7 @@ const (
 	// fault sets processed, Total = full extent or 0 when unknown).
 	EventCheckProgress
 	// EventCheckDone reports one completed check of a MaxF scan (F,
-	// Satisfied).
+	// Satisfied), a check served from the verdict cache included.
 	EventCheckDone
 	// EventNodeUpdate reports one fault-free state change in a cluster run
 	// (Node, Round = the node's new round counter, Value = its new

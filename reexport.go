@@ -149,9 +149,6 @@ type SweepResult = sim.SweepResult
 // AsyncTrace records an asynchronous run.
 type AsyncTrace = async.Trace
 
-// RangePoint samples the fault-free range at a simulation time.
-type RangePoint = async.RangePoint
-
 // —— Asynchronous delay policies ——
 
 // DelayPolicy assigns per-message delays in the Async engine.
