@@ -120,10 +120,10 @@ func TestCheckCancellationFacade(t *testing.T) {
 }
 
 // TestClusterCancellationFacade cancels a cluster mid-chaos, during an
-// unhealed partition that refuses every cross-cut send and keeps the stall
-// resends backing off, and requires a prompt context.Canceled return with
-// zero leaked goroutines — actors, the crash supervisor, and the chaos
-// layer's delayed-delivery goroutines must all unwind.
+// unhealed partition that refuses every cross-cut send and ask, and
+// requires a prompt context.Canceled return with zero leaked goroutines —
+// actors, the crash supervisor, and the chaos layer's delayed-delivery
+// goroutines must all unwind.
 func TestClusterCancellationFacade(t *testing.T) {
 	g, err := iabc.Complete(6)
 	if err != nil {

@@ -26,15 +26,16 @@ import (
 // cluster: Send, which waits only while the destination's bounded queue is
 // full (so a done ctx fails at once on a full queue), a per-node Recv
 // stream, Close. Delivery semantics are deliberately weak (at-most-once,
-// unordered, fallible) — the actor layer masks loss by idempotent
-// retransmission.
+// unordered, fallible) — the actor layer repairs loss by asking for
+// exactly the values it is missing.
 type Transport = transport.Transport
 
 // Msg is one round-tagged protocol message (Round, Value, per-transmission
-// Seq).
+// Seq), or with Ask set a request for the receiver's round-Round value.
 type Msg = transport.Msg
 
-// Delivery is a Msg as it arrives, stamped with the link it traveled.
+// Delivery is a Msg as it arrives, stamped with the link it traveled (32-bit
+// node ids, as on the wire).
 type Delivery = transport.Delivery
 
 // InprocTransport is the in-process Transport: one bounded channel per
@@ -108,7 +109,7 @@ type JitterDelay = async.Jitter
 
 // ClusterResult records one cluster run: the stop verdict (Converged /
 // Stalled), per-node round counters, the final state vector and fault-free
-// ranges, and the robustness counters (deliveries, resends, sends the
+// ranges, and the robustness counters (deliveries, repair traffic, sends the
 // transport refused, sends dropped at a full queue, restarts) recording
 // what the run survived.
 type ClusterResult = node.Result
@@ -119,8 +120,8 @@ type ClusterResult = node.Result
 // faulty nodes are driven by the configured adversary. Actors never block
 // on a send: each goes straight into the transport's bounded queue for its
 // destination, a send onto a full queue or one the transport refuses is
-// counted, not retried, and idempotent stall-triggered retransmission
-// repairs every loss. Actors survive configured crash windows by
+// counted, not retried, and the receiver repairs every loss by asking the
+// in-neighbour that owes a value for exactly that round. Actors survive configured crash windows by
 // restarting from durable state — so the run degrades gracefully under
 // chaos instead of deadlocking.
 //

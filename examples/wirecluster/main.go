@@ -7,7 +7,7 @@
 //
 // Everything rides the public facade: WithTCPTransport supplies the address
 // map, WithLocalNodes picks each shard's share, and WithLinger keeps a
-// finished shard answering laggards' history resends so its exit never
+// finished shard answering laggards' asks from its history so its exit never
 // masquerades as a crash.
 //
 // Run: go run ./examples/wirecluster

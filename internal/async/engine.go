@@ -153,7 +153,7 @@ func runOnQueue(ctx context.Context, cfg Config, q eventPQ) (*Trace, error) {
 	rule := core.Buffered(cfg.Rule)
 	steps := make([]*quorum.Stepper, n)
 	l.faultFree.ForEach(func(i int) bool {
-		steps[i] = quorum.NewStepper(cfg.G.InView(i), cfg.G.OutDegree(i), quorum.Count(cfg.G.InDegree(i), cfg.F),
+		steps[i] = quorum.NewStepper(cfg.G.InView(i), cfg.G.OutView(i), quorum.Count(cfg.G.InDegree(i), cfg.F),
 			cfg.F, cfg.MaxRounds, rule, l.states[i], l)
 		l.node = i
 		steps[i].Start()
@@ -243,6 +243,12 @@ func (l *loop) Send(k, round int, value float64, _ int) {
 		value: value,
 	})
 }
+
+// Ask implements quorum.Outbox as a no-op. The simulator loses nothing:
+// every value an actor would ask for is already on the queue, so a gap its
+// delay policy's reordering opens closes by itself and an answer would only
+// arrive as a duplicate. Asks therefore leave a trace unchanged.
+func (l *loop) Ask(int, int, int) {}
 
 // Advanced implements quorum.Outbox: it publishes the current node's new
 // state and streams the range to OnRange, stopping the node once Epsilon

@@ -22,7 +22,7 @@ func cmdCluster(args []string, stdin io.Reader, stdout io.Writer) error {
 	drop := fs.Float64("drop", 0, "chaos: per-message drop probability")
 	dup := fs.Float64("dup", 0, "chaos: per-message duplication probability")
 	delay := fs.Duration("delay", 0, "chaos: max per-message reordering delay")
-	resend := fs.Duration("resend", 0, "initial stall-triggered resend interval (0 = default)")
+	resend := fs.Duration("resend", 0, "tick interval: a node that made no progress since the last tick asks for the values it lacks (0 = default)")
 	stall := fs.Duration("stall", 5*time.Second, "liveness cutoff: give up after this long without progress (0 = none)")
 	timeout := fs.Duration("timeout", 0, "cancel the whole run after this long (0 = none)")
 	if err := fs.Parse(args); err != nil {

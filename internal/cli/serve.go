@@ -44,9 +44,9 @@ func cmdServe(args []string, stdin io.Reader, stdout io.Writer) error {
 	})
 	idList := fs.String("id", "", "comma-separated node ids this process animates (required)")
 	peersPath := fs.String("peers", "", "peers file mapping every node id to host:port (required)")
-	resend := fs.Duration("resend", 0, "initial stall-triggered resend interval (0 = default)")
+	resend := fs.Duration("resend", 0, "tick interval: a node that made no progress since the last tick asks for the values it lacks (0 = default)")
 	stall := fs.Duration("stall", 10*time.Second, "liveness cutoff: give up after this long without local progress (0 = none)")
-	linger := fs.Duration("linger", 500*time.Millisecond, "keep serving history resends this long after local completion, so laggard peers can finish")
+	linger := fs.Duration("linger", 500*time.Millisecond, "keep answering asks from history this long after local completion, so laggard peers can finish")
 	timeout := fs.Duration("timeout", 0, "cancel the whole run after this long (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -26,28 +26,34 @@ var sendNow = func() context.Context {
 }()
 
 // seqOf derives a transmission identity for a Msg.Seq from the round, the
-// resend epoch (0 for a round's first broadcast, a fresh per-actor epoch for
-// each history resend pass and restart re-announcement), and the out-edge
-// index. Distinct epochs give retransmissions distinct Seqs, so a chaos
-// layer that keys its drop decision on Seq re-draws per transmission — a
-// message dropped once is not doomed to be dropped on every resend.
+// epoch (0 for a round's first broadcast, a fresh per-actor epoch for each
+// answer, ask pass and restart re-announcement), and the link: the out-edge
+// index of a value, the asked node's id of an ask. Asks hash under their
+// own key, so an ask and a value never share a Seq. Distinct epochs give
+// retransmissions distinct Seqs, so a chaos layer that keys its drop
+// decision on Seq re-draws per transmission — a message dropped once is not
+// doomed to be dropped on every retry.
 //
-// The identity is a keyed 64-bit hash of the full triple rather than a
+// The identity is a keyed 64-bit hash of the full tuple rather than a
 // bit-packed word: packing masked the epoch to 16 bits, so a long stall
-// (> 65536 resend passes) aliased epoch e with e+65536 and the chaos layer
-// re-drew the *same* fault decisions — exactly the doomed-forever pattern
-// epochs exist to break. Seq only ever feeds keyed hashing and dedup is
-// per (sender, round) at the receiver, so collision resistance, not
+// (> 65536 epochs) aliased epoch e with e+65536 and the chaos layer re-drew
+// the *same* fault decisions — exactly the doomed-forever pattern epochs
+// exist to break. Seq only ever feeds keyed hashing and dedup is per
+// (sender, round) at the receiver, so collision resistance, not
 // invertibility, is the requirement.
-func seqOf(round, epoch, edge int) uint64 {
-	return hashrand.Key(0, uint64(round), uint64(epoch), uint64(edge))
+func seqOf(ask bool, round, epoch, link int) uint64 {
+	var domain int64
+	if ask {
+		domain = 1
+	}
+	return hashrand.Key(domain, uint64(round), uint64(epoch), uint64(link))
 }
 
-// outlet is a node's quorum.Outbox onto the runner: Send hands the message
-// to the transport under the Seq derived from (round, epoch, edge), and
-// Advanced reports a state change, giving up once the incarnation's ctx is
-// done. A fault-free actor and a faulty emitter both send through one; an
-// emitter never advances, so its outlet has no ctx.
+// outlet is a node's quorum.Outbox onto the runner: Send and Ask hand the
+// message to the transport under the Seq derived from it, and Advanced
+// reports a state change, giving up once the incarnation's ctx is done. A
+// fault-free actor and a faulty emitter both send through one; an emitter
+// never asks or advances, so its outlet has no ctx.
 type outlet struct {
 	id   int
 	r    *runner
@@ -57,18 +63,29 @@ type outlet struct {
 	stopped bool
 }
 
-// Send implements quorum.Outbox with one Transport.Send that never waits.
-// A full destination queue counts as OutDropped and any other refusal (a
-// cut link, a closed transport) as Abandoned; neither is retried, since the
-// stall resend repairs both. A full queue's consumer is behind, so the
-// sender then yields its processor once: a resend pass would otherwise
-// overflow a laggard's queue without letting the laggard run. An accepted
-// transmission on a non-zero epoch counts as a resend.
+// Send implements quorum.Outbox. An accepted transmission on a non-zero
+// epoch — an answer or a re-announcement — counts as repair traffic.
 func (o *outlet) Send(k, round int, value float64, epoch int) {
-	m := transport.Msg{Round: round, Value: value, Seq: seqOf(round, epoch, k)}
-	switch err := o.r.cfg.Transport.Send(sendNow, o.id, o.outs[k], m); {
+	o.send(o.outs[k], transport.Msg{Round: round, Value: value, Seq: seqOf(false, round, epoch, k)}, epoch > 0)
+}
+
+// Ask implements quorum.Outbox: the ask travels from this node to from, the
+// reverse of the edge from→id whose value it requests. Every accepted ask
+// counts as repair traffic.
+func (o *outlet) Ask(from, round, epoch int) {
+	o.send(from, transport.Msg{Round: round, Ask: true, Seq: seqOf(true, round, epoch, from)}, true)
+}
+
+// send is one Transport.Send that never waits. A full destination queue
+// counts as OutDropped and any other refusal (a cut link, a closed
+// transport) as Abandoned; neither is retried, since the receiver's ask
+// repairs both. A full queue's consumer is behind, so the sender then
+// yields its processor once to let it drain. An accepted transmission
+// marked repair counts in Result.Resends.
+func (o *outlet) send(to int, m transport.Msg, repair bool) {
+	switch err := o.r.cfg.Transport.Send(sendNow, o.id, to, m); {
 	case err == nil:
-		if epoch > 0 {
+		if repair {
 			o.r.resends.Add(1)
 		}
 	case errors.Is(err, sendNow.Err()):
@@ -92,10 +109,10 @@ func (o *outlet) Advanced(round int, v float64) bool {
 
 // actor drives one fault-free node's quorum.Stepper from a goroutine: the
 // stepper holds the protocol and all of its state, durable and volatile,
-// and the actor feeds it deliveries and timer ticks. The supervisor re-runs
+// and the actor feeds it deliveries, asks and ticks. The supervisor re-runs
 // the same actor after a crash window, so a restart resumes from the last
-// completed round, exactly the "resume from durable state and resend the
-// current round" contract.
+// completed round, exactly the "resume from durable state and re-announce
+// the current round" contract.
 type actor struct {
 	outlet
 	recv <-chan transport.Delivery
@@ -108,21 +125,21 @@ func newActor(id int, r *runner) *actor {
 		outlet: outlet{id: id, r: r, outs: cfg.G.OutView(id)},
 		recv:   cfg.Transport.Recv(id),
 	}
-	a.step = quorum.NewStepper(cfg.G.InView(id), len(a.outs), quorum.Count(cfg.G.InDegree(id), cfg.F),
+	a.step = quorum.NewStepper(cfg.G.InView(id), a.outs, quorum.Count(cfg.G.InDegree(id), cfg.F),
 		cfg.F, cfg.MaxRounds, r.rule, cfg.Initial[id], &a.outlet)
 	return a
 }
 
-// run executes one incarnation of the actor until ctx is done. After
-// reaching MaxRounds the actor lingers in the same loop: it keeps draining
-// deliveries and serving stall-triggered resends, because laggards may
-// still need its history — the runner ends the run when every fault-free
-// node is done.
+// run executes one incarnation of the actor until ctx is done, ticking the
+// stepper every ResendEvery. After reaching MaxRounds the actor lingers in
+// the same loop: it keeps draining deliveries and answering asks, because
+// laggards may still need its history — the runner ends the run when every
+// fault-free node is done.
 func (a *actor) run(ctx context.Context) {
 	a.ctx, a.stopped = ctx, false
 	a.step.Start()
-	timer := time.NewTimer(a.r.cfg.ResendEvery)
-	defer timer.Stop()
+	tick := time.NewTicker(a.r.cfg.ResendEvery)
+	defer tick.Stop()
 	for {
 		select {
 		case <-ctx.Done():
@@ -131,10 +148,9 @@ func (a *actor) run(ctx context.Context) {
 			if !a.deliver(d) {
 				return
 			}
-			// Burst-drain the backlog before yielding to the timer: under a
-			// resend flood most deliveries are stale dedups, and draining
-			// them in a tight loop keeps the queue from backing up into the
-			// transport.
+			// Burst-drain the backlog before yielding to the ticker: most
+			// of a backlog is stale or duplicate, and draining it in a
+			// tight loop keeps the queue from backing up into the transport.
 			for drained := false; !drained; {
 				select {
 				case d := <-a.recv:
@@ -147,17 +163,22 @@ func (a *actor) run(ctx context.Context) {
 					drained = true
 				}
 			}
-		case <-timer.C:
-			timer.Reset(time.Duration(a.step.Timer()) * a.r.cfg.ResendEvery)
+		case <-tick.C:
+			a.step.Timer()
 		}
 	}
 }
 
-// deliver hands one message to the stepper and reports false when the
-// incarnation must end (a rule error, or ctx done while reporting).
+// deliver hands one message to the stepper — an ask to Answer, a value to
+// Deliver — and reports false when the incarnation must end (a rule error,
+// or ctx done while reporting).
 func (a *actor) deliver(d transport.Delivery) bool {
 	a.r.deliveries.Add(1)
-	if err := a.step.Deliver(d.From, d.Round, d.Value); err != nil {
+	if d.Ask {
+		a.step.Answer(int(d.From), d.Round)
+		return true
+	}
+	if err := a.step.Deliver(int(d.From), d.Round, d.Value); err != nil {
 		a.r.fail(fmt.Errorf("node: node %d round %d: %w", a.id, a.step.Round(), err))
 		return false
 	}

@@ -89,7 +89,7 @@ func (r *runner) supervise(ctx context.Context, a *actor, crashes []transport.Cr
 			return
 		}
 		// Restart: durable (round, value, history) survives; the volatile
-		// inbox is lost, and peer resends re-fill it.
+		// inbox is lost, and the restarted actor asks to re-fill it.
 		a.step.Crash()
 		r.restarts.Add(1)
 	}
@@ -228,7 +228,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	finishing := false
 	// finish ends the run's local work: liveness judging stops (no further
 	// local progress is owed), and the actors either exit now or linger —
-	// still draining deliveries and serving history resends — so remote
+	// still draining deliveries and answering asks from history — so remote
 	// laggards in a cross-process deployment can finish before this
 	// process's exit starts looking like a crash to them.
 	finish := func() {

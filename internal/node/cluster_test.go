@@ -6,12 +6,14 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"iabc/internal/adversary"
 	"iabc/internal/async"
 	"iabc/internal/core"
+	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/topology"
 	"iabc/internal/transport"
@@ -128,7 +130,7 @@ func TestClusterConformsToAsyncWithFixedAdversary(t *testing.T) {
 // TestClusterConvergesUnderChaosWithFaults is the robustness headline: a
 // 2f+1-satisfying graph with one Byzantine node must still ε-converge when
 // the network drops a quarter of all messages, duplicates others, and
-// reorders by jitter — losses are masked by stall-triggered resends, and
+// reorders by jitter — losses are repaired by the receivers' asks, and
 // validity is preserved throughout.
 func TestClusterConvergesUnderChaosWithFaults(t *testing.T) {
 	g, err := topology.Complete(7)
@@ -172,6 +174,76 @@ func TestClusterConvergesUnderChaosWithFaults(t *testing.T) {
 	}
 	if st := ch.Stats(); st.Dropped == 0 {
 		t.Error("chaos dropped nothing — the run proved nothing")
+	}
+}
+
+// reverseAsks counts the asks a cluster sends over a link its graph lacks:
+// i asking j for the value of the edge j→i when G has no edge i→j.
+type reverseAsks struct {
+	transport.Transport
+	g *graph.Graph
+	n atomic.Int64
+}
+
+func (r *reverseAsks) Send(ctx context.Context, from, to int, m transport.Msg) error {
+	if m.Ask && !r.g.HasEdge(from, to) {
+		r.n.Add(1)
+	}
+	return r.Transport.Send(ctx, from, to, m)
+}
+
+// TestClusterConvergesOnDirectedCirculantUnderChaos runs the repair where
+// asks must travel against edges: on the circulant C11{1,2,3,4} node i hears
+// from i−1…i−4 and sends to i+1…i+4, so every ask crosses a link the graph
+// lacks. With f = 1 (quorum 3 of in-degree 4) and one Byzantine node, the
+// cluster must still ε-converge inside the initial hull under 20 % drop,
+// 10 % duplication and 1 ms reordering, with asks seen on reverse links.
+func TestClusterConvergesOnDirectedCirculantUnderChaos(t *testing.T) {
+	g, err := topology.Circulant(11, []int{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	faulty := nodeset.FromMembers(n, 0)
+	seeds := []int64{1, 2, 3, 4, 5}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	for _, seed := range seeds {
+		initial := make([]float64, n)
+		for i := range initial {
+			initial[i] = float64((int64(i)*7+seed)%11) / 2
+		}
+		lo0, hi0 := math.Inf(1), math.Inf(-1)
+		for i := 1; i < n; i++ {
+			lo0, hi0 = math.Min(lo0, initial[i]), math.Max(hi0, initial[i])
+		}
+		ch := transport.NewChaos(transport.NewInproc(n, 256), transport.ChaosConfig{
+			Seed: seed, Drop: 0.2, Dup: 0.1, MaxDelay: time.Millisecond,
+		})
+		tr := &reverseAsks{Transport: ch, g: g}
+		cfg := clusterDefaults(tr)
+		cfg.G, cfg.Initial, cfg.MaxRounds = g, initial, 400
+		cfg.F, cfg.Faulty, cfg.Adversary = 1, faulty, adversary.Extremes{Amplitude: 3}
+		cfg.Epsilon = 1e-4
+		cfg.StallAfter = 3 * time.Second
+		cfg.OnUpdate = func(node, round int, value, rng float64) {
+			if value < lo0-1e-9 || value > hi0+1e-9 {
+				t.Errorf("seed %d: node %d round %d: value %v outside initial hull [%v, %v]", seed, node, round, value, lo0, hi0)
+			}
+		}
+		res, err := Run(context.Background(), cfg)
+		ch.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("seed %d: no ε-convergence: stalled=%v finalRange=%v rounds=%v resends=%d",
+				seed, res.Stalled, res.FinalRange, res.Rounds, res.Resends)
+		}
+		if tr.n.Load() == 0 {
+			t.Errorf("seed %d: no ask crossed a reverse link — the run pinned nothing", seed)
+		}
 	}
 }
 
@@ -229,9 +301,9 @@ func TestClusterPartitionValidityUnderStall(t *testing.T) {
 
 // TestClusterCrashRestartRecovers crashes one node from the very start:
 // with f = 0 everyone needs its round-0 value, so the whole cluster stalls
-// (sends to and from the crashed node refused, stall resends backing off)
-// until the crash window closes, the supervisor restarts the actor from
-// durable state, and the run must then converge.
+// (sends to and from the crashed node refused, each silent tick asking it
+// again) until the crash window closes, the supervisor restarts the actor
+// from durable state, and the run must then converge.
 func TestClusterCrashRestartRecovers(t *testing.T) {
 	g, err := topology.Complete(5)
 	if err != nil {
@@ -266,10 +338,10 @@ func TestClusterCrashRestartRecovers(t *testing.T) {
 }
 
 // TestClusterCrashedLaggardCatchesUp crashes one node of K6 (f = 1) for
-// 5–60 ms while the other five run on to round 200, so on restart it lags
-// by up to 200 rounds and needs its peers' full-history resend passes to
-// land oldest round included. Each pass goes straight into the laggard's
-// transport queue, sized as the facade sizes it, and no seeded schedule
+// 5–60 ms while the other five run on to round 1 000, so on restart it lags
+// by up to 1 000 rounds and must ask its peers for every one of them, oldest
+// first, at one round trip per round. The transport queue is sized as the
+// facade sizes it and the tick is the facade's 5 ms, and no seeded schedule
 // may stall — with the chaos layer forwarding synchronously and after a
 // delay alike.
 func TestClusterCrashedLaggardCatchesUp(t *testing.T) {
@@ -278,7 +350,7 @@ func TestClusterCrashedLaggardCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.N()
-	const maxRounds = 200
+	const maxRounds = 1000
 	crash := transport.Crash{Node: 2, From: 5 * time.Millisecond, Until: 60 * time.Millisecond}
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
@@ -292,6 +364,7 @@ func TestClusterCrashedLaggardCatchesUp(t *testing.T) {
 			})
 			cfg := clusterDefaults(ch)
 			cfg.G, cfg.Initial, cfg.MaxRounds, cfg.F = g, []float64{7, 3, 1, 4, 1.5, 9.2}, maxRounds, 1
+			cfg.ResendEvery = DefaultResendEvery
 			cfg.Crashes = []transport.Crash{crash}
 			cfg.StallAfter = 3 * time.Second
 			res, err := Run(context.Background(), cfg)
@@ -299,6 +372,7 @@ func TestClusterCrashedLaggardCatchesUp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Logf("MaxDelay %v seed %d: %v, outDropped %d resends %d", maxDelay, seed, res.Elapsed, res.OutDropped, res.Resends)
 			if res.Stalled {
 				t.Errorf("MaxDelay %v seed %d: stalled after %v with rounds %v", maxDelay, seed, res.Elapsed, res.Rounds)
 				continue
@@ -313,7 +387,7 @@ func TestClusterCrashedLaggardCatchesUp(t *testing.T) {
 }
 
 // TestClusterCancelReleasesEverything cancels a run stalled by a permanent
-// partition — its cross-cut sends refused, its stall resends backing off:
+// partition — its cross-cut sends and asks refused on every tick:
 // Run must return promptly with the cancellation cause and leave zero
 // goroutines behind.
 func TestClusterCancelReleasesEverything(t *testing.T) {
@@ -393,7 +467,7 @@ func TestClusterValidateErrors(t *testing.T) {
 // deployment. At f = 0 over loss-free delivery the combined finals must
 // still be bit-identical to the discrete-event oracle, and each half must
 // stop on its *local* MaxRounds completion. A small Linger keeps each
-// half's actors serving resends after it finishes, exactly as `iabc serve`
+// half's actors answering asks after it finishes, exactly as `iabc serve`
 // processes do so a finished process doesn't look crashed to laggards.
 func TestClusterLocalSplitConformsToAsync(t *testing.T) {
 	g, err := topology.Complete(6)

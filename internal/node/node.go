@@ -13,29 +13,34 @@
 // (core.TrimmedMean realizes Algorithm 1's trimming), advance, broadcast
 // the new round. Faulty actors drive a quorum.Emitter, as the simulator's
 // faulty nodes do. The simulator feeds its steppers deliveries only; an
-// actor also feeds its stepper the ticks of a wall-clock timer and the
-// crash supervisor's restarts. Together with how it sends they keep
-// eventual delivery true on a real, faulty network:
+// actor also feeds its stepper its peers' asks, the ticks of a wall-clock
+// ticker and the crash supervisor's restarts. Together with how it sends
+// they keep eventual delivery true on a real, faulty network:
 //
-//   - Idempotent retransmission. A stalled actor (no round progress for
-//     ResendEvery) rebroadcasts its recent history, the whole of it every
-//     few passes. Because the message for round k is a pure function of
-//     the actor's round-k state, resends never change a receiver's
-//     trajectory — they only repair losses. This turns chaos-layer drops
-//     and healed partitions into mere delays, which is precisely the
-//     regime the Part II convergence theorem covers.
+//   - Receiver-driven repair. An actor that lacks a value asks the
+//     in-neighbor that owes it for exactly that round — at once when a
+//     later round from that in-neighbor shows a gap, again for the next
+//     round as soon as an asked-for round completes, and for every empty
+//     slot of its current round on a tick (every ResendEvery) after which
+//     it made no progress. The asked actor answers from its history.
+//     Because the message for round k is a pure function of the actor's
+//     round-k state, answers never change a receiver's trajectory — they
+//     only repair losses. This turns chaos-layer drops and healed
+//     partitions into mere delays, which is precisely the regime the Part
+//     II convergence theorem covers. An ask travels against the edge whose
+//     value it requests, which every transport here carries.
 //   - Non-blocking sends. Every protocol send is one Transport.Send on the
 //     sending actor's goroutine, with an already-done context: the
 //     transport's bounded queue for the destination is the one send queue,
 //     and a full one fails at once instead of waiting. A full queue is
 //     counted (Result.OutDropped), and so is a refused send (a cut link:
 //     transport.ErrLinkDown; Result.Abandoned); neither is retried — the
-//     resend pass recovers both, so a dead or backpressured destination
+//     receiver's ask recovers both, so a dead or backpressured destination
 //     never deadlocks an actor or delays traffic to any other destination.
 //   - Crash/restart. A supervisor stops an actor for each configured crash
 //     window and restarts it from its durable (round, value, history)
 //     state with a reset inbox; on restart the actor rebroadcasts its
-//     current round and peer resends re-fill what the crash lost.
+//     current round and asks its in-neighbors for what the crash lost.
 //
 // The deterministic simulator remains the conformance oracle: under
 // loss-free delivery and f = 0 (where the quorum is the full
@@ -56,8 +61,7 @@ import (
 	"iabc/internal/transport"
 )
 
-// DefaultResendEvery is the stall-triggered retransmission interval applied
-// by Config.withDefaults.
+// DefaultResendEvery is the tick interval applied by Config.withDefaults.
 const DefaultResendEvery = 5 * time.Millisecond
 
 // Config describes one cluster run.
@@ -87,11 +91,9 @@ type Config struct {
 	// Epsilon, when > 0, ends the run once the fault-free range is ≤
 	// Epsilon.
 	Epsilon float64
-	// ResendEvery is the initial stall-triggered retransmission interval:
-	// an actor that made no round progress for this long rebroadcasts its
-	// history, then backs off exponentially (doubling per silent interval,
-	// capped at 32 times this value) until progress resumes (0 selects
-	// DefaultResendEvery).
+	// ResendEvery is the actor's tick interval: on a tick after which it
+	// made no round progress, an actor asks every in-neighbor it still
+	// lacks a current-round value from (0 selects DefaultResendEvery).
 	ResendEvery time.Duration
 	// StallAfter, when > 0, ends the run with Result.Stalled once no
 	// fault-free state change has been observed for this long — the
@@ -114,8 +116,8 @@ type Config struct {
 	// judge convergence over the collected finals. Empty means all nodes.
 	Local []int
 	// Linger, when > 0, keeps local actors alive this long after the local
-	// stop condition fires. Actors at MaxRounds still serve stall-triggered
-	// history resends, so lingering is what lets remote laggards finish
+	// stop condition fires. Actors at MaxRounds still answer asks from
+	// their history, so lingering is what lets remote laggards finish
 	// when this process's nodes are already done; without it a finished
 	// process's exit looks like a crash to the rest of the cluster.
 	Linger time.Duration
@@ -177,15 +179,15 @@ type Result struct {
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 	// Deliveries counts messages received by fault-free actors, including
-	// duplicates and stale rounds.
+	// duplicates, stale rounds and asks.
 	Deliveries int64
 	// Updates counts fault-free state changes.
 	Updates int64
-	// Resends counts messages retransmitted by stall-triggered history
-	// rebroadcasts.
+	// Resends counts repair traffic: asks, answers to asks and restart
+	// re-announcements.
 	Resends int64
 	// Abandoned counts sends the transport refused (a cut link, a closed
-	// transport); they are not retried — the stall resend repairs them. A
+	// transport); they are not retried — the receiver's ask repairs them. A
 	// TCP write that fails after Send queued the frame is not counted here.
 	Abandoned int64
 	// OutDropped counts messages dropped at a full destination queue: the

@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -26,29 +25,11 @@ import (
 //  1. Validity on every observed update: no fault-free estimate ever leaves
 //     the initial fault-free hull (the safety half of the guarantee, which
 //     needs no liveness assumption at all).
-//  2. ε-convergence: since the partition heals and drops are masked by
-//     resends, delivery is eventual, so the Part II convergence theorem
-//     applies and the run must not stall.
-//
-// A stall verdict gets one retry: wall-clock-based chaos on a starved CI
-// scheduler can legitimately exceed StallAfter between updates, while a
-// genuine liveness bug stalls on every attempt. Validity violations are
-// never retried — they fail the test on first sight.
+//  2. ε-convergence: since the partition heals and every loss is repaired
+//     by the receiver's asks, delivery is eventual, so the Part II
+//     convergence theorem applies and the run must not stall. A stall is a
+//     liveness bug and fails the test on first sight.
 func runChaosHull(t testing.TB, seed int64, maxRounds int) {
-	for attempt := 0; ; attempt++ {
-		res, chaosStats, desc := chaosHullAttempt(t, seed, maxRounds)
-		if res.Converged {
-			return
-		}
-		if attempt == 1 {
-			t.Fatalf("seed %d (%s): no convergence twice: stalled=%v finalRange=%v updates=%d resends=%d abandoned=%d stats=%+v",
-				seed, desc, res.Stalled, res.FinalRange, res.Updates, res.Resends, res.Abandoned, chaosStats)
-		}
-		t.Logf("seed %d (%s): attempt %d stalled (finalRange=%v); retrying once", seed, desc, attempt, res.FinalRange)
-	}
-}
-
-func chaosHullAttempt(t testing.TB, seed int64, maxRounds int) (*Result, transport.Stats, string) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 6 + rng.Intn(3)
 	g, err := topology.Complete(n)
@@ -110,7 +91,10 @@ func chaosHullAttempt(t testing.TB, seed int64, maxRounds int) (*Result, transpo
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return res, ch.Stats(), fmt.Sprintf("%s, n=%d", adv.Name(), n)
+	if !res.Converged {
+		t.Fatalf("seed %d (%s, n=%d): no convergence: stalled=%v finalRange=%v updates=%d resends=%d abandoned=%d stats=%+v",
+			seed, adv.Name(), n, res.Stalled, res.FinalRange, res.Updates, res.Resends, res.Abandoned, ch.Stats())
+	}
 }
 
 // TestClusterChaosProperty drives a seed battery through runChaosHull.

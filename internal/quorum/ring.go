@@ -1,9 +1,10 @@
 // Package quorum holds the Section 7 asynchronous iteration of one node as a
 // clock-free state machine, driven by both the discrete-event simulator
 // (internal/async) and the real node actors (internal/node): the Stepper
-// actor that turns round-tagged arrivals into updates and broadcasts and
-// keeps the stall-resend policy, the Emitter that scatters a faulty node's
-// adversarial batches, the inbox Ring the Stepper buffers arrivals in, and
+// actor that turns round-tagged arrivals into updates and broadcasts, asks
+// its in-neighbors for exactly the values it is missing and answers their
+// asks from its history; the Emitter that scatters a faulty node's
+// adversarial batches; the inbox Ring the Stepper buffers arrivals in; and
 // the |N⁻_i| − f quorum Count a node waits for before advancing a round.
 package quorum
 
@@ -32,7 +33,7 @@ type Ring struct {
 	deg     int
 	base    int // round number stored at ring position start
 	start   int // ring position of round base
-	slots   int
+	slots   int       // a power of two: 8, doubled by each grow
 	vals    []float64 // slots × deg
 	present []bool    // slots × deg
 	count   []int     // per slot
@@ -54,9 +55,11 @@ func NewRing(deg int) *Ring {
 // round counter, advanced by Pop.
 func (ib *Ring) Base() int { return ib.base }
 
-// slot maps a round number in [base, base+slots) to its ring position.
+// slot maps a round number in [base, base+slots) to its ring position. The
+// slot count is a power of two, so a mask does the modulo and the delivery
+// path has no integer division.
 func (ib *Ring) slot(round int) int {
-	return (ib.start + (round - ib.base)) % ib.slots
+	return (ib.start + (round - ib.base)) & (ib.slots - 1)
 }
 
 // grow re-lays the ring out with at least need slots.
@@ -106,6 +109,15 @@ func (ib *Ring) Filled(round int) int {
 	return ib.count[ib.slot(round)]
 }
 
+// Has reports whether the sender at pos has delivered for round. Rounds
+// outside the stored window report false.
+func (ib *Ring) Has(round, pos int) bool {
+	if round < ib.base || round-ib.base >= ib.slots {
+		return false
+	}
+	return ib.present[ib.slot(round)*ib.deg+pos]
+}
+
 // Gather appends the present values of round's slot to buf in ascending
 // sender order (positions are aligned with the sorted in-neighbor list
 // senders, so no sort is needed) and returns the extended slice. Rounds
@@ -134,12 +146,12 @@ func (ib *Ring) Pop() {
 	}
 	ib.count[s] = 0
 	ib.base++
-	ib.start = (ib.start + 1) % ib.slots
+	ib.start = (ib.start + 1) & (ib.slots - 1)
 }
 
 // Reset drops all buffered arrivals and rebases the window at round — the
 // volatile-state loss of a node crash: the owner restarts from its durable
-// (round, value) state with an empty inbox and relies on peer resends to
+// (round, value) state with an empty inbox and asks its in-neighbors to
 // re-fill the current round's slot.
 func (ib *Ring) Reset(round int) {
 	for i := range ib.present {

@@ -295,16 +295,22 @@ func FuzzRingModel(f *testing.F) {
 // inputs to a Stepper, and a model replays the Section 7 discipline naively
 // — first arrival wins, advance while the current round holds a quorum,
 // update through the reference rule, broadcast each new round — along with
-// the stall policy. Put ops deliver, then deliver the same message again
+// the ask policy: a gap asks its sender, an advance asks again the slots
+// asked for the round it left, a silent tick asks every empty slot, and an
+// answer is one send. Put ops deliver, then deliver the same message again
 // (bit 6 additionally makes Advanced stop the node after one round; a round
 // at or beyond maxRounds must be dropped). Pop ops deliver what must be
 // ignored (a stale round, a forged sender, and the forged far-future rounds
-// of TestStepperDropsRoundsBeyondMaxRounds). The remaining ops Crash, Start,
-// or fire the Timer, by their low two bits. After every op the stepper's
+// of TestStepperDropsRoundsBeyondMaxRounds) and ask for the forged rounds.
+// The remaining ops Crash, Start, fire the Timer or Answer an ask, by their
+// low two bits; an Answer's bits 2–3 pick the asker (two of the four are
+// not out-neighbors) and bits 4–5 the round (the node's own, one ahead, or
+// up to two behind, which may be negative). After every op the stepper's
 // outputs, round, history and whole inbox must match the model, and the
 // recorder checks on every output that no send carries a round above the
-// stepper's own and that a round's sends and its Advanced report carry
-// history[round]. A repeated delivery must emit nothing.
+// stepper's own, that a round's sends and its Advanced report carry
+// history[round], and that every ask is for an empty slot of the current
+// round. A repeated delivery must emit nothing.
 func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 	t.Helper()
 	const (
@@ -315,12 +321,30 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 	deg := len(senders)
 	rule := core.TrimmedMean{}
 	rec := &recorder{t: t}
-	st := NewStepper(senders, outs, need, 0, maxRounds, rule, 0.5, rec)
+	st := NewStepper(senders, edges(outs), need, 0, maxRounds, rule, 0.5, rec)
 	rec.st = st
 	m := newRingModel()
 	history := []float64{0.5}
 	var started, progressed bool
-	epoch, backoff := 0, 1
+	epoch, lastAsk := 0, -1
+	asked := []int{-1, -1, -1}
+	has := func(round, pos int) bool { _, ok := m.vals[[2]int{round, pos}]; return ok }
+	// askEmpty appends the asks, on one fresh epoch, of every empty slot of
+	// the current round that want selects.
+	askEmpty := func(want []output, sel func(pos int) bool) []output {
+		ep := 0
+		for pos := 0; m.base < maxRounds && pos < deg; pos++ {
+			if sel(pos) && !has(m.base, pos) {
+				if ep == 0 {
+					epoch++
+					ep = epoch
+				}
+				asked[pos], lastAsk = m.base, m.base
+				want = append(want, asks(m.base, ep, senders[pos])...)
+			}
+		}
+		return want
+	}
 	for i, op := range ops {
 		rec.outs = rec.outs[:0]
 		var want []output
@@ -333,6 +357,13 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 				t.Fatalf("op %d: Deliver: %v", i, err)
 			}
 			if round < maxRounds && m.put(round, pos, float64(i)) {
+				left := m.base
+				if round > left && asked[pos] != left && !has(left, pos) {
+					epoch++
+					asked[pos], lastAsk = left, left
+					want = append(want, asks(left, epoch, senders[pos])...)
+				}
+				stopped := false
 				for m.base < maxRounds && m.filled(m.base, deg) >= need {
 					v, err := rule.Update(history[m.base], m.gather(m.base, senders), 0)
 					if err != nil {
@@ -344,8 +375,12 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 					want = append(want, output{advanced: true, round: m.base, value: v})
 					want = append(want, broadcast(m.base, v, 0, outs)...)
 					if rec.stop {
+						stopped = true
 						break
 					}
+				}
+				if !stopped && lastAsk == left && m.base > left {
+					want = askEmpty(want, func(pos int) bool { return asked[pos] == left })
 				}
 			}
 			emitted := len(rec.outs)
@@ -366,11 +401,13 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 				if err := st.Deliver(senders[0], round, -1); err != nil {
 					t.Fatalf("op %d: far-future Deliver(%d): %v", i, round, err)
 				}
+				st.Answer(edges(outs)[0], round)
 			}
 		case op&3 == 0:
 			st.Crash()
 			m.reset(m.base)
-			progressed, backoff = false, 1
+			progressed, lastAsk = false, -1
+			asked = []int{-1, -1, -1}
 		case op&3 == 1:
 			st.Start()
 			ep := 0
@@ -380,23 +417,20 @@ func stepperAgainstModel(t *testing.T, ops []byte, senders []int) {
 			}
 			started = true
 			want = broadcast(m.base, history[m.base], ep, outs)
-		default:
-			got := st.Timer()
+		case op&3 == 2:
+			st.Timer()
 			if progressed {
-				progressed, backoff = false, 1
+				progressed = false
 			} else {
-				epoch++
-				lo := 0
-				if epoch%deepResendEvery != 0 && m.base > shallowResendDepth {
-					lo = m.base - shallowResendDepth
-				}
-				for k := m.base; k >= lo; k-- {
-					want = append(want, broadcast(k, history[k], epoch, outs)...)
-				}
-				backoff = min(2*backoff, maxResendBackoffFactor)
+				want = askEmpty(want, func(int) bool { return true })
 			}
-			if got != backoff {
-				t.Fatalf("op %d: Timer = %d, model %d", i, got, backoff)
+		default:
+			k := int(op>>2) & 3
+			round := m.base + 1 - int(op>>4)&3
+			st.Answer(100+k, round)
+			if k < outs && round >= 0 && round <= m.base {
+				epoch++
+				want = []output{{k: k, round: round, value: history[round], epoch: epoch}}
 			}
 		}
 		if !slices.Equal(rec.outs, want) {
@@ -424,7 +458,7 @@ func TestStepperDropsRoundsBeyondMaxRounds(t *testing.T) {
 	const maxRounds = 100
 	senders := []int{1, 2, 3, 4}
 	rec := &recorder{t: t}
-	st := NewStepper(senders, 1, Count(len(senders), 1), 1, maxRounds, core.TrimmedMean{}, 0.5, rec)
+	st := NewStepper(senders, edges(1), Count(len(senders), 1), 1, maxRounds, core.TrimmedMean{}, 0.5, rec)
 	rec.st = st
 	slots := st.inbox.slots
 	for _, round := range forgedRounds(maxRounds) {
@@ -440,9 +474,13 @@ func TestStepperDropsRoundsBeyondMaxRounds(t *testing.T) {
 		}
 	}
 	// The last round an update does consume is still accepted, and it bounds
-	// the window at maxRounds slots rounded up to the ring's doubling.
+	// the window at maxRounds slots rounded up to the ring's doubling. It is
+	// a gap, so it asks its sender for round 0.
 	if err := st.Deliver(senders[0], maxRounds-1, 7); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := rec.take(), asks(0, 1, senders[0]); !slices.Equal(got, want) {
+		t.Fatalf("the accepted round-%d delivery emitted %+v, want %+v", maxRounds-1, got, want)
 	}
 	if got := st.inbox.Filled(maxRounds - 1); got != 1 {
 		t.Fatalf("round %d holds %d values, want 1", maxRounds-1, got)

@@ -15,41 +15,45 @@ import (
 type Outbox interface {
 	// Send transmits (round, value) on the node's out-edge k, the edge to
 	// its k-th out-neighbor in sorted order. epoch is 0 on a round's first
-	// broadcast and a fresh per-node number on every resend pass and
-	// restart re-announcement, so a runtime can tell retransmissions apart.
+	// broadcast and a fresh per-node number on every answer and restart
+	// re-announcement, so a runtime can tell retransmissions apart.
 	Send(k, round int, value float64, epoch int)
+	// Ask requests in-neighbor from's round-round value, on a fresh
+	// per-node epoch. The request travels from the node to from, against
+	// the edge the value travels; the asked node's runtime hands it to its
+	// Stepper's Answer.
+	Ask(from, round, epoch int)
 	// Advanced reports that the node completed the update to round, now
 	// holding value. Returning false stops the advance once the new round
 	// is broadcast: it is for a runtime that is stopping the node.
 	Advanced(round int, value float64) bool
 }
 
-// The stall policy Timer applies. Every deepResendEvery-th resend pass
-// covers the whole history; the passes between cover only the current round
-// and the shallowResendDepth before it, which keeps a long stall from
-// flooding the network with thousands of old rounds per tick while still
-// repairing arbitrarily deep laggards within deepResendEvery ticks. The
-// backoff doubles per silent tick up to maxResendBackoffFactor.
-const (
-	deepResendEvery        = 8
-	shallowResendDepth     = 4
-	maxResendBackoffFactor = 32
-)
-
 // Stepper is one fault-free node's Section 7 actor: a state machine that
 // reads no clock, does no I/O and allocates nothing per input. It owns the
-// node's round counter and value, its inbox Ring, its out-degree, the
-// history of values it has held, the resend epoch and the stall backoff.
-// Its inputs are Start, Deliver, Timer and Crash; its outputs go to an
-// Outbox. The discrete-event simulator drives it from its event queue
-// (Start at t = 0, Deliver per arrival, never Timer or Crash) and each live
-// node actor from its goroutine (deliveries, a wall-clock timer, the crash
-// supervisor), so the protocol and its robustness policy exist once.
+// node's round counter and value, its inbox Ring, its out-neighbors, the
+// history of values it has held, the epoch counter and the record of what
+// it has asked for. Its inputs are Start, Deliver, Answer, Timer and Crash;
+// its outputs go to an Outbox. The discrete-event simulator drives it from
+// its event queue (Start at t = 0, Deliver per arrival, never Answer, Timer
+// or Crash: its delivery is loss-free) and each live node actor from its
+// goroutine (deliveries, asks, a wall-clock ticker, the crash supervisor),
+// so the protocol and its repair policy exist once.
+//
+// Repair is receiver-driven. A node that lacks a round-r value asks the
+// in-neighbor that owes it for exactly round r, and that in-neighbor
+// answers from its history. Asks fire on three triggers, and one firing
+// asks each empty slot of the current round at most once: a gap (a fresh
+// value from p for a later round while p's current slot is empty), the
+// pipeline (on an advance, every slot asked for the round just left whose
+// new slot is empty) and a silent Timer tick (every empty slot). A silent
+// tick therefore sends at most in-degree asks, and a laggard catches up at
+// one round trip per round.
 //
 // Like its Ring, a Stepper belongs to exactly one goroutine.
 type Stepper struct {
 	ins       []int // sorted in-neighbor list
-	outs      int   // out-degree: Send's edge indexes are [0, outs)
+	outs      []int // sorted out-neighbor list: Send's edge k leads to outs[k]
 	need      int   // quorum: distinct round-t values required to advance
 	f         int
 	maxRounds int
@@ -64,22 +68,24 @@ type Stepper struct {
 	started bool
 
 	// Volatile state: a crash drops it. progressed records an update since
-	// the last Timer; backoff is the next timer interval as a multiple of
-	// the runtime's base period.
+	// the last Timer; asked[pos] is the last round asked of the in-neighbor
+	// at pos (-1: none), and lastAsk the last round asked of anyone, so an
+	// advance with no ask outstanding skips the pipeline scan.
 	progressed bool
-	backoff    int
+	asked      []int
+	lastAsk    int
 	inbox      *Ring
 	scratch    core.Scratch
 	buf        []core.ValueFrom
 }
 
-// NewStepper returns the actor of a node at round 0 holding initial. ins is
-// the node's sorted in-neighbor list, outs its out-degree, need the quorum
-// it waits for (Count(len(ins), f) unless overridden), and rule the update
+// NewStepper returns the actor of a node at round 0 holding initial. ins and
+// outs are the node's sorted in- and out-neighbor lists, need the quorum it
+// waits for (Count(len(ins), f) unless overridden), and rule the update
 // applied with trimming parameter f until the round counter reaches
 // maxRounds. Every output goes to out.
-func NewStepper(ins []int, outs, need, f, maxRounds int, rule core.BufferedRule, initial float64, out Outbox) *Stepper {
-	return &Stepper{
+func NewStepper(ins, outs []int, need, f, maxRounds int, rule core.BufferedRule, initial float64, out Outbox) *Stepper {
+	s := &Stepper{
 		ins:       ins,
 		outs:      outs,
 		need:      need,
@@ -88,10 +94,12 @@ func NewStepper(ins []int, outs, need, f, maxRounds int, rule core.BufferedRule,
 		rule:      rule,
 		out:       out,
 		history:   append(make([]float64, 0, maxRounds+1), initial),
-		backoff:   1,
+		asked:     make([]int, len(ins)),
 		inbox:     NewRing(len(ins)),
 		buf:       make([]core.ValueFrom, 0, len(ins)),
 	}
+	s.forgetAsks()
+	return s
 }
 
 // Round returns the node's round counter: the number of updates applied.
@@ -126,6 +134,12 @@ func (s *Stepper) Start() {
 // usually sees exactly need values; a later round buffered while the node
 // lagged can hold more, which the rule tolerates.
 //
+// A fresh value for a round after Round() from a sender whose current slot
+// is empty and not yet asked for is a gap: the sender has moved on, so its
+// current value was lost or is late, and Deliver asks for it at once. After
+// an advance Deliver asks again, for the new round, every slot it had
+// asked for the round it left and still lacks.
+//
 // A rule error is returned as is, with Round() still naming the round that
 // failed.
 func (s *Stepper) Deliver(from, round int, value float64) error {
@@ -139,7 +153,11 @@ func (s *Stepper) Deliver(from, round int, value float64) error {
 	if !s.inbox.Put(round, pos, value) {
 		return nil
 	}
-	for r := s.Round(); r < s.maxRounds && s.inbox.Filled(r) >= s.need; r++ {
+	left := s.Round()
+	if round > left && s.asked[pos] != left && !s.inbox.Has(left, pos) {
+		s.ask(pos, left, s.nextEpoch())
+	}
+	for r := left; r < s.maxRounds && s.inbox.Filled(r) >= s.need; r++ {
 		// Slot positions are aligned with the sorted in-neighbor list, so
 		// received comes out in ascending sender order with no sort.
 		received := s.inbox.Gather(r, s.ins, s.buf[:0])
@@ -153,47 +171,52 @@ func (s *Stepper) Deliver(from, round int, value float64) error {
 		more := s.out.Advanced(r+1, v)
 		s.broadcast(r+1, 0)
 		if !more {
-			break
+			return nil
 		}
+	}
+	if s.lastAsk == left && s.Round() > left {
+		s.askEmpty(func(pos int) bool { return s.asked[pos] == left })
 	}
 	return nil
 }
 
-// Timer is the stall detector's tick; it returns the interval to the next
-// tick as a multiple of the runtime's base period. After progress it resends
-// nothing and the interval falls back to 1. After silence it resends recent
-// rounds newest first on a fresh epoch — the current round unblocks peers
-// in the same round, older rounds repair laggards — and doubles the
-// interval. Resending is safe by idempotence: round k's message is a pure
-// function of the round-k state and receivers keep the first arrival per
-// (sender, round), so resends repair losses without altering a fault-free
-// trajectory.
-func (s *Stepper) Timer() int {
-	if s.progressed {
-		s.progressed = false
-		s.backoff = 1
-		return 1
+// Answer serves in-neighbor to's ask for round: it sends history[round] on
+// the edge to to, on a fresh epoch. Only a round the node has reached and
+// an asker among its out-neighbors get an answer; any other ask — a round
+// ahead of the node, a negative one, a node the edge does not lead to —
+// emits nothing, so one ask costs at most one answer.
+func (s *Stepper) Answer(to, round int) {
+	if round < 0 || round > s.Round() {
+		return
 	}
-	epoch := s.nextEpoch()
-	round := s.Round()
-	lo := 0
-	if epoch%deepResendEvery != 0 && round > shallowResendDepth {
-		lo = round - shallowResendDepth
+	k := sort.SearchInts(s.outs, to)
+	if k >= len(s.outs) || s.outs[k] != to {
+		return
 	}
-	for k := round; k >= lo; k-- {
-		s.broadcast(k, epoch)
-	}
-	s.backoff = min(2*s.backoff, maxResendBackoffFactor)
-	return s.backoff
+	s.out.Send(k, round, s.history[round], s.nextEpoch())
 }
 
-// Crash models a crash's loss of volatile state: the buffered arrivals and
-// the stall detector are dropped, while the round, value, history and epoch
-// survive for the next Start.
+// Timer is the stall detector's tick. After progress it does nothing. After
+// silence it asks every empty slot of the current round, on one fresh
+// epoch, which repairs lost asks, lost answers and senders not yet heard
+// from. Asking is safe by idempotence: round k's answer is a pure function
+// of the round-k state and receivers keep the first arrival per (sender,
+// round), so repair never alters a fault-free trajectory.
+func (s *Stepper) Timer() {
+	if s.progressed {
+		s.progressed = false
+		return
+	}
+	s.askEmpty(func(int) bool { return true })
+}
+
+// Crash models a crash's loss of volatile state: the buffered arrivals, the
+// stall detector and the record of asks are dropped, while the round,
+// value, history and epoch survive for the next Start.
 func (s *Stepper) Crash() {
 	s.inbox.Reset(s.Round())
 	s.progressed = false
-	s.backoff = 1
+	s.forgetAsks()
 }
 
 func (s *Stepper) nextEpoch() int {
@@ -201,10 +224,42 @@ func (s *Stepper) nextEpoch() int {
 	return s.epoch
 }
 
+func (s *Stepper) forgetAsks() {
+	for pos := range s.asked {
+		s.asked[pos] = -1
+	}
+	s.lastAsk = -1
+}
+
+// ask requests round from the in-neighbor at pos.
+func (s *Stepper) ask(pos, round, epoch int) {
+	s.asked[pos], s.lastAsk = round, round
+	s.out.Ask(s.ins[pos], round, epoch)
+}
+
+// askEmpty asks, on one fresh epoch, every in-neighbor slot of the current
+// round that is empty and selected by want. A node at maxRounds needs no
+// value and asks nothing.
+func (s *Stepper) askEmpty(want func(pos int) bool) {
+	r := s.Round()
+	if r >= s.maxRounds {
+		return
+	}
+	epoch := 0
+	for pos := range s.ins {
+		if want(pos) && !s.inbox.Has(r, pos) {
+			if epoch == 0 {
+				epoch = s.nextEpoch()
+			}
+			s.ask(pos, r, epoch)
+		}
+	}
+}
+
 // broadcast sends round k's value on every out-edge.
 func (s *Stepper) broadcast(k, epoch int) {
 	v := s.history[k]
-	for e := 0; e < s.outs; e++ {
+	for e := range s.outs {
 		s.out.Send(e, k, v, epoch)
 	}
 }

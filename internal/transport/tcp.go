@@ -232,8 +232,8 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if err != nil {
 			return // EOF, peer reset, codec violation, or Close
 		}
-		q, ok := t.qs[d.To]
-		if !ok || d.From < 0 || d.From >= len(t.peers) {
+		q, ok := t.qs[int(d.To)]
+		if !ok || d.From < 0 || int(d.From) >= len(t.peers) {
 			continue // misrouted or forged header: drop, keep the stream
 		}
 		select {
@@ -288,7 +288,7 @@ func (t *TCP) Send(ctx context.Context, from, to int, m Msg) error {
 	if t.done.Load() {
 		return ErrClosed
 	}
-	return enqueue(ctx, t.peers[to].q, Delivery{From: from, To: to, Msg: m}, t.life.Done(), &t.done)
+	return enqueue(ctx, t.peers[to].q, Delivery{From: int32(from), To: int32(to), Msg: m}, t.life.Done(), &t.done)
 }
 
 // writeLoop is p's writer: it takes one frame, drains whatever else is

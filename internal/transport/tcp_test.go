@@ -388,7 +388,7 @@ func TestTCPSharedConnectionPerLinkFIFO(t *testing.T) {
 			for got := 0; got < (n-1)*k; got++ {
 				select {
 				case d := <-tr.Recv(to):
-					if d.To != to || d.From == to || d.From < 0 || d.From >= n {
+					if int(d.To) != to || int(d.From) == to || d.From < 0 || d.From >= n {
 						errc <- fmt.Errorf("node %d received a frame for link %d -> %d", to, d.From, d.To)
 						return
 					}

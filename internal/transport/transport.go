@@ -10,7 +10,7 @@
 // Delivery semantics are deliberately weak — at-most-once, unordered across
 // links, fallible — because the Section 7 algorithm's robustness argument
 // is exactly that it needs nothing stronger: the actor layer masks loss by
-// idempotent retransmission and the quorum/inbox logic dedups.
+// asking for what it is missing, and the quorum/inbox logic dedups.
 package transport
 
 import (
@@ -21,19 +21,22 @@ import (
 )
 
 // Msg is one round-tagged protocol message: the sender's state Value after
-// Round updates. Seq is a per-sender monotone counter distinguishing
-// physical transmissions of the same logical (Round, Value) — resends and
-// chaos-injected duplicates — so fault decisions can be keyed per
-// transmission.
+// Round updates or, with Ask set, the sender's request for the receiver's
+// round-Round value (Value unused). Seq distinguishes physical transmissions
+// of the same logical message — answers, asks and chaos-injected
+// duplicates — so fault decisions can be keyed per transmission.
 type Msg struct {
 	Round int
 	Value float64
 	Seq   uint64
+	Ask   bool
 }
 
-// Delivery is a Msg as it arrives: stamped with the link it traveled.
+// Delivery is a Msg as it arrives: stamped with the link it traveled. The
+// node ids are 32-bit, as on the wire, which keeps a Delivery at 40 bytes:
+// the transports' queues hold thousands of them per cluster.
 type Delivery struct {
-	From, To int
+	From, To int32
 	Msg
 }
 
@@ -73,8 +76,8 @@ var ErrClosed = errors.New("transport: closed")
 
 // ErrLinkDown is returned by Send when the (from, to) link is cut — a
 // partition window, or a crash window of either endpoint. It is not fatal:
-// the link may heal, and the node runtime leaves the lost message to its
-// stall-triggered resend rather than retrying the send.
+// the link may heal, and the node runtime leaves the lost message to the
+// receiver's ask rather than retrying the send.
 var ErrLinkDown = errors.New("transport: link down")
 
 // Inproc is the in-process Transport: one bounded channel per receiving
@@ -122,7 +125,7 @@ func (t *Inproc) Send(ctx context.Context, from, to int, m Msg) error {
 	if t.done.Load() {
 		return ErrClosed
 	}
-	if err := enqueue(ctx, t.qs[to], Delivery{From: from, To: to, Msg: m}, t.closed, &t.done); err != nil {
+	if err := enqueue(ctx, t.qs[to], Delivery{From: int32(from), To: int32(to), Msg: m}, t.closed, &t.done); err != nil {
 		return err
 	}
 	t.sends.Add(1)

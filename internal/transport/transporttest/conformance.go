@@ -4,6 +4,7 @@
 // reinterpreting) the interface comments. The battery pins exactly the
 // clauses the node runtime leans on:
 //
+//   - A sent value and a sent ask each arrive intact, Ask flag included.
 //   - Send after Close returns transport.ErrClosed, including Sends that
 //     were already parked on backpressure when Close ran; Close is
 //     idempotent.
@@ -77,15 +78,21 @@ func recvOne(t *testing.T, stream <-chan transport.Delivery) transport.Delivery 
 	panic("unreachable")
 }
 
+// testDelivers sends a value and an ask, each of which must arrive intact:
+// the node runtime's repair rides on the Ask flag crossing every transport.
 func testDelivers(t *testing.T, factory Factory) {
 	tr := factory(t, 3, 8)
 	defer tr.Close()
-	want := transport.Delivery{From: 0, To: 2, Msg: transport.Msg{Round: 3, Value: 1.25, Seq: 9}}
-	if err := tr.Send(context.Background(), 0, 2, want.Msg); err != nil {
-		t.Fatal(err)
-	}
-	if d := recvOne(t, tr.Recv(2)); d != want {
-		t.Fatalf("delivery = %+v, want %+v", d, want)
+	for _, want := range []transport.Delivery{
+		{From: 0, To: 2, Msg: transport.Msg{Round: 3, Value: 1.25, Seq: 9}},
+		{From: 2, To: 0, Msg: transport.Msg{Round: 3, Seq: 10, Ask: true}},
+	} {
+		if err := tr.Send(context.Background(), int(want.From), int(want.To), want.Msg); err != nil {
+			t.Fatal(err)
+		}
+		if d := recvOne(t, tr.Recv(int(want.To))); d != want {
+			t.Fatalf("delivery = %+v, want %+v", d, want)
+		}
 	}
 }
 

@@ -18,6 +18,8 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		{From: 12, To: 3, Msg: Msg{Round: 1 << 40, Value: -math.Pi, Seq: ^uint64(0)}},
 		{From: 1<<31 - 1, To: 7, Msg: Msg{Round: -3, Value: math.Inf(-1), Seq: 42}},
 		{From: 5, To: 6, Msg: Msg{Round: 9, Value: math.NaN(), Seq: 7}},
+		{From: 4, To: 2, Msg: Msg{Round: 11, Seq: 5, Ask: true}},
+		{From: 0, To: 9, Msg: Msg{Round: -1, Value: 2.5, Seq: ^uint64(0), Ask: true}},
 	}
 	var stream []byte
 	for _, d := range cases {
@@ -26,7 +28,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", d, err)
 		}
-		if got.From != d.From || got.To != d.To || got.Round != d.Round || got.Seq != d.Seq ||
+		if got.From != d.From || got.To != d.To || got.Round != d.Round || got.Seq != d.Seq || got.Ask != d.Ask ||
 			math.Float64bits(got.Value) != math.Float64bits(d.Value) {
 			t.Fatalf("round trip %+v -> %+v", d, got)
 		}
@@ -45,8 +47,27 @@ func TestWireFrameLengthCap(t *testing.T) {
 		}
 	}
 	short := append([]byte{0, 0, 0, framePayloadLen - 1}, make([]byte, framePayloadLen-1)...)
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(short)), nil); err == nil || !strings.Contains(err.Error(), "want 32") {
-		t.Fatalf("31-byte payload: err = %v, want exact-length violation", err)
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(short)), nil); err == nil || !strings.Contains(err.Error(), "want 33") {
+		t.Fatalf("32-byte payload: err = %v, want exact-length violation", err)
+	}
+}
+
+// TestWireFrameKind: the kind byte takes exactly its two values, so an ask
+// and a value never share an encoding and every other byte is rejected.
+func TestWireFrameKind(t *testing.T) {
+	value := appendFrame(nil, Delivery{From: 1, To: 2, Msg: Msg{Round: 3, Seq: 4}})
+	ask := appendFrame(nil, Delivery{From: 1, To: 2, Msg: Msg{Round: 3, Seq: 4, Ask: true}})
+	const kindAt = wire.FrameHeaderLen + 8
+	if value[kindAt] != kindValue || ask[kindAt] != kindAsk || !bytes.Equal(value[:kindAt], ask[:kindAt]) ||
+		!bytes.Equal(value[kindAt+1:], ask[kindAt+1:]) {
+		t.Fatalf("value frame % x and ask frame % x differ outside the kind byte", value, ask)
+	}
+	for _, kind := range []byte{2, 0x7f, 0xff} {
+		bad := bytes.Clone(ask)
+		bad[kindAt] = kind
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(bad)), nil); err == nil || !strings.Contains(err.Error(), "kind") {
+			t.Fatalf("kind byte %d: err = %v, want a kind violation", kind, err)
+		}
 	}
 }
 
@@ -79,6 +100,10 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 32, 1, 2, 3})         // truncated payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0}) // hostile length
 	f.Add([]byte{0, 0, 0, 31})                  // wrong (short) length
+	f.Add(appendFrame(nil, Delivery{From: 1, To: 2, Msg: Msg{Round: 4, Seq: 3, Ask: true}}))
+	unknown := appendFrame(nil, Delivery{From: 1, To: 2, Msg: Msg{Round: 4, Seq: 3}})
+	unknown[wire.FrameHeaderLen+8] = 2 // an unknown kind byte: rejected
+	f.Add(unknown)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var scratch []byte

@@ -2,7 +2,7 @@
 // persisted record in this module shares, so each is decided in one place:
 //
 //   - The frame: a 4-byte big-endian payload length followed by the payload.
-//     internal/transport (one fixed 32-byte payload per Delivery) and
+//     internal/transport (one fixed 33-byte payload per Delivery) and
 //     internal/distrib (a kind byte plus a fixed or JSON payload) differ only
 //     in the cap they pass to ReadFrame and in what they make of the payload.
 //   - Bit-exact floats in JSON: Floats and FloatRows marshal as IEEE-754 bit

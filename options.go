@@ -302,22 +302,22 @@ func WithTCPTransport(cfg TCPTransportConfig) Option {
 // WithLocalNodes restricts the actors a Cluster call animates to the listed
 // node ids — this process's share of a cross-process deployment. The stop
 // conditions become local (see the node runtime's Config.Local); combine
-// with WithLinger so a finished process keeps serving history resends to
-// remote laggards. Default: all nodes.
+// with WithLinger so a finished process keeps answering remote laggards'
+// asks from its history. Default: all nodes.
 func WithLocalNodes(ids ...int) Option {
 	return func(c *config) { c.localNodes = append([]int(nil), ids...) }
 }
 
 // WithLinger keeps a Cluster call's actors alive for d after its local stop
-// condition fires, still draining deliveries and serving stall-triggered
-// history resends. Without it a finished process's exit looks like a crash
-// to remote peers that still need its history. Default 0: return
-// immediately.
+// condition fires, still draining deliveries and answering asks from their
+// history. Without it a finished process's exit looks like a crash to
+// remote peers that still need its history. Default 0: return immediately.
 func WithLinger(d time.Duration) Option { return func(c *config) { c.linger = d } }
 
-// WithResendEvery sets a cluster actor's initial stall-triggered
-// retransmission interval (it backs off exponentially while no progress is
-// made). 0 — the default — selects the node runtime's default.
+// WithResendEvery sets a cluster actor's tick interval: on a tick after
+// which it made no progress, an actor asks each in-neighbour it still lacks
+// a current-round value from for exactly that value. 0 — the default —
+// selects the node runtime's default.
 func WithResendEvery(d time.Duration) Option { return func(c *config) { c.resendEvery = d } }
 
 // WithStallAfter ends a cluster run with ClusterResult.Stalled once no
