@@ -200,8 +200,8 @@ func BenchmarkEngineRound(b *testing.B) {
 }
 
 // BenchmarkRunScenarios measures engine-level scenario batching: K
-// adversary variations sharing one engine setup, against K independent
-// Sequential runs of the same configs.
+// adversary variations sharing one engine setup in a single-worker
+// sim.Sweep, against K independent Sequential runs of the same configs.
 func BenchmarkRunScenarios(b *testing.B) {
 	const (
 		n, f   = 16, 2
@@ -230,12 +230,12 @@ func BenchmarkRunScenarios(b *testing.B) {
 	b.Run("batched8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			trs, err := sim.RunScenarios(base, scens)
+			res, err := sim.Sweep(context.Background(), base, scens, sim.SweepOptions{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(trs) != len(scens) {
-				b.Fatalf("traces = %d", len(trs))
+			if len(res.Traces) != len(scens) {
+				b.Fatalf("traces = %d", len(res.Traces))
 			}
 		}
 		b.ReportMetric(float64(rounds*len(scens))*float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
@@ -370,9 +370,10 @@ func BenchmarkSequentialSteadyState(b *testing.B) {
 	b.ReportMetric(float64(rounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
 }
 
-// BenchmarkMatrixBatch measures the amortized multi-scenario path: one
-// primary run recording the round programs, then replay over a batch of
-// initial vectors. The metric is vector-rounds per second over the batch.
+// BenchmarkMatrixBatch measures the amortized multi-scenario path: a
+// one-scenario Matrix sweep whose primary run streams each round program
+// over a batch of initial vectors (SweepOptions.Extras). The metric is
+// vector-rounds per second over the batch.
 func BenchmarkMatrixBatch(b *testing.B) {
 	const (
 		n, f   = 16, 2
@@ -395,17 +396,17 @@ func BenchmarkMatrixBatch(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr, finals, err := sim.Matrix{}.RunBatch(sim.Config{
+		res, err := sim.Sweep(context.Background(), sim.Config{
 			G: g, F: f, Faulty: faulty, Initial: initial,
 			Rule:      core.TrimmedMean{},
 			Adversary: adversary.Hug{High: true},
 			MaxRounds: rounds,
-		}, extras)
+		}, []sim.Scenario{{}}, sim.SweepOptions{Engine: sim.Matrix{}, Workers: 1, Extras: extras})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tr.Rounds != rounds || len(finals) != batch {
-			b.Fatalf("rounds = %d, finals = %d", tr.Rounds, len(finals))
+		if res.Traces[0].Rounds != rounds || len(res.Finals[0]) != batch {
+			b.Fatalf("rounds = %d, finals = %d", res.Traces[0].Rounds, len(res.Finals[0]))
 		}
 	}
 	b.ReportMetric(float64(rounds)*batch*float64(b.N)/b.Elapsed().Seconds(), "vecrounds/s")
@@ -437,17 +438,17 @@ func BenchmarkMatrixStreamBatch(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr, finals, err := sim.Matrix{}.RunBatch(sim.Config{
+		res, err := sim.Sweep(context.Background(), sim.Config{
 			G: g, F: f, Faulty: faulty, Initial: initial,
 			Rule:      core.TrimmedMean{},
 			Adversary: adversary.Hug{High: true},
 			MaxRounds: rounds,
-		}, extras)
+		}, []sim.Scenario{{}}, sim.SweepOptions{Engine: sim.Matrix{}, Workers: 1, Extras: extras})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tr.Rounds != rounds || len(finals) != batch {
-			b.Fatalf("rounds = %d, finals = %d", tr.Rounds, len(finals))
+		if res.Traces[0].Rounds != rounds || len(res.Finals[0]) != batch {
+			b.Fatalf("rounds = %d, finals = %d", res.Traces[0].Rounds, len(res.Finals[0]))
 		}
 	}
 	b.ReportMetric(float64(rounds)*batch*float64(b.N)/b.Elapsed().Seconds(), "vecrounds/s")

@@ -64,11 +64,12 @@
 //     scenario and the reference the other is checked against.
 //   - sim.Matrix — materializes every round as a row-stochastic transition
 //     (the matrix representation of arXiv:1203.1888). Run matches
-//     Sequential; RunBatch streams each round's transition over many
-//     initial vectors in structure-of-arrays layout, a few flops per edge
-//     per vector and O(edges) program memory however long the run — use it
-//     for multi-scenario sensitivity sweeps where the round structure is
-//     shared. Supports the affine rules (TrimmedMean, Mean) only.
+//     Sequential; sim.Sweep with SweepOptions.Extras streams each round's
+//     transition over many initial vectors in structure-of-arrays layout, a
+//     few flops per edge per vector and O(edges) program memory however
+//     long the run — use it for multi-scenario sensitivity sweeps where the
+//     round structure is shared. Supports the affine rules (TrimmedMean,
+//     Mean) only.
 //
 // sim.Sequential also runs the §7 closing remark's partially asynchronous
 // model (sim.Config.Stale, measured by E15; not a facade option): rounds
@@ -79,14 +80,13 @@
 // For sweeps that vary the adversary (or fault set) rather than the initial
 // vector — where the round structure itself changes and the matrix replay
 // does not apply — sim.Sweep re-simulates each scenario over pooled
-// per-worker engine state (a sim.ScenarioRunner: the sequential plane or
-// the matrix scratch) and fans independent scenarios across cores
-// (SweepOptions.Workers; ≤ 0 selects GOMAXPROCS). With the Matrix engine,
-// SweepOptions.Extras composes both batching dimensions: each scenario's
-// recorded round programs are SoA-replayed over K extra initial vectors.
-// sim.RunScenarios is the single-worker sequential shorthand. Parallel
-// sweeps are bit-identical to sequential ones as long as scenarios do not
-// share mutable adversary state.
+// per-worker engine state (the sequential plane or the matrix scratch) and
+// fans independent scenarios across cores (SweepOptions.Workers; ≤ 0
+// selects GOMAXPROCS). sim.Sweep is the one batch entry point: with the
+// Matrix engine, SweepOptions.Extras composes both batching dimensions, and
+// each scenario's recorded round programs are SoA-replayed over K extra
+// initial vectors. Parallel sweeps are bit-identical to sequential ones as
+// long as scenarios do not share mutable adversary state.
 //
 // internal/async is a different model entirely (Section 7 quorum
 // iteration under message delays), not a third engine for the synchronous

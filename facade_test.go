@@ -367,6 +367,11 @@ func TestOptionErrors(t *testing.T) {
 				iabc.WithEngine(iabc.Sequential), iabc.WithExtras([][]float64{initial}))
 			return err
 		}},
+		{"extra of wrong length", func() error {
+			_, err := iabc.Sweep(ctx, g, []iabc.Scenario{{}}, iabc.WithInitial(initial),
+				iabc.WithEngine(iabc.Matrix), iabc.WithExtras([][]float64{initial, initial[:len(initial)-1]}))
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -140,15 +140,26 @@ func cmdSweep(args []string, stdout io.Writer) error {
 	if *advList != "" {
 		advNames = strings.Split(*advList, ",")
 	}
-	scens := make([]iabc.Scenario, len(advNames))
 	for i, name := range advNames {
-		name = strings.TrimSpace(name)
-		advNames[i] = name
-		adv, err := iabc.AdversaryByName(name, *seed)
-		if err != nil {
-			return err
+		advNames[i] = strings.TrimSpace(name)
+	}
+	// scenarios resolves one fresh strategy per name. Each point gets its
+	// own, seeded alike, so a randomized adversary's stream restarts at every
+	// point: a point is a function of (seed, point) alone, and a sweep
+	// resumed from -state-dir prints what an uninterrupted one does.
+	scenarios := func() ([]iabc.Scenario, error) {
+		scens := make([]iabc.Scenario, len(advNames))
+		for i, name := range advNames {
+			adv, err := iabc.AdversaryByName(name, *seed)
+			if err != nil {
+				return nil, err
+			}
+			scens[i] = iabc.Scenario{Name: name, Adversary: adv}
 		}
-		scens[i] = iabc.Scenario{Name: name, Adversary: adv}
+		return scens, nil
+	}
+	if _, err := scenarios(); err != nil {
+		return err
 	}
 	cw := csv.NewWriter(stdout)
 	if err := cw.Write([]string{"family", "n", "f", "engine", "workers", "adversary", "satisfied", "rounds_to_eps", "converged", "scenario_final_range_max"}); err != nil {
@@ -197,6 +208,10 @@ func cmdSweep(args []string, stdout io.Writer) error {
 		rowRanges := make([]string, len(advNames))
 		rowWorkers := 1
 		if chk.Satisfied {
+			scens, err := scenarios()
+			if err != nil {
+				return err
+			}
 			// One pooled engine setup per worker per point, re-simulated
 			// under every listed adversary (the one base adversary without
 			// -adversaries); with -batch each scenario's recorded programs

@@ -110,6 +110,30 @@ func TestSweepStateDirSingleAdversary(t *testing.T) {
 	}
 }
 
+// TestSweepResumeRandomizedAdversary pins resume under a randomized
+// adversary: a sweep cut short at -to 8 and resumed from its -state-dir up
+// to -to 12 must print the uninterrupted sweep's CSV byte for byte. The
+// resumed points draw no noise, so this holds only when every point seeds
+// its own strategy rather than sharing one stream across the range.
+func TestSweepResumeRandomizedAdversary(t *testing.T) {
+	args := []string{"sweep", "-family", "chord", "-f", "1", "-from", "4", "-adversary", "noise", "-eps", "1e-9"}
+	code, want, stderr := run(t, "", append(args, "-to", "12")...)
+	if code != 0 {
+		t.Fatalf("uninterrupted exit = %d, stderr = %q", code, stderr)
+	}
+	dir := t.TempDir()
+	if code, _, stderr := run(t, "", append(args, "-to", "8", "-state-dir", dir)...); code != 0 {
+		t.Fatalf("prefix exit = %d, stderr = %q", code, stderr)
+	}
+	code, got, stderr := run(t, "", append(args, "-to", "12", "-state-dir", dir)...)
+	if code != 0 {
+		t.Fatalf("resumed exit = %d, stderr = %q", code, stderr)
+	}
+	if got != want {
+		t.Errorf("resumed CSV differs from the uninterrupted sweep:\nwant %q\ngot  %q", want, got)
+	}
+}
+
 func TestSweepAdversaryBatch(t *testing.T) {
 	code, stdout, stderr := run(t, "", "sweep", "-family", "core", "-f", "1", "-to", "5",
 		"-rounds", "5000", "-adversaries", "extremes,hug-high,insider-high")

@@ -31,8 +31,8 @@ func Count(inDegree, f int) int { return inDegree - f }
 // one node actor's goroutine); it is not safe for concurrent use.
 type Ring struct {
 	deg     int
-	base    int // round number stored at ring position start
-	start   int // ring position of round base
+	base    int       // round number stored at ring position start
+	start   int       // ring position of round base
 	slots   int       // a power of two: 8, doubled by each grow
 	vals    []float64 // slots × deg
 	present []bool    // slots × deg

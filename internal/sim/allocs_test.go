@@ -74,8 +74,8 @@ func TestEngineRoundLoopZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestScenarioBatchSharesSetup pins the amortization contract of
-// RunScenarios: running K scenarios through one call must allocate less
+// TestScenarioBatchSharesSetup pins the amortization contract of Sweep:
+// running K scenarios through one single-worker sweep must allocate less
 // than K independent Sequential runs (the plane geometry and receive
 // buffers are built once).
 func TestScenarioBatchSharesSetup(t *testing.T) {
@@ -102,7 +102,7 @@ func TestScenarioBatchSharesSetup(t *testing.T) {
 		{Adversary: adversary.Fixed{Value: -50}},
 	}
 	batched := testing.AllocsPerRun(5, func() {
-		if _, err := RunScenarios(base, scens); err != nil {
+		if _, err := runScenarios(base, scens); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -115,6 +115,6 @@ func TestScenarioBatchSharesSetup(t *testing.T) {
 		}
 	})
 	if batched >= separate {
-		t.Errorf("RunScenarios allocates %.0f vs %.0f for separate runs; setup is not amortized", batched, separate)
+		t.Errorf("Sweep allocates %.0f vs %.0f for separate runs; setup is not amortized", batched, separate)
 	}
 }

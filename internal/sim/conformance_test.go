@@ -241,12 +241,13 @@ func TestCrossEngineConformance(t *testing.T) {
 			}
 			assertTracesEqual(t, "sequential/stale-B1", ref, tr)
 			// The scenario-batched sequential loop must also agree: run the
-			// same config twice through RunScenarios (second run reuses the
-			// plane, catching stale-state bugs in the shared setup).
+			// same config twice through a single-worker Sweep (second run
+			// reuses the plane, catching stale-state bugs in the shared
+			// setup).
 			base := sc.buildConfig(t, false)
-			traces, err := RunScenarios(base, []Scenario{{Name: "a"}, {Name: "b"}})
+			traces, err := runScenarios(base, []Scenario{{Name: "a"}, {Name: "b"}})
 			if err != nil {
-				t.Fatalf("RunScenarios: %v", err)
+				t.Fatalf("Sweep: %v", err)
 			}
 			// Randomized strategies consume their stream across scenario
 			// runs, so only replay-safe (deterministic per-round) strategies

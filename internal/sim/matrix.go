@@ -7,7 +7,6 @@ import (
 	"iabc/internal/adversary"
 	"iabc/internal/core"
 	"iabc/internal/graph"
-	"iabc/internal/nodeset"
 )
 
 // Matrix is the batched engine built on the matrix representation of
@@ -26,13 +25,14 @@ import (
 // first, then survivors in ascending sender order, one multiply by a_i at
 // the end).
 //
-// The payoff is RunBatch: each round's program is replayed over many
-// additional initial-value vectors at a few flops per edge, with the round
-// structure (trim decisions, adversary values, weights) paid for once. The
-// replay streams: every program is pushed through all extra vectors the
-// moment it is recorded, before the next round rebuilds it, so the whole
-// batch needs only O(edges) program memory however many rounds execute. The
-// batch columns follow the primary execution's matrices — the
+// The payoff is the batch replay, Sweep with SweepOptions.Extras: each
+// scenario's round programs are replayed over many additional initial-value
+// vectors at a few flops per edge, with the round structure (trim
+// decisions, adversary values, weights) paid for once. The replay streams:
+// every program is pushed through all extra vectors the moment it is
+// recorded, before the next round rebuilds it, so the whole batch needs
+// only O(edges) program memory however many rounds execute. The batch
+// columns follow the primary execution's matrices — the
 // matrix-representation semantics, i.e. a sensitivity/what-if analysis of
 // the recorded execution, not independent simulations.
 //
@@ -139,128 +139,85 @@ func (pr *roundProgram) applyBatch(src, dst []float64, K int, acc []float64) {
 }
 
 // Run implements Engine.
-func (Matrix) Run(cfg Config) (*Trace, error) {
-	tr, _, err := runMatrix(cfg, false, nil)
+func (e Matrix) Run(cfg Config) (*Trace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	tr, _, err := e.newRunner(cfg.G).run(&cfg, nil)
 	return tr, err
 }
 
-// newRunner builds the matrix engine's pooled runner for scenario sweeps:
-// the plane, receive buffer, survivor mask, and program storage are all
-// reused across scenarios, and the streaming replay buffers are kept warm
-// for the composed Extras dimension.
-func (Matrix) newRunner(g *graph.Graph) ScenarioRunner {
-	return &matrixRunner{g: g, st: newMatrixScratch(g)}
+// newRunner builds the matrix engine's pooled runner.
+func (Matrix) newRunner(g *graph.Graph) runner {
+	p := newEdgePlane(g, true)
+	return &matrixRunner{
+		p:      p,
+		recv:   newRecvPlane(p),
+		mask:   make([]bool, p.inOff[p.n]),
+		frozen: make([]bool, p.n),
+	}
 }
 
-// matrixRunner implements ScenarioRunner and batchRunner over a
-// matrixScratch.
+// matrixRunner is the matrix engine's per-graph state, reused across
+// scenarios: the source-tracking plane, receive buffer, survivor mask,
+// frozen flags, the one round program rebuilt in place every round, and the
+// replay stream's buffers, kept warm for the Extras dimension.
 type matrixRunner struct {
-	g    *graph.Graph
-	st   *matrixScratch
-	bufs replayBufs
+	p      *edgePlane
+	recv   []core.ValueFrom
+	mask   []bool
+	frozen []bool
+	prog   roundProgram
+	stream replayStream
 }
 
-func (r *matrixRunner) RunScenario(cfg *Config) (*Trace, error) {
-	if cfg.G != r.g {
-		return nil, errors.New("sim: scenario config graph differs from the runner's graph")
+// run executes cfg, streaming each round's program through the extra
+// initial vectors as it is recorded — the program storage is one
+// rebuilt-in-place round, O(edges), regardless of the round budget.
+func (r *matrixRunner) run(cfg *Config, extras [][]float64) (*Trace, [][]float64, error) {
+	if len(extras) == 0 {
+		tr, err := runMatrixOn(r, cfg, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &tr.Trace, nil, nil
 	}
-	if err := validateMatrix(cfg); err != nil {
-		return nil, err
-	}
-	tr, _, err := runMatrixOn(r.st, cfg, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &tr.Trace, nil
-}
-
-// runBatchScenario streams the scenario's round programs through the extra
-// initial vectors as they are recorded — the program storage is one
-// rebuilt-in-place round, O(edges), regardless of the scenario's round
-// budget. The finals are materialized fresh (not aliased to the pooled
-// replay buffers) because Sweep retains every scenario's finals side by
-// side.
-func (r *matrixRunner) runBatchScenario(cfg *Config, extras [][]float64) (*Trace, [][]float64, error) {
-	if cfg.G != r.g {
-		return nil, nil, errors.New("sim: scenario config graph differs from the runner's graph")
-	}
-	if err := validateMatrix(cfg); err != nil {
-		return nil, nil, err
-	}
-	var stream replayStream
-	stream.init(&r.bufs, extras, r.g.N())
-	tr, _, err := runMatrixOn(r.st, cfg, false, &stream)
+	r.stream.init(extras, cfg.G.N())
+	tr, err := runMatrixOn(r, cfg, &r.stream)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &tr.Trace, stream.finals(nil), nil
+	return &tr.Trace, r.stream.finals(), nil
 }
 
-// replayBufs holds the structure-of-arrays replay state (cur/nxt ping-pong
-// planes, the K-wide accumulator, and the finals storage) so repeated
-// replays do not reallocate.
-type replayBufs struct {
-	cur, nxt, acc []float64
-	// finals/finalsBack are the per-vector result storage replayPrograms
-	// hands back: headers and backing are reused across calls, so results
-	// from one replay are only valid until the next replay through the same
-	// bufs.
-	finals     [][]float64
-	finalsBack []float64
+// programSink receives each round's program from runMatrixOn right after
+// the primary state applied it, before the next round rebuilds it in place.
+type programSink interface {
+	step(pr *roundProgram)
 }
 
-// soa readies the ping-pong planes and accumulator for an n×K replay and
-// returns them, reusing capacity when it suffices.
-func (bufs *replayBufs) soa(n, K int) (cur, nxt, acc []float64) {
-	if cap(bufs.cur) < n*K {
-		bufs.cur = make([]float64, n*K)
-		bufs.nxt = make([]float64, n*K)
-	}
-	if cap(bufs.acc) < K {
-		bufs.acc = make([]float64, K)
-	}
-	return bufs.cur[:n*K], bufs.nxt[:n*K], bufs.acc[:K]
-}
-
-// takeFinals returns a K×n finals matrix backed by the bufs' reusable
-// storage.
-func (bufs *replayBufs) takeFinals(n, K int) [][]float64 {
-	if cap(bufs.finals) < K {
-		bufs.finals = make([][]float64, K)
-	}
-	if cap(bufs.finalsBack) < n*K {
-		bufs.finalsBack = make([]float64, n*K)
-	}
-	finals := bufs.finals[:K]
-	back := bufs.finalsBack[:n*K]
-	for x := range finals {
-		finals[x] = back[x*n : (x+1)*n : (x+1)*n]
-	}
-	return finals
-}
-
-// replayStream is the streaming half of the O(edges) batch replay: the
-// primary loop hands each round's freshly recorded program to step, which
-// pushes it through all K extra vectors before the next round rebuilds the
-// program — no program sequence is ever retained.
+// replayStream is the O(edges) batch replay: runMatrixOn hands it each
+// round's freshly recorded program, and step pushes that program through
+// all K extra vectors, held structure-of-arrays in the cur/nxt ping-pong
+// planes — no program sequence is ever retained.
 type replayStream struct {
-	K        int
-	n        int
-	cur, nxt []float64 // SoA ping-pong planes, views into a replayBufs
-	acc      []float64
+	K, n          int
+	cur, nxt, acc []float64
 }
 
-// init carves the SoA planes out of bufs and seeds cur with the transposed
-// extras: cur[i*K+x] = extras[x][i]. A zero-length extras slice leaves the
-// stream inert (step is a no-op).
-func (s *replayStream) init(bufs *replayBufs, extras [][]float64, n int) {
-	s.K = len(extras)
-	s.n = n
-	if s.K == 0 {
-		s.cur, s.nxt, s.acc = nil, nil, nil
-		return
+// init readies the stream for K = len(extras) vectors of length n, reusing
+// the planes' capacity when it suffices, and seeds cur with the transposed
+// extras: cur[i*K+x] = extras[x][i].
+func (s *replayStream) init(extras [][]float64, n int) {
+	s.K, s.n = len(extras), n
+	if cap(s.cur) < n*s.K {
+		s.cur = make([]float64, n*s.K)
+		s.nxt = make([]float64, n*s.K)
 	}
-	s.cur, s.nxt, s.acc = bufs.soa(n, s.K)
+	if cap(s.acc) < s.K {
+		s.acc = make([]float64, s.K)
+	}
+	s.cur, s.nxt, s.acc = s.cur[:n*s.K], s.nxt[:n*s.K], s.acc[:s.K]
 	for x, init := range extras {
 		for i, v := range init {
 			s.cur[i*s.K+x] = v
@@ -273,26 +230,18 @@ func (s *replayStream) init(bufs *replayBufs, extras [][]float64, n int) {
 // streamed batch is bit-identical to retaining the program sequence and
 // replaying it afterwards.
 func (s *replayStream) step(pr *roundProgram) {
-	if s.K == 0 {
-		return
-	}
 	pr.applyBatch(s.cur, s.nxt, s.K, s.acc)
 	s.cur, s.nxt = s.nxt, s.cur
 }
 
 // finals transposes the streamed SoA state back into per-vector final
-// slices, index-aligned with the init extras. With dst == nil the finals
-// are freshly allocated (safe to retain — the stream's buffers are reused);
-// otherwise they are written into dst[:K].
-func (s *replayStream) finals(dst [][]float64) [][]float64 {
-	if dst == nil {
-		dst = make([][]float64, s.K)
-	}
-	dst = dst[:s.K]
+// slices, index-aligned with the extras. They are freshly allocated, not
+// views of the reused planes, because Sweep retains every scenario's finals
+// side by side.
+func (s *replayStream) finals() [][]float64 {
+	dst := make([][]float64, s.K)
 	for x := range dst {
-		if dst[x] == nil {
-			dst[x] = make([]float64, s.n)
-		}
+		dst[x] = make([]float64, s.n)
 		for i := range dst[x] {
 			dst[x][i] = s.cur[i*s.K+x]
 		}
@@ -300,174 +249,16 @@ func (s *replayStream) finals(dst [][]float64) [][]float64 {
 	return dst
 }
 
-// replayPrograms replays a retained program sequence over every extra
-// initial vector in SoA layout and returns the per-vector final states,
-// index-aligned with extras. Results are bit-identical to replaying the
-// vectors one at a time (see applyBatch). The returned finals are backed by
-// bufs-owned storage — allocation-free once the bufs are warm — and remain
-// valid only until the next replay through the same bufs; copy them out to
-// retain them longer.
-func replayPrograms(progs []*roundProgram, extras [][]float64, n int, bufs *replayBufs) [][]float64 {
-	K := len(extras)
-	if K == 0 {
-		return bufs.finals[:0:0]
-	}
-	cur, nxt, acc := bufs.soa(n, K)
-	// Transpose extras into SoA: cur[i*K+x] = extras[x][i].
-	for x, init := range extras {
-		for i, v := range init {
-			cur[i*K+x] = v
-		}
-	}
-	for _, pr := range progs {
-		pr.applyBatch(cur, nxt, K, acc)
-		cur, nxt = nxt, cur
-	}
-	finals := bufs.takeFinals(n, K)
-	for x := range finals {
-		final := finals[x]
-		for i := range final {
-			final[i] = cur[i*K+x]
-		}
-	}
-	return finals
-}
-
-// validateExtras bounds-checks the extra initial vectors against the
-// config's graph.
-func validateExtras(cfg *Config, extras [][]float64) error {
-	if cfg.G == nil {
-		return errors.New("sim: nil graph")
-	}
-	n := cfg.G.N()
-	for x, init := range extras {
-		if len(init) != n {
-			return fmt.Errorf("sim: extra initial %d has length %d, want n = %d", x, len(init), n)
-		}
-	}
-	return nil
-}
-
-// RunBatch executes cfg once (the primary run), streaming each round's
-// transition program through every extra initial vector as it is recorded.
-// It returns the primary trace and, index-aligned with extras, each extra
-// vector's final state. Extra vectors must have length cfg.G.N().
-//
-// Replay cost is O(rounds · edges) time for the batch-row walk plus
-// O(rounds · edges · K) flops with no trimming, no sorting, and no
-// adversary calls — the amortization that makes wide multi-scenario sweeps
-// cheap. The batch is laid out structure-of-arrays (see applyBatch) so each
-// recorded program row streams over all K vectors in one pass; results are
-// bit-identical to replaying the vectors one at a time. Program memory is
-// O(edges) — one flat program rebuilt in place per round — independent of
-// the round count, so arbitrarily long runs and large K compose freely.
-func (Matrix) RunBatch(cfg Config, extras [][]float64) (*Trace, [][]float64, error) {
-	if err := validateExtras(&cfg, extras); err != nil {
-		return nil, nil, err
-	}
-	var bufs replayBufs
-	var stream replayStream
-	stream.init(&bufs, extras, cfg.G.N())
-	tr, _, err := runMatrix(cfg, false, &stream)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, stream.finals(nil), nil
-}
-
-// runBatchRetained is the record-then-replay reference implementation of
-// RunBatch: it retains every executed round's program — O(rounds · edges)
-// memory — and replays the whole sequence afterwards through
-// replayPrograms. The streaming production path is pinned bit-identical to
-// it by the conformance suite (TestStreamingReplayMatchesRetainedReference);
-// it is not used outside tests.
-func runBatchRetained(cfg Config, extras [][]float64, bufs *replayBufs) (*Trace, [][]float64, error) {
-	if err := validateExtras(&cfg, extras); err != nil {
-		return nil, nil, err
-	}
-	tr, progs, err := runMatrix(cfg, true, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, replayPrograms(progs, extras, cfg.G.N(), bufs), nil
-}
-
-// matrixScratch bundles the reusable per-graph state behind matrix runs: the
-// source-tracking plane, receive buffer, survivor mask, frozen flags, and a
-// free list of round programs recycled across recorded scenarios.
-type matrixScratch struct {
-	g      *graph.Graph
-	p      *edgePlane
-	recv   []core.ValueFrom
-	mask   []bool
-	frozen []bool
-	pool   []*roundProgram
-}
-
-func newMatrixScratch(g *graph.Graph) *matrixScratch {
-	n := g.N()
-	p := newEdgePlane(g, nodeset.New(n), true)
-	return &matrixScratch{
-		g:      g,
-		p:      p,
-		recv:   newRecvPlane(p),
-		mask:   make([]bool, p.inOff[n]),
-		frozen: make([]bool, n),
-	}
-}
-
-// takeProgram hands out a program, preferring the free list so flat-array
-// capacity survives across rounds and scenarios.
-func (st *matrixScratch) takeProgram() *roundProgram {
-	if k := len(st.pool); k > 0 {
-		pr := st.pool[k-1]
-		st.pool = st.pool[:k-1]
-		return pr
-	}
-	return &roundProgram{}
-}
-
-// recycle returns recorded programs to the free list once their replay is
-// done.
-func (st *matrixScratch) recycle(progs []*roundProgram) {
-	st.pool = append(st.pool, progs...)
-}
-
-// validateMatrix is Config.Validate for the matrix engine, which runs the
-// synchronous model only: a round program maps v[t−1] alone to v[t], so
-// there is no history for Config.Stale to read from.
-func validateMatrix(cfg *Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// runMatrixOn is the matrix primary loop over a runner's pooled state. Each
+// round's program is rebuilt in place, applied to the state vector, and —
+// when sink is non-nil — handed to sink before the next round rebuilds it.
+// The config must already be validated and use the runner's graph; the
+// matrix engine runs the synchronous model only, since a round program maps
+// v[t−1] alone to v[t] and leaves no history for Config.Stale to read.
+func runMatrixOn(r *matrixRunner, cfg *Config, sink programSink) (*tracer, error) {
 	if cfg.Stale != nil {
-		return errors.New("sim: the matrix engine runs the synchronous model only; Config.Stale needs Sequential")
+		return nil, errors.New("sim: the matrix engine runs the synchronous model only; Config.Stale needs Sequential")
 	}
-	return nil
-}
-
-// runMatrix is the single-run entry: validate, build fresh scratch, run.
-func runMatrix(cfg Config, keep bool, stream *replayStream) (*Trace, []*roundProgram, error) {
-	if err := validateMatrix(&cfg); err != nil {
-		return nil, nil, err
-	}
-	tr, progs, err := runMatrixOn(newMatrixScratch(cfg.G), &cfg, keep, stream)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &tr.Trace, progs, nil
-}
-
-// runMatrixOn is the shared primary loop over reusable scratch state. When
-// stream is non-nil every round's freshly recorded program is additionally
-// pushed through the stream's extra vectors before the next round rebuilds
-// it — the O(edges)-memory streaming replay. When keep is true every
-// round's program is retained (and returned) instead — the
-// O(rounds · edges) reference used by runBatchRetained and its tests.
-// Otherwise a single program is rebuilt in place each round to keep the run
-// allocation-light. The config must already be validated and its graph must
-// match the scratch's.
-func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream) (*tracer, []*roundProgram, error) {
 	var trimF int // f used for trimming; -1 marks the Mean rule
 	switch cfg.Rule.(type) {
 	case core.TrimmedMean:
@@ -475,21 +266,21 @@ func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream
 	case core.Mean:
 		trimF = -1
 	default:
-		return nil, nil, fmt.Errorf("sim: matrix engine requires an affine-representable rule (core.TrimmedMean or core.Mean), got %s", cfg.Rule.Name())
+		return nil, fmt.Errorf("sim: matrix engine requires an affine-representable rule (core.TrimmedMean or core.Mean), got %s", cfg.Rule.Name())
 	}
 
-	n := st.p.n
-	faulty := cfg.faulty()
+	n := r.p.n
+	faulty := adversary.FaultSet(cfg.G, cfg.Faulty)
 	faultFree := faulty.Complement()
-	st.p.setFaulty(faulty)
+	r.p.setFaulty(faulty)
 
 	states := snapshot(cfg.Initial)
 	next := make([]float64, n)
 	tr := newTrace(cfg, states, faultFree)
-	p := st.p
+	p := r.p
 
-	recv := st.recv
-	mask := st.mask
+	recv := r.recv
+	mask := r.mask
 	var scratch core.Scratch
 	adv := adversary.Writer(cfg.Adversary)
 	hasAdv := adv != nil && len(p.faulty) > 0
@@ -497,38 +288,19 @@ func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream
 	// frozen[i]: the update is statically undefined for node i's in-degree
 	// (only possible for faulty nodes — Validate rejects it for fault-free
 	// ones); the row stays the identity, matching Sequential's freeze.
-	frozen := st.frozen
+	frozen := r.frozen
 	for i := 0; i < n; i++ {
 		frozen[i] = cfg.Rule.Validate(cfg.G.InDegree(i), cfg.F) != nil
 	}
 
-	var progs []*roundProgram
-	var spare *roundProgram
-	newProgram := func() *roundProgram {
-		if keep {
-			pr := st.takeProgram()
-			progs = append(progs, pr)
-			return pr
-		}
-		// The program is applied (and streamed) before the next round
-		// rebuilds it, so one rebuilt-in-place program suffices.
-		if spare == nil {
-			spare = st.takeProgram()
-		}
-		return spare
-	}
-	defer func() {
-		if spare != nil {
-			st.recycle([]*roundProgram{spare})
-		}
-	}()
-
+	// The program is applied (and handed to sink) before the next round
+	// rebuilds it, so one rebuilt-in-place program suffices.
+	pr := &r.prog
 	for round := 1; round <= cfg.MaxRounds && !tr.Converged; round++ {
 		p.fill(states)
 		if hasAdv {
 			p.applyAdversary(adv, roundView(cfg, round, states, faultFree, faulty))
 		}
-		pr := newProgram()
 		pr.reset(n)
 		for i := 0; i < n; i++ {
 			lo, hi := p.inOff[i], p.inOff[i+1]
@@ -544,7 +316,7 @@ func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream
 			row := mask[lo:hi]
 			if trimF >= 0 {
 				if err := scratch.SurvivorMask(buf, trimF, row); err != nil {
-					return nil, nil, fmt.Errorf("sim: node %d round %d: %w", i, round, err)
+					return nil, fmt.Errorf("sim: node %d round %d: %w", i, round, err)
 				}
 				pr.weight[i] = core.Weight(len(buf), trimF)
 			} else {
@@ -569,8 +341,8 @@ func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream
 
 		pr.apply(states, next)
 		states, next = next, states
-		if stream != nil {
-			stream.step(pr)
+		if sink != nil {
+			sink.step(pr)
 		}
 
 		if done := tr.record(cfg, round, states, faultFree); done {
@@ -578,5 +350,5 @@ func runMatrixOn(st *matrixScratch, cfg *Config, keep bool, stream *replayStream
 		}
 	}
 	tr.finish(states)
-	return tr, progs, nil
+	return tr, nil
 }

@@ -91,7 +91,7 @@ func TestMatrixTraceBitIdenticalToSequential(t *testing.T) {
 }
 
 // TestMatrixRunBatchReplaysPrimary checks the replay contract: feeding the
-// primary initial vector through RunBatch's program replay reproduces the
+// primary initial vector through the batch replay reproduces the
 // primary final state exactly, and every extra vector gets a final of the
 // right shape.
 func TestMatrixRunBatchReplaysPrimary(t *testing.T) {
@@ -114,7 +114,7 @@ func TestMatrixRunBatchReplaysPrimary(t *testing.T) {
 		append([]float64(nil), initial...),
 		make([]float64, n), // all zeros
 	}
-	tr, finals, err := Matrix{}.RunBatch(cfg, extras)
+	tr, finals, err := runBatch(cfg, extras)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestMatrixRunBatchSoAMatchesScalarReplay(t *testing.T) {
 			}
 			extras[x] = v
 		}
-		tr, batched, err := Matrix{}.RunBatch(cfg, extras)
+		tr, batched, err := runBatch(cfg, extras)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -196,7 +196,7 @@ func TestMatrixRunBatchSoAMatchesScalarReplay(t *testing.T) {
 			}
 		}
 		for x := 1; x < K; x++ {
-			_, single, err := Matrix{}.RunBatch(cfg, [][]float64{extras[x]})
+			_, single, err := runBatch(cfg, [][]float64{extras[x]})
 			if err != nil {
 				t.Fatalf("trial %d extra %d: %v", trial, x, err)
 			}
@@ -243,7 +243,7 @@ func TestMatrixRunBatchMatchesIndependentRuns(t *testing.T) {
 			}
 			extras[x] = v
 		}
-		_, finals, err := Matrix{}.RunBatch(cfg, extras)
+		_, finals, err := runBatch(cfg, extras)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,18 +261,6 @@ func TestMatrixRunBatchMatchesIndependentRuns(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMatrixRunBatchRejectsBadShape checks the extras length validation.
-func TestMatrixRunBatchRejectsBadShape(t *testing.T) {
-	g, err := topology.Complete(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{G: g, F: 0, Initial: make([]float64, 4), Rule: core.TrimmedMean{}, MaxRounds: 3}
-	if _, _, err := (Matrix{}).RunBatch(cfg, [][]float64{{1, 2}}); err == nil {
-		t.Fatal("short extra vector should be rejected")
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // every edge this round — no per-round maps, no per-round allocation.
 //
 // The geometry (offsets, sender lists, reverse index) depends only on the
-// graph, so RunScenarios builds it once and replays it across scenarios,
-// swapping the fault set with setFaulty. The plane is refilled in place
-// every round.
+// graph, so each engine's runner builds it once and Sweep replays it across
+// scenarios, swapping the fault set with setFaulty. The plane is refilled in
+// place every round.
 type edgePlane struct {
 	n int
 	// inOff has length n+1; senders[inOff[i]:inOff[i+1]] are N-_i ascending.
@@ -33,7 +33,7 @@ type edgePlane struct {
 	// reverse index the adversary scatter uses.
 	edgeOf [][]int
 	// faulty lists the faulty node IDs ascending — hoisted out of the round
-	// loop so cfg.faulty() is not re-materialized per round.
+	// loop so the fault set is not re-walked per round.
 	faulty []int
 	// sink is the reusable EdgeSink handed to the adversary; it scatters
 	// straight into values (and fromState) via edgeOf.
@@ -57,9 +57,10 @@ func (s *planeSink) Send(k int, value float64) {
 	}
 }
 
-// newEdgePlane builds the plane for one run. trackSource enables the
-// fromState plane (only the Matrix engine needs it).
-func newEdgePlane(g *graph.Graph, faulty nodeset.Set, trackSource bool) *edgePlane {
+// newEdgePlane builds the plane for graph g with no faulty senders; a run
+// sets its fault set with setFaulty. trackSource enables the fromState plane
+// (only the Matrix engine needs it).
+func newEdgePlane(g *graph.Graph, trackSource bool) *edgePlane {
 	n := g.N()
 	p := &edgePlane{
 		n:      n,
@@ -67,7 +68,6 @@ func newEdgePlane(g *graph.Graph, faulty nodeset.Set, trackSource bool) *edgePla
 		edgeOf: make([][]int, n),
 	}
 	p.sink.p = p
-	p.setFaulty(faulty)
 	for i := 0; i < n; i++ {
 		p.inOff[i+1] = p.inOff[i] + g.InDegree(i)
 	}
@@ -94,8 +94,8 @@ func newEdgePlane(g *graph.Graph, faulty nodeset.Set, trackSource bool) *edgePla
 }
 
 // setFaulty re-materializes the ascending faulty-ID list, reusing the
-// existing slice storage. RunScenarios calls it when a scenario swaps the
-// fault set.
+// existing slice storage. Every run calls it, since each scenario of a sweep
+// may swap the fault set.
 func (p *edgePlane) setFaulty(faulty nodeset.Set) {
 	p.faulty = p.faulty[:0]
 	faulty.ForEach(func(i int) bool {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iabc/internal/adversary"
@@ -27,11 +29,60 @@ func replayExtras(n, K int, seed int64, primary []float64) [][]float64 {
 	return extras
 }
 
-// TestStreamingReplayMatchesRetainedReference pins the streaming RunBatch
-// path bit-identical to the record-then-replay reference across the full
-// conformance table × K ∈ {1, 7, 64}: same primary trace, same finals for
-// every extra vector. This is the contract that let the retained program
-// sequence be deleted from the production path.
+// runBatch runs cfg as a one-scenario Matrix sweep replaying extras — the
+// production batch path — and returns its trace and finals.
+func runBatch(cfg Config, extras [][]float64) (*Trace, [][]float64, error) {
+	res, err := Sweep(context.Background(), cfg, []Scenario{{}}, SweepOptions{Engine: Matrix{}, Workers: 1, Extras: extras})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Traces[0], res.Finals[0], nil
+}
+
+// retainSink is the programSink of the record-then-replay reference: it
+// clones every round's program, O(rounds · edges) memory in all.
+type retainSink struct{ progs []*roundProgram }
+
+func (s *retainSink) step(pr *roundProgram) {
+	s.progs = append(s.progs, &roundProgram{
+		rowOff: slices.Clone(pr.rowOff),
+		cols:   slices.Clone(pr.cols),
+		consts: slices.Clone(pr.consts),
+		weight: slices.Clone(pr.weight),
+	})
+}
+
+// runBatchRetained is the record-then-replay reference for the streaming
+// batch replay: it retains every executed round's program and, after the
+// primary run, replays the whole sequence over each extra vector on its own
+// with the scalar apply.
+func runBatchRetained(cfg Config, extras [][]float64) (*Trace, [][]float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	var sink retainSink
+	tr, err := runMatrixOn(Matrix{}.newRunner(cfg.G).(*matrixRunner), &cfg, &sink)
+	if err != nil {
+		return nil, nil, err
+	}
+	finals := make([][]float64, len(extras))
+	for x, init := range extras {
+		cur, nxt := slices.Clone(init), make([]float64, len(init))
+		for _, pr := range sink.progs {
+			pr.apply(cur, nxt)
+			cur, nxt = nxt, cur
+		}
+		finals[x] = cur
+	}
+	return &tr.Trace, finals, nil
+}
+
+// TestStreamingReplayMatchesRetainedReference pins the streaming batch
+// replay behind Sweep's Extras bit-identical to the record-then-replay
+// reference across the full conformance table × K ∈ {1, 7, 64}: same
+// primary trace, same finals for every extra vector. This is the contract
+// that let the retained program sequence be deleted from the production
+// path.
 func TestStreamingReplayMatchesRetainedReference(t *testing.T) {
 	for _, sc := range conformanceScenarios() {
 		sc := sc
@@ -45,12 +96,11 @@ func TestStreamingReplayMatchesRetainedReference(t *testing.T) {
 				cfg := sc.buildConfig(t, false)
 				extras := replayExtras(cfg.G.N(), K, int64(1888+K), cfg.Initial)
 
-				var bufs replayBufs
-				refTr, refFinals, err := runBatchRetained(sc.buildConfig(t, false), extras, &bufs)
+				refTr, refFinals, err := runBatchRetained(sc.buildConfig(t, false), extras)
 				if err != nil {
 					t.Fatalf("K=%d: retained reference: %v", K, err)
 				}
-				gotTr, gotFinals, err := Matrix{}.RunBatch(cfg, extras)
+				gotTr, gotFinals, err := runBatch(cfg, extras)
 				if err != nil {
 					t.Fatalf("K=%d: streaming: %v", K, err)
 				}
@@ -219,7 +269,7 @@ func batchAllocsConfig(t *testing.T, rounds int) (Config, [][]float64) {
 }
 
 // TestStreamingReplayZeroSteadyStateAllocs extends the differential allocs
-// gate to the streaming batch replay: a RunBatch with 4× the rounds must
+// gate to the streaming batch replay: a batch sweep with 4× the rounds must
 // allocate exactly as much as the short one (setup plus finals only) — the
 // single rebuilt-in-place program adds nothing per round. The retained
 // reference cannot pass this (one program per round), which the second half
@@ -231,7 +281,7 @@ func TestStreamingReplayZeroSteadyStateAllocs(t *testing.T) {
 	measureStream := func(rounds int) float64 {
 		cfg, extras := batchAllocsConfig(t, rounds)
 		return testing.AllocsPerRun(5, func() {
-			tr, _, err := Matrix{}.RunBatch(cfg, extras)
+			tr, _, err := runBatch(cfg, extras)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,8 +299,7 @@ func TestStreamingReplayZeroSteadyStateAllocs(t *testing.T) {
 	measureRetained := func(rounds int) float64 {
 		cfg, extras := batchAllocsConfig(t, rounds)
 		return testing.AllocsPerRun(5, func() {
-			var bufs replayBufs
-			if _, _, err := runBatchRetained(cfg, extras, &bufs); err != nil {
+			if _, _, err := runBatchRetained(cfg, extras); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -295,7 +344,7 @@ func TestStreamingReplayProgramMemoryOEdges(t *testing.T) {
 	const budget = 500
 
 	streaming := testing.AllocsPerRun(1, func() {
-		tr, _, err := Matrix{}.RunBatch(mkCfg(100_000), extras)
+		tr, _, err := runBatch(mkCfg(100_000), extras)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,71 +353,17 @@ func TestStreamingReplayProgramMemoryOEdges(t *testing.T) {
 		}
 	})
 	if streaming > budget {
-		t.Errorf("streaming RunBatch at 10⁵ rounds: %.0f allocs, budget %d — program memory is not O(edges)", streaming, budget)
+		t.Errorf("streaming batch replay at 10⁵ rounds: %.0f allocs, budget %d — program memory is not O(edges)", streaming, budget)
 	}
 
 	// The retained path allocates at least one program per round: even at
 	// 1/50 of the rounds it cannot meet the same budget.
 	retained := testing.AllocsPerRun(1, func() {
-		var bufs replayBufs
-		if _, _, err := runBatchRetained(mkCfg(2_000), extras, &bufs); err != nil {
+		if _, _, err := runBatchRetained(mkCfg(2_000), extras); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if retained <= budget {
 		t.Errorf("retained reference at 2000 rounds: %.0f allocs — unexpectedly within the streaming budget %d; the bound no longer discriminates", retained, budget)
-	}
-}
-
-// TestReplayProgramsReusesCallerFinals is the regression test for the
-// caller-owned finals buffer: a second replay through the same replayBufs
-// must be allocation-free and must hand back the same backing storage,
-// while still producing bit-identical results.
-func TestReplayProgramsReusesCallerFinals(t *testing.T) {
-	g, err := topology.CoreNetwork(7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := make([]float64, 7)
-	for i := range initial {
-		initial[i] = float64(i) * 0.5
-	}
-	cfg := Config{
-		G: g, F: 2, Faulty: nodeset.FromMembers(7, 2, 5), Initial: initial,
-		Rule: core.TrimmedMean{}, Adversary: adversary.Hug{High: true},
-		MaxRounds: 40,
-	}
-	_, progs, err := runMatrix(cfg, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extras := replayExtras(7, 6, 3, initial)
-
-	var bufs replayBufs
-	first := replayPrograms(progs, extras, 7, &bufs)
-	want := make([][]float64, len(first))
-	for x := range first {
-		want[x] = append([]float64(nil), first[x]...)
-	}
-
-	second := replayPrograms(progs, extras, 7, &bufs)
-	for x := range want {
-		if &second[x][0] != &first[x][0] {
-			t.Fatalf("finals[%d] not backed by the caller-owned buffer across replays", x)
-		}
-		for i := range want[x] {
-			if math.Float64bits(want[x][i]) != math.Float64bits(second[x][i]) {
-				t.Fatalf("finals[%d][%d] = %v on reuse, want %v", x, i, second[x][i], want[x][i])
-			}
-		}
-	}
-
-	if !raceEnabled {
-		allocs := testing.AllocsPerRun(10, func() {
-			replayPrograms(progs, extras, 7, &bufs)
-		})
-		if allocs != 0 {
-			t.Errorf("warm replayPrograms allocates %.1f per call, want 0", allocs)
-		}
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 
 	"iabc/internal/adversary"
-	"iabc/internal/core"
-	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 )
@@ -58,53 +56,10 @@ func (s *Scenario) apply(base Config) Config {
 	return cfg
 }
 
-// ScenarioRunner is a reusable engine instance for scenario sweeps: it is
-// constructed once per worker for one graph, and then executes many derived
-// configs over the same pooled state (edge planes, receive buffers, program
-// storage), amortizing the per-run setup across the whole sweep.
-//
-// RunScenario validates the config; the config's graph must be the exact
-// *graph.Graph the runner was built for.
-type ScenarioRunner interface {
-	RunScenario(cfg *Config) (*Trace, error)
-}
-
-// runnerFactory is implemented by engines that provide a pooled runner.
-type runnerFactory interface {
-	newRunner(g *graph.Graph) ScenarioRunner
-}
-
-// batchRunner extends ScenarioRunner with recorded-program replay over extra
-// initial vectors (the Matrix engine's second batching dimension).
-type batchRunner interface {
-	ScenarioRunner
-	runBatchScenario(cfg *Config, extras [][]float64) (*Trace, [][]float64, error)
-}
-
-// NewScenarioRunner returns a reusable runner for engine over g. Sequential
-// and Matrix provide pooled implementations; any other engine falls back to
-// a fresh Run per scenario.
-// A nil engine selects Sequential.
-func NewScenarioRunner(engine Engine, g *graph.Graph) ScenarioRunner {
-	if engine == nil {
-		engine = Sequential{}
-	}
-	if f, ok := engine.(runnerFactory); ok {
-		return f.newRunner(g)
-	}
-	return genericRunner{engine}
-}
-
-// genericRunner adapts any Engine to ScenarioRunner with no state reuse.
-type genericRunner struct{ e Engine }
-
-func (r genericRunner) RunScenario(cfg *Config) (*Trace, error) { return r.e.Run(*cfg) }
-
 // SweepOptions configures Sweep.
 type SweepOptions struct {
 	// Engine selects the per-scenario engine; nil defaults to Sequential.
-	// Sequential and Matrix run through pooled ScenarioRunners (one per
-	// worker).
+	// Each worker runs its scenarios on one pooled engine state.
 	Engine Engine
 	// Workers fans scenarios across goroutines, one private runner (and
 	// message plane) each; scenarios are independent, so the sweep scales
@@ -113,12 +68,12 @@ type SweepOptions struct {
 	// bit-identical for any worker count provided scenarios do not share
 	// mutable adversary state (see the Sweep doc comment).
 	Workers int
-	// Extras, when non-empty, composes the two batching dimensions: each
-	// scenario's recorded round-program sequence is additionally replayed
-	// over these K initial vectors (structure-of-arrays, see
-	// Matrix.RunBatch) and the per-vector final states are returned in
-	// SweepResult.Finals. Requires the Matrix engine. Every vector must
-	// have length n.
+	// Extras, when non-empty, composes the two batching dimensions, and is
+	// the one way to batch initial vectors: each scenario's round programs
+	// are streamed, as they are recorded, through these K initial vectors
+	// (structure-of-arrays, see Matrix), and the per-vector final states
+	// are returned in SweepResult.Finals. Requires the Matrix engine. Every
+	// vector must have length n; Sweep rejects any other before running.
 	Extras [][]float64
 	// OnScenario, when non-nil, is invoked once per completed scenario with
 	// its index, resolved name, and trace — streaming per-scenario progress
@@ -145,8 +100,8 @@ type SweepOptions struct {
 	// would resume from each other's checkpoints.
 	StateSalt string
 	// Runner, when non-nil, replaces the engine execution of each scenario:
-	// instead of running cfg on a pooled ScenarioRunner, the sweep calls
-	// Runner and stores whatever it returns. This is the seam the
+	// instead of running cfg on a worker's pooled engine state, the sweep
+	// calls Runner and stores whatever it returns. This is the seam the
 	// distributed coordinator plugs into — scheduling, validation,
 	// OnScenario, checkpointing, and result assembly stay in Sweep while
 	// the simulation itself happens elsewhere. The Runner must return a
@@ -172,13 +127,13 @@ type SweepResult struct {
 
 // Sweep executes base once per scenario, amortizing the graph-dependent
 // engine setup across the batch and, with Workers > 1, fanning the
-// independent scenarios out across worker goroutines — each worker owns a
-// private ScenarioRunner, so no simulation state is shared.
+// independent scenarios out across worker goroutines — each worker owns
+// private pooled engine state, so no simulation state is shared.
 //
 // With the Matrix engine and non-empty Extras the two batching dimensions
-// compose: each scenario's primary run records one round program per round,
-// and the whole program sequence is then SoA-replayed over the K extra
-// initial vectors at a few flops per edge per vector.
+// compose: each scenario's primary run records one round program per round
+// and streams it, SoA, through the K extra initial vectors at a few flops
+// per edge per vector before the next round rebuilds it.
 //
 // Scheduling: with more than one effective worker, scenarios are
 // dispatched largest-estimated-cost-first (effective MaxRounds × edges ×
@@ -329,21 +284,19 @@ func sweepOrdered(ctx context.Context, engine Engine, scenarios []Scenario, cfgs
 		order = remaining
 	}
 	var completed atomic.Int64
-	// runOne executes scenario i on runner r; each index is written by
-	// exactly one worker, so result slots need no locking.
-	runOne := func(r ScenarioRunner, i int) error {
+	// runOne executes scenario i on runner r (nil when opts.Runner executes
+	// scenarios elsewhere); each index is written by exactly one worker, so
+	// result slots need no locking.
+	runOne := func(r runner, i int) error {
 		var (
 			tr     *Trace
 			finals [][]float64
 			err    error
 		)
-		switch {
-		case opts.Runner != nil:
+		if opts.Runner != nil {
 			tr, finals, err = opts.Runner(ctx, i, &cfgs[i], opts.Extras)
-		case res.Finals != nil:
-			tr, finals, err = r.(batchRunner).runBatchScenario(&cfgs[i], opts.Extras)
-		default:
-			tr, err = r.RunScenario(&cfgs[i])
+		} else {
+			tr, finals, err = r.run(&cfgs[i], opts.Extras)
 		}
 		if err != nil {
 			return fmt.Errorf("sim: scenario %d (%s): %w", i, scenarioName(&scenarios[i]), err)
@@ -369,11 +322,11 @@ func sweepOrdered(ctx context.Context, engine Engine, scenarios []Scenario, cfgs
 	}
 	// newWorkerRunner builds the per-worker engine state — skipped entirely
 	// when a Runner hook executes scenarios elsewhere.
-	newWorkerRunner := func() ScenarioRunner {
+	newWorkerRunner := func() runner {
 		if opts.Runner != nil {
-			return genericRunner{engine}
+			return nil
 		}
-		return NewScenarioRunner(engine, cfgs[0].G)
+		return engine.newRunner(cfgs[0].G)
 	}
 	if len(order) == 0 {
 		return res, nil
@@ -439,24 +392,6 @@ func sweepOrdered(ctx context.Context, engine Engine, scenarios []Scenario, cfgs
 	return res, nil
 }
 
-// RunScenarios executes base once per scenario on the sequential round loop,
-// amortizing the engine setup — edge-plane geometry (the O(m log d) reverse
-// index), receive buffers — across the whole batch. It is Sweep with the
-// default engine and a single worker; use Sweep directly for multi-core
-// sweeps, other engines, or the composed matrix-replay dimension.
-//
-// Traces are index-aligned with scenarios and bit-identical to what
-// Sequential.Run would produce for each derived config. On any error the
-// returned trace slice is nil (never a partial prefix) and the error names
-// the failing scenario's index and name.
-func RunScenarios(base Config, scenarios []Scenario) ([]*Trace, error) {
-	res, err := Sweep(context.Background(), base, scenarios, SweepOptions{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return res.Traces, nil
-}
-
 // scenarioName resolves the label used in errors and reports.
 func scenarioName(s *Scenario) string {
 	if s.Name != "" {
@@ -466,33 +401,4 @@ func scenarioName(s *Scenario) string {
 		return s.Adversary.Name()
 	}
 	return "base"
-}
-
-// newRunner builds the sequential engine's pooled runner.
-func (Sequential) newRunner(g *graph.Graph) ScenarioRunner {
-	p := newEdgePlane(g, nodeset.New(g.N()), false)
-	return &sequentialRunner{g: g, p: p, recv: newRecvPlane(p)}
-}
-
-// sequentialRunner reuses one edge plane and receive buffer across
-// scenarios — the sequential engine's pooled form.
-type sequentialRunner struct {
-	g    *graph.Graph
-	p    *edgePlane
-	recv []core.ValueFrom
-}
-
-func (r *sequentialRunner) RunScenario(cfg *Config) (*Trace, error) {
-	if cfg.G != r.g {
-		return nil, fmt.Errorf("sim: scenario config graph differs from the runner's graph")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	r.p.setFaulty(cfg.faulty())
-	tr, err := runSequential(cfg, r.p, r.recv)
-	if err != nil {
-		return nil, err
-	}
-	return &tr.Trace, nil
 }

@@ -12,10 +12,19 @@ import (
 
 	"iabc/internal/adversary"
 	"iabc/internal/core"
-	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/topology"
 )
+
+// runScenarios is the single-worker sequential sweep the scenario tests
+// compare against direct runs; the traces are nil on error.
+func runScenarios(base Config, scens []Scenario) ([]*Trace, error) {
+	res, err := Sweep(context.Background(), base, scens, SweepOptions{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	return res.Traces, nil
+}
 
 // scenarioBase builds the shared base config for scenario-sweep tests.
 func scenarioBase(t *testing.T) Config {
@@ -72,7 +81,7 @@ func TestScenarioOverrideSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			traces, err := RunScenarios(base, []Scenario{tc.s})
+			traces, err := runScenarios(base, []Scenario{tc.s})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +106,7 @@ func TestScenarioOverrideSemantics(t *testing.T) {
 	for i := range override {
 		override[i] = 100 - float64(i)
 	}
-	traces, err := RunScenarios(base, []Scenario{{Name: "init"}, {Name: "init2", Initial: override}})
+	traces, err := runScenarios(base, []Scenario{{Name: "init"}, {Name: "init2", Initial: override}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestSweepErrorContract(t *testing.T) {
 			{Name: "ok"},
 			{Name: "short-initial", Initial: []float64{1, 2, 3}},
 		}
-		traces, err := RunScenarios(base, scens)
+		traces, err := runScenarios(base, scens)
 		if err == nil {
 			t.Fatal("expected validation error")
 		}
@@ -407,8 +416,8 @@ func TestSweepParallelBitIdentical(t *testing.T) {
 
 // TestSweepMatrixBatchConformance pins the composed batching dimensions:
 // Sweep with the Matrix engine and Extras must reproduce, bit for bit, both
-// the per-scenario primary traces and the per-scenario RunBatch finals of
-// independent Matrix.RunBatch calls.
+// the per-scenario primary traces and the per-scenario finals of the
+// record-then-replay reference run on each derived config alone.
 func TestSweepMatrixBatchConformance(t *testing.T) {
 	base := scenarioBase(t)
 	n := base.G.N()
@@ -438,7 +447,7 @@ func TestSweepMatrixBatchConformance(t *testing.T) {
 		}
 		for i, s := range scens {
 			cfg := s.apply(base)
-			wantTr, wantFinals, err := Matrix{}.RunBatch(cfg, extras)
+			wantTr, wantFinals, err := runBatchRetained(cfg, extras)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -463,73 +472,20 @@ func TestSweepMatrixBatchConformance(t *testing.T) {
 	}
 }
 
-// oddEngine is an Engine without a pooled runner, pinning the generic
-// fallback path of NewScenarioRunner. It must not embed any in-package
-// engine: method promotion would hand it a newRunner and silently bypass
-// the fallback under test.
-type oddEngine struct{}
-
-func (oddEngine) Name() string                   { return "odd" }
-func (oddEngine) Run(cfg Config) (*Trace, error) { return Sequential{}.Run(cfg) }
-
-var _ Engine = oddEngine{}
-
-// TestNewScenarioRunnerFallback checks the generic (no-reuse) runner path
-// and the nil-engine default.
-func TestNewScenarioRunnerFallback(t *testing.T) {
-	base := scenarioBase(t)
-	want, err := Sequential{}.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewScenarioRunner(oddEngine{}, base.G)
-	cfg := base
-	got, err := r.RunScenario(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, "generic fallback", want, got)
-
-	nr := NewScenarioRunner(nil, base.G)
-	got, err = nr.RunScenario(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, "nil engine default", want, got)
-
-	// Sweep through the fallback engine must also work.
-	res, err := Sweep(context.Background(), base, []Scenario{{Name: "a"}, {Name: "b"}}, SweepOptions{Engine: oddEngine{}, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, "sweep fallback a", want, res.Traces[0])
-	assertTracesEqual(t, "sweep fallback b", want, res.Traces[1])
-}
-
-// TestSweepEmptyAndGraphChecks covers the trivial contracts: empty scenario
-// lists, and pooled runners rejecting foreign graphs.
+// TestSweepEmptyAndGraphChecks covers the trivial contracts: an empty
+// scenario list, and a base without a graph, which Sweep rejects before it
+// builds any engine state.
 func TestSweepEmptyAndGraphChecks(t *testing.T) {
 	base := scenarioBase(t)
 	res, err := Sweep(context.Background(), base, nil, SweepOptions{})
 	if err != nil || len(res.Traces) != 0 {
 		t.Fatalf("empty sweep: res=%v err=%v", res, err)
 	}
-	traces, err := RunScenarios(base, nil)
-	if err != nil || traces != nil {
-		t.Fatalf("empty RunScenarios: traces=%v err=%v", traces, err)
-	}
 
-	var other *graph.Graph
-	other, err = topology.Complete(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base.G = nil
 	for _, eng := range []Engine{Sequential{}, Matrix{}} {
-		r := NewScenarioRunner(eng, other)
-		cfg := base // graph differs from the runner's
-		if _, err := r.RunScenario(&cfg); err == nil {
-			t.Fatalf("%s runner must reject a foreign graph", eng.Name())
+		if _, err := Sweep(context.Background(), base, []Scenario{{}}, SweepOptions{Engine: eng}); err == nil {
+			t.Fatalf("%s sweep must reject a config without a graph", eng.Name())
 		}
 	}
 }

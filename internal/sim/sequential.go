@@ -4,6 +4,7 @@ import (
 	"iabc/internal/adversary"
 	"iabc/internal/core"
 	"iabc/internal/delayed"
+	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 )
 
@@ -26,16 +27,34 @@ var _ Engine = Sequential{}
 func (Sequential) Name() string { return "sequential" }
 
 // Run implements Engine.
-func (Sequential) Run(cfg Config) (*Trace, error) {
+func (e Sequential) Run(cfg Config) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := newEdgePlane(cfg.G, cfg.faulty(), false)
-	tr, err := runSequential(&cfg, p, newRecvPlane(p))
+	tr, _, err := e.newRunner(cfg.G).run(&cfg, nil)
+	return tr, err
+}
+
+// newRunner builds the sequential engine's pooled runner: one edge plane
+// and receive buffer, reused across scenarios.
+func (Sequential) newRunner(g *graph.Graph) runner {
+	p := newEdgePlane(g, false)
+	return &sequentialRunner{p: p, recv: newRecvPlane(p)}
+}
+
+// sequentialRunner implements runner for Sequential. Sweep rejects Extras
+// for it, so run ignores them.
+type sequentialRunner struct {
+	p    *edgePlane
+	recv []core.ValueFrom
+}
+
+func (r *sequentialRunner) run(cfg *Config, _ [][]float64) (*Trace, [][]float64, error) {
+	tr, err := runSequential(cfg, r.p, r.recv)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &tr.Trace, nil
+	return &tr.Trace, nil, nil
 }
 
 // newRecvPlane builds the flat received-vector buffer for all nodes; the
@@ -48,13 +67,13 @@ func newRecvPlane(p *edgePlane) []core.ValueFrom {
 	return recv
 }
 
-// runSequential is the sequential round loop over an existing plane and
-// receive buffer. The plane's fault set must already match cfg (setFaulty);
-// RunScenarios replays this loop with the same plane across scenarios.
+// runSequential is the sequential round loop over a runner's plane and
+// receive buffer.
 func runSequential(cfg *Config, p *edgePlane, recv []core.ValueFrom) (*tracer, error) {
 	n := cfg.G.N()
-	faulty := cfg.faulty()
+	faulty := adversary.FaultSet(cfg.G, cfg.Faulty)
 	faultFree := faulty.Complement()
+	p.setFaulty(faulty)
 
 	states := snapshot(cfg.Initial)
 	next := make([]float64, n)

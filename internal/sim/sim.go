@@ -11,14 +11,17 @@
 //     used by benchmarks and exhaustive tests.
 //   - Matrix: materializes each round as a row-stochastic transition (the
 //     matrix representation of arXiv:1203.1888) and can replay the recorded
-//     round structure over batches of initial vectors (RunBatch).
+//     round structure over batches of initial vectors.
 //
 // Both are deterministic given identical configs and produce bit-identical
-// traces; cross-check tests enforce this. Sequential also runs the bounded-
-// staleness model (Config.Stale, see package delayed) over a ring of the
-// last B state vectors; Matrix rejects it. The algorithm as genuine message
-// passing — one goroutine per node — is internal/node, which at f = 0
-// reproduces these traces bit for bit.
+// traces; cross-check tests enforce this. Sweep is the one batch entry
+// point: it runs a list of Scenario variations of a base Config over pooled
+// per-worker engine state, and with the Matrix engine SweepOptions.Extras
+// replays every scenario's round programs over extra initial vectors.
+// Sequential also runs the bounded-staleness model (Config.Stale, see
+// package delayed) over a ring of the last B state vectors; Matrix rejects
+// it. The algorithm as genuine message passing — one goroutine per node — is
+// internal/node, which at f = 0 reproduces these traces bit for bit.
 package sim
 
 import (
@@ -87,22 +90,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// faulty returns the fault set, normalizing a zero-value Set. It is
-// adversary.FaultSet written out: this body is inlined into runMatrixOn, and
-// routing it through the shared function moved that function's replay loops
-// by 32 bytes, which cost the sweep_replay benchmark workload 13%.
-func (c *Config) faulty() nodeset.Set {
-	if c.Faulty.Cap() == 0 {
-		return nodeset.New(c.G.N())
-	}
-	return c.Faulty
-}
-
-// faultFree returns V − Faulty.
-func (c *Config) faultFree() nodeset.Set {
-	return c.faulty().Complement()
-}
-
 // Trace records a run. Index 0 of U/Mu/States is the initial condition;
 // index t is the state after iteration t.
 type Trace struct {
@@ -157,13 +144,26 @@ func (t *Trace) EnvelopeViolation(b int, tol float64) (round int, violated bool)
 	return 0, false
 }
 
-// Engine runs a configured simulation to completion.
+// Engine runs a configured simulation to completion. Sequential and Matrix
+// are its only implementations: the unexported newRunner seals it.
 type Engine interface {
 	// Run executes the simulation. The returned trace is independent of the
 	// config (inputs are copied).
 	Run(cfg Config) (*Trace, error)
 	// Name identifies the engine.
 	Name() string
+	// newRunner builds the engine's pooled state for graph g: one per sweep
+	// worker, reused across every scenario it runs.
+	newRunner(g *graph.Graph) runner
+}
+
+// runner executes validated configs on g's pooled engine state (edge plane,
+// receive buffers, program storage), so a sweep pays the graph-dependent
+// setup once per worker. run returns the trace and, index-aligned with
+// extras, each extra vector's final state under the Matrix replay (nil
+// without extras). Every cfg must use the runner's graph.
+type runner interface {
+	run(cfg *Config, extras [][]float64) (*Trace, [][]float64, error)
 }
 
 // roundView builds the omniscient adversary snapshot for the coming round.

@@ -185,7 +185,7 @@ func describeSweep(engineName, salt string, cfgs []Config, scenarios []Scenario,
 			F:            cfg.F,
 			MaxRounds:    cfg.MaxRounds,
 			Epsilon:      math.Float64bits(cfg.Epsilon),
-			Faulty:       cfg.faulty().Members(),
+			Faulty:       adversary.FaultSet(cfg.G, cfg.Faulty).Members(),
 			Initial:      cfg.Initial,
 			RecordStates: cfg.RecordStates,
 		}
