@@ -519,7 +519,7 @@ func BenchmarkConditionCheckParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := condition.CheckParallel(context.Background(), g, 4, workers)
+				res, err := condition.CheckScan(context.Background(), g, 4, condition.SyncThreshold(4), condition.ScanOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

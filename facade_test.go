@@ -291,7 +291,7 @@ func TestMaxFMatchesCondition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBest, wantStats, err := condition.MaxFWithStats(g)
+	wantBest, wantStats, err := condition.MaxFScan(context.Background(), g, condition.MaxFOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

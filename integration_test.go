@@ -41,7 +41,7 @@ func TestPipelineRepairThenConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk, err := condition.CheckParallel(context.Background(), rep.Repaired, 1, 0)
+	chk, err := condition.CheckScan(context.Background(), rep.Repaired, 1, condition.SyncThreshold(1), condition.ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,8 +219,8 @@ func Check(g *graph.Graph, f int) (Result, error) {
 // ShardScanner), again without changing Satisfied, the witness or the
 // counters.
 //
-// CheckThreshold is the sequential, uncancellable form; CheckScan is the
-// full coordinator with context, workers, and progress streaming.
+// CheckThreshold is CheckScan with one worker and no context, progress or
+// store: the scan settles through a memory-only ScanFrontier.
 func CheckThreshold(g *graph.Graph, f, threshold int) (Result, error) {
 	return CheckScan(context.Background(), g, f, threshold, ScanOptions{Workers: 1})
 }
@@ -346,7 +346,7 @@ func walkCandidates(s *insulationScratch, ground nodeset.Set, k, threshold int, 
 // components). The condition is monotone: satisfying f implies satisfying
 // every f' < f, so a linear scan with early exit is exact.
 func MaxF(g *graph.Graph) (int, error) {
-	best, _, err := MaxFWithStats(g)
+	best, _, err := MaxFScan(context.Background(), g, MaxFOptions{})
 	return best, err
 }
 
@@ -370,11 +370,6 @@ type MaxFStats struct {
 	// FaultSetsResumed sums Result.FaultSetsResumed over the live checks —
 	// fault sets inherited from mid-check checkpoints.
 	FaultSetsResumed int64
-}
-
-// MaxFWithStats is MaxF plus the aggregated work counters of the scan.
-func MaxFWithStats(g *graph.Graph) (int, MaxFStats, error) {
-	return MaxFScan(context.Background(), g, MaxFOptions{})
 }
 
 // MaxFOptions configures MaxFScan.

@@ -1,6 +1,7 @@
 package condition_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,15 +56,15 @@ func ExampleMaxF() {
 	// 3-cube: 0
 }
 
-// ExampleMaxFWithStats shows the checker-work account behind a tolerance
+// ExampleMaxFScan shows the checker-work account behind a tolerance
 // audit: the degree lower bound prunes most of the candidate space on a core
 // network, and the pruning never exceeds the candidates accounted for.
-func ExampleMaxFWithStats() {
+func ExampleMaxFScan() {
 	g, err := topology.CoreNetwork(10, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	best, stats, err := condition.MaxFWithStats(g)
+	best, stats, err := condition.MaxFScan(context.Background(), g, condition.MaxFOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // algebra, no allocation. With the exact checker capped at n−f ≤ 62, the
 // sets are one machine word in practice, so the fused popcount also beats
 // counters kept per node through the enumeration's add and remove steps,
-// which pay O(out-degree) per step. One scratch serves one goroutine; CheckParallel
-// gives each worker its own.
+// which pay O(out-degree) per step. One scratch serves one goroutine; a
+// parallel CheckScan gives each worker its own.
 //
 // It also holds the state of the candidate walk (findDisjointInsulatedPair),
 // sized once per graph so that a ground allocates nothing for it.

@@ -152,7 +152,11 @@ func TestOrbitScannerMatchesReference(t *testing.T) {
 			for _, budget := range []int{0, 1, graph.AutSearchBudget} {
 				t.Run(fmt.Sprintf("%s t=%d budget=%d", tc.name, threshold, budget), func(t *testing.T) {
 					for _, workers := range []int{1, 2, 4} {
-						got, err := newShardScanner(tc.g, tc.f, threshold, budget).check(ctx, workers, nil, nil)
+						fr, _, err := LoadScanFrontier(ctx, nil, tc.g, tc.f, threshold, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := newShardScanner(tc.g, tc.f, threshold, budget).check(ctx, workers, nil, fr)
 						if err != nil {
 							t.Fatalf("workers=%d: %v", workers, err)
 						}
@@ -187,7 +191,7 @@ func TestParallelCountersMatchSequentialOnViolation(t *testing.T) {
 		}
 		for run := 0; run < 25; run++ {
 			for _, workers := range []int{2, 4} {
-				got, err := CheckParallel(context.Background(), g, 2, workers)
+				got, err := CheckScan(context.Background(), g, 2, SyncThreshold(2), ScanOptions{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

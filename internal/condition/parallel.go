@@ -60,19 +60,22 @@ type ScanOptions struct {
 	CheckpointEvery int
 }
 
-// CheckScan is the full exact-check coordinator behind CheckThreshold and
-// CheckParallel: it decides the Theorem 1 condition at the given in-link
-// threshold with a configurable worker count, honoring ctx, streaming
-// per-fault-set progress, and — with ScanOptions.Store — checkpointing the
-// scan for crash-safe resume plus caching the settled verdict.
+// CheckScan is the full exact check behind CheckThreshold: it decides the
+// Theorem 1 condition at the given in-link threshold with a configurable
+// worker count, honoring ctx and streaming per-fault-set progress. It loads
+// the scan's ScanFrontier (LoadScanFrontier; memory-only without
+// ScanOptions.Store), returns a cached verdict as is, and otherwise folds
+// over the fault sets the frontier does not cover, completing each into it
+// and settling the Result through it — with a Store, the scan is
+// checkpointed for crash-safe resume and the settled verdict cached.
 //
 // Cancellation is checked between fault sets — never inside the candidate
 // enumeration — so CheckScan returns within one fault set's scan time of
 // ctx being canceled. On cancellation (or any error) the returned Result
 // carries the work counters accumulated so far, but Satisfied and Witness
 // are meaningless; the error wraps ctx.Err() together with how far the scan
-// got. With a Store, an interrupted scan flushes a final checkpoint before
-// returning, so the next CheckScan with the same store resumes there.
+// got. An interrupted scan flushes a final checkpoint before returning, so
+// the next CheckScan with the same store resumes there.
 //
 // With workers > 1 the workers only run ahead of the one canonical-order
 // fold (ShardScanner.prefetch), scanning grounds it will need: the reported
@@ -82,40 +85,19 @@ func CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts ScanO
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := g.N()
-	if err := validateScan(n, f, threshold); err != nil {
+	fr, cached, err := LoadScanFrontier(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
+	if err != nil {
 		return Result{}, err
 	}
-	var st *scanState
-	if opts.Store != nil {
-		var cached *Result
-		var err error
-		st, cached, err = loadScanState(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
-		if err != nil {
-			return Result{}, err
-		}
-		if cached != nil {
-			return *cached, nil
-		}
+	if cached != nil {
+		return *cached, nil
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if n < 8 {
+	if g.N() < 8 {
 		workers = 1
 	}
-	return newShardScanner(g, f, threshold, graph.AutSearchBudget).check(ctx, workers, opts.OnProgress, st)
-}
-
-// CheckParallel is Check with the fault-set enumeration fanned out across
-// worker goroutines — CheckScan at the synchronous threshold, without
-// progress streaming or persistence. The verdict and witness are identical
-// to Check's.
-//
-// The speedup tracks core count when the cost is spread over many fault
-// sets (large n, f ≥ 2) — per-fault-set work is independent and lock-free —
-// though coordination overhead caps the gain on few-core machines.
-func CheckParallel(ctx context.Context, g *graph.Graph, f, workers int) (Result, error) {
-	return CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{Workers: workers})
+	return newShardScanner(g, f, threshold, graph.AutSearchBudget).check(ctx, workers, opts.OnProgress, fr)
 }

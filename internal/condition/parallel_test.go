@@ -24,7 +24,7 @@ func TestCheckParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := CheckParallel(context.Background(), g, f, 4)
+		par, err := CheckScan(context.Background(), g, f, SyncThreshold(f), ScanOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestCheckParallelPaperCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckParallel(context.Background(), c7, 2, 8)
+	res, err := CheckScan(context.Background(), c7, 2, SyncThreshold(2), ScanOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCheckParallelPaperCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = CheckParallel(context.Background(), cn, 3, 8)
+	res, err = CheckScan(context.Background(), cn, 3, SyncThreshold(3), ScanOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCheckParallelDefaultsAndSmallInputs(t *testing.T) {
 	// workers <= 0 → GOMAXPROCS; n < 8 → sequential fallback. Both paths
 	// must agree with Check.
 	for _, workers := range []int{-1, 0, 1, 2, 16} {
-		res, err := CheckParallel(context.Background(), g, 1, workers)
+		res, err := CheckScan(context.Background(), g, 1, SyncThreshold(1), ScanOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestCheckParallelDefaultsAndSmallInputs(t *testing.T) {
 			t.Fatalf("workers=%d: K4 f=1 should satisfy", workers)
 		}
 	}
-	if _, err := CheckParallel(context.Background(), g, -1, 2); err == nil {
+	if _, err := CheckScan(context.Background(), g, -1, SyncThreshold(-1), ScanOptions{Workers: 2}); err == nil {
 		t.Error("negative f should error")
 	}
 }
@@ -203,7 +203,7 @@ func TestCheckParallelInfeasibleSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckParallel(context.Background(), big, 0, 4); err == nil {
+	if _, err := CheckScan(context.Background(), big, 0, SyncThreshold(0), ScanOptions{Workers: 4}); err == nil {
 		t.Error("n-f > 62 should be rejected")
 	}
 }

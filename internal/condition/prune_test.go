@@ -51,7 +51,7 @@ func referenceWitness(g *graph.Graph, f, threshold int) *Witness {
 // random graphs across every feasible f, the pruned-and-memoized checker
 // returns the same Satisfied verdict as the unpruned reference and the
 // byte-identical witness partition (same F, L, C, R — not merely any valid
-// witness), CheckParallel agrees with both, and every returned witness
+// witness), a parallel CheckScan agrees with both, and every returned witness
 // passes the independent Theorem 1 oracle (*Witness).Verify.
 func TestPrunedCheckBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -89,7 +89,7 @@ func TestPrunedCheckBitIdenticalToReference(t *testing.T) {
 					t.Fatalf("trial %d f=%d: pruned witness fails Verify: %v", trial, f, err)
 				}
 			}
-			par, err := CheckParallel(context.Background(), g, f, 3)
+			par, err := CheckScan(context.Background(), g, f, SyncThreshold(f), ScanOptions{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestPrunedCheckAgainstReducedGraphs(t *testing.T) {
 //     stay comparable across checker versions;
 //   - the counters are monotone in f (each scan extends the previous one);
 //   - CandidatesPruned and MemoHits never exceed CandidatesExamined;
-//   - CheckParallel reports the identical account.
+//   - a parallel CheckScan reports the identical account.
 func TestPrunedCountersAccounting(t *testing.T) {
 	g, err := topology.CoreNetwork(10, 3)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestPrunedCountersAccounting(t *testing.T) {
 		}
 		prevExamined, prevPruned, prevFaultSets = res.CandidatesExamined, res.CandidatesPruned, res.FaultSetsExamined
 
-		par, err := CheckParallel(context.Background(), g, f, 4)
+		par, err := CheckScan(context.Background(), g, f, SyncThreshold(f), ScanOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -363,57 +363,43 @@ func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (s
 	}
 }
 
-// check is CheckScan past validation and the verdict cache: one fold over
-// everything the checkpoint in st does not cover, with workers prefetchers
-// running ahead of it. Totals are summed in canonical order whatever the
-// worker count: Σ delta(i) over the satisfied prefix plus the violating
-// index's own early-exit delta.
-func (s *ShardScanner) check(ctx context.Context, workers int, onProgress ProgressFunc, st *scanState) (Result, error) {
-	total := totalFaultSets(s.g.N(), s.f)
-	skip, agg := st.resumePoint()
-	if skip > s.total {
-		skip = s.total
-	}
-	res := Result{Satisfied: true, FaultSetsExamined: skip, FaultSetsResumed: skip}
-	add := func(cc WorkCounters) {
-		res.FaultSetsExamined++
-		agg.Add(cc)
-	}
+// check is CheckScan past the verdict cache: one fold over everything the
+// frontier fr does not cover, with workers prefetchers running ahead of it,
+// completing each satisfied fault set into fr in canonical order and
+// settling through it. Totals are therefore summed in canonical order
+// whatever the worker count: Σ delta(i) over the satisfied prefix plus the
+// violating index's own early-exit delta.
+func (s *ShardScanner) check(ctx context.Context, workers int, onProgress ProgressFunc, fr *ScanFrontier) (Result, error) {
+	skip, _ := fr.ResumePoint()
 	stopPrefetch := s.prefetch(ctx, skip, workers)
-	_, viol, err := s.fold(ctx, skip, s.total, func(i int64, cc WorkCounters) error {
-		add(cc)
-		if err := st.complete(ctx, i, cc); err != nil {
+	stop, viol, err := s.fold(ctx, skip, s.total, func(i int64, cc WorkCounters) error {
+		if err := fr.CompleteSpan(ctx, i, i+1, cc); err != nil {
 			return err
 		}
 		if onProgress != nil {
-			onProgress(Progress{FaultSetsDone: res.FaultSetsExamined, FaultSetsTotal: total})
+			onProgress(Progress{FaultSetsDone: i + 1, FaultSetsTotal: fr.Total()})
 		}
 		return nil
 	})
 	stopPrefetch()
-	if viol.witness != nil {
-		add(viol.cc)
-		res.Satisfied = false
-		res.Witness = viol.witness
-	}
-	res.setWork(agg)
-	if err != nil {
-		// The verdict is undecided on an interrupted scan; only the work
-		// counters are meaningful.
-		res.Satisfied = false
-		if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
-			return res, err
+	if err == nil {
+		if viol.witness == nil {
+			stop = -1 // a clean pass: no violating index
 		}
-		// Cancellation, seen between fault sets or landing inside a
-		// checkpoint write: flush the frontier on a fresh context (ctx is the
-		// canceled one; best effort) so a resume loses nothing that
-		// completed.
-		st.flush(context.Background())
-		return res, fmt.Errorf("condition: check canceled after %d/%d fault sets: %w",
-			res.FaultSetsExamined, total, context.Cause(ctx))
+		return fr.Settle(ctx, stop, viol.witness, viol.cc)
 	}
-	if err := st.finish(ctx, res); err != nil {
+	// The verdict is undecided on an interrupted scan; only the work
+	// counters are meaningful.
+	done, agg := fr.Position()
+	res := Result{FaultSetsExamined: done, FaultSetsResumed: skip}
+	res.setWork(agg)
+	if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
 		return res, err
 	}
-	return res, nil
+	// Cancellation, seen between fault sets or landing inside a checkpoint
+	// write: flush the frontier on a fresh context (ctx is the canceled one;
+	// best effort) so a resume loses nothing that completed.
+	fr.Flush(context.Background())
+	return res, fmt.Errorf("condition: check canceled after %d/%d fault sets: %w",
+		done, fr.Total(), context.Cause(ctx))
 }

@@ -1,9 +1,10 @@
 package condition
 
-// This file is the checker's durability layer: periodic checkpoints of an
-// in-flight fault-set scan, and a cache of settled verdicts, both persisted
-// through a pluggable statestore.Backend so multi-hour exact scans survive
-// process death and repeated topologies hit instead of recompute.
+// This file is the checker's one account of scan progress, ScanFrontier,
+// and its durability: periodic checkpoints of an in-flight fault-set scan
+// and a cache of settled verdicts, both persisted through a pluggable
+// statestore.Backend so multi-hour exact scans survive process death and
+// repeated topologies hit instead of recompute.
 //
 // Soundness rests on two determinism facts:
 //
@@ -21,13 +22,13 @@ package condition
 //     aggregate and skips those fault sets therefore finishes with counter
 //     totals identical to an uninterrupted run.
 //
-// Checkpoints record only a *contiguous* completed prefix of the canonical
-// fault-set enumeration order. The local scans complete fault sets in that
-// order; the distributed coordinator's leases complete out of order, so the
-// checkpointer keeps a reorder buffer of counter deltas and advances the
-// durable frontier as gaps fill — what lands on disk is always "the first
-// Done fault sets are satisfied, and here is exactly their aggregate work",
-// never a sparse set.
+// The frontier is a *contiguous* completed prefix of the canonical
+// fault-set enumeration order. The local scan completes fault sets in that
+// order; the distributed coordinator's leases complete out of order, and
+// wait in a reorder buffer until the gaps before them fill — what lands on
+// disk is always "the first Done fault sets are satisfied, and here is
+// exactly their aggregate work", never a sparse set. Both end through the
+// same Settle, so they report and persist the same Result.
 
 import (
 	"context"
@@ -136,56 +137,59 @@ type verdictBody struct {
 }
 
 // pendingSpan is a completed half-open range [lo, hi) of satisfied fault
-// sets (keyed by lo in scanState.pending) with its aggregate counter delta,
-// awaiting the contiguous frontier. The local scans complete one index at a
-// time (hi = lo+1); the distributed coordinator journals whole lease chunks.
+// sets (keyed by lo in ScanFrontier.pending) with its aggregate counter
+// delta, awaiting the contiguous frontier.
 type pendingSpan struct {
 	hi int64
 	cc WorkCounters
 }
 
-// scanState carries one CheckScan run's persistence: the loaded resume
-// point and the live checkpointer. A nil *scanState disables persistence
-// (every method is nil-safe where the scan loop calls it); a scanState whose
-// records have a nil Store tracks the frontier in memory only — the
-// distributed coordinator uses that form to aggregate counters when no
-// backend is configured.
-type scanState struct {
+// ScanFrontier is one scan's progress: the contiguous prefix of the
+// canonical fault-set enumeration completed so far, with its aggregate work
+// counters. Completed spans may arrive out of order — the distributed
+// coordinator journals whole lease chunks as they come in — and wait in a
+// reorder buffer until the frontier reaches them, so the frontier never jumps
+// a gap. With a store, the frontier is checkpointed on the write cadence and
+// the settled verdict is cached; without one it is the same account, kept in
+// memory only. The local scan and the coordinator both end through Settle.
+type ScanFrontier struct {
 	checkpoint statestore.Record
 	verdict    statestore.Record
 	every      int64
+	total      int64
 	resumed    WorkCounters // aggregate over the resumed prefix, frozen at load
 	resumedSet int64        // number of fault sets in the resumed prefix
 
 	mu         sync.Mutex
 	frontier   int64                 // contiguous completed prefix length
-	pending    map[int64]pendingSpan // completed out-of-order, awaiting the frontier
+	pending    map[int64]pendingSpan // completed out of order; made on first use
 	agg        WorkCounters          // aggregate over [0, frontier)
 	sinceWrite int64
 	lastWrite  time.Time
 }
 
-// loadScanState consults the store for this scan identity. It returns, in
+// LoadScanFrontier validates the scan identity (g, f, threshold) — f ≥ 0,
+// threshold ≥ 1, n−f ≤ 62 — and consults the store for it. It returns, in
 // order of preference: a cached verdict (cached != nil — the scan need not
-// run at all), or a scanState seeded from the newest checkpoint (possibly
-// empty), or an error if the store misbehaves. What makes a stored record
-// usable is statestore.Record.Load's business; a checkpoint whose prefix
-// length is impossible is treated as absent too.
-func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold int, every int) (st *scanState, cached *Result, err error) {
-	if every <= 0 {
-		every = DefaultCheckpointEvery
+// run), or a frontier seeded from the newest checkpoint (possibly empty).
+// What makes a stored record usable is statestore.Record.Load's business; a
+// checkpoint whose prefix length is impossible is treated as absent too.
+// With a nil store the frontier is memory-only and the graph is not encoded.
+func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold, checkpointEvery int) (fr *ScanFrontier, cached *Result, err error) {
+	if err := validateScan(g.N(), f, threshold); err != nil {
+		return nil, nil, err
 	}
-	st = &scanState{
-		every:     int64(every),
-		pending:   make(map[int64]pendingSpan),
-		lastWrite: time.Now(),
+	if checkpointEvery <= 0 {
+		checkpointEvery = DefaultCheckpointEvery
 	}
-	st.checkpoint, st.verdict = scanRecords(store, g.Encode(), f, threshold)
+	fr = &ScanFrontier{every: int64(checkpointEvery), total: totalFaultSets(g.N(), f)}
 	if store == nil {
-		return st, nil, nil
+		return fr, nil, nil
 	}
+	fr.checkpoint, fr.verdict = scanRecords(store, g.Encode(), f, threshold)
+	fr.lastWrite = time.Now()
 	var v verdictBody
-	ok, err := st.verdict.Load(ctx, &v)
+	ok, err := fr.verdict.Load(ctx, &v)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -202,96 +206,114 @@ func loadScanState(ctx context.Context, store statestore.Backend, g *graph.Graph
 		return nil, res, nil
 	}
 	var cp checkpointBody
-	ok, err = st.checkpoint.Load(ctx, &cp)
+	ok, err = fr.checkpoint.Load(ctx, &cp)
 	if err != nil {
 		return nil, nil, err
 	}
-	if total := totalFaultSets(g.N(), f); !ok || cp.Done < 0 || (total > 0 && cp.Done > total) {
-		return st, nil, nil // no checkpoint, or a corrupt prefix length: start fresh
+	if !ok || cp.Done < 0 || (fr.total > 0 && cp.Done > fr.total) {
+		return fr, nil, nil // no checkpoint, or a corrupt prefix length: start fresh
 	}
-	st.frontier = cp.Done
-	st.agg = cp.WorkCounters
-	st.resumed = st.agg
-	st.resumedSet = cp.Done
-	return st, nil, nil
+	fr.frontier, fr.agg = cp.Done, cp.WorkCounters
+	fr.resumedSet, fr.resumed = cp.Done, cp.WorkCounters
+	return fr, nil, nil
 }
 
-// resumePoint returns the fault-set index the scan should start at and the
-// counter aggregate already accounted for. Nil-safe.
-func (st *scanState) resumePoint() (int64, WorkCounters) {
-	if st == nil {
-		return 0, WorkCounters{}
-	}
-	return st.resumedSet, st.resumed
+// Total returns the scan extent (see NumFaultSets).
+func (fr *ScanFrontier) Total() int64 { return fr.total }
+
+// ResumePoint returns the first fault-set index still to scan and the
+// counter aggregate the persisted prefix already accounts for.
+func (fr *ScanFrontier) ResumePoint() (int64, WorkCounters) {
+	return fr.resumedSet, fr.resumed
 }
 
-// complete records fault set i as satisfied with the given counter delta,
-// advances the durable frontier over any filled gap, and checkpoints when
-// the write cadence (count- or time-based) is due.
-func (st *scanState) complete(ctx context.Context, i int64, delta WorkCounters) error {
-	return st.completeSpan(ctx, i, i+1, delta)
-}
-
-// completeSpan records the fault sets [lo, hi) as satisfied with their
-// aggregate counter delta, advances the durable frontier over any filled
-// gap, and checkpoints on the write cadence. Spans must be disjoint; the
-// frontier only advances when the span at its position arrives, so a gap —
-// an unreported lease, a violating index — is never jumped.
-func (st *scanState) completeSpan(ctx context.Context, lo, hi int64, delta WorkCounters) error {
-	if st == nil {
-		return nil
-	}
+// CompleteSpan journals the fault sets [lo, hi) as satisfied with their
+// aggregate counter delta, advances the frontier over any filled gap, and
+// checkpoints when the write cadence (count- or time-based) is due. Spans
+// must be disjoint. A span starting at the frontier advances it directly —
+// the local scans complete fault sets in order and never touch the reorder
+// buffer; any other span waits there, so a gap (an unreported lease, a
+// violating index) is never jumped.
+func (fr *ScanFrontier) CompleteSpan(ctx context.Context, lo, hi int64, delta WorkCounters) error {
 	if hi <= lo {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.pending[lo] = pendingSpan{hi: hi, cc: delta}
-	for {
-		s, ok := st.pending[st.frontier]
-		if !ok {
-			break
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if lo != fr.frontier {
+		if fr.pending == nil {
+			fr.pending = make(map[int64]pendingSpan)
 		}
-		delete(st.pending, st.frontier)
-		st.agg.Add(s.cc)
-		st.sinceWrite += s.hi - st.frontier
-		st.frontier = s.hi
+		fr.pending[lo] = pendingSpan{hi: hi, cc: delta}
+	} else {
+		s, ok := pendingSpan{hi: hi, cc: delta}, true
+		for ; ok; s, ok = fr.pending[fr.frontier] {
+			delete(fr.pending, fr.frontier)
+			fr.agg.Add(s.cc)
+			fr.sinceWrite += s.hi - fr.frontier
+			fr.frontier = s.hi
+		}
 	}
-	if st.sinceWrite >= st.every || (st.sinceWrite > 0 && time.Since(st.lastWrite) >= checkpointFlushInterval) {
-		return st.writeLocked(ctx)
+	if fr.checkpoint.Store != nil && (fr.sinceWrite >= fr.every ||
+		(fr.sinceWrite > 0 && time.Since(fr.lastWrite) >= checkpointFlushInterval)) {
+		return fr.writeLocked(ctx)
 	}
 	return nil
 }
 
-// flush forces a checkpoint write of the current frontier — the last act of
-// an interrupted scan, so a resume loses at most the out-of-order tail.
-func (st *scanState) flush(ctx context.Context) error {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.writeLocked(ctx)
+// Position returns the current contiguous frontier and the counter
+// aggregate over [0, frontier) — resumed prefix included.
+func (fr *ScanFrontier) Position() (int64, WorkCounters) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	return fr.frontier, fr.agg
 }
 
-func (st *scanState) writeLocked(ctx context.Context) error {
-	if st.checkpoint.Store != nil {
-		if err := st.checkpoint.Save(ctx, checkpointBody{Done: st.frontier, WorkCounters: st.agg}); err != nil {
+// Flush forces a checkpoint write of the current frontier — the last act of
+// an interrupted scan, so a resume loses at most the reorder tail.
+func (fr *ScanFrontier) Flush(ctx context.Context) error {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	return fr.writeLocked(ctx)
+}
+
+func (fr *ScanFrontier) writeLocked(ctx context.Context) error {
+	if fr.checkpoint.Store != nil {
+		if err := fr.checkpoint.Save(ctx, checkpointBody{Done: fr.frontier, WorkCounters: fr.agg}); err != nil {
 			return err
 		}
 	}
-	st.sinceWrite = 0
-	st.lastWrite = time.Now()
+	fr.sinceWrite = 0
+	fr.lastWrite = time.Now()
 	return nil
 }
 
-// finish settles the scan: the verdict is cached for every later call with
-// the same (graph, f, threshold), and the in-flight checkpoint is removed.
-func (st *scanState) finish(ctx context.Context, res Result) error {
-	if st == nil || st.verdict.Store == nil {
+// Settle ends a scan that ran to its end: viol is the lowest violating
+// fault-set index, with its witness w and its own early-exit counter delta
+// partial, or -1 (w nil, partial zero) when every fault set passed. The
+// Result counts the frontier's fault sets after a clean pass and viol+1
+// after a violation, and sums the frontier's aggregate plus partial; Finish
+// then caches it.
+func (fr *ScanFrontier) Settle(ctx context.Context, viol int64, w *Witness, partial WorkCounters) (Result, error) {
+	frontier, agg := fr.Position()
+	agg.Add(partial)
+	res := Result{Satisfied: viol < 0, Witness: w, FaultSetsExamined: frontier, FaultSetsResumed: fr.resumedSet}
+	if viol >= 0 {
+		res.FaultSetsExamined = viol + 1
+	}
+	res.setWork(agg)
+	return res, fr.Finish(ctx, res)
+}
+
+// Finish caches the verdict for every later call with the same identity and
+// removes the in-flight checkpoint. The bytes depend on res alone, so a
+// distributed scan persists exactly what a single-process one does for the
+// same Result. Without a store it does nothing.
+func (fr *ScanFrontier) Finish(ctx context.Context, res Result) error {
+	if fr.verdict.Store == nil {
 		return nil
 	}
-	if err := st.verdict.Save(ctx, verdictBody{
+	if err := fr.verdict.Save(ctx, verdictBody{
 		Satisfied:    res.Satisfied,
 		Witness:      toWitnessRecord(res.Witness),
 		FaultSets:    res.FaultSetsExamined,
@@ -299,7 +321,7 @@ func (st *scanState) finish(ctx context.Context, res Result) error {
 	}); err != nil {
 		return err
 	}
-	if err := st.checkpoint.Store.Delete(ctx, st.checkpoint.Key); err != nil {
+	if err := fr.checkpoint.Store.Delete(ctx, fr.checkpoint.Key); err != nil {
 		return fmt.Errorf("condition: clearing checkpoint: %w", err)
 	}
 	return nil

@@ -628,7 +628,11 @@ func (c *Coordinator) waitPhase(ctx context.Context, ph *phase) error {
 // CheckScan runs one exact check with the fault-set enumeration distributed
 // across connected workers. It implements condition.MaxFOptions.CheckRunner
 // and honors the CheckScan contract: same Result for the same identity,
-// opts.Store consulted for resume and verdict caching.
+// opts.Store consulted for resume and verdict caching. The workers' reports
+// are journaled into the scan's condition.ScanFrontier and the Result is
+// settled through it, as in the single-process scan. A graph beyond the
+// fault-set index table (n > 62, condition.NumFaultSets) cannot be leased
+// by index and is an error unless its verdict is cached.
 func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts condition.ScanOptions) (condition.Result, error) {
 	fr, cached, err := condition.LoadScanFrontier(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
 	if err != nil {
@@ -637,8 +641,11 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 	if cached != nil {
 		return *cached, nil
 	}
-	resume, _ := fr.ResumePoint()
 	total := fr.Total()
+	if total == 0 {
+		return condition.Result{}, fmt.Errorf("distrib: %d nodes exceed the fault-set index table (n > 62); run the check locally", g.N())
+	}
+	resume, _ := fr.ResumePoint()
 	spec, err := buildScanSpec(g, f, threshold)
 	if err != nil {
 		return condition.Result{}, err
@@ -667,30 +674,13 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 		fr.Flush(context.Background())
 		return condition.Result{}, err
 	}
-
-	frontier, agg := fr.Position()
-	agg.Add(ph.violPartial) // zero unless a violation was reported
-	res := condition.Result{
-		Satisfied:          true,
-		FaultSetsExamined:  frontier,
-		CandidatesExamined: agg.Candidates,
-		CandidatesPruned:   agg.Pruned,
-		MemoHits:           agg.MemoHits,
-		FaultSetsResumed:   resume,
-	}
+	var w *condition.Witness
 	if ph.bestViol >= 0 {
-		w, err := condition.DecodeWitness(ph.witnessRaw)
-		if err != nil {
+		if w, err = condition.DecodeWitness(ph.witnessRaw); err != nil {
 			return condition.Result{}, err
 		}
-		res.Satisfied = false
-		res.Witness = w
-		res.FaultSetsExamined = ph.bestViol + 1
 	}
-	if err := fr.Finish(ctx, res); err != nil {
-		return condition.Result{}, err
-	}
-	return res, nil
+	return fr.Settle(ctx, ph.bestViol, w, ph.violPartial)
 }
 
 // MaxF runs the monotone f-sweep with every per-f check distributed. It is

@@ -64,7 +64,7 @@ type SweepOptions struct {
 	// Workers fans scenarios across goroutines, one private runner (and
 	// message plane) each; scenarios are independent, so the sweep scales
 	// with cores. Workers ≤ 0 selects GOMAXPROCS (matching
-	// condition.CheckParallel); 1 is the sequential sweep. Results are
+	// condition.CheckScan); 1 is the sequential sweep. Results are
 	// bit-identical for any worker count provided scenarios do not share
 	// mutable adversary state (see the Sweep doc comment).
 	Workers int
