@@ -51,16 +51,13 @@ func seqOf(ask bool, round, epoch, link int) uint64 {
 
 // outlet is a node's quorum.Outbox onto the runner: Send and Ask hand the
 // message to the transport under the Seq derived from it, and Advanced
-// reports a state change, giving up once the incarnation's ctx is done. A
+// commits a state change to the runner on the calling actor's goroutine. A
 // fault-free actor and a faulty emitter both send through one; an emitter
-// never asks or advances, so its outlet has no ctx.
+// never asks or advances.
 type outlet struct {
 	id   int
 	r    *runner
 	outs []int
-	ctx  context.Context
-	// stopped records that Advanced gave up: the incarnation must end.
-	stopped bool
 }
 
 // Send implements quorum.Outbox. An accepted transmission on a non-zero
@@ -96,15 +93,12 @@ func (o *outlet) send(to int, m transport.Msg, repair bool) {
 	}
 }
 
-// Advanced implements quorum.Outbox.
+// Advanced implements quorum.Outbox: it commits the new state to the
+// runner before the stepper broadcasts it, and never stops the advance —
+// the actor's loop notices a done ctx itself.
 func (o *outlet) Advanced(round int, v float64) bool {
-	select {
-	case o.r.updates <- updateMsg{node: o.id, round: round, value: v}:
-		return true
-	case <-o.ctx.Done():
-		o.stopped = true
-		return false
-	}
+	o.r.commit(o.id, round, v)
+	return true
 }
 
 // actor drives one fault-free node's quorum.Stepper from a goroutine: the
@@ -136,7 +130,6 @@ func newActor(id int, r *runner) *actor {
 // laggards may still need its history — the runner ends the run when every
 // fault-free node is done.
 func (a *actor) run(ctx context.Context) {
-	a.ctx, a.stopped = ctx, false
 	a.step.Start()
 	tick := time.NewTicker(a.r.cfg.ResendEvery)
 	defer tick.Stop()
@@ -145,23 +138,24 @@ func (a *actor) run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case d := <-a.recv:
-			if !a.deliver(d) {
-				return
-			}
 			// Burst-drain the backlog before yielding to the ticker: most
 			// of a backlog is stale or duplicate, and draining it in a
 			// tight loop keeps the queue from backing up into the transport.
-			for drained := false; !drained; {
-				select {
-				case d := <-a.recv:
-					if !a.deliver(d) {
-						return
-					}
-				case <-ctx.Done():
+			// The receive-only non-blocking select locks only this node's
+			// queue, not the Done channel the actors share: ctx is checked
+			// once a batch.
+			for more := true; more; {
+				if !a.deliver(d) {
 					return
-				default:
-					drained = true
 				}
+				select {
+				case d = <-a.recv:
+				default:
+					more = false
+				}
+			}
+			if ctx.Err() != nil {
+				return
 			}
 		case <-tick.C:
 			a.step.Timer()
@@ -170,8 +164,8 @@ func (a *actor) run(ctx context.Context) {
 }
 
 // deliver hands one message to the stepper — an ask to Answer, a value to
-// Deliver — and reports false when the incarnation must end (a rule error,
-// or ctx done while reporting).
+// Deliver — and reports false when the incarnation must end on a rule
+// error.
 func (a *actor) deliver(d transport.Delivery) bool {
 	a.r.deliveries.Add(1)
 	if d.Ask {
@@ -182,7 +176,7 @@ func (a *actor) deliver(d transport.Delivery) bool {
 		a.r.fail(fmt.Errorf("node: node %d round %d: %w", a.id, a.step.Round(), err))
 		return false
 	}
-	return !a.stopped
+	return true
 }
 
 // runFaulty drives one faulty node's quorum.Emitter: every faultyTick it

@@ -14,14 +14,8 @@ import (
 	"iabc/internal/transport"
 )
 
-// updateMsg reports one fault-free state change to the runner.
-type updateMsg struct {
-	node, round int
-	value       float64
-}
-
 // runner owns the cross-actor state of one cluster run: the authoritative
-// state vector (fed by actor updates, read by adversary snapshots), the
+// state vector (written by actor commits, read by adversary snapshots), the
 // stop conditions, and the robustness counters.
 type runner struct {
 	cfg       Config
@@ -32,15 +26,28 @@ type runner struct {
 	rule  core.BufferedRule
 	adv   adversary.EdgeWriter
 	start time.Time
+	// target is the number of local fault-free nodes the MaxRounds stop
+	// waits for.
+	target int
 
-	mu     sync.Mutex
-	states []float64
-	rounds []int
+	// mu serializes commits and guards the fields up to the next blank
+	// line.
+	mu        sync.Mutex
+	states    []float64
+	rounds    []int
+	updates   int64
+	atMax     int
+	converged bool
+	// stopping records that a commit fired a stop and woke the runner.
+	stopping bool
 
-	updates chan updateMsg
-	errc    chan error
+	// lastUpdate is the time since start of the last commit, kept only
+	// when StallAfter > 0.
+	lastUpdate atomic.Int64
+	finishc    chan struct{}
+	errc       chan error
 
-	deliveries, updatesN, resends, abandoned, outDropped, restarts atomic.Int64
+	deliveries, resends, abandoned, outDropped, restarts atomic.Int64
 }
 
 // fail records the first actor error; later errors are dropped.
@@ -51,15 +58,34 @@ func (r *runner) fail(err error) {
 	}
 }
 
-// apply commits one state change and returns the fault-free range after it.
-func (r *runner) apply(u updateMsg) float64 {
+// commit records one fault-free state change, on the committing actor's
+// goroutine: it writes the state, reports it with the fault-free range
+// after it to OnUpdate, and judges the Epsilon and all-at-MaxRounds stops,
+// waking the runner the first time one fires.
+func (r *runner) commit(node, round int, v float64) {
+	if r.cfg.StallAfter > 0 {
+		r.lastUpdate.Store(int64(time.Since(r.start)))
+	}
 	r.mu.Lock()
-	r.states[u.node] = u.value
-	r.rounds[u.node] = u.round
+	defer r.mu.Unlock()
+	r.states[node] = v
+	r.rounds[node] = round
+	r.updates++
 	lo, hi := adversary.FaultFreeRange(r.states, r.faultFree)
-	r.mu.Unlock()
-	r.updatesN.Add(1)
-	return hi - lo
+	rng := hi - lo
+	if r.cfg.OnUpdate != nil {
+		r.cfg.OnUpdate(node, round, v, rng)
+	}
+	if round == r.cfg.MaxRounds {
+		r.atMax++
+	}
+	if r.cfg.Epsilon > 0 && rng <= r.cfg.Epsilon {
+		r.converged = true
+	}
+	if (r.converged || r.atMax == r.target) && !r.stopping {
+		r.stopping = true
+		r.finishc <- struct{}{}
+	}
 }
 
 // snapshot copies the state vector into buf, the omniscient view a faulty
@@ -157,9 +183,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		rule:      core.Buffered(cfg.Rule),
 		adv:       adversary.Writer(cfg.Adversary),
 		start:     time.Now(),
+		target:    localFaultFree.Count(),
 		states:    make([]float64, n),
 		rounds:    make([]int, n),
-		updates:   make(chan updateMsg, 64*n),
+		finishc:   make(chan struct{}, 1),
 		errc:      make(chan error, 1),
 	}
 	copy(r.states, cfg.Initial)
@@ -212,16 +239,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		stallC = stallTimer.C
 	}
 
-	onUpdate := func(u updateMsg) float64 {
-		rng := r.apply(u)
-		if cfg.OnUpdate != nil {
-			cfg.OnUpdate(u.node, u.round, u.value, rng)
-		}
-		return rng
-	}
-
-	target := localFaultFree.Count()
-	atMax := 0
 	var runErr error
 	var lingerTimer *time.Timer
 	var lingerC <-chan time.Time
@@ -252,36 +269,24 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			lingerTimer.Stop()
 		}
 	}()
-	if target == 0 {
+	if r.target == 0 {
 		finish() // no local fault-free work: run is just linger + faulty emitters
 	}
 loop:
 	for {
 		select {
-		case u := <-r.updates:
-			rng := onUpdate(u)
-			if u.round == cfg.MaxRounds {
-				atMax++
-			}
-			if cfg.Epsilon > 0 && rng <= cfg.Epsilon {
-				res.Converged = true
-				finish()
-			} else if atMax == target {
-				finish()
-			}
-			if stallTimer != nil && !finishing {
-				if !stallTimer.Stop() {
-					select {
-					case <-stallTimer.C:
-					default:
-					}
-				}
-				stallTimer.Reset(cfg.StallAfter)
-			}
+		case <-r.finishc:
+			finish()
 		case err := <-r.errc:
 			runErr = err
 			cancel()
 		case <-stallC:
+			// Commits do not touch the timer; it re-arms for what is left
+			// of StallAfter since the last one.
+			if left := time.Duration(r.lastUpdate.Load()) + cfg.StallAfter - time.Since(r.start); left > 0 {
+				stallTimer.Reset(left)
+				continue
+			}
 			res.Stalled = true
 			cancel()
 		case <-lingerC:
@@ -290,20 +295,8 @@ loop:
 			break loop
 		}
 	}
-	// All actors have exited; drain updates that raced the shutdown so the
-	// result reflects every state change that was committed.
-	for {
-		select {
-		case u := <-r.updates:
-			rng := onUpdate(u)
-			if !res.Converged && cfg.Epsilon > 0 && rng <= cfg.Epsilon {
-				res.Converged = true
-			}
-		default:
-			goto drained
-		}
-	}
-drained:
+	// Every actor has exited, so every commit has finished: the runner's
+	// state is final and read without the lock.
 	if runErr == nil {
 		select {
 		case runErr = <-r.errc:
@@ -313,9 +306,10 @@ drained:
 	if runErr != nil {
 		return nil, runErr
 	}
+	res.Converged = r.converged
 	if err := ctx.Err(); err != nil && !res.Converged {
 		return nil, fmt.Errorf("node: cluster canceled after %d updates: %w",
-			r.updatesN.Load(), context.Cause(ctx))
+			r.updates, context.Cause(ctx))
 	}
 
 	res.Rounds = r.rounds
@@ -324,7 +318,7 @@ drained:
 	res.FinalRange = hi - lo
 	res.Elapsed = time.Since(r.start)
 	res.Deliveries = r.deliveries.Load()
-	res.Updates = r.updatesN.Load()
+	res.Updates = r.updates
 	res.Resends = r.resends.Load()
 	res.Abandoned = r.abandoned.Load()
 	res.OutDropped = r.outDropped.Load()

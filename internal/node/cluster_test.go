@@ -603,3 +603,113 @@ func TestClusterStuckDestinationIsolated(t *testing.T) {
 		t.Error("OutDropped = 0: no send to the stuck destination was dropped")
 	}
 }
+
+// TestClusterOnUpdateSeesEveryCommit pins the commit path: every fault-free
+// state change reaches OnUpdate exactly once, in order, with no two calls
+// overlapping, and the Result agrees with what OnUpdate saw — its update
+// count, each node's last (round, value), and whether some observed range
+// reached ε. Runs on K7 with f = 1 under Hug, once stopping on ε and once
+// on MaxRounds.
+func TestClusterOnUpdateSeesEveryCommit(t *testing.T) {
+	g, err := topology.Complete(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	faulty := nodeset.FromMembers(n, 0)
+	for _, tc := range []struct {
+		maxRounds int
+		eps       float64
+	}{{200, 1e-3}, {5, 1e-12}} { // stops on ε; stops on MaxRounds
+		tr := transport.NewInproc(n, 256)
+		defer tr.Close()
+		cfg := clusterDefaults(tr)
+		cfg.G, cfg.Initial, cfg.MaxRounds, cfg.Epsilon = g, []float64{0, 1, 2, 3, 4, 5, 6}, tc.maxRounds, tc.eps
+		cfg.F, cfg.Faulty, cfg.Adversary = 1, faulty, adversary.Hug{High: true}
+		cfg.StallAfter = 3 * time.Second // safety net
+
+		var inFlight atomic.Int32
+		calls := int64(0)
+		reached := false
+		lastRound := make([]int, n)
+		lastValue := append([]float64(nil), cfg.Initial...)
+		cfg.OnUpdate = func(node, round int, value, rng float64) {
+			if inFlight.Add(1) != 1 {
+				t.Errorf("OnUpdate calls overlap at node %d round %d", node, round)
+			}
+			defer inFlight.Add(-1)
+			calls++
+			if round != lastRound[node]+1 {
+				t.Errorf("node %d: OnUpdate saw round %d after round %d", node, round, lastRound[node])
+			}
+			lastRound[node], lastValue[node] = round, value
+			reached = reached || rng <= tc.eps
+		}
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != res.Updates {
+			t.Errorf("maxRounds %d: %d OnUpdate calls, Result.Updates = %d", tc.maxRounds, calls, res.Updates)
+		}
+		faulty.Complement().ForEach(func(i int) bool {
+			if lastRound[i] != res.Rounds[i] || math.Float64bits(lastValue[i]) != math.Float64bits(res.Final[i]) {
+				t.Errorf("maxRounds %d: node %d: OnUpdate last saw (%d, %v), Result has (%d, %v)",
+					tc.maxRounds, i, lastRound[i], lastValue[i], res.Rounds[i], res.Final[i])
+			}
+			return true
+		})
+		if res.Converged != reached {
+			t.Errorf("maxRounds %d: Converged = %v, but an observed range ≤ ε: %v", tc.maxRounds, res.Converged, reached)
+		}
+		if res.Stalled {
+			t.Errorf("maxRounds %d: stalled", tc.maxRounds)
+		}
+		if want := tc.eps > 1e-6; res.Converged != want {
+			t.Errorf("maxRounds %d: Converged = %v, want %v: this case no longer tests its stop", tc.maxRounds, res.Converged, want)
+		}
+	}
+}
+
+// slowRule sleeps before every update, so a run's wall time is set by its
+// rounds rather than by the scheduler.
+type slowRule struct{ core.UpdateRule }
+
+func (s slowRule) Update(own float64, received []core.ValueFrom, f int) (float64, error) {
+	time.Sleep(time.Millisecond)
+	return s.UpdateRule.Update(own, received, f)
+}
+
+// TestClusterStallCountsFromLastProgress: StallAfter is the silence since
+// the last fault-free state change, not the time since the run started. A
+// run whose every update takes about 1 ms lasts several StallAfter periods
+// while never going StallAfter without progress, so it must end at
+// MaxRounds, not in a stall.
+func TestClusterStallCountsFromLastProgress(t *testing.T) {
+	g, err := topology.Complete(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxRounds, stallAfter = 350, 100 * time.Millisecond
+	tr := transport.NewInproc(g.N(), 256)
+	defer tr.Close()
+	cfg := clusterDefaults(tr)
+	cfg.G, cfg.Initial, cfg.MaxRounds = g, []float64{3, 1, 4, 1, 5}, maxRounds
+	cfg.Rule = slowRule{core.TrimmedMean{}}
+	cfg.StallAfter = stallAfter
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stalled {
+		t.Fatalf("stalled after %v with rounds %v: StallAfter counted from the start", res.Elapsed, res.Rounds)
+	}
+	for i, r := range res.Rounds {
+		if r != maxRounds {
+			t.Errorf("node %d stopped at round %d, want %d", i, r, maxRounds)
+		}
+	}
+	if res.Elapsed < 3*stallAfter {
+		t.Errorf("run took %v, under 3×StallAfter = %v: the test shows nothing", res.Elapsed, 3*stallAfter)
+	}
+}

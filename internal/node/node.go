@@ -123,7 +123,9 @@ type Config struct {
 	Linger time.Duration
 	// OnUpdate, when non-nil, observes every fault-free state change:
 	// node, its new round counter, its new value, and the fault-free range
-	// after the change. Calls are serialized on the runner goroutine.
+	// after the change. Calls are serialized under the runner's lock, on
+	// the committing actor's goroutine; a blocking OnUpdate stalls every
+	// actor.
 	OnUpdate func(node, round int, value, rng float64)
 }
 

@@ -1,11 +1,10 @@
 // Package transport moves round-tagged protocol messages between node
-// actors. It is the boundary ROADMAP item 1 calls for: the node runtime
-// (internal/node) talks only to the Transport interface, so the same actor
-// code runs over in-process channels today and a TCP/gRPC implementation
-// tomorrow — and, crucially, over the Chaos wrapper, which injects seeded,
-// reproducible network faults (drop, duplication, reordering delay, link
-// partitions with heal schedules, node crash windows) between any inner
-// transport and its callers.
+// actors. The node runtime (internal/node) talks only to the Transport
+// interface, so the same actor code runs over in-process channels (Inproc),
+// framed TCP between processes (TCP), and the Chaos wrapper, which injects
+// seeded, reproducible network faults (drop, duplication, reordering delay,
+// link partitions with heal schedules, node crash windows) between any
+// inner transport and its callers.
 //
 // Delivery semantics are deliberately weak — at-most-once, unordered across
 // links, fallible — because the Section 7 algorithm's robustness argument
