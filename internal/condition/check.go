@@ -149,24 +149,15 @@ var binomTable = func() [63][63]int64 {
 	return t
 }()
 
-// binom returns C(n, k), or 0 when the pair is out of the table's range.
-// Callers that difference two binom values must keep both arguments inside
-// the table (the pruning account guards total ≤ 62), or the zero for an
-// oversized n would turn the difference negative.
+// binom returns C(n, k) exactly, or 0 when k is outside [0, n] or the
+// value overflows int64 — a count no enumeration could reach by visiting.
+// Past binomTable the product is formed directly.
 func binom(n, k int) int64 {
-	if k < 0 || k > n || n > 62 {
+	if k < 0 || k > n {
 		return 0
 	}
-	return binomTable[n][k]
-}
-
-// completions returns C(n, k), the candidates below one skipped prefix. The
-// pool of a ground over 62 members runs past binomTable; there the product
-// is formed directly, and left out of the account (0) should it overflow
-// int64 — a count no enumeration could reach by visiting.
-func completions(n, k int) int64 {
 	if n <= 62 {
-		return binom(n, k)
+		return binomTable[n][k]
 	}
 	k = min(k, n-k)
 	// After step i, r = C(n−k+i, i) ≤ C(n, k): the 128-bit product keeps
@@ -269,9 +260,9 @@ func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, thresho
 	// the smaller side has ≤ m/2 nodes, and the pair is symmetric in L/R.
 	for k := 1; k <= m/2; k++ {
 		kept := s.admit(k, threshold)
-		// Grounds beyond the binom table (possible while n−f ≤ 62 when
-		// fSize < f) are never enumerable to completion; leave them out of
-		// the account rather than report a negative number.
+		// Grounds beyond binomTable (possible while n−f ≤ 62 when fSize < f)
+		// are never enumerable to completion; leave them out of the account
+		// rather than difference a count that may have overflowed to 0.
 		if m <= 62 {
 			skipped := binom(m, k) - binom(kept, k)
 			c.Candidates += skipped
@@ -306,7 +297,7 @@ func walkCandidates(s *insulationScratch, ground nodeset.Set, k, threshold int, 
 		}
 		switch {
 		case !s.viable(idx[:d+1], left, threshold):
-			c.Candidates += completions(len(pool)-1-p, left)
+			c.Candidates += binom(len(pool)-1-p, left)
 		case left > 0:
 			d++
 			idx[d] = p + 1

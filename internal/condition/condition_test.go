@@ -508,6 +508,11 @@ func TestCheckInputValidation(t *testing.T) {
 	if _, err := Check(big, 0); err == nil {
 		t.Error("n-f > 62 should be rejected as infeasible")
 	}
+	// n−f = 62, but Σ_{k≤31} C(93, k) overflows int64.
+	huge := graph.NewBuilder(93).AddEdge(0, 1).MustBuild()
+	if _, err := Check(huge, 31); err == nil {
+		t.Error("an extent past int64 should be rejected as infeasible")
+	}
 }
 
 func TestWitnessVerifyRejectsBadWitnesses(t *testing.T) {

@@ -171,8 +171,9 @@ func TestLookaheadOversizedGround(t *testing.T) {
 	}
 }
 
-// TestCompletions checks the subtree count against exact binomials, past
-// binomTable too, and its zero where C(n, k) overflows int64.
+// TestCompletions checks binom, which also counts the completions below a
+// skipped prefix, against exact binomials, past binomTable too, and its zero
+// where C(n, k) overflows int64.
 func TestCompletions(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 62, 63, 64, 70, 90} {
 		for k := 0; k <= n; k++ {
@@ -180,8 +181,8 @@ func TestCompletions(t *testing.T) {
 			if !want.IsInt64() {
 				want.SetInt64(0)
 			}
-			if got := completions(n, k); got != want.Int64() {
-				t.Fatalf("completions(%d,%d) = %d, want %d", n, k, got, want)
+			if got := binom(n, k); got != want.Int64() {
+				t.Fatalf("binom(%d,%d) = %d, want %d", n, k, got, want)
 			}
 		}
 	}

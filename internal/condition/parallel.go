@@ -12,9 +12,7 @@ import (
 type Progress struct {
 	// FaultSetsDone counts the fault sets fully processed so far.
 	FaultSetsDone int64
-	// FaultSetsTotal is Σ_{k≤f} C(n,k) — the scan's full extent — or 0 when
-	// it exceeds the int64 binomial table (n > 62), in which case only
-	// FaultSetsDone is meaningful.
+	// FaultSetsTotal is Σ_{k≤f} C(n,k), the scan's full extent (NumFaultSets).
 	FaultSetsTotal int64
 }
 
@@ -23,19 +21,6 @@ type Progress struct {
 // count (the distributed coordinator is the exception: it reports from its
 // connection handlers). It runs on the scan's hot path, so it must be fast.
 type ProgressFunc func(Progress)
-
-// totalFaultSets returns Σ_{k=0..f} C(n,k), or 0 when n is outside the
-// binomial table (the count is only reported, never used for control flow).
-func totalFaultSets(n, f int) int64 {
-	if n > 62 {
-		return 0
-	}
-	var total int64
-	for k := 0; k <= f && k <= n; k++ {
-		total += binom(n, k)
-	}
-	return total
-}
 
 // ScanOptions configures a CheckScan.
 type ScanOptions struct {

@@ -130,7 +130,7 @@ func TestCheckScanCancellation(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
 			}
-			total := totalFaultSets(g.N(), 2)
+			total := NumFaultSets(g.N(), 2)
 			if n := fired.Load(); n >= total {
 				t.Errorf("workers=%d: scan processed all %d fault sets despite cancellation", workers, n)
 			}
@@ -143,7 +143,7 @@ func TestCheckScanCancellation(t *testing.T) {
 // scan.
 func TestCheckScanProgress(t *testing.T) {
 	g := mustComplete(t, 9)
-	want := totalFaultSets(9, 2) // 1 + 9 + 36
+	want := NumFaultSets(9, 2) // 1 + 9 + 36
 	var calls int64
 	res, err := CheckScan(context.Background(), g, 2, SyncThreshold(2), ScanOptions{Workers: 1, OnProgress: func(p Progress) {
 		calls++

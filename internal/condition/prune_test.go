@@ -306,15 +306,16 @@ func TestMemoHitsFire(t *testing.T) {
 	}
 }
 
-// TestBinom spot-checks the Pascal table against known values and the
-// out-of-range convention.
+// TestBinom spot-checks binom against known values, on both sides of the
+// Pascal table, and the out-of-range and overflow convention.
 func TestBinom(t *testing.T) {
 	cases := []struct {
 		n, k int
 		want int64
 	}{
 		{0, 0, 1}, {5, 2, 10}, {16, 8, 12870}, {62, 0, 1}, {62, 62, 1},
-		{62, 31, 465428353255261088}, {5, 6, 0}, {5, -1, 0}, {63, 1, 0},
+		{62, 31, 465428353255261088}, {5, 6, 0}, {5, -1, 0}, {63, 1, 63},
+		{70, 35, 0},
 	}
 	for _, tc := range cases {
 		if got := binom(tc.n, tc.k); got != tc.want {

@@ -17,9 +17,9 @@ import (
 // (g, f, threshold): the sequential scan, the parallel scan, and a
 // distributed worker's index ranges all fold over it. It owns
 //
-//   - the fault sets, materialized once as flat bit masks in canonical
-//     (size-ascending, then combination-lexicographic) order, so any index
-//     is addressable in O(1);
+//   - the index space: fault set i is the i-th subset of size ≤ f in
+//     canonical (size-ascending, then combination-lexicographic) order,
+//     unranked on demand (faultSet) for the grounds actually scanned;
 //   - the orbit table: which fault sets are images of one another under the
 //     automorphisms graph.AutomorphismGenerators found;
 //   - one result per orbit, computed on the ground of the orbit's
@@ -39,9 +39,7 @@ type ShardScanner struct {
 	g         *graph.Graph
 	f         int
 	threshold int
-	words     int      // mask words per fault set
-	masks     []uint64 // fault set i is masks[i*words : (i+1)*words]
-	total     int64
+	total     int64 // NumFaultSets(n, f)
 
 	// orbit[i] names index i's orbit and rep[o] is orbit o's lowest index.
 	// Both are nil under the identity group, where every index is its own
@@ -79,11 +77,13 @@ func validateScan(n, f, threshold int) error {
 	if n-f > 62 {
 		return fmt.Errorf("condition: exact check infeasible for n-f = %d > 62 nodes", n-f)
 	}
+	if NumFaultSets(n, f) == 0 {
+		return fmt.Errorf("condition: exact check infeasible: the fault sets of size ≤ %d over %d nodes overflow int64", f, n)
+	}
 	return nil
 }
 
-// NewShardScanner materializes the enumeration and the orbit table for
-// (g, f, threshold).
+// NewShardScanner builds the orbit table for (g, f, threshold).
 func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
 	if err := validateScan(g.N(), f, threshold); err != nil {
 		return nil, err
@@ -97,17 +97,14 @@ func newShardScanner(g *graph.Graph, f, threshold, budget int) *ShardScanner {
 	n := g.N()
 	s := &ShardScanner{
 		g: g, f: f, threshold: threshold,
-		words:   (n + 63) / 64,
+		total:   NumFaultSets(n, f),
 		scratch: newInsulationScratch(g),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	extent := totalFaultSets(n, f) // 0 when n is beyond the binomial table
-	s.masks = faultSetMasks(n, f, s.words, extent)
-	s.total = int64(len(s.masks) / s.words)
-	// The table ranks masks through the binomial table and stores int32
-	// indices, so it needs the extent known and small; f = 0 has one fault
+	// The table ranks one-word masks through binomTable and stores int32
+	// indices, so it needs n ≤ 62 and the extent small; f = 0 has one fault
 	// set and nothing to share.
-	if f > 0 && extent > 0 && extent <= math.MaxInt32 {
+	if f > 0 && n <= 62 && s.total <= math.MaxInt32 {
 		s.buildOrbits(g.AutomorphismGenerators(budget))
 	}
 	if s.orbit != nil {
@@ -116,46 +113,32 @@ func newShardScanner(g *graph.Graph, f, threshold, budget int) *ShardScanner {
 	return s
 }
 
-// faultSetMasks lists every subset of {0..n-1} of size ≤ f as a words-long
-// bit mask, in canonical order. sizeHint, when positive, is their number.
-func faultSetMasks(n, f, words int, sizeHint int64) []uint64 {
-	if sizeHint > math.MaxInt32 {
-		sizeHint = 0 // not enumerable to completion; let append grow as far as it gets
+// faultSet calls add with the members, ascending, of fault set i < extent
+// of the canonical order over n nodes: it skips whole sizes, C(n, k) sets
+// each, then picks members left to right, where C(n−1−v, k−1) of the
+// remaining size-k sets take v as their next member. This unranks the
+// combinatorial number system that buildOrbits' rank encodes.
+func faultSet(n int, i int64, add func(v int)) {
+	k := 0
+	for c := binom(n, 0); i >= c; c = binom(n, k) {
+		i -= c
+		k++
 	}
-	masks := make([]uint64, 0, int(sizeHint)*words)
-	idx := make([]int, 0, f)
-	for k := 0; k <= f && k <= n; k++ {
-		idx = idx[:k]
-		for i := range idx {
-			idx[i] = i
-		}
-		for {
-			at := len(masks)
-			masks = append(masks, make([]uint64, words)...)
-			for _, v := range idx {
-				masks[at+v/64] |= 1 << uint(v%64)
-			}
-			// Advance to the next combination in lexicographic order.
-			i := k - 1
-			for i >= 0 && idx[i] == n-k+i {
-				i--
-			}
-			if i < 0 {
-				break
-			}
-			idx[i]++
-			for j := i + 1; j < k; j++ {
-				idx[j] = idx[j-1] + 1
-			}
+	for v := 0; k > 0; v++ {
+		if c := binom(n-1-v, k-1); i >= c {
+			i -= c
+		} else {
+			add(v)
+			k--
 		}
 	}
-	return masks
 }
 
 // buildOrbits closes the fault-set index space under the generators: orbits
 // are numbered in order of their lowest index, which becomes rep. It leaves
 // the table nil when there is nothing to merge. Only called with n ≤ 62, so
-// each mask is one word and every binomial is in the table.
+// each fault set is one mask word and every binomial is in the table; the
+// closure stack holds masks, so each orbit unranks only its first member.
 func (s *ShardScanner) buildOrbits(gens [][]int) {
 	if len(gens) == 0 {
 		return
@@ -187,7 +170,8 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 	for i := range orbit {
 		orbit[i] = -1
 	}
-	var rep, stack []int32
+	var rep []int32
+	var stack []uint64
 	for i := range orbit {
 		if orbit[i] >= 0 {
 			continue
@@ -195,9 +179,11 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 		o := int32(len(rep))
 		rep = append(rep, int32(i))
 		orbit[i] = o
-		stack = append(stack[:0], int32(i))
+		var seed uint64
+		faultSet(n, int64(i), func(v int) { seed |= 1 << uint(v) })
+		stack = append(stack[:0], seed)
 		for len(stack) > 0 {
-			mask := s.masks[stack[len(stack)-1]]
+			mask := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for p, perm := range gens {
 				img := mask &^ moved[p]
@@ -209,7 +195,7 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 				}
 				if j := rank(img); orbit[j] < 0 {
 					orbit[j] = o
-					stack = append(stack, int32(j))
+					stack = append(stack, img)
 				}
 			}
 		}
@@ -232,11 +218,7 @@ func (s *ShardScanner) slot(i int64) (slot int, rep int64) {
 // scanGround runs the candidate enumeration on fault set i's own ground.
 func (s *ShardScanner) scanGround(scratch *insulationScratch, i int64) groundResult {
 	fSet := nodeset.New(s.g.N())
-	for w, word := range s.masks[int(i)*s.words : (int(i)+1)*s.words] {
-		for ; word != 0; word &= word - 1 {
-			fSet.Add(w*64 + bits.TrailingZeros64(word))
-		}
-	}
+	faultSet(s.g.N(), i, fSet.Add)
 	ground := fSet.Complement()
 	res := groundResult{done: true}
 	if w := findDisjointInsulatedPair(scratch, ground, s.threshold, &res.cc); w != nil {
@@ -307,9 +289,11 @@ func (s *ShardScanner) fold(ctx context.Context, lo, hi int64, satisfied func(i 
 // fold picks them up; representatives beyond a violation already found are
 // left out, since fold stops before them. The returned function stops the
 // goroutines and waits for them. With workers ≤ 1 there is nothing to run
-// ahead of: fold computes each result as it gets there.
+// ahead of: fold computes each result as it gets there. Without an orbit
+// table the memo holds one result per index, so past the table's extent
+// gate fold runs alone too.
 func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (stop func()) {
-	if workers <= 1 {
+	if workers <= 1 || (s.memo == nil && s.total > math.MaxInt32) {
 		return func() {}
 	}
 	if s.memo == nil {

@@ -19,13 +19,24 @@ package condition
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
-// NumFaultSets returns the scan extent Σ_{k≤f} C(n,k) — the number of fault
-// sets the canonical enumeration visits — or 0 when n exceeds the int64
-// binomial table (n > 62), in which case the scan cannot be partitioned by
-// index and must run locally.
-func NumFaultSets(n, f int) int64 { return totalFaultSets(n, f) }
+// NumFaultSets returns the scan extent Σ_{k≤f} C(n,k): the number of fault
+// sets the canonical enumeration visits, and the index space every
+// ShardScanner, ScanFrontier and distributed lease of (n, f) shares. It is 0
+// when the extent overflows int64, which validateScan refuses.
+func NumFaultSets(n, f int) int64 {
+	var total int64
+	for k := 0; k <= min(f, n); k++ {
+		c := binom(n, k)
+		if c == 0 || total > math.MaxInt64-c {
+			return 0
+		}
+		total += c
+	}
+	return total
+}
 
 // RangeResult reports a ShardScanner.ScanRange outcome.
 type RangeResult struct {

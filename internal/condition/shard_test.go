@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"iabc/internal/graph"
@@ -229,5 +231,103 @@ func TestScanFrontierSpans(t *testing.T) {
 	}
 	if err := fr3.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lexFaultSets lists every subset of {0..n-1} of size ≤ f in canonical
+// order — size-ascending, then lexicographic — by stepping one combination
+// to the next: the reference faultSet's unranking is pinned to.
+func lexFaultSets(n, f int) [][]int {
+	var out [][]int
+	for k := 0; k <= f && k <= n; k++ {
+		idx := make([]int, k)
+		for i := range idx {
+			idx[i] = i
+		}
+		for {
+			out = append(out, slices.Clone(idx))
+			i := k - 1
+			for i >= 0 && idx[i] == n-k+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			idx[i]++
+			for j := i + 1; j < k; j++ {
+				idx[j] = idx[j-1] + 1
+			}
+		}
+	}
+	return out
+}
+
+// faultSetMembers returns fault set i over n nodes as a sorted member list.
+func faultSetMembers(n int, i int64) []int {
+	var out []int
+	faultSet(n, i, func(v int) { out = append(out, v) })
+	return out
+}
+
+// TestFaultSetUnranksCanonicalOrder pins the index space: faultSet(n, i) is
+// the i-th set of the reference enumeration at every index for small n, and
+// past binomTable the first and last index of every size whose extent fits
+// int64 are the first and last combinations of that size.
+func TestFaultSetUnranksCanonicalOrder(t *testing.T) {
+	for n := 0; n <= 12; n++ {
+		for f := 0; f <= 4; f++ {
+			want := lexFaultSets(n, f)
+			if got := NumFaultSets(n, f); got != int64(len(want)) {
+				t.Fatalf("NumFaultSets(%d,%d) = %d, reference lists %d", n, f, got, len(want))
+			}
+			for i, w := range want {
+				if got := faultSetMembers(n, int64(i)); !slices.Equal(got, w) {
+					t.Fatalf("n=%d: fault set %d = %v, want %v", n, i, got, w)
+				}
+			}
+		}
+	}
+	for _, n := range []int{63, 64, 70} {
+		var lo int64
+		for k := 0; k <= n && NumFaultSets(n, k) > 0; k++ {
+			first, last := make([]int, k), make([]int, k)
+			for j := range k {
+				first[j], last[j] = j, n-k+j
+			}
+			hi := lo + binom(n, k) - 1
+			if got := faultSetMembers(n, lo); !slices.Equal(got, first) {
+				t.Fatalf("n=%d: fault set %d = %v, want the first of size %d, %v", n, lo, got, k, first)
+			}
+			if got := faultSetMembers(n, hi); !slices.Equal(got, last) {
+				t.Fatalf("n=%d: fault set %d = %v, want the last of size %d, %v", n, hi, got, k, last)
+			}
+			if lo = hi + 1; lo != NumFaultSets(n, k) {
+				t.Fatalf("n=%d: size %d ends at %d, NumFaultSets = %d", n, k, lo, NumFaultSets(n, k))
+			}
+		}
+	}
+}
+
+// TestShardScannerStoresNoFaultSets pins that a scanner keeps no per-index
+// table where the graph has no symmetry to record: on a seeded random
+// digraph with a trivial automorphism group at f = 8 (1 807 781 fault sets),
+// construction allocates under 64 KB.
+func TestShardScannerStoresNoFaultSets(t *testing.T) {
+	g, err := topology.RandomDigraph(25, 0.7, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewShardScanner(g, 8, SyncThreshold(8))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumFaultSets() != 1807781 || s.orbit != nil {
+		t.Fatalf("extent %d, orbit table %v: want 1807781 fault sets and the identity group", s.NumFaultSets(), s.orbit != nil)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 64<<10 {
+		t.Fatalf("NewShardScanner allocated %d bytes, want < 64 KB", b)
 	}
 }

@@ -169,12 +169,13 @@ type ScanFrontier struct {
 }
 
 // LoadScanFrontier validates the scan identity (g, f, threshold) — f ≥ 0,
-// threshold ≥ 1, n−f ≤ 62 — and consults the store for it. It returns, in
-// order of preference: a cached verdict (cached != nil — the scan need not
-// run), or a frontier seeded from the newest checkpoint (possibly empty).
-// What makes a stored record usable is statestore.Record.Load's business; a
-// checkpoint whose prefix length is impossible is treated as absent too.
-// With a nil store the frontier is memory-only and the graph is not encoded.
+// threshold ≥ 1, n−f ≤ 62, an extent that fits int64 — and consults the
+// store for it. It returns, in order of preference: a cached verdict
+// (cached != nil — the scan need not run), or a frontier seeded from the
+// newest checkpoint (possibly empty). What makes a stored record usable is
+// statestore.Record.Load's business; a checkpoint whose prefix length is
+// impossible is treated as absent too. With a nil store the frontier is
+// memory-only and the graph is not encoded.
 func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold, checkpointEvery int) (fr *ScanFrontier, cached *Result, err error) {
 	if err := validateScan(g.N(), f, threshold); err != nil {
 		return nil, nil, err
@@ -182,7 +183,7 @@ func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Gr
 	if checkpointEvery <= 0 {
 		checkpointEvery = DefaultCheckpointEvery
 	}
-	fr = &ScanFrontier{every: int64(checkpointEvery), total: totalFaultSets(g.N(), f)}
+	fr = &ScanFrontier{every: int64(checkpointEvery), total: NumFaultSets(g.N(), f)}
 	if store == nil {
 		return fr, nil, nil
 	}
@@ -210,7 +211,7 @@ func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Gr
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ok || cp.Done < 0 || (fr.total > 0 && cp.Done > fr.total) {
+	if !ok || cp.Done < 0 || cp.Done > fr.total {
 		return fr, nil, nil // no checkpoint, or a corrupt prefix length: start fresh
 	}
 	fr.frontier, fr.agg = cp.Done, cp.WorkCounters

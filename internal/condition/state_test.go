@@ -265,6 +265,36 @@ func TestCheckScanIgnoresCorruptState(t *testing.T) {
 	}
 }
 
+// TestCheckScanIgnoresCheckpointPastExtent: a checkpoint whose prefix runs
+// past the extent is corrupt at every n, n > 62 included. A 63-cycle at
+// f = 1 has 64 fault sets and violates at F = ∅; with Done = 1000 planted,
+// the scan must start fresh, stop at the first fault set, and cache the
+// violated verdict, never a satisfied one.
+func TestCheckScanIgnoresCheckpointPastExtent(t *testing.T) {
+	g, err := topology.Circulant(63, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	store := statestore.NewMem()
+	threshold := SyncThreshold(1)
+	cp, verdict := scanRecords(store, g.Encode(), 1, threshold)
+	if err := cp.Save(ctx, checkpointBody{Done: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := CheckScan(ctx, g, 1, threshold, ScanOptions{Workers: 1, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Satisfied || res.FaultSetsExamined != 1 || res.FaultSetsResumed != 0 {
+		t.Fatalf("corrupt checkpoint leaked into result: %+v", res)
+	}
+	var v verdictBody
+	if ok, err := verdict.Load(ctx, &v); err != nil || !ok || v.Satisfied || v.FaultSets != 1 {
+		t.Fatalf("cached verdict %+v (found %v, err %v), want violated after 1 fault set", v, ok, err)
+	}
+}
+
 // TestWitnessMembersOutOfRange: a witness naming a node outside [0, n) —
 // in a worker's violation report or in this scan's own verdict record — is
 // an error on the wire and a miss in the store, never a panic.

@@ -630,9 +630,8 @@ func (c *Coordinator) waitPhase(ctx context.Context, ph *phase) error {
 // and honors the CheckScan contract: same Result for the same identity,
 // opts.Store consulted for resume and verdict caching. The workers' reports
 // are journaled into the scan's condition.ScanFrontier and the Result is
-// settled through it, as in the single-process scan. A graph beyond the
-// fault-set index table (n > 62, condition.NumFaultSets) cannot be leased
-// by index and is an error unless its verdict is cached.
+// settled through it, as in the single-process scan. The leases partition
+// the frontier's index space, [0, condition.NumFaultSets).
 func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts condition.ScanOptions) (condition.Result, error) {
 	fr, cached, err := condition.LoadScanFrontier(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
 	if err != nil {
@@ -642,9 +641,6 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 		return *cached, nil
 	}
 	total := fr.Total()
-	if total == 0 {
-		return condition.Result{}, fmt.Errorf("distrib: %d nodes exceed the fault-set index table (n > 62); run the check locally", g.N())
-	}
 	resume, _ := fr.ResumePoint()
 	spec, err := buildScanSpec(g, f, threshold)
 	if err != nil {

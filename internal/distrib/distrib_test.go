@@ -35,6 +35,8 @@ func testGraph(t *testing.T, kind string, n, f int) *graph.Graph {
 		g, err = topology.CoreNetwork(n, f)
 	case "chord":
 		g, err = topology.Chord(n, f)
+	case "cycle":
+		g, err = topology.Circulant(n, []int{1})
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -203,10 +205,11 @@ func TestDistributedCheckResume(t *testing.T) {
 }
 
 // TestDistributedCheckPersistsLocalRecords pins the byte identity of what
-// the two scans leave in the store: on a satisfied and a violated graph, a
-// single-process CheckScan and a distributed one over separate stores end
-// with the same keys holding the same bytes, since both settle through one
-// ScanFrontier.
+// the two scans leave in the store: on a satisfied and a violated graph, and
+// on a 63-node one past binomTable, a single-process CheckScan and a
+// distributed one over separate stores end with the same Result and the
+// same keys holding the same bytes, since both settle through one
+// ScanFrontier over one index space.
 func TestDistributedCheckPersistsLocalRecords(t *testing.T) {
 	ctx := context.Background()
 	c := testCluster(t, Options{ChunkSize: 16, ReportEvery: 8}, 3)
@@ -216,15 +219,21 @@ func TestDistributedCheckPersistsLocalRecords(t *testing.T) {
 	}{
 		{"core", 13, 4},  // satisfied
 		{"chord", 11, 3}, // violated
+		{"cycle", 63, 1}, // violated, n > 62
 	} {
 		g := testGraph(t, tc.kind, tc.n, tc.f)
 		threshold := condition.SyncThreshold(tc.f)
 		local, dist := statestore.NewMem(), statestore.NewMem()
-		if _, err := condition.CheckScan(ctx, g, tc.f, threshold, condition.ScanOptions{Workers: 1, Store: local, CheckpointEvery: 1}); err != nil {
+		wantRes, err := condition.CheckScan(ctx, g, tc.f, threshold, condition.ScanOptions{Workers: 1, Store: local, CheckpointEvery: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.CheckScan(ctx, g, tc.f, threshold, condition.ScanOptions{Store: dist, CheckpointEvery: 1}); err != nil {
+		gotRes, err := c.CheckScan(ctx, g, tc.f, threshold, condition.ScanOptions{Store: dist, CheckpointEvery: 1})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Fatalf("%s(%d,%d): distributed %+v, local %+v", tc.kind, tc.n, tc.f, gotRes, wantRes)
 		}
 		want, got := storeContents(t, local), storeContents(t, dist)
 		if len(want) == 0 {
@@ -253,43 +262,6 @@ func storeContents(t *testing.T, store *statestore.Mem) map[string]string {
 		out[k] = string(v)
 	}
 	return out
-}
-
-// TestDistributedCheckRejectsUnindexedGraph covers a graph beyond the
-// binomial table (n > 62), whose fault sets cannot be leased by index: the
-// distributed check must fail and cache nothing, rather than settle a scan
-// of zero fault sets as satisfied. A verdict the local scan cached is still
-// served.
-func TestDistributedCheckRejectsUnindexedGraph(t *testing.T) {
-	ctx := context.Background()
-	g, err := topology.Circulant(63, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	threshold := condition.SyncThreshold(1)
-	store := statestore.NewMem()
-	c := testCluster(t, Options{}, 1)
-	if res, err := c.CheckScan(ctx, g, 1, threshold, condition.ScanOptions{Store: store}); err == nil {
-		t.Fatalf("distributed check of a 63-node graph returned %+v, want an error", res)
-	}
-	if keys, err := store.List(ctx, "verdict"); err != nil || len(keys) != 0 {
-		t.Fatalf("store holds verdicts %q (err %v) after a refused check", keys, err)
-	}
-
-	want, err := condition.CheckScan(ctx, g, 1, threshold, condition.ScanOptions{Workers: 1, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Satisfied {
-		t.Fatal("a directed 63-cycle cannot tolerate f = 1")
-	}
-	got, err := c.CheckScan(ctx, g, 1, threshold, condition.ScanOptions{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.CacheHit || got.Satisfied || got.FaultSetsExamined != want.FaultSetsExamined {
-		t.Fatalf("cached verdict %+v, local %+v", got, want)
-	}
 }
 
 // TestZombieLeaseFencing drives a raw wire client that takes a job and

@@ -12,7 +12,7 @@ const (
 	// Name, Round = rounds executed, Range = final fault-free range).
 	EventScenarioDone
 	// EventCheckProgress reports exact-checker progress (F, Done =
-	// fault sets processed, Total = full extent or 0 when unknown).
+	// fault sets processed, Total = full extent).
 	EventCheckProgress
 	// EventCheckDone reports one completed check of a MaxF scan (F,
 	// Satisfied), a check served from the verdict cache included.
@@ -49,8 +49,7 @@ type Event struct {
 	// Satisfied is the completed check's verdict (EventCheckDone).
 	Satisfied bool
 	// Done and Total count processed vs. expected fault sets
-	// (EventCheckProgress); Total is 0 when the extent exceeds the int64
-	// binomial table.
+	// (EventCheckProgress).
 	Done, Total int64
 	// Node is the node whose state changed (EventNodeUpdate).
 	Node int
