@@ -3,7 +3,9 @@ package condition
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iabc/internal/graph"
@@ -104,6 +106,158 @@ func TestFaultSetOrbitCounts(t *testing.T) {
 		}
 		if s.orbit != nil || s.memo != nil {
 			t.Errorf("n=%d f=%d: orbit table built, want the identity group", tc.g.N(), tc.f)
+		}
+	}
+}
+
+// faultSetMask is fault set i over n ≤ 64 nodes as a mask.
+func faultSetMask(n int, i int64) (mask uint64) {
+	faultSet(n, i, func(v int) { mask |= 1 << uint(v) })
+	return mask
+}
+
+// rankFaultSet is faultSet's inverse, counted forwards: the sets of smaller
+// size, then, member by member, the same-size sets that share the members
+// so far and take a lower next one.
+func rankFaultSet(n int, mask uint64) int64 {
+	k := bits.OnesCount64(mask)
+	r := NumFaultSets(n, k-1)
+	for j, next := 0, 0; mask != 0; mask, j = mask&(mask-1), j+1 {
+		v := bits.TrailingZeros64(mask)
+		for u := next; u < v; u++ {
+			r += binom(n-1-u, k-1-j)
+		}
+		next = v + 1
+	}
+	return r
+}
+
+// plainOrbitTable is the orbit table as it was built before twin classes:
+// every generator applied to every fault set of every orbit, orbits numbered
+// by their lowest index. It shares faultSet and binom with the scanner and
+// nothing else.
+func plainOrbitTable(n, f int, gens [][]int) (orbit, rep []int32) {
+	if len(gens) == 0 {
+		return nil, nil
+	}
+	orbit = make([]int32, NumFaultSets(n, f))
+	for i := range orbit {
+		orbit[i] = -1
+	}
+	for i := range orbit {
+		if orbit[i] >= 0 {
+			continue
+		}
+		o := int32(len(rep))
+		rep = append(rep, int32(i))
+		orbit[i] = o
+		stack := []uint64{faultSetMask(n, int64(i))}
+		for len(stack) > 0 {
+			mask := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, perm := range gens {
+				var img uint64
+				for m := mask; m != 0; m &= m - 1 {
+					img |= 1 << uint(perm[bits.TrailingZeros64(m)])
+				}
+				if j := rankFaultSet(n, img); orbit[j] < 0 {
+					orbit[j] = o
+					stack = append(stack, img)
+				}
+			}
+		}
+	}
+	return orbit, rep
+}
+
+// TestOrbitTableMatchesPlainClosure is the differential gate of the twin
+// classes: on graphs with twins only (core networks, K_n, K_{a,b}), twins
+// beside generators that permute whole classes (K_{6,6} with an edge added
+// inside each side, core(13,4) with one core–outer link cut), no twins at
+// all (chord, hypercube, torus, wheel, barbell, random digraphs) and a mix
+// (star, PFCN), each as built and relabelled, and at every generator budget,
+// the scanner's orbit and rep arrays equal the plain closure's exactly.
+func TestOrbitTableMatchesPlainClosure(t *testing.T) {
+	must := mustGraph(t)
+	rng := rand.New(rand.NewSource(41))
+	type zooCase struct {
+		name string
+		g    *graph.Graph
+		f    int
+	}
+	var zoo []zooCase
+	for n := 7; n <= 25; n++ {
+		cf := (n - 1) / 3
+		zoo = append(zoo, zooCase{fmt.Sprintf("core(%d,%d)", n, cf), must(topology.CoreNetwork(n, cf)), min(cf, 5)})
+	}
+	for _, n := range []int{5, 9, 12} {
+		zoo = append(zoo, zooCase{fmt.Sprintf("K%d", n), must(topology.Complete(n)), 3})
+	}
+	for _, ab := range [][2]int{{3, 4}, {5, 6}, {4, 4}} {
+		zoo = append(zoo, zooCase{fmt.Sprintf("K%d,%d", ab[0], ab[1]), must(topology.CompleteBipartite(ab[0], ab[1])), 3})
+	}
+	zoo = append(zoo,
+		zooCase{"K6,6 + 0↔1, 6↔7", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}, {6, 7}, {7, 6}})), 4},
+		zooCase{"core(13,4) − 0↔9", must(topology.RemoveEdges(must(topology.CoreNetwork(13, 4)), [][2]int{{0, 9}, {9, 0}})), 4},
+		zooCase{"chord(12,2)", must(topology.Chord(12, 2)), 2},
+		zooCase{"chord(16,2)", must(topology.Chord(16, 2)), 3},
+		zooCase{"hypercube(4)", must(topology.Hypercube(4)), 3},
+		zooCase{"hypercube(5)", must(topology.Hypercube(5)), 2},
+		zooCase{"torus(4,4)", must(topology.Torus(4, 4)), 3},
+		zooCase{"wheel(9)", must(topology.Wheel(9)), 3},
+		zooCase{"star(10)", must(topology.Star(10)), 4},
+		zooCase{"PFCN(14,4)", must(topology.PFCN(14, 4)), 4},
+		zooCase{"barbell(5,2)", must(topology.Barbell(5, 2)), 3},
+	)
+	for i := 0; i < 30; i++ {
+		n := 6 + rng.Intn(8)
+		zoo = append(zoo, zooCase{fmt.Sprintf("random %d", i), must(topology.RandomDigraph(n, 0.3+0.6*rng.Float64(), rng)), 1 + rng.Intn(3)})
+	}
+	mixed := 0 // cases with twin classes and generators beyond them
+	for _, tc := range zoo {
+		for trial, g := range []*graph.Graph{tc.g, relabelGraph(tc.g, rng.Perm(tc.g.N()))} {
+			for _, budget := range []int{0, 1, graph.AutSearchBudget} {
+				gens := g.AutomorphismGenerators(budget)
+				if classes, rest := twinClasses(g.N(), gens); classes != nil && len(rest) > 0 {
+					mixed++
+				}
+				wantOrbit, wantRep := plainOrbitTable(g.N(), tc.f, gens)
+				s := newShardScanner(g, tc.f, SyncThreshold(tc.f), budget)
+				if !slices.Equal(s.orbit, wantOrbit) || !slices.Equal(s.rep, wantRep) {
+					t.Fatalf("%s labelling %d budget %d: %d orbits, the plain closure finds %d", tc.name, trial, budget, len(s.rep), len(wantRep))
+				}
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no case had twin classes beside other generators; the closure over classes went untested")
+	}
+	// The table needs only a permutation group, not a graph: random
+	// transpositions beside random permutations make classes that merge only
+	// through conjugation, which no automorphism search above produced.
+	for trial := 0; trial < 200; trial++ {
+		n, f := 4+rng.Intn(7), 1+rng.Intn(4)
+		var gens [][]int
+		for range 1 + rng.Intn(3) {
+			perm := rng.Perm(n)
+			if rng.Intn(2) == 0 {
+				perm = make([]int, n)
+				for v := range perm {
+					perm[v] = v
+				}
+				a, b := rng.Intn(n), rng.Intn(n-1)
+				if b >= a {
+					b++
+				}
+				perm[a], perm[b] = b, a
+			}
+			gens = append(gens, perm)
+		}
+		s := &ShardScanner{g: graph.NewBuilder(n).MustBuild(), f: f, total: NumFaultSets(n, f)}
+		s.buildOrbits(gens)
+		wantOrbit, wantRep := plainOrbitTable(n, f, gens)
+		if !slices.Equal(s.orbit, wantOrbit) || !slices.Equal(s.rep, wantRep) {
+			t.Fatalf("n=%d f=%d generators %v: %d orbits, the plain closure finds %d", n, f, gens, len(s.rep), len(wantRep))
 		}
 	}
 }

@@ -49,15 +49,22 @@ type ShardScanner struct {
 
 	scratch *insulationScratch
 
-	// memo holds one result per orbit. It is nil when nothing could read an
-	// entry twice: identity group, no prefetchers. mu guards memo and the two
-	// prefetch fields; cond signals a stored result or a prefetcher leaving.
+	// memo holds one result per orbit. Under the identity group nothing reads
+	// an entry twice, so it is nil unless prefetchers run, and then a ring:
+	// index i's result waits in slot i mod len(memo) until decide takes it
+	// and moves prefetchFrom past i, and prefetchers stay below
+	// prefetchFrom + len(memo). mu guards memo and the two prefetch fields;
+	// cond signals a stored result, a taken one or a prefetcher leaving.
 	mu           sync.Mutex
 	cond         *sync.Cond
 	memo         []groundResult
 	prefetchers  int   // running prefetch goroutines
 	prefetchFrom int64 // they scan the representatives at or above this index
 }
+
+// ringPerWorker sizes the identity group's prefetch ring: slots per worker,
+// enough for a worker to run ahead of the fold past a few slow grounds.
+const ringPerWorker = 64
 
 // groundResult is the outcome of the candidate enumeration on one ground.
 type groundResult struct {
@@ -134,11 +141,106 @@ func faultSet(n int, i int64, add func(v int)) {
 	}
 }
 
+// nextFaultSet returns the fault set after mask in the canonical order over
+// n ≤ 62 nodes. Within a size the order is lexicographic on the ascending
+// members, so the successor keeps the members below the highest one that can
+// still move up, moves that one up by one and packs the members above it, the
+// run that ends at node n−1, right behind it; when every member is in that
+// run, the size is exhausted and the next one starts at {0, …, k}.
+func nextFaultSet(n int, mask uint64) uint64 {
+	top := bits.LeadingZeros64(^(mask << uint(64-n))) // members n−top … n−1
+	rest := mask & (1<<uint(n-top) - 1)
+	if rest == 0 {
+		return 1<<uint(bits.OnesCount64(mask)+1) - 1
+	}
+	p := 63 - bits.LeadingZeros64(rest)
+	return rest&^(1<<uint(p)) | (1<<uint(top+1)-1)<<uint(p+1)
+}
+
+// twinClasses returns the classes of interchangeable nodes the generators
+// certify, as masks of two or more nodes, and the generators that are not
+// transpositions. It joins the two points of every transposition and then
+// closes the classes under the other generators: when v and w share a class,
+// so do h(v) and h(w), since h (v w) h⁻¹ = (h(v) h(w)). Every pair in a class
+// is then a transposition of ⟨gens⟩, so each class's whole symmetric group
+// is, and every generator permutes the classes (docs/THEORY.md, "Twin
+// classes"). Without a transposition among gens it returns no classes and
+// gens itself, and allocates nothing.
+func twinClasses(n int, gens [][]int) (classes []uint64, rest [][]int) {
+	var parent [64]int8
+	for v := range parent {
+		parent[v] = int8(v)
+	}
+	find := func(v int) int {
+		for int(parent[v]) != v {
+			parent[v] = parent[parent[v]]
+			v = int(parent[v])
+		}
+		return v
+	}
+	union := func(v, w int) bool {
+		if rv, rw := find(v), find(w); rv != rw {
+			parent[rv] = int8(rw)
+			return true
+		}
+		return false
+	}
+	twins := false
+	for p, perm := range gens {
+		a, b, moved := -1, -1, 0
+		for v, w := range perm {
+			if v != w {
+				a, b, moved = b, v, moved+1
+			}
+		}
+		if moved == 2 {
+			if !twins {
+				twins, rest = true, append([][]int(nil), gens[:p]...)
+			}
+			union(a, b)
+		} else if twins {
+			rest = append(rest, perm)
+		}
+	}
+	if !twins {
+		return nil, gens
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, h := range rest {
+			for v := 0; v < n; v++ {
+				if union(h[v], h[find(v)]) {
+					changed = true
+				}
+			}
+		}
+	}
+	var members [64]uint64
+	for v := 0; v < n; v++ {
+		members[find(v)] |= 1 << uint(v)
+	}
+	for _, m := range members[:n] {
+		if bits.OnesCount64(m) > 1 {
+			classes = append(classes, m)
+		}
+	}
+	return classes, rest
+}
+
 // buildOrbits closes the fault-set index space under the generators: orbits
 // are numbered in order of their lowest index, which becomes rep. It leaves
 // the table nil when there is nothing to merge. Only called with n ≤ 62, so
-// each fault set is one mask word and every binomial is in the table; the
-// closure stack holds masks, so each orbit unranks only its first member.
+// each fault set is one mask word and every binomial is in the table.
+//
+// Fault sets that differ only inside a twin class (twinClasses) are one orbit
+// under the classes' symmetric groups, and canon maps each to that orbit's
+// lowest index: the |F ∩ C| lowest nodes of every class C. One pass in
+// canonical order labels a non-canonical index with its canonical form's
+// orbit, already labelled because that index is lower, and opens a new orbit
+// at each unlabelled canonical one. The closure from it then runs over
+// canonical forms under the generators that are not transpositions, which
+// permute the classes; a transposition only moves a fault set within its
+// class orbit.
 func (s *ShardScanner) buildOrbits(gens [][]int) {
 	if len(gens) == 0 {
 		return
@@ -156,6 +258,24 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 		}
 		return r
 	}
+	classes, gens := twinClasses(n, gens)
+	// low[c][k] holds the k lowest members of classes[c].
+	low := make([][]uint64, len(classes))
+	for c, m := range classes {
+		low[c] = make([]uint64, 1, bits.OnesCount64(m)+1)
+		for l := uint64(0); m != 0; m &= m - 1 {
+			l |= m & -m
+			low[c] = append(low[c], l)
+		}
+	}
+	canon := func(mask uint64) uint64 {
+		for c, m := range classes {
+			if in := mask & m; in != 0 {
+				mask = mask&^m | low[c][bits.OnesCount64(in)]
+			}
+		}
+		return mask
+	}
 	// moved[p] is the support of generator p. Nodes outside it keep their
 	// bit, and the deep-level generators move only a few nodes each.
 	moved := make([]uint64, len(gens))
@@ -172,15 +292,23 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 	}
 	var rep []int32
 	var stack []uint64
-	for i := range orbit {
+	// Neighbours in the order mostly differ inside one class, so they share
+	// a canonical form: keep the last one's orbit instead of ranking it again.
+	lastCanon, lastOrbit := uint64(0), int32(0)
+	for i, seed := 0, uint64(0); i < len(orbit); i, seed = i+1, nextFaultSet(n, seed) {
 		if orbit[i] >= 0 {
+			continue
+		}
+		if c := canon(seed); c != seed {
+			if c != lastCanon {
+				lastCanon, lastOrbit = c, orbit[rank(c)]
+			}
+			orbit[i] = lastOrbit
 			continue
 		}
 		o := int32(len(rep))
 		rep = append(rep, int32(i))
 		orbit[i] = o
-		var seed uint64
-		faultSet(n, int64(i), func(v int) { seed |= 1 << uint(v) })
 		stack = append(stack[:0], seed)
 		for len(stack) > 0 {
 			mask := stack[len(stack)-1]
@@ -190,7 +318,7 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 				for m := mask & moved[p]; m != 0; m &= m - 1 {
 					img |= 1 << uint(perm[bits.TrailingZeros64(m)])
 				}
-				if img == mask {
+				if img = canon(img); img == mask {
 					continue
 				}
 				if j := rank(img); orbit[j] < 0 {
@@ -209,7 +337,10 @@ func (s *ShardScanner) NumFaultSets() int64 { return s.total }
 // slot returns index i's memo slot and its orbit's representative.
 func (s *ShardScanner) slot(i int64) (slot int, rep int64) {
 	if s.orbit == nil {
-		return int(i), i
+		if s.memo == nil {
+			return 0, i
+		}
+		return int(i % int64(len(s.memo))), i
 	}
 	o := s.orbit[i]
 	return int(o), int64(s.rep[o])
@@ -244,13 +375,18 @@ func (s *ShardScanner) decide(i int64) groundResult {
 			s.cond.Wait()
 		}
 		res = s.memo[slot]
+		if s.orbit == nil {
+			// The ring: free the slot for index i + len(memo).
+			s.memo[slot], s.prefetchFrom = groundResult{}, i+1
+			s.cond.Broadcast()
+		}
 		s.mu.Unlock()
 	}
 	if !res.done {
 		// No prefetcher has it or will: they are gone, or rep lies in a
 		// resumed prefix they do not cover.
 		res = s.scanGround(s.scratch, rep)
-		if s.memo != nil {
+		if s.orbit != nil {
 			s.mu.Lock()
 			s.memo[slot] = res
 			s.mu.Unlock()
@@ -290,14 +426,16 @@ func (s *ShardScanner) fold(ctx context.Context, lo, hi int64, satisfied func(i 
 // left out, since fold stops before them. The returned function stops the
 // goroutines and waits for them. With workers ≤ 1 there is nothing to run
 // ahead of: fold computes each result as it gets there. Without an orbit
-// table the memo holds one result per index, so past the table's extent
-// gate fold runs alone too.
+// table every index is a representative read once, so the memo is a ring of
+// ringPerWorker slots per worker that fold empties as it goes: a prefetcher
+// that claims an index a whole ring ahead of fold waits for fold to catch
+// up, and memory stays flat however long the scan.
 func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (stop func()) {
-	if workers <= 1 || (s.memo == nil && s.total > math.MaxInt32) {
+	if workers <= 1 {
 		return func() {}
 	}
-	if s.memo == nil {
-		s.memo = make([]groundResult, s.total)
+	if s.orbit == nil {
+		s.memo = make([]groundResult, ringPerWorker*workers)
 	}
 	s.prefetchers, s.prefetchFrom = workers, from
 	var (
@@ -329,6 +467,18 @@ func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (s
 				if rep != i {
 					continue
 				}
+				if s.orbit == nil {
+					// A claimed index is always scanned once its slot is
+					// free: fold may be waiting for it.
+					s.mu.Lock()
+					for i >= s.prefetchFrom+int64(len(s.memo)) && !stopped.Load() {
+						s.cond.Wait()
+					}
+					s.mu.Unlock()
+					if stopped.Load() {
+						return
+					}
+				}
 				res := s.scanGround(scratch, i)
 				if res.witness != nil {
 					for b := minViol.Load(); i < b && !minViol.CompareAndSwap(b, i); b = minViol.Load() {
@@ -343,7 +493,13 @@ func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (s
 	}
 	return func() {
 		stopped.Store(true)
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
 		wg.Wait()
+		if s.orbit == nil {
+			s.memo = nil
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package condition
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"iabc/internal/graph"
@@ -308,6 +310,36 @@ func TestFaultSetUnranksCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestNextFaultSetFollowsIndexOrder pins the orbit table's walk:
+// nextFaultSet steps from each fault set to the one faultSet unranks at the
+// next index, over every index for small n and across the first and last
+// steps of every size, the size boundaries among them, at n = 62.
+func TestNextFaultSetFollowsIndexOrder(t *testing.T) {
+	for n := 1; n <= 12; n++ {
+		for f := 0; f <= 4; f++ {
+			mask := uint64(0)
+			for i := int64(0); i < NumFaultSets(n, f); i++ {
+				if want := faultSetMask(n, i); mask != want {
+					t.Fatalf("n=%d: step %d reaches %b, fault set %d is %b", n, i, mask, i, want)
+				}
+				mask = nextFaultSet(n, mask)
+			}
+		}
+	}
+	const n = 62
+	for k := 0; k < n; k++ {
+		lo, hi := NumFaultSets(n, k-1), NumFaultSets(n, k) // size k is [lo, hi)
+		for _, i := range []int64{lo, lo + 1, lo + 2, hi - 3, hi - 2, hi - 1} {
+			if i < lo || i+1 >= NumFaultSets(n, n) {
+				continue
+			}
+			if got, want := nextFaultSet(n, faultSetMask(n, i)), faultSetMask(n, i+1); got != want {
+				t.Fatalf("n=%d: after fault set %d comes %b, want %b", n, i, got, want)
+			}
+		}
+	}
+}
+
 // TestShardScannerStoresNoFaultSets pins that a scanner keeps no per-index
 // table where the graph has no symmetry to record: on a seeded random
 // digraph with a trivial automorphism group at f = 8 (1 807 781 fault sets),
@@ -329,5 +361,97 @@ func TestShardScannerStoresNoFaultSets(t *testing.T) {
 	}
 	if b := after.TotalAlloc - before.TotalAlloc; b >= 64<<10 {
 		t.Fatalf("NewShardScanner allocated %d bytes, want < 64 KB", b)
+	}
+}
+
+// TestPrefetchRingIsBounded pins the identity group's prefetch memo to a
+// ring: on the random digraph above at f = 8, whose scan stops at its 327th
+// fault set, CheckScan with two workers allocates under 8 MB (a memo of one
+// result per fault set took 72 MB) and returns the sequential Result.
+func TestPrefetchRingIsBounded(t *testing.T) {
+	g, err := topology.RandomDigraph(25, 0.7, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := CheckScan(ctx, g, 8, SyncThreshold(8), ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Satisfied || want.FaultSetsExamined != 327 {
+		t.Fatalf("sequential scan: satisfied %v after %d fault sets, want a violation at the 327th", want.Satisfied, want.FaultSetsExamined)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := CheckScan(ctx, g, 8, SyncThreshold(8), ScanOptions{Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultEqual(t, got, want)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 8<<20 {
+		t.Fatalf("CheckScan with 2 workers allocated %d bytes, want < 8 MB", b)
+	}
+}
+
+// TestPrefetchRingWraps drives the ring round several times from several
+// workers on random digraphs whose group is trivial, satisfied ones and one
+// that violates a whole ring in: a full scan, a scan canceled part-way
+// (which must return, not wait on a ring slot) and its resumption from the
+// checkpoint all settle as the sequential scan does.
+func TestPrefetchRingWraps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n, f = 14, 3 // 470 fault sets: more than 4 workers' ring
+	ctx := context.Background()
+	violatedPastRing := false
+	for trial := 0; trial < 4; trial++ {
+		g, err := topology.RandomDigraph(n, 0.55+0.4*rng.Float64(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.AutomorphismGenerators(graph.AutSearchBudget)) > 0 {
+			trial-- // an orbit table would replace the ring
+			continue
+		}
+		want, err := CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Satisfied && want.FaultSetsExamined > 4*ringPerWorker {
+			violatedPastRing = true
+		}
+		for _, workers := range []int{2, 3, 4} {
+			got, err := CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultEqual(t, got, want)
+
+			store := statestore.NewMem()
+			cctx, cancel := context.WithCancel(ctx)
+			var fired atomic.Int64
+			_, err = CheckScan(cctx, g, f, SyncThreshold(f), ScanOptions{
+				Workers: workers, CheckpointEvery: 16, Store: store,
+				OnProgress: func(Progress) {
+					if fired.Add(1) == 150 {
+						cancel()
+					}
+				},
+			})
+			cancel()
+			if want.FaultSetsExamined > 150 && !errors.Is(err, context.Canceled) {
+				t.Fatalf("trial %d workers=%d: interrupted scan err=%v, want context.Canceled", trial, workers, err)
+			}
+			resumed, err := CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{Workers: workers, CheckpointEvery: 16, Store: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resumed.CacheHit {
+				resultEqual(t, stripResumeMarkers(resumed), want)
+			}
+		}
+	}
+	if !violatedPastRing {
+		t.Fatal("no trial violated past the ring; the fold's early exit went untested")
 	}
 }

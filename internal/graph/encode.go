@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // The textual edge-list format is:
@@ -86,14 +88,14 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if b == nil {
 			var n int
-			if _, err := fmt.Sscanf(text, "n %d", &n); err != nil {
+			if rest, ok := strings.CutPrefix(text, "n"); !ok || !startsWithSpace(rest) || !scanInts(rest, &n) {
 				return nil, fmt.Errorf("graph: line %d: expected header \"n <order>\", got %q", line, text)
 			}
 			b = NewBuilder(n)
 			continue
 		}
 		var from, to int
-		if _, err := fmt.Sscanf(text, "%d %d", &from, &to); err != nil {
+		if !scanInts(text, &from, &to) {
 			return nil, fmt.Errorf("graph: line %d: expected \"<from> <to>\", got %q", line, text)
 		}
 		b.AddEdge(from, to)
@@ -105,6 +107,38 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: empty edge-list input")
 	}
 	return b.Build()
+}
+
+// scanInts reads len(vs) integers off the front of s and reports whether it
+// found them, accepting what fmt.Sscanf's "%d %d …" does: each integer an
+// optional sign and one or more decimal digits that fit an int, white space
+// before it (at least one character of it between two integers), and
+// anything after the last.
+func scanInts(s string, vs ...*int) bool {
+	for i, v := range vs {
+		t := strings.TrimLeftFunc(s, unicode.IsSpace)
+		if i > 0 && len(t) == len(s) {
+			return false
+		}
+		k := 0
+		if k < len(t) && (t[0] == '+' || t[0] == '-') {
+			k++
+		}
+		for k < len(t) && '0' <= t[k] && t[k] <= '9' {
+			k++
+		}
+		x, err := strconv.Atoi(t[:k]) // fails without a digit, as %d does
+		if err != nil {
+			return false
+		}
+		*v, s = x, t[k:]
+	}
+	return true
+}
+
+// startsWithSpace reports whether s begins with white space.
+func startsWithSpace(s string) bool {
+	return len(strings.TrimLeftFunc(s, unicode.IsSpace)) < len(s)
 }
 
 // ParseEdgeListString parses the edge-list format from a string.
