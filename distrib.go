@@ -9,7 +9,6 @@ package iabc
 
 import (
 	"context"
-	"sync"
 
 	"iabc/internal/distrib"
 )
@@ -26,7 +25,8 @@ func Work(ctx context.Context, addr string) error {
 func (c *config) distributed() bool { return c.coordAddr != "" || c.workerPool > 0 }
 
 // startCoordinator binds the call's coordinator and starts the local worker
-// pool. The returned stop func tears both down; it is safe to call after
+// pool, whose workers share one spec cache: a pooled scan builds its orbit
+// table once. The returned stop func tears both down; it is safe to call after
 // the work completed or failed.
 func (c *config) startCoordinator() (*distrib.Coordinator, func(), error) {
 	addr := c.coordAddr
@@ -38,18 +38,15 @@ func (c *config) startCoordinator() (*distrib.Coordinator, func(), error) {
 		return nil, nil, err
 	}
 	wctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < c.workerPool; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			distrib.Work(wctx, coord.Addr(), distrib.WorkerOptions{})
-		}()
-	}
+	pool := make(chan struct{})
+	go func() {
+		defer close(pool)
+		distrib.WorkPool(wctx, coord.Addr(), c.workerPool, distrib.WorkerOptions{})
+	}()
 	stop := func() {
 		coord.Close()
 		cancel()
-		wg.Wait()
+		<-pool
 	}
 	return coord, stop, nil
 }

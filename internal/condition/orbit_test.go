@@ -253,7 +253,7 @@ func TestOrbitTableMatchesPlainClosure(t *testing.T) {
 			}
 			gens = append(gens, perm)
 		}
-		s := &ShardScanner{g: graph.NewBuilder(n).MustBuild(), f: f, total: NumFaultSets(n, f)}
+		s := &orbitTable{g: graph.NewBuilder(n).MustBuild(), f: f, total: NumFaultSets(n, f)}
 		s.buildOrbits(gens)
 		wantOrbit, wantRep := plainOrbitTable(n, f, gens)
 		if !slices.Equal(s.orbit, wantOrbit) || !slices.Equal(s.rep, wantRep) {

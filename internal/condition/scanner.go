@@ -33,9 +33,35 @@ import (
 // what keeps resumed, parallel and distributed scans identical to the
 // sequential one.
 //
-// A ShardScanner is not safe for concurrent use; give each goroutine its
-// own.
+// The orbit table and the scan identity are read-only once built and shared
+// with every Fork; the memo, the scratch and the prefetch state are each
+// scanner's own. A ShardScanner is therefore not safe for concurrent use, but
+// its forks are safe to use concurrently with it and with one another: give
+// each goroutine its own fork of one scanner, and the table is built once.
 type ShardScanner struct {
+	*orbitTable
+
+	scratch *insulationScratch
+
+	// memo holds one result per orbit. Under the identity group nothing reads
+	// an entry twice, so it is nil unless prefetchers run, and then a ring:
+	// index i's result waits in slot i mod len(memo) until decide takes it
+	// and moves prefetchFrom past i, and prefetchers stay below
+	// prefetchFrom + len(memo). mu guards memo and the two prefetch fields;
+	// cond signals a stored result, a taken one or a prefetcher leaving.
+	// While prefetching is clear only the fold's goroutine touches them, so
+	// memoHit reads the memo without the lock.
+	mu           sync.Mutex
+	cond         *sync.Cond
+	memo         []groundResult
+	prefetching  bool  // prefetch goroutines started and not yet waited for
+	prefetchers  int   // running prefetch goroutines
+	prefetchFrom int64 // they scan the representatives at or above this index
+}
+
+// orbitTable is the read-only part of a scan: its identity (g, f, threshold),
+// the extent and the orbit table over it.
+type orbitTable struct {
 	g         *graph.Graph
 	f         int
 	threshold int
@@ -46,20 +72,6 @@ type ShardScanner struct {
 	// orbit and representative.
 	orbit []int32
 	rep   []int32
-
-	scratch *insulationScratch
-
-	// memo holds one result per orbit. Under the identity group nothing reads
-	// an entry twice, so it is nil unless prefetchers run, and then a ring:
-	// index i's result waits in slot i mod len(memo) until decide takes it
-	// and moves prefetchFrom past i, and prefetchers stay below
-	// prefetchFrom + len(memo). mu guards memo and the two prefetch fields;
-	// cond signals a stored result, a taken one or a prefetcher leaving.
-	mu           sync.Mutex
-	cond         *sync.Cond
-	memo         []groundResult
-	prefetchers  int   // running prefetch goroutines
-	prefetchFrom int64 // they scan the representatives at or above this index
 }
 
 // ringPerWorker sizes the identity group's prefetch ring: slots per worker,
@@ -73,8 +85,10 @@ type groundResult struct {
 	done    bool
 }
 
-// validateScan is the feasibility gate shared by every entry point.
-func validateScan(n, f, threshold int) error {
+// ValidateScan is the feasibility gate shared by every entry point: it
+// refuses a scan of n nodes that no ShardScanner can hold, before anything
+// sized by n is allocated.
+func ValidateScan(n, f, threshold int) error {
 	if f < 0 {
 		return fmt.Errorf("condition: f must be >= 0, got %d", f)
 	}
@@ -92,7 +106,7 @@ func validateScan(n, f, threshold int) error {
 
 // NewShardScanner builds the orbit table for (g, f, threshold).
 func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
-	if err := validateScan(g.N(), f, threshold); err != nil {
+	if err := ValidateScan(g.N(), f, threshold); err != nil {
 		return nil, err
 	}
 	return newShardScanner(g, f, threshold, graph.AutSearchBudget), nil
@@ -102,20 +116,27 @@ func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
 // search's step budget exposed so tests can starve it.
 func newShardScanner(g *graph.Graph, f, threshold, budget int) *ShardScanner {
 	n := g.N()
-	s := &ShardScanner{
-		g: g, f: f, threshold: threshold,
-		total:   NumFaultSets(n, f),
-		scratch: newInsulationScratch(g),
-	}
-	s.cond = sync.NewCond(&s.mu)
+	t := &orbitTable{g: g, f: f, threshold: threshold, total: NumFaultSets(n, f)}
 	// The table ranks one-word masks through binomTable and stores int32
 	// indices, so it needs n ≤ 62 and the extent small; f = 0 has one fault
 	// set and nothing to share.
-	if f > 0 && n <= 62 && s.total <= math.MaxInt32 {
-		s.buildOrbits(g.AutomorphismGenerators(budget))
+	if f > 0 && n <= 62 && t.total <= math.MaxInt32 {
+		t.buildOrbits(g.AutomorphismGenerators(budget))
 	}
-	if s.orbit != nil {
-		s.memo = make([]groundResult, len(s.rep))
+	return t.scanner()
+}
+
+// Fork returns a scanner over s's scan identity and orbit table, with a memo
+// and scratch of its own: the table is shared, not rebuilt, and the fork's
+// results are the ones a fresh NewShardScanner would give.
+func (s *ShardScanner) Fork() *ShardScanner { return s.orbitTable.scanner() }
+
+// scanner returns a new scanner over t with an empty memo.
+func (t *orbitTable) scanner() *ShardScanner {
+	s := &ShardScanner{orbitTable: t, scratch: newInsulationScratch(t.g)}
+	s.cond = sync.NewCond(&s.mu)
+	if t.orbit != nil {
+		s.memo = make([]groundResult, len(t.rep))
 	}
 	return s
 }
@@ -241,13 +262,13 @@ func twinClasses(n int, gens [][]int) (classes []uint64, rest [][]int) {
 // canonical forms under the generators that are not transpositions, which
 // permute the classes; a transposition only moves a fault set within its
 // class orbit.
-func (s *ShardScanner) buildOrbits(gens [][]int) {
+func (t *orbitTable) buildOrbits(gens [][]int) {
 	if len(gens) == 0 {
 		return
 	}
-	n := s.g.N()
-	first := make([]int64, s.f+2) // first[k] = index of the first size-k fault set
-	for k := 0; k <= s.f; k++ {
+	n := t.g.N()
+	first := make([]int64, t.f+2) // first[k] = index of the first size-k fault set
+	for k := 0; k <= t.f; k++ {
 		first[k+1] = first[k] + binom(n, k)
 	}
 	rank := func(mask uint64) int64 {
@@ -286,7 +307,7 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 			}
 		}
 	}
-	orbit := make([]int32, s.total)
+	orbit := make([]int32, t.total)
 	for i := range orbit {
 		orbit[i] = -1
 	}
@@ -328,7 +349,7 @@ func (s *ShardScanner) buildOrbits(gens [][]int) {
 			}
 		}
 	}
-	s.orbit, s.rep = orbit, rep
+	t.orbit, t.rep = orbit, rep
 }
 
 // NumFaultSets returns the enumeration's extent.
@@ -398,20 +419,43 @@ func (s *ShardScanner) decide(i int64) groundResult {
 	return res
 }
 
+// memoHit returns fault set i's result, without the lock, when no prefetcher
+// runs and the memo already holds its orbit's passing result, and nil
+// otherwise: decide then settles i. It is the fold's one step per index on a
+// range whose orbits are decided, so it is small enough to inline and copies
+// nothing.
+func (s *ShardScanner) memoHit(i int64) *groundResult {
+	if s.prefetching || s.orbit == nil {
+		return nil
+	}
+	if r := &s.memo[s.orbit[i]]; r.done && r.witness == nil {
+		return r
+	}
+	return nil
+}
+
 // fold decides fault sets [lo, hi) in canonical order — the one per-fault-set
 // loop — calling satisfied with each passing index's counter delta. It stops
 // at the first violating index (viol.witness != nil), at the first error
 // from satisfied, or when ctx is done (err = ctx.Err()); stop is the index
 // it stopped at, hi after a clean pass. Cancellation is checked between
-// fault sets, never inside the candidate enumeration.
+// fault sets, never inside the candidate enumeration, by a non-blocking
+// receive on ctx.Done(), which costs no lock while ctx is live.
 func (s *ShardScanner) fold(ctx context.Context, lo, hi int64, satisfied func(i int64, cc WorkCounters) error) (stop int64, viol groundResult, err error) {
+	done := ctx.Done()
 	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return i, groundResult{}, err
+		select {
+		case <-done:
+			return i, groundResult{}, ctx.Err()
+		default:
 		}
-		res := s.decide(i)
-		if res.witness != nil {
-			return i, res, nil
+		res := s.memoHit(i)
+		if res == nil {
+			r := s.decide(i)
+			if r.witness != nil {
+				return i, r, nil
+			}
+			res = &r
 		}
 		if err := satisfied(i, res.cc); err != nil {
 			return i, groundResult{}, err
@@ -437,7 +481,7 @@ func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (s
 	if s.orbit == nil {
 		s.memo = make([]groundResult, ringPerWorker*workers)
 	}
-	s.prefetchers, s.prefetchFrom = workers, from
+	s.prefetching, s.prefetchers, s.prefetchFrom = true, workers, from
 	var (
 		next, minViol atomic.Int64
 		stopped       atomic.Bool
@@ -497,6 +541,7 @@ func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (s
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		wg.Wait()
+		s.prefetching = false
 		if s.orbit == nil {
 			s.memo = nil
 		}

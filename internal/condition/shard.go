@@ -25,7 +25,7 @@ import (
 // NumFaultSets returns the scan extent Σ_{k≤f} C(n,k): the number of fault
 // sets the canonical enumeration visits, and the index space every
 // ShardScanner, ScanFrontier and distributed lease of (n, f) shares. It is 0
-// when the extent overflows int64, which validateScan refuses.
+// when the extent overflows int64, which ValidateScan refuses.
 func NumFaultSets(n, f int) int64 {
 	var total int64
 	for k := 0; k <= min(f, n); k++ {

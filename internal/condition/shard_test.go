@@ -3,6 +3,7 @@ package condition
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -453,5 +454,118 @@ func TestPrefetchRingWraps(t *testing.T) {
 	}
 	if !violatedPastRing {
 		t.Fatal("no trial violated past the ring; the fold's early exit went untested")
+	}
+}
+
+// TestForksShareOneTable is the differential gate of the shared orbit
+// table: 2–4 goroutines scan random chunkings of the whole index space at
+// once, one on a scanner and the others on forks of it, and every
+// RangeResult must equal the one a fresh NewShardScanner gives for the same
+// range — on a satisfied core network, K_{6,6} plus edges (violating with
+// transpositions only; satisfied with a generator that swaps the sides too)
+// and a random digraph whose group is trivial.
+func TestForksShareOneTable(t *testing.T) {
+	must := mustGraph(t)
+	rng := rand.New(rand.NewSource(5))
+	var asym *graph.Graph
+	for asym == nil || len(asym.AutomorphismGenerators(graph.AutSearchBudget)) > 0 {
+		asym = must(topology.RandomDigraph(11, 0.5+0.4*rng.Float64(), rng))
+	}
+	verdicts := map[bool]bool{}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		f    int
+	}{
+		{"core(13,4)", must(topology.CoreNetwork(13, 4)), 4},
+		{"K6,6 + 0↔1", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}})), 4},
+		{"K6,6 + 0↔1, 6↔7", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}, {6, 7}, {7, 6}})), 2},
+		{"random(11)", asym, 3},
+	} {
+		threshold := SyncThreshold(tc.f)
+		want, err := CheckScan(context.Background(), tc.g, tc.f, threshold, ScanOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts[want.Satisfied] = true
+		for workers := 2; workers <= 4; workers++ {
+			base, err := NewShardScanner(tc.g, tc.f, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				s := base
+				if w > 0 {
+					if s = base.Fork(); s.orbitTable != base.orbitTable {
+						t.Fatalf("%s: a fork built its own table", tc.name)
+					}
+				}
+				seed := rng.Int63()
+				go func() { errs <- scanChunkings(s, seed) }()
+			}
+			for w := 0; w < workers; w++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("%s, %d scanners: %v", tc.name, workers, err)
+				}
+			}
+		}
+	}
+	if !verdicts[true] || !verdicts[false] {
+		t.Fatalf("verdicts seen %v: want a satisfied case and a violating one", verdicts)
+	}
+}
+
+// scanChunkings scans s's whole index space in random chunks, three times
+// over, and compares each range with a fresh scanner's.
+func scanChunkings(s *ShardScanner, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	ctx := context.Background()
+	total := s.NumFaultSets()
+	for pass := 0; pass < 3; pass++ {
+		for lo := int64(0); lo < total; {
+			hi := min(total, lo+1+rng.Int63n(total/4+1))
+			got, err := s.ScanRange(ctx, lo, hi)
+			if err != nil {
+				return err
+			}
+			fresh, err := NewShardScanner(s.g, s.f, s.threshold)
+			if err != nil {
+				return err
+			}
+			want, err := fresh.ScanRange(ctx, lo, hi)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("range [%d,%d): got %+v, a fresh scanner %+v", lo, hi, got, want)
+			}
+			lo = hi
+		}
+	}
+	return nil
+}
+
+// TestScanRangeMemoHitAllocatesNothing pins the cost of a memo hit: once
+// every orbit of a satisfied range is decided, scanning the range again
+// allocates nothing, under a live cancelable context too.
+func TestScanRangeMemoHitAllocatesNothing(t *testing.T) {
+	g := shardCase(t, "core", 13, 4)
+	s, err := NewShardScanner(g, 4, SyncThreshold(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	total := s.NumFaultSets()
+	if rr, err := s.ScanRange(ctx, 0, total); err != nil || rr.Completed != total {
+		t.Fatalf("first pass: %+v, %v; want a clean pass over %d fault sets", rr, err, total)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := s.ScanRange(ctx, 0, total); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("ScanRange over decided orbits: %v allocations per run, want 0", a)
 	}
 }

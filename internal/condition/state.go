@@ -177,7 +177,7 @@ type ScanFrontier struct {
 // impossible is treated as absent too. With a nil store the frontier is
 // memory-only and the graph is not encoded.
 func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Graph, f, threshold, checkpointEvery int) (fr *ScanFrontier, cached *Result, err error) {
-	if err := validateScan(g.N(), f, threshold); err != nil {
+	if err := ValidateScan(g.N(), f, threshold); err != nil {
 		return nil, nil, err
 	}
 	if checkpointEvery <= 0 {

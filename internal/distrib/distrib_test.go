@@ -8,9 +8,11 @@ package distrib
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -718,5 +720,136 @@ func TestWorkerTreatsResetAsHangUp(t *testing.T) {
 	}()
 	if err := Work(context.Background(), ln.Addr().String(), WorkerOptions{}); err != nil {
 		t.Fatalf("worker reported the coordinator's hang-up as a failure: %v", err)
+	}
+}
+
+// TestWorkerPoolResolvesSpecOnce pins the pool's shared spec cache: three
+// connections of one pool split a check between them, the spec is fetched
+// and its orbit table built once, and the Result is the oracle's.
+func TestWorkerPoolResolvesSpecOnce(t *testing.T) {
+	g := testGraph(t, "core", 13, 4)
+	threshold := condition.SyncThreshold(4)
+	want, err := condition.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(Options{ChunkSize: 16, ReportEvery: 16})
+	if err := c.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cache := &specCache{specs: make(map[uint64]*cachedSpec)}
+	pool := make(chan error, 1)
+	go func() { pool <- workPool(ctx, c.Addr(), 3, WorkerOptions{}, cache) }()
+	defer func() {
+		cancel()
+		c.Close()
+		<-pool
+	}()
+	waitUntil(t, "three workers", func() bool { return c.Stats().WorkersSeen == 3 })
+	got, err := c.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pooled result %+v, oracle %+v", got, want)
+	}
+	if s := c.Stats(); s.JobsGranted < 3 {
+		t.Fatalf("granted %d jobs, want at least one per worker", s.JobsGranted)
+	}
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	if cache.fetches != 1 || len(cache.specs) != 1 {
+		t.Fatalf("the pool fetched the spec %d times and holds %d specs, want 1 and 1", cache.fetches, len(cache.specs))
+	}
+}
+
+// TestSpecCacheFetchesOnce: while one connection of a pool fetches a spec,
+// two more ask for it; they wait for that fetch instead of making their own,
+// and run forks of the cached copy, so each of the three has a scanner of
+// its own over one orbit table. A failed fetch leaves nothing behind, and
+// the next connection fetches again.
+func TestSpecCacheFetchesOnce(t *testing.T) {
+	payload, err := buildScanSpec(testGraph(t, "core", 13, 4), 4, condition.SyncThreshold(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := &specCache{specs: make(map[uint64]*cachedSpec)}
+	ctx := context.Background()
+	if _, err := cache.get(ctx, 1, func() (*workerSpec, error) { return nil, net.ErrClosed }); err != net.ErrClosed {
+		t.Fatalf("failed fetch: err %v, want %v", err, net.ErrClosed)
+	}
+	release := make(chan struct{})
+	got := make([]*workerSpec, 3)
+	var wg sync.WaitGroup
+	ask := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws, err := cache.get(ctx, 1, func() (*workerSpec, error) {
+				<-release
+				return resolveSpec(payload)
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = ws
+		}()
+	}
+	ask(0)
+	waitUntil(t, "the first fetch", func() bool {
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		return cache.fetches == 2
+	})
+	ask(1)
+	ask(2)
+	close(release)
+	wg.Wait()
+	if cache.fetches != 2 {
+		t.Fatalf("%d fetches, want the failed one and one more", cache.fetches)
+	}
+	if got[0] != cache.specs[1].ws {
+		t.Fatal("the connection that fetched the spec does not run the cached copy")
+	}
+	for i, ws := range got {
+		if ws == nil || ws.kind != "scan" {
+			t.Fatalf("connection %d got %+v", i, ws)
+		}
+		for j := range got[:i] {
+			if ws.scanner == got[j].scanner {
+				t.Fatalf("connections %d and %d share a scanner", j, i)
+			}
+		}
+	}
+}
+
+// TestResolveSpecRefusesInfeasibleScan: a scan spec whose header declares
+// more nodes than the checker can scan is refused by the checker's own
+// feasibility gate before the graph is parsed — for n − f > 62 and for an
+// extent past int64 — so a hostile header allocates under 1 MB, where
+// building its graph would take gigabytes.
+func TestResolveSpecRefusesInfeasibleScan(t *testing.T) {
+	for _, tc := range []struct {
+		f    int
+		want string
+	}{
+		{6, "n-f = 200001 > 62"},
+		{200000, "overflow int64"},
+	} {
+		payload, err := json.Marshal(jobSpec{Kind: "scan", Scan: &scanSpec{Graph: "# hostile\nn 200007\n0 1\n", F: tc.f, Threshold: tc.f + 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = resolveSpec(payload)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("f = %d: resolveSpec error %v, want one containing %q", tc.f, err, tc.want)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Fatalf("f = %d: resolveSpec allocated %d bytes refusing the spec, want < 1 MB", tc.f, b)
+		}
 	}
 }

@@ -3,12 +3,14 @@ package distrib
 // Job specs: the JSON payloads of kindSpec frames. A spec is the full,
 // self-contained identity of an enumeration — everything a worker needs to
 // execute any index range of it. Specs are immutable once registered and
-// cached per connection by specID, so the (potentially large) JSON crosses
-// the wire once per worker.
+// cached per worker pool by specID, so the (potentially large) JSON crosses
+// the wire, and a scan's orbit table is built, once per pool.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"iabc/internal/condition"
 	"iabc/internal/graph"
@@ -59,18 +61,37 @@ func buildNoopSpec() ([]byte, error) {
 	return json.Marshal(jobSpec{Kind: "noop"})
 }
 
-// workerSpec is a decoded spec's executable form, cached per connection.
+// workerSpec is a decoded spec's executable form. A pool's cache holds one
+// per spec, and each connection runs its own fork of it.
 type workerSpec struct {
 	kind string
-	// scan:
+	// scan: the cached spec's scanner holds the orbit table its forks share.
 	scanner *condition.ShardScanner
 	// sweep: scenario i runs cfgs[i] as decoded.
+	sweep  *sim.SweepSpec
 	engine sim.Engine
 	cfgs   []sim.Config
 	extras [][]float64
 }
 
-// resolveSpec decodes and materializes a spec payload on a worker.
+// fork returns a copy of ws one connection may run while others run theirs:
+// a scan forks the scanner, sharing its orbit table, and a sweep resolves
+// its configs afresh, since a strategy may keep scratch state between calls.
+func (ws *workerSpec) fork() (*workerSpec, error) {
+	switch ws.kind {
+	case "scan":
+		return &workerSpec{kind: ws.kind, scanner: ws.scanner.Fork()}, nil
+	case "sweep":
+		return resolveSweep(ws.sweep)
+	default:
+		return ws, nil
+	}
+}
+
+// resolveSpec decodes and materializes a spec payload on a worker. A scan's
+// header order is checked against the checker's feasibility gate before the
+// graph is parsed, so a spec naming millions of nodes is refused without
+// allocating for them.
 func resolveSpec(payload []byte) (*workerSpec, error) {
 	var spec jobSpec
 	if err := json.Unmarshal(payload, &spec); err != nil {
@@ -82,6 +103,13 @@ func resolveSpec(payload []byte) (*workerSpec, error) {
 	case "scan":
 		if spec.Scan == nil {
 			return nil, fmt.Errorf("distrib: scan spec missing body")
+		}
+		n, err := graph.EdgeListOrder(spec.Scan.Graph)
+		if err != nil {
+			return nil, fmt.Errorf("distrib: scan spec graph: %w", err)
+		}
+		if err := condition.ValidateScan(n, spec.Scan.F, spec.Scan.Threshold); err != nil {
+			return nil, err
 		}
 		g, err := graph.ParseEdgeListString(spec.Scan.Graph)
 		if err != nil {
@@ -97,12 +125,71 @@ func resolveSpec(payload []byte) (*workerSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		engine, cfgs, err := sweep.Resolve()
-		if err != nil {
-			return nil, err
-		}
-		return &workerSpec{kind: "sweep", engine: engine, cfgs: cfgs, extras: sweep.Extras}, nil
+		return resolveSweep(sweep)
 	default:
 		return nil, fmt.Errorf("distrib: unknown spec kind %q", spec.Kind)
+	}
+}
+
+// resolveSweep rebuilds a decoded sweep's engine and configs.
+func resolveSweep(sweep *sim.SweepSpec) (*workerSpec, error) {
+	engine, cfgs, err := sweep.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	return &workerSpec{kind: "sweep", sweep: sweep, engine: engine, cfgs: cfgs, extras: sweep.Extras}, nil
+}
+
+// specCache holds the specs one worker pool has resolved, by spec ID. The
+// first connection to need a spec fetches and resolves it and runs the
+// cached copy itself; the others wait for it rather than fetch it again, and
+// run forks of it, which read only what the cached copy's runner never
+// writes (the orbit table, the decoded sweep).
+type specCache struct {
+	mu      sync.Mutex
+	specs   map[uint64]*cachedSpec
+	fetches int // fetch calls made, failed ones included
+}
+
+// cachedSpec is one entry of a specCache.
+type cachedSpec struct {
+	ready chan struct{} // closed once ws or err is set
+	ws    *workerSpec
+	err   error
+}
+
+// get returns the caller's own copy of spec id, calling fetch to resolve it
+// unless another connection of the pool has or is resolving it. A fetch
+// that fails leaves no entry behind, so a connection that waited on it
+// fetches the spec over its own connection instead: the failure may be the
+// fetcher's connection, not the spec.
+func (c *specCache) get(ctx context.Context, id uint64, fetch func() (*workerSpec, error)) (*workerSpec, error) {
+	for {
+		c.mu.Lock()
+		e, ok := c.specs[id]
+		if !ok {
+			e = &cachedSpec{ready: make(chan struct{})}
+			c.specs[id] = e
+			c.fetches++
+		}
+		c.mu.Unlock()
+		if !ok {
+			e.ws, e.err = fetch()
+			if e.err != nil {
+				c.mu.Lock()
+				delete(c.specs, id)
+				c.mu.Unlock()
+			}
+			close(e.ready)
+			return e.ws, e.err
+		}
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+		if e.err == nil {
+			return e.ws.fork()
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"syscall"
 	"time"
 
@@ -30,11 +31,41 @@ type WorkerOptions struct {
 
 // Work connects to a coordinator at addr and processes jobs until the
 // coordinator finishes (clean nil return), ctx is canceled, or the
-// connection fails mid-protocol.
+// connection fails mid-protocol. It is a pool of one: WorkPool(ctx, addr, 1,
+// opts).
 func Work(ctx context.Context, addr string, opts WorkerOptions) error {
+	return WorkPool(ctx, addr, 1, opts)
+}
+
+// WorkPool runs workers connections to the coordinator at addr, each
+// processing jobs as Work does, and returns once all of them have, with
+// their errors joined. The connections share one spec cache, so a spec is
+// fetched and resolved once per pool — a scan's orbit table is built once —
+// and each connection runs its own fork of it. Spec IDs are one
+// coordinator's own, so addr must name one coordinator for the pool's life.
+func WorkPool(ctx context.Context, addr string, workers int, opts WorkerOptions) error {
+	return workPool(ctx, addr, workers, opts, &specCache{specs: make(map[uint64]*cachedSpec)})
+}
+
+func workPool(ctx context.Context, addr string, workers int, opts WorkerOptions, specs *specCache) error {
 	if opts.DialPatience <= 0 {
 		opts.DialPatience = 10 * time.Second
 	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = work(ctx, addr, opts, specs)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// work is one connection of a pool.
+func work(ctx context.Context, addr string, opts WorkerOptions, specs *specCache) error {
 	nc, err := dialRetry(ctx, addr, opts.DialPatience)
 	if err != nil {
 		return err
@@ -49,7 +80,7 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 		ctx:   ctx,
 		nc:    nc,
 		br:    bufio.NewReader(nc),
-		specs: make(map[uint64]*workerSpec),
+		specs: specs,
 	}
 	if err := w.hello(); err != nil {
 		return w.wrap(err)
@@ -102,7 +133,12 @@ type worker struct {
 	br      *bufio.Reader
 	scratch []byte
 	out     []byte
-	specs   map[uint64]*workerSpec
+	specs   *specCache // shared by the pool
+	// cur is this connection's own fork of spec curID, the spec of its last
+	// job: the coordinator runs one phase at a time, so jobs arrive in runs
+	// of one spec.
+	curID uint64
+	cur   *workerSpec
 }
 
 // wrap maps connection teardown to the caller's intent: a coordinator that
@@ -167,11 +203,23 @@ func (w *worker) requestJob() (jobGrant, bool, error) {
 	}
 }
 
-// spec returns the cached spec or fetches it from the coordinator.
+// spec returns this connection's own copy of spec specID, taking the spec
+// from the pool's cache or, if no connection of the pool has it yet,
+// fetching it from the coordinator.
 func (w *worker) spec(specID uint64) (*workerSpec, error) {
-	if ws, ok := w.specs[specID]; ok {
-		return ws, nil
+	if w.cur != nil && w.curID == specID {
+		return w.cur, nil
 	}
+	ws, err := w.specs.get(w.ctx, specID, func() (*workerSpec, error) { return w.fetchSpec(specID) })
+	if err != nil {
+		return nil, err
+	}
+	w.curID, w.cur = specID, ws
+	return ws, nil
+}
+
+// fetchSpec asks the coordinator for spec specID and resolves it.
+func (w *worker) fetchSpec(specID uint64) (*workerSpec, error) {
 	if err := w.send(appendNeedSpec(w.out[:0], specID)); err != nil {
 		return nil, err
 	}
@@ -189,12 +237,7 @@ func (w *worker) spec(specID uint64) (*workerSpec, error) {
 	if id != specID {
 		return nil, fmt.Errorf("distrib: asked for spec %d, got %d", specID, id)
 	}
-	ws, err := resolveSpec(body)
-	if err != nil {
-		return nil, err
-	}
-	w.specs[specID] = ws
-	return ws, nil
+	return resolveSpec(body)
 }
 
 // readAck reads the ack answering the report just sent.

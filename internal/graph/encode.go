@@ -87,9 +87,9 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 			continue
 		}
 		if b == nil {
-			var n int
-			if rest, ok := strings.CutPrefix(text, "n"); !ok || !startsWithSpace(rest) || !scanInts(rest, &n) {
-				return nil, fmt.Errorf("graph: line %d: expected header \"n <order>\", got %q", line, text)
+			n, err := parseHeader(line, text)
+			if err != nil {
+				return nil, err
 			}
 			b = NewBuilder(n)
 			continue
@@ -107,6 +107,31 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: empty edge-list input")
 	}
 	return b.Build()
+}
+
+// parseHeader reads the order off an edge list's header, its first line that
+// is neither blank nor a comment.
+func parseHeader(line int, text string) (int, error) {
+	var n int
+	if rest, ok := strings.CutPrefix(text, "n"); !ok || !startsWithSpace(rest) || !scanInts(rest, &n) {
+		return 0, fmt.Errorf("graph: line %d: expected header \"n <order>\", got %q", line, text)
+	}
+	return n, nil
+}
+
+// EdgeListOrder returns the order the header of edge list s declares,
+// reading nothing past the header. ParseEdgeList allocates for that order
+// before it reads an edge, so a caller with a bound on the order checks it
+// here first.
+func EdgeListOrder(s string) (int, error) {
+	for line := 1; s != ""; line++ {
+		var text string
+		text, s, _ = strings.Cut(s, "\n")
+		if text = strings.TrimSpace(text); text != "" && !strings.HasPrefix(text, "#") {
+			return parseHeader(line, text)
+		}
+	}
+	return 0, fmt.Errorf("graph: empty edge-list input")
 }
 
 // scanInts reads len(vs) integers off the front of s and reports whether it

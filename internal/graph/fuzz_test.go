@@ -107,8 +107,17 @@ func FuzzParseEdgeList(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ParseEdgeListString(input)
+		// The header reader refuses no input the parser takes, and reads
+		// the order the parser builds.
+		n, nerr := EdgeListOrder(input)
+		if nerr != nil && err == nil {
+			t.Fatalf("EdgeListOrder refused a parsable input: %v", nerr)
+		}
 		if err != nil {
 			return
+		}
+		if n != g.N() {
+			t.Fatalf("EdgeListOrder = %d, the parsed graph has %d nodes", n, g.N())
 		}
 		if g.N() < 1 {
 			t.Fatalf("parser returned graph with %d nodes and no error", g.N())
