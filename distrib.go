@@ -24,24 +24,23 @@ func Work(ctx context.Context, addr string) error {
 // distributed reports whether the call should run through a coordinator.
 func (c *config) distributed() bool { return c.coordAddr != "" || c.workerPool > 0 }
 
-// startCoordinator binds the call's coordinator and starts the local worker
-// pool, whose workers share one spec cache: a pooled scan builds its orbit
-// table once. The returned stop func tears both down; it is safe to call after
-// the work completed or failed.
+// startCoordinator starts the call's coordinator — listening only with
+// WithCoordinator — and its local worker pool, which joins over in-memory
+// connections and shares one spec cache: a pooled scan builds its orbit
+// table once. The returned stop func tears both down; it is safe to call
+// after the work completed or failed.
 func (c *config) startCoordinator() (*distrib.Coordinator, func(), error) {
-	addr := c.coordAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
 	coord := distrib.NewCoordinator(distrib.Options{})
-	if err := coord.Listen(addr); err != nil {
-		return nil, nil, err
+	if c.coordAddr != "" {
+		if err := coord.Listen(c.coordAddr); err != nil {
+			return nil, nil, err
+		}
 	}
 	wctx, cancel := context.WithCancel(context.Background())
 	pool := make(chan struct{})
 	go func() {
 		defer close(pool)
-		distrib.WorkPool(wctx, coord.Addr(), c.workerPool, distrib.WorkerOptions{})
+		coord.RunPool(wctx, c.workerPool)
 	}()
 	stop := func() {
 		coord.Close()
@@ -56,6 +55,10 @@ func emitCoordinatorEvent(obs Observer, coord *distrib.Coordinator) {
 	if obs == nil {
 		return
 	}
+	name := coord.Addr()
+	if name == "" {
+		name = "in-process"
+	}
 	s := coord.Stats()
-	obs(Event{Kind: EventCoordinator, Name: coord.Addr(), Done: s.JobsGranted, Total: s.WorkersSeen})
+	obs(Event{Kind: EventCoordinator, Name: name, Done: s.JobsGranted, Total: s.WorkersSeen})
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iabc"
@@ -71,6 +72,37 @@ func TestWorkerPoolCheckMatchesLocal(t *testing.T) {
 		}
 		if summary.Kind != iabc.EventCoordinator || summary.Name == "" || summary.Done == 0 {
 			t.Fatalf("%s: coordinator summary event = %+v", tc.name, summary)
+		}
+	}
+}
+
+// TestWorkerPoolBindsNoPort: a pool without WithCoordinator joins its
+// coordinator over in-memory connections, so the call listens nowhere and
+// the coordinator summary names it "in-process"; with WithCoordinator the
+// summary names the bound address.
+func TestWorkerPoolBindsNoPort(t *testing.T) {
+	g, err := iabc.CoreNetwork(10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts []iabc.Option
+		name func(string) bool
+	}{
+		{nil, func(name string) bool { return name == "in-process" }},
+		{[]iabc.Option{iabc.WithCoordinator("127.0.0.1:0")}, func(name string) bool { return strings.HasPrefix(name, "127.0.0.1:") }},
+	} {
+		var summary iabc.Event
+		opts := append(tc.opts, iabc.WithWorkerPool(2), iabc.WithObserver(func(e iabc.Event) {
+			if e.Kind == iabc.EventCoordinator {
+				summary = e
+			}
+		}))
+		if _, err := iabc.Check(context.Background(), g, 2, opts...); err != nil {
+			t.Fatal(err)
+		}
+		if !tc.name(summary.Name) || summary.Done == 0 {
+			t.Fatalf("coordinator summary %+v with %d options", summary, len(tc.opts))
 		}
 	}
 }

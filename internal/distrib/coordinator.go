@@ -139,12 +139,14 @@ type Coordinator struct {
 	nextJob  uint64
 	ph       *phase
 	stats    Stats
+	sweeping bool // the lease sweeper runs; it starts with the first connection
 
 	sweepStop chan struct{}
 	wg        sync.WaitGroup
 }
 
-// NewCoordinator returns an unstarted coordinator; call Listen.
+// NewCoordinator returns an unstarted coordinator: call Listen for remote
+// workers, RunPool for in-process ones, or both.
 func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:      opts.withDefaults(),
@@ -157,20 +159,21 @@ func NewCoordinator(opts Options) *Coordinator {
 }
 
 // Listen binds the job port ("host:port"; ":0" picks a free port) and starts
-// accepting workers.
+// accepting workers. Workers may join over in-memory connections too
+// (RunPool), with or without a listener.
 func (c *Coordinator) Listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("distrib: listen %s: %w", addr, err)
 	}
 	c.ln = ln
-	c.wg.Add(2)
+	c.wg.Add(1)
 	go c.acceptLoop()
-	go c.leaseSweeper()
 	return nil
 }
 
-// Addr returns the bound listen address.
+// Addr returns the bound listen address, or "" when the coordinator has no
+// listener and serves in-memory connections only.
 func (c *Coordinator) Addr() string {
 	if c.ln == nil {
 		return ""
@@ -216,21 +219,48 @@ func (c *Coordinator) acceptLoop() {
 	defer c.wg.Done()
 	for {
 		nc, err := c.ln.Accept()
-		if err != nil {
+		if err != nil || !c.serve(nc) {
 			return
 		}
-		cs := &connState{nc: nc}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			nc.Close()
-			return
-		}
-		c.conns[cs] = struct{}{}
-		c.wg.Add(1)
-		c.mu.Unlock()
-		go c.handleConn(cs)
 	}
+}
+
+// serve registers nc as a worker connection and serves it on a goroutine of
+// its own, starting the lease sweeper with the first one. It reports false,
+// closing nc, once the coordinator is closed. Accepted and in-memory
+// connections take this one path, so they speak the same protocol under the
+// same leases.
+func (c *Coordinator) serve(nc net.Conn) bool {
+	cs := &connState{nc: nc}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		nc.Close()
+		return false
+	}
+	if !c.sweeping {
+		c.sweeping = true
+		c.wg.Add(1)
+		go c.leaseSweeper()
+	}
+	c.conns[cs] = struct{}{}
+	c.wg.Add(1)
+	c.mu.Unlock()
+	go c.handleConn(cs)
+	return true
+}
+
+// connect opens an in-memory connection to c and returns the worker's end:
+// the coordinator serves the other end as it serves an accepted one. A
+// net.Pipe is synchronous — a write returns once the peer has read it — so
+// handleConn writes only after releasing c.mu, as it must for TCP anyway.
+func (c *Coordinator) connect(context.Context) (net.Conn, error) {
+	wc, sc := net.Pipe()
+	if !c.serve(sc) {
+		wc.Close()
+		return nil, errors.New("distrib: coordinator closed")
+	}
+	return wc, nil
 }
 
 // leaseSweeper requeues expired leases and periodically wakes grant waiters.

@@ -724,8 +724,8 @@ func TestWorkerTreatsResetAsHangUp(t *testing.T) {
 }
 
 // TestWorkerPoolResolvesSpecOnce pins the pool's shared spec cache: three
-// connections of one pool split a check between them, the spec is fetched
-// and its orbit table built once, and the Result is the oracle's.
+// in-memory connections of one pool split a check between them, the spec is
+// fetched and its orbit table built once, and the Result is the oracle's.
 func TestWorkerPoolResolvesSpecOnce(t *testing.T) {
 	g := testGraph(t, "core", 13, 4)
 	threshold := condition.SyncThreshold(4)
@@ -734,13 +734,10 @@ func TestWorkerPoolResolvesSpecOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(Options{ChunkSize: 16, ReportEvery: 16})
-	if err := c.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cache := &specCache{specs: make(map[uint64]*cachedSpec)}
+	cache := newSpecCache()
 	pool := make(chan error, 1)
-	go func() { pool <- workPool(ctx, c.Addr(), 3, WorkerOptions{}, cache) }()
+	go func() { pool <- c.runPool(ctx, 3, cache) }()
 	defer func() {
 		cancel()
 		c.Close()
@@ -764,6 +761,137 @@ func TestWorkerPoolResolvesSpecOnce(t *testing.T) {
 	}
 }
 
+// TestWorkerTreatsClosedPipeAsHangUp is TestWorkerTreatsResetAsHangUp over an
+// in-memory connection: the coordinator's end closes with the worker's job
+// request unread, so the worker's write fails with io.ErrClosedPipe, and the
+// worker must take that for the clean shutdown it is. Its own close reads as
+// io.ErrClosedPipe too, so a worker whose context is canceled while it waits
+// on the coordinator must still report the cancellation.
+func TestWorkerTreatsClosedPipeAsHangUp(t *testing.T) {
+	// serve answers the hello on an in-memory connection, then closes its
+	// end once hangUp is closed, without reading another frame.
+	serve := func(hangUp <-chan struct{}) func(context.Context) (net.Conn, error) {
+		wc, sc := net.Pipe()
+		go func() {
+			defer sc.Close()
+			if kind, _, _, err := readFrame(bufio.NewReader(sc), nil); err != nil || kind != kindHello {
+				return
+			}
+			if _, err := sc.Write(appendHello(nil)); err != nil {
+				return
+			}
+			<-hangUp
+		}()
+		return func(context.Context) (net.Conn, error) { return wc, nil }
+	}
+	now := make(chan struct{})
+	close(now)
+	if err := work(context.Background(), serve(now), newSpecCache()); err != nil {
+		t.Fatalf("worker reported the coordinator's hang-up as a failure: %v", err)
+	}
+
+	// The coordinator never reads the job request; the close that ends the
+	// worker is its own, from the canceled context.
+	never := make(chan struct{})
+	defer close(never)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- work(ctx, serve(never), newSpecCache()) }()
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("canceled worker returned %v, want %v", err, context.Canceled)
+	}
+}
+
+// TestDistributedCheckKilledPipeWorker is TestDistributedCheckKilledWorker
+// for the in-memory carrier: the only worker has its connection closed on
+// the first report, mid-lease; the coordinator requeues the lease's
+// unacknowledged remainder, a second worker finishes it, and the Result is
+// still the oracle's.
+func TestDistributedCheckKilledPipeWorker(t *testing.T) {
+	g := testGraph(t, "core", 13, 4)
+	threshold := condition.SyncThreshold(4)
+	want, err := condition.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(Options{ChunkSize: 32, ReportEvery: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	var workers sync.WaitGroup
+	defer func() {
+		cancel()
+		c.Close()
+		workers.Wait()
+	}()
+	doomed, err := c.connect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newSpecCache()
+	run := func(connect func(context.Context) (net.Conn, error)) {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			work(ctx, connect, cache)
+		}()
+	}
+	run(func(context.Context) (net.Conn, error) { return doomed, nil })
+	waitUntil(t, "the doomed worker", func() bool { return c.Stats().WorkersSeen == 1 })
+
+	var once sync.Once
+	got, err := c.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{
+		// The first report acks 8 of the doomed worker's 32 fault sets; its
+		// lease is still open when the connection closes.
+		OnProgress: func(condition.Progress) {
+			once.Do(func() {
+				doomed.Close()
+				run(c.connect)
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("result after pipe worker kill %+v, oracle %+v", got, want)
+	}
+	if s := c.Stats(); s.LeasesRequeued == 0 || s.WorkersSeen != 2 {
+		t.Fatalf("stats %+v, want a requeued lease and two workers", s)
+	}
+}
+
+// TestPipePoolAndTCPWorkerShareAPhase: a coordinator serves one phase to an
+// in-memory pool of two and a remote worker over TCP at once; all three
+// join, and the Result is the oracle's.
+func TestPipePoolAndTCPWorkerShareAPhase(t *testing.T) {
+	g := testGraph(t, "core", 13, 4)
+	threshold := condition.SyncThreshold(4)
+	want, err := condition.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCluster(t, Options{ChunkSize: 16, ReportEvery: 8}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	pool := make(chan error, 1)
+	go func() { pool <- c.RunPool(ctx, 2) }()
+	t.Cleanup(func() {
+		cancel()
+		c.Close()
+		<-pool
+	})
+	waitUntil(t, "three workers", func() bool { return c.Stats().WorkersSeen == 3 })
+	got, err := c.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mixed-carrier result %+v, oracle %+v", got, want)
+	}
+	if s := c.Stats(); s.WorkersSeen != 3 {
+		t.Fatalf("WorkersSeen = %d, want 3", s.WorkersSeen)
+	}
+}
+
 // TestSpecCacheFetchesOnce: while one connection of a pool fetches a spec,
 // two more ask for it; they wait for that fetch instead of making their own,
 // and run forks of the cached copy, so each of the three has a scanner of
@@ -774,7 +902,7 @@ func TestSpecCacheFetchesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := &specCache{specs: make(map[uint64]*cachedSpec)}
+	cache := newSpecCache()
 	ctx := context.Background()
 	if _, err := cache.get(ctx, 1, func() (*workerSpec, error) { return nil, net.ErrClosed }); err != net.ErrClosed {
 		t.Fatalf("failed fetch: err %v, want %v", err, net.ErrClosed)

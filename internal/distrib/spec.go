@@ -151,6 +151,8 @@ type specCache struct {
 	fetches int // fetch calls made, failed ones included
 }
 
+func newSpecCache() *specCache { return &specCache{specs: make(map[uint64]*cachedSpec)} }
+
 // cachedSpec is one entry of a specCache.
 type cachedSpec struct {
 	ready chan struct{} // closed once ws or err is set

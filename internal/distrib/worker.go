@@ -1,10 +1,11 @@
 package distrib
 
-// The worker side: dial the coordinator, pull jobs, execute them with the
-// same kernels the single-process scan uses (condition.ShardScanner,
-// sim.Sweep), and report results in lockstep. Workers are stateless between
-// jobs — everything they know arrives in a spec — so any number of them can
-// join, die, or be SIGKILLed without affecting the computed result.
+// The worker side: connect to the coordinator (a TCP dial, or an in-memory
+// pipe for an in-process pool), pull jobs, execute them with the same
+// kernels the single-process scan uses (condition.ShardScanner, sim.Sweep),
+// and report results in lockstep. Workers are stateless between jobs —
+// everything they know arrives in a spec — so any number of them can join,
+// die, or be SIGKILLed without affecting the computed result.
 
 import (
 	"bufio"
@@ -31,42 +32,45 @@ type WorkerOptions struct {
 
 // Work connects to a coordinator at addr and processes jobs until the
 // coordinator finishes (clean nil return), ctx is canceled, or the
-// connection fails mid-protocol. It is a pool of one: WorkPool(ctx, addr, 1,
-// opts).
+// connection fails mid-protocol.
 func Work(ctx context.Context, addr string, opts WorkerOptions) error {
-	return WorkPool(ctx, addr, 1, opts)
-}
-
-// WorkPool runs workers connections to the coordinator at addr, each
-// processing jobs as Work does, and returns once all of them have, with
-// their errors joined. The connections share one spec cache, so a spec is
-// fetched and resolved once per pool — a scan's orbit table is built once —
-// and each connection runs its own fork of it. Spec IDs are one
-// coordinator's own, so addr must name one coordinator for the pool's life.
-func WorkPool(ctx context.Context, addr string, workers int, opts WorkerOptions) error {
-	return workPool(ctx, addr, workers, opts, &specCache{specs: make(map[uint64]*cachedSpec)})
-}
-
-func workPool(ctx context.Context, addr string, workers int, opts WorkerOptions, specs *specCache) error {
 	if opts.DialPatience <= 0 {
 		opts.DialPatience = 10 * time.Second
 	}
+	dial := func(ctx context.Context) (net.Conn, error) { return dialRetry(ctx, addr, opts.DialPatience) }
+	return work(ctx, dial, newSpecCache())
+}
+
+// RunPool runs workers in-process workers, each processing jobs as Work
+// does over an in-memory connection to c, and returns once all of them have,
+// with their errors joined. No port is involved: a pool needs no Listen, and
+// composes with one (remote workers then share the pool's phases). The
+// workers share one spec cache, so a spec is fetched and resolved once per
+// pool — a scan's orbit table is built once — and each connection runs its
+// own fork of it.
+func (c *Coordinator) RunPool(ctx context.Context, workers int) error {
+	return c.runPool(ctx, workers, newSpecCache())
+}
+
+func (c *Coordinator) runPool(ctx context.Context, workers int, specs *specCache) error {
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = work(ctx, addr, opts, specs)
+			errs[i] = work(ctx, c.connect, specs)
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// work is one connection of a pool.
-func work(ctx context.Context, addr string, opts WorkerOptions, specs *specCache) error {
-	nc, err := dialRetry(ctx, addr, opts.DialPatience)
+// work is one connection to a coordinator, opened by connect: a TCP dial
+// (Work) or an in-memory pipe (RunPool). Spec IDs are one coordinator's
+// own, so every connection sharing specs must reach the same coordinator.
+func work(ctx context.Context, connect func(context.Context) (net.Conn, error), specs *specCache) error {
+	nc, err := connect(ctx)
 	if err != nil {
 		return err
 	}
@@ -143,16 +147,22 @@ type worker struct {
 
 // wrap maps connection teardown to the caller's intent: a coordinator that
 // hangs up is a clean shutdown, and a read error caused by our own
-// ctx-triggered close reports the cancellation, not the close. The hang-up
-// reads as EOF at a frame boundary, and as a reset (or a broken pipe on the
-// next write) when the coordinator closed with a frame of ours still unread
-// — a report on a job its verdict had already made moot.
+// ctx-triggered close reports the cancellation, not the close. Over TCP the
+// hang-up reads as EOF at a frame boundary, and as a reset (or a broken pipe
+// on the next write) when the coordinator closed with a frame of ours still
+// unread — a report on a job its verdict had already made moot. Over an
+// in-memory pipe it reads as EOF, or as io.ErrClosedPipe on a write; our own
+// close reads as io.ErrClosedPipe too, so that one is a hang-up only while
+// ctx is live.
 func (w *worker) wrap(err error) error {
 	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
 		return nil
 	}
 	if cerr := context.Cause(w.ctx); cerr != nil {
 		return cerr
+	}
+	if errors.Is(err, io.ErrClosedPipe) {
+		return nil
 	}
 	return err
 }

@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -88,5 +89,90 @@ func TestRecordLoad(t *testing.T) {
 				t.Fatalf("Save on a canceled ctx: %v, want context.Canceled wrapped", err)
 			}
 		})
+	}
+}
+
+// spacedMarshaler encodes itself with whitespace, as a hand-written
+// MarshalJSON may; json.Marshal compacts it.
+type spacedMarshaler struct{}
+
+func (spacedMarshaler) MarshalJSON() ([]byte, error) {
+	return []byte("{ \"bits\" : [ 1 , 2 ] ,\n \"tag\" : \"<&>\" }"), nil
+}
+
+// TestRecordSaveMatchesMarshal pins Save's bytes, built from the head
+// NewRecord encodes once, to json.Marshal of the whole envelope — for
+// identities that need escaping (HTML characters, quotes, backslashes,
+// non-ASCII text, U+2028, invalid UTF-8), for bodies shaped like each record
+// kind's (a checkpoint's counters, a verdict's witness, a sweep scenario's
+// floats and custom-encoded rows), and for a Record literal, a Sub of a
+// record and a copy whose identity was changed after NewRecord.
+func TestRecordSaveMatchesMarshal(t *testing.T) {
+	type counters struct {
+		Candidates uint64 `json:"candidates"`
+		Pruned     uint64 `json:"pruned"`
+	}
+	type checkpoint struct {
+		Done int64 `json:"done"`
+		counters
+	}
+	type witness struct {
+		N    int   `json:"n"`
+		F, L []int `json:",omitempty"`
+	}
+	type verdict struct {
+		Satisfied bool     `json:"satisfied"`
+		Witness   *witness `json:"witness,omitempty"`
+		FaultSets int64    `json:"fault_sets"`
+		counters
+	}
+	type scenario struct {
+		Index  int             `json:"index"`
+		U      []float64       `json:"u"`
+		Name   string          `json:"name"`
+		Finals spacedMarshaler `json:"finals"`
+	}
+	bodies := []any{
+		checkpoint{Done: 1 << 40, counters: counters{Candidates: 12, Pruned: 3}},
+		verdict{Satisfied: true, FaultSets: 27},
+		verdict{Witness: &witness{N: 7, F: []int{0, 1}, L: []int{2}}, counters: counters{Candidates: 1}},
+		scenario{Index: 3, U: []float64{-0.5, 1e-7, 1e21, 3}, Name: "hug <high> & \u2028", Finals: spacedMarshaler{}},
+		json.RawMessage("{ \"raw\" : [ 1, 2 ] }"),
+		nil,
+	}
+	ctx := context.Background()
+	store := NewMem()
+	for _, ident := range []string{
+		"g1:4;0>1 f=1",
+		`n 3 "quoted" back\slash <a> & <b>`,
+		"grüße, 図, \u2028 and \u2029",
+		"bad \xff utf-8",
+	} {
+		fresh := NewRecord(store, "checkpoint", 4, ident)
+		literal := Record{Store: store, Key: "literal", Version: 4, Ident: ident}
+		renamed := NewRecord(store, "checkpoint", 9, "another identity")
+		renamed.Version, renamed.Ident = 4, ident
+		for name, rec := range map[string]Record{"NewRecord": fresh, "Sub": fresh.Sub("-f1"), "literal": literal, "renamed": renamed} {
+			for _, body := range bodies {
+				b, err := json.Marshal(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(envelope{Version: 4, Ident: ident, Body: b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rec.Save(ctx, body); err != nil {
+					t.Fatal(err)
+				}
+				got, err := store.Read(ctx, rec.Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("%s record of %q saving %T:\n got %s\nwant %s", name, ident, body, got, want)
+				}
+			}
+		}
 	}
 }

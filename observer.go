@@ -22,8 +22,9 @@ const (
 	// estimate, Range = fault-free range after the change).
 	EventNodeUpdate
 	// EventCoordinator summarizes a distributed call's scheduling after the
-	// work completes (Name = the coordinator's listen address, Done = jobs
-	// granted, Total = workers that joined).
+	// work completes (Name = the coordinator's listen address, or
+	// "in-process" for a worker pool without WithCoordinator, which binds no
+	// port; Done = jobs granted, Total = workers that joined).
 	EventCoordinator
 )
 

@@ -375,8 +375,9 @@ func WithCoordinator(addr string) Option {
 }
 
 // WithWorkerPool distributes the call across n in-process workers joined to
-// the call's own coordinator (an ephemeral loopback port unless
-// WithCoordinator gives it a public one — the two compose). Unlike
+// the call's own coordinator over in-memory connections; the call binds a
+// port only with WithCoordinator, whose remote workers then share the work
+// with the pool (the two compose). Unlike
 // WithWorkers, the work flows through the full job protocol: leases,
 // stealing, and the durable frontier behave exactly as in a multi-machine
 // deployment, which makes a pool of one a deterministic end-to-end test of
