@@ -62,10 +62,12 @@ type ScanOptions struct {
 // got. An interrupted scan flushes a final checkpoint before returning, so
 // the next CheckScan with the same store resumes there.
 //
-// With workers > 1 the workers only run ahead of the one canonical-order
-// fold (ShardScanner.prefetch), scanning grounds it will need: the reported
-// witness comes from the lowest-indexed failing fault set and the counters
-// are summed over exactly the fault sets the sequential scan decides.
+// With workers > 1 the scan goes window by window: the workers decide the
+// next window's orbits on their representatives' grounds, then the one
+// canonical-order fold runs over the window's fault sets
+// (ShardScanner.scanWindow). The reported witness comes from the
+// lowest-indexed failing fault set and the counters are summed over exactly
+// the fault sets the sequential scan decides.
 func CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts ScanOptions) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

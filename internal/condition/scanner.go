@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -34,29 +35,23 @@ import (
 // sequential one.
 //
 // The orbit table and the scan identity are read-only once built and shared
-// with every Fork; the memo, the scratch and the prefetch state are each
-// scanner's own. A ShardScanner is therefore not safe for concurrent use, but
-// its forks are safe to use concurrently with it and with one another: give
-// each goroutine its own fork of one scanner, and the table is built once.
+// with every Fork; the memo and the scratch are each scanner's own. A
+// ShardScanner is therefore not safe for concurrent use, but its forks are
+// safe to use concurrently with it and with one another: give each goroutine
+// its own fork of one scanner, and the table is built once.
 type ShardScanner struct {
 	*orbitTable
 
 	scratch *insulationScratch
 
-	// memo holds one result per orbit. Under the identity group nothing reads
-	// an entry twice, so it is nil unless prefetchers run, and then a ring:
-	// index i's result waits in slot i mod len(memo) until decide takes it
-	// and moves prefetchFrom past i, and prefetchers stay below
-	// prefetchFrom + len(memo). mu guards memo and the two prefetch fields;
-	// cond signals a stored result, a taken one or a prefetcher leaving.
-	// While prefetching is clear only the fold's goroutine touches them, so
-	// memoHit reads the memo without the lock.
-	mu           sync.Mutex
-	cond         *sync.Cond
-	memo         []groundResult
-	prefetching  bool  // prefetch goroutines started and not yet waited for
-	prefetchers  int   // running prefetch goroutines
-	prefetchFrom int64 // they scan the representatives at or above this index
+	// memo holds one result per orbit. Only the scanner's own goroutine
+	// reads it; a parallel check's window workers write distinct entries of
+	// it, and check waits for them before it folds the window. Under the
+	// identity group nothing reads an entry twice, so it is nil outside a
+	// parallel check, and during one it holds the current window: index i's
+	// result at i − windowStart.
+	memo        []groundResult
+	windowStart int64
 }
 
 // orbitTable is the read-only part of a scan: its identity (g, f, threshold),
@@ -74,9 +69,10 @@ type orbitTable struct {
 	rep   []int32
 }
 
-// ringPerWorker sizes the identity group's prefetch ring: slots per worker,
-// enough for a worker to run ahead of the fold past a few slow grounds.
-const ringPerWorker = 64
+// windowPerWorker sizes a parallel check's window: orbits per worker, enough
+// that a few slow grounds at a window's end leave the other workers little
+// idle time.
+const windowPerWorker = 64
 
 // groundResult is the outcome of the candidate enumeration on one ground.
 type groundResult struct {
@@ -134,7 +130,6 @@ func (s *ShardScanner) Fork() *ShardScanner { return s.orbitTable.scanner() }
 // scanner returns a new scanner over t with an empty memo.
 func (t *orbitTable) scanner() *ShardScanner {
 	s := &ShardScanner{orbitTable: t, scratch: newInsulationScratch(t.g)}
-	s.cond = sync.NewCond(&s.mu)
 	if t.orbit != nil {
 		s.memo = make([]groundResult, len(t.rep))
 	}
@@ -358,10 +353,7 @@ func (s *ShardScanner) NumFaultSets() int64 { return s.total }
 // slot returns index i's memo slot and its orbit's representative.
 func (s *ShardScanner) slot(i int64) (slot int, rep int64) {
 	if s.orbit == nil {
-		if s.memo == nil {
-			return 0, i
-		}
-		return int(i % int64(len(s.memo))), i
+		return int(i - s.windowStart), i
 	}
 	o := s.orbit[i]
 	return int(o), int64(s.rep[o])
@@ -382,35 +374,23 @@ func (s *ShardScanner) scanGround(scratch *insulationScratch, i int64) groundRes
 }
 
 // decide returns fault set i's verdict and counter delta: its orbit's
-// result, taken from the memo, awaited from a prefetcher, or computed here
-// on the representative's ground. A violating index that is not its own
-// representative is scanned on its own ground instead, so the witness names
-// its own F; a scan from index 0 never meets one, because the lowest
-// violating index is the lowest of its orbit.
+// result, taken from the memo or computed here on the representative's
+// ground. A violating index that is not its own representative is scanned on
+// its own ground instead, so the witness names its own F; a scan from index
+// 0 never meets one, because the lowest violating index is the lowest of its
+// orbit.
 func (s *ShardScanner) decide(i int64) groundResult {
 	slot, rep := s.slot(i)
 	var res groundResult
 	if s.memo != nil {
-		s.mu.Lock()
-		for !s.memo[slot].done && s.prefetchers > 0 && rep >= s.prefetchFrom {
-			s.cond.Wait()
-		}
 		res = s.memo[slot]
-		if s.orbit == nil {
-			// The ring: free the slot for index i + len(memo).
-			s.memo[slot], s.prefetchFrom = groundResult{}, i+1
-			s.cond.Broadcast()
-		}
-		s.mu.Unlock()
 	}
 	if !res.done {
-		// No prefetcher has it or will: they are gone, or rep lies in a
-		// resumed prefix they do not cover.
+		// No window worker scanned it: the scan is sequential or a
+		// ScanRange, or rep lies in a resumed prefix below the window.
 		res = s.scanGround(s.scratch, rep)
 		if s.orbit != nil {
-			s.mu.Lock()
 			s.memo[slot] = res
-			s.mu.Unlock()
 		}
 	}
 	if res.witness != nil && rep != i {
@@ -419,13 +399,12 @@ func (s *ShardScanner) decide(i int64) groundResult {
 	return res
 }
 
-// memoHit returns fault set i's result, without the lock, when no prefetcher
-// runs and the memo already holds its orbit's passing result, and nil
-// otherwise: decide then settles i. It is the fold's one step per index on a
-// range whose orbits are decided, so it is small enough to inline and copies
-// nothing.
+// memoHit returns fault set i's result when the memo already holds its
+// orbit's passing result, and nil otherwise: decide then settles i. It is the
+// fold's one step per index on a range whose orbits are decided, so it is
+// small enough to inline and copies nothing.
 func (s *ShardScanner) memoHit(i int64) *groundResult {
-	if s.prefetching || s.orbit == nil {
+	if s.orbit == nil {
 		return nil
 	}
 	if r := &s.memo[s.orbit[i]]; r.done && r.witness == nil {
@@ -464,100 +443,81 @@ func (s *ShardScanner) fold(ctx context.Context, lo, hi int64, satisfied func(i 
 	return hi, groundResult{}, nil
 }
 
-// prefetch starts workers goroutines that scan the grounds of the
-// representatives at or above from, in ascending order, into the memo, where
-// fold picks them up; representatives beyond a violation already found are
-// left out, since fold stops before them. The returned function stops the
-// goroutines and waits for them. With workers ≤ 1 there is nothing to run
-// ahead of: fold computes each result as it gets there. Without an orbit
-// table every index is a representative read once, so the memo is a ring of
-// ringPerWorker slots per worker that fold empties as it goes: a prefetcher
-// that claims an index a whole ring ahead of fold waits for fold to catch
-// up, and memory stays flat however long the scan.
-func (s *ShardScanner) prefetch(ctx context.Context, from int64, workers int) (stop func()) {
-	if workers <= 1 {
-		return func() {}
-	}
+// scanWindow scans the window of windowPerWorker·workers orbits whose
+// representatives lie at or above index lo into the memo, on workers
+// goroutines, and returns once they are done. The window ends at hi, the
+// representative of the first orbit after it or the extent, so every index in
+// [lo, hi) belongs to a window orbit or to one below lo: an earlier window's,
+// or one whose representative lies in a resumed prefix, which decide scans
+// itself. Workers claim orbits in ascending order; they stop when ctx is
+// done, and at a representative above the lowest violation found so far,
+// since the fold stops at or before that one.
+func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (hi int64) {
+	size := windowPerWorker * workers
+	first, end := lo, min(lo+int64(size), s.total) // orbits [first, end)
+	hi = end
 	if s.orbit == nil {
-		s.memo = make([]groundResult, ringPerWorker*workers)
+		if s.memo == nil {
+			s.memo = make([]groundResult, size)
+		}
+		clear(s.memo)
+		s.windowStart = lo
+	} else {
+		o := sort.Search(len(s.rep), func(o int) bool { return int64(s.rep[o]) >= lo })
+		first, end, hi = int64(o), int64(min(o+size, len(s.rep))), s.total
+		if end < int64(len(s.rep)) {
+			hi = int64(s.rep[end])
+		}
 	}
-	s.prefetching, s.prefetchers, s.prefetchFrom = true, workers, from
 	var (
 		next, minViol atomic.Int64
-		stopped       atomic.Bool
 		wg            sync.WaitGroup
 	)
-	next.Store(from)
-	minViol.Store(s.total)
+	next.Store(first)
+	minViol.Store(hi)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			defer func() {
-				s.mu.Lock()
-				s.prefetchers--
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			}()
-			// Per-goroutine scratch: the base counters, the peel worklist and
-			// the empty-complement memo all mutate during a ground.
+			// Each worker's own scratch, which a ground mutates, allocated
+			// here rather than by the caller, so that two workers' small,
+			// hot slices are not allocated back to back on one cache line.
 			scratch := newInsulationScratch(s.g)
-			for !stopped.Load() && ctx.Err() == nil {
-				i := next.Add(1) - 1
-				if i >= s.total || i > minViol.Load() {
+			for ctx.Err() == nil {
+				o := next.Add(1) - 1
+				if o >= end {
 					return
 				}
-				slot, rep := s.slot(i)
-				if rep != i {
-					continue
+				i, slot := o, int(o-lo)
+				if s.orbit != nil {
+					i, slot = int64(s.rep[o]), int(o)
 				}
-				if s.orbit == nil {
-					// A claimed index is always scanned once its slot is
-					// free: fold may be waiting for it.
-					s.mu.Lock()
-					for i >= s.prefetchFrom+int64(len(s.memo)) && !stopped.Load() {
-						s.cond.Wait()
-					}
-					s.mu.Unlock()
-					if stopped.Load() {
-						return
-					}
+				if i > minViol.Load() {
+					return
 				}
 				res := s.scanGround(scratch, i)
 				if res.witness != nil {
 					for b := minViol.Load(); i < b && !minViol.CompareAndSwap(b, i); b = minViol.Load() {
 					}
 				}
-				s.mu.Lock()
 				s.memo[slot] = res
-				s.cond.Broadcast()
-				s.mu.Unlock()
 			}
 		}()
 	}
-	return func() {
-		stopped.Store(true)
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		wg.Wait()
-		s.prefetching = false
-		if s.orbit == nil {
-			s.memo = nil
-		}
-	}
+	wg.Wait()
+	return hi
 }
 
-// check is CheckScan past the verdict cache: one fold over everything the
-// frontier fr does not cover, with workers prefetchers running ahead of it,
-// completing each satisfied fault set into fr in canonical order and
-// settling through it. Totals are therefore summed in canonical order
-// whatever the worker count: Σ delta(i) over the satisfied prefix plus the
-// violating index's own early-exit delta.
+// check is CheckScan past the verdict cache: a fold over everything the
+// frontier fr does not cover, completing each satisfied fault set into fr in
+// canonical order and settling through it. With workers > 1 it goes window by
+// window: scanWindow decides the window's orbits in parallel, then the fold
+// runs over the window's indices. Totals are therefore summed in canonical
+// order whatever the worker count: Σ delta(i) over the satisfied prefix plus
+// the violating index's own early-exit delta.
 func (s *ShardScanner) check(ctx context.Context, workers int, onProgress ProgressFunc, fr *ScanFrontier) (Result, error) {
 	skip, _ := fr.ResumePoint()
-	stopPrefetch := s.prefetch(ctx, skip, workers)
-	stop, viol, err := s.fold(ctx, skip, s.total, func(i int64, cc WorkCounters) error {
+	satisfied := func(i int64, cc WorkCounters) error {
 		if err := fr.CompleteSpan(ctx, i, i+1, cc); err != nil {
 			return err
 		}
@@ -565,8 +525,22 @@ func (s *ShardScanner) check(ctx context.Context, workers int, onProgress Progre
 			onProgress(Progress{FaultSetsDone: i + 1, FaultSetsTotal: fr.Total()})
 		}
 		return nil
-	})
-	stopPrefetch()
+	}
+	var (
+		stop = skip
+		viol groundResult
+		err  error
+	)
+	for lo := skip; lo < s.total && err == nil && viol.witness == nil; lo = stop {
+		hi := s.total
+		if workers > 1 {
+			hi = s.scanWindow(ctx, lo, workers)
+		}
+		stop, viol, err = s.fold(ctx, lo, hi, satisfied)
+	}
+	if s.orbit == nil {
+		s.memo = nil
+	}
 	if err == nil {
 		if viol.witness == nil {
 			stop = -1 // a clean pass: no violating index

@@ -418,7 +418,7 @@ func TestPrefetchRingWraps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.Satisfied && want.FaultSetsExamined > 4*ringPerWorker {
+		if !want.Satisfied && want.FaultSetsExamined > 4*windowPerWorker {
 			violatedPastRing = true
 		}
 		for _, workers := range []int{2, 3, 4} {
@@ -455,6 +455,131 @@ func TestPrefetchRingWraps(t *testing.T) {
 	if !violatedPastRing {
 		t.Fatal("no trial violated past the ring; the fold's early exit went untested")
 	}
+}
+
+// TestWindowBoundaries is the differential gate of the parallel check's
+// windows, on a random digraph whose group is trivial and on a mirrored one
+// whose orbit table pairs its fault sets, each violating past four workers'
+// window. At 2–4 workers a check from index 0 and two checks resumed from a
+// checkpoint just past an orbit's representative — which put the lowest
+// violating index on the first orbit of a window and on the last — return
+// the Result of the Workers: 1 check from the same checkpoint.
+func TestWindowBoundaries(t *testing.T) {
+	must := mustGraph(t)
+	ctx := context.Background()
+	const f = 3
+	threshold := SyncThreshold(f)
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		name   string
+		orbits bool
+		draw   func() *graph.Graph
+	}{
+		{"random(14)", false, func() *graph.Graph { return must(topology.RandomDigraph(14, 0.55+0.4*rng.Float64(), rng)) }},
+		{"mirrored(18)", true, func() *graph.Graph { return must(mirroredDigraph(9, 0.55+0.4*rng.Float64(), rng)) }},
+	} {
+		// Draw until the group is the one the case names and the lowest
+		// violating index lies past four workers' window: orbit ov.
+		var (
+			g  *graph.Graph
+			s  *ShardScanner
+			ov int64
+		)
+		rep := func(o int64) int64 {
+			if s.orbit == nil {
+				return o
+			}
+			return int64(s.rep[o])
+		}
+		for draws := 0; ; draws++ {
+			if draws == 200 {
+				t.Fatalf("%s: no draw violates past four workers' window", tc.name)
+			}
+			g = tc.draw()
+			var err error
+			if s, err = NewShardScanner(g, f, threshold); err != nil {
+				t.Fatal(err)
+			}
+			if (s.orbit != nil) != tc.orbits {
+				continue
+			}
+			rr, err := s.ScanRange(ctx, 0, s.NumFaultSets())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rr.Violation < 0 {
+				continue
+			}
+			if ov = rr.Violation; s.orbit != nil {
+				ov = int64(s.orbit[ov])
+			}
+			if ov > 4*windowPerWorker {
+				break
+			}
+		}
+		for workers := 2; workers <= 4; workers++ {
+			size := int64(windowPerWorker * workers)
+			for _, skip := range []int64{0, rep(ov-size-1) + 1, rep(ov-size) + 1} {
+				want := checkFrom(t, g, f, skip, 1)
+				got := checkFrom(t, g, f, skip, workers)
+				if got.FaultSetsResumed != want.FaultSetsResumed {
+					t.Fatalf("%s, %d workers from %d: FaultSetsResumed = %d, want %d", tc.name, workers, skip, got.FaultSetsResumed, want.FaultSetsResumed)
+				}
+				resultEqual(t, got, want)
+			}
+		}
+	}
+}
+
+// checkFrom runs CheckScan at the given worker count from a checkpoint at
+// skip, which a sequential scan canceled once it has decided skip fault sets
+// leaves behind.
+func checkFrom(t *testing.T, g *graph.Graph, f int, skip int64, workers int) Result {
+	t.Helper()
+	ctx := context.Background()
+	opts := ScanOptions{Workers: workers}
+	if skip > 0 {
+		opts.Store = statestore.NewMem()
+		cctx, cancel := context.WithCancel(ctx)
+		_, err := CheckScan(cctx, g, f, SyncThreshold(f), ScanOptions{
+			Workers: 1, Store: opts.Store,
+			OnProgress: func(p Progress) {
+				if p.FaultSetsDone == skip {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("scan to a checkpoint at %d: err = %v, want context.Canceled", skip, err)
+		}
+	}
+	res, err := CheckScan(ctx, g, f, SyncThreshold(f), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FaultSetsResumed != skip {
+		t.Fatalf("resumed %d fault sets, want %d", res.FaultSetsResumed, skip)
+	}
+	return res
+}
+
+// mirroredDigraph returns a random digraph on 2m nodes that the swap
+// v ↔ v+m maps onto itself: both halves copy one random digraph on m nodes
+// and the edges between them come in swapped pairs.
+func mirroredDigraph(m int, p float64, rng *rand.Rand) (*graph.Graph, error) {
+	b := graph.NewBuilder(2 * m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			if i != j && rng.Float64() < p {
+				b.AddEdge(i, j).AddEdge(i+m, j+m)
+			}
+			if rng.Float64() < p {
+				b.AddEdge(i, j+m).AddEdge(i+m, j)
+			}
+		}
+	}
+	return b.Build()
 }
 
 // TestForksShareOneTable is the differential gate of the shared orbit

@@ -96,8 +96,8 @@ type job struct {
 }
 
 // phase is one distributed computation: a single scan, sweep, or noop batch.
-// The coordinator runs at most one phase at a time (MaxF runs its checks
-// sequentially, exactly like the single-process scan).
+// The coordinator runs at most one phase at a time (condition.MaxFScan runs
+// its checks sequentially, exactly like the single-process scan).
 type phase struct {
 	specID      uint64
 	kind        jobKind
@@ -707,15 +707,6 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 		}
 	}
 	return fr.Settle(ctx, ph.bestViol, w, ph.violPartial)
-}
-
-// MaxF runs the monotone f-sweep with every per-f check distributed. It is
-// condition.MaxFScan with CheckRunner pointed at the coordinator, so replay,
-// verdict caching, and stats aggregation are shared with the single-process
-// path.
-func (c *Coordinator) MaxF(ctx context.Context, g *graph.Graph, opts condition.MaxFOptions) (int, condition.MaxFStats, error) {
-	opts.CheckRunner = c.CheckScan
-	return condition.MaxFScan(ctx, g, opts)
 }
 
 // Sweep runs a scenario sweep with each scenario executed on a worker. The

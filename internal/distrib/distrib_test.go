@@ -488,8 +488,10 @@ func TestStealSplitsLargestLease(t *testing.T) {
 	}
 }
 
-// TestDistributedMaxFMatchesOracle distributes the full monotone f-sweep:
-// best f and every aggregated stat must equal the sequential MaxFScan.
+// TestDistributedMaxFMatchesOracle distributes the full monotone f-sweep,
+// composed as the facade composes it (condition.MaxFScan with the
+// coordinator as its CheckRunner): best f and every aggregated stat must
+// equal the sequential MaxFScan.
 func TestDistributedMaxFMatchesOracle(t *testing.T) {
 	g := testGraph(t, "chord", 11, 3)
 	wantBest, wantStats, err := condition.MaxFScan(context.Background(), g, condition.MaxFOptions{})
@@ -497,7 +499,7 @@ func TestDistributedMaxFMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := testCluster(t, Options{ChunkSize: 32, ReportEvery: 8}, 2)
-	gotBest, gotStats, err := c.MaxF(context.Background(), g, condition.MaxFOptions{})
+	gotBest, gotStats, err := condition.MaxFScan(context.Background(), g, condition.MaxFOptions{CheckRunner: c.CheckScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -948,6 +950,35 @@ func TestSpecCacheFetchesOnce(t *testing.T) {
 			if ws.scanner == got[j].scanner {
 				t.Fatalf("connections %d and %d share a scanner", j, i)
 			}
+		}
+	}
+}
+
+// TestResolveSpecRefusesOversizedSweep: a sweep spec whose header declares
+// more nodes than a sweep spec may, or that holds no scenario, is refused
+// before its graph is built, so the refusal allocates under 1 MB; building
+// the graph of n 20000 takes about 100 MB.
+func TestResolveSpecRefusesOversizedSweep(t *testing.T) {
+	for _, tc := range []struct {
+		sweep, want string
+	}{
+		{`{"graph":"n 20000\n0 1\n","engine":"sequential","scenarios":[{"rule":"mean"}]}`, "20000 nodes"},
+		{`{"graph":"n 20000\n0 1\n","engine":"sequential","scenarios":[]}`, "no scenarios"},
+		{`{"graph":"n 3\n0 1\n","engine":"sequential"}`, "no scenarios"},
+	} {
+		payload, err := json.Marshal(jobSpec{Kind: "sweep", Sweep: json.RawMessage(tc.sweep)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = resolveSpec(payload)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: resolveSpec error %v, want one containing %q", tc.sweep, err, tc.want)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Fatalf("%s: resolveSpec allocated %d bytes refusing the spec, want < 1 MB", tc.sweep, b)
 		}
 	}
 }

@@ -212,11 +212,30 @@ func DecodeSweepSpec(raw []byte) (*SweepSpec, error) {
 	return &s, nil
 }
 
+// maxSweepSpecOrder caps the order a sweep spec's graph may declare. A spec
+// arrives from outside the process, and the graph it names is built as an
+// adjacency of n²/4 bytes before any edge is read; 1<<14 nodes is 64 MiB,
+// well above the thousands of nodes a sweep is practical for (README,
+// "Practical envelopes").
+const maxSweepSpecOrder = 1 << 14
+
 // Resolve rebuilds the engine and one Config per scenario. It fails on
 // anything it cannot rebuild exactly: an unnamed strategy, a rule or engine
-// outside the built-ins, a fault id outside the graph. The configs are not
-// validated; Sweep does that before it runs them.
+// outside the built-ins, a fault id outside the graph, a graph of more than
+// maxSweepSpecOrder nodes (refused from its header, before it is built), or
+// no scenario at all. The configs are not validated; Sweep does that before
+// it runs them.
 func (s *SweepSpec) Resolve() (Engine, []Config, error) {
+	if len(s.Scenarios) == 0 {
+		return nil, nil, fmt.Errorf("sim: sweep spec has no scenarios")
+	}
+	n, err := graph.EdgeListOrder(s.Graph)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: sweep spec graph: %w", err)
+	}
+	if n > maxSweepSpecOrder {
+		return nil, nil, fmt.Errorf("sim: sweep spec graph has %d nodes, more than the %d a sweep spec may declare", n, maxSweepSpecOrder)
+	}
 	g, err := graph.ParseEdgeListString(s.Graph)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: sweep spec graph: %w", err)
