@@ -217,7 +217,10 @@ func Sweep(ctx context.Context, g *Graph, scenarios []Scenario, opts ...Option) 
 // ctx cancels at fault-set granularity: the error wraps ctx.Err() with the
 // scan progress, and the returned CheckResult carries the work counters
 // accumulated so far (its verdict is meaningless on error). WithObserver
-// streams one EventCheckProgress per processed fault set.
+// streams one EventCheckProgress per completed span of the scan: a span ends
+// just past an orbit representative under the graph's automorphisms (one
+// fault set on a graph without symmetry) or at the extent, so the events are
+// the same at any worker count.
 func Check(ctx context.Context, g *Graph, f int, opts ...Option) (CheckResult, error) {
 	c, err := newConfig(opts)
 	if err != nil {

@@ -16,10 +16,11 @@ type Progress struct {
 	FaultSetsTotal int64
 }
 
-// ProgressFunc receives Progress snapshots, one per decided fault set, in
-// canonical order and from one goroutine at a time, whatever the worker
-// count (the distributed coordinator is the exception: it reports from its
-// connection handlers). It runs on the scan's hot path, so it must be fast.
+// ProgressFunc receives Progress snapshots, one per completed span, in
+// canonical order and from one goroutine at a time. A local scan's span ends
+// just past an orbit representative (one fault set on a graph without
+// symmetry) or at the extent, whatever the worker count; the distributed
+// coordinator reports once per lease report, from its connection handlers.
 type ProgressFunc func(Progress)
 
 // ScanOptions configures a CheckScan.
@@ -28,8 +29,8 @@ type ScanOptions struct {
 	// GOMAXPROCS, 1 (or trivially small inputs) runs the sequential scan.
 	// The verdict, witness and counters are identical at every worker count.
 	Workers int
-	// OnProgress, when non-nil, streams one Progress snapshot per decided
-	// fault set (see ProgressFunc for the delivery contract).
+	// OnProgress, when non-nil, streams one Progress snapshot per completed
+	// span (see ProgressFunc for the delivery contract).
 	OnProgress ProgressFunc
 	// Store, when non-nil, makes the scan durable: the contiguous prefix of
 	// completed fault sets and its aggregate work counters are checkpointed
@@ -40,19 +41,21 @@ type ScanOptions struct {
 	// Store errors abort the scan.
 	Store statestore.Backend
 	// CheckpointEvery is the fault-set interval between checkpoint writes
-	// (0 = DefaultCheckpointEvery); a time-based flush runs alongside it.
+	// (0 = DefaultCheckpointEvery), checked as each span completes; a
+	// time-based flush runs alongside it.
 	// The cadence never affects results, only resume freshness.
 	CheckpointEvery int
 }
 
 // CheckScan is the full exact check behind CheckThreshold: it decides the
 // Theorem 1 condition at the given in-link threshold with a configurable
-// worker count, honoring ctx and streaming per-fault-set progress. It loads
-// the scan's ScanFrontier (LoadScanFrontier; memory-only without
-// ScanOptions.Store), returns a cached verdict as is, and otherwise folds
-// over the fault sets the frontier does not cover, completing each into it
-// and settling the Result through it — with a Store, the scan is
-// checkpointed for crash-safe resume and the settled verdict cached.
+// worker count, honoring ctx and streaming per-span progress. It loads the
+// scan's ScanFrontier (LoadScanFrontier; memory-only without
+// ScanOptions.Store), returns a cached verdict as is, and otherwise runs
+// ShardScanner.ScanRange over the fault sets the frontier does not cover,
+// one span per orbit, completing each span into it and settling the Result
+// through it — with a Store, the scan is checkpointed for crash-safe resume
+// and the settled verdict cached.
 //
 // Cancellation is checked between fault sets — never inside the candidate
 // enumeration — so CheckScan returns within one fault set's scan time of
@@ -63,9 +66,9 @@ type ScanOptions struct {
 // the next CheckScan with the same store resumes there.
 //
 // With workers > 1 the scan goes window by window: the workers decide the
-// next window's orbits on their representatives' grounds, then the one
-// canonical-order fold runs over the window's fault sets
-// (ShardScanner.scanWindow). The reported witness comes from the
+// next window's orbits on their representatives' grounds
+// (ShardScanner.scanWindow), then the spans run over the window's fault sets
+// in canonical order. The reported witness comes from the
 // lowest-indexed failing fault set and the counters are summed over exactly
 // the fault sets the sequential scan decides.
 func CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts ScanOptions) (Result, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,23 +140,26 @@ func TestCheckScanCancellation(t *testing.T) {
 }
 
 // TestCheckScanProgress checks the streaming counters: one snapshot per
-// processed fault set, reaching the exact Σ C(n,k) total on a satisfied
-// scan.
+// completed span, each just past an orbit representative, reaching the exact
+// Σ C(n,k) total on a satisfied scan. K9's fault sets of one size form one
+// orbit, whose lowest indices are 0, 1 and 10, so the snapshots land at 1, 2
+// and 11, and the span past the last representative ends at the extent.
 func TestCheckScanProgress(t *testing.T) {
 	g := mustComplete(t, 9)
-	want := NumFaultSets(9, 2) // 1 + 9 + 36
-	var calls int64
+	total := NumFaultSets(9, 2) // 1 + 9 + 36
+	want := []int64{1, 2, 11, total}
+	var got []int64
 	res, err := CheckScan(context.Background(), g, 2, SyncThreshold(2), ScanOptions{Workers: 1, OnProgress: func(p Progress) {
-		calls++
-		if p.FaultSetsDone != calls || p.FaultSetsTotal != want {
-			t.Fatalf("progress %+v at call %d (total %d)", p, calls, want)
+		if p.FaultSetsTotal != total {
+			t.Fatalf("progress %+v: total %d, want %d", p, p.FaultSetsTotal, total)
 		}
+		got = append(got, p.FaultSetsDone)
 	}})
 	if err != nil || !res.Satisfied {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
-	if calls != want {
-		t.Fatalf("progress calls = %d, want %d", calls, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("progress snapshots %v, want %v", got, want)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // ShardScanner is the checker's one fault-set scanner for a scan identity
 // (g, f, threshold): the sequential scan, the parallel scan, and a
-// distributed worker's index ranges all fold over it. It owns
+// distributed worker's index ranges all run its ScanRange. It owns
 //
 //   - the index space: fault set i is the i-th subset of size ≤ f in
 //     canonical (size-ascending, then combination-lexicographic) order,
@@ -46,7 +46,7 @@ type ShardScanner struct {
 
 	// memo holds one result per orbit. Only the scanner's own goroutine
 	// reads it; a parallel check's window workers write distinct entries of
-	// it, and check waits for them before it folds the window. Under the
+	// it, and check waits for them before it scans the window. Under the
 	// identity group nothing reads an entry twice, so it is nil outside a
 	// parallel check, and during one it holds the current window: index i's
 	// result at i − windowStart.
@@ -350,6 +350,28 @@ func (t *orbitTable) buildOrbits(gens [][]int) {
 // NumFaultSets returns the enumeration's extent.
 func (s *ShardScanner) NumFaultSets() int64 { return s.total }
 
+// nextOrbit returns the first orbit whose representative lies at or above
+// index i: i itself under the identity group, where every index is its own
+// orbit.
+func (t *orbitTable) nextOrbit(i int64) int64 {
+	if t.rep == nil {
+		return i
+	}
+	return int64(sort.Search(len(t.rep), func(o int) bool { return int64(t.rep[o]) >= i }))
+}
+
+// repOf returns orbit o's representative; past the last orbit, an index at
+// or past the extent.
+func (t *orbitTable) repOf(o int64) int64 {
+	switch {
+	case t.rep == nil:
+		return o
+	case o < int64(len(t.rep)):
+		return int64(t.rep[o])
+	}
+	return t.total
+}
+
 // slot returns index i's memo slot and its orbit's representative.
 func (s *ShardScanner) slot(i int64) (slot int, rep int64) {
 	if s.orbit == nil {
@@ -400,9 +422,9 @@ func (s *ShardScanner) decide(i int64) groundResult {
 }
 
 // memoHit returns fault set i's result when the memo already holds its
-// orbit's passing result, and nil otherwise: decide then settles i. It is the
-// fold's one step per index on a range whose orbits are decided, so it is
-// small enough to inline and copies nothing.
+// orbit's passing result, and nil otherwise: decide then settles i. It is
+// ScanRange's one step per index on a range whose orbits are decided, so it
+// is small enough to inline and copies nothing.
 func (s *ShardScanner) memoHit(i int64) *groundResult {
 	if s.orbit == nil {
 		return nil
@@ -413,61 +435,62 @@ func (s *ShardScanner) memoHit(i int64) *groundResult {
 	return nil
 }
 
-// fold decides fault sets [lo, hi) in canonical order — the one per-fault-set
-// loop — calling satisfied with each passing index's counter delta. It stops
-// at the first violating index (viol.witness != nil), at the first error
-// from satisfied, or when ctx is done (err = ctx.Err()); stop is the index
-// it stopped at, hi after a clean pass. Cancellation is checked between
-// fault sets, never inside the candidate enumeration, by a non-blocking
-// receive on ctx.Done(), which costs no lock while ctx is live.
-func (s *ShardScanner) fold(ctx context.Context, lo, hi int64, satisfied func(i int64, cc WorkCounters) error) (stop int64, viol groundResult, err error) {
+// ScanRange decides fault sets [lo, hi) in canonical order — the checker's
+// one per-fault-set loop, which CheckScan runs span by span and a
+// distributed worker runs once per report — and stops at the first
+// violating index, as the sequential scan does. Results of orbit
+// representatives, below lo included, are computed once per scanner and kept
+// across calls. Cancellation is checked between fault sets, never inside the
+// candidate enumeration, by a non-blocking receive on ctx.Done(), which costs
+// no lock while ctx is live; a canceled scan returns its error together with
+// the satisfied prefix [lo, lo+Completed) it got through.
+func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult, error) {
+	res := RangeResult{Violation: -1}
+	if lo < 0 || hi < lo || hi > s.total {
+		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, s.total)
+	}
 	done := ctx.Done()
 	for i := lo; i < hi; i++ {
 		select {
 		case <-done:
-			return i, groundResult{}, ctx.Err()
+			return res, fmt.Errorf("condition: shard scan canceled at fault set %d: %w", i, context.Cause(ctx))
 		default:
 		}
-		res := s.memoHit(i)
-		if res == nil {
-			r := s.decide(i)
-			if r.witness != nil {
-				return i, r, nil
+		r := s.memoHit(i)
+		if r == nil {
+			d := s.decide(i)
+			if d.witness != nil {
+				res.Violation, res.Witness, res.Partial = i, d.witness, d.cc
+				return res, nil
 			}
-			res = &r
+			r = &d
 		}
-		if err := satisfied(i, res.cc); err != nil {
-			return i, groundResult{}, err
-		}
+		res.Completed++
+		res.Satisfied.Add(r.cc)
 	}
-	return hi, groundResult{}, nil
+	return res, nil
 }
 
 // scanWindow scans the window of windowPerWorker·workers orbits whose
 // representatives lie at or above index lo into the memo, on workers
-// goroutines, and returns once they are done. The window ends at hi, the
-// representative of the first orbit after it or the extent, so every index in
-// [lo, hi) belongs to a window orbit or to one below lo: an earlier window's,
-// or one whose representative lies in a resumed prefix, which decide scans
-// itself. Workers claim orbits in ascending order; they stop when ctx is
-// done, and at a representative above the lowest violation found so far,
-// since the fold stops at or before that one.
+// goroutines, and returns once they are done. The window ends at hi, just
+// past its last orbit's representative (the extent past the last orbit), as
+// check's spans do, so every index in [lo, hi) belongs to a window orbit or
+// to one below lo: an earlier window's, or one whose representative lies in
+// a resumed prefix, which decide scans itself. Workers claim orbits in
+// ascending order; they stop when ctx is done, and at a representative above
+// the lowest violation found so far, since the spans stop at or before that
+// one.
 func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (hi int64) {
-	size := windowPerWorker * workers
-	first, end := lo, min(lo+int64(size), s.total) // orbits [first, end)
-	hi = end
+	first := s.nextOrbit(lo)
+	end := first + int64(windowPerWorker*workers) // orbits [first, end)
+	hi = min(s.repOf(end-1)+1, s.total)
 	if s.orbit == nil {
 		if s.memo == nil {
-			s.memo = make([]groundResult, size)
+			s.memo = make([]groundResult, end-first)
 		}
 		clear(s.memo)
 		s.windowStart = lo
-	} else {
-		o := sort.Search(len(s.rep), func(o int) bool { return int64(s.rep[o]) >= lo })
-		first, end, hi = int64(o), int64(min(o+size, len(s.rep))), s.total
-		if end < int64(len(s.rep)) {
-			hi = int64(s.rep[end])
-		}
 	}
 	var (
 		next, minViol atomic.Int64
@@ -484,15 +507,8 @@ func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (h
 			// hot slices are not allocated back to back on one cache line.
 			scratch := newInsulationScratch(s.g)
 			for ctx.Err() == nil {
-				o := next.Add(1) - 1
-				if o >= end {
-					return
-				}
-				i, slot := o, int(o-lo)
-				if s.orbit != nil {
-					i, slot = int64(s.rep[o]), int(o)
-				}
-				if i > minViol.Load() {
+				i := s.repOf(next.Add(1) - 1)
+				if i >= hi || i > minViol.Load() {
 					return
 				}
 				res := s.scanGround(scratch, i)
@@ -500,6 +516,7 @@ func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (h
 					for b := minViol.Load(); i < b && !minViol.CompareAndSwap(b, i); b = minViol.Load() {
 					}
 				}
+				slot, _ := s.slot(i)
 				s.memo[slot] = res
 			}
 		}()
@@ -508,44 +525,45 @@ func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (h
 	return hi
 }
 
-// check is CheckScan past the verdict cache: a fold over everything the
-// frontier fr does not cover, completing each satisfied fault set into fr in
-// canonical order and settling through it. With workers > 1 it goes window by
-// window: scanWindow decides the window's orbits in parallel, then the fold
-// runs over the window's indices. Totals are therefore summed in canonical
-// order whatever the worker count: Σ delta(i) over the satisfied prefix plus
-// the violating index's own early-exit delta.
+// check is CheckScan past the verdict cache: it runs ScanRange over what the
+// frontier fr does not cover, span by span, and settles through fr. A span
+// ends just past the next orbit representative (under the identity group it
+// is one fault set) and is completed into fr with one CompleteSpan and
+// reported with one Progress. With workers > 1, scanWindow first decides
+// each window's orbits in parallel; a window ends just past a representative
+// too, so the spans, checkpoints and snapshots are the same at every worker
+// count, and totals are summed in canonical order: Σ delta(i) over the
+// satisfied prefix plus the violating index's own early-exit delta.
 func (s *ShardScanner) check(ctx context.Context, workers int, onProgress ProgressFunc, fr *ScanFrontier) (Result, error) {
 	skip, _ := fr.ResumePoint()
-	satisfied := func(i int64, cc WorkCounters) error {
-		if err := fr.CompleteSpan(ctx, i, i+1, cc); err != nil {
-			return err
-		}
-		if onProgress != nil {
-			onProgress(Progress{FaultSetsDone: i + 1, FaultSetsTotal: fr.Total()})
-		}
-		return nil
-	}
 	var (
-		stop = skip
-		viol groundResult
-		err  error
+		rr  = RangeResult{Violation: -1}
+		err error
 	)
-	for lo := skip; lo < s.total && err == nil && viol.witness == nil; lo = stop {
-		hi := s.total
+	for lo := skip; lo < s.total && err == nil && rr.Violation < 0; {
+		end := s.total
 		if workers > 1 {
-			hi = s.scanWindow(ctx, lo, workers)
+			end = s.scanWindow(ctx, lo, workers)
 		}
-		stop, viol, err = s.fold(ctx, lo, hi, satisfied)
+		for ; lo < end && err == nil && rr.Violation < 0; lo += rr.Completed {
+			hi := min(s.repOf(s.nextOrbit(lo))+1, end)
+			if rr, err = s.ScanRange(ctx, lo, hi); err != nil {
+				err = ctx.Err() // the span is in bounds: only a cancellation stops it
+			}
+			// A canceled or violating span completes its satisfied prefix.
+			if cerr := fr.CompleteSpan(ctx, lo, lo+rr.Completed, rr.Satisfied); err == nil {
+				err = cerr
+			}
+			if err == nil && rr.Violation < 0 && onProgress != nil {
+				onProgress(Progress{FaultSetsDone: hi, FaultSetsTotal: fr.Total()})
+			}
+		}
 	}
 	if s.orbit == nil {
 		s.memo = nil
 	}
 	if err == nil {
-		if viol.witness == nil {
-			stop = -1 // a clean pass: no violating index
-		}
-		return fr.Settle(ctx, stop, viol.witness, viol.cc)
+		return fr.Settle(ctx, rr.Violation, rr.Witness, rr.Partial)
 	}
 	// The verdict is undecided on an interrupted scan; only the work
 	// counters are meaningful.

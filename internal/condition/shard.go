@@ -6,21 +6,17 @@ package condition
 // (graph, f, threshold) and its index: that is the same determinism argument
 // the checkpoint/resume layer rests on (see state.go). A worker executes an
 // arbitrary index range of the canonical fault-set enumeration through
-// ShardScanner.ScanRange, on the same fold CheckScan runs, reproducing the
-// sequential scan's early-exit semantics within the range; the coordinator
-// journals the ranges into the ScanFrontier CheckScan itself settles
-// through (state.go).
+// ShardScanner.ScanRange, the loop CheckScan itself runs span by span,
+// reproducing the sequential scan's early-exit semantics within the range;
+// the coordinator journals the ranges into the ScanFrontier CheckScan itself
+// settles through (state.go).
 //
 // Because both sides are pure in the scan identity, a run sharded across
 // machines — including one where leases expire and are re-executed —
 // finishes with verdict, witness, and counters identical to the
 // single-process scan.
 
-import (
-	"context"
-	"fmt"
-	"math"
-)
+import "math"
 
 // NumFaultSets returns the scan extent Σ_{k≤f} C(n,k): the number of fault
 // sets the canonical enumeration visits, and the index space every
@@ -41,7 +37,7 @@ func NumFaultSets(n, f int) int64 {
 // RangeResult reports a ShardScanner.ScanRange outcome.
 type RangeResult struct {
 	// Completed counts the satisfied fault sets scanned: indexes
-	// [lo, lo+Completed) passed. Equal to hi−lo iff no violation.
+	// [lo, lo+Completed) passed. Equal to hi−lo after a clean pass.
 	Completed int64
 	// Violation is the absolute index of the first violating fault set in
 	// the range, or -1. The scan stops there, exactly like the sequential
@@ -57,31 +53,4 @@ type RangeResult struct {
 	// scan includes exactly this partial in its totals, so a distributed
 	// aggregate that adds Partial once (for the lowest violation) matches.
 	Partial WorkCounters
-}
-
-// ScanRange decides fault sets [lo, hi), stopping at the first violation —
-// the sequential scan restricted to the range, on the same fold. Results of
-// orbit representatives — below lo included — are computed once per scanner
-// and kept across calls. Cancellation is checked between fault sets; on
-// cancellation the caller discards the partial result (its lease is simply
-// re-run elsewhere).
-func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult, error) {
-	res := RangeResult{Violation: -1}
-	if lo < 0 || hi < lo || hi > s.total {
-		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, s.total)
-	}
-	stop, viol, err := s.fold(ctx, lo, hi, func(_ int64, cc WorkCounters) error {
-		res.Completed++
-		res.Satisfied.Add(cc)
-		return nil
-	})
-	if err != nil {
-		return res, fmt.Errorf("condition: shard scan canceled at fault set %d: %w", stop, context.Cause(ctx))
-	}
-	if viol.witness != nil {
-		res.Violation = stop
-		res.Witness = viol.witness
-		res.Partial = viol.cc
-	}
-	return res, nil
 }

@@ -365,11 +365,11 @@ func TestShardScannerStoresNoFaultSets(t *testing.T) {
 	}
 }
 
-// TestPrefetchRingIsBounded pins the identity group's prefetch memo to a
-// ring: on the random digraph above at f = 8, whose scan stops at its 327th
-// fault set, CheckScan with two workers allocates under 8 MB (a memo of one
-// result per fault set took 72 MB) and returns the sequential Result.
-func TestPrefetchRingIsBounded(t *testing.T) {
+// TestWindowMemoIsBounded pins the identity group's memo to one window: on
+// the random digraph above at f = 8, whose scan stops at its 327th fault set,
+// CheckScan with two workers allocates under 8 MB (a memo of one result per
+// fault set took 72 MB) and returns the sequential Result.
+func TestWindowMemoIsBounded(t *testing.T) {
 	g, err := topology.RandomDigraph(25, 0.7, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -395,23 +395,24 @@ func TestPrefetchRingIsBounded(t *testing.T) {
 	}
 }
 
-// TestPrefetchRingWraps drives the ring round several times from several
-// workers on random digraphs whose group is trivial, satisfied ones and one
-// that violates a whole ring in: a full scan, a scan canceled part-way
-// (which must return, not wait on a ring slot) and its resumption from the
-// checkpoint all settle as the sequential scan does.
-func TestPrefetchRingWraps(t *testing.T) {
+// TestWindowsWrapAcrossResume runs the identity group's window memo through
+// several windows at several worker counts on random digraphs whose group is
+// trivial, satisfied ones and one that violates a whole window in: a full
+// scan, a scan canceled part-way (which must return, not wait on a window)
+// and its resumption from the checkpoint, whose first window starts where
+// the cancel left off, all settle as the sequential scan does.
+func TestWindowsWrapAcrossResume(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const n, f = 14, 3 // 470 fault sets: more than 4 workers' ring
+	const n, f = 14, 3 // 470 fault sets: more than 4 workers' window
 	ctx := context.Background()
-	violatedPastRing := false
+	violatedPastWindow := false
 	for trial := 0; trial < 4; trial++ {
 		g, err := topology.RandomDigraph(n, 0.55+0.4*rng.Float64(), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(g.AutomorphismGenerators(graph.AutSearchBudget)) > 0 {
-			trial-- // an orbit table would replace the ring
+			trial-- // an orbit table would replace the identity memo
 			continue
 		}
 		want, err := CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{Workers: 1})
@@ -419,7 +420,7 @@ func TestPrefetchRingWraps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !want.Satisfied && want.FaultSetsExamined > 4*windowPerWorker {
-			violatedPastRing = true
+			violatedPastWindow = true
 		}
 		for _, workers := range []int{2, 3, 4} {
 			got, err := CheckScan(ctx, g, f, SyncThreshold(f), ScanOptions{Workers: workers})
@@ -452,8 +453,8 @@ func TestPrefetchRingWraps(t *testing.T) {
 			}
 		}
 	}
-	if !violatedPastRing {
-		t.Fatal("no trial violated past the ring; the fold's early exit went untested")
+	if !violatedPastWindow {
+		t.Fatal("no trial violated past a window; ScanRange's early exit went untested")
 	}
 }
 
@@ -485,12 +486,6 @@ func TestWindowBoundaries(t *testing.T) {
 			s  *ShardScanner
 			ov int64
 		)
-		rep := func(o int64) int64 {
-			if s.orbit == nil {
-				return o
-			}
-			return int64(s.rep[o])
-		}
 		for draws := 0; ; draws++ {
 			if draws == 200 {
 				t.Fatalf("%s: no draw violates past four workers' window", tc.name)
@@ -519,7 +514,7 @@ func TestWindowBoundaries(t *testing.T) {
 		}
 		for workers := 2; workers <= 4; workers++ {
 			size := int64(windowPerWorker * workers)
-			for _, skip := range []int64{0, rep(ov-size-1) + 1, rep(ov-size) + 1} {
+			for _, skip := range []int64{0, s.repOf(ov-size-1) + 1, s.repOf(ov-size) + 1} {
 				want := checkFrom(t, g, f, skip, 1)
 				got := checkFrom(t, g, f, skip, workers)
 				if got.FaultSetsResumed != want.FaultSetsResumed {

@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"iabc/internal/graph"
 	"iabc/internal/nodeset"
 	"iabc/internal/statestore"
 	"iabc/internal/topology"
@@ -107,7 +111,9 @@ func (b cancelOnWrite) Write(ctx context.Context, key string, data []byte) error
 // mid-flight and restarted over the same store finishes with a Result
 // identical (verdict, witness, every counter) to an uninterrupted run — at
 // both worker counts, whether the cancellation arrives between fault sets
-// (from a progress callback) or inside the first checkpoint write.
+// (from a progress callback) or inside the first checkpoint write. The scan
+// of core(14,2) completes 7 spans, one per orbit; the callback cancels at
+// the 4th snapshot, 16 of its 106 fault sets in.
 func TestCheckScanResumeEquivalence(t *testing.T) {
 	g, err := topology.CoreNetwork(14, 2)
 	if err != nil {
@@ -134,7 +140,7 @@ func TestCheckScanResumeEquivalence(t *testing.T) {
 		} else {
 			var fired atomic.Int64
 			opts.OnProgress = func(p Progress) {
-				if fired.Add(1) == 40 {
+				if fired.Add(1) == 4 {
 					cancel()
 				}
 			}
@@ -166,7 +172,9 @@ func TestCheckScanResumeEquivalence(t *testing.T) {
 
 // TestCheckScanResumeUnsatisfied interrupts a scan over a violated graph and
 // checks the resumed run reports the canonical witness — the same one the
-// uninterrupted sequential scan finds.
+// uninterrupted sequential scan finds. chord(7,2) violates at index 8, in its
+// third span; the callback cancels at the second snapshot, so the resumed
+// run starts 2 fault sets in and must still find it.
 func TestCheckScanResumeUnsatisfied(t *testing.T) {
 	g, err := topology.Chord(7, 2)
 	if err != nil {
@@ -184,7 +192,7 @@ func TestCheckScanResumeUnsatisfied(t *testing.T) {
 		CheckpointEvery: 2,
 		Store:           store,
 		OnProgress: func(p Progress) {
-			if fired.Add(1) == 5 {
+			if fired.Add(1) == 2 {
 				cancel()
 			}
 		},
@@ -196,8 +204,8 @@ func TestCheckScanResumeUnsatisfied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Satisfied {
-		t.Fatal("resumed scan lost the violation")
+	if resumed.Satisfied || resumed.FaultSetsResumed != 2 {
+		t.Fatalf("resumed scan: satisfied %v after resuming %d fault sets, want a violation after resuming 2", resumed.Satisfied, resumed.FaultSetsResumed)
 	}
 	if !resumed.Witness.F.Equal(baseline.Witness.F) ||
 		!resumed.Witness.L.Equal(baseline.Witness.L) ||
@@ -210,6 +218,82 @@ func TestCheckScanResumeUnsatisfied(t *testing.T) {
 	br.Witness, rr.Witness = nil, nil
 	if br != rr {
 		t.Fatalf("resumed counters differ:\nbase    %+v\nresumed %+v", br, rr)
+	}
+}
+
+// countCheckpoints counts the checkpoint writes that reach its backend.
+type countCheckpoints struct {
+	statestore.Backend
+	writes *int
+}
+
+func (b countCheckpoints) Write(ctx context.Context, key string, data []byte) error {
+	if strings.HasPrefix(key, "checkpoint/") {
+		*b.writes++
+	}
+	return b.Backend.Write(ctx, key, data)
+}
+
+// TestCheckScanCompletesOneSpanPerOrbit pins the local check's walk: it
+// completes one span per orbit, each ending just past the orbit's
+// representative, and a last one ending at the extent. With a checkpoint due
+// after every fault set, a scan therefore writes at most one checkpoint per
+// orbit plus one, however many fault sets it covers; its Progress snapshots
+// increase strictly, each lands just past a representative or at the
+// extent, and the sequence is the same at 1, 2 and 4 workers.
+func TestCheckScanCompletesOneSpanPerOrbit(t *testing.T) {
+	must := mustGraph(t)
+	ctx := context.Background()
+	chord := relabelGraph(must(topology.Chord(16, 2)), rand.New(rand.NewSource(3)).Perm(16))
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		f      int
+		total  int64
+		orbits int // 0: whatever the table holds
+	}{
+		{"core(19,6)", must(topology.CoreNetwork(19, 6)), 6, 43796, 28},
+		{"relabelled chord(16,2)", chord, 2, 137, 0},
+	} {
+		s, err := NewShardScanner(tc.g, tc.f, SyncThreshold(tc.f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.orbit == nil || s.total != tc.total || (tc.orbits > 0 && len(s.rep) != tc.orbits) {
+			t.Fatalf("%s: %d fault sets in %d orbits, want %d in %d", tc.name, s.total, len(s.rep), tc.total, tc.orbits)
+		}
+		var first []int64
+		for _, workers := range []int{1, 2, 4} {
+			writes := 0
+			var snaps []int64
+			res, err := CheckScan(ctx, tc.g, tc.f, SyncThreshold(tc.f), ScanOptions{
+				Workers: workers, CheckpointEvery: 1,
+				Store:      countCheckpoints{statestore.NewMem(), &writes},
+				OnProgress: func(p Progress) { snaps = append(snaps, p.FaultSetsDone) },
+			})
+			if err != nil || !res.Satisfied {
+				t.Fatalf("%s, %d workers: res=%+v err=%v", tc.name, workers, res, err)
+			}
+			if writes > len(s.rep)+1 {
+				t.Errorf("%s, %d workers: %d checkpoint writes for %d orbits", tc.name, workers, writes, len(s.rep))
+			}
+			for k, d := range snaps {
+				if k > 0 && d <= snaps[k-1] {
+					t.Fatalf("%s, %d workers: snapshot %d after %d", tc.name, workers, d, snaps[k-1])
+				}
+				if d != s.total && int64(s.rep[s.orbit[d-1]]) != d-1 {
+					t.Fatalf("%s, %d workers: snapshot at %d, not just past a representative", tc.name, workers, d)
+				}
+			}
+			if len(snaps) == 0 || snaps[len(snaps)-1] != s.total {
+				t.Fatalf("%s, %d workers: snapshots %v do not reach the extent %d", tc.name, workers, snaps, s.total)
+			}
+			if workers == 1 {
+				first = snaps
+			} else if !slices.Equal(snaps, first) {
+				t.Fatalf("%s: snapshots at %d workers\n%v\ndiffer from 1 worker's\n%v", tc.name, workers, snaps, first)
+			}
+		}
 	}
 }
 
