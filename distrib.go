@@ -26,9 +26,9 @@ func (c *config) distributed() bool { return c.coordAddr != "" || c.workerPool >
 
 // startCoordinator starts the call's coordinator — listening only with
 // WithCoordinator — and its local worker pool, which joins over in-memory
-// connections and shares one spec cache: a pooled scan builds its orbit
-// table once. The returned stop func tears both down; it is safe to call
-// after the work completed or failed.
+// connections, each resolving the specs it runs itself. The returned stop
+// func tears both down; it is safe to call after the work completed or
+// failed.
 func (c *config) startCoordinator() (*distrib.Coordinator, func(), error) {
 	coord := distrib.NewCoordinator(distrib.Options{})
 	if c.coordAddr != "" {

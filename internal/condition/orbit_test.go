@@ -3,8 +3,11 @@ package condition
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -81,13 +84,14 @@ func TestFaultSetOrbitCounts(t *testing.T) {
 			if len(s.rep) != tc.orbits {
 				t.Errorf("%s labelling %d: %d orbits of %d fault sets, want %d", tc.name, trial, len(s.rep), s.total, tc.orbits)
 			}
+			orbit := orbitsByIndex(s)
 			for o, r := range s.rep {
-				if s.orbit[r] != int32(o) || (o > 0 && r <= s.rep[o-1]) {
+				if orbit[r] != int32(o) || (o > 0 && r <= s.rep[o-1]) {
 					t.Fatalf("%s: rep[%d] = %d is not the ascending lowest index of its orbit", tc.name, o, r)
 				}
 			}
-			for i, o := range s.orbit {
-				if int(s.rep[o]) > i {
+			for i, o := range orbit {
+				if s.rep[o] > int64(i) {
 					t.Fatalf("%s: index %d has representative %d above it", tc.name, i, s.rep[o])
 				}
 			}
@@ -104,16 +108,56 @@ func TestFaultSetOrbitCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.orbit != nil || s.memo != nil {
-			t.Errorf("n=%d f=%d: orbit table built, want the identity group", tc.g.N(), tc.f)
+		if s.rep != nil || s.memo != nil {
+			t.Errorf("n=%d f=%d: orbits built, want the identity group", tc.g.N(), tc.f)
 		}
 	}
 }
 
-// faultSetMask is fault set i over n ≤ 64 nodes as a mask.
-func faultSetMask(n int, i int64) (mask uint64) {
-	faultSet(n, i, func(v int) { mask |= 1 << uint(v) })
-	return mask
+// orbitsByIndex returns the orbit of every index of s, whose orbits are a
+// table or count vectors: a vector's orbit is looked up by the lowest member
+// of the index's vector, the |F ∩ B| lowest nodes of each block B.
+func orbitsByIndex(s *ShardScanner) []int32 {
+	if s.orbit != nil {
+		return s.orbit
+	}
+	vector := map[uint64]int32{}
+	for j, m := range s.low {
+		vector[m] = s.vorbit[j]
+	}
+	orbit := make([]int32, s.total)
+	for i := range orbit {
+		var low uint64
+		for _, blk := range s.blocks {
+			low |= lowest(blk, bits.OnesCount64(faultSetMask(s.g.N(), int64(i))&blk))
+		}
+		orbit[i] = vector[low]
+	}
+	return orbit
+}
+
+// vectorScanner returns a scanner of (g, f, threshold) whose orbits are
+// count vectors, whatever the selection rule would pick: an unbounded extent
+// lifts the rule's √extent bound while they are built. g must have twins.
+func vectorScanner(t *testing.T, g *graph.Graph, f, threshold int) *ShardScanner {
+	t.Helper()
+	s := &ShardScanner{g: g, f: f, threshold: threshold, total: math.MaxInt64, scratch: newInsulationScratch(g)}
+	blocks, rest := twinClasses(g.N(), g.AutomorphismGenerators(graph.AutSearchBudget))
+	if blocks == nil || !s.buildVectors(blocks, rest) {
+		t.Fatalf("n=%d f=%d: no twin classes to build count vectors on", g.N(), f)
+	}
+	s.total = NumFaultSets(g.N(), f)
+	s.memo, s.count = make([]groundResult, len(s.rep)), make([]int64, len(s.rep))
+	return s
+}
+
+// tableScanner returns a scanner of (g, f, threshold) whose orbits are a
+// per-index table, whatever the selection rule would pick.
+func tableScanner(g *graph.Graph, f, threshold int) *ShardScanner {
+	s := &ShardScanner{g: g, f: f, threshold: threshold, total: NumFaultSets(g.N(), f), scratch: newInsulationScratch(g)}
+	s.buildTable(g.AutomorphismGenerators(graph.AutSearchBudget))
+	s.memo, s.count = make([]groundResult, len(s.rep)), make([]int64, len(s.rep))
+	return s
 }
 
 // rankFaultSet is faultSet's inverse, counted forwards: the sets of smaller
@@ -136,7 +180,7 @@ func rankFaultSet(n int, mask uint64) int64 {
 // every generator applied to every fault set of every orbit, orbits numbered
 // by their lowest index. It shares faultSet and binom with the scanner and
 // nothing else.
-func plainOrbitTable(n, f int, gens [][]int) (orbit, rep []int32) {
+func plainOrbitTable(n, f int, gens [][]int) (orbit []int32, rep []int64) {
 	if len(gens) == 0 {
 		return nil, nil
 	}
@@ -149,7 +193,7 @@ func plainOrbitTable(n, f int, gens [][]int) (orbit, rep []int32) {
 			continue
 		}
 		o := int32(len(rep))
-		rep = append(rep, int32(i))
+		rep = append(rep, int64(i))
 		orbit[i] = o
 		stack := []uint64{faultSetMask(n, int64(i))}
 		for len(stack) > 0 {
@@ -170,13 +214,17 @@ func plainOrbitTable(n, f int, gens [][]int) (orbit, rep []int32) {
 	return orbit, rep
 }
 
-// TestOrbitTableMatchesPlainClosure is the differential gate of the twin
-// classes: on graphs with twins only (core networks, K_n, K_{a,b}), twins
-// beside generators that permute whole classes (K_{6,6} with an edge added
-// inside each side, core(13,4) with one core–outer link cut), no twins at
-// all (chord, hypercube, torus, wheel, barbell, random digraphs) and a mix
-// (star, PFCN), each as built and relabelled, and at every generator budget,
-// the scanner's orbit and rep arrays equal the plain closure's exactly.
+// TestOrbitTableMatchesPlainClosure is the differential gate of the orbits:
+// on graphs with twins only (core networks, K_n, K_{a,b}), twins beside
+// generators that permute whole classes (K_{6,6} with an edge added inside
+// each side, K_{4,4}, core(13,4) with one core–outer link cut, barbell),
+// no twins at all (chord, hypercube, torus, wheel, random digraphs) and a
+// mix (star, PFCN), each as built and relabelled, and at every generator
+// budget, the scanner's orbits equal the plain closure's: the same
+// representatives, the same orbit at every index, and, where they are count
+// vectors, the same number of each orbit's members below every index. Both
+// sides of the selection rule are met by graphs with twins, and where it
+// picks the table, count vectors built anyway must agree too.
 func TestOrbitTableMatchesPlainClosure(t *testing.T) {
 	must := mustGraph(t)
 	rng := rand.New(rand.NewSource(41))
@@ -193,7 +241,7 @@ func TestOrbitTableMatchesPlainClosure(t *testing.T) {
 	for _, n := range []int{5, 9, 12} {
 		zoo = append(zoo, zooCase{fmt.Sprintf("K%d", n), must(topology.Complete(n)), 3})
 	}
-	for _, ab := range [][2]int{{3, 4}, {5, 6}, {4, 4}} {
+	for _, ab := range [][2]int{{3, 4}, {5, 6}, {4, 4}, {6, 6}} {
 		zoo = append(zoo, zooCase{fmt.Sprintf("K%d,%d", ab[0], ab[1]), must(topology.CompleteBipartite(ab[0], ab[1])), 3})
 	}
 	zoo = append(zoo,
@@ -213,28 +261,54 @@ func TestOrbitTableMatchesPlainClosure(t *testing.T) {
 		n := 6 + rng.Intn(8)
 		zoo = append(zoo, zooCase{fmt.Sprintf("random %d", i), must(topology.RandomDigraph(n, 0.3+0.6*rng.Float64(), rng)), 1 + rng.Intn(3)})
 	}
-	mixed := 0 // cases with twin classes and generators beyond them
+	mixed := 0                  // vector cases with twin classes and generators beyond them
+	tabled := 0                 // cases with twin classes whose orbits are a table
+	forced := map[string]bool{} // of those, cases whose vectors are compared too
 	for _, tc := range zoo {
 		for trial, g := range []*graph.Graph{tc.g, relabelGraph(tc.g, rng.Perm(tc.g.N()))} {
 			for _, budget := range []int{0, 1, graph.AutSearchBudget} {
 				gens := g.AutomorphismGenerators(budget)
-				if classes, rest := twinClasses(g.N(), gens); classes != nil && len(rest) > 0 {
-					mixed++
-				}
+				blocks, rest := twinClasses(g.N(), gens)
 				wantOrbit, wantRep := plainOrbitTable(g.N(), tc.f, gens)
 				s := newShardScanner(g, tc.f, SyncThreshold(tc.f), budget)
-				if !slices.Equal(s.orbit, wantOrbit) || !slices.Equal(s.rep, wantRep) {
-					t.Fatalf("%s labelling %d budget %d: %d orbits, the plain closure finds %d", tc.name, trial, budget, len(s.rep), len(wantRep))
+				switch {
+				case s.low != nil && len(rest) > 0:
+					mixed++
+				case s.low == nil && blocks != nil:
+					tabled++
+				}
+				if err := orbitsEqual(s, wantOrbit, wantRep); err != nil {
+					t.Fatalf("%s labelling %d budget %d: %v", tc.name, trial, budget, err)
+				}
+				if s.low == nil && blocks != nil {
+					// The rule picked the table; the vectors must agree too,
+					// where there are at most 256 of them: the rule's bound
+					// on an extent of 2¹⁶.
+					v := &ShardScanner{g: g, f: tc.f, total: 1 << 16}
+					if !v.buildVectors(blocks, rest) {
+						continue
+					}
+					v.total = s.total
+					forced[tc.name] = true
+					if err := orbitsEqual(v, wantOrbit, wantRep); err != nil {
+						t.Fatalf("%s labelling %d budget %d, count vectors: %v", tc.name, trial, budget, err)
+					}
 				}
 			}
 		}
 	}
-	if mixed == 0 {
-		t.Fatal("no case had twin classes beside other generators; the closure over classes went untested")
+	if mixed == 0 || tabled == 0 {
+		t.Fatalf("%d vector cases beside other generators, %d twin cases on a table: want some of each", mixed, tabled)
 	}
-	// The table needs only a permutation group, not a graph: random
+	for _, name := range []string{"K4,4", "K6,6 + 0↔1, 6↔7", "barbell(5,2)"} {
+		if !forced[name] {
+			t.Errorf("%s: count vectors never compared; forced %v", name, forced)
+		}
+	}
+	// The orbits need only a permutation group, not a graph: random
 	// transpositions beside random permutations make classes that merge only
-	// through conjugation, which no automorphism search above produced.
+	// through conjugation, which no automorphism search above produced. The
+	// vectors are built whatever the selection rule would pick.
 	for trial := 0; trial < 200; trial++ {
 		n, f := 4+rng.Intn(7), 1+rng.Intn(4)
 		var gens [][]int
@@ -253,12 +327,79 @@ func TestOrbitTableMatchesPlainClosure(t *testing.T) {
 			}
 			gens = append(gens, perm)
 		}
-		s := &orbitTable{g: graph.NewBuilder(n).MustBuild(), f: f, total: NumFaultSets(n, f)}
-		s.buildOrbits(gens)
-		wantOrbit, wantRep := plainOrbitTable(n, f, gens)
-		if !slices.Equal(s.orbit, wantOrbit) || !slices.Equal(s.rep, wantRep) {
-			t.Fatalf("n=%d f=%d generators %v: %d orbits, the plain closure finds %d", n, f, gens, len(s.rep), len(wantRep))
+		s := &ShardScanner{g: graph.NewBuilder(n).MustBuild(), f: f, total: math.MaxInt64}
+		if blocks, rest := twinClasses(n, gens); blocks != nil {
+			s.buildVectors(blocks, rest)
 		}
+		if s.total = NumFaultSets(n, f); s.low == nil {
+			s.buildTable(gens)
+		}
+		wantOrbit, wantRep := plainOrbitTable(n, f, gens)
+		if err := orbitsEqual(s, wantOrbit, wantRep); err != nil {
+			t.Fatalf("n=%d f=%d generators %v: %v", n, f, gens, err)
+		}
+	}
+}
+
+// orbitsEqual compares s's orbits with the plain closure's: the
+// representatives, every index's orbit, and, on count vectors, the number of
+// each orbit's members below every index.
+func orbitsEqual(s *ShardScanner, wantOrbit []int32, wantRep []int64) error {
+	if !slices.Equal(s.rep, wantRep) {
+		return fmt.Errorf("%d orbits with representatives %v, the plain closure finds %d: %v", len(s.rep), s.rep, len(wantRep), wantRep)
+	}
+	if wantOrbit == nil {
+		return nil
+	}
+	if orbit := orbitsByIndex(s); !slices.Equal(orbit, wantOrbit) {
+		return fmt.Errorf("orbit by index %v, the plain closure's %v", orbit, wantOrbit)
+	}
+	if s.low == nil {
+		return nil
+	}
+	got, want := make([]int64, len(s.rep)), make([]int64, len(s.rep))
+	for r := int64(0); ; r++ {
+		if s.members(got, 0, r); !slices.Equal(got, want) {
+			return fmt.Errorf("members below index %d: %v, the plain closure's %v", r, got, want)
+		}
+		if r == s.total {
+			return nil
+		}
+		want[wantOrbit[r]]++
+	}
+}
+
+// TestCountVectorsScaleWithOrbits pins what count vectors buy: building the
+// scanner of core(34,11), whose 4.9·10⁸ fault sets would need a 1.9 GB
+// per-index table, allocates under 1 MB, and core(37,12), whose 3.2·10⁹
+// fault sets are past where a table is built at all, gets its 91 orbits and
+// checks satisfied.
+func TestCountVectorsScaleWithOrbits(t *testing.T) {
+	must := mustGraph(t)
+	g := must(topology.CoreNetwork(34, 11))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewShardScanner(g, 11, SyncThreshold(11))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.low == nil || len(s.rep) != 78 {
+		t.Fatalf("core(34,11): %d orbits, vectors %v; want 78 count-vector orbits", len(s.rep), s.low != nil)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Fatalf("NewShardScanner(core(34,11)) allocated %d bytes, want < 1 MB", b)
+	}
+	g = must(topology.CoreNetwork(37, 12))
+	if s, err = NewShardScanner(g, 12, SyncThreshold(12)); err != nil {
+		t.Fatal(err)
+	}
+	if s.total != 3231947596 || len(s.rep) != 91 {
+		t.Fatalf("core(37,12): %d orbits of %d fault sets, want 91 of 3231947596", len(s.rep), s.total)
+	}
+	res, err := CheckScan(context.Background(), g, 12, SyncThreshold(12), ScanOptions{})
+	if err != nil || !res.Satisfied || res.FaultSetsExamined != s.total {
+		t.Fatalf("core(37,12): %+v, %v; want satisfied over every fault set", res, err)
 	}
 }
 
@@ -371,8 +512,9 @@ func TestShardScanViolationInsideOrbit(t *testing.T) {
 		t.Fatalf("full range: %+v, %v", full, err)
 	}
 	var checked int
+	orbit := orbitsByIndex(s)
 	for i := full.Violation + 1; i < s.NumFaultSets(); i++ {
-		if _, rep := s.slot(i); rep != full.Violation {
+		if s.rep[orbit[i]] != full.Violation {
 			continue
 		}
 		rr, err := s.ScanRange(context.Background(), i, s.NumFaultSets())
@@ -392,6 +534,56 @@ func TestShardScanViolationInsideOrbit(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("the violating orbit has a single member; the test exercised nothing")
+	}
+}
+
+// TestScanPastViolatingRepresentative: a range that starts past a violating
+// orbit's representative — a lease, or a scan resumed past it — reports the
+// lowest violating member at or above its start, scanned on its own ground,
+// and the counters of the prefix before it. On core(13,4) at f = 5 and on
+// K_{6,6}+0↔1 at f = 4, ranges over count vectors that start at every index
+// of a window around the lowest violation, and end just past the start, a
+// little later or at the extent, return what the per-index table returns.
+func TestScanPastViolatingRepresentative(t *testing.T) {
+	must := mustGraph(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		f    int
+	}{
+		{"core(13,4)", must(topology.CoreNetwork(13, 4)), 5},
+		{"K6,6 + 0↔1", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}})), 4},
+	} {
+		threshold := SyncThreshold(tc.f)
+		vec := vectorScanner(t, tc.g, tc.f, threshold)
+		ref := tableScanner(tc.g, tc.f, threshold)
+		full, err := ref.ScanRange(ctx, 0, ref.total)
+		if err != nil || full.Violation < 0 {
+			t.Fatalf("%s: full range %+v, %v; want a violation", tc.name, full, err)
+		}
+		inside := 0 // ranges whose violation is not a representative
+		for lo := max(0, full.Violation-32); lo < min(ref.total, full.Violation+256); lo++ {
+			for _, hi := range []int64{lo + 1, min(lo+40, ref.total), ref.total} {
+				got, err := vec.ScanRange(ctx, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.ScanRange(ctx, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s [%d,%d): count vectors give %+v, the table %+v", tc.name, lo, hi, got, want)
+				}
+				if got.Violation > full.Violation {
+					inside++
+				}
+			}
+		}
+		if inside == 0 {
+			t.Fatalf("%s: no range met a violation past the representative", tc.name)
+		}
 	}
 }
 

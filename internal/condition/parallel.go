@@ -57,9 +57,9 @@ type ScanOptions struct {
 // through it — with a Store, the scan is checkpointed for crash-safe resume
 // and the settled verdict cached.
 //
-// Cancellation is checked between fault sets — never inside the candidate
-// enumeration — so CheckScan returns within one fault set's scan time of
-// ctx being canceled. On cancellation (or any error) the returned Result
+// Cancellation is checked between ground scans (between fault sets where
+// the graph has no symmetry), never inside the candidate enumeration, so
+// CheckScan returns within one ground's scan time of ctx being canceled. On cancellation (or any error) the returned Result
 // carries the work counters accumulated so far, but Satisfied and Witness
 // are meaningless; the error wraps ctx.Err() together with how far the scan
 // got. An interrupted scan flushes a final checkpoint before returning, so

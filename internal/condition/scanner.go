@@ -1,11 +1,13 @@
 package condition
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,8 +23,8 @@ import (
 //   - the index space: fault set i is the i-th subset of size ≤ f in
 //     canonical (size-ascending, then combination-lexicographic) order,
 //     unranked on demand (faultSet) for the grounds actually scanned;
-//   - the orbit table: which fault sets are images of one another under the
-//     automorphisms graph.AutomorphismGenerators found;
+//   - the orbits: which fault sets are images of one another under the
+//     automorphisms graph.AutomorphismGenerators found (buildOrbits);
 //   - one result per orbit, computed on the ground of the orbit's
 //     lowest-indexed member (its representative) the first time any member
 //     is asked for.
@@ -32,15 +34,28 @@ import (
 // representative's too (docs/THEORY.md, "Symmetry"). Both are pure in
 // (g, f, threshold) and independent of who asks in which order, which is
 // what keeps resumed, parallel and distributed scans identical to the
-// sequential one.
-//
-// The orbit table and the scan identity are read-only once built and shared
-// with every Fork; the memo and the scratch are each scanner's own. A
-// ShardScanner is therefore not safe for concurrent use, but its forks are
-// safe to use concurrently with it and with one another: give each goroutine
-// its own fork of one scanner, and the table is built once.
+// sequential one. A ShardScanner is not safe for concurrent use: give each
+// goroutine its own.
 type ShardScanner struct {
-	*orbitTable
+	g         *graph.Graph
+	f         int
+	threshold int
+	total     int64 // NumFaultSets(n, f)
+
+	// rep[o] is orbit o's lowest index, ascending in o; nil under the
+	// identity group, where every index is its own orbit and representative.
+	rep []int64
+	// orbit[i] names index i's orbit, when the orbits are a table.
+	orbit []int32
+	// On count vectors, blocks partitions the nodes into twin classes and
+	// single nodes, v lying in blocks[blockOf[v]]; vector j's lowest member
+	// is low[j], ascending in index, and its orbit vorbit[j].
+	blocks  []uint64
+	blockOf [64]int8
+	low     []uint64
+	vorbit  []int32
+	// count is ScanRange's scratch: one member count per orbit.
+	count []int64
 
 	scratch *insulationScratch
 
@@ -52,21 +67,6 @@ type ShardScanner struct {
 	// result at i − windowStart.
 	memo        []groundResult
 	windowStart int64
-}
-
-// orbitTable is the read-only part of a scan: its identity (g, f, threshold),
-// the extent and the orbit table over it.
-type orbitTable struct {
-	g         *graph.Graph
-	f         int
-	threshold int
-	total     int64 // NumFaultSets(n, f)
-
-	// orbit[i] names index i's orbit and rep[o] is orbit o's lowest index.
-	// Both are nil under the identity group, where every index is its own
-	// orbit and representative.
-	orbit []int32
-	rep   []int32
 }
 
 // windowPerWorker sizes a parallel check's window: orbits per worker, enough
@@ -100,7 +100,7 @@ func ValidateScan(n, f, threshold int) error {
 	return nil
 }
 
-// NewShardScanner builds the orbit table for (g, f, threshold).
+// NewShardScanner builds the orbits of (g, f, threshold).
 func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
 	if err := ValidateScan(g.N(), f, threshold); err != nil {
 		return nil, err
@@ -112,26 +112,14 @@ func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
 // search's step budget exposed so tests can starve it.
 func newShardScanner(g *graph.Graph, f, threshold, budget int) *ShardScanner {
 	n := g.N()
-	t := &orbitTable{g: g, f: f, threshold: threshold, total: NumFaultSets(n, f)}
-	// The table ranks one-word masks through binomTable and stores int32
-	// indices, so it needs n ≤ 62 and the extent small; f = 0 has one fault
-	// set and nothing to share.
-	if f > 0 && n <= 62 && t.total <= math.MaxInt32 {
-		t.buildOrbits(g.AutomorphismGenerators(budget))
+	s := &ShardScanner{g: g, f: f, threshold: threshold, total: NumFaultSets(n, f), scratch: newInsulationScratch(g)}
+	// Orbits rank one-word masks through binomTable, so they need n ≤ 62;
+	// f = 0 has one fault set and nothing to share.
+	if f > 0 && n <= 62 {
+		s.buildOrbits(g.AutomorphismGenerators(budget))
 	}
-	return t.scanner()
-}
-
-// Fork returns a scanner over s's scan identity and orbit table, with a memo
-// and scratch of its own: the table is shared, not rebuilt, and the fork's
-// results are the ones a fresh NewShardScanner would give.
-func (s *ShardScanner) Fork() *ShardScanner { return s.orbitTable.scanner() }
-
-// scanner returns a new scanner over t with an empty memo.
-func (t *orbitTable) scanner() *ShardScanner {
-	s := &ShardScanner{orbitTable: t, scratch: newInsulationScratch(t.g)}
-	if t.orbit != nil {
-		s.memo = make([]groundResult, len(t.rep))
+	if s.rep != nil {
+		s.memo, s.count = make([]groundResult, len(s.rep)), make([]int64, len(s.rep))
 	}
 	return s
 }
@@ -173,36 +161,56 @@ func nextFaultSet(n int, mask uint64) uint64 {
 	return rest&^(1<<uint(p)) | (1<<uint(top+1)-1)<<uint(p+1)
 }
 
-// twinClasses returns the classes of interchangeable nodes the generators
-// certify, as masks of two or more nodes, and the generators that are not
+// faultSetMask returns fault set i < extent over n ≤ 64 nodes as a mask.
+func faultSetMask(n int, i int64) (mask uint64) {
+	faultSet(n, i, func(v int) { mask |= 1 << uint(v) })
+	return mask
+}
+
+// rank is faultSetMask's inverse over n ≤ 62 nodes: the index of fault set
+// mask, counted back from the end of its size, C(n−1−v, k−i) for its i-th
+// member v from 0.
+func rank(n int, mask uint64) int64 {
+	k := bits.OnesCount64(mask)
+	r := NumFaultSets(n, k) - 1
+	for i := 0; mask != 0; mask, i = mask&(mask-1), i+1 {
+		r -= binomTable[n-1-bits.TrailingZeros64(mask)][k-i]
+	}
+	return r
+}
+
+// lowest returns the c ≤ |mask| lowest members of mask.
+func lowest(mask uint64, c int) (low uint64) {
+	for ; c > 0; c-- {
+		low |= mask & -mask
+		mask &= mask - 1
+	}
+	return low
+}
+
+// twinClasses partitions the nodes into blocks of interchangeable nodes the
+// generators certify, as masks, and returns the generators that are not
 // transpositions. It joins the two points of every transposition and then
-// closes the classes under the other generators: when v and w share a class,
-// so do h(v) and h(w), since h (v w) h⁻¹ = (h(v) h(w)). Every pair in a class
-// is then a transposition of ⟨gens⟩, so each class's whole symmetric group
-// is, and every generator permutes the classes (docs/THEORY.md, "Twin
-// classes"). Without a transposition among gens it returns no classes and
-// gens itself, and allocates nothing.
-func twinClasses(n int, gens [][]int) (classes []uint64, rest [][]int) {
-	var parent [64]int8
-	for v := range parent {
-		parent[v] = int8(v)
+// closes the blocks under the other generators: when v and w share a block,
+// so do h(v) and h(w), since h (v w) h⁻¹ = (h(v) h(w)). Every pair in a
+// block is then a transposition of ⟨gens⟩, so each block's whole symmetric
+// group is, and every generator permutes the blocks (docs/THEORY.md, "Twin
+// classes"). Without a transposition among gens it returns no blocks and
+// gens itself.
+func twinClasses(n int, gens [][]int) (blocks []uint64, rest [][]int) {
+	var block [64]int8 // block[v] names v's block by one of its nodes
+	for v := range block {
+		block[v] = int8(v)
 	}
-	find := func(v int) int {
-		for int(parent[v]) != v {
-			parent[v] = parent[parent[v]]
-			v = int(parent[v])
+	join := func(v, w int) (joined bool) {
+		for u, from, to := 0, block[w], block[v]; u < n && from != to; u++ {
+			if block[u] == from {
+				block[u], joined = to, true
+			}
 		}
-		return v
+		return joined
 	}
-	union := func(v, w int) bool {
-		if rv, rw := find(v), find(w); rv != rw {
-			parent[rv] = int8(rw)
-			return true
-		}
-		return false
-	}
-	twins := false
-	for p, perm := range gens {
+	for _, perm := range gens {
 		a, b, moved := -1, -1, 0
 		for v, w := range perm {
 			if v != w {
@@ -210,141 +218,213 @@ func twinClasses(n int, gens [][]int) (classes []uint64, rest [][]int) {
 			}
 		}
 		if moved == 2 {
-			if !twins {
-				twins, rest = true, append([][]int(nil), gens[:p]...)
-			}
-			union(a, b)
-		} else if twins {
+			join(a, b)
+		} else {
 			rest = append(rest, perm)
 		}
 	}
-	if !twins {
+	if len(rest) == len(gens) {
 		return nil, gens
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, h := range rest {
 			for v := 0; v < n; v++ {
-				if union(h[v], h[find(v)]) {
-					changed = true
-				}
+				changed = join(h[v], h[block[v]]) || changed
 			}
 		}
 	}
 	var members [64]uint64
 	for v := 0; v < n; v++ {
-		members[find(v)] |= 1 << uint(v)
+		members[block[v]] |= 1 << uint(v)
 	}
 	for _, m := range members[:n] {
-		if bits.OnesCount64(m) > 1 {
-			classes = append(classes, m)
+		if m != 0 {
+			blocks = append(blocks, m)
 		}
 	}
-	return classes, rest
+	return blocks, rest
 }
 
-// buildOrbits closes the fault-set index space under the generators: orbits
-// are numbered in order of their lowest index, which becomes rep. It leaves
-// the table nil when there is nothing to merge. Only called with n ≤ 62, so
-// each fault set is one mask word and every binomial is in the table.
-//
-// Fault sets that differ only inside a twin class (twinClasses) are one orbit
-// under the classes' symmetric groups, and canon maps each to that orbit's
-// lowest index: the |F ∩ C| lowest nodes of every class C. One pass in
-// canonical order labels a non-canonical index with its canonical form's
-// orbit, already labelled because that index is lower, and opens a new orbit
-// at each unlabelled canonical one. The closure from it then runs over
-// canonical forms under the generators that are not transpositions, which
-// permute the classes; a transposition only moves a fault set within its
-// class orbit.
-func (t *orbitTable) buildOrbits(gens [][]int) {
+// buildOrbits closes the index space under the generators, orbits numbered
+// by their lowest index, rep: as count vectors where the generators certify
+// twin classes and there are at most √extent vectors (buildVectors), else as
+// a table while the extent fits int32; past that, the identity group runs.
+func (s *ShardScanner) buildOrbits(gens [][]int) {
 	if len(gens) == 0 {
 		return
 	}
-	n := t.g.N()
-	first := make([]int64, t.f+2) // first[k] = index of the first size-k fault set
-	for k := 0; k <= t.f; k++ {
-		first[k+1] = first[k] + binom(n, k)
+	if blocks, rest := twinClasses(s.g.N(), gens); blocks != nil && s.buildVectors(blocks, rest) {
+		return
 	}
-	rank := func(mask uint64) int64 {
-		k := bits.OnesCount64(mask)
-		r := first[k+1] - 1
-		for i := 0; mask != 0; mask, i = mask&(mask-1), i+1 {
-			r -= binomTable[n-1-bits.TrailingZeros64(mask)][k-i]
+	if s.total <= math.MaxInt32 {
+		s.buildTable(gens)
+	}
+}
+
+// buildTable labels every index with its orbit.
+func (s *ShardScanner) buildTable(gens [][]int) {
+	s.orbit = make([]int32, s.total)
+	seed := uint64(0)
+	s.closure(s.orbit, gens, func(int) uint64 {
+		m := seed
+		seed = nextFaultSet(s.g.N(), seed)
+		return m
+	}, func(m uint64) int { return int(rank(s.g.N(), m)) })
+}
+
+// buildVectors makes the orbits of a group whose twin classes partition the
+// nodes into blocks and whose other generators are gens count vectors: the
+// fault sets with |F ∩ B| = c_B for every block B are one orbit of the
+// blocks' symmetric groups, whose lowest member takes the c_B lowest nodes
+// of each B (docs/THEORY.md, "Twin classes"). It reports false, having built
+// nothing, when the vectors outnumber √extent, where a table is as cheap.
+func (s *ShardScanner) buildVectors(blocks []uint64, gens [][]int) bool {
+	var low []uint64
+	var walk func(b int, mask uint64, left int) bool
+	walk = func(b int, mask uint64, left int) bool {
+		if b == len(blocks) {
+			low = append(low, mask)
+			return int64(len(low)) <= s.total/int64(len(low))
 		}
-		return r
-	}
-	classes, gens := twinClasses(n, gens)
-	// low[c][k] holds the k lowest members of classes[c].
-	low := make([][]uint64, len(classes))
-	for c, m := range classes {
-		low[c] = make([]uint64, 1, bits.OnesCount64(m)+1)
-		for l := uint64(0); m != 0; m &= m - 1 {
-			l |= m & -m
-			low[c] = append(low[c], l)
-		}
-	}
-	canon := func(mask uint64) uint64 {
-		for c, m := range classes {
-			if in := mask & m; in != 0 {
-				mask = mask&^m | low[c][bits.OnesCount64(in)]
+		for c := 0; c <= min(left, bits.OnesCount64(blocks[b])); c++ {
+			if !walk(b+1, mask|lowest(blocks[b], c), left-c) {
+				return false
 			}
 		}
-		return mask
+		return true
 	}
-	// moved[p] is the support of generator p. Nodes outside it keep their
-	// bit, and the deep-level generators move only a few nodes each.
-	moved := make([]uint64, len(gens))
-	for p, perm := range gens {
-		for v, w := range perm {
-			if v != w {
-				moved[p] |= 1 << uint(v)
-			}
+	if !walk(0, 0, s.f) {
+		return false
+	}
+	byIndex := func(a, b uint64) int { return cmp.Compare(rank(s.g.N(), a), rank(s.g.N(), b)) }
+	slices.SortFunc(low, byIndex)
+	s.blocks, s.low, s.vorbit = blocks, low, make([]int32, len(low))
+	for b, m := range blocks {
+		for ; m != 0; m &= m - 1 {
+			s.blockOf[bits.TrailingZeros64(m)] = int8(b)
 		}
 	}
-	orbit := make([]int32, t.total)
-	for i := range orbit {
-		orbit[i] = -1
+	s.closure(s.vorbit, gens, func(j int) uint64 { return low[j] }, func(m uint64) int {
+		j, _ := slices.BinarySearchFunc(low, m, byIndex)
+		return j
+	})
+	return true
+}
+
+// closure labels the items, fault sets seed(i) ascending in index, with
+// their orbits under gens at label[at(item)]: an item unlabelled in its turn
+// opens an orbit with its index as rep, and every image of it — on count
+// vectors, the lowest member of the image's vector — gets that label.
+func (s *ShardScanner) closure(label []int32, gens [][]int, seed func(int) uint64, at func(uint64) int) {
+	for i := range label {
+		label[i] = -1
 	}
-	var rep []int32
 	var stack []uint64
-	// Neighbours in the order mostly differ inside one class, so they share
-	// a canonical form: keep the last one's orbit instead of ranking it again.
-	lastCanon, lastOrbit := uint64(0), int32(0)
-	for i, seed := 0, uint64(0); i < len(orbit); i, seed = i+1, nextFaultSet(n, seed) {
-		if orbit[i] >= 0 {
+	for i := range label {
+		m := seed(i)
+		if label[at(m)] >= 0 {
 			continue
 		}
-		if c := canon(seed); c != seed {
-			if c != lastCanon {
-				lastCanon, lastOrbit = c, orbit[rank(c)]
-			}
-			orbit[i] = lastOrbit
-			continue
-		}
-		o := int32(len(rep))
-		rep = append(rep, int32(i))
-		orbit[i] = o
-		stack = append(stack[:0], seed)
-		for len(stack) > 0 {
-			mask := stack[len(stack)-1]
+		o := int32(len(s.rep))
+		s.rep = append(s.rep, rank(s.g.N(), m))
+		for stack, label[at(m)] = append(stack[:0], m), o; len(stack) > 0; {
+			m := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for p, perm := range gens {
-				img := mask &^ moved[p]
-				for m := mask & moved[p]; m != 0; m &= m - 1 {
-					img |= 1 << uint(perm[bits.TrailingZeros64(m)])
+			for _, perm := range gens {
+				var img uint64
+				for r := m; r != 0; r &= r - 1 {
+					img |= 1 << uint(perm[bits.TrailingZeros64(r)])
 				}
-				if img = canon(img); img == mask {
-					continue
+				for _, blk := range s.blocks {
+					img = img&^blk | lowest(blk, bits.OnesCount64(img&blk))
 				}
-				if j := rank(img); orbit[j] < 0 {
-					orbit[j] = o
+				if j := at(img); label[j] < 0 {
+					label[j] = o
 					stack = append(stack, img)
 				}
 			}
 		}
 	}
-	t.orbit, t.rep = orbit, rep
+}
+
+// below returns how many fault sets of vector j lie below fault set R, of
+// size k, in the canonical order: all of them when j's size is below k, none
+// above it. Within R's size a set S lies below R where it leaves R's
+// ascending members at a node u ∉ R below R's next one, so it counts, for
+// each such u, the sets that share R's members below u, take u, and fill
+// the rest of every block B's count from B's nodes above u: a product of
+// binomials over the blocks.
+func (s *ShardScanner) below(j int, R uint64, k int) (count int64) {
+	var need [64]int8
+	size := int64(1)
+	for b, blk := range s.blocks {
+		need[b] = int8(bits.OnesCount64(s.low[j] & blk))
+		size *= binom(bits.OnesCount64(blk), int(need[b]))
+	}
+	switch km := bits.OnesCount64(s.low[j]); {
+	case km < k:
+		return size
+	case km > k:
+		return 0
+	}
+	for u := 0; R>>uint(u) != 0; u++ {
+		b := s.blockOf[u]
+		if R&(1<<uint(u)) != 0 {
+			if need[b]--; need[b] < 0 {
+				break // no set of vector j shares R's members through u
+			}
+			continue
+		}
+		if need[b] == 0 {
+			continue
+		}
+		need[b]--
+		p := int64(1)
+		for c, blk := range s.blocks {
+			p *= binom(bits.OnesCount64(blk>>uint(u+1)), int(need[c]))
+		}
+		need[b]++
+		count += p
+	}
+	return count
+}
+
+// members sets c[o] to the number of orbit o's members in [lo, hi): from
+// the table, or by below on count vectors.
+func (s *ShardScanner) members(c []int64, lo, hi int64) {
+	clear(c)
+	if s.orbit != nil {
+		for _, o := range s.orbit[lo:hi] {
+			c[o]++
+		}
+		return
+	}
+	for _, end := range [2]struct{ r, sign int64 }{{hi, 1}, {lo, -1}} {
+		R, k := uint64(0), s.f+1 // the extent
+		if end.r < s.total {
+			R = faultSetMask(s.g.N(), end.r)
+			k = bits.OnesCount64(R)
+		}
+		for j, o := range s.vorbit {
+			c[o] += end.sign * s.below(j, R, k)
+		}
+	}
+}
+
+// firstMember returns orbit o's lowest index in [lo, hi), where it has one,
+// by bisection on the number of o's members in a range.
+func (s *ShardScanner) firstMember(o int, lo, hi int64) int64 {
+	c := make([]int64, len(s.rep))
+	for lo+1 < hi { // o's first member at or above the lo asked for is in [lo, hi)
+		mid := lo + (hi-lo)/2
+		if s.members(c, lo, mid); c[o] > 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo
 }
 
 // NumFaultSets returns the enumeration's extent.
@@ -353,32 +433,23 @@ func (s *ShardScanner) NumFaultSets() int64 { return s.total }
 // nextOrbit returns the first orbit whose representative lies at or above
 // index i: i itself under the identity group, where every index is its own
 // orbit.
-func (t *orbitTable) nextOrbit(i int64) int64 {
-	if t.rep == nil {
+func (s *ShardScanner) nextOrbit(i int64) int64 {
+	if s.rep == nil {
 		return i
 	}
-	return int64(sort.Search(len(t.rep), func(o int) bool { return int64(t.rep[o]) >= i }))
+	return int64(sort.Search(len(s.rep), func(o int) bool { return s.rep[o] >= i }))
 }
 
 // repOf returns orbit o's representative; past the last orbit, an index at
 // or past the extent.
-func (t *orbitTable) repOf(o int64) int64 {
+func (s *ShardScanner) repOf(o int64) int64 {
 	switch {
-	case t.rep == nil:
+	case s.rep == nil:
 		return o
-	case o < int64(len(t.rep)):
-		return int64(t.rep[o])
+	case o < int64(len(s.rep)):
+		return s.rep[o]
 	}
-	return t.total
-}
-
-// slot returns index i's memo slot and its orbit's representative.
-func (s *ShardScanner) slot(i int64) (slot int, rep int64) {
-	if s.orbit == nil {
-		return int(i - s.windowStart), i
-	}
-	o := s.orbit[i]
-	return int(o), int64(s.rep[o])
+	return s.total
 }
 
 // scanGround runs the candidate enumeration on fault set i's own ground.
@@ -395,78 +466,103 @@ func (s *ShardScanner) scanGround(scratch *insulationScratch, i int64) groundRes
 	return res
 }
 
-// decide returns fault set i's verdict and counter delta: its orbit's
-// result, taken from the memo or computed here on the representative's
-// ground. A violating index that is not its own representative is scanned on
-// its own ground instead, so the witness names its own F; a scan from index
-// 0 never meets one, because the lowest violating index is the lowest of its
-// orbit.
-func (s *ShardScanner) decide(i int64) groundResult {
-	slot, rep := s.slot(i)
-	var res groundResult
-	if s.memo != nil {
-		res = s.memo[slot]
-	}
-	if !res.done {
-		// No window worker scanned it: the scan is sequential or a
-		// ScanRange, or rep lies in a resumed prefix below the window.
-		res = s.scanGround(s.scratch, rep)
-		if s.orbit != nil {
-			s.memo[slot] = res
-		}
-	}
-	if res.witness != nil && rep != i {
-		return s.scanGround(s.scratch, i)
-	}
-	return res
-}
-
-// memoHit returns fault set i's result when the memo already holds its
-// orbit's passing result, and nil otherwise: decide then settles i. It is
-// ScanRange's one step per index on a range whose orbits are decided, so it
-// is small enough to inline and copies nothing.
-func (s *ShardScanner) memoHit(i int64) *groundResult {
-	if s.orbit == nil {
-		return nil
-	}
-	if r := &s.memo[s.orbit[i]]; r.done && r.witness == nil {
-		return r
-	}
-	return nil
-}
-
 // ScanRange decides fault sets [lo, hi) in canonical order — the checker's
-// one per-fault-set loop, which CheckScan runs span by span and a
-// distributed worker runs once per report — and stops at the first
-// violating index, as the sequential scan does. Results of orbit
-// representatives, below lo included, are computed once per scanner and kept
-// across calls. Cancellation is checked between fault sets, never inside the
-// candidate enumeration, by a non-blocking receive on ctx.Done(), which costs
-// no lock while ctx is live; a canceled scan returns its error together with
-// the satisfied prefix [lo, lo+Completed) it got through.
+// one range loop, which CheckScan runs span by span and a distributed worker
+// runs once per report — and stops at the first violating index, as the
+// sequential scan does; where there are orbits, by counting (scanOrbits).
+// Cancellation is checked by a non-blocking receive on ctx.Done(), never
+// inside the candidate enumeration: between fault sets under the identity
+// group, else at the start and between ground scans. A canceled scan returns
+// its error together with the satisfied prefix [lo, lo+Completed) it got
+// through.
 func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult, error) {
 	res := RangeResult{Violation: -1}
 	if lo < 0 || hi < lo || hi > s.total {
 		return res, fmt.Errorf("condition: scan range [%d, %d) outside [0, %d)", lo, hi, s.total)
 	}
+	if s.rep != nil {
+		return s.scanOrbits(ctx, lo, hi)
+	}
 	done := ctx.Done()
 	for i := lo; i < hi; i++ {
 		select {
 		case <-done:
-			return res, fmt.Errorf("condition: shard scan canceled at fault set %d: %w", i, context.Cause(ctx))
+			return res, canceledAt(ctx, i)
 		default:
 		}
-		r := s.memoHit(i)
-		if r == nil {
-			d := s.decide(i)
-			if d.witness != nil {
-				res.Violation, res.Witness, res.Partial = i, d.witness, d.cc
-				return res, nil
-			}
-			r = &d
+		var d groundResult
+		if s.memo != nil {
+			d = s.memo[i-s.windowStart] // a parallel check's window
+		}
+		if !d.done {
+			d = s.scanGround(s.scratch, i)
+		}
+		if d.witness != nil {
+			res.Violation, res.Witness, res.Partial = i, d.witness, d.cc
+			return res, nil
 		}
 		res.Completed++
-		res.Satisfied.Add(r.cc)
+		res.Satisfied.Add(d.cc)
+	}
+	return res, nil
+}
+
+// canceledAt is ScanRange's error for a scan canceled at fault set i.
+func canceledAt(ctx context.Context, i int64) error {
+	return fmt.Errorf("condition: shard scan canceled at fault set %d: %w", i, context.Cause(ctx))
+}
+
+// scanOrbits is ScanRange over orbits. It counts each orbit's members in
+// [lo, hi) and settles the orbits that have some in ascending order of
+// representative, scanning the ground of each one not yet decided, once per
+// scanner. The satisfied prefix [lo, x) ends at the lowest member at or
+// above lo of a violating orbit, scanned on its own ground unless it is the
+// representative, so the witness names its own F; its counters are
+// Σ_o delta_o × (o's members in [lo, x)). A cancellation leaves it empty.
+func (s *ShardScanner) scanOrbits(ctx context.Context, lo, hi int64) (RangeResult, error) {
+	res := RangeResult{Violation: -1}
+	done := ctx.Done()
+	select {
+	case <-done:
+		return res, canceledAt(ctx, lo)
+	default:
+	}
+	s.members(s.count, lo, hi)
+	x, viol := hi, -1
+	for o, rep := range s.rep {
+		r := &s.memo[o]
+		if rep >= x || s.count[o] == 0 || r.done && r.witness == nil {
+			continue
+		}
+		if !r.done {
+			select {
+			case <-done:
+				return res, canceledAt(ctx, max(lo, rep))
+			default:
+			}
+			*r = s.scanGround(s.scratch, rep)
+		}
+		if r.witness == nil {
+			continue
+		}
+		if first := s.firstMember(o, lo, hi); first < x {
+			x, viol = first, o
+		}
+	}
+	if x < hi {
+		s.members(s.count, lo, x)
+	}
+	res.Completed = x - lo
+	for o, c := range s.count {
+		cc := s.memo[o].cc
+		res.Satisfied.Add(WorkCounters{Candidates: c * cc.Candidates, Pruned: c * cc.Pruned, MemoHits: c * cc.MemoHits})
+	}
+	if viol >= 0 {
+		d := s.memo[viol]
+		if x != s.rep[viol] {
+			d = s.scanGround(s.scratch, x)
+		}
+		res.Violation, res.Witness, res.Partial = x, d.witness, d.cc
 	}
 	return res, nil
 }
@@ -477,7 +573,7 @@ func (s *ShardScanner) ScanRange(ctx context.Context, lo, hi int64) (RangeResult
 // past its last orbit's representative (the extent past the last orbit), as
 // check's spans do, so every index in [lo, hi) belongs to a window orbit or
 // to one below lo: an earlier window's, or one whose representative lies in
-// a resumed prefix, which decide scans itself. Workers claim orbits in
+// a resumed prefix, which ScanRange scans itself. Workers claim orbits in
 // ascending order; they stop when ctx is done, and at a representative above
 // the lowest violation found so far, since the spans stop at or before that
 // one.
@@ -485,7 +581,7 @@ func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (h
 	first := s.nextOrbit(lo)
 	end := first + int64(windowPerWorker*workers) // orbits [first, end)
 	hi = min(s.repOf(end-1)+1, s.total)
-	if s.orbit == nil {
+	if s.rep == nil {
 		if s.memo == nil {
 			s.memo = make([]groundResult, end-first)
 		}
@@ -507,7 +603,8 @@ func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (h
 			// hot slices are not allocated back to back on one cache line.
 			scratch := newInsulationScratch(s.g)
 			for ctx.Err() == nil {
-				i := s.repOf(next.Add(1) - 1)
+				o := next.Add(1) - 1
+				i := s.repOf(o)
 				if i >= hi || i > minViol.Load() {
 					return
 				}
@@ -516,8 +613,7 @@ func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (h
 					for b := minViol.Load(); i < b && !minViol.CompareAndSwap(b, i); b = minViol.Load() {
 					}
 				}
-				slot, _ := s.slot(i)
-				s.memo[slot] = res
+				s.memo[o-s.windowStart] = res
 			}
 		}()
 	}
@@ -559,7 +655,7 @@ func (s *ShardScanner) check(ctx context.Context, workers int, onProgress Progre
 			}
 		}
 	}
-	if s.orbit == nil {
+	if s.rep == nil {
 		s.memo = nil
 	}
 	if err == nil {

@@ -357,8 +357,8 @@ func TestShardScannerStoresNoFaultSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumFaultSets() != 1807781 || s.orbit != nil {
-		t.Fatalf("extent %d, orbit table %v: want 1807781 fault sets and the identity group", s.NumFaultSets(), s.orbit != nil)
+	if s.NumFaultSets() != 1807781 || s.rep != nil {
+		t.Fatalf("extent %d, orbits %v: want 1807781 fault sets and the identity group", s.NumFaultSets(), s.rep != nil)
 	}
 	if b := after.TotalAlloc - before.TotalAlloc; b >= 64<<10 {
 		t.Fatalf("NewShardScanner allocated %d bytes, want < 64 KB", b)
@@ -577,14 +577,16 @@ func mirroredDigraph(m int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 	return b.Build()
 }
 
-// TestForksShareOneTable is the differential gate of the shared orbit
-// table: 2–4 goroutines scan random chunkings of the whole index space at
-// once, one on a scanner and the others on forks of it, and every
-// RangeResult must equal the one a fresh NewShardScanner gives for the same
-// range — on a satisfied core network, K_{6,6} plus edges (violating with
-// transpositions only; satisfied with a generator that swaps the sides too)
+// TestScanRangeChunkingsMatchReference is the differential gate of
+// ScanRange's counting: 1–4 goroutines, each with a scanner of its own, scan
+// random chunkings of the whole index space at once — single fault sets,
+// longer ranges, and ranges straddling the lowest violation — and every
+// RangeResult must equal the one a scanner on the per-index table gives for
+// the same range. The cases are a satisfied core network and a
+// violating one, K_{6,6} plus edges (violating with transpositions only;
+// satisfied with a generator that swaps the sides too) on count vectors,
 // and a random digraph whose group is trivial.
-func TestForksShareOneTable(t *testing.T) {
+func TestScanRangeChunkingsMatchReference(t *testing.T) {
 	must := mustGraph(t)
 	rng := rand.New(rand.NewSource(5))
 	var asym *graph.Graph
@@ -593,14 +595,16 @@ func TestForksShareOneTable(t *testing.T) {
 	}
 	verdicts := map[bool]bool{}
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		f    int
+		name    string
+		g       *graph.Graph
+		f       int
+		vectors bool
 	}{
-		{"core(13,4)", must(topology.CoreNetwork(13, 4)), 4},
-		{"K6,6 + 0↔1", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}})), 4},
-		{"K6,6 + 0↔1, 6↔7", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}, {6, 7}, {7, 6}})), 2},
-		{"random(11)", asym, 3},
+		{"core(13,4)", must(topology.CoreNetwork(13, 4)), 4, true},
+		{"core(13,4) f=5", must(topology.CoreNetwork(13, 4)), 5, true},
+		{"K6,6 + 0↔1", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}})), 4, true},
+		{"K6,6 + 0↔1, 6↔7", must(topology.AddEdges(must(topology.CompleteBipartite(6, 6)), [][2]int{{0, 1}, {1, 0}, {6, 7}, {7, 6}})), 2, true},
+		{"random(11)", asym, 3, false},
 	} {
 		threshold := SyncThreshold(tc.f)
 		want, err := CheckScan(context.Background(), tc.g, tc.f, threshold, ScanOptions{Workers: 1})
@@ -608,21 +612,19 @@ func TestForksShareOneTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		verdicts[want.Satisfied] = true
-		for workers := 2; workers <= 4; workers++ {
-			base, err := NewShardScanner(tc.g, tc.f, threshold)
-			if err != nil {
-				t.Fatal(err)
-			}
+		viol := want.FaultSetsExamined - 1 // the lowest violation, when there is one
+		if want.Satisfied {
+			viol = -1
+		}
+		for workers := 1; workers <= 4; workers++ {
 			errs := make(chan error, workers)
 			for w := 0; w < workers; w++ {
-				s := base
-				if w > 0 {
-					if s = base.Fork(); s.orbitTable != base.orbitTable {
-						t.Fatalf("%s: a fork built its own table", tc.name)
-					}
+				s := newShardScanner(tc.g, tc.f, threshold, graph.AutSearchBudget)
+				if tc.vectors {
+					s = vectorScanner(t, tc.g, tc.f, threshold)
 				}
 				seed := rng.Int63()
-				go func() { errs <- scanChunkings(s, seed) }()
+				go func() { errs <- scanChunkings(s, viol, seed) }()
 			}
 			for w := 0; w < workers; w++ {
 				if err := <-errs; err != nil {
@@ -637,30 +639,40 @@ func TestForksShareOneTable(t *testing.T) {
 }
 
 // scanChunkings scans s's whole index space in random chunks, three times
-// over, and compares each range with a fresh scanner's.
-func scanChunkings(s *ShardScanner, seed int64) error {
+// over, then ranges that straddle index viol (when ≥ 0), and compares each
+// range with the one a scanner on the per-index table gives, a fresh one for
+// each of the four passes.
+func scanChunkings(s *ShardScanner, viol, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
 	total := s.NumFaultSets()
-	for pass := 0; pass < 3; pass++ {
-		for lo := int64(0); lo < total; {
-			hi := min(total, lo+1+rng.Int63n(total/4+1))
-			got, err := s.ScanRange(ctx, lo, hi)
+	passes := make([][][2]int64, 4)
+	for pass := range passes[:3] {
+		for lo, hi := int64(0), int64(0); lo < total; lo = hi {
+			if hi = lo + 1; rng.Intn(4) > 0 {
+				hi = min(total, lo+1+rng.Int63n(total/4+1))
+			}
+			passes[pass] = append(passes[pass], [2]int64{lo, hi})
+		}
+	}
+	for k := 0; viol >= 0 && k < 20; k++ {
+		lo := max(0, viol-rng.Int63n(50))
+		passes[3] = append(passes[3], [2]int64{lo, min(total, viol+1+rng.Int63n(50))})
+	}
+	for _, ranges := range passes {
+		ref := tableScanner(s.g, s.f, s.threshold)
+		for _, r := range ranges {
+			got, err := s.ScanRange(ctx, r[0], r[1])
 			if err != nil {
 				return err
 			}
-			fresh, err := NewShardScanner(s.g, s.f, s.threshold)
-			if err != nil {
-				return err
-			}
-			want, err := fresh.ScanRange(ctx, lo, hi)
+			want, err := ref.ScanRange(ctx, r[0], r[1])
 			if err != nil {
 				return err
 			}
 			if !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("range [%d,%d): got %+v, a fresh scanner %+v", lo, hi, got, want)
+				return fmt.Errorf("range [%d,%d): got %+v, the per-index table %+v", r[0], r[1], got, want)
 			}
-			lo = hi
 		}
 	}
 	return nil
@@ -668,24 +680,37 @@ func scanChunkings(s *ShardScanner, seed int64) error {
 
 // TestScanRangeMemoHitAllocatesNothing pins the cost of a memo hit: once
 // every orbit of a satisfied range is decided, scanning the range again
-// allocates nothing, under a live cancelable context too.
+// allocates nothing, under a live cancelable context too, on count vectors
+// (core(13,4)), whose counting scratch is the scanner's, and on a per-index
+// table (chord(16,2)).
 func TestScanRangeMemoHitAllocatesNothing(t *testing.T) {
-	g := shardCase(t, "core", 13, 4)
-	s, err := NewShardScanner(g, 4, SyncThreshold(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	total := s.NumFaultSets()
-	if rr, err := s.ScanRange(ctx, 0, total); err != nil || rr.Completed != total {
-		t.Fatalf("first pass: %+v, %v; want a clean pass over %d fault sets", rr, err, total)
-	}
-	if a := testing.AllocsPerRun(20, func() {
-		if _, err := s.ScanRange(ctx, 0, total); err != nil {
+	for _, tc := range []struct {
+		kind    string
+		n, f    int
+		vectors bool
+	}{{"core", 13, 4, true}, {"chord", 16, 2, false}} {
+		s, err := NewShardScanner(shardCase(t, tc.kind, tc.n, tc.f), tc.f, SyncThreshold(tc.f))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); a != 0 {
-		t.Fatalf("ScanRange over decided orbits: %v allocations per run, want 0", a)
+		if (s.low != nil) != tc.vectors || s.rep == nil {
+			t.Fatalf("%s(%d,%d): count vectors %v, want %v", tc.kind, tc.n, tc.f, s.low != nil, tc.vectors)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		total := s.NumFaultSets()
+		if rr, err := s.ScanRange(ctx, 0, total); err != nil || rr.Completed != total {
+			t.Fatalf("first pass: %+v, %v; want a clean pass over %d fault sets", rr, err, total)
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			if _, err := s.ScanRange(ctx, 0, total); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ScanRange(ctx, total/3, 2*total/3); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Fatalf("%s(%d,%d): ScanRange over decided orbits: %v allocations per run, want 0", tc.kind, tc.n, tc.f, a)
+		}
 	}
 }

@@ -15,7 +15,7 @@ package condition
 //   - Each fault set's work-counter contribution (candidates, pruned, memo
 //     hits) is a pure function of (graph, f, threshold) and its index: it is
 //     the contribution of one ground — its orbit representative's, fixed by
-//     the deterministic orbit table (scanner.go) — where the degree pruning
+//     the deterministic orbits (scanner.go) — where the degree pruning
 //     depends only on base in-degrees and the empty-complement memo is
 //     cleared per ground (insulationScratch.setGround), so no state leaks
 //     across fault sets. A resumed scan that restores the persisted prefix

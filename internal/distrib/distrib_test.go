@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"runtime"
@@ -725,41 +726,40 @@ func TestWorkerTreatsResetAsHangUp(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolResolvesSpecOnce pins the pool's shared spec cache: three
-// in-memory connections of one pool split a check between them, the spec is
-// fetched and its orbit table built once, and the Result is the oracle's.
-func TestWorkerPoolResolvesSpecOnce(t *testing.T) {
-	g := testGraph(t, "core", 13, 4)
-	threshold := condition.SyncThreshold(4)
-	want, err := condition.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(Options{ChunkSize: 16, ReportEvery: 16})
-	ctx, cancel := context.WithCancel(context.Background())
-	cache := newSpecCache()
-	pool := make(chan error, 1)
-	go func() { pool <- c.runPool(ctx, 3, cache) }()
-	defer func() {
-		cancel()
-		c.Close()
-		<-pool
-	}()
-	waitUntil(t, "three workers", func() bool { return c.Stats().WorkersSeen == 3 })
-	got, err := c.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pooled result %+v, oracle %+v", got, want)
-	}
-	if s := c.Stats(); s.JobsGranted < 3 {
-		t.Fatalf("granted %d jobs, want at least one per worker", s.JobsGranted)
-	}
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	if cache.fetches != 1 || len(cache.specs) != 1 {
-		t.Fatalf("the pool fetched the spec %d times and holds %d specs, want 1 and 1", cache.fetches, len(cache.specs))
+// TestPoolChunkingsMatchOracle runs checks through in-memory pools of 1–4
+// workers, each connection resolving its own spec and scanner, with leases
+// and reports from one fault set wide to many, on a satisfied and a
+// violating core network (count vectors) and a violating circulant (a
+// per-index table): every Result is the local oracle's.
+func TestPoolChunkingsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		kind    string
+		n, k, f int // topology kind(n, k), checked at f
+	}{{"core", 13, 4, 4}, {"core", 13, 4, 5}, {"chord", 12, 2, 2}} {
+		g := testGraph(t, tc.kind, tc.n, tc.k)
+		threshold := condition.SyncThreshold(tc.f)
+		want, err := condition.CheckScan(context.Background(), g, tc.f, threshold, condition.ScanOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			chunk := []int{1, 1 + rng.Intn(64)}[workers%2]
+			c := NewCoordinator(Options{ChunkSize: chunk, ReportEvery: 1 + rng.Intn(chunk)})
+			ctx, cancel := context.WithCancel(context.Background())
+			pool := make(chan error, 1)
+			go func() { pool <- c.RunPool(ctx, workers) }()
+			got, err := c.CheckScan(context.Background(), g, tc.f, threshold, condition.ScanOptions{})
+			cancel()
+			c.Close()
+			<-pool
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s(%d,%d) f=%d, %d workers, chunk %d: pooled result %+v, oracle %+v", tc.kind, tc.n, tc.k, tc.f, workers, chunk, got, want)
+			}
+		}
 	}
 }
 
@@ -788,7 +788,7 @@ func TestWorkerTreatsClosedPipeAsHangUp(t *testing.T) {
 	}
 	now := make(chan struct{})
 	close(now)
-	if err := work(context.Background(), serve(now), newSpecCache()); err != nil {
+	if err := work(context.Background(), serve(now)); err != nil {
 		t.Fatalf("worker reported the coordinator's hang-up as a failure: %v", err)
 	}
 
@@ -798,7 +798,7 @@ func TestWorkerTreatsClosedPipeAsHangUp(t *testing.T) {
 	defer close(never)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- work(ctx, serve(never), newSpecCache()) }()
+	go func() { done <- work(ctx, serve(never)) }()
 	cancel()
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("canceled worker returned %v, want %v", err, context.Canceled)
@@ -829,12 +829,11 @@ func TestDistributedCheckKilledPipeWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newSpecCache()
 	run := func(connect func(context.Context) (net.Conn, error)) {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			work(ctx, connect, cache)
+			work(ctx, connect)
 		}()
 	}
 	run(func(context.Context) (net.Conn, error) { return doomed, nil })
@@ -891,66 +890,6 @@ func TestPipePoolAndTCPWorkerShareAPhase(t *testing.T) {
 	}
 	if s := c.Stats(); s.WorkersSeen != 3 {
 		t.Fatalf("WorkersSeen = %d, want 3", s.WorkersSeen)
-	}
-}
-
-// TestSpecCacheFetchesOnce: while one connection of a pool fetches a spec,
-// two more ask for it; they wait for that fetch instead of making their own,
-// and run forks of the cached copy, so each of the three has a scanner of
-// its own over one orbit table. A failed fetch leaves nothing behind, and
-// the next connection fetches again.
-func TestSpecCacheFetchesOnce(t *testing.T) {
-	payload, err := buildScanSpec(testGraph(t, "core", 13, 4), 4, condition.SyncThreshold(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := newSpecCache()
-	ctx := context.Background()
-	if _, err := cache.get(ctx, 1, func() (*workerSpec, error) { return nil, net.ErrClosed }); err != net.ErrClosed {
-		t.Fatalf("failed fetch: err %v, want %v", err, net.ErrClosed)
-	}
-	release := make(chan struct{})
-	got := make([]*workerSpec, 3)
-	var wg sync.WaitGroup
-	ask := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws, err := cache.get(ctx, 1, func() (*workerSpec, error) {
-				<-release
-				return resolveSpec(payload)
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = ws
-		}()
-	}
-	ask(0)
-	waitUntil(t, "the first fetch", func() bool {
-		cache.mu.Lock()
-		defer cache.mu.Unlock()
-		return cache.fetches == 2
-	})
-	ask(1)
-	ask(2)
-	close(release)
-	wg.Wait()
-	if cache.fetches != 2 {
-		t.Fatalf("%d fetches, want the failed one and one more", cache.fetches)
-	}
-	if got[0] != cache.specs[1].ws {
-		t.Fatal("the connection that fetched the spec does not run the cached copy")
-	}
-	for i, ws := range got {
-		if ws == nil || ws.kind != "scan" {
-			t.Fatalf("connection %d got %+v", i, ws)
-		}
-		for j := range got[:i] {
-			if ws.scanner == got[j].scanner {
-				t.Fatalf("connections %d and %d share a scanner", j, i)
-			}
-		}
 	}
 }
 

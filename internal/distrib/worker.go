@@ -38,28 +38,22 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) error {
 		opts.DialPatience = 10 * time.Second
 	}
 	dial := func(ctx context.Context) (net.Conn, error) { return dialRetry(ctx, addr, opts.DialPatience) }
-	return work(ctx, dial, newSpecCache())
+	return work(ctx, dial)
 }
 
 // RunPool runs workers in-process workers, each processing jobs as Work
 // does over an in-memory connection to c, and returns once all of them have,
 // with their errors joined. No port is involved: a pool needs no Listen, and
-// composes with one (remote workers then share the pool's phases). The
-// workers share one spec cache, so a spec is fetched and resolved once per
-// pool — a scan's orbit table is built once — and each connection runs its
-// own fork of it.
+// composes with one (remote workers then share the pool's phases). Each
+// connection fetches and resolves the specs it runs itself.
 func (c *Coordinator) RunPool(ctx context.Context, workers int) error {
-	return c.runPool(ctx, workers, newSpecCache())
-}
-
-func (c *Coordinator) runPool(ctx context.Context, workers int, specs *specCache) error {
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = work(ctx, c.connect, specs)
+			errs[i] = work(ctx, c.connect)
 		}()
 	}
 	wg.Wait()
@@ -67,9 +61,8 @@ func (c *Coordinator) runPool(ctx context.Context, workers int, specs *specCache
 }
 
 // work is one connection to a coordinator, opened by connect: a TCP dial
-// (Work) or an in-memory pipe (RunPool). Spec IDs are one coordinator's
-// own, so every connection sharing specs must reach the same coordinator.
-func work(ctx context.Context, connect func(context.Context) (net.Conn, error), specs *specCache) error {
+// (Work) or an in-memory pipe (RunPool).
+func work(ctx context.Context, connect func(context.Context) (net.Conn, error)) error {
 	nc, err := connect(ctx)
 	if err != nil {
 		return err
@@ -80,12 +73,7 @@ func work(ctx context.Context, connect func(context.Context) (net.Conn, error), 
 	stop := context.AfterFunc(ctx, func() { nc.Close() })
 	defer stop()
 
-	w := &worker{
-		ctx:   ctx,
-		nc:    nc,
-		br:    bufio.NewReader(nc),
-		specs: specs,
-	}
+	w := &worker{ctx: ctx, nc: nc, br: bufio.NewReader(nc)}
 	if err := w.hello(); err != nil {
 		return w.wrap(err)
 	}
@@ -137,10 +125,9 @@ type worker struct {
 	br      *bufio.Reader
 	scratch []byte
 	out     []byte
-	specs   *specCache // shared by the pool
-	// cur is this connection's own fork of spec curID, the spec of its last
-	// job: the coordinator runs one phase at a time, so jobs arrive in runs
-	// of one spec.
+	// cur is spec curID, the spec of this connection's last job: the
+	// coordinator runs one phase at a time, so jobs arrive in runs of one
+	// spec.
 	curID uint64
 	cur   *workerSpec
 }
@@ -213,23 +200,12 @@ func (w *worker) requestJob() (jobGrant, bool, error) {
 	}
 }
 
-// spec returns this connection's own copy of spec specID, taking the spec
-// from the pool's cache or, if no connection of the pool has it yet,
-// fetching it from the coordinator.
+// spec returns spec specID: the one of the last job, or else fetched from
+// the coordinator and resolved.
 func (w *worker) spec(specID uint64) (*workerSpec, error) {
 	if w.cur != nil && w.curID == specID {
 		return w.cur, nil
 	}
-	ws, err := w.specs.get(w.ctx, specID, func() (*workerSpec, error) { return w.fetchSpec(specID) })
-	if err != nil {
-		return nil, err
-	}
-	w.curID, w.cur = specID, ws
-	return ws, nil
-}
-
-// fetchSpec asks the coordinator for spec specID and resolves it.
-func (w *worker) fetchSpec(specID uint64) (*workerSpec, error) {
 	if err := w.send(appendNeedSpec(w.out[:0], specID)); err != nil {
 		return nil, err
 	}
@@ -247,7 +223,12 @@ func (w *worker) fetchSpec(specID uint64) (*workerSpec, error) {
 	if id != specID {
 		return nil, fmt.Errorf("distrib: asked for spec %d, got %d", specID, id)
 	}
-	return resolveSpec(body)
+	ws, err := resolveSpec(body)
+	if err != nil {
+		return nil, err
+	}
+	w.curID, w.cur = specID, ws
+	return ws, nil
 }
 
 // readAck reads the ack answering the report just sent.
