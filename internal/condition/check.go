@@ -128,11 +128,73 @@ type WorkCounters struct {
 	MemoHits   int64 `json:"memo_hits"`
 }
 
-// Add accumulates other into c.
+// Add accumulates other into c. A sum that would pass math.MaxInt64 stops
+// there, and a counter at math.MaxInt64 counts as overflowed (overflow).
 func (c *WorkCounters) Add(other WorkCounters) {
-	c.Candidates += other.Candidates
-	c.Pruned += other.Pruned
-	c.MemoHits += other.MemoHits
+	c.Candidates = addSat(c.Candidates, other.Candidates)
+	c.Pruned = addSat(c.Pruned, other.Pruned)
+	c.MemoHits = addSat(c.MemoHits, other.MemoHits)
+}
+
+// times returns c's counters times k ≥ 0, each stopping at math.MaxInt64 as
+// Add's sums do.
+func (c WorkCounters) times(k int64) WorkCounters {
+	mul := func(x int64) int64 {
+		if hi, lo := bits.Mul64(uint64(k), uint64(x)); hi == 0 && lo <= math.MaxInt64 {
+			return int64(lo)
+		}
+		return math.MaxInt64
+	}
+	return WorkCounters{Candidates: mul(c.Candidates), Pruned: mul(c.Pruned), MemoHits: mul(c.MemoHits)}
+}
+
+// overflow returns a *CounterOverflowError naming c's first counter at
+// math.MaxInt64, or nil.
+func (c WorkCounters) overflow() error {
+	var name string
+	switch int64(math.MaxInt64) {
+	case c.Candidates:
+		name = "candidate sets"
+	case c.Pruned:
+		name = "pruned candidate sets"
+	case c.MemoHits:
+		name = "memo hits"
+	default:
+		return nil
+	}
+	return &CounterOverflowError{Counter: name}
+}
+
+// negative reports whether one of c's counters is below zero, which no sum
+// of counts reaches.
+func (c WorkCounters) negative() bool {
+	return c.Candidates < 0 || c.Pruned < 0 || c.MemoHits < 0
+}
+
+// addSat returns a+b, or the int64 bound it would pass.
+func addSat(a, b int64) int64 {
+	if s := a + b; (s < a) == (b < 0) {
+		return s
+	}
+	if b < 0 {
+		return math.MinInt64
+	}
+	return math.MaxInt64
+}
+
+// CounterOverflowError is the error of a check whose work counters would
+// pass int64. The sums stop at math.MaxInt64 (WorkCounters.Add), and the
+// ScanFrontier and the maxf sweep, which add up every local scan's and
+// distributed worker's account, refuse one that reaches it instead of
+// reporting a wrapped value.
+type CounterOverflowError struct {
+	// Counter names the first counter that overflowed: "candidate sets",
+	// "pruned candidate sets" or "memo hits".
+	Counter string
+}
+
+func (e *CounterOverflowError) Error() string {
+	return fmt.Sprintf("condition: work counters overflow int64: more than %d %s", int64(math.MaxInt64), e.Counter)
 }
 
 // binomTable holds C(n, k) for n ≤ 62 — the checker's feasibility cap on
@@ -411,7 +473,10 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 		workers = 1
 	}
 	best := -1
-	var stats MaxFStats
+	var (
+		stats MaxFStats
+		work  WorkCounters // stats' three work counters
+	)
 	runCheck := opts.CheckRunner
 	if runCheck == nil {
 		runCheck = CheckScan
@@ -430,12 +495,14 @@ func MaxFScan(ctx context.Context, g *graph.Graph, opts MaxFOptions) (int, MaxFS
 		})
 		stats.ChecksRun++
 		stats.FaultSetsExamined += res.FaultSetsExamined
-		stats.CandidatesExamined += res.CandidatesExamined
-		stats.CandidatesPruned += res.CandidatesPruned
-		stats.MemoHits += res.MemoHits
+		work.Add(res.work())
+		stats.CandidatesExamined, stats.CandidatesPruned, stats.MemoHits = work.Candidates, work.Pruned, work.MemoHits
 		stats.FaultSetsResumed += res.FaultSetsResumed
 		if res.CacheHit {
 			stats.CacheHits++
+		}
+		if err == nil {
+			err = work.overflow()
 		}
 		if err != nil {
 			return best, stats, fmt.Errorf("condition: maxf scan at f=%d: %w", f, err)

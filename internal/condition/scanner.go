@@ -430,14 +430,50 @@ func (s *ShardScanner) firstMember(o int, lo, hi int64) int64 {
 // NumFaultSets returns the enumeration's extent.
 func (s *ShardScanner) NumFaultSets() int64 { return s.total }
 
-// nextOrbit returns the first orbit whose representative lies at or above
-// index i: i itself under the identity group, where every index is its own
-// orbit.
-func (s *ShardScanner) nextOrbit(i int64) int64 {
-	if s.rep == nil {
+// Spans counts an index space in spans, the unit the local check walks and
+// the distributed coordinator leases: the span from index lo ends just past
+// the first orbit representative at or above lo, or at the extent past the
+// last one. Under the identity group every index is its own orbit, so a span
+// is one fault set, and the zero Spans counts so over an unbounded space.
+type Spans struct {
+	rep   []int64 // the representatives, ascending; nil under the identity group
+	total int64
+}
+
+// Spans returns the spans of the scanner's index space.
+func (s *ShardScanner) Spans() Spans { return Spans{rep: s.rep, total: s.total} }
+
+// orbitAt returns the first orbit whose representative lies at or above
+// index i, the orbit whose span holds i: i itself under the identity group.
+func (sp Spans) orbitAt(i int64) int64 {
+	if sp.rep == nil {
 		return i
 	}
-	return int64(sort.Search(len(s.rep), func(o int) bool { return s.rep[o] >= i }))
+	return int64(sort.Search(len(sp.rep), func(o int) bool { return sp.rep[o] >= i }))
+}
+
+// End returns the index just past the k-th span from index lo, or lo for
+// k ≤ 0: lo+k under the identity group, the extent past the last orbit.
+func (sp Spans) End(lo, k int64) int64 {
+	switch {
+	case k <= 0:
+		return lo
+	case sp.rep == nil:
+		return lo + min(k, math.MaxInt64-lo)
+	}
+	if o := sp.orbitAt(lo); k <= int64(len(sp.rep))-o {
+		return sp.rep[o+k-1] + 1
+	}
+	return sp.total
+}
+
+// Count returns the number of spans that [lo, hi) meets: hi−lo under the
+// identity group.
+func (sp Spans) Count(lo, hi int64) int64 {
+	if hi <= lo {
+		return 0
+	}
+	return sp.orbitAt(hi-1) - sp.orbitAt(lo) + 1
 }
 
 // repOf returns orbit o's representative; past the last orbit, an index at
@@ -554,8 +590,7 @@ func (s *ShardScanner) scanOrbits(ctx context.Context, lo, hi int64) (RangeResul
 	}
 	res.Completed = x - lo
 	for o, c := range s.count {
-		cc := s.memo[o].cc
-		res.Satisfied.Add(WorkCounters{Candidates: c * cc.Candidates, Pruned: c * cc.Pruned, MemoHits: c * cc.MemoHits})
+		res.Satisfied.Add(s.memo[o].cc.times(c))
 	}
 	if viol >= 0 {
 		d := s.memo[viol]
@@ -578,9 +613,10 @@ func (s *ShardScanner) scanOrbits(ctx context.Context, lo, hi int64) (RangeResul
 // the lowest violation found so far, since the spans stop at or before that
 // one.
 func (s *ShardScanner) scanWindow(ctx context.Context, lo int64, workers int) (hi int64) {
-	first := s.nextOrbit(lo)
+	sp := s.Spans()
+	first := sp.orbitAt(lo)
 	end := first + int64(windowPerWorker*workers) // orbits [first, end)
-	hi = min(s.repOf(end-1)+1, s.total)
+	hi = min(sp.End(lo, end-first), s.total)
 	if s.rep == nil {
 		if s.memo == nil {
 			s.memo = make([]groundResult, end-first)
@@ -634,6 +670,7 @@ func (s *ShardScanner) check(ctx context.Context, workers int, onProgress Progre
 	skip, _ := fr.ResumePoint()
 	var (
 		rr  = RangeResult{Violation: -1}
+		sp  = s.Spans()
 		err error
 	)
 	for lo := skip; lo < s.total && err == nil && rr.Violation < 0; {
@@ -642,7 +679,7 @@ func (s *ShardScanner) check(ctx context.Context, workers int, onProgress Progre
 			end = s.scanWindow(ctx, lo, workers)
 		}
 		for ; lo < end && err == nil && rr.Violation < 0; lo += rr.Completed {
-			hi := min(s.repOf(s.nextOrbit(lo))+1, end)
+			hi := min(sp.End(lo, 1), end)
 			if rr, err = s.ScanRange(ctx, lo, hi); err != nil {
 				err = ctx.Err() // the span is in bounds: only a cancellation stops it
 			}

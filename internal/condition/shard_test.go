@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -712,5 +713,135 @@ func TestScanRangeMemoHitAllocatesNothing(t *testing.T) {
 		}); a != 0 {
 			t.Fatalf("%s(%d,%d): ScanRange over decided orbits: %v allocations per run, want 0", tc.kind, tc.n, tc.f, a)
 		}
+	}
+}
+
+// TestSpansMatchRepresentatives pins Spans against the span ends listed
+// outright, every representative plus one and the extent: End(lo, k) is the
+// k-th end above lo, the extent past the last, and Count(lo, hi) is one more
+// than the ends strictly inside (lo, hi). The cases are core(19,6) on count
+// vectors, a relabelled chord(16,2) on a table and a random digraph whose
+// group is trivial, where End and Count are lo+k and hi−lo.
+func TestSpansMatchRepresentatives(t *testing.T) {
+	must := mustGraph(t)
+	rng := rand.New(rand.NewSource(7))
+	var asym *graph.Graph
+	for asym == nil || len(asym.AutomorphismGenerators(graph.AutSearchBudget)) > 0 {
+		asym = must(topology.RandomDigraph(12, 0.5+0.4*rng.Float64(), rng))
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		f    int
+	}{
+		{"core(19,6)", must(topology.CoreNetwork(19, 6)), 6},
+		{"relabelled chord(16,2)", relabelGraph(must(topology.Chord(16, 2)), rng.Perm(16)), 2},
+		{"random(12)", asym, 3},
+	} {
+		s, err := NewShardScanner(tc.g, tc.f, SyncThreshold(tc.f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, total := s.Spans(), s.NumFaultSets()
+		var ends []int64 // ascending
+		for o := int64(0); s.repOf(o) < total; o++ {
+			ends = append(ends, s.repOf(o)+1)
+		}
+		if ends[len(ends)-1] != total {
+			ends = append(ends, total)
+		}
+		if s.rep == nil && int64(len(ends)) != total {
+			t.Fatalf("%s: %d spans over %d fault sets under the identity group", tc.name, len(ends), total)
+		}
+		for trial := 0; trial < 2000; trial++ {
+			lo := rng.Int63n(total)
+			hi := lo + rng.Int63n(total-lo+1)
+			k := 1 + rng.Int63n(int64(len(ends))+2)
+			above, _ := slices.BinarySearch(ends, lo+1) // ends[above] is the first end above lo
+			want := total
+			if above+int(k)-1 < len(ends) {
+				want = ends[above+int(k)-1]
+			}
+			if s.rep == nil {
+				want = lo + k
+			}
+			if got := sp.End(lo, k); got != want {
+				t.Fatalf("%s: End(%d, %d) = %d, want %d", tc.name, lo, k, got, want)
+			}
+			inside, _ := slices.BinarySearch(ends, hi)
+			wantCount := int64(inside-above) + 1
+			if hi == lo {
+				wantCount = 0
+			}
+			if got := sp.Count(lo, hi); got != wantCount {
+				t.Fatalf("%s: Count(%d, %d) = %d, want %d", tc.name, lo, hi, got, wantCount)
+			}
+			if s.rep == nil && wantCount != hi-lo {
+				t.Fatalf("%s: Count(%d, %d) = %d spans of one fault set each", tc.name, lo, hi, wantCount)
+			}
+		}
+		if got := sp.End(0, 0); got != 0 {
+			t.Fatalf("%s: End(0, 0) = %d", tc.name, got)
+		}
+	}
+}
+
+// TestCounterOverflowIsRefused: core(61,20) at f = 20 accounts for more
+// candidate sets than int64 holds, and the check, the maxf sweep and a
+// checkpoint resumed from an older build's wrapped sum refuse it with a
+// *CounterOverflowError rather than print a wrapped count; core(40,13) at
+// f = 13, 3.4·10¹⁸ candidate sets, stays exact.
+func TestCounterOverflowIsRefused(t *testing.T) {
+	must := mustGraph(t)
+	ctx := context.Background()
+	var oe *CounterOverflowError
+	g := must(topology.CoreNetwork(61, 20))
+	if res, err := CheckScan(ctx, g, 20, SyncThreshold(20), ScanOptions{Workers: 1}); !errors.As(err, &oe) || oe.Counter != "candidate sets" {
+		t.Fatalf("core(61,20): res=%+v err=%v, want a candidate-set overflow", res, err)
+	}
+	g40 := must(topology.CoreNetwork(40, 13))
+	res, err := CheckScan(ctx, g40, 13, SyncThreshold(13), ScanOptions{Workers: 2})
+	want := Result{Satisfied: true, FaultSetsExamined: 21153123932, CandidatesExamined: 3425912391453951769, CandidatesPruned: 3425903723681841328}
+	if err != nil || !reflect.DeepEqual(res, want) {
+		t.Fatalf("core(40,13): res=%+v err=%v, want %+v", res, err, want)
+	}
+	// The sweep's sum over f = 0…13 passes int64 although each check fits.
+	if _, _, err := MaxFScan(ctx, g40, MaxFOptions{}); !errors.As(err, &oe) {
+		t.Fatalf("maxf core(40,13): err=%v, want a counter overflow", err)
+	}
+	// A resumed aggregate that the next span would carry past int64 is
+	// refused too, and a negative one, a wrapped sum, is not resumed.
+	store := statestore.NewMem()
+	fr, _, err := LoadScanFrontier(ctx, store, g40, 13, SyncThreshold(13), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.CompleteSpan(ctx, 0, 1, WorkCounters{Candidates: math.MaxInt64 - 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.CompleteSpan(ctx, 1, 2, WorkCounters{Candidates: 1}); !errors.As(err, &oe) {
+		t.Fatalf("CompleteSpan past int64: err=%v", err)
+	}
+	if done, agg := fr.Position(); done != 1 || agg.Candidates != math.MaxInt64-1 {
+		t.Fatalf("frontier moved past the refused span: %d, %+v", done, agg)
+	}
+	store = statestore.NewMem()
+	if fr, _, err = LoadScanFrontier(ctx, store, g40, 13, SyncThreshold(13), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.CompleteSpan(ctx, 0, 2, WorkCounters{Candidates: -5}); err != nil {
+		t.Fatal(err)
+	}
+	if fr, _, err = LoadScanFrontier(ctx, store, g40, 13, SyncThreshold(13), 1); err != nil {
+		t.Fatal(err)
+	}
+	if skip, agg := fr.ResumePoint(); skip != 0 || agg != (WorkCounters{}) {
+		t.Fatalf("resumed a wrapped checkpoint: %d, %+v", skip, agg)
+	}
+	if err := fr.Finish(ctx, Result{Satisfied: true, FaultSetsExamined: 1, CandidatesExamined: -3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, cached, err := LoadScanFrontier(ctx, store, g40, 13, SyncThreshold(13), 1); err != nil || cached != nil {
+		t.Fatalf("served a wrapped verdict: %+v, err=%v", cached, err)
 	}
 }

@@ -195,8 +195,9 @@ func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Gr
 		return nil, nil, err
 	}
 	// A witness with a member outside [0, n) makes the verdict a miss, like
-	// any other record that fails to load.
-	if w, werr := v.Witness.witness(); ok && werr == nil {
+	// any other record that fails to load, and so does a negative counter: a
+	// wrapped sum an older build stored.
+	if w, werr := v.Witness.witness(); ok && werr == nil && !v.WorkCounters.negative() {
 		res := &Result{
 			Satisfied:         v.Satisfied,
 			Witness:           w,
@@ -211,8 +212,8 @@ func LoadScanFrontier(ctx context.Context, store statestore.Backend, g *graph.Gr
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ok || cp.Done < 0 || cp.Done > fr.total {
-		return fr, nil, nil // no checkpoint, or a corrupt prefix length: start fresh
+	if !ok || cp.Done < 0 || cp.Done > fr.total || cp.WorkCounters.negative() {
+		return fr, nil, nil // no checkpoint, or a corrupt prefix length or sum: start fresh
 	}
 	fr.frontier, fr.agg = cp.Done, cp.WorkCounters
 	fr.resumedSet, fr.resumed = cp.Done, cp.WorkCounters
@@ -234,7 +235,9 @@ func (fr *ScanFrontier) ResumePoint() (int64, WorkCounters) {
 // must be disjoint. A span starting at the frontier advances it directly —
 // the local scans complete fault sets in order and never touch the reorder
 // buffer; any other span waits there, so a gap (an unreported lease, a
-// violating index) is never jumped.
+// violating index) is never jumped. A span whose counters would carry the
+// aggregate past int64 is refused with a *CounterOverflowError, and the
+// frontier stays below it.
 func (fr *ScanFrontier) CompleteSpan(ctx context.Context, lo, hi int64, delta WorkCounters) error {
 	if hi <= lo {
 		return nil
@@ -249,8 +252,13 @@ func (fr *ScanFrontier) CompleteSpan(ctx context.Context, lo, hi int64, delta Wo
 	} else {
 		s, ok := pendingSpan{hi: hi, cc: delta}, true
 		for ; ok; s, ok = fr.pending[fr.frontier] {
+			agg := fr.agg
+			agg.Add(s.cc)
+			if err := agg.overflow(); err != nil {
+				return err // the frontier stays below s: a flush stores no saturated sum
+			}
 			delete(fr.pending, fr.frontier)
-			fr.agg.Add(s.cc)
+			fr.agg = agg
 			fr.sinceWrite += s.hi - fr.frontier
 			fr.frontier = s.hi
 		}
@@ -293,11 +301,15 @@ func (fr *ScanFrontier) writeLocked(ctx context.Context) error {
 // fault-set index, with its witness w and its own early-exit counter delta
 // partial, or -1 (w nil, partial zero) when every fault set passed. The
 // Result counts the frontier's fault sets after a clean pass and viol+1
-// after a violation, and sums the frontier's aggregate plus partial; Finish
-// then caches it.
+// after a violation, and sums the frontier's aggregate plus partial (a sum
+// past int64 is refused with a *CounterOverflowError); Finish then caches
+// it.
 func (fr *ScanFrontier) Settle(ctx context.Context, viol int64, w *Witness, partial WorkCounters) (Result, error) {
 	frontier, agg := fr.Position()
 	agg.Add(partial)
+	if err := agg.overflow(); err != nil {
+		return Result{}, err
+	}
 	res := Result{Satisfied: viol < 0, Witness: w, FaultSetsExamined: frontier, FaultSetsResumed: fr.resumedSet}
 	if viol >= 0 {
 		res.FaultSetsExamined = viol + 1

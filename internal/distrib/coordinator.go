@@ -6,12 +6,18 @@ package distrib
 // own goroutine in lockstep (only that goroutine writes to the connection),
 // so all cross-connection coordination happens under one mutex.
 //
+// Grants, report slices and steals count spans (condition.Spans): a span
+// ends just past an orbit representative, so under the identity group it is
+// one fault set, and a graph with few orbits is leased in a few round trips
+// however many fault sets it has.
+//
 // Correctness rests on three invariants:
 //
 //   - Job ranges are pairwise disjoint at all times: grants chunk spans off
-//     the queue, stealing splits a leased range at a point the worker cannot
-//     have passed (acked + reportEvery), and requeues re-insert exactly the
-//     unacknowledged remainder [acked, hi).
+//     the queue, stealing splits a leased range beyond the end of the slice
+//     the coordinator dictated to its worker last, which the worker cannot
+//     pass, and requeues re-insert exactly the unacknowledged remainder
+//     [acked, hi).
 //   - Reports are fenced by jobID: a lease that expires (or whose connection
 //     drops) is removed from the job map before its range is requeued, so a
 //     zombie worker's late report finds no job and is answered with a cancel
@@ -46,10 +52,13 @@ type Options struct {
 	// Lease is how long a granted job may go without a report before its
 	// unacknowledged remainder is requeued (0 = DefaultLease).
 	Lease time.Duration
-	// ChunkSize is the maximum fault sets per scan grant (0 = DefaultChunkSize).
+	// ChunkSize is the maximum spans per scan grant (0 = DefaultChunkSize).
+	// A span ends just past an orbit representative (condition.Spans), so
+	// under the identity group spans are fault sets.
 	ChunkSize int
-	// ReportEvery is the scan report cadence in fault sets (0 =
-	// DefaultReportEvery). Smaller values tighten lease granularity and
+	// ReportEvery is the scan report cadence in spans (0 =
+	// DefaultReportEvery): the coordinator dictates each slice a worker
+	// scans before it reports. Smaller values tighten lease granularity and
 	// steal latency at the cost of more round trips.
 	ReportEvery int
 }
@@ -91,6 +100,7 @@ type job struct {
 	id      uint64
 	lo, hi  int64
 	acked   int64 // all of [lo, acked) has been reported and journaled
+	through int64 // the worker's current slice is [acked, through)
 	expires time.Time
 	owner   *connState
 }
@@ -99,10 +109,13 @@ type job struct {
 // The coordinator runs at most one phase at a time (condition.MaxFScan runs
 // its checks sequentially, exactly like the single-process scan).
 type phase struct {
-	specID      uint64
-	kind        jobKind
+	specID uint64
+	kind   jobKind
+	// Grants take up to chunk spans and slices reportEvery; sweeps and
+	// noops have the zero spans, one item each.
+	spans       condition.Spans
 	chunk       int64
-	reportEvery uint32
+	reportEvery int64
 	// open marks a phase whose spans arrive incrementally (sweeps submit
 	// scenario jobs as sim.Sweep schedules them); a closed phase completes
 	// when queue and jobs drain.
@@ -334,12 +347,14 @@ func (c *Coordinator) handleConn(cs *connState) {
 	br := bufio.NewReader(nc)
 	var scratch, out []byte
 
-	// Hello exchange first; anything else is a stray client.
+	// Hello exchange first; anything else is a stray client. A hello that
+	// fails to decode, one of another protocol version say, is answered too,
+	// so that the peer can name the mismatch, and then hung up on.
 	kind, payload, scratch, err := readFrame(br, scratch)
-	if err != nil || kind != kindHello || decodeHello(payload) != nil {
+	if err != nil || kind != kindHello {
 		return
 	}
-	if _, err := nc.Write(appendHello(out[:0])); err != nil {
+	if _, err := nc.Write(appendHello(out[:0])); err != nil || decodeHello(payload) != nil {
 		return
 	}
 	c.mu.Lock()
@@ -455,35 +470,27 @@ func (c *Coordinator) nextGrant(cs *connState) (jobGrant, bool) {
 				sp := ph.queue[best]
 				ph.queue[best] = ph.queue[len(ph.queue)-1]
 				ph.queue = ph.queue[:len(ph.queue)-1]
-				hi := sp.lo + ph.chunk
-				if hi > sp.hi {
-					hi = sp.hi
-				}
+				hi := min(ph.spans.End(sp.lo, ph.chunk), sp.hi)
 				if hi < sp.hi {
 					ph.queue = append(ph.queue, span{hi, sp.hi})
 				}
 				return c.grantLocked(ph, cs, sp.lo, hi), false
 			}
 			if ph.kind == jobScan {
-				// Steal: split the leased range with the most work beyond
-				// its safe point (the furthest index the worker could reach
-				// before its next report round-trips).
+				// Steal: split the leased range with the most spans beyond
+				// its safe point, the end of the slice its worker scans
+				// now, which it cannot pass before its next report.
 				var victim *job
 				var bestAvail int64
 				for _, j := range ph.jobs {
-					safe := j.acked + int64(ph.reportEvery)
-					if safe > j.hi {
-						safe = j.hi
-					}
-					if avail := j.hi - safe; avail > bestAvail {
+					if avail := ph.spans.Count(j.through, j.hi); avail > bestAvail {
 						bestAvail, victim = avail, j
 					}
 				}
-				if victim != nil && bestAvail >= 2*int64(ph.reportEvery) {
-					safe := victim.acked + int64(ph.reportEvery)
-					mid := safe + (victim.hi-safe)/2
+				if victim != nil && bestAvail >= 2*ph.reportEvery {
+					mid := ph.spans.End(victim.through, bestAvail/2)
 					hi := victim.hi
-					victim.hi = mid // conveyed by the victim's next ack.newHi
+					victim.hi = mid // bounds the slices its next acks dictate
 					c.stats.JobsStolen++
 					return c.grantLocked(ph, cs, mid, hi), false
 				}
@@ -496,9 +503,16 @@ func (c *Coordinator) nextGrant(cs *connState) (jobGrant, bool) {
 func (c *Coordinator) grantLocked(ph *phase, cs *connState, lo, hi int64) jobGrant {
 	c.nextJob++
 	j := &job{id: c.nextJob, lo: lo, hi: hi, acked: lo, expires: time.Now().Add(c.opts.Lease), owner: cs}
+	ph.nextSlice(j)
 	ph.jobs[j.id] = j
 	c.stats.JobsGranted++
-	return jobGrant{jobID: j.id, specID: ph.specID, kind: ph.kind, lo: lo, hi: hi, reportEvery: ph.reportEvery}
+	return jobGrant{jobID: j.id, specID: ph.specID, kind: ph.kind, lo: lo, hi: hi, to: j.through}
+}
+
+// nextSlice dictates j's next slice: reportEvery spans from acked, within
+// the lease.
+func (ph *phase) nextSlice(j *job) {
+	j.through = min(ph.spans.End(j.acked, ph.reportEvery), j.hi)
 }
 
 // staleAck answers a report whose job is gone: the worker must abandon it.
@@ -524,8 +538,8 @@ func (c *Coordinator) handleReportOK(r reportOK) (ack, condition.ProgressFunc, e
 	if j == nil {
 		return c.staleAckLocked(r.jobID), nil, nil
 	}
-	if r.through < j.acked || r.through > j.hi {
-		return ack{}, nil, fmt.Errorf("distrib: report through %d outside [%d, %d]", r.through, j.acked, j.hi)
+	if r.through != j.through {
+		return ack{}, nil, fmt.Errorf("distrib: report through %d, but the slice ends at %d", r.through, j.through)
 	}
 	if ph.fr != nil && r.through > j.acked {
 		if err := ph.fr.CompleteSpan(context.Background(), j.acked, r.through, r.counters); err != nil {
@@ -534,12 +548,13 @@ func (c *Coordinator) handleReportOK(r reportOK) (ack, condition.ProgressFunc, e
 		}
 	}
 	j.acked = r.through
+	ph.nextSlice(j)
 	j.expires = time.Now().Add(c.opts.Lease)
 	if j.acked >= j.hi {
 		delete(ph.jobs, j.id)
 		c.checkCompleteLocked(ph)
 	}
-	return ack{jobID: j.id, newHi: j.hi}, ph.onProgress, nil
+	return ack{jobID: j.id, to: j.through}, ph.onProgress, nil
 }
 
 func (c *Coordinator) handleReportViol(r reportViol) (ack, condition.ProgressFunc, error) {
@@ -550,8 +565,8 @@ func (c *Coordinator) handleReportViol(r reportViol) (ack, condition.ProgressFun
 	if j == nil {
 		return c.staleAckLocked(r.jobID), nil, nil
 	}
-	if r.viol < j.acked || r.viol >= j.hi {
-		return ack{}, nil, fmt.Errorf("distrib: violation %d outside [%d, %d)", r.viol, j.acked, j.hi)
+	if r.viol < j.acked || r.viol >= j.through {
+		return ack{}, nil, fmt.Errorf("distrib: violation %d outside the slice [%d, %d)", r.viol, j.acked, j.through)
 	}
 	if ph.fr != nil && r.viol > j.acked {
 		if err := ph.fr.CompleteSpan(context.Background(), j.acked, r.viol, r.sat); err != nil {
@@ -581,7 +596,7 @@ func (c *Coordinator) handleReportViol(r reportViol) (ack, condition.ProgressFun
 	}
 	ph.queue = keep
 	c.checkCompleteLocked(ph)
-	return ack{jobID: j.id, newHi: j.hi}, ph.onProgress, nil
+	return ack{jobID: j.id, to: r.viol}, ph.onProgress, nil
 }
 
 func (c *Coordinator) handleReportTrace(r reportTrace) ack {
@@ -600,7 +615,7 @@ func (c *Coordinator) handleReportTrace(r reportTrace) ack {
 	ch <- append([]byte(nil), r.payload...) // buffered 1; payload aliases the read scratch
 	delete(ph.jobs, j.id)
 	c.checkCompleteLocked(ph)
-	return ack{jobID: j.id, newHi: j.hi}
+	return ack{jobID: j.id, to: j.hi}
 }
 
 // —— phase lifecycle ——
@@ -661,7 +676,8 @@ func (c *Coordinator) waitPhase(ctx context.Context, ph *phase) error {
 // opts.Store consulted for resume and verdict caching. The workers' reports
 // are journaled into the scan's condition.ScanFrontier and the Result is
 // settled through it, as in the single-process scan. The leases partition
-// the frontier's index space, [0, condition.NumFaultSets).
+// the frontier's index space, [0, condition.NumFaultSets), counted in the
+// spans of a scanner the coordinator builds once.
 func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts condition.ScanOptions) (condition.Result, error) {
 	fr, cached, err := condition.LoadScanFrontier(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
 	if err != nil {
@@ -676,11 +692,16 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 	if err != nil {
 		return condition.Result{}, err
 	}
+	scanner, err := condition.NewShardScanner(g, f, threshold)
+	if err != nil {
+		return condition.Result{}, err
+	}
 	ph := &phase{
 		specID:      c.registerSpec(spec),
 		kind:        jobScan,
+		spans:       scanner.Spans(),
 		chunk:       int64(c.opts.ChunkSize),
-		reportEvery: uint32(c.opts.ReportEvery),
+		reportEvery: int64(c.opts.ReportEvery),
 		fr:          fr,
 	}
 	if resume < total {

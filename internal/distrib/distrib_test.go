@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net"
@@ -27,6 +28,7 @@ import (
 	"iabc/internal/sim"
 	"iabc/internal/statestore"
 	"iabc/internal/topology"
+	"iabc/internal/wire"
 )
 
 func testGraph(t *testing.T, kind string, n, f int) *graph.Graph {
@@ -329,7 +331,7 @@ func TestZombieLeaseFencing(t *testing.T) {
 
 	// The late report must be fenced: cancel ack, nothing journaled.
 	if _, err := nc.Write(appendReportOK(nil, reportOK{
-		jobID: grant.jobID, through: grant.lo + int64(grant.reportEvery),
+		jobID: grant.jobID, through: grant.to,
 		counters: condition.WorkCounters{Candidates: 1 << 40}, // poison: journaling this would corrupt the totals
 	})); err != nil {
 		t.Fatal(err)
@@ -408,29 +410,89 @@ func (w *wireClient) requestJob() jobGrant {
 	return g
 }
 
-// TestStealSplitsLargestLease pins the steal geometry with hand-driven
-// clients: client A leases the whole enumeration, client B's request steals
-// the far half beyond A's safe point, A learns the shrink through its next
-// ack, and after both clients vanish a real worker still produces the
-// oracle Result from the requeued remainders.
+// TestStealSplitsLargestLease pins the steal geometry in spans on core(13,4),
+// whose fault sets fall into a few orbits: client A leases the whole
+// enumeration with a first slice of two spans, and client B's request steals
+// the far half of the spans beyond that slice, a split that halving the
+// fault sets would put elsewhere.
 func TestStealSplitsLargestLease(t *testing.T) {
 	g := testGraph(t, "core", 13, 4)
-	threshold := condition.SyncThreshold(4)
-	want, err := condition.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{Workers: 1})
+	sp := testSpans(t, g, 4)
+	total := condition.NumFaultSets(13, 4)
+	safe := sp.End(0, 2)
+	mid := sp.End(safe, sp.Count(safe, total)/2)
+	if mid == safe+(total-safe)/2 {
+		t.Fatalf("the span split %d is the fault-set split", mid)
+	}
+	checkStealGeometry(t, g, 4, 2, safe, mid)
+}
+
+// TestStealSplitsLargestLeaseIdentityGroup is TestStealSplitsLargestLease
+// on a random digraph whose group is trivial, where a span is one fault set,
+// so the first slice is reportEvery fault sets and the steal halves the
+// fault sets beyond it, as it did before leases counted spans.
+func TestStealSplitsLargestLeaseIdentityGroup(t *testing.T) {
+	g := asymmetricDigraph(t, 14)
+	total := condition.NumFaultSets(14, 3)
+	if n := testSpans(t, g, 3).Count(0, total); n != total {
+		t.Fatalf("%d spans over %d fault sets: the group is not trivial", n, total)
+	}
+	const reportEvery = 4
+	safe := int64(reportEvery)
+	checkStealGeometry(t, g, 3, reportEvery, safe, safe+(total-safe)/2)
+}
+
+// testSpans returns the spans of g's index space at f.
+func testSpans(t *testing.T, g *graph.Graph, f int) condition.Spans {
+	t.Helper()
+	s, err := condition.NewShardScanner(g, f, condition.SyncThreshold(f))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s.Spans()
+}
+
+// asymmetricDigraph draws a random digraph of n nodes whose automorphism
+// group is trivial.
+func asymmetricDigraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	for {
+		g, err := topology.RandomDigraph(n, 0.7, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.AutomorphismGenerators(graph.AutSearchBudget)) == 0 {
+			return g
+		}
+	}
+}
+
+// checkStealGeometry drives a steal with hand-driven clients on g at f,
+// ReportEvery reportEvery: client A leases the whole enumeration, whose first
+// slice must end at safe; client B's request must steal [mid, hi); A learns
+// the shrink through the slice its next ack dictates, which ends by mid; and
+// after both clients vanish a real worker still produces the oracle Result
+// from the requeued remainders.
+func checkStealGeometry(t *testing.T, g *graph.Graph, f, reportEvery int, safe, mid int64) {
+	t.Helper()
+	threshold := condition.SyncThreshold(f)
+	want, err := condition.CheckScan(context.Background(), g, f, threshold, condition.ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := testSpans(t, g, f)
 
 	// One chunk covers the whole enumeration, so the queue drains on the
 	// first grant and a second client can only get work by stealing.
-	c := NewCoordinator(Options{ChunkSize: 1 << 20, ReportEvery: 4, Lease: 200 * time.Millisecond})
+	c := NewCoordinator(Options{ChunkSize: 1 << 20, ReportEvery: reportEvery, Lease: 200 * time.Millisecond})
 	if err := c.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	resCh := make(chan condition.Result, 1)
 	go func() {
-		res, err := c.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{})
+		res, err := c.CheckScan(context.Background(), g, f, threshold, condition.ScanOptions{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -439,14 +501,12 @@ func TestStealSplitsLargestLease(t *testing.T) {
 
 	a := dialWire(t, c.Addr())
 	grantA := a.requestJob()
-	if grantA.lo != 0 || grantA.hi != condition.NumFaultSets(13, 4) {
-		t.Fatalf("client A granted [%d, %d), want the whole enumeration", grantA.lo, grantA.hi)
+	if total := condition.NumFaultSets(g.N(), f); grantA.lo != 0 || grantA.hi != total || grantA.to != safe {
+		t.Fatalf("client A granted [%d, %d) to %d, want [0, %d) to %d", grantA.lo, grantA.hi, grantA.to, total, safe)
 	}
 
 	b := dialWire(t, c.Addr())
 	grantB := b.requestJob()
-	safe := grantA.lo + int64(grantA.reportEvery)
-	mid := safe + (grantA.hi-safe)/2
 	if grantB.lo != mid || grantB.hi != grantA.hi {
 		t.Fatalf("steal granted [%d, %d), want [%d, %d)", grantB.lo, grantB.hi, mid, grantA.hi)
 	}
@@ -455,8 +515,8 @@ func TestStealSplitsLargestLease(t *testing.T) {
 	}
 
 	// A really scans its first slice (reports journal counters, so they must
-	// be earned) and its report is acked with the shrunken upper bound.
-	scanner, err := condition.NewShardScanner(g, 4, threshold)
+	// be earned), and its ack dictates a next slice that ends by mid.
+	scanner, err := condition.NewShardScanner(g, f, threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +529,8 @@ func TestStealSplitsLargestLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ackA.cancel || ackA.newHi != mid {
-		t.Fatalf("ack after steal = %+v, want newHi %d", ackA, mid)
+	if next := min(sp.End(safe, int64(reportEvery)), mid); ackA.cancel || ackA.to != next {
+		t.Fatalf("ack after steal = %+v, want the slice to %d", ackA, next)
 	}
 
 	// Both clients die; their remainders [safe, mid) and [mid, hi) requeue,
@@ -728,7 +788,7 @@ func TestWorkerTreatsResetAsHangUp(t *testing.T) {
 
 // TestPoolChunkingsMatchOracle runs checks through in-memory pools of 1–4
 // workers, each connection resolving its own spec and scanner, with leases
-// and reports from one fault set wide to many, on a satisfied and a
+// and reports from one span wide to many, on a satisfied and a
 // violating core network (count vectors) and a violating circulant (a
 // per-index table): every Result is the local oracle's.
 func TestPoolChunkingsMatchOracle(t *testing.T) {
@@ -745,14 +805,7 @@ func TestPoolChunkingsMatchOracle(t *testing.T) {
 		}
 		for workers := 1; workers <= 4; workers++ {
 			chunk := []int{1, 1 + rng.Intn(64)}[workers%2]
-			c := NewCoordinator(Options{ChunkSize: chunk, ReportEvery: 1 + rng.Intn(chunk)})
-			ctx, cancel := context.WithCancel(context.Background())
-			pool := make(chan error, 1)
-			go func() { pool <- c.RunPool(ctx, workers) }()
-			got, err := c.CheckScan(context.Background(), g, tc.f, threshold, condition.ScanOptions{})
-			cancel()
-			c.Close()
-			<-pool
+			got, _, err := pooledCheck(t, Options{ChunkSize: chunk, ReportEvery: 1 + rng.Intn(chunk)}, workers, g, tc.f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -841,8 +894,8 @@ func TestDistributedCheckKilledPipeWorker(t *testing.T) {
 
 	var once sync.Once
 	got, err := c.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{
-		// The first report acks 8 of the doomed worker's 32 fault sets; its
-		// lease is still open when the connection closes.
+		// The first report acks 8 of the 15 spans core(13,4)'s one lease
+		// holds; the lease is still open when the connection closes.
 		OnProgress: func(condition.Progress) {
 			once.Do(func() {
 				doomed.Close()
@@ -949,5 +1002,178 @@ func TestResolveSpecRefusesInfeasibleScan(t *testing.T) {
 		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
 			t.Fatalf("f = %d: resolveSpec allocated %d bytes refusing the spec, want < 1 MB", tc.f, b)
 		}
+	}
+}
+
+// pooledCheck runs one check through a fresh coordinator with opts and an
+// in-memory pool of workers, and returns its Result and scheduling Stats.
+func pooledCheck(t *testing.T, opts Options, workers int, g *graph.Graph, f int) (condition.Result, Stats, error) {
+	t.Helper()
+	c := NewCoordinator(opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	pool := make(chan error, 1)
+	go func() { pool <- c.RunPool(ctx, workers) }()
+	res, err := c.CheckScan(context.Background(), g, f, condition.SyncThreshold(f), condition.ScanOptions{})
+	stats := c.Stats()
+	cancel()
+	c.Close()
+	<-pool
+	return res, stats, err
+}
+
+// TestPooledCheckLeasesSpans pins the lease cadence in spans. core(19,6) at
+// f = 6 has 43 796 fault sets in 28 orbits, so the default ChunkSize and
+// ReportEvery lease it as one job, where counting fault sets took 43 grants
+// and ~171 reports; leases of one span each take one grant per span. On a
+// graph whose group is trivial spans are fault sets, and the default chunks
+// take ⌈extent/1024⌉ grants as before. Every Result is the local oracle's.
+func TestPooledCheckLeasesSpans(t *testing.T) {
+	core := testGraph(t, "core", 19, 6)
+	asym := asymmetricDigraph(t, 25)
+	for _, tc := range []struct {
+		name       string
+		g          *graph.Graph
+		f, workers int
+		opts       Options
+		grants     int64 // 0: one per span
+	}{
+		{"core(19,6), defaults", core, 6, 2, Options{}, 1},
+		{"core(19,6), one span a lease", core, 6, 2, Options{ChunkSize: 1, ReportEvery: 1}, 0},
+		{"random(25), defaults", asym, 3, 1, Options{}, (condition.NumFaultSets(25, 3) + DefaultChunkSize - 1) / DefaultChunkSize},
+	} {
+		want, err := condition.CheckScan(context.Background(), tc.g, tc.f, condition.SyncThreshold(tc.f), condition.ScanOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := pooledCheck(t, tc.opts, tc.workers, tc.g, tc.f)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: pooled result %+v, oracle %+v", tc.name, got, want)
+		}
+		grants := tc.grants
+		if grants == 0 {
+			total := condition.NumFaultSets(tc.g.N(), tc.f)
+			if grants = testSpans(t, tc.g, tc.f).Count(0, total); grants < 28 {
+				t.Fatalf("%s: %d spans, want one per orbit at least", tc.name, grants)
+			}
+		}
+		if stats.JobsGranted != grants || stats.JobsStolen != 0 {
+			t.Fatalf("%s: %d jobs granted, %d stolen, want %d and none", tc.name, stats.JobsGranted, stats.JobsStolen, grants)
+		}
+	}
+}
+
+// TestReportOffTheSliceIsRejected: a report through any index but the end of
+// the slice the coordinator dictated — here the middle of the first slice,
+// which a range check alone would take — drops the connection unjournaled,
+// like an out-of-range report, and the requeued lease still finishes to the
+// oracle Result.
+func TestReportOffTheSliceIsRejected(t *testing.T) {
+	g := testGraph(t, "core", 13, 4)
+	threshold := condition.SyncThreshold(4)
+	want, err := condition.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(Options{ChunkSize: 4, ReportEvery: 2})
+	if err := c.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resCh := make(chan condition.Result, 1)
+	go func() {
+		res, err := c.CheckScan(context.Background(), g, 4, threshold, condition.ScanOptions{})
+		if err != nil {
+			t.Error(err)
+		}
+		resCh <- res
+	}()
+	a := dialWire(t, c.Addr())
+	grant := a.requestJob()
+	if grant.to-grant.lo < 2 {
+		t.Fatalf("first slice [%d, %d) too short to report inside", grant.lo, grant.to)
+	}
+	a.write(appendReportOK(nil, reportOK{
+		jobID: grant.jobID, through: grant.to - 1,
+		counters: condition.WorkCounters{Candidates: 1 << 40}, // poison: journaling this would corrupt the totals
+	}))
+	if kind, _, _, err := readFrame(a.br, nil); err == nil {
+		t.Fatalf("a report off the slice was answered with frame kind %d", kind)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	go Work(ctx, c.Addr(), WorkerOptions{})
+	if got := <-resCh; !reflect.DeepEqual(got, want) {
+		t.Fatalf("result after a rejected report %+v, oracle %+v", got, want)
+	}
+	if s := c.Stats(); s.LeasesRequeued == 0 {
+		t.Fatalf("the rejected report's lease was not requeued: %+v", s)
+	}
+}
+
+// TestHelloRefusesVersion1: a peer speaking the version-1 protocol, where
+// workers computed their own slice ends, is refused with an error naming
+// both versions. The coordinator answers its hello with its own before it
+// hangs up, so the old peer can report the mismatch, and counts no worker;
+// a worker answered by a version-1 hello fails with the version error
+// rather than taking the hang-up for a clean shutdown.
+func TestHelloRefusesVersion1(t *testing.T) {
+	v1 := appendHello(nil)
+	v1[len(v1)-1] = 1
+	err := decodeHello(v1[wire.FrameHeaderLen+1:])
+	if err == nil || !strings.Contains(err.Error(), "version 1, this build speaks 2") {
+		t.Fatalf("decodeHello(version 1) = %v", err)
+	}
+
+	c := NewCoordinator(Options{})
+	if err := c.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	nc, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	kind, payload, _, err := readFrame(br, nil)
+	if err != nil || kind != kindHello || decodeHello(payload) != nil {
+		t.Fatalf("coordinator answered a version-1 hello with kind %d, err %v", kind, err)
+	}
+	if _, _, _, err := readFrame(br, nil); err == nil {
+		t.Fatal("coordinator kept serving a version-1 peer")
+	}
+	if s := c.Stats(); s.WorkersSeen != 0 {
+		t.Fatalf("WorkersSeen = %d after a version-1 hello", s.WorkersSeen)
+	}
+
+	wc, sc := net.Pipe()
+	go func() {
+		defer sc.Close()
+		if kind, _, _, err := readFrame(bufio.NewReader(sc), nil); err == nil && kind == kindHello {
+			sc.Write(v1)
+		}
+	}()
+	err = work(context.Background(), func(context.Context) (net.Conn, error) { return wc, nil })
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("worker answered by a version-1 hello returned %v", err)
+	}
+}
+
+// TestPooledCheckRefusesCounterOverflow: core(61,20) at f = 20 accounts for
+// more candidate sets than int64 holds. Its one lease reports a delta that
+// stops at math.MaxInt64, and the coordinator's frontier refuses it with the
+// checker's *condition.CounterOverflowError, as the local check does.
+func TestPooledCheckRefusesCounterOverflow(t *testing.T) {
+	g := testGraph(t, "core", 61, 20)
+	_, stats, err := pooledCheck(t, Options{}, 2, g, 20)
+	var oe *condition.CounterOverflowError
+	if !errors.As(err, &oe) || stats.JobsGranted != 1 {
+		t.Fatalf("pooled core(61,20): err=%v after %d grants, want a counter overflow after one", err, stats.JobsGranted)
 	}
 }

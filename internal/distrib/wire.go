@@ -13,10 +13,15 @@
 //	               ◀─────────────  jobGrant (or done)
 //	needSpec       ─────────────▶                 (first time per spec)
 //	               ◀─────────────  spec
-//	reportOK       ─────────────▶                 (every reportEvery items)
-//	               ◀─────────────  ack {newHi, cancel}
+//	reportOK       ─────────────▶                 (through the slice end)
+//	               ◀─────────────  ack {next slice end, cancel}
 //	…              ─────────────▶
 //	jobRequest     ─────────────▶
+//
+// The coordinator alone decides where a slice ends: the grant carries the
+// first slice end and each ack the next, reportEvery spans on or the end of
+// the lease, and a worker scans [acked, to), reports through to, and does
+// no cadence arithmetic. An ack whose slice is empty ends the job.
 //
 // Every job is a half-open index range into a deterministic enumeration
 // (canonical fault sets for scans, scenario indexes for sweeps), and every
@@ -45,8 +50,11 @@ const (
 	// 16 MiB is far above any real instance while still bounding what a
 	// corrupt prefix can make the reader allocate.
 	maxFramePayload = 16 << 20
-	// wireVersion is the protocol version exchanged in hello frames.
-	wireVersion = 1
+	// wireVersion is the protocol version exchanged in hello frames. Version
+	// 2 moved the slice ends from the worker to the coordinator: a grant
+	// carries the first one where version 1 carried reportEvery, and an ack
+	// the next one where version 1 carried the lease's new upper bound.
+	wireVersion = 2
 	// helloMagic guards against a stray client dialing the job port.
 	helloMagic = 0x69616264 // "iabd"
 )
@@ -68,10 +76,10 @@ const (
 // Fixed payload sizes per kind (kind byte excluded).
 const (
 	helloLen       = 5  // magic u32, version u8
-	jobGrantLen    = 37 // jobID u64, specID u64, kind u8, lo u64, hi u64, reportEvery u32
+	jobGrantLen    = 41 // jobID u64, specID u64, kind u8, lo u64, hi u64, to u64
 	needSpecLen    = 8  // specID u64
 	reportOKLen    = 40 // jobID u64, through u64, counters 3×u64
-	ackLen         = 17 // jobID u64, newHi u64, flags u8
+	ackLen         = 17 // jobID u64, to u64, flags u8
 	specMinLen     = 8  // specID u64 + JSON tail
 	reportViolMin  = 64 // jobID u64, viol u64, sat 3×u64, partial 3×u64 + witness JSON
 	reportTraceMin = 16 // jobID u64, index u64 + result JSON
@@ -93,17 +101,16 @@ const (
 )
 
 // jobGrant assigns a worker the half-open range [lo, hi) of the spec's
-// enumeration. reportEvery is the lockstep report cadence in items.
+// enumeration; its first slice is [lo, to).
 type jobGrant struct {
-	jobID       uint64
-	specID      uint64
-	kind        jobKind
-	lo, hi      int64
-	reportEvery uint32
+	jobID      uint64
+	specID     uint64
+	kind       jobKind
+	lo, hi, to int64
 }
 
-// reportOK reports the clean completion of [prevAcked, through) with the
-// aggregate work counters of exactly that span.
+// reportOK reports the clean completion of the slice [prevAcked, through)
+// with the aggregate work counters of exactly that range.
 type reportOK struct {
 	jobID    uint64
 	through  int64
@@ -129,12 +136,13 @@ type reportTrace struct {
 	payload []byte
 }
 
-// ack answers every report. newHi is the job's authoritative upper bound —
-// it shrinks when the remainder was stolen — and cancel tells the worker to
-// abandon the job (its lease was requeued, or the result is moot).
+// ack answers every report. to ends the worker's next slice, which starts
+// where the report ended — equal to it when the job is done, its remainder
+// having been scanned or stolen — and cancel tells the worker to abandon the
+// job (its lease was requeued, or the result is moot).
 type ack struct {
 	jobID  uint64
-	newHi  int64
+	to     int64
 	cancel bool
 }
 
@@ -162,7 +170,7 @@ func appendJobGrant(dst []byte, g jobGrant) []byte {
 	dst = append(dst, byte(g.kind))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(g.lo))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(g.hi))
-	return binary.BigEndian.AppendUint32(dst, g.reportEvery)
+	return binary.BigEndian.AppendUint64(dst, uint64(g.to))
 }
 
 func appendNeedSpec(dst []byte, specID uint64) []byte {
@@ -208,7 +216,7 @@ func appendReportTrace(dst []byte, r reportTrace) []byte {
 func appendAck(dst []byte, a ack) []byte {
 	dst = appendHeader(dst, kindAck, ackLen)
 	dst = binary.BigEndian.AppendUint64(dst, a.jobID)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(a.newHi))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(a.to))
 	var flags byte
 	if a.cancel {
 		flags |= ackFlagCancel
@@ -233,7 +241,7 @@ func decodeHello(p []byte) error {
 		return fmt.Errorf("distrib: bad hello magic %#x", magic)
 	}
 	if v := p[4]; v != wireVersion {
-		return fmt.Errorf("distrib: protocol version %d, want %d", v, wireVersion)
+		return fmt.Errorf("distrib: peer speaks job protocol version %d, this build speaks %d", v, wireVersion)
 	}
 	return nil
 }
@@ -243,18 +251,18 @@ func decodeJobGrant(p []byte) (jobGrant, error) {
 		return jobGrant{}, err
 	}
 	g := jobGrant{
-		jobID:       binary.BigEndian.Uint64(p[0:8]),
-		specID:      binary.BigEndian.Uint64(p[8:16]),
-		kind:        jobKind(p[16]),
-		lo:          int64(binary.BigEndian.Uint64(p[17:25])),
-		hi:          int64(binary.BigEndian.Uint64(p[25:33])),
-		reportEvery: binary.BigEndian.Uint32(p[33:37]),
+		jobID:  binary.BigEndian.Uint64(p[0:8]),
+		specID: binary.BigEndian.Uint64(p[8:16]),
+		kind:   jobKind(p[16]),
+		lo:     int64(binary.BigEndian.Uint64(p[17:25])),
+		hi:     int64(binary.BigEndian.Uint64(p[25:33])),
+		to:     int64(binary.BigEndian.Uint64(p[33:41])),
 	}
 	if g.kind < jobScan || g.kind > jobNoop {
 		return jobGrant{}, fmt.Errorf("distrib: unknown job kind %d", g.kind)
 	}
-	if g.lo < 0 || g.hi < g.lo || g.reportEvery == 0 {
-		return jobGrant{}, fmt.Errorf("distrib: invalid grant range [%d, %d) every %d", g.lo, g.hi, g.reportEvery)
+	if g.lo < 0 || g.hi < g.lo || g.to < g.lo || g.to > g.hi {
+		return jobGrant{}, fmt.Errorf("distrib: invalid grant range [%d, %d), first slice to %d", g.lo, g.hi, g.to)
 	}
 	return g, nil
 }
@@ -322,7 +330,7 @@ func decodeAck(p []byte) (ack, error) {
 	}
 	return ack{
 		jobID:  binary.BigEndian.Uint64(p[0:8]),
-		newHi:  int64(binary.BigEndian.Uint64(p[8:16])),
+		to:     int64(binary.BigEndian.Uint64(p[8:16])),
 		cancel: p[16]&ackFlagCancel != 0,
 	}, nil
 }

@@ -17,13 +17,13 @@ func testFrames(t *testing.T) [][]byte {
 	return [][]byte{
 		appendHello(nil),
 		appendJobRequest(nil),
-		appendJobGrant(nil, jobGrant{jobID: 9, specID: 2, kind: jobScan, lo: 128, hi: 1152, reportEvery: 256}),
+		appendJobGrant(nil, jobGrant{jobID: 9, specID: 2, kind: jobScan, lo: 128, hi: 1152, to: 384}),
 		appendNeedSpec(nil, 2),
 		appendSpec(nil, 2, []byte(`{"kind":"noop"}`)),
 		appendReportOK(nil, reportOK{jobID: 9, through: 384, counters: counters}),
 		appendReportViol(nil, reportViol{jobID: 9, viol: 400, sat: counters, partial: condition.WorkCounters{Candidates: 1}, witness: []byte(`{"n":4}`)}),
 		appendReportTrace(nil, reportTrace{jobID: 9, index: 3, payload: []byte(`{"version":1}`)}),
-		appendAck(nil, ack{jobID: 9, newHi: 512, cancel: true}),
+		appendAck(nil, ack{jobID: 9, to: 512, cancel: true}),
 		appendDone(nil),
 	}
 }
@@ -133,11 +133,17 @@ func FuzzJobWireCodec(f *testing.F) {
 	counters := condition.WorkCounters{Candidates: 7, Pruned: 2, MemoHits: 3}
 	for _, frame := range [][]byte{
 		appendJobRequest(nil),
-		appendJobGrant(nil, jobGrant{jobID: 1, specID: 1, kind: jobScenario, lo: 0, hi: 1, reportEvery: 1}),
+		appendJobGrant(nil, jobGrant{jobID: 1, specID: 1, kind: jobScenario, lo: 0, hi: 1, to: 1}),
+		// A scan grant whose first slice ends inside the lease, a grant whose
+		// slice ends past it (refused), and acks that end the job and that
+		// dictate a next slice.
+		appendJobGrant(nil, jobGrant{jobID: 2, specID: 1, kind: jobScan, lo: 5, hi: 43796, to: 43765}),
+		appendJobGrant(nil, jobGrant{jobID: 3, specID: 1, kind: jobScan, lo: 5, hi: 9, to: 10}),
 		appendSpec(nil, 1, []byte(`{"kind":"noop"}`)),
 		appendReportOK(nil, reportOK{jobID: 1, through: 1, counters: counters}),
 		appendReportViol(nil, reportViol{jobID: 1, viol: 0, sat: counters, witness: []byte(`{}`)}),
-		appendAck(nil, ack{jobID: 1, newHi: 1}),
+		appendAck(nil, ack{jobID: 1, to: 1}),
+		appendAck(nil, ack{jobID: 2, to: 43796}),
 		appendDone(nil),
 	} {
 		all = append(all, frame...)
@@ -168,4 +174,18 @@ func FuzzJobWireCodec(f *testing.F) {
 			offset += frameLen
 		}
 	})
+}
+
+// TestJobGrantRefusesSliceOutsideLease: a grant's first slice [lo, to) must
+// lie within its lease [lo, hi).
+func TestJobGrantRefusesSliceOutsideLease(t *testing.T) {
+	for _, g := range []jobGrant{
+		{jobID: 1, specID: 1, kind: jobScan, lo: 5, hi: 9, to: 10},
+		{jobID: 1, specID: 1, kind: jobScan, lo: 5, hi: 9, to: 4},
+	} {
+		frame := appendJobGrant(nil, g)
+		if _, err := decodeJobGrant(frame[wire.FrameHeaderLen+1:]); err == nil {
+			t.Fatalf("grant %+v decoded", g)
+		}
+	}
 }

@@ -132,23 +132,24 @@ type worker struct {
 	cur   *workerSpec
 }
 
-// wrap maps connection teardown to the caller's intent: a coordinator that
-// hangs up is a clean shutdown, and a read error caused by our own
-// ctx-triggered close reports the cancellation, not the close. Over TCP the
-// hang-up reads as EOF at a frame boundary, and as a reset (or a broken pipe
-// on the next write) when the coordinator closed with a frame of ours still
-// unread — a report on a job its verdict had already made moot. Over an
-// in-memory pipe it reads as EOF, or as io.ErrClosedPipe on a write; our own
-// close reads as io.ErrClosedPipe too, so that one is a hang-up only while
-// ctx is live.
+// wrap maps connection teardown to the caller's intent: once ctx is done,
+// whatever error the worker's own ctx-triggered close caused reports the
+// cancellation; otherwise a coordinator that hangs up is a clean shutdown.
+// Over TCP the hang-up reads as EOF at a frame boundary, and as a reset (or
+// a broken pipe on the next write) when the coordinator closed with a frame
+// of ours still unread — a report on a job its verdict had already made
+// moot. Over an in-memory pipe it reads as EOF, or as io.ErrClosedPipe on a
+// write. The cancellation is checked first because our own close can read
+// as EOF too: when the coordinator's end closes as well, a read waiting on
+// the pipe may see either close.
 func (w *worker) wrap(err error) error {
-	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+	if err == nil {
 		return nil
 	}
 	if cerr := context.Cause(w.ctx); cerr != nil {
 		return cerr
 	}
-	if errors.Is(err, io.ErrClosedPipe) {
+	if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) || errors.Is(err, io.ErrClosedPipe) {
 		return nil
 	}
 	return err
@@ -257,7 +258,7 @@ func (w *worker) run(g jobGrant, ws *workerSpec) error {
 	case g.kind == jobScenario && ws.kind == "sweep":
 		return w.runScenarios(g, ws)
 	case g.kind == jobNoop && ws.kind == "noop":
-		if err := w.send(appendReportOK(w.out[:0], reportOK{jobID: g.jobID, through: g.hi})); err != nil {
+		if err := w.send(appendReportOK(w.out[:0], reportOK{jobID: g.jobID, through: g.to})); err != nil {
 			return err
 		}
 		_, err := w.readAck(g.jobID)
@@ -267,16 +268,12 @@ func (w *worker) run(g jobGrant, ws *workerSpec) error {
 	}
 }
 
-// runScan scans [lo, hi) in reportEvery-sized slices, renewing the lease
-// with each report and honoring steal shrinks (ack.newHi) and cancels.
+// runScan scans the slices the coordinator dictates, [acked, to) each,
+// renewing the lease with each report, until an ack ends the job with an
+// empty slice or cancels it.
 func (w *worker) runScan(g jobGrant, ws *workerSpec) error {
-	acked, hi := g.lo, g.hi
-	for acked < hi {
-		end := acked + int64(g.reportEvery)
-		if end > hi {
-			end = hi
-		}
-		rr, err := ws.scanner.ScanRange(w.ctx, acked, end)
+	for acked, to := g.lo, g.to; acked < to; {
+		rr, err := ws.scanner.ScanRange(w.ctx, acked, to)
 		if err != nil {
 			return err
 		}
@@ -294,7 +291,7 @@ func (w *worker) runScan(g jobGrant, ws *workerSpec) error {
 			return err
 		}
 		if err := w.send(appendReportOK(w.out[:0], reportOK{
-			jobID: g.jobID, through: end, counters: rr.Satisfied,
+			jobID: g.jobID, through: to, counters: rr.Satisfied,
 		})); err != nil {
 			return err
 		}
@@ -305,7 +302,7 @@ func (w *worker) runScan(g jobGrant, ws *workerSpec) error {
 		if a.cancel {
 			return nil
 		}
-		acked, hi = end, a.newHi
+		acked, to = to, a.to
 	}
 	return nil
 }
