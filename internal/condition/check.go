@@ -285,10 +285,11 @@ func CheckThreshold(g *graph.Graph, f, threshold int) (Result, error) {
 // pairs each insulated L with the maximal insulated subset of the
 // complement. Returns a witness with L and R filled in, or nil.
 //
-// The insulation tests run on s's cached in-degree-from-ground counts —
-// the optimization that turned the exact checker's inner loop
-// allocation-free. Three further cuts keep the search exact while skipping
-// most of it:
+// The search runs on s's word masks over the ground's positions (see
+// insulationScratch): each insulation test is a popcount of a member's
+// in-row against the candidate's row, and a ground allocates nothing but
+// its witness. Three further cuts keep the search exact while skipping most
+// of it:
 //
 //   - Degree pruning. A node v in an insulated set X has at most |X|−1
 //     in-neighbors inside X (no self-loops), so base[v] − (|X|−1) ≤
@@ -333,7 +334,7 @@ func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, thresho
 		if k > kept {
 			continue
 		}
-		if w := walkCandidates(s, ground, k, threshold, c); w != nil {
+		if w := walkCandidates(s, k, threshold, c); w != nil {
 			return w
 		}
 	}
@@ -341,46 +342,46 @@ func findDisjointInsulatedPair(s *insulationScratch, ground nodeset.Set, thresho
 }
 
 // walkCandidates visits the size-k candidates over s.pool depth first, in
-// the lexicographic order of pool positions, and returns the first witness.
-// A prefix that is not viable is skipped with the C(len(pool)−p−1, left)
-// completions below it, p being its last position; at full size that is
-// the one candidate failing the insulation test.
-func walkCandidates(s *insulationScratch, ground nodeset.Set, k, threshold int, c *WorkCounters) *Witness {
-	pool, idx, cur := s.pool, s.idx[:k], s.cur
-	last := len(pool) - k // the highest position at depth 0; idx[d] ≤ last+d
+// the lexicographic order of pool indices, and returns the first witness.
+// A prefix that is not viable is skipped with the C(len(pool)−i−1, left)
+// completions below it, i being its last index; at full size that is the
+// one candidate failing the insulation test.
+func walkCandidates(s *insulationScratch, k, threshold int, c *WorkCounters) *Witness {
+	pool, idx, cur := s.pool, s.idx[:k], s.cur[:s.w]
+	last := len(pool) - k // the highest index at depth 0; idx[d] ≤ last+d
 	d := 0
 	idx[0] = 0
 	for {
-		p := idx[d]
-		cur.Add(pool[p])
+		i := idx[d]
+		p := pool[i]
+		cur[p>>6] |= 1 << (p & 63)
 		left := k - 1 - d
 		if left == 0 {
 			s.tested++
 		}
 		switch {
 		case !s.viable(idx[:d+1], left, threshold):
-			c.Candidates += binom(len(pool)-1-p, left)
+			c.Candidates += binom(len(pool)-1-i, left)
 		case left > 0:
 			d++
-			idx[d] = p + 1
+			idx[d] = i + 1
 			continue
 		default:
 			c.Candidates++
-			if s.knownDead(cur) {
+			if s.knownDead() {
 				c.MemoHits++
-			} else if r := s.maximalInsulated(ground, ground.Difference(cur), threshold); r.Empty() {
-				s.recordDead(cur)
+			} else if r := s.peelComplement(threshold); ones(r) == 0 {
+				s.recordDead()
 			} else {
-				w := &Witness{L: cur.Clone(), R: r}
-				for _, i := range idx {
-					cur.Remove(pool[i])
-				}
+				w := &Witness{L: s.nodes(cur), R: s.nodes(r)}
+				clear(cur)
 				return w
 			}
 		}
 		// Advance to the next prefix, backtracking past exhausted depths.
 		for {
-			cur.Remove(pool[idx[d]])
+			p := pool[idx[d]]
+			cur[p>>6] &^= 1 << (p & 63)
 			idx[d]++
 			if idx[d] <= last+d {
 				break

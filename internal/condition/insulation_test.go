@@ -9,10 +9,42 @@ import (
 	"iabc/internal/topology"
 )
 
-// TestInsulationScratchMatchesReference cross-checks the incremental
-// insulated test and the worklist maximal-insulated-subset against the
-// retained reference implementations, over random graphs, ground sets, and
-// candidate enumerations — exactly the access pattern the checker uses.
+// rowOf returns the row of x ⊆ the scratch's current ground.
+func rowOf(s *insulationScratch, x nodeset.Set) []uint64 {
+	row := make([]uint64, s.w)
+	x.ForEach(func(v int) bool {
+		p := s.pos[v]
+		row[p>>6] |= 1 << (p & 63)
+		return true
+	})
+	return row
+}
+
+// peelSet runs the kernel's peel on sub ⊆ the current ground.
+func peelSet(s *insulationScratch, sub nodeset.Set, threshold int) nodeset.Set {
+	copy(s.res, rowOf(s, sub))
+	return s.nodes(s.maximalInsulated(threshold))
+}
+
+// insulatedByKernel runs the walk's insulation test — viable at left = 0 —
+// on a non-empty l ⊆ the current ground, with every position admitted, so
+// that pool indices are positions.
+func insulatedByKernel(s *insulationScratch, l nodeset.Set, threshold int) bool {
+	s.admit(len(s.members)+1, threshold)
+	var idx []int
+	l.ForEach(func(v int) bool {
+		idx = append(idx, s.pos[v])
+		return true
+	})
+	copy(s.cur, rowOf(s, l))
+	defer clear(s.cur)
+	return s.viable(idx, 0, threshold)
+}
+
+// TestInsulationScratchMatchesReference cross-checks the kernel's insulation
+// test and its worklist peel against the retained reference implementations,
+// over random graphs, ground sets, and candidate enumerations — exactly the
+// access pattern the checker uses.
 func TestInsulationScratchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 120; trial++ {
@@ -34,14 +66,14 @@ func TestInsulationScratchMatchesReference(t *testing.T) {
 
 		m := ground.Count()
 		nodeset.SubsetsAscendingSize(ground, 1, m/2, func(l nodeset.Set) bool {
-			gotIns := scratch.insulated(l, threshold)
+			gotIns := insulatedByKernel(scratch, l, threshold)
 			wantIns := isInsulated(g, ground, l, threshold)
 			if gotIns != wantIns {
 				t.Fatalf("trial %d: insulated(%v) = %v, reference %v (ground %v, th %d)",
 					trial, l, gotIns, wantIns, ground, threshold)
 			}
 			rest := ground.Difference(l)
-			got := scratch.maximalInsulated(ground, rest, threshold)
+			got := peelSet(scratch, rest, threshold)
 			want := maximalInsulatedSubset(g, ground, rest, threshold)
 			if !got.Equal(want) {
 				t.Fatalf("trial %d: maximalInsulated(%v) = %v, reference %v",

@@ -41,8 +41,9 @@ func randomGround(n int, rng *rand.Rand) nodeset.Set {
 // prefix lookahead: on the orbit zoo, seeded random digraphs and in-regular
 // graphs, at both thresholds, over random grounds, the walk returns the
 // reference enumeration's witness and the identical Candidates, Pruned and
-// MemoHits. Each side keeps one scratch across a graph's grounds, as the
-// scanner does, and the walk must leave its prefix set empty.
+// MemoHits. The reference is self-contained over nodeset and shares no
+// state with the kernel; the walk keeps one scratch across a graph's
+// grounds, as the scanner does, and must leave its prefix row empty.
 func TestLookaheadMatchesReferenceEnumeration(t *testing.T) {
 	must := mustGraph(t)
 	rng := rand.New(rand.NewSource(41))
@@ -76,35 +77,40 @@ func TestLookaheadMatchesReferenceEnumeration(t *testing.T) {
 		d := 2 + rng.Intn(n/2)
 		cases = append(cases, tc{fmt.Sprintf("in-regular(%d,%d)", n, d), must(topology.RandomInRegular(n, d, rng)), 1 + rng.Intn(2)})
 	}
-	var grounds, hits int
+	var (
+		grounds, hits int
+		memo          int64
+	)
 	for _, c := range cases {
 		n := c.g.N()
 		for _, threshold := range []int{SyncThreshold(c.f), AsyncThreshold(c.f)} {
-			ref, walk := newInsulationScratch(c.g), newInsulationScratch(c.g)
+			walk := newInsulationScratch(c.g)
 			for trial := 0; trial < 16; trial++ {
 				ground := nodeset.Universe(n)
 				if trial > 0 {
 					ground = randomGround(n, rng)
 				}
 				var want, got pairOutcome
-				want.w = referenceFindPair(ref, ground, threshold, &want.cc)
+				want.w = referenceFindPair(c.g, ground, threshold, &want.cc)
 				got.w = findDisjointInsulatedPair(walk, ground, threshold, &got.cc)
 				if !got.equal(want) {
 					t.Fatalf("%s t=%d ground %v:\nwalk      %v\nreference %v", c.name, threshold, ground, got, want)
 				}
-				if !walk.cur.Empty() {
-					t.Fatalf("%s t=%d ground %v: walk left %v in its prefix set", c.name, threshold, ground, walk.cur)
+				if ones(walk.cur) != 0 {
+					t.Fatalf("%s t=%d ground %v: walk left %x in its prefix row", c.name, threshold, ground, walk.cur)
 				}
 				grounds++
+				memo += want.cc.MemoHits
 				if want.w != nil {
 					hits++
 				}
 			}
 		}
 	}
-	// Both outcomes must be exercised, or the gate compares too little.
-	if hits == 0 || hits == grounds {
-		t.Fatalf("%d of %d grounds violated; want a mix", hits, grounds)
+	// Both outcomes and the memo must be exercised, or the gate compares
+	// too little.
+	if hits == 0 || hits == grounds || memo == 0 {
+		t.Fatalf("%d of %d grounds violated, %d memo hits; want a mix and some hits", hits, grounds, memo)
 	}
 }
 
@@ -122,7 +128,7 @@ func TestLookaheadPruningPower(t *testing.T) {
 		nodeset.SubsetsAscendingSize(universe, size, size, func(fSet nodeset.Set) bool {
 			ground := universe.Difference(fSet)
 			findDisjointInsulatedPair(scratch, ground, threshold, &walk)
-			referenceFindPair(newInsulationScratch(g), ground, threshold, &ref)
+			referenceFindPair(g, ground, threshold, &ref)
 			return true
 		})
 	}
@@ -161,7 +167,7 @@ func TestLookaheadOversizedGround(t *testing.T) {
 	g := b.MustBuild()
 	ground := nodeset.Universe(n)
 	var want, got pairOutcome
-	want.w = referenceFindPair(newInsulationScratch(g), ground, 1, &want.cc)
+	want.w = referenceFindPair(g, ground, 1, &want.cc)
 	got.w = findDisjointInsulatedPair(newInsulationScratch(g), ground, 1, &got.cc)
 	if want.w == nil || !want.w.L.Equal(nodeset.FromMembers(n, 10, 11)) {
 		t.Fatalf("reference found %v, want L = {10, 11}", want)

@@ -10,7 +10,7 @@ import (
 
 // isInsulated reports whether every node of x has at most threshold-1
 // in-neighbors in ground−x, materializing ground−x: the reference for the
-// scratch's cached-count tests.
+// scratch's word-mask tests.
 func isInsulated(g *graph.Graph, ground, x nodeset.Set, threshold int) bool {
 	outside := ground.Difference(x)
 	ok := true
@@ -51,35 +51,23 @@ func maximalInsulatedSubset(g *graph.Graph, ground, sub nodeset.Set, threshold i
 	}
 }
 
-// insulated reports whether every node of l has at most threshold−1
-// in-neighbors in ground−l, using the cached ground counts: the candidate
-// test referenceFindPair makes, result-identical to isInsulated.
-func (s *insulationScratch) insulated(l nodeset.Set, threshold int) bool {
-	ok := true
-	l.ForEach(func(v int) bool {
-		if s.base[v]-s.g.CountInFrom(v, l) >= threshold {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
 // referenceFindPair is the candidate loop findDisjointInsulatedPair had
-// before the prefix lookahead: every candidate of the degree-pruned pool
-// enumerated by nodeset.SubsetsAscendingSizePruned and tested whole. It
-// shares the scratch — base counts, memo, peel — and counts into c exactly
-// as the walk must.
-func referenceFindPair(s *insulationScratch, ground nodeset.Set, threshold int, c *WorkCounters) *Witness {
+// before the prefix lookahead and the word-mask kernel: every candidate of
+// the degree-pruned pool enumerated by nodeset.SubsetsAscendingSizePruned,
+// tested whole by isInsulated and peeled by maximalInsulatedSubset, with its
+// own empty-complement memo of at most deadCap sets. It shares no state with
+// the scratch and counts into c exactly as the walk must.
+func referenceFindPair(g *graph.Graph, ground nodeset.Set, threshold int, c *WorkCounters) *Witness {
 	m := ground.Count()
 	if m < 2 {
 		return nil
 	}
-	s.setGround(ground)
-	var found *Witness
+	var (
+		found *Witness
+		dead  []nodeset.Set
+	)
 	nodeset.SubsetsAscendingSizePruned(ground, 1, m/2,
-		func(v, size int) bool { return s.base[v] < threshold+size-1 },
+		func(v, size int) bool { return g.CountInFrom(v, ground) < threshold+size-1 },
 		func(size, kept, total int) {
 			if total > 62 {
 				return
@@ -90,19 +78,23 @@ func referenceFindPair(s *insulationScratch, ground nodeset.Set, threshold int, 
 		},
 		func(l nodeset.Set) bool {
 			c.Candidates++
-			if !s.insulated(l, threshold) {
+			if !isInsulated(g, ground, l, threshold) {
 				return true
 			}
-			if s.knownDead(l) {
-				c.MemoHits++
-				return true
+			for _, d := range dead {
+				if d.SubsetOf(l) {
+					c.MemoHits++
+					return true
+				}
 			}
-			r := s.maximalInsulated(ground, ground.Difference(l), threshold)
+			r := maximalInsulatedSubset(g, ground, ground.Difference(l), threshold)
 			if !r.Empty() {
 				found = &Witness{L: l.Clone(), R: r}
 				return false
 			}
-			s.recordDead(l)
+			if len(dead) < deadCap {
+				dead = append(dead, l.Clone())
+			}
 			return true
 		})
 	return found

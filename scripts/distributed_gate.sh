@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Distributed-scan conformance gate for the coordinator–worker job protocol.
 #
-# Phase 1 (conformance): run `iabc coordinate` over random:25,0.7,1 with two
+# Phase 1 (conformance): run `iabc coordinate` over random:26,0.65,2 with two
 # external `iabc work` processes joined over loopback, and require the
 # maxf/work report lines to be byte-identical to the single-process oracle
 # (`iabc maxf`) — same verdict, same witness-bearing counters, no double
@@ -24,12 +24,13 @@ work=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 
 # A seeded random digraph: its automorphism group is trivial, so every one of
-# the 179 469 fault sets of its seven checks is scanned on its own ground and
-# the single-process sweep takes 4.7 s on a 2-vCPU Xeon host — phase 2's
-# 1 s kill lands mid-scan. (random:23,0.7,1 finishes in 2.3 s since the
-# prefix lookahead, chord:21,2 in milliseconds since the checker scans one
-# fault set per automorphism orbit.)
-topo=random:25,0.7,1
+# the 189 768 fault sets of its seven checks is scanned on its own ground and
+# the single-process sweep takes 4.8 s on a 2-vCPU Xeon host — phase 2's
+# 1 s kill lands mid-scan. (random:25,0.7,1 finishes in 1.8 s since the
+# word-mask insulation kernel, random:23,0.7,1 in 2.3 s since the prefix
+# lookahead, chord:21,2 in milliseconds since the checker scans one fault
+# set per automorphism orbit.)
+topo=random:26,0.65,2
 port=$(( (RANDOM % 10000) + 20000 ))
 addr="127.0.0.1:$port"
 
