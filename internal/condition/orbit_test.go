@@ -270,7 +270,7 @@ func TestOrbitTableMatchesPlainClosure(t *testing.T) {
 				gens := g.AutomorphismGenerators(budget)
 				blocks, rest := twinClasses(g.N(), gens)
 				wantOrbit, wantRep := plainOrbitTable(g.N(), tc.f, gens)
-				s := newShardScanner(g, tc.f, SyncThreshold(tc.f), budget)
+				s := newShardScanner(g, tc.f, SyncThreshold(tc.f), gens)
 				switch {
 				case s.low != nil && len(rest) > 0:
 					mixed++
@@ -451,13 +451,13 @@ func TestOrbitScannerMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := newShardScanner(tc.g, tc.f, threshold, budget).check(ctx, workers, nil, fr)
+						got, err := newShardScanner(tc.g, tc.f, threshold, tc.g.AutomorphismGenerators(budget)).check(ctx, workers, nil, fr)
 						if err != nil {
 							t.Fatalf("workers=%d: %v", workers, err)
 						}
 						resultEqual(t, got, want)
 					}
-					scanner := newShardScanner(tc.g, tc.f, threshold, budget)
+					scanner := newShardScanner(tc.g, tc.f, threshold, tc.g.AutomorphismGenerators(budget))
 					for _, chunk := range []int64{1, 5, 37, scanner.NumFaultSets()} {
 						resultEqual(t, composeRanges(t, scanner, chunk), want)
 					}

@@ -89,5 +89,5 @@ func CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts ScanO
 	if g.N() < 8 {
 		workers = 1
 	}
-	return newShardScanner(g, f, threshold, graph.AutSearchBudget).check(ctx, workers, opts.OnProgress, fr)
+	return newShardScanner(g, f, threshold, ScanGenerators(g, f)).check(ctx, workers, opts.OnProgress, fr)
 }

@@ -24,7 +24,7 @@ import (
 //     canonical (size-ascending, then combination-lexicographic) order,
 //     unranked on demand (faultSet) for the grounds actually scanned;
 //   - the orbits: which fault sets are images of one another under the
-//     automorphisms graph.AutomorphismGenerators found (buildOrbits);
+//     automorphisms it was built from (buildOrbits);
 //   - one result per orbit, computed on the ground of the orbit's
 //     lowest-indexed member (its representative) the first time any member
 //     is asked for.
@@ -100,23 +100,52 @@ func ValidateScan(n, f, threshold int) error {
 	return nil
 }
 
-// NewShardScanner builds the orbits of (g, f, threshold).
+// ScanGenerators returns the automorphism generators a scan of g at f builds
+// its orbits from: g.AutomorphismGenerators(graph.AutSearchBudget) where
+// orbits apply — f > 0, since f = 0 has one fault set and nothing to share,
+// and n ≤ 62, since orbits rank one-word masks through binomTable — and
+// none elsewhere.
+func ScanGenerators(g *graph.Graph, f int) [][]int {
+	if f <= 0 || g.N() > 62 {
+		return nil
+	}
+	return g.AutomorphismGenerators(graph.AutSearchBudget)
+}
+
+// NewShardScanner builds the orbits of (g, f, threshold) from
+// ScanGenerators(g, f).
 func NewShardScanner(g *graph.Graph, f, threshold int) (*ShardScanner, error) {
+	return NewShardScannerWith(g, f, threshold, ScanGenerators(g, f))
+}
+
+// NewShardScannerWith builds the orbits of (g, f, threshold) from gens, which
+// need not come from this process: a distributed worker passes the
+// generators its coordinator shipped. The orbits of any subgroup of Aut(G)
+// are sound, so it takes any set of at most n−1 automorphisms of a graph of
+// n ≤ 62 nodes — at most as many as the search returns — and refuses
+// anything else with an error before building an orbit. Two scanners built
+// from the same graph and generators have the same Spans.
+func NewShardScannerWith(g *graph.Graph, f, threshold int, gens [][]int) (*ShardScanner, error) {
 	if err := ValidateScan(g.N(), f, threshold); err != nil {
 		return nil, err
 	}
-	return newShardScanner(g, f, threshold, graph.AutSearchBudget), nil
+	if n := g.N(); len(gens) > 0 && (n > 62 || len(gens) > n-1) {
+		return nil, fmt.Errorf("condition: %d automorphism generators on %d nodes: orbits take at most n−1 on n ≤ 62", len(gens), n)
+	}
+	if err := g.VerifyAutomorphisms(gens); err != nil {
+		return nil, fmt.Errorf("condition: %w", err)
+	}
+	return newShardScanner(g, f, threshold, gens), nil
 }
 
-// newShardScanner is NewShardScanner past validation, with the generator
-// search's step budget exposed so tests can starve it.
-func newShardScanner(g *graph.Graph, f, threshold, budget int) *ShardScanner {
+// newShardScanner is NewShardScannerWith past validation.
+func newShardScanner(g *graph.Graph, f, threshold int, gens [][]int) *ShardScanner {
 	n := g.N()
 	s := &ShardScanner{g: g, f: f, threshold: threshold, total: NumFaultSets(n, f), scratch: newInsulationScratch(g)}
-	// Orbits rank one-word masks through binomTable, so they need n ≤ 62;
-	// f = 0 has one fault set and nothing to share.
+	// The conditions ScanGenerators puts on orbits, for generators from
+	// elsewhere.
 	if f > 0 && n <= 62 {
-		s.buildOrbits(g.AutomorphismGenerators(budget))
+		s.buildOrbits(gens)
 	}
 	if s.rep != nil {
 		s.memo, s.count = make([]groundResult, len(s.rep)), make([]int64, len(s.rep))
@@ -297,8 +326,21 @@ func (s *ShardScanner) buildVectors(blocks []uint64, gens [][]int) bool {
 	if !walk(0, 0, s.f) {
 		return false
 	}
-	byIndex := func(a, b uint64) int { return cmp.Compare(rank(s.g.N(), a), rank(s.g.N(), b)) }
-	slices.SortFunc(low, byIndex)
+	// Each vector's lowest member is ranked once: ranks[j] is low[j]'s index.
+	n := s.g.N()
+	type vector struct {
+		rank int64
+		low  uint64
+	}
+	vs := make([]vector, len(low))
+	for j, m := range low {
+		vs[j] = vector{rank(n, m), m}
+	}
+	slices.SortFunc(vs, func(a, b vector) int { return cmp.Compare(a.rank, b.rank) })
+	ranks := make([]int64, len(vs))
+	for j, v := range vs {
+		low[j], ranks[j] = v.low, v.rank
+	}
 	s.blocks, s.low, s.vorbit = blocks, low, make([]int32, len(low))
 	for b, m := range blocks {
 		for ; m != 0; m &= m - 1 {
@@ -306,7 +348,7 @@ func (s *ShardScanner) buildVectors(blocks []uint64, gens [][]int) bool {
 		}
 	}
 	s.closure(s.vorbit, gens, func(j int) uint64 { return low[j] }, func(m uint64) int {
-		j, _ := slices.BinarySearchFunc(low, m, byIndex)
+		j, _ := slices.BinarySearch(ranks, rank(n, m))
 		return j
 	})
 	return true

@@ -620,7 +620,7 @@ func TestScanRangeChunkingsMatchReference(t *testing.T) {
 		for workers := 1; workers <= 4; workers++ {
 			errs := make(chan error, workers)
 			for w := 0; w < workers; w++ {
-				s := newShardScanner(tc.g, tc.f, threshold, graph.AutSearchBudget)
+				s := newShardScanner(tc.g, tc.f, threshold, ScanGenerators(tc.g, tc.f))
 				if tc.vectors {
 					s = vectorScanner(t, tc.g, tc.f, threshold)
 				}

@@ -677,7 +677,8 @@ func (c *Coordinator) waitPhase(ctx context.Context, ph *phase) error {
 // are journaled into the scan's condition.ScanFrontier and the Result is
 // settled through it, as in the single-process scan. The leases partition
 // the frontier's index space, [0, condition.NumFaultSets), counted in the
-// spans of a scanner the coordinator builds once.
+// spans of a scanner the coordinator builds once; the scan spec ships its
+// generators, so every worker's scanner has the same spans.
 func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshold int, opts condition.ScanOptions) (condition.Result, error) {
 	fr, cached, err := condition.LoadScanFrontier(ctx, opts.Store, g, f, threshold, opts.CheckpointEvery)
 	if err != nil {
@@ -688,11 +689,12 @@ func (c *Coordinator) CheckScan(ctx context.Context, g *graph.Graph, f, threshol
 	}
 	total := fr.Total()
 	resume, _ := fr.ResumePoint()
-	spec, err := buildScanSpec(g, f, threshold)
+	gens := condition.ScanGenerators(g, f)
+	scanner, err := condition.NewShardScannerWith(g, f, threshold, gens)
 	if err != nil {
 		return condition.Result{}, err
 	}
-	scanner, err := condition.NewShardScanner(g, f, threshold)
+	spec, err := buildScanSpec(g, f, threshold, gens)
 	if err != nil {
 		return condition.Result{}, err
 	}

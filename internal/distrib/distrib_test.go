@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -975,10 +976,10 @@ func TestResolveSpecRefusesOversizedSweep(t *testing.T) {
 	}
 }
 
-// TestResolveSpecRefusesInfeasibleScan: a scan spec whose header declares
+// TestResolveSpecRefusesInfeasibleScan: a scan spec whose encoding declares
 // more nodes than the checker can scan is refused by the checker's own
-// feasibility gate before the graph is parsed — for n − f > 62 and for an
-// extent past int64 — so a hostile header allocates under 1 MB, where
+// feasibility gate before the graph is decoded — for n − f > 62 and for an
+// extent past int64 — so a hostile order allocates under 1 MB, where
 // building its graph would take gigabytes.
 func TestResolveSpecRefusesInfeasibleScan(t *testing.T) {
 	for _, tc := range []struct {
@@ -988,7 +989,7 @@ func TestResolveSpecRefusesInfeasibleScan(t *testing.T) {
 		{6, "n-f = 200001 > 62"},
 		{200000, "overflow int64"},
 	} {
-		payload, err := json.Marshal(jobSpec{Kind: "scan", Scan: &scanSpec{Graph: "# hostile\nn 200007\n0 1\n", F: tc.f, Threshold: tc.f + 1}})
+		payload, err := json.Marshal(jobSpec{Kind: "scan", Scan: &scanSpec{Graph: "g1:200007;0>1", F: tc.f, Threshold: tc.f + 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1115,17 +1116,22 @@ func TestReportOffTheSliceIsRejected(t *testing.T) {
 
 // TestHelloRefusesVersion1: a peer speaking the version-1 protocol, where
 // workers computed their own slice ends, is refused with an error naming
-// both versions. The coordinator answers its hello with its own before it
-// hangs up, so the old peer can report the mismatch, and counts no worker;
-// a worker answered by a version-1 hello fails with the version error
-// rather than taking the hang-up for a clean shutdown.
+// both versions, and so is one speaking version 2, whose scan specs carried
+// an edge list and no generators. The coordinator answers its hello with its
+// own before it hangs up, so the old peer can report the mismatch, and
+// counts no worker; a worker answered by a version-1 hello fails with the
+// version error rather than taking the hang-up for a clean shutdown.
 func TestHelloRefusesVersion1(t *testing.T) {
+	for _, v := range []byte{1, 2} {
+		old := appendHello(nil)
+		old[len(old)-1] = v
+		err := decodeHello(old[wire.FrameHeaderLen+1:])
+		if want := fmt.Sprintf("version %d, this build speaks 3", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("decodeHello(version %d) = %v", v, err)
+		}
+	}
 	v1 := appendHello(nil)
 	v1[len(v1)-1] = 1
-	err := decodeHello(v1[wire.FrameHeaderLen+1:])
-	if err == nil || !strings.Contains(err.Error(), "version 1, this build speaks 2") {
-		t.Fatalf("decodeHello(version 1) = %v", err)
-	}
 
 	c := NewCoordinator(Options{})
 	if err := c.Listen("127.0.0.1:0"); err != nil {

@@ -3,10 +3,21 @@ package distrib
 // Job specs: the JSON payloads of kindSpec frames. A spec is the full,
 // self-contained identity of an enumeration — everything a worker needs to
 // execute any index range of it. Specs are immutable once registered, and a
-// worker connection keeps the one it last resolved, so the (potentially
-// large) JSON crosses the wire, and a scan's orbits are built, once per
-// connection and phase.
-
+// worker connection keeps the one it last resolved, so the JSON crosses the
+// wire, and a scan's scanner is built, once per connection and phase.
+//
+// A scan spec ships what the coordinator built its own scanner from (job
+// wire version 3): the graph's canonical encoding (graph.Encode, the string
+// its checkpoint records key on) and the automorphism generators its orbits
+// were closed under, packed one byte per image. The worker searches for no
+// automorphism and parses no edge list. A spec is input from the network, so
+// the worker trusts none of it: graph.Decode refuses a non-canonical
+// encoding, and condition.NewShardScannerWith refuses generators that are
+// not automorphisms of the decoded graph, before any orbit is built. The
+// orbits of any subgroup of Aut(G) are sound (docs/THEORY.md, "Symmetry"),
+// and coordinator and worker close the same index space under the same
+// generators, so their spans agree and every dictated slice end is a span
+// end on both sides.
 import (
 	"encoding/json"
 	"fmt"
@@ -17,13 +28,16 @@ import (
 )
 
 // scanSpec identifies one exact-check scan: any worker holding it can
-// reproduce the canonical fault-set enumeration and scan any range.
+// reproduce the canonical fault-set enumeration, its orbits, and scan any
+// range.
 type scanSpec struct {
-	// Graph is the edge-list encoding (graph.EdgeListString), the format
-	// with a parser on the receiving side.
+	// Graph is the canonical encoding (graph.Encode).
 	Graph     string `json:"graph"`
 	F         int    `json:"f"`
 	Threshold int    `json:"threshold"`
+	// Gens holds the coordinator's automorphism generators, n bytes each:
+	// byte k·n + v is the image of node v under generator k.
+	Gens []byte `json:"gens,omitempty"`
 }
 
 // jobSpec is the kindSpec payload: a tagged union over the job kinds.
@@ -35,11 +49,37 @@ type jobSpec struct {
 	Sweep json.RawMessage `json:"sweep,omitempty"`
 }
 
-// buildScanSpec serializes a scan identity.
-func buildScanSpec(g *graph.Graph, f, threshold int) ([]byte, error) {
+// buildScanSpec serializes a scan identity and the generators of its
+// orbits, which condition.ScanGenerators keeps to graphs of at most 62
+// nodes, so every image fits a byte.
+func buildScanSpec(g *graph.Graph, f, threshold int, gens [][]int) ([]byte, error) {
+	packed := make([]byte, 0, len(gens)*g.N())
+	for _, perm := range gens {
+		for _, w := range perm {
+			packed = append(packed, byte(w))
+		}
+	}
 	return json.Marshal(jobSpec{Kind: "scan", Scan: &scanSpec{
-		Graph: g.EdgeListString(), F: f, Threshold: threshold,
+		Graph: g.Encode(), F: f, Threshold: threshold, Gens: packed,
 	}})
+}
+
+// unpackGenerators splits a scan spec's packed generators into n-image
+// permutations, refusing any count the scanner would refuse before
+// allocating for it.
+func unpackGenerators(n int, packed []byte) ([][]int, error) {
+	if len(packed)%n != 0 || len(packed)/n > n-1 {
+		return nil, fmt.Errorf("distrib: scan spec generators: %d bytes are not at most n−1 permutations of n = %d nodes", len(packed), n)
+	}
+	gens := make([][]int, len(packed)/n)
+	images := make([]int, len(packed))
+	for i, w := range packed {
+		images[i] = int(w)
+	}
+	for k := range gens {
+		gens[k] = images[k*n : (k+1)*n : (k+1)*n]
+	}
+	return gens, nil
 }
 
 // sweepJobSpec wraps a sweep's spec, rejecting up front what a worker
@@ -72,9 +112,10 @@ type workerSpec struct {
 }
 
 // resolveSpec decodes and materializes a spec payload on a worker. A scan's
-// header order is checked against the checker's feasibility gate before the
-// graph is parsed, so a spec naming millions of nodes is refused without
-// allocating for them.
+// order is checked against the checker's feasibility gate before the graph
+// is decoded, so a spec naming millions of nodes is refused without
+// allocating for them; its generators are verified before its orbits are
+// built.
 func resolveSpec(payload []byte) (*workerSpec, error) {
 	var spec jobSpec
 	if err := json.Unmarshal(payload, &spec); err != nil {
@@ -87,18 +128,22 @@ func resolveSpec(payload []byte) (*workerSpec, error) {
 		if spec.Scan == nil {
 			return nil, fmt.Errorf("distrib: scan spec missing body")
 		}
-		n, err := graph.EdgeListOrder(spec.Scan.Graph)
+		n, err := graph.EncodedOrder(spec.Scan.Graph)
 		if err != nil {
 			return nil, fmt.Errorf("distrib: scan spec graph: %w", err)
 		}
 		if err := condition.ValidateScan(n, spec.Scan.F, spec.Scan.Threshold); err != nil {
 			return nil, err
 		}
-		g, err := graph.ParseEdgeListString(spec.Scan.Graph)
+		gens, err := unpackGenerators(n, spec.Scan.Gens)
+		if err != nil {
+			return nil, err
+		}
+		g, err := graph.Decode(spec.Scan.Graph)
 		if err != nil {
 			return nil, fmt.Errorf("distrib: scan spec graph: %w", err)
 		}
-		scanner, err := condition.NewShardScanner(g, spec.Scan.F, spec.Scan.Threshold)
+		scanner, err := condition.NewShardScannerWith(g, spec.Scan.F, spec.Scan.Threshold, gens)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,10 @@ const (
 	// 2 moved the slice ends from the worker to the coordinator: a grant
 	// carries the first one where version 1 carried reportEvery, and an ack
 	// the next one where version 1 carried the lease's new upper bound.
-	wireVersion = 2
+	// Version 3 changed the scan spec: it carries the graph's canonical
+	// encoding in place of its edge list, and the coordinator's
+	// automorphism generators.
+	wireVersion = 3
 	// helloMagic guards against a stray client dialing the job port.
 	helloMagic = 0x69616264 // "iabd"
 )

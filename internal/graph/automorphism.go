@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AutSearchBudget is the number of individualise-and-refine steps one
 // extension of AutomorphismGenerators may spend before giving up on its
@@ -27,6 +30,9 @@ type autSearch struct {
 	n       int
 	in, out [maxAutOrder]uint64
 	steps   int // budget left in the current extension
+	// right[k] is the partition an extension tries at depth k, past the
+	// first: allocated once, on the first such try.
+	right []cells
 }
 
 func (a *autSearch) discrete(p *cells) bool { return bits.OnesCount64(p.starts) == a.n }
@@ -139,20 +145,77 @@ func (a *autSearch) extend(levels []cells, k int, right *cells, perm []int) bool
 	}
 	x := a.target(left)
 	for m := right.cell[x]; m != 0 && a.steps > 0; m &= m - 1 {
-		next := *right
-		if a.step(&next, x, bits.TrailingZeros64(m), &levels[k+1]) && a.extend(levels, k+1, &next, perm) {
+		if a.right == nil {
+			a.right = make([]cells, len(levels))
+		}
+		next := &a.right[k+1]
+		*next = *right
+		if a.step(next, x, bits.TrailingZeros64(m), &levels[k+1]) && a.extend(levels, k+1, next, perm) {
 			return true
 		}
 	}
 	return false
 }
 
+// newAutSearch returns a search over the adjacency masks of g, n ≤ 64.
+func newAutSearch(g *Graph) *autSearch {
+	a := &autSearch{n: g.n}
+	for v := 0; v < g.n; v++ {
+		for _, u := range g.in[v] {
+			a.in[v] |= 1 << uint(u)
+		}
+		for _, w := range g.out[v] {
+			a.out[v] |= 1 << uint(w)
+		}
+	}
+	return a
+}
+
+// VerifyAutomorphisms returns nil when every perm in gens is an automorphism
+// of g — a bijection of its nodes, perm[v] the image of v, that maps every
+// out-neighbourhood onto the out-neighbourhood of the image — and otherwise
+// an error naming the first that is not. It runs the check
+// AutomorphismGenerators puts each of its own generators through, for
+// generators that arrive from elsewhere, and handles n ≤ 64.
+func (g *Graph) VerifyAutomorphisms(gens [][]int) error {
+	if len(gens) == 0 {
+		return nil
+	}
+	if g.n > maxAutOrder {
+		return fmt.Errorf("graph: automorphisms of %d > %d nodes cannot be verified", g.n, maxAutOrder)
+	}
+	a := newAutSearch(g)
+	for k, perm := range gens {
+		if len(perm) != g.n {
+			return fmt.Errorf("graph: generator %d has %d images, want one per node of %d", k, len(perm), g.n)
+		}
+		var seen uint64
+		for v, w := range perm {
+			if w < 0 || w >= g.n || seen&(1<<uint(w)) != 0 {
+				return fmt.Errorf("graph: generator %d is not a permutation: node %d maps to %d", k, v, w)
+			}
+			seen |= 1 << uint(w)
+		}
+		if !a.isAutomorphism(perm) {
+			return fmt.Errorf("graph: generator %d is a permutation but not an automorphism", k)
+		}
+	}
+	return nil
+}
+
 // isAutomorphism reports whether the bijection perm maps every
-// out-neighbourhood onto the out-neighbourhood of the image.
+// out-neighbourhood onto the out-neighbourhood of the image. Only the
+// members perm moves need mapping.
 func (a *autSearch) isAutomorphism(perm []int) bool {
+	var moved uint64
+	for v, w := range perm {
+		if v != w {
+			moved |= 1 << uint(v)
+		}
+	}
 	for u := 0; u < a.n; u++ {
-		var img uint64
-		for m := a.out[u]; m != 0; m &= m - 1 {
+		img := a.out[u] &^ moved
+		for m := a.out[u] & moved; m != 0; m &= m - 1 {
 			img |= 1 << uint(perm[bits.TrailingZeros64(m)])
 		}
 		if img != a.out[perm[u]] {
@@ -182,15 +245,7 @@ func (g *Graph) AutomorphismGenerators(budget int) [][]int {
 	if n < 2 || n > maxAutOrder {
 		return nil
 	}
-	a := &autSearch{n: n}
-	for v := 0; v < n; v++ {
-		for _, u := range g.in[v] {
-			a.in[v] |= 1 << uint(u)
-		}
-		for _, w := range g.out[v] {
-			a.out[v] |= 1 << uint(w)
-		}
-	}
+	a := newAutSearch(g)
 	levels := make([]cells, 1, 4)
 	levels[0].cell[0] = ^uint64(0) >> uint(maxAutOrder-n)
 	levels[0].starts = 1

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -21,58 +22,148 @@ import (
 
 // WriteEdgeList writes the graph in edge-list format.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "n %d\n", g.n); err != nil {
-		return err
-	}
-	var err error
-	g.ForEachEdge(func(from, to int) {
-		if err == nil {
-			_, err = fmt.Fprintf(bw, "%d %d\n", from, to)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(g.appendEdgeList(nil))
+	return err
 }
 
 // EdgeListString returns the edge-list encoding as a string.
 func (g *Graph) EdgeListString() string {
-	var sb strings.Builder
-	if err := g.WriteEdgeList(&sb); err != nil {
-		// strings.Builder never errors; keep the invariant visible.
-		panic(err)
+	return string(g.appendEdgeList(nil))
+}
+
+// appendEdgeList appends the edge-list encoding to dst.
+func (g *Graph) appendEdgeList(dst []byte) []byte {
+	dst = append(dst, "n "...)
+	dst = strconv.AppendInt(dst, int64(g.n), 10)
+	dst = append(dst, '\n')
+	for from := 0; from < g.n; from++ {
+		for _, to := range g.out[from] {
+			dst = strconv.AppendInt(dst, int64(from), 10)
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, int64(to), 10)
+			dst = append(dst, '\n')
+		}
 	}
-	return sb.String()
+	return dst
 }
 
 // Encode returns the graph's canonical encoding: a compact single-line
-// string determined entirely by the node and edge sets — "g1:<n>;" followed
-// by each node's sorted out-neighbor list ("0>2,5;1>0;…", edge-free nodes
+// string determined entirely by the node and edge sets — "g1:<n>" followed
+// by each node's sorted out-neighbor list (";0>2,5;1>0;…", edge-free nodes
 // omitted). Two graphs encode equally iff Graph.Equal holds, independent of
 // construction order, so the encoding is a sound identity key for caches of
 // graph-determined results (the condition package's verdict cache keys on
-// it; Theorem 1's verdict is a pure function of (G, f, threshold)).
+// it; Theorem 1's verdict is a pure function of (G, f, threshold)). Decode
+// is its inverse.
 //
 // The "g1" prefix versions the format: any future change to the encoding
 // must bump it so stale persisted keys miss instead of aliasing.
 func (g *Graph) Encode() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "g1:%d", g.n)
+	sb.Grow(len(encodingPrefix) + 4*(g.n+g.edges))
+	var num [20]byte
+	sb.WriteString(encodingPrefix)
+	sb.Write(strconv.AppendInt(num[:0], int64(g.n), 10))
 	for i := 0; i < g.n; i++ {
 		if len(g.out[i]) == 0 {
 			continue
 		}
-		fmt.Fprintf(&sb, ";%d>", i)
+		sb.WriteByte(';')
+		sb.Write(strconv.AppendInt(num[:0], int64(i), 10))
+		sb.WriteByte('>')
 		for k, to := range g.out[i] {
 			if k > 0 {
 				sb.WriteByte(',')
 			}
-			fmt.Fprintf(&sb, "%d", to)
+			sb.Write(strconv.AppendInt(num[:0], int64(to), 10))
 		}
 	}
 	return sb.String()
+}
+
+// encodingPrefix opens every canonical encoding.
+const encodingPrefix = "g1:"
+
+// EncodedOrder returns the order canonical encoding s declares, reading
+// nothing past it. Decode allocates for that order, so a caller with a bound
+// on the order checks it here first.
+func EncodedOrder(s string) (int, error) {
+	n, _, err := decodeOrder(s)
+	return n, err
+}
+
+// decodeOrder reads the prefix and the order off s and returns the order and
+// the position after it.
+func decodeOrder(s string) (int, int, error) {
+	rest, ok := strings.CutPrefix(s, encodingPrefix)
+	if !ok {
+		return 0, 0, fmt.Errorf("graph: encoding lacks the %q prefix", encodingPrefix)
+	}
+	n, k := canonicalInt(rest)
+	if n < 1 {
+		return 0, 0, decodeError(len(encodingPrefix), "want the order, a decimal ≥ 1 without leading zeros")
+	}
+	return n, len(encodingPrefix) + k, nil
+}
+
+// Decode is Encode's inverse: it rebuilds the graph canonical encoding s
+// names, and refuses any other string — sources and targets must ascend,
+// lie in [0, n), differ from each other, and be written as Encode writes
+// them — so every graph it returns encodes back to s. It builds the graph
+// directly, without a Builder.
+func Decode(s string) (*Graph, error) {
+	n, pos, err := decodeOrder(s)
+	if err != nil {
+		return nil, err
+	}
+	// Every target is preceded by a '>' or a ',', so this bounds the edges
+	// by the input's length, not by the order it declares.
+	targets := make([]int, 0, strings.Count(s[pos:], ">")+strings.Count(s[pos:], ","))
+	out := make([][]int, n)
+	for from := -1; pos < len(s); {
+		if s[pos] != ';' {
+			return nil, decodeError(pos, "want ';'")
+		}
+		pos++
+		v, k := canonicalInt(s[pos:])
+		if k == 0 || v <= from || v >= n {
+			return nil, decodeError(pos, "want a source above the last one and below the order")
+		}
+		from, pos = v, pos+k
+		start := len(targets)
+		for sep := byte('>'); pos < len(s) && s[pos] == sep; sep = ',' {
+			pos++
+			to, k := canonicalInt(s[pos:])
+			if k == 0 || to >= n || to == from || len(targets) > start && to <= targets[len(targets)-1] {
+				return nil, decodeError(pos, "want a target above the last one, below the order and not the source")
+			}
+			targets = append(targets, to)
+			pos += k
+		}
+		if len(targets) == start {
+			return nil, decodeError(pos, "want '>' and the source's targets")
+		}
+		out[from] = targets[start:len(targets):len(targets)]
+	}
+	return newGraph(n, out), nil
+}
+
+// canonicalInt reads a non-negative decimal, written as strconv.Itoa writes
+// it, off the front of s and returns it and its length; the length is 0 when
+// s does not start with one that fits an int.
+func canonicalInt(s string) (v, k int) {
+	for k < len(s) && '0' <= s[k] && s[k] <= '9' {
+		d := int(s[k] - '0')
+		if k > 0 && v == 0 || v > (math.MaxInt-d)/10 {
+			return 0, 0
+		}
+		v, k = 10*v+d, k+1
+	}
+	return v, k
+}
+
+func decodeError(pos int, want string) error {
+	return fmt.Errorf("graph: non-canonical encoding at byte %d: %s", pos, want)
 }
 
 // ParseEdgeList reads a graph in edge-list format.

@@ -78,35 +78,50 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{
-		n:      b.n,
-		out:    make([][]int, b.n),
-		in:     make([][]int, b.n),
-		inSet:  make([]nodeset.Set, b.n),
-		outSet: make([]nodeset.Set, b.n),
-	}
-	for i := range g.inSet {
-		g.inSet[i] = nodeset.New(b.n)
-		g.outSet[i] = nodeset.New(b.n)
-	}
+	out := make([][]int, b.n)
 	for from, tos := range b.adj {
-		out := make([]int, 0, len(tos))
+		out[from] = make([]int, 0, len(tos))
 		for to := range tos {
-			out = append(out, to)
+			out[from] = append(out[from], to)
 		}
-		sort.Ints(out)
-		g.out[from] = out
-		g.edges += len(out)
-		for _, to := range out {
+		sort.Ints(out[from])
+	}
+	return newGraph(b.n, out), nil
+}
+
+// newGraph builds the graph on n nodes whose out-neighbour lists, each
+// ascending, in range and free of self-loops and duplicates, are out.
+func newGraph(n int, out [][]int) *Graph {
+	g := &Graph{
+		n:      n,
+		out:    out,
+		in:     make([][]int, n),
+		inSet:  make([]nodeset.Set, n),
+		outSet: make([]nodeset.Set, n),
+	}
+	deg := make([]int, n)
+	for _, tos := range out {
+		g.edges += len(tos)
+		for _, to := range tos {
+			deg[to]++
+		}
+	}
+	// The in-lists share one array, and come out ascending because the
+	// sources are visited in ascending order.
+	back := make([]int, g.edges)
+	for v, d := range deg {
+		g.in[v], back = back[:0:d], back[d:]
+		g.inSet[v] = nodeset.New(n)
+		g.outSet[v] = nodeset.New(n)
+	}
+	for from, tos := range out {
+		for _, to := range tos {
 			g.in[to] = append(g.in[to], from)
 			g.inSet[to].Add(from)
 			g.outSet[from].Add(to)
 		}
 	}
-	for i := range g.in {
-		sort.Ints(g.in[i])
-	}
-	return g, nil
+	return g
 }
 
 // MustBuild is Build that panics on error, for use with statically correct

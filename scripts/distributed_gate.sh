@@ -7,9 +7,10 @@
 # (`iabc maxf`) — same verdict, same witness-bearing counters, no double
 # counting across leases.
 #
-# Phase 2 (crash-identical resume): relaunch, SIGKILL one worker mid-scan,
-# and require the surviving worker to re-run the victim's requeued leases to
-# the exact same report lines. The coordinator journals only acknowledged
+# Phase 2 (crash-identical resume): relaunch with a state directory, SIGKILL
+# one worker once the scan has journaled its first checkpoint record, and
+# require the surviving worker to re-run the victim's requeued leases to the
+# exact same report lines. The coordinator journals only acknowledged
 # gap-free prefixes and fences stale jobIDs, so a crashed lease re-executes
 # as pure replay — byte-identical, not merely equivalent. A kill after the
 # scan ended would test nothing, so the victim must not have seen the
@@ -25,12 +26,20 @@ trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$work"' EXIT
 
 # A seeded random digraph: its automorphism group is trivial, so every one of
 # the 189 768 fault sets of its seven checks is scanned on its own ground and
-# the single-process sweep takes 4.8 s on a 2-vCPU Xeon host — phase 2's
-# 1 s kill lands mid-scan. (random:25,0.7,1 finishes in 1.8 s since the
-# word-mask insulation kernel, random:23,0.7,1 in 2.3 s since the prefix
-# lookahead, chord:21,2 in milliseconds since the checker scans one fault
-# set per automorphism orbit.)
+# the single-process sweep takes ~5 s on a 2-vCPU Xeon host. Phase 2 kills on
+# observed progress, not after a fixed time, so a faster checker does not
+# move its kill past the end of the scan.
 topo=random:26,0.65,2
+
+# wait_for_checkpoint DIR PID polls every 50 ms, for at most 30 s, until the
+# scan has journaled a checkpoint record under state directory DIR or PID has
+# exited.
+wait_for_checkpoint() {
+  for _ in $(seq 600); do
+    if compgen -G "$1/checkpoint/*" > /dev/null || ! kill -0 "$2" 2>/dev/null; then return; fi
+    sleep 0.05
+  done
+}
 port=$(( (RANDOM % 10000) + 20000 ))
 addr="127.0.0.1:$port"
 
@@ -61,13 +70,13 @@ echo "phase 1 OK: maxf/work lines byte-identical across 2 workers"
 echo "== phase 2: SIGKILL one worker mid-scan, leases must replay identically"
 port=$((port + 1))
 addr="127.0.0.1:$port"
-"$bin" coordinate -topo "$topo" -listen "$addr" > "$work/coord2.out" 2>&1 &
+"$bin" coordinate -topo "$topo" -listen "$addr" -state-dir "$work/state2" > "$work/coord2.out" 2>&1 &
 coord=$!
 "$bin" work -join "$addr" > "$work/worker2a.out" 2>&1 &
 w1=$!
 "$bin" work -join "$addr" > "$work/worker2b.out" 2>&1 &
 w2=$!
-sleep 1
+wait_for_checkpoint "$work/state2" "$coord"
 kill -9 "$w2" 2>/dev/null || true
 wait "$w2" 2>/dev/null || true
 wait "$coord" || { echo "coordinator failed after worker kill:"; cat "$work/coord2.out"; exit 1; }
